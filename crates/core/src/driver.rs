@@ -1,0 +1,840 @@
+//! The one session engine: a protocol-agnostic connection driver.
+//!
+//! §5 of the paper argues that one cheap event loop should carry every
+//! connection that has not earned a process of its own. [`drive`] is that
+//! loop, written once: it sleeps in [`Reactor::wait`] until a socket is
+//! ready or a [`TimerWheel`] deadline is due, reads into a fixed-size
+//! per-connection [`LineBuffer`], hands each complete line to a
+//! [`Protocol`], coalesces the replies of a pipelined burst, and routes
+//! every outbound byte through a bounded per-connection [`OutBuf`] (write
+//! what fits, queue the rest, arm write interest, flush on writable —
+//! and take no further input from a peer until it has drained what it
+//! was sent, DESIGN.md §15.4). Four deadlines live on the wheel per connection —
+//! idle, whole-session, write-stall (no progress), and one protocol
+//! *phase* (SMTP's `DATA` transfer) — and every connection leaves through
+//! one exit, [`Protocol::finish`], with the [`End`] that explains why.
+//!
+//! The server's four dialogs are instances of it: pre-trust SMTP on the
+//! master ([`crate::pretrust`]), post-trust SMTP on each worker
+//! ([`crate::posttrust`]), POP3, and the one-line admin protocol. The
+//! driver is the only code that parks a thread or touches a socket; a
+//! protocol is a state machine over lines (the xtask blocking pass pins
+//! exactly that, DESIGN.md §14.2).
+//!
+//! Everything is injected — transport ([`Conn`]/[`Acceptor`]), reactor,
+//! clock, flags — so the same loop runs on epoll and real sockets in
+//! production and on [`crate::reactor::sim`] and a `ManualClock` in the
+//! deterministic tests.
+
+use crate::linebuf::{LineBuffer, LineOverflow};
+use crate::reactor::wheel::TimerWheel;
+use crate::reactor::{Pollable, Reactor, ReadyEvent};
+use spamaware_metrics::{Clock, Counter, Gauge, Registry};
+use std::collections::BTreeMap;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// The reactor token reserved for a protocol's listening socket;
+/// connection tokens start above it.
+pub const ACCEPT_TOKEN: u64 = 0;
+
+/// Per-connection timer kinds, packed into wheel ids as
+/// `token << 2 | kind`.
+const TIMER_IDLE: u64 = 0;
+const TIMER_SESSION: u64 = 1;
+const TIMER_WRITE_STALL: u64 = 2;
+const TIMER_PHASE: u64 = 3;
+
+/// Reply bytes one pump may coalesce before it must offer them to the
+/// socket. Together with "no input is taken while output is queued" this
+/// bounds what a peer can make the driver hold for it to this much plus
+/// one reply, however many commands it pipelines.
+const BURST_BYTES: usize = 16 * 1024;
+
+/// A connection the driver can serve without blocking.
+pub trait Conn: Pollable {
+    /// One non-blocking read: `Ok(0)` is peer EOF, `WouldBlock` means the
+    /// socket is dry (the reactor will say when to try again).
+    ///
+    /// # Errors
+    ///
+    /// Transport errors close the connection.
+    fn read_ready(&mut self, buf: &mut [u8]) -> io::Result<usize>;
+
+    /// One non-blocking write: accepts what fits in the socket buffer,
+    /// `WouldBlock` when nothing does (the reactor's write-readiness says
+    /// when to retry).
+    ///
+    /// # Errors
+    ///
+    /// Transport errors close the connection.
+    fn write_ready(&mut self, buf: &[u8]) -> io::Result<usize>;
+}
+
+/// A listening socket a protocol can drain without blocking.
+pub trait Acceptor: Pollable {
+    /// The connection type this acceptor produces.
+    type Conn: Conn;
+
+    /// Accepts one pending connection; `Ok(None)` means none is pending.
+    ///
+    /// # Errors
+    ///
+    /// Fatal listener errors end the accept burst (existing connections
+    /// keep being served).
+    fn try_accept(&mut self) -> io::Result<Option<(Self::Conn, SocketAddr)>>;
+}
+
+impl Conn for TcpStream {
+    fn read_ready(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        Read::read(self, buf)
+    }
+
+    fn write_ready(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // The server's single raw socket-write site: everything above it
+        // goes through an OutBuf (pinned in the xtask blocking pass).
+        Write::write(self, buf)
+    }
+}
+
+impl Acceptor for TcpListener {
+    type Conn = TcpStream;
+
+    fn try_accept(&mut self) -> io::Result<Option<(TcpStream, SocketAddr)>> {
+        match self.accept() {
+            Ok((stream, peer)) => {
+                let _ = stream.set_nonblocking(true);
+                // Replies are coalesced into one write per pipelined
+                // burst, so Nagle only adds delayed-ACK stalls between
+                // our small writes and the client's next burst.
+                let _ = stream.set_nodelay(true);
+                Ok(Some((stream, peer)))
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// Saturating [`Duration`] → nanoseconds (`Duration::MAX` ⇒ `u64::MAX`,
+/// which the driver reads as "no deadline").
+pub(crate) fn duration_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Outcome of an [`OutBuf`] write attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WriteState {
+    /// Everything queued has reached the socket.
+    Drained,
+    /// Bytes remain queued; the reactor must say when to retry.
+    Pending,
+    /// The queue outgrew its cap: the peer has stopped draining.
+    Overflow,
+    /// The transport failed; the connection is dead.
+    Broken,
+}
+
+/// A bounded per-connection outbound queue: write what fits, keep the
+/// rest, report when the peer stops draining (DESIGN.md §15.4).
+///
+/// The cap is on *queued* (unflushed) bytes: a burst the socket refuses
+/// more of than that evicts its peer on the spot. (What keeps the queue
+/// to one burst in the first place is [`Driver::pump`].) An overflowing
+/// send still queues before reporting, so the byte-count gauge stays
+/// exact until the eviction reconciles it.
+struct OutBuf {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already written; drained lazily so partial flushes
+    /// do not memmove the queue.
+    head: usize,
+    cap: usize,
+}
+
+impl OutBuf {
+    fn new(cap: usize) -> OutBuf {
+        OutBuf {
+            buf: Vec::new(),
+            head: 0,
+            cap,
+        }
+    }
+
+    /// Bytes queued and not yet accepted by the socket.
+    fn pending(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
+    /// Takes the queued bytes (for a protocol hand-off).
+    fn take_pending(mut self) -> Vec<u8> {
+        self.buf.drain(..self.head);
+        self.buf
+    }
+
+    /// Writes the backlog and then `bytes` (possibly none) until the
+    /// socket stops accepting; only what it refuses is copied into the
+    /// queue. Returns the state plus the bytes written this call.
+    fn send<C: Conn>(&mut self, conn: &mut C, mut bytes: &[u8]) -> (WriteState, usize) {
+        let mut wrote = 0;
+        loop {
+            let backlog = self.head < self.buf.len();
+            let chunk = if backlog {
+                &self.buf[self.head..]
+            } else {
+                bytes
+            };
+            if chunk.is_empty() {
+                break;
+            }
+            match conn.write_ready(chunk) {
+                Ok(0) => return (WriteState::Broken, wrote),
+                Ok(n) if backlog => {
+                    self.head += n;
+                    wrote += n;
+                }
+                Ok(n) => {
+                    bytes = &bytes[n..];
+                    wrote += n;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => return (WriteState::Broken, wrote),
+            }
+        }
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+        } else if self.head >= self.buf.len() / 2 {
+            // Compact once the drained prefix dominates the allocation.
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+        if self.buf.is_empty() {
+            (WriteState::Drained, wrote)
+        } else if self.pending() > self.cap {
+            (WriteState::Overflow, wrote)
+        } else {
+            (WriteState::Pending, wrote)
+        }
+    }
+}
+
+/// Best-effort write for a connection that is leaving: writes what the
+/// socket accepts now and drops the rest — nobody stalls a loop to say
+/// goodbye.
+pub(crate) fn farewell<C: Conn>(conn: &mut C, mut bytes: &[u8]) {
+    while !bytes.is_empty() {
+        match conn.write_ready(bytes) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => bytes = &bytes[n..],
+        }
+    }
+}
+
+/// Why a connection left the driver — the argument of the one exit,
+/// [`Protocol::finish`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum End {
+    /// The protocol ended the dialog ([`Step::Close`]); its last replies
+    /// reached the socket.
+    Closed,
+    /// The peer hung up or the transport failed.
+    PeerGone,
+    /// The peer overflowed the fixed-size line buffer; replies queued
+    /// before the overflow reached the socket.
+    Overflow,
+    /// No bytes moved in either direction for the idle budget.
+    Idle,
+    /// The whole-session budget ran out.
+    Session,
+    /// The protocol's phase budget (SMTP `DATA`) ran out.
+    Phase,
+    /// The peer stopped reading: its reply queue hit the cap or made no
+    /// progress for the write-stall budget.
+    SlowWriter,
+    /// Evicted by a graceful drain (no phase was in flight).
+    Drain,
+    /// The protocol asked for the socket ([`Step::Detach`]);
+    /// [`Gone::unsent`] carries the replies the peer has not accepted.
+    Detached,
+    /// The reactor refused to watch the socket; it was never served.
+    Unwatchable,
+}
+
+/// What a protocol wants after handling one line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Keep serving.
+    Continue,
+    /// A deadline-bounded phase began (SMTP `DATA`): arm the phase
+    /// deadline; a drain lets the phase finish.
+    PhaseStart,
+    /// The phase completed: disarm its deadline.
+    PhaseEnd,
+    /// Flush the replies, then end the dialog ([`End::Closed`]).
+    Close,
+    /// Flush what the socket accepts, then hand the socket to the
+    /// protocol ([`End::Detached`]).
+    Detach,
+}
+
+/// A connection a protocol asks the driver to serve.
+pub struct Arrival<C, S> {
+    /// The socket (nonblocking, registered nowhere).
+    pub conn: C,
+    /// Protocol state for this connection.
+    pub session: S,
+    /// The connection's line buffer, possibly already holding input.
+    pub lines: LineBuffer,
+    /// Bytes to send first (a greeting, or replies owed from a hand-off).
+    pub greeting: Vec<u8>,
+    /// Clock instant the session deadline is charged from.
+    pub accepted_ns: u64,
+}
+
+/// A connection the driver is done with, returned to its protocol.
+pub struct Gone<C, S> {
+    /// The socket, deregistered; dropping it closes it.
+    pub conn: C,
+    /// Protocol state.
+    pub session: S,
+    /// Unconsumed input with its allocation.
+    pub lines: LineBuffer,
+    /// Reply bytes the peer never accepted (meaningful for
+    /// [`End::Detached`]; otherwise they are dropped with the socket).
+    pub unsent: Vec<u8>,
+    /// The [`Arrival::accepted_ns`] it came with.
+    pub accepted_ns: u64,
+}
+
+/// A line-oriented dialog the driver can serve. Implementations hold no
+/// socket and never block on one: they turn lines into reply bytes.
+pub trait Protocol<C: Conn> {
+    /// Per-connection protocol state.
+    type Session;
+
+    /// The `poll_id` of the listening socket arrivals come through, if
+    /// any: [`Protocol::admit`] is then called when it is readable.
+    /// Queue-fed protocols return `None` and are asked after every
+    /// wakeup (their feeder wakes the reactor).
+    fn listener(&self) -> Option<u64>;
+
+    /// The next connection to serve, or `None` when there is none right
+    /// now. Arrivals the protocol refuses are dealt with here and never
+    /// reach the driver; each one returned ends in exactly one
+    /// [`Protocol::finish`] (unless the driver is stopped first).
+    fn admit(&mut self, now_ns: u64, draining: bool) -> Option<Arrival<C, Self::Session>>;
+
+    /// Handles one complete input line (terminator stripped), appending
+    /// any reply bytes to `out`.
+    fn line(&mut self, session: &mut Self::Session, line: &[u8], out: &mut Vec<u8>) -> Step;
+
+    /// The one exit: releases the connection's resources, says a
+    /// farewell if `end` deserves one ([`farewell`]), and counts the
+    /// outcome.
+    fn finish(&mut self, gone: Gone<C, Self::Session>, end: End);
+}
+
+/// Per-connection budgets. `Duration::MAX` disables a deadline.
+#[derive(Debug, Clone, Copy)]
+pub struct Limits {
+    /// No bytes in either direction for this long ends the connection.
+    pub idle: Duration,
+    /// Whole-session budget, charged from [`Arrival::accepted_ns`].
+    pub session: Duration,
+    /// How long queued output may make zero progress.
+    pub write_stall: Duration,
+    /// Budget of one protocol phase ([`Step::PhaseStart`]).
+    pub phase: Duration,
+    /// Hard cap on queued (unflushed) reply bytes per connection.
+    pub max_outq_bytes: usize,
+}
+
+/// Loop-health instruments. The master registers them as `master.*`;
+/// every other driver thread keeps [`DriverMetrics::default`] — detached
+/// instruments no report renders, so `master.*` keeps meaning the master
+/// thread alone.
+#[derive(Debug, Default)]
+pub struct DriverMetrics {
+    /// Reactor wait returns.
+    pub wakeups: Arc<Counter>,
+    /// Readiness events delivered.
+    pub io_events: Arc<Counter>,
+    /// Timer-wheel expirations processed.
+    pub timers_fired: Arc<Counter>,
+    /// Connections whose replies outran the socket and started queuing.
+    pub write_stalls: Arc<Counter>,
+    /// Queued outbound bytes across all connections.
+    pub outq_bytes: Arc<Gauge>,
+}
+
+impl DriverMetrics {
+    /// The master thread's instruments on `registry`.
+    pub fn master(registry: &Registry) -> DriverMetrics {
+        DriverMetrics {
+            wakeups: registry.counter("master.wakeups"),
+            io_events: registry.counter("master.io_events"),
+            timers_fired: registry.counter("master.timers_fired"),
+            write_stalls: registry.counter("master.write_stalls"),
+            outq_bytes: registry.gauge("master.outq_bytes"),
+        }
+    }
+}
+
+/// Everything [`drive`] needs beyond the reactor and the protocol.
+pub struct DriverEnv {
+    /// The loop's only time source.
+    pub clock: Arc<dyn Clock>,
+    /// Hard-stop flag; the loop exits at the next wakeup and drops its
+    /// connections without ceremony.
+    pub stop: Arc<AtomicBool>,
+    /// Graceful-drain flag: connections with no phase in flight are
+    /// retired with [`End::Drain`], the rest as soon as their phase ends.
+    pub draining: Arc<AtomicBool>,
+    /// Per-connection budgets.
+    pub limits: Limits,
+    /// Loop-health instruments.
+    pub metrics: DriverMetrics,
+}
+
+/// One served connection's loop state.
+struct Slot<C, S> {
+    conn: C,
+    session: S,
+    lines: LineBuffer,
+    /// Reply bytes the socket has not accepted yet.
+    outq: OutBuf,
+    /// Whether write interest is currently armed on the reactor.
+    w_armed: bool,
+    /// A protocol phase is in flight (its deadline is armed).
+    phase_open: bool,
+    /// Input is finished (dialog closed, overflow, or peer EOF) and reads
+    /// are muted; the connection leaves with this end once `outq` drains.
+    closing: Option<End>,
+    accepted_ns: u64,
+    last_activity_ns: u64,
+}
+
+struct Driver<'a, C: Conn, R: Reactor, P: Protocol<C>> {
+    reactor: &'a mut R,
+    proto: &'a mut P,
+    env: &'a DriverEnv,
+    timers: Timers,
+    conns: BTreeMap<u64, Slot<C, P::Session>>,
+    next_token: u64,
+    /// Reply bytes of the burst being pumped.
+    out: Vec<u8>,
+    /// Per-thread read scratch: one read of up to this much per readable
+    /// event. The per-connection [`LineBuffer`] stays fixed-size (§5.2).
+    scratch: [u8; 4096],
+}
+
+/// Serves `proto`'s connections on `reactor` until `env.stop` is set.
+pub fn drive<C: Conn, R: Reactor, P: Protocol<C>>(reactor: &mut R, proto: &mut P, env: &DriverEnv) {
+    let listening = match proto.listener() {
+        // A loop that cannot watch its own listener cannot serve.
+        Some(id) if reactor.register(id, ACCEPT_TOKEN).is_err() => return,
+        Some(_) => true,
+        None => false,
+    };
+    Driver {
+        reactor,
+        proto,
+        env,
+        timers: Timers {
+            wheel: TimerWheel::new(env.clock.now_nanos()),
+            // Indexed by TIMER_IDLE, _SESSION, _WRITE_STALL, _PHASE.
+            budget_ns: [
+                env.limits.idle,
+                env.limits.session,
+                env.limits.write_stall,
+                env.limits.phase,
+            ]
+            .map(duration_ns),
+        },
+        conns: BTreeMap::new(),
+        next_token: ACCEPT_TOKEN + 1,
+        out: Vec::new(),
+        scratch: [0; 4096],
+    }
+    .run(listening);
+}
+
+/// The wheel plus the four per-connection budgets, indexed by timer kind.
+struct Timers {
+    wheel: TimerWheel,
+    budget_ns: [u64; 4],
+}
+
+impl Timers {
+    /// Arms (or re-arms) `token`'s timer `kind` at `from` + its budget; a
+    /// budget of `u64::MAX` means the deadline is disabled.
+    fn arm(&mut self, token: u64, kind: u64, from: u64) {
+        let budget_ns = self.budget_ns[kind as usize];
+        if budget_ns != u64::MAX {
+            self.wheel
+                .schedule((token << 2) | kind, from.saturating_add(budget_ns));
+        }
+    }
+
+    fn cancel(&mut self, token: u64, kind: u64) {
+        self.wheel.cancel((token << 2) | kind);
+    }
+}
+
+impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
+    fn now(&self) -> u64 {
+        self.env.clock.now_nanos()
+    }
+
+    fn run(mut self, listening: bool) {
+        let env = self.env;
+        let mm = &env.metrics;
+        let mut ready: Vec<ReadyEvent> = Vec::new();
+        let mut fired: Vec<(u64, u64)> = Vec::new();
+        while !self.env.stop.load(Ordering::SeqCst) {
+            let now = self.now();
+            let timeout_ns = self
+                .timers
+                .wheel
+                .next_deadline()
+                .map(|d| d.saturating_sub(now));
+            ready.clear();
+            // The one place a driver thread parks: until readiness, a
+            // timer deadline, or a waker.
+            if self.reactor.wait(timeout_ns, &mut ready).is_err() {
+                return;
+            }
+            mm.wakeups.inc();
+            if !ready.is_empty() {
+                mm.io_events.add(ready.len() as u64);
+            }
+            if self.env.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let draining = self.env.draining.load(Ordering::SeqCst);
+            let mut arrivals = !listening;
+            for &ev in &ready {
+                if ev.token == ACCEPT_TOKEN {
+                    arrivals = true;
+                    continue;
+                }
+                if ev.writable {
+                    // The peer drained some of its socket buffer: flush
+                    // the queue before reading more work from it.
+                    self.send(ev.token, &[]);
+                }
+                if ev.readable {
+                    self.pump(ev.token, true);
+                }
+            }
+            while arrivals {
+                let now = self.now();
+                match self.proto.admit(now, draining) {
+                    Some(arrival) => self.adopt(arrival),
+                    None => arrivals = false,
+                }
+            }
+            let now = self.now();
+            fired.clear();
+            self.timers.wheel.advance(now, &mut fired);
+            if !fired.is_empty() {
+                mm.timers_fired.add(fired.len() as u64);
+            }
+            for &(_, id) in &fired {
+                self.on_timer(id, now);
+            }
+            if draining {
+                // Whatever holds no in-flight phase holds no unacked
+                // mail: retire it so the drain converges regardless of
+                // client behavior. A phase in flight is swept by the
+                // wakeup that completes it.
+                let idle: Vec<u64> = self
+                    .conns
+                    .iter()
+                    .filter(|(_, slot)| !slot.phase_open)
+                    .map(|(&token, _)| token)
+                    .collect();
+                for token in idle {
+                    self.retire(token, End::Drain);
+                }
+            }
+        }
+    }
+
+    /// Starts serving one arrival: watch it, start its clocks, send its
+    /// greeting, and handle whatever input came with it — without a read,
+    /// so a hand-off costs no wakeup before the peer's next bytes.
+    fn adopt(&mut self, arrival: Arrival<C, P::Session>) {
+        let token = self.next_token;
+        self.next_token += 1;
+        let slot = Slot {
+            conn: arrival.conn,
+            session: arrival.session,
+            lines: arrival.lines,
+            outq: OutBuf::new(self.env.limits.max_outq_bytes),
+            w_armed: false,
+            phase_open: false,
+            closing: None,
+            accepted_ns: arrival.accepted_ns,
+            last_activity_ns: self.now(),
+        };
+        if self.reactor.register(slot.conn.poll_id(), token).is_err() {
+            // A connection the reactor cannot watch would sit unserved
+            // forever; refuse it instead.
+            self.release(token, slot, End::Unwatchable);
+            return;
+        }
+        self.timers.arm(token, TIMER_IDLE, slot.last_activity_ns);
+        self.timers.arm(token, TIMER_SESSION, arrival.accepted_ns);
+        self.conns.insert(token, slot);
+        // The greeting rides the same backpressure path as every later
+        // reply — a zero-window peer can stall from byte one.
+        self.send(token, &arrival.greeting);
+        self.pump(token, false);
+    }
+
+    /// Queues `bytes` (possibly none) behind the connection's backlog and
+    /// flushes what the socket accepts; then reconciles write interest,
+    /// the no-progress deadline, and the gauge with the queue's state,
+    /// and retires the connection if the write path says it is over.
+    fn send(&mut self, token: u64, bytes: &[u8]) {
+        let now = self.now();
+        let env = self.env;
+        let mm = &env.metrics;
+        let Some(slot) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let before = slot.outq.pending();
+        let (state, wrote) = slot.outq.send(&mut slot.conn, bytes);
+        mm.outq_bytes
+            .add(slot.outq.pending() as i64 - before as i64);
+        if wrote > 0 {
+            slot.last_activity_ns = now;
+        }
+        if !slot.w_armed && matches!(state, WriteState::Pending | WriteState::Overflow) {
+            // The stall begins here, whether or not the cap survives it.
+            mm.write_stalls.inc();
+        }
+        let mut resume = false;
+        let end = match state {
+            WriteState::Drained => {
+                if slot.w_armed {
+                    slot.w_armed = false;
+                    self.timers.cancel(token, TIMER_WRITE_STALL);
+                    if slot.closing.is_none() {
+                        // The peer caught up: listen to it again.
+                        let _ = self.reactor.set_interest(slot.conn.poll_id(), true, false);
+                        resume = true;
+                    }
+                }
+                slot.closing
+            }
+            WriteState::Pending if !slot.w_armed => {
+                // Watch for writability, stop reading (a peer that is not
+                // draining its replies gets no more work done for it),
+                // and start the no-progress clock. Never being told when
+                // the peer drains would leave the queue sitting forever:
+                // give the connection up instead.
+                match self.reactor.set_interest(slot.conn.poll_id(), false, true) {
+                    Ok(()) => {
+                        slot.w_armed = true;
+                        self.timers.arm(token, TIMER_WRITE_STALL, now);
+                        None
+                    }
+                    Err(_) => Some(End::SlowWriter),
+                }
+            }
+            WriteState::Pending => {
+                if wrote > 0 {
+                    // Progress resets the no-progress deadline: a slow
+                    // drip is served for as long as it keeps accepting.
+                    self.timers.arm(token, TIMER_WRITE_STALL, now);
+                }
+                None
+            }
+            WriteState::Overflow => Some(End::SlowWriter),
+            WriteState::Broken => Some(End::PeerGone),
+        };
+        if let Some(end) = end {
+            self.retire(token, end);
+        } else if resume {
+            // Lines that arrived behind the stalled replies are due now.
+            self.pump(token, false);
+        }
+    }
+
+    /// One readiness-driven pump: a single read (if `read`), then every
+    /// complete line it completed, the replies coalesced into one send
+    /// per [`BURST_BYTES`]. Backpressure: no input is taken while replies
+    /// are queued — reads are muted then, the lines already buffered wait,
+    /// and the drain ([`Driver::send`]) pumps them.
+    fn pump(&mut self, token: u64, read: bool) {
+        let Some(slot) = self.conns.get_mut(&token) else {
+            // Retired earlier this wakeup.
+            return;
+        };
+        if slot.closing.is_some() || slot.outq.pending() > 0 {
+            return;
+        }
+        let mut end = None;
+        if read {
+            match slot.conn.read_ready(&mut self.scratch) {
+                Ok(0) => end = Some(End::PeerGone),
+                Ok(n) => {
+                    slot.lines.push(&self.scratch[..n]);
+                    let now = self.env.clock.now_nanos();
+                    slot.last_activity_ns = now;
+                    self.timers.arm(token, TIMER_IDLE, now);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(_) => end = Some(End::PeerGone),
+            }
+        }
+        let mut out = std::mem::take(&mut self.out);
+        let mut more = true;
+        while more {
+            let Some(slot) = self.conns.get_mut(&token) else {
+                break;
+            };
+            if slot.outq.pending() > 0 {
+                // The socket refused part of the last burst.
+                break;
+            }
+            out.clear();
+            more = false;
+            let was_open = slot.phase_open;
+            let mut phase_started = false;
+            while end.is_none() {
+                if out.len() >= BURST_BYTES {
+                    more = true;
+                    break;
+                }
+                match slot.lines.pop_line() {
+                    Ok(Some(line)) => match self.proto.line(&mut slot.session, &line, &mut out) {
+                        Step::Continue => {}
+                        Step::PhaseStart => {
+                            slot.phase_open = true;
+                            phase_started = true;
+                        }
+                        Step::PhaseEnd => slot.phase_open = false,
+                        Step::Close => end = Some(End::Closed),
+                        Step::Detach => end = Some(End::Detached),
+                    },
+                    Ok(None) => break,
+                    Err(LineOverflow) => end = Some(End::Overflow),
+                }
+            }
+            if phase_started && slot.phase_open {
+                self.timers
+                    .arm(token, TIMER_PHASE, self.env.clock.now_nanos());
+            } else if was_open && !slot.phase_open {
+                self.timers.cancel(token, TIMER_PHASE);
+            }
+            match end {
+                None if out.is_empty() => {}
+                None => self.send(token, &out),
+                Some(End::Detached) => self.detach(token, &out),
+                Some(end) => self.close(token, end, &out),
+            }
+        }
+        self.out = out;
+    }
+
+    /// Input is over (`end`): send the last replies and leave once they
+    /// reached the socket. A peer that has not drained them yet keeps
+    /// its connection — reads muted like any queued output's, so its EOF
+    /// cannot spin the loop, and never unmuted — until the queue drains
+    /// (which retires it with `end`), stalls out, or a deadline fires.
+    fn close(&mut self, token: u64, end: End, out: &[u8]) {
+        if let Some(slot) = self.conns.get_mut(&token) {
+            slot.closing = Some(end);
+        }
+        self.send(token, out);
+    }
+
+    /// [`Step::Detach`]: flush the burst as far as the socket allows and
+    /// hand the socket, with whatever stays queued, to the protocol.
+    fn detach(&mut self, token: u64, out: &[u8]) {
+        let Some(mut slot) = self.conns.remove(&token) else {
+            return;
+        };
+        let before = slot.outq.pending();
+        let (state, _) = slot.outq.send(&mut slot.conn, out);
+        let mm = &self.env.metrics;
+        mm.outq_bytes
+            .add(slot.outq.pending() as i64 - before as i64);
+        let end = match state {
+            WriteState::Broken => End::PeerGone,
+            _ => End::Detached,
+        };
+        self.release(token, slot, end);
+    }
+
+    fn on_timer(&mut self, id: u64, now: u64) {
+        let (token, kind) = (id >> 2, id & 3);
+        let Some(slot) = self.conns.get(&token) else {
+            return;
+        };
+        let end = match kind {
+            TIMER_SESSION => End::Session,
+            TIMER_PHASE => End::Phase,
+            // Drained in the same wakeup the deadline fired: the cancel
+            // raced the expiry.
+            TIMER_WRITE_STALL if slot.outq.pending() == 0 => return,
+            TIMER_WRITE_STALL => End::SlowWriter,
+            _ => {
+                // Idle means the peer owes us bytes. While replies are
+                // queued toward it, it is the stall deadline's case.
+                let quiet_since = match slot.outq.pending() {
+                    0 => slot.last_activity_ns,
+                    _ => now,
+                };
+                if now.saturating_sub(quiet_since) < self.timers.budget_ns[TIMER_IDLE as usize] {
+                    // Activity raced the expiry: re-arm from it.
+                    self.timers.arm(token, TIMER_IDLE, quiet_since);
+                    return;
+                }
+                End::Idle
+            }
+        };
+        self.retire(token, end);
+    }
+
+    fn retire(&mut self, token: u64, end: End) {
+        if let Some(slot) = self.conns.remove(&token) {
+            self.release(token, slot, end);
+        }
+    }
+
+    /// The driver half of the one exit: unhook the connection from the
+    /// reactor, the wheel, and the gauge, then give it back to its
+    /// protocol. A forced eviction the peer may still hear (`Session`,
+    /// `Phase`, `Drain`) first gets its queued replies, best effort, so
+    /// the protocol's farewell lands in order.
+    fn release(&mut self, token: u64, slot: Slot<C, P::Session>, end: End) {
+        let _ = self.reactor.deregister(slot.conn.poll_id());
+        for kind in [TIMER_IDLE, TIMER_SESSION, TIMER_WRITE_STALL, TIMER_PHASE] {
+            self.timers.cancel(token, kind);
+        }
+        let mm = &self.env.metrics;
+        mm.outq_bytes.add(-(slot.outq.pending() as i64));
+        let mut conn = slot.conn;
+        let mut unsent = slot.outq.take_pending();
+        if matches!(end, End::Session | End::Phase | End::Drain) {
+            farewell(&mut conn, &unsent);
+            unsent.clear();
+        }
+        let gone = Gone {
+            conn,
+            session: slot.session,
+            lines: slot.lines,
+            unsent,
+            accepted_ns: slot.accepted_ns,
+        };
+        self.proto.finish(gone, end);
+    }
+}

@@ -15,7 +15,7 @@
 //! * [`experiment`] — one runner per paper table/figure (the benchmark
 //!   harness and the EXPERIMENTS.md numbers come from here);
 //! * [`combined_workload`] — the §8 mixed workload builder;
-//! * [`LiveServer`] — a real threaded TCP SMTP server wiring all three
+//! * [`LiveServer`] — a real TCP SMTP server wiring all three
 //!   optimizations together over real sockets and a real on-disk store.
 //!
 //! # Quickstart (simulation)
@@ -30,13 +30,14 @@
 //! ```
 
 mod dnsbl_agent;
+pub mod driver;
 pub mod experiment;
 mod linebuf;
 mod live;
 mod mix;
-mod netio;
 mod pool;
 mod pop3;
+pub mod posttrust;
 pub mod pretrust;
 pub mod reactor;
 

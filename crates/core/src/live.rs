@@ -1,24 +1,27 @@
-//! A live, threaded SMTP server implementing fork-after-trust over real
-//! TCP sockets.
+//! A live SMTP server implementing fork-after-trust over real TCP
+//! sockets.
 //!
 //! This is the deployable rendering of the paper's §5 architecture (with
-//! threads standing in for postfix's processes):
+//! threads standing in for postfix's processes), and every thread that
+//! talks to a peer runs the same session engine ([`crate::driver`]):
 //!
-//! * an **acceptor thread** plays the master: it owns every new connection
-//!   and drives the SMTP dialog through a non-blocking event loop until a
-//!   valid `RCPT TO` arrives (fixed-size line buffers only — the §5.2
-//!   security argument);
+//! * the **master** thread owns every new connection and drives the SMTP
+//!   dialog through a non-blocking event loop until a valid `RCPT TO`
+//!   arrives (fixed-size line buffers only — the §5.2 security argument);
 //! * connections that never earn trust (bounces, abandoned handshakes) are
 //!   answered and closed by the master without ever waking a worker;
 //! * trusted connections are handed — socket, session state, and any
 //!   already-buffered bytes — to one of a pool of **worker threads** over
 //!   bounded queues (the 64 KiB-UNIX-socket analogue), round-robin with
 //!   non-blocking sends so full queues throttle the master naturally;
-//! * workers finish the transaction (`DATA` onward) and store mail in a
-//!   [`ShardedStore`] over [`RealDir`] — multi-recipient spam hits the
-//!   disk once, and deliveries to different mailboxes proceed in parallel
-//!   because the store stripes per-mailbox locks instead of serializing
-//!   everything behind one mutex.
+//! * each worker multiplexes every trusted session it is given on its own
+//!   reactor ([`crate::posttrust`]), finishes the transactions (`DATA`
+//!   onward) and stores mail in a [`ShardedStore`] over [`RealDir`] —
+//!   multi-recipient spam hits the disk once, and deliveries to different
+//!   mailboxes proceed in parallel because the store stripes per-mailbox
+//!   locks instead of serializing everything behind one mutex. The store
+//!   call is the only blocking work on a worker: a slow sender costs its
+//!   own connection state, never the thread.
 //!
 //! # Hot-path allocation discipline
 //!
@@ -42,22 +45,24 @@
 //! command line.
 
 use crate::dnsbl_agent::{agent_loop, DnsblAgentCtx};
-use crate::linebuf::{LineBuffer, LineOverflow};
-use crate::netio;
+use crate::driver::{
+    drive, Acceptor, Arrival, DriverEnv, DriverMetrics, End, Gone, Limits, Protocol, Step,
+};
+use crate::linebuf::LineBuffer;
 use crate::pool::BufferPool;
+use crate::posttrust::{run_posttrust, Handoff, WorkerCtx};
 use crate::pretrust::{self, EngineCtx, Trusted};
 use crate::reactor::os::OsReactor;
+use crate::reactor::Pollable;
 use crate::ServeError;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use spamaware_dnsbl::{BreakerConfig, DnsblServer};
 use spamaware_metrics::{Counter, Gauge, Registry};
-use spamaware_mfs::{DataRef, MailId, RealDir, ShardedStore};
+use spamaware_mfs::{RealDir, ShardedStore};
 use spamaware_netaddr::Ipv4;
-use spamaware_smtp::{Command, DataVerdict, MailAddr, Reply, ServerSession, SessionOutcome};
+use spamaware_smtp::Command;
 use std::collections::HashSet;
-use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -195,7 +200,8 @@ pub struct LiveStats {
     pub delivered: Arc<Counter>,
     /// Bounce connections dispatched entirely by the master.
     pub bounces: Arc<Counter>,
-    /// Unfinished connections dispatched entirely by the master.
+    /// Connections that got a session and ended without delivering mail
+    /// or bouncing — on the master or on a worker, whatever the cause.
     pub unfinished: Arc<Counter>,
     /// Connections delegated to workers.
     pub delegated: Arc<Counter>,
@@ -222,21 +228,23 @@ pub struct LiveStats {
     /// Trusted connections shed with `421` because every worker queue was
     /// full (the master never blocks on a send).
     pub shed_worker_busy: Arc<Counter>,
-    /// Connections shed with `421` because the server is draining.
+    /// Connections shed with `421` because the server is draining: new
+    /// arrivals refused at the door, plus the pre-trust connections the
+    /// drain evicted (those are also in `drain_evictions`).
     pub shed_draining: Arc<Counter>,
+    /// Pre-trust connections a drain evicted mid-dialog.
+    pub drain_evictions: Arc<Counter>,
     /// Connections evicted with `421` for exhausting the whole-session
     /// wall-clock budget.
     pub session_deadline_evictions: Arc<Counter>,
     /// Connections evicted with `421` for exhausting the `DATA` transfer
     /// budget.
     pub data_deadline_evictions: Arc<Counter>,
-    /// Socket-setup failures: an admin connection that cannot be given a
-    /// read deadline, or a pre-trust connection the reactor could not
-    /// register. Either way the connection is closed rather than allowed
-    /// to pin a thread or escape its deadlines.
+    /// Connections a reactor could not register (master, worker, or
+    /// admin): closed rather than left unserved and outside its deadlines.
     pub sockopt_errors: Arc<Counter>,
-    /// Worker reply writes abandoned because the peer stopped reading for
-    /// a whole write budget; the connection is dropped.
+    /// Trusted connections dropped because the peer stopped reading: its
+    /// queued replies hit the cap or made no progress for a whole budget.
     pub worker_write_timeouts: Arc<Counter>,
     /// Admin responses abandoned because the client stopped reading for a
     /// whole write budget; the connection is dropped.
@@ -252,7 +260,7 @@ pub struct LiveSnapshot {
     pub delivered: u64,
     /// Bounce connections dispatched entirely by the master.
     pub bounces: u64,
-    /// Unfinished connections dispatched entirely by the master.
+    /// Connections that ended without delivering mail or bouncing.
     pub unfinished: u64,
     /// Connections delegated to workers.
     pub delegated: u64,
@@ -278,11 +286,13 @@ pub struct LiveSnapshot {
     pub shed_worker_busy: u64,
     /// Connections shed with `421` while draining.
     pub shed_draining: u64,
+    /// Pre-trust connections a drain evicted mid-dialog.
+    pub drain_evictions: u64,
     /// Connections evicted for exhausting the session budget.
     pub session_deadline_evictions: u64,
     /// Connections evicted for exhausting the `DATA` budget.
     pub data_deadline_evictions: u64,
-    /// `set_read_timeout` failures.
+    /// Connections a reactor could not register.
     pub sockopt_errors: u64,
     /// Worker reply writes abandoned on a non-reading peer.
     pub worker_write_timeouts: u64,
@@ -292,8 +302,9 @@ pub struct LiveSnapshot {
 
 impl LiveStats {
     /// Creates (or re-binds) every live-server counter on `registry`.
-    /// Public so the deterministic pre-trust engine tests can drive
-    /// [`crate::pretrust::run_pretrust`] against a fresh registry.
+    /// Public so the deterministic engine tests can drive
+    /// [`crate::pretrust::run_pretrust`] and
+    /// [`crate::posttrust::run_posttrust`] against a fresh registry.
     pub fn register(registry: &Registry) -> LiveStats {
         LiveStats {
             accepted: registry.counter("live.accepted"),
@@ -312,6 +323,7 @@ impl LiveStats {
             shed_per_ip: registry.counter("live.shed_per_ip"),
             shed_worker_busy: registry.counter("live.shed_worker_busy"),
             shed_draining: registry.counter("live.shed_draining"),
+            drain_evictions: registry.counter("live.drain_evictions"),
             session_deadline_evictions: registry.counter("live.session_deadline_evictions"),
             data_deadline_evictions: registry.counter("live.data_deadline_evictions"),
             sockopt_errors: registry.counter("live.sockopt_errors"),
@@ -339,12 +351,35 @@ impl LiveStats {
             shed_per_ip: self.shed_per_ip.get(),
             shed_worker_busy: self.shed_worker_busy.get(),
             shed_draining: self.shed_draining.get(),
+            drain_evictions: self.drain_evictions.get(),
             session_deadline_evictions: self.session_deadline_evictions.get(),
             data_deadline_evictions: self.data_deadline_evictions.get(),
             sockopt_errors: self.sockopt_errors.get(),
             worker_write_timeouts: self.worker_write_timeouts.get(),
             admin_write_timeouts: self.admin_write_timeouts.get(),
         }
+    }
+}
+
+impl LiveSnapshot {
+    /// Accepted connections that have not reached a terminal outcome:
+    /// the conservation equation of DESIGN.md §14.3. Every accepted
+    /// connection ends in exactly one of *delivered*, *bounce*,
+    /// *unfinished*, or *refused at the door* (IPv6, in-flight cap,
+    /// per-IP cap, draining), so at quiesce this equals the
+    /// `live.inflight` gauge — zero once every client has left.
+    /// `shed_draining` also counts drain evictions, which are
+    /// `unfinished`, hence the subtraction; `shed_worker_busy` and the
+    /// eviction counters are causes of an `unfinished`, not outcomes.
+    pub fn unaccounted(&self) -> i64 {
+        let terminal = self.delivered
+            + self.bounces
+            + self.unfinished
+            + self.rejected_ipv6
+            + self.shed_connections
+            + self.shed_per_ip
+            + (self.shed_draining - self.drain_evictions);
+        self.accepted as i64 - terminal as i64
     }
 }
 
@@ -444,40 +479,29 @@ pub struct LiveServer {
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     inflight: Arc<Gauge>,
-    /// Interrupts the master's reactor wait so stop/drain requests are
-    /// noticed immediately instead of at the next timer deadline.
-    master_waker: rawpoll::WakePipe,
-    /// One-shot stop latch the worker and admin threads poll alongside
-    /// their sockets; written once at shutdown and never drained.
-    stop_pipe: rawpoll::WakePipe,
-    acceptor: Option<JoinHandle<()>>,
-    admin: Option<JoinHandle<()>>,
-    dnsbl_agent: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Interrupt the reactor wait of the master and of every worker, so a
+    /// drain request is noticed now instead of at the next readiness
+    /// event or timer deadline.
+    session_wakers: Vec<rawpoll::WakePipe>,
+    /// Interrupts the admin thread's reactor wait (shutdown only).
+    admin_waker: rawpoll::WakePipe,
+    threads: Vec<JoinHandle<()>>,
     stats: Arc<LiveStats>,
     registry: Arc<Registry>,
     store: Arc<ShardedStore<RealDir>>,
 }
 
-struct Delegated {
-    stream: TcpStream,
-    session: ServerSession,
-    leftover: Vec<u8>,
-    /// Reply bytes the master's bounded outbound queue had not yet
-    /// flushed at hand-off; the worker writes them (under its own write
-    /// budget) before any reply of its own.
-    pending_out: Vec<u8>,
-    peer: Ipv4,
-    /// Registry-clock instant the master enqueued this task, for the
-    /// `worker.queue_wait_ns` span.
-    enqueued_ns: u64,
-    /// Registry-clock instant the connection was accepted; the worker
-    /// charges the whole-session deadline against it.
-    accepted_ns: u64,
+/// Binds a nonblocking listener and reports the address it got.
+pub(crate) fn listen(bind: SocketAddr) -> Result<(TcpListener, SocketAddr), ServeError> {
+    let io_err = |e: std::io::Error| ServeError::Io(e.to_string());
+    let listener = TcpListener::bind(bind).map_err(io_err)?;
+    listener.set_nonblocking(true).map_err(io_err)?;
+    let addr = listener.local_addr().map_err(io_err)?;
+    Ok((listener, addr))
 }
 
 impl LiveServer {
-    /// Binds and starts the acceptor, admin, and worker threads.
+    /// Binds and starts the master, admin, and worker threads.
     ///
     /// # Errors
     ///
@@ -510,13 +534,8 @@ impl LiveServer {
                 "read timeouts, write budgets, and phase deadlines must be nonzero".to_owned(),
             ));
         }
-        let listener = TcpListener::bind(cfg.bind).map_err(|e| ServeError::Io(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Io(e.to_string()))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Io(e.to_string()))?;
+        let (listener, addr) = listen(cfg.bind)?;
+        let (admin_listener, admin_addr) = listen(SocketAddr::from(([127, 0, 0, 1], 0)))?;
         let registry = Arc::new(Registry::with_wall_clock());
         // Crash recovery first: fsck truncates torn tails and repairs
         // shmailbox refcounts on disk, then the partitions replay clean.
@@ -537,25 +556,42 @@ impl LiveServer {
         // workers; body buffers cycle per DATA transaction.
         let line_pool = Arc::new(BufferPool::new(&registry, 64, 4096));
         let body_pool = Arc::new(BufferPool::new(&registry, 32, 16 * 1024));
-
         let draining = Arc::new(AtomicBool::new(false));
         let inflight = registry.gauge("live.inflight");
         preregister_thread_instruments(&registry);
-        // The stop latch is written once at shutdown; every worker and the
-        // admin thread poll its read end alongside their sockets, so a
-        // stop interrupts any wait without per-thread timeout slicing.
-        let stop_pipe =
-            rawpoll::WakePipe::new().map_err(|e| ServeError::Io(format!("stop pipe: {e}")))?;
-        // The reactor is built here (not on the master thread) so its
-        // waker exists before any thread that needs to interrupt it.
-        let reactor = OsReactor::new().map_err(|e| ServeError::Io(format!("reactor: {e}")))?;
-        let master_waker = reactor.waker();
 
-        let mut worker_handles = Vec::new();
-        let mut senders: Vec<Sender<Delegated>> = Vec::new();
+        // Every reactor is built here, not on its thread, so its waker
+        // exists before anything that may need to interrupt it.
+        let new_reactor = || OsReactor::new().map_err(|e| ServeError::Io(format!("reactor: {e}")));
+        let master_reactor = new_reactor()?;
+        let mut admin_reactor = new_reactor()?;
+        let mut server = LiveServer {
+            addr,
+            admin_addr,
+            stop: Arc::clone(&stop),
+            draining: Arc::clone(&draining),
+            inflight: Arc::clone(&inflight),
+            session_wakers: vec![master_reactor.waker()],
+            admin_waker: admin_reactor.waker(),
+            threads: Vec::new(),
+            stats: Arc::clone(&stats),
+            registry: Arc::clone(&registry),
+            store: Arc::clone(&store),
+        };
+        // From here a failure returns through `?`, which drops `server` —
+        // and its `Drop` stops and joins whatever is already running.
+        let mut dispatch = Dispatch {
+            workers: Vec::new(),
+            next: 0,
+            registry: Arc::clone(&registry),
+            delegated: Arc::clone(&stats.delegated),
+            queue_depth: registry.gauge("worker.queue_depth"),
+        };
         for w in 0..cfg.workers {
-            let (tx, rx): (Sender<Delegated>, Receiver<Delegated>) = bounded(cfg.worker_queue);
-            senders.push(tx);
+            let mut reactor = new_reactor()?;
+            let (tx, rx) = bounded(cfg.worker_queue);
+            server.session_wakers.push(reactor.waker());
+            dispatch.workers.push((tx, reactor.waker()));
             let ctx = WorkerCtx {
                 rx,
                 store: Arc::clone(&store),
@@ -571,20 +607,18 @@ impl LiveServer {
                 read_timeout: cfg.worker_read_timeout,
                 session_deadline: cfg.session_deadline,
                 data_deadline: cfg.data_deadline,
+                max_outq_bytes: cfg.max_outq_bytes,
                 hold: cfg.worker_hold.clone(),
-                stop_pipe: stop_pipe.clone(),
             };
-            let handle = std::thread::Builder::new()
-                .name(format!("smtpd-{w}"))
-                .spawn(move || worker_loop(ctx))
-                .map_err(|e| ServeError::Io(format!("spawn worker: {e}")))?;
-            worker_handles.push(handle);
+            server.spawn(format!("smtpd-{w}"), move || {
+                run_posttrust(&mut reactor, ctx);
+            })?;
         }
 
         // The DNSBL agent thread owns every lookup (cache, breaker, UDP
         // socket); the master only ever does a non-blocking `try_send`
         // into this bounded queue (§5: the master must never block).
-        let (dnsbl_tx, dnsbl_agent) = if cfg.dnsbl.is_some() || cfg.dnsbl_udp.is_some() {
+        let dnsbl_tx = if cfg.dnsbl.is_some() || cfg.dnsbl_udp.is_some() {
             // Same up-front registration as `preregister_thread_instruments`,
             // but only when an agent will actually run — a DNSBL-less
             // server's report should not list agent metrics.
@@ -602,102 +636,73 @@ impl LiveServer {
                 dnsbl_udp_timeout: cfg.dnsbl_udp_timeout,
                 dnsbl_breaker: cfg.dnsbl_breaker,
             };
-            let handle = std::thread::Builder::new()
-                .name("dnsbl-agent".to_owned())
-                .spawn(move || agent_loop(actx))
-                .map_err(|e| ServeError::Io(format!("spawn dnsbl agent: {e}")))?;
-            (Some(tx), Some(handle))
+            server.spawn("dnsbl-agent".to_owned(), move || agent_loop(actx))?;
+            Some(tx)
         } else {
-            (None, None)
+            None
         };
 
-        let acceptor = {
-            let ctx = MasterCtx {
-                senders,
-                stop: Arc::clone(&stop),
-                draining: Arc::clone(&draining),
-                stats: Arc::clone(&stats),
-                mailboxes: Arc::clone(&mailboxes),
-                hostname: Arc::clone(&cfg.hostname),
-                dnsbl_tx,
-                pretrust_idle_timeout: cfg.pretrust_idle_timeout,
-                session_deadline: cfg.session_deadline,
-                max_outq_bytes: cfg.max_outq_bytes,
-                write_stall_timeout: cfg.write_stall_timeout,
-                max_connections: cfg.max_connections,
-                max_pretrust_per_ip: cfg.max_pretrust_per_ip,
-                registry: Arc::clone(&registry),
-                line_pool: Arc::clone(&line_pool),
-                inflight: Arc::clone(&inflight),
-            };
-            std::thread::Builder::new()
-                .name("master".to_owned())
-                .spawn(move || master_loop(listener, reactor, ctx))
-                .map_err(|e| ServeError::Io(format!("spawn master: {e}")))?
-        };
-
-        let admin_result: Result<(TcpListener, SocketAddr), ServeError> = (|| {
-            let listener =
-                TcpListener::bind("127.0.0.1:0").map_err(|e| ServeError::Io(e.to_string()))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| ServeError::Io(e.to_string()))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| ServeError::Io(e.to_string()))?;
-            Ok((listener, addr))
-        })();
-        let admin_spawn = admin_result.and_then(|(admin_listener, admin_addr)| {
-            let actx = AdminCtx {
-                registry: Arc::clone(&registry),
-                stop: Arc::clone(&stop),
-                draining: Arc::clone(&draining),
-                read_timeout: cfg.admin_read_timeout,
-                write_timeout: cfg.admin_write_timeout,
-                sockopt_errors: Arc::clone(&stats.sockopt_errors),
-                admin_write_timeouts: Arc::clone(&stats.admin_write_timeouts),
-                stop_pipe: stop_pipe.clone(),
-                master_waker: master_waker.clone(),
-            };
-            std::thread::Builder::new()
-                .name("admin".to_owned())
-                .spawn(move || admin_loop(admin_listener, actx))
-                .map(|h| (h, admin_addr))
-                .map_err(|e| ServeError::Io(format!("spawn admin: {e}")))
-        });
-        let (admin, admin_addr) = match admin_spawn {
-            Ok(pair) => pair,
-            Err(e) => {
-                // The acceptor and agent are already live: stop them
-                // before bailing so a failed start leaves no thread
-                // behind.
-                stop.store(true, Ordering::SeqCst);
-                master_waker.wake();
-                stop_pipe.wake();
-                let _ = acceptor.join();
-                if let Some(h) = dnsbl_agent {
-                    let _ = h.join();
-                }
-                return Err(e);
-            }
-        };
-
-        Ok(LiveServer {
-            addr,
-            admin_addr,
-            stop,
-            draining,
+        let engine = EngineCtx {
+            stop: Arc::clone(&stop),
+            draining: Arc::clone(&draining),
+            stats: Arc::clone(&stats),
+            mailboxes,
+            hostname: cfg.hostname,
+            dnsbl_tx,
+            pretrust_idle_timeout: cfg.pretrust_idle_timeout,
+            session_deadline: cfg.session_deadline,
+            max_outq_bytes: cfg.max_outq_bytes,
+            write_stall_timeout: cfg.write_stall_timeout,
+            max_connections: cfg.max_connections,
+            max_pretrust_per_ip: cfg.max_pretrust_per_ip,
+            registry: Arc::clone(&registry),
+            line_pool,
             inflight,
-            master_waker,
-            stop_pipe,
-            acceptor: Some(acceptor),
-            admin: Some(admin),
-            dnsbl_agent,
-            workers: worker_handles,
-            stats,
+        };
+        server.spawn("master".to_owned(), move || {
+            master_loop(listener, master_reactor, engine, dispatch);
+        })?;
+
+        let env = DriverEnv {
+            clock: registry.clock(),
+            stop,
+            // The admin socket answers through a drain (that is how the
+            // operator watches it converge).
+            draining: Arc::new(AtomicBool::new(false)),
+            limits: Limits {
+                idle: cfg.admin_read_timeout,
+                session: Duration::MAX,
+                write_stall: cfg.admin_write_timeout,
+                phase: Duration::MAX,
+                max_outq_bytes: usize::MAX,
+            },
+            metrics: DriverMetrics::default(),
+        };
+        let mut admin = Admin {
+            listener: admin_listener,
             registry,
-            store,
-        })
+            draining,
+            session_wakers: server.session_wakers.clone(),
+            sockopt_errors: Arc::clone(&stats.sockopt_errors),
+            admin_write_timeouts: Arc::clone(&stats.admin_write_timeouts),
+        };
+        server.spawn("admin".to_owned(), move || {
+            drive(&mut admin_reactor, &mut admin, &env);
+        })?;
+        Ok(server)
+    }
+
+    fn spawn(
+        &mut self,
+        name: String,
+        body: impl FnOnce() + Send + 'static,
+    ) -> Result<(), ServeError> {
+        let handle = std::thread::Builder::new()
+            .name(name.clone())
+            .spawn(body)
+            .map_err(|e| ServeError::Io(format!("spawn {name}: {e}")))?;
+        self.threads.push(handle);
+        Ok(())
     }
 
     /// The bound SMTP address.
@@ -755,9 +760,11 @@ impl LiveServer {
     #[must_use]
     pub fn drain(&self, grace: Duration) -> bool {
         self.draining.store(true, Ordering::SeqCst);
-        // Interrupt the reactor wait so the eviction sweep runs now, not
-        // at the next readiness event or timer deadline.
-        self.master_waker.wake();
+        // Interrupt the reactor waits so the drain sweeps run now, not at
+        // the next readiness event or timer deadline.
+        for waker in &self.session_wakers {
+            waker.wake();
+        }
         let deadline = std::time::Instant::now() + grace;
         while self.inflight.get() > 0 {
             if std::time::Instant::now() >= deadline {
@@ -775,20 +782,12 @@ impl LiveServer {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Wake the master out of its reactor wait and latch the stop pipe
-        // every worker and the admin thread poll.
-        self.master_waker.wake();
-        self.stop_pipe.wake();
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+        // Wake every session loop out of its reactor wait. (The DNSBL
+        // agent falls out of its `recv` when the master drops the queue.)
+        for waker in self.session_wakers.iter().chain([&self.admin_waker]) {
+            waker.wake();
         }
-        if let Some(h) = self.admin.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.dnsbl_agent.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+        for h in self.threads.drain(..) {
             let _ = h.join();
         }
     }
@@ -800,477 +799,133 @@ impl Drop for LiveServer {
     }
 }
 
-/// Everything the master thread owns, bundled so the spawn site stays
-/// readable as the overload knobs multiply.
-struct MasterCtx {
-    senders: Vec<Sender<Delegated>>,
-    stop: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    stats: Arc<LiveStats>,
-    mailboxes: Arc<HashSet<String>>,
-    hostname: Arc<str>,
-    /// Hand-off to the DNSBL agent thread, present iff a DNSBL is
-    /// configured. The master never performs a lookup itself.
-    dnsbl_tx: Option<Sender<Ipv4>>,
-    pretrust_idle_timeout: Duration,
-    session_deadline: Duration,
-    max_outq_bytes: usize,
-    write_stall_timeout: Duration,
-    max_connections: usize,
-    max_pretrust_per_ip: usize,
+/// Round-robin non-blocking dispatch of trusted connections to the worker
+/// queues.
+struct Dispatch {
+    /// Each worker's queue and the waker of the reactor it parks in.
+    workers: Vec<(Sender<Handoff<TcpStream>>, rawpoll::WakePipe)>,
+    next: usize,
     registry: Arc<Registry>,
-    line_pool: Arc<BufferPool>,
-    inflight: Arc<Gauge>,
+    delegated: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
 }
 
-/// The master thread: builds the engine context and the worker sink,
-/// then hands control to the readiness-driven pre-trust event loop
-/// ([`pretrust::run_pretrust`]). After this wrapper the reactor wait inside the
-/// engine is the *only* blocking call reachable on this thread — there is
-/// no accept polling, no per-connection read slicing, and no idle sleep.
-fn master_loop(mut listener: TcpListener, mut reactor: OsReactor, ctx: MasterCtx) {
-    let queue_depth = ctx.registry.gauge("worker.queue_depth");
-    let engine = EngineCtx {
-        stop: ctx.stop,
-        draining: ctx.draining,
-        stats: Arc::clone(&ctx.stats),
-        mailboxes: ctx.mailboxes,
-        hostname: ctx.hostname,
-        dnsbl_tx: ctx.dnsbl_tx,
-        pretrust_idle_timeout: ctx.pretrust_idle_timeout,
-        session_deadline: ctx.session_deadline,
-        max_outq_bytes: ctx.max_outq_bytes,
-        write_stall_timeout: ctx.write_stall_timeout,
-        max_connections: ctx.max_connections,
-        max_pretrust_per_ip: ctx.max_pretrust_per_ip,
-        registry: Arc::clone(&ctx.registry),
-        line_pool: ctx.line_pool,
-        inflight: ctx.inflight,
-    };
-    let senders = ctx.senders;
-    let stats = ctx.stats;
-    let registry = ctx.registry;
-    let mut rr = 0usize;
-    // Round-robin non-blocking dispatch; full queues push the task to the
-    // next worker (natural throttle). A fully saturated pool returns the
-    // task, and the engine sheds it with `421` — a blocking send here
-    // would stall the master, and with it every pre-trust dialog and the
-    // accept path, behind the slowest worker.
-    let mut sink = |t: Trusted<TcpStream>| -> Option<Trusted<TcpStream>> {
-        let mut task = Delegated {
-            stream: t.conn,
-            session: t.session,
-            leftover: t.leftover,
-            pending_out: t.pending_out,
-            peer: t.peer,
-            enqueued_ns: registry.now_nanos(),
-            accepted_ns: t.accepted_ns,
-        };
-        for probe in 0..senders.len() {
-            let w = (rr + probe) % senders.len();
-            match senders[w].try_send(task) {
+impl Dispatch {
+    /// Offers `task` to each worker once, starting after the last taker;
+    /// a full queue pushes it to the next worker (natural throttle). A
+    /// fully saturated pool returns the task, and the engine sheds it
+    /// with `421` — a blocking send here would stall the master, and with
+    /// it every pre-trust dialog and the accept path, behind the slowest
+    /// worker.
+    fn offer(&mut self, task: Trusted<TcpStream>) -> Option<Trusted<TcpStream>> {
+        let mut item = (self.registry.now_nanos(), task);
+        for probe in 0..self.workers.len() {
+            let w = (self.next + probe) % self.workers.len();
+            let (tx, waker) = &self.workers[w];
+            match tx.try_send(item) {
                 Ok(()) => {
-                    rr = (w + 1) % senders.len();
-                    stats.delegated.inc();
-                    queue_depth.inc();
+                    self.next = (w + 1) % self.workers.len();
+                    self.delegated.inc();
+                    self.queue_depth.inc();
+                    waker.wake();
                     return None;
                 }
-                Err(TrySendError::Full(t)) | Err(TrySendError::Disconnected(t)) => task = t,
+                Err(TrySendError::Full(back)) | Err(TrySendError::Disconnected(back)) => {
+                    item = back;
+                }
             }
         }
-        Some(Trusted {
-            conn: task.stream,
-            session: task.session,
-            leftover: task.leftover,
-            pending_out: task.pending_out,
-            peer: task.peer,
-            accepted_ns: task.accepted_ns,
-        })
-    };
+        Some(item.1)
+    }
+}
+
+/// The master thread: hands control to the readiness-driven pre-trust
+/// event loop ([`pretrust::run_pretrust`]) with the worker dispatch as
+/// its trusted-connection sink. The reactor wait inside the engine is the
+/// *only* blocking call reachable on this thread — there is no accept
+/// polling, no per-connection read slicing, and no idle sleep.
+fn master_loop(
+    mut listener: TcpListener,
+    mut reactor: OsReactor,
+    engine: EngineCtx,
+    mut dispatch: Dispatch,
+) {
+    let mut sink = |task| dispatch.offer(task);
     pretrust::run_pretrust(&mut listener, &mut reactor, &engine, &mut sink);
-    // Returning drops the senders, which disconnects the workers'
-    // receive loops.
-}
-
-/// Writes accumulated reply bytes as one bounded socket write (the
-/// coalesced answer to a pipelined burst); no-op for an empty buffer.
-/// Returns `false` when the connection is no longer worth keeping: the
-/// peer is gone, the server is stopping, or the peer stopped reading for
-/// a whole write budget (counted in `live.worker_write_timeouts`).
-fn flush_replies(stream: &mut TcpStream, out: &[u8], ctx: &WorkerCtx) -> bool {
-    if out.is_empty() {
-        return true;
-    }
-    match netio::write_all_bounded(stream, out, &ctx.stop_pipe, ctx.read_timeout) {
-        netio::WriteOutcome::Done => true,
-        netio::WriteOutcome::TimedOut => {
-            ctx.stats.worker_write_timeouts.inc();
-            false
-        }
-        netio::WriteOutcome::Stopped | netio::WriteOutcome::Closed => false,
-    }
-}
-
-/// Bounded single-reply write for worker-side evictions and `421`s.
-fn write_reply(stream: &mut TcpStream, reply: &spamaware_smtp::Reply, ctx: &WorkerCtx) -> bool {
-    flush_replies(stream, reply.to_wire().as_bytes(), ctx)
-}
-
-/// Everything one worker thread owns.
-struct WorkerCtx {
-    rx: Receiver<Delegated>,
-    store: Arc<ShardedStore<RealDir>>,
-    stats: Arc<LiveStats>,
-    next_id: Arc<AtomicU64>,
-    mailboxes: Arc<HashSet<String>>,
-    registry: Arc<Registry>,
-    line_pool: Arc<BufferPool>,
-    body_pool: Arc<BufferPool>,
-    stop: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    inflight: Arc<Gauge>,
-    read_timeout: Duration,
-    session_deadline: Duration,
-    data_deadline: Duration,
-    /// Read end stays permanently readable once the server stops (the
-    /// write end is woken exactly once and never drained), so every
-    /// `poll2` wait in this worker doubles as a shutdown check.
-    stop_pipe: rawpoll::WakePipe,
-    hold: Option<Arc<AtomicBool>>,
-}
-
-/// Longest a worker waits in one readiness poll before re-checking the
-/// drain flag and the phase budgets. Bounds how stale a worker's view of
-/// a drain request can get without busy-polling.
-const WORKER_POLL: Duration = Duration::from_millis(100);
-
-fn worker_loop(ctx: WorkerCtx) {
-    let queue_wait_ns = ctx.registry.span("worker.queue_wait_ns");
-    let data_ns = ctx.registry.span("worker.data_ns");
-    let storage_ns = ctx.registry.span("worker.storage_ns");
-    let queue_depth = ctx.registry.gauge("worker.queue_depth");
-    let internal_errors = ctx.registry.counter("live.internal_error");
-    let verbs = VerbCounters::register(&ctx.registry);
-    let stats = &ctx.stats;
-    let (store, line_pool, body_pool) = (&ctx.store, &ctx.line_pool, &ctx.body_pool);
-    let exists = |a: &MailAddr| ctx.mailboxes.contains(a.local_part());
-    let session_deadline_ns = duration_ns(ctx.session_deadline);
-    let data_deadline_ns = duration_ns(ctx.data_deadline);
-    let read_timeout_ns = duration_ns(ctx.read_timeout);
-    // Worker-lifetime reply buffer: one coalesced write per drained burst.
-    // Pooled with a return-on-drop guard so it recycles on worker exit.
-    let mut out = line_pool.take();
-    while let Ok(task) = ctx.rx.recv() {
-        if let Some(hold) = &ctx.hold {
-            // Chaos hook: pretend to be wedged (a slow disk, a stuck
-            // filter) until released, so tests can fill every queue.
-            while hold.load(Ordering::SeqCst)
-                && !ctx.stop.load(Ordering::SeqCst)
-                && !ctx.draining.load(Ordering::SeqCst)
-            {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        queue_depth.dec();
-        queue_wait_ns.record_since(task.enqueued_ns);
-        let _ = task.peer;
-        let accepted_ns = task.accepted_ns;
-        let mut session = task.session;
-        session.capture_bodies(true);
-        // The stream arrives nonblocking from the master's reactor; reads
-        // are gated on `poll2` below, so it stays that way.
-        let mut stream = task.stream;
-        // Adopt the master's leftover bytes *and* their allocation; it
-        // returns to the line pool when the connection ends.
-        let mut lines = LineBuffer::from_remaining(task.leftover);
-        let mut tmp = [0u8; 4096];
-        let mut in_data = false;
-        let mut data_start: Option<u64> = None;
-        let mut last_activity_ns = ctx.registry.now_nanos();
-        // Backlog the master's bounded outbound queue had not flushed by
-        // hand-off goes first — the peer must never observe a reply gap
-        // across the delegation seam. A peer that will not absorb even
-        // this is dropped before it costs a single read.
-        let alive = flush_replies(&mut stream, &task.pending_out, &ctx);
-        'conn: loop {
-            if !alive {
-                // The hand-off flush already lost the peer: skip the
-                // session and fall through to cleanup.
-                break;
-            }
-            // Drain complete lines first, then read more.
-            out.clear();
-            loop {
-                match lines.pop_line() {
-                    Ok(Some(line)) => {
-                        if in_data {
-                            if session.data_line(&line) == DataVerdict::Complete {
-                                in_data = false;
-                                if let Some(start) = data_start.take() {
-                                    data_ns.record_since(start);
-                                }
-                                let id = MailId(ctx.next_id.fetch_add(1, Ordering::Relaxed));
-                                let reply = session.finish_data(&id.to_string());
-                                let reply = if reply.code() == 250 {
-                                    match session.take_last_delivered() {
-                                        Some(env) => {
-                                            let refs: Vec<&str> = env
-                                                .recipients
-                                                .iter()
-                                                .map(|a| a.local_part())
-                                                .collect();
-                                            let stored = {
-                                                let _span = storage_ns.start();
-                                                store.deliver(id, &refs, DataRef::Bytes(&env.body))
-                                            };
-                                            let reply = match stored {
-                                                Ok(()) => {
-                                                    stats.mails_stored.inc();
-                                                    reply
-                                                }
-                                                Err(_) => spamaware_smtp::Reply::local_error(),
-                                            };
-                                            // The body's allocation goes back
-                                            // to the pool for the next DATA.
-                                            body_pool.put(env.body);
-                                            reply
-                                        }
-                                        None => {
-                                            // A 250 with no envelope is a
-                                            // state-machine bug: log it as a
-                                            // counter and degrade to 451
-                                            // instead of crashing the worker.
-                                            internal_errors.inc();
-                                            spamaware_smtp::Reply::local_error()
-                                        }
-                                    }
-                                } else {
-                                    // 552 oversized (or similar): the session
-                                    // already discarded the transaction.
-                                    reply
-                                };
-                                reply.write_wire(&mut out);
-                            }
-                        } else {
-                            let text = String::from_utf8_lossy(&line).into_owned();
-                            let reply = match Command::parse(&text) {
-                                Ok(cmd) => {
-                                    verbs.count(&cmd);
-                                    session.handle(cmd, &exists)
-                                }
-                                Err(_) => {
-                                    verbs.unknown.inc();
-                                    spamaware_smtp::Reply::bad_argument()
-                                }
-                            };
-                            if reply.code() == 354 {
-                                in_data = true;
-                                data_start = Some(data_ns.now());
-                                // Capture the body into a pooled buffer.
-                                session.provide_body_buffer(body_pool.take_vec());
-                            }
-                            reply.write_wire(&mut out);
-                            if session.phase() == spamaware_smtp::SessionPhase::Closed {
-                                let _ = flush_replies(&mut stream, &out, &ctx);
-                                break 'conn;
-                            }
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(LineOverflow) => {
-                        stats.overflows.inc();
-                        spamaware_smtp::Reply::syntax_error().write_wire(&mut out);
-                        let _ = flush_replies(&mut stream, &out, &ctx);
-                        break 'conn;
-                    }
-                }
-            }
-            if !flush_replies(&mut stream, &out, &ctx) {
-                break;
-            }
-            if ctx.stop.load(Ordering::SeqCst) {
-                // Hard shutdown: cut the connection without ceremony (a
-                // graceful exit drains first, so nothing acked is at
-                // risk). The stop pipe also aborts any wait in progress.
-                break;
-            }
-            if ctx.draining.load(Ordering::SeqCst) && !in_data {
-                // Draining: any DATA transfer already in flight ran to
-                // completion above (its ack is on the wire); between
-                // transactions the connection is told to come back later.
-                let _ = write_reply(&mut stream, &Reply::service_not_available(), &ctx);
-                break;
-            }
-            // Phase budgets, re-checked every iteration. An exhausted
-            // session or DATA budget evicts with `421` even if the client
-            // is still actively sending; an exhausted idle budget drops a
-            // silent client quietly (pre-existing behavior). The worker
-            // waits for readiness for at most the smallest remaining
-            // budget, capped at [`WORKER_POLL`] so a drain request or a
-            // budget that expires mid-wait is noticed promptly.
-            let now = ctx.registry.now_nanos();
-            let session_left = session_deadline_ns.saturating_sub(now.saturating_sub(accepted_ns));
-            if session_left == 0 {
-                stats.session_deadline_evictions.inc();
-                let _ = write_reply(&mut stream, &Reply::service_not_available(), &ctx);
-                break;
-            }
-            let idle_left = read_timeout_ns.saturating_sub(now.saturating_sub(last_activity_ns));
-            if idle_left == 0 {
-                break;
-            }
-            let mut budget_ns = session_left.min(idle_left).min(duration_ns(WORKER_POLL));
-            if in_data {
-                let since_data = now.saturating_sub(data_start.unwrap_or(now));
-                let data_left = data_deadline_ns.saturating_sub(since_data);
-                if data_left == 0 {
-                    stats.data_deadline_evictions.inc();
-                    let _ = write_reply(&mut stream, &Reply::service_not_available(), &ctx);
-                    break;
-                }
-                budget_ns = budget_ns.min(data_left);
-            }
-            // Wait for bytes, hangup, or the stop latch — whichever comes
-            // first within the budget. `ns_to_timeout_ms` rounds up, so a
-            // sub-millisecond remainder still waits one tick instead of
-            // spinning.
-            let wait = rawpoll::ns_to_timeout_ms(budget_ns);
-            match rawpoll::poll2(stream.as_raw_fd(), false, ctx.stop_pipe.read_fd(), wait) {
-                Ok(r) if r.b_ready => break,
-                Ok(r) if r.a_ready || r.a_hangup => match stream.read(&mut tmp) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        lines.push(&tmp[..n]);
-                        last_activity_ns = ctx.registry.now_nanos();
-                    }
-                    // Spurious readiness: loop back through the budget
-                    // checks and wait again.
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                    Err(_) => break,
-                },
-                // Timed out inside the budget slice: loop back and let the
-                // checks above classify (evict, drop idle, or wait again).
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-        line_pool.put(lines.into_remaining());
-        if let Some(start) = data_start.take() {
-            // Disconnected mid-DATA: close out the span so abandoned
-            // transfers still show up in the latency histogram.
-            data_ns.record_since(start);
-        }
-        if session.outcome() == SessionOutcome::Delivered {
-            stats.delivered.inc();
-        }
-        ctx.inflight.dec();
-    }
-}
-
-/// Saturating [`Duration`] → nanoseconds.
-fn duration_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Hard cap on one admin response. A `METRICS` render is a few KiB
-/// today; the cap only matters if the instrument inventory ever explodes,
-/// and truncation keeps the write budget below meaningful.
+/// today; the cap only matters if the instrument inventory ever explodes.
 const ADMIN_RESPONSE_CAP: usize = 256 * 1024;
 
-/// Everything the admin thread owns.
-struct AdminCtx {
-    registry: Arc<Registry>,
-    stop: Arc<AtomicBool>,
-    draining: Arc<AtomicBool>,
-    read_timeout: Duration,
-    /// Budget for writing one response; expiry counts in
-    /// `live.admin_write_timeouts` and drops the connection.
-    write_timeout: Duration,
-    sockopt_errors: Arc<Counter>,
-    admin_write_timeouts: Arc<Counter>,
-    /// Shutdown latch shared with the workers: permanently readable once
-    /// the server stops, so the accept wait below aborts immediately.
-    stop_pipe: rawpoll::WakePipe,
-    /// Wakes the master out of its reactor wait when `DRAIN` arrives, so
-    /// the pre-trust eviction sweep runs now instead of at the next
-    /// natural readiness event.
-    master_waker: rawpoll::WakePipe,
-}
-
-/// Serves operator commands over a localhost admin socket, one command
-/// line per connection: `METRICS` (alias `STAT`) answers with
+/// The admin protocol: operator commands over a localhost socket, one
+/// command line per connection. `METRICS` (alias `STAT`) answers with
 /// [`Registry::render`] output; `DRAIN` flips the graceful-drain flag and
 /// answers `OK draining` — the caller then watches the `live.inflight`
-/// gauge fall to zero before stopping the process.
-fn admin_loop(listener: TcpListener, ctx: AdminCtx) {
-    while !ctx.stop.load(Ordering::SeqCst) {
-        // Sleep until a client connects or the stop latch fires — the
-        // admin thread burns zero cycles while idle.
-        match rawpoll::poll2(listener.as_raw_fd(), false, ctx.stop_pipe.read_fd(), None) {
-            Ok(r) if r.b_ready => break,
-            Ok(r) if !r.a_ready => continue,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // Accepted sockets do not inherit the listener's
-                // nonblocking flag, so a plain read deadline still bounds
-                // this conversation.
-                if stream.set_read_timeout(Some(ctx.read_timeout)).is_err() {
-                    ctx.sockopt_errors.inc();
-                    continue;
+/// gauge fall to zero before stopping the process. A client that asks and
+/// then stops reading is cut off by the write-stall deadline
+/// (`live.admin_write_timeouts`).
+struct Admin {
+    listener: TcpListener,
+    registry: Arc<Registry>,
+    draining: Arc<AtomicBool>,
+    /// Wake the master and the workers out of their reactor waits when
+    /// `DRAIN` arrives, so the drain sweep runs now instead of at the
+    /// next natural readiness event.
+    session_wakers: Vec<rawpoll::WakePipe>,
+    sockopt_errors: Arc<Counter>,
+    admin_write_timeouts: Arc<Counter>,
+}
+
+impl Protocol<TcpStream> for Admin {
+    type Session = ();
+
+    fn listener(&self) -> Option<u64> {
+        Some(self.listener.poll_id())
+    }
+
+    fn admit(&mut self, now_ns: u64, _draining: bool) -> Option<Arrival<TcpStream, ()>> {
+        let (conn, _) = self.listener.try_accept().ok().flatten()?;
+        Some(Arrival {
+            conn,
+            session: (),
+            lines: LineBuffer::new(),
+            greeting: Vec::new(),
+            accepted_ns: now_ns,
+        })
+    }
+
+    fn line(&mut self, (): &mut (), line: &[u8], out: &mut Vec<u8>) -> Step {
+        let line = String::from_utf8_lossy(line);
+        let cmd = line.trim();
+        if cmd.eq_ignore_ascii_case("METRICS") || cmd.eq_ignore_ascii_case("STAT") {
+            let mut report = self.registry.render();
+            if report.len() > ADMIN_RESPONSE_CAP {
+                let mut cut = ADMIN_RESPONSE_CAP;
+                while !report.is_char_boundary(cut) {
+                    cut -= 1;
                 }
-                let mut buf = Vec::new();
-                let mut tmp = [0u8; 128];
-                while !buf.contains(&b'\n') && buf.len() <= 128 {
-                    match stream.read(&mut tmp) {
-                        Ok(0) => break,
-                        Ok(n) => buf.extend_from_slice(&tmp[..n]),
-                        Err(_) => break,
-                    }
-                }
-                let line = String::from_utf8_lossy(&buf);
-                let cmd = line.trim();
-                let mut response =
-                    if cmd.eq_ignore_ascii_case("METRICS") || cmd.eq_ignore_ascii_case("STAT") {
-                        ctx.registry.render()
-                    } else if cmd.eq_ignore_ascii_case("DRAIN") {
-                        ctx.draining.store(true, Ordering::SeqCst);
-                        ctx.master_waker.wake();
-                        "OK draining\n".to_owned()
-                    } else {
-                        "ERR unknown admin command; try METRICS\n".to_owned()
-                    };
-                if response.len() > ADMIN_RESPONSE_CAP {
-                    let mut cut = ADMIN_RESPONSE_CAP;
-                    while !response.is_char_boundary(cut) {
-                        cut -= 1;
-                    }
-                    response.truncate(cut);
-                    response.push_str("\n[truncated]\n");
-                }
-                // The response write is bounded the same way the reads
-                // are: nonblocking socket, stop-aware waits, one budget —
-                // a client that asks for METRICS and stops reading cannot
-                // pin the admin thread.
-                if stream.set_nonblocking(true).is_err() {
-                    ctx.sockopt_errors.inc();
-                    continue;
-                }
-                if let netio::WriteOutcome::TimedOut = netio::write_all_bounded(
-                    &mut stream,
-                    response.as_bytes(),
-                    &ctx.stop_pipe,
-                    ctx.write_timeout,
-                ) {
-                    ctx.admin_write_timeouts.inc();
-                }
+                report.truncate(cut);
+                report.push_str("\n[truncated]\n");
             }
-            // Raced with another readiness consumer or a spurious wakeup:
-            // go back to waiting.
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-            Err(_) => {}
+            out.extend_from_slice(report.as_bytes());
+        } else if cmd.eq_ignore_ascii_case("DRAIN") {
+            self.draining.store(true, Ordering::SeqCst);
+            for waker in &self.session_wakers {
+                waker.wake();
+            }
+            out.extend_from_slice(b"OK draining\n");
+        } else {
+            out.extend_from_slice(b"ERR unknown admin command; try METRICS\n");
+        }
+        Step::Close
+    }
+
+    fn finish(&mut self, _gone: Gone<TcpStream, ()>, end: End) {
+        match end {
+            End::SlowWriter => self.admin_write_timeouts.inc(),
+            End::Unwatchable => self.sockopt_errors.inc(),
+            _ => {}
         }
     }
 }

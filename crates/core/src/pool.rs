@@ -12,7 +12,6 @@
 
 use parking_lot::Mutex;
 use spamaware_metrics::{Counter, Registry};
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A bounded free list of reusable byte buffers.
@@ -50,17 +49,7 @@ impl BufferPool {
     }
 
     /// Takes a cleared buffer — recycled if available, freshly allocated
-    /// otherwise — wrapped in a guard that returns it on drop.
-    pub(crate) fn take(self: &Arc<BufferPool>) -> PooledBuf {
-        PooledBuf {
-            buf: self.take_vec(),
-            pool: Arc::clone(self),
-        }
-    }
-
-    /// Takes a cleared buffer as a bare `Vec` (for handing ownership to
-    /// code that outlives any guard scope, e.g. a session's body capture).
-    /// Pair with [`BufferPool::put`].
+    /// otherwise. Pair with [`BufferPool::put`].
     pub fn take_vec(&self) -> Vec<u8> {
         if let Some(buf) = self.free.lock().pop() {
             self.reuse.inc();
@@ -87,33 +76,6 @@ impl BufferPool {
     }
 }
 
-/// A pooled buffer that returns itself to its pool on drop.
-#[derive(Debug)]
-pub(crate) struct PooledBuf {
-    buf: Vec<u8>,
-    pool: Arc<BufferPool>,
-}
-
-impl Deref for PooledBuf {
-    type Target = Vec<u8>;
-
-    fn deref(&self) -> &Vec<u8> {
-        &self.buf
-    }
-}
-
-impl DerefMut for PooledBuf {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
-    }
-}
-
-impl Drop for PooledBuf {
-    fn drop(&mut self) {
-        self.pool.put(std::mem::take(&mut self.buf));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,11 +87,11 @@ mod tests {
     #[test]
     fn take_allocates_then_reuses() {
         let p = pool(4, 128);
-        let mut a = p.take();
+        let mut a = p.take_vec();
         a.extend_from_slice(b"dirty");
         assert_eq!(p.miss.get(), 1);
-        drop(a); // returns to pool
-        let b = p.take();
+        p.put(a);
+        let b = p.take_vec();
         assert_eq!(p.reuse.get(), 1, "second take recycles");
         assert!(b.is_empty(), "returned buffer was cleared");
         assert!(b.capacity() >= 128);

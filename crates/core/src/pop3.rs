@@ -2,22 +2,31 @@
 //!
 //! The paper motivates MFS with "mail server applications (mail
 //! server/POP/IMAP servers)" whose accesses are all mail-granular (§6.1).
-//! This module is the retrieval side of that claim: a threaded POP3
-//! (RFC 1939) server whose `STAT`/`LIST`/`RETR`/`DELE` map directly onto
+//! This module is the retrieval side of that claim: a POP3 (RFC 1939)
+//! server whose `STAT`/`LIST`/`RETR`/`DELE` map directly onto
 //! [`ShardedStore::read_mailbox`] and [`ShardedStore::delete`], sharing
 //! the same on-disk store as the SMTP side — deleting a shared spam from
 //! one mailbox decrements the refcount, exactly as §6.1 requires. Because
 //! the store stripes its locks per mailbox, a POP3 client draining one
 //! mailbox never stalls SMTP deliveries headed elsewhere.
+//!
+//! The server is one [`crate::driver`] thread over its own listener:
+//! every session is a slot in that thread's event loop, so an idle or
+//! slow client costs its connection state and no thread. The store calls
+//! are the only blocking work on it.
 
-use crate::linebuf::{LineBuffer, LineOverflow};
-use crate::netio;
+use crate::driver::{
+    drive, farewell, Acceptor, Arrival, DriverEnv, DriverMetrics, End, Gone, Limits, Protocol, Step,
+};
+use crate::linebuf::LineBuffer;
+use crate::reactor::os::OsReactor;
+use crate::reactor::Pollable;
 use crate::ServeError;
+use spamaware_metrics::WallClock;
 use spamaware_mfs::{MailId, RealDir, ShardedStore};
 use std::collections::HashSet;
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -32,14 +41,13 @@ pub struct Pop3Stats {
     pub retrieved: AtomicU64,
     /// Mails expunged.
     pub deleted: AtomicU64,
-    /// Sessions dropped for idling past the read timeout (each session
-    /// holds a thread; the idle eviction is what bounds how long a silent
-    /// peer can pin one).
+    /// Sessions dropped for idling past the read timeout (the eviction
+    /// bounds how long a silent peer can pin its session state).
     pub idle_evictions: AtomicU64,
-    /// Sessions dropped because the peer stopped reading for a whole
-    /// write budget — typically frozen mid-`RETR` with the kernel socket
-    /// buffer full. The bounded write is what keeps a stalled download
-    /// from pinning a session thread forever.
+    /// Sessions dropped because the peer stopped reading: queued reply
+    /// bytes — typically a `RETR` body frozen mid-download with the
+    /// kernel socket buffer full — made no progress for a whole read
+    /// timeout. A peer that keeps reading, however slowly, is served.
     pub write_stall_evictions: AtomicU64,
 }
 
@@ -51,17 +59,14 @@ pub struct Pop3Stats {
 pub struct Pop3Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Shutdown latch: woken exactly once at stop and never drained, so
-    /// its read end stays permanently readable and every `poll2` wait in
-    /// the acceptor and the session threads returns immediately.
-    stop_pipe: rawpoll::WakePipe,
-    acceptor: Option<JoinHandle<()>>,
+    /// Interrupts the session loop's reactor wait at shutdown.
+    waker: rawpoll::WakePipe,
+    thread: Option<JoinHandle<()>>,
     stats: Arc<Pop3Stats>,
 }
 
 impl Pop3Server {
-    /// Binds and starts serving with the default 30 s per-read client
-    /// timeout.
+    /// Binds and starts serving with the default 30 s client timeout.
     ///
     /// # Errors
     ///
@@ -74,9 +79,8 @@ impl Pop3Server {
         Pop3Server::start_with_timeout(bind, store, mailboxes, Duration::from_secs(30))
     }
 
-    /// Binds and starts serving; an idle client is dropped after
-    /// `read_timeout` without a command (each session holds a thread, so
-    /// the timeout is what bounds how long a silent peer can pin one).
+    /// Binds and starts serving; a client is dropped after `read_timeout`
+    /// without a byte moving in either direction.
     ///
     /// # Errors
     ///
@@ -93,41 +97,48 @@ impl Pop3Server {
                 "pop3 read timeout must be nonzero".to_owned(),
             ));
         }
-        let listener = TcpListener::bind(bind).map_err(|e| ServeError::Io(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Io(e.to_string()))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Io(e.to_string()))?;
+        let (listener, addr) = crate::live::listen(bind)?;
+        let mut reactor = OsReactor::new().map_err(|e| ServeError::Io(e.to_string()))?;
+        let waker = reactor.waker();
         let stop = Arc::new(AtomicBool::new(false));
-        let stop_pipe = rawpoll::WakePipe::new().map_err(|e| ServeError::Io(e.to_string()))?;
         let stats = Arc::new(Pop3Stats::default());
-        let mailboxes: Arc<HashSet<String>> = Arc::new(mailboxes.into_iter().collect());
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let stop_pipe = stop_pipe.clone();
-            let stats = Arc::clone(&stats);
-            std::thread::Builder::new()
-                .name("pop3".to_owned())
-                .spawn(move || {
-                    accept_loop(
-                        listener,
-                        store,
-                        mailboxes,
-                        stop,
-                        stop_pipe,
-                        stats,
-                        read_timeout,
-                    )
-                })
-                .map_err(|e| ServeError::Io(format!("spawn pop3 acceptor: {e}")))?
+        let env = DriverEnv {
+            clock: Arc::new(WallClock::new()),
+            stop: Arc::clone(&stop),
+            // POP3 has no drain: deletions only apply at QUIT, so a hard
+            // stop loses nothing.
+            draining: Arc::new(AtomicBool::new(false)),
+            limits: Limits {
+                idle: read_timeout,
+                session: Duration::MAX,
+                write_stall: read_timeout,
+                phase: Duration::MAX,
+                // One RETR reply is as large as the mail it carries, so
+                // no byte cap can tell a big mail from a slow peer. What
+                // bounds a session's memory is the driver's backpressure
+                // (no command runs while replies are queued: one burst
+                // plus one reply, however many RETRs are pipelined); what
+                // cuts a non-reading peer loose is the no-progress
+                // deadline.
+                max_outq_bytes: usize::MAX,
+            },
+            metrics: DriverMetrics::default(),
         };
+        let mut proto = Pop3 {
+            listener,
+            store,
+            mailboxes: mailboxes.into_iter().collect(),
+            stats: Arc::clone(&stats),
+        };
+        let thread = std::thread::Builder::new()
+            .name("pop3".to_owned())
+            .spawn(move || drive(&mut reactor, &mut proto, &env))
+            .map_err(|e| ServeError::Io(format!("spawn pop3: {e}")))?;
         Ok(Pop3Server {
             addr,
             stop,
-            stop_pipe,
-            acceptor: Some(acceptor),
+            waker,
+            thread: Some(thread),
             stats,
         })
     }
@@ -149,10 +160,8 @@ impl Pop3Server {
 
     fn stop_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // One wake, never drained: from here the latch is permanently
-        // readable and every waiting thread falls out of its poll.
-        self.stop_pipe.wake();
-        if let Some(h) = self.acceptor.take() {
+        self.waker.wake();
+        if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
     }
@@ -164,56 +173,7 @@ impl Drop for Pop3Server {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    store: Arc<ShardedStore<RealDir>>,
-    mailboxes: Arc<HashSet<String>>,
-    stop: Arc<AtomicBool>,
-    stop_pipe: rawpoll::WakePipe,
-    stats: Arc<Pop3Stats>,
-    read_timeout: Duration,
-) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        // Sleep until a client connects or the stop latch fires — no
-        // accept polling.
-        match rawpoll::poll2(listener.as_raw_fd(), false, stop_pipe.read_fd(), None) {
-            Ok(r) if r.b_ready => break,
-            Ok(r) if !r.a_ready => continue,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stats.sessions.fetch_add(1, Ordering::Relaxed);
-                let store = Arc::clone(&store);
-                let mailboxes = Arc::clone(&mailboxes);
-                let stats = Arc::clone(&stats);
-                let stop_pipe = stop_pipe.clone();
-                let handle = std::thread::Builder::new()
-                    .name("pop3-session".to_owned())
-                    .spawn(move || {
-                        let _ =
-                            session(stream, &store, &mailboxes, &stats, &stop_pipe, read_timeout);
-                    });
-                match handle {
-                    Ok(h) => sessions.push(h),
-                    // Out of threads: drop the connection; the client
-                    // retries against a less loaded server.
-                    Err(_) => continue,
-                }
-            }
-            // Raced a spurious wakeup: go back to waiting.
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-            Err(_) => break,
-        }
-        sessions.retain(|h| !h.is_finished());
-    }
-    for h in sessions {
-        let _ = h.join();
-    }
-}
-
+#[derive(Default)]
 struct SessionState {
     user: Option<String>,
     /// The authenticated mailbox, set once PASS succeeds (doubles as the
@@ -225,207 +185,167 @@ struct SessionState {
     marked: HashSet<usize>,
 }
 
-fn session(
-    stream: TcpStream,
-    store: &ShardedStore<RealDir>,
-    mailboxes: &HashSet<String>,
-    stats: &Pop3Stats,
-    stop_pipe: &rawpoll::WakePipe,
-    read_timeout: Duration,
-) -> std::io::Result<()> {
-    // Replies are coalesced into single writes; Nagle would only delay
-    // them behind the client's delayed ACKs.
-    let _ = stream.set_nodelay(true);
-    // Nonblocking end to end: reads are gated on the `poll2` wait below,
-    // and every write goes through the bounded writer, so a peer frozen
-    // mid-download costs one write budget instead of a pinned thread.
-    stream.set_nonblocking(true)?;
-    // The idle deadline lives in the readiness wait below, not in a
-    // socket option — there is no `set_read_timeout` left to fail.
-    let idle_ms =
-        rawpoll::ns_to_timeout_ms(u64::try_from(read_timeout.as_nanos()).unwrap_or(u64::MAX));
-    let mut out = stream;
-    // Replies accumulate here and flush once per drained burst; writes
-    // into a Vec cannot fail, so the `?`s on `writeln!` below are inert.
-    let mut wire: Vec<u8> = Vec::new();
-    writeln!(wire, "+OK spamaware POP3 ready\r")?;
-    flush_wire(&mut out, &mut wire, stop_pipe, read_timeout, stats)?;
-    let mut st = SessionState {
-        user: None,
-        authed: None,
-        listing: Vec::new(),
-        marked: HashSet::new(),
-    };
-    let mut lines = LineBuffer::new();
-    let mut tmp = [0u8; 1024];
-    loop {
-        // Handle every complete line already buffered before waiting for
-        // more input (a pipelined burst is served without extra waits).
-        // `done` defers the session end past the flush so a farewell
-        // still reaches a live peer.
-        let mut done = false;
-        while !done {
-            let raw = match lines.pop_line() {
-                Ok(Some(raw)) => raw,
-                Ok(None) => break,
-                Err(LineOverflow) => {
-                    writeln!(wire, "-ERR line too long\r")?;
-                    done = true;
-                    break;
+/// The POP3 protocol: the command dialog over the shared store.
+struct Pop3 {
+    listener: TcpListener,
+    store: Arc<ShardedStore<RealDir>>,
+    mailboxes: HashSet<String>,
+    stats: Arc<Pop3Stats>,
+}
+
+impl Pop3 {
+    /// Handles one command line, appending the reply to `out`. Writes
+    /// into a `Vec` cannot fail, so the `?`s on `writeln!` are inert.
+    fn command(
+        &self,
+        st: &mut SessionState,
+        line: &[u8],
+        out: &mut Vec<u8>,
+    ) -> std::io::Result<Step> {
+        let line = String::from_utf8_lossy(line);
+        let trimmed = line.trim_end();
+        let (verb, arg) = match trimmed.find(' ') {
+            Some(i) => (&trimmed[..i], trimmed[i + 1..].trim()),
+            None => (trimmed, ""),
+        };
+        match verb.to_ascii_uppercase().as_str() {
+            "USER" => {
+                if self.mailboxes.contains(arg) {
+                    st.user = Some(arg.to_owned());
+                    writeln!(out, "+OK send PASS\r")?;
+                } else {
+                    writeln!(out, "-ERR no such mailbox\r")?;
                 }
-            };
-            let line = String::from_utf8_lossy(&raw).into_owned();
-            let trimmed = line.trim_end();
-            let (verb, arg) = match trimmed.find(' ') {
-                Some(i) => (&trimmed[..i], trimmed[i + 1..].trim()),
-                None => (trimmed, ""),
-            };
-            match verb.to_ascii_uppercase().as_str() {
-                "USER" => {
-                    if mailboxes.contains(arg) {
-                        st.user = Some(arg.to_owned());
-                        writeln!(wire, "+OK send PASS\r")?;
-                    } else {
-                        writeln!(wire, "-ERR no such mailbox\r")?;
-                    }
-                }
-                "PASS" => match &st.user {
-                    Some(user) => {
-                        // Index-only scan: sizes come from the key index, so no
-                        // shard lock is held across disk reads (§10 scan phase).
-                        st.listing = store
-                            .list_mailbox(user)
-                            .into_iter()
-                            .map(|(id, len)| (id, usize::try_from(len).unwrap_or(usize::MAX)))
-                            .collect();
-                        st.authed = Some(user.clone());
-                        writeln!(wire, "+OK {} messages\r", st.listing.len())?;
-                    }
-                    None => writeln!(wire, "-ERR USER first\r")?,
-                },
-                "STAT" if st.authed.is_some() => {
-                    let (n, bytes) =
-                        live(&st).fold((0usize, 0usize), |(n, b), (_, (_, sz))| (n + 1, b + sz));
-                    writeln!(wire, "+OK {n} {bytes}\r")?;
-                }
-                "LIST" if st.authed.is_some() => {
-                    writeln!(wire, "+OK scan listing follows\r")?;
-                    for (idx, (_, size)) in live(&st) {
-                        writeln!(wire, "{} {}\r", idx + 1, size)?;
-                    }
-                    writeln!(wire, ".\r")?;
-                }
-                "RETR" if st.authed.is_some() => {
-                    match (st.authed.as_deref(), parse_index(arg, &st)) {
-                        (Some(user), Some(idx)) => {
-                            // One positioned read under one short shard hold — not a
-                            // whole-mailbox scan per retrieval.
-                            let body = store
-                                .read_mail(user, st.listing[idx].0)
-                                .ok()
-                                .map(|m| m.body);
-                            match body {
-                                Some(body) => {
-                                    stats.retrieved.fetch_add(1, Ordering::Relaxed);
-                                    // The multi-line body joins the coalesced
-                                    // reply buffer: one bounded write per burst,
-                                    // and a peer frozen mid-download is evicted
-                                    // by the flush budget, never waited on.
-                                    write!(wire, "+OK {} octets\r\n", body.len())?;
-                                    // Byte-stuff lines starting with '.'.
-                                    for l in body.split(|&b| b == b'\n') {
-                                        let l = l.strip_suffix(b"\r").unwrap_or(l);
-                                        if l.first() == Some(&b'.') {
-                                            wire.push(b'.');
-                                        }
-                                        wire.extend_from_slice(l);
-                                        wire.extend_from_slice(b"\r\n");
-                                    }
-                                    wire.extend_from_slice(b".\r\n");
-                                }
-                                None => writeln!(wire, "-ERR no such message\r")?,
-                            }
-                        }
-                        _ => writeln!(wire, "-ERR no such message\r")?,
-                    }
-                }
-                "DELE" if st.authed.is_some() => match parse_index(arg, &st) {
-                    Some(idx) => {
-                        st.marked.insert(idx);
-                        writeln!(wire, "+OK marked\r")?;
-                    }
-                    None => writeln!(wire, "-ERR no such message\r")?,
-                },
-                "RSET" if st.authed.is_some() => {
-                    st.marked.clear();
-                    writeln!(wire, "+OK\r")?;
-                }
-                "NOOP" => writeln!(wire, "+OK\r")?,
-                "QUIT" => {
-                    if let Some(user) = &st.authed {
-                        for &idx in &st.marked {
-                            if store.delete(user, st.listing[idx].0).is_ok() {
-                                stats.deleted.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    writeln!(wire, "+OK bye\r")?;
-                    done = true;
-                }
-                _ => writeln!(wire, "-ERR unsupported\r")?,
             }
-        }
-        flush_wire(&mut out, &mut wire, stop_pipe, read_timeout, stats)?;
-        if done {
-            return Ok(());
-        }
-        // Wait for bytes, hangup, or the stop latch — whichever comes
-        // first within the idle budget.
-        match rawpoll::poll2(out.as_raw_fd(), false, stop_pipe.read_fd(), idle_ms) {
-            // Server stopping: cut the session (nothing acked is at risk;
-            // deletions only apply at QUIT).
-            Ok(r) if r.b_ready => return Ok(()),
-            Ok(r) if r.a_ready || r.a_hangup => match out.read(&mut tmp) {
-                Ok(0) => return Ok(()),
-                Ok(n) => lines.push(&tmp[..n]),
-                // Spurious readiness: wait again.
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) => return Err(e),
+            "PASS" => match &st.user {
+                Some(user) => {
+                    // Index-only scan: sizes come from the key index, so no
+                    // shard lock is held across disk reads (§10 scan phase).
+                    st.listing = self
+                        .store
+                        .list_mailbox(user)
+                        .into_iter()
+                        .map(|(id, len)| (id, usize::try_from(len).unwrap_or(usize::MAX)))
+                        .collect();
+                    st.authed = Some(user.clone());
+                    writeln!(out, "+OK {} messages\r", st.listing.len())?;
+                }
+                None => writeln!(out, "-ERR USER first\r")?,
             },
-            // Idle past the read timeout: evict the silent peer.
-            Ok(_) => {
-                stats.idle_evictions.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
+            "STAT" if st.authed.is_some() => {
+                let (n, bytes) =
+                    live(st).fold((0usize, 0usize), |(n, b), (_, (_, sz))| (n + 1, b + sz));
+                writeln!(out, "+OK {n} {bytes}\r")?;
             }
-            Err(e) => return Err(e),
+            "LIST" if st.authed.is_some() => {
+                writeln!(out, "+OK scan listing follows\r")?;
+                for (idx, (_, size)) in live(st) {
+                    writeln!(out, "{} {}\r", idx + 1, size)?;
+                }
+                writeln!(out, ".\r")?;
+            }
+            "RETR" if st.authed.is_some() => {
+                match (st.authed.as_deref(), parse_index(arg, st)) {
+                    (Some(user), Some(idx)) => {
+                        // One positioned read under one short shard hold — not a
+                        // whole-mailbox scan per retrieval.
+                        let body = self
+                            .store
+                            .read_mail(user, st.listing[idx].0)
+                            .ok()
+                            .map(|m| m.body);
+                        match body {
+                            Some(body) => {
+                                self.stats.retrieved.fetch_add(1, Ordering::Relaxed);
+                                // The multi-line body joins the coalesced
+                                // reply: the driver queues what the socket
+                                // will not take and runs no further command
+                                // until it has; a peer frozen mid-download
+                                // is evicted by the no-progress deadline,
+                                // never waited on.
+                                write!(out, "+OK {} octets\r\n", body.len())?;
+                                // Byte-stuff lines starting with '.'.
+                                for l in body.split(|&b| b == b'\n') {
+                                    let l = l.strip_suffix(b"\r").unwrap_or(l);
+                                    if l.first() == Some(&b'.') {
+                                        out.push(b'.');
+                                    }
+                                    out.extend_from_slice(l);
+                                    out.extend_from_slice(b"\r\n");
+                                }
+                                out.extend_from_slice(b".\r\n");
+                            }
+                            None => writeln!(out, "-ERR no such message\r")?,
+                        }
+                    }
+                    _ => writeln!(out, "-ERR no such message\r")?,
+                }
+            }
+            "DELE" if st.authed.is_some() => match parse_index(arg, st) {
+                Some(idx) => {
+                    st.marked.insert(idx);
+                    writeln!(out, "+OK marked\r")?;
+                }
+                None => writeln!(out, "-ERR no such message\r")?,
+            },
+            "RSET" if st.authed.is_some() => {
+                st.marked.clear();
+                writeln!(out, "+OK\r")?;
+            }
+            "NOOP" => writeln!(out, "+OK\r")?,
+            "QUIT" => {
+                if let Some(user) = &st.authed {
+                    for &idx in &st.marked {
+                        if self.store.delete(user, st.listing[idx].0).is_ok() {
+                            self.stats.deleted.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+                writeln!(out, "+OK bye\r")?;
+                return Ok(Step::Close);
+            }
+            _ => writeln!(out, "-ERR unsupported\r")?,
         }
+        Ok(Step::Continue)
     }
 }
 
-/// Flushes the coalesced reply buffer through the bounded writer. A
-/// budget expiry counts in [`Pop3Stats::write_stall_evictions`] and ends
-/// the session; the buffer is cleared in every case (a failed session
-/// never retries a partial reply).
-fn flush_wire(
-    out: &mut TcpStream,
-    wire: &mut Vec<u8>,
-    stop_pipe: &rawpoll::WakePipe,
-    budget: Duration,
-    stats: &Pop3Stats,
-) -> std::io::Result<()> {
-    if wire.is_empty() {
-        return Ok(());
+impl Protocol<TcpStream> for Pop3 {
+    type Session = SessionState;
+
+    fn listener(&self) -> Option<u64> {
+        Some(self.listener.poll_id())
     }
-    let outcome = netio::write_all_bounded(out, wire, stop_pipe, budget);
-    wire.clear();
-    match outcome {
-        netio::WriteOutcome::Done => Ok(()),
-        netio::WriteOutcome::TimedOut => {
-            stats.write_stall_evictions.fetch_add(1, Ordering::Relaxed);
-            Err(std::io::Error::from(ErrorKind::TimedOut))
+
+    fn admit(&mut self, now_ns: u64, _draining: bool) -> Option<Arrival<TcpStream, SessionState>> {
+        let (conn, _) = self.listener.try_accept().ok().flatten()?;
+        self.stats.sessions.fetch_add(1, Ordering::Relaxed);
+        Some(Arrival {
+            conn,
+            session: SessionState::default(),
+            lines: LineBuffer::new(),
+            greeting: b"+OK spamaware POP3 ready\r\n".to_vec(),
+            accepted_ns: now_ns,
+        })
+    }
+
+    fn line(&mut self, st: &mut SessionState, line: &[u8], out: &mut Vec<u8>) -> Step {
+        self.command(st, line, out).unwrap_or(Step::Close)
+    }
+
+    fn finish(&mut self, mut gone: Gone<TcpStream, SessionState>, end: End) {
+        match end {
+            End::Overflow => farewell(&mut gone.conn, b"-ERR line too long\r\n"),
+            End::Idle => {
+                self.stats.idle_evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            End::SlowWriter => {
+                self.stats
+                    .write_stall_evictions
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
         }
-        netio::WriteOutcome::Stopped => Err(std::io::Error::from(ErrorKind::Interrupted)),
-        netio::WriteOutcome::Closed => Err(std::io::Error::from(ErrorKind::BrokenPipe)),
     }
 }
 

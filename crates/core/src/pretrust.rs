@@ -1,220 +1,47 @@
-//! The master's pre-trust event loop, generic over transport and clock.
+//! Pre-trust SMTP: the master's instance of the session engine.
 //!
-//! [`run`] is the §5 "one cheap thread carries every untrusted
-//! connection" loop, rebuilt around readiness notification: it sleeps in
-//! [`Reactor::wait`] until a socket is readable or a
-//! [`TimerWheel`] deadline (per-connection idle and whole-session
-//! budgets) is due, instead of scanning every connection on a fixed
-//! cadence. The loop body is exactly the old master semantics —
-//! admission control, DNSBL fire-and-forget, pipelined-burst reply
-//! coalescing, fork-after-trust delegation — but the *only* blocking
-//! call left is the reactor wait (the xtask blocking pass enforces
-//! this; DESIGN.md §15).
+//! [`run_pretrust`] is the §5 "one cheap thread carries every untrusted
+//! connection" loop. The loop itself — readiness wait, timer wheel,
+//! bounded reply queues, the one exit — is [`crate::driver`]; this module
+//! is the protocol it runs on the master: admission control (draining,
+//! total in-flight cap, per-IP cap — cheapest first and all before any
+//! DNSBL spend), the fire-and-forget DNSBL hand-off, the SMTP dialog up
+//! to the first valid `RCPT TO`, and fork-after-trust delegation through
+//! an injected sink. Nothing here blocks or touches the reactor (the
+//! xtask blocking pass enforces it; DESIGN.md §14.2).
 //!
-//! Writes are backpressure-aware (DESIGN.md §15.4): each connection owns
-//! a bounded [`OutBuf`] that queues whatever the socket will not accept
-//! right now, arms write interest on the reactor, flushes on writable
-//! readiness, and disarms once drained. A peer that stops reading cannot
-//! stall the master — its queue hits the cap (or its no-progress
-//! deadline on the [`TimerWheel`]) and the connection is evicted
-//! (`master.evicted_slow_writers`).
-//!
-//! Everything the loop touches is injected: the [`Acceptor`]/[`Conn`]
-//! transport pair (real `TcpListener`/`TcpStream`, or the scripted
-//! doubles in [`crate::reactor::sim`]), the [`Reactor`], the metrics
-//! registry (whose clock is the loop's only time source), and the
-//! trusted-connection sink. `LiveServer` instantiates it with the OS
-//! types; the deterministic tests instantiate it with the sim types and
-//! replay byte-identical schedules with zero real sockets or sleeps.
+//! Everything is injected: the [`Acceptor`]/`Conn` transport pair (real
+//! `TcpListener`/`TcpStream`, or the scripted doubles in
+//! [`crate::reactor::sim`]), the [`Reactor`], the metrics registry (whose
+//! clock is the loop's only time source), and the trusted-connection
+//! sink. `LiveServer` instantiates it with the OS types; the
+//! deterministic tests instantiate it with the sim types and replay
+//! byte-identical schedules with zero real sockets or sleeps.
 
-use crate::linebuf::{LineBuffer, LineOverflow};
+use crate::driver::{
+    drive, farewell, Acceptor, Arrival, Conn, DriverEnv, DriverMetrics, End, Gone, Limits,
+    Protocol, Step,
+};
+use crate::linebuf::LineBuffer;
 use crate::live::{LiveStats, VerbCounters};
 use crate::pool::BufferPool;
-use crate::reactor::wheel::TimerWheel;
-use crate::reactor::{Pollable, Reactor, ReadyEvent};
+use crate::reactor::Reactor;
 use crossbeam::channel::Sender;
 use spamaware_metrics::{Counter, Gauge, Registry, SpanHandle};
 use spamaware_netaddr::Ipv4;
 use spamaware_smtp::{
     Command, MailAddr, Reply, ServerSession, SessionConfig, SessionOutcome, SessionPhase,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The reactor token reserved for the acceptor; connection tokens start
-/// above it.
-pub const ACCEPT_TOKEN: u64 = 0;
-
-/// Per-connection timer kinds, packed into wheel ids as
-/// `token << 2 | kind`.
-const TIMER_IDLE: u64 = 0;
-const TIMER_SESSION: u64 = 1;
-const TIMER_WRITE_STALL: u64 = 2;
-
-/// A connection the engine can drive without blocking.
-pub trait Conn: Pollable {
-    /// One non-blocking read: `Ok(0)` is peer EOF, `WouldBlock` means the
-    /// socket is dry (the reactor will say when to try again).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors close the connection.
-    fn read_ready(&mut self, buf: &mut [u8]) -> io::Result<usize>;
-
-    /// One non-blocking write: accepts what fits in the socket buffer,
-    /// `WouldBlock` when nothing does (the reactor's write-readiness says
-    /// when to retry).
-    ///
-    /// # Errors
-    ///
-    /// Transport errors close the connection.
-    fn write_ready(&mut self, buf: &[u8]) -> io::Result<usize>;
-}
-
-/// A listening socket the engine can drain without blocking.
-pub trait Acceptor: Pollable {
-    /// The connection type this acceptor produces.
-    type Conn: Conn;
-
-    /// Accepts one pending connection; `Ok(None)` means none is pending.
-    ///
-    /// # Errors
-    ///
-    /// Fatal listener errors stop the accept burst (the loop keeps
-    /// serving existing connections).
-    fn try_accept(&mut self) -> io::Result<Option<(Self::Conn, SocketAddr)>>;
-}
-
-impl Conn for TcpStream {
-    fn read_ready(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        Read::read(self, buf)
-    }
-
-    fn write_ready(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // The engine's single raw socket-write site: everything above it
-        // goes through an OutBuf (sanctioned in the xtask blocking pass).
-        Write::write(self, buf)
-    }
-}
-
-impl Acceptor for TcpListener {
-    type Conn = TcpStream;
-
-    fn try_accept(&mut self) -> io::Result<Option<(TcpStream, SocketAddr)>> {
-        match self.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nonblocking(true);
-                // Replies are coalesced into one write per pipelined
-                // burst, so Nagle only adds delayed-ACK stalls between
-                // our small writes and the client's next burst.
-                let _ = stream.set_nodelay(true);
-                Ok(Some((stream, peer)))
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Outcome of an [`OutBuf`] write attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WriteState {
-    /// Everything queued has reached the socket.
-    Drained,
-    /// Bytes remain queued; the reactor must say when to retry.
-    Pending,
-    /// The queue outgrew its cap: the peer has stopped draining.
-    Overflow,
-    /// The transport failed; the connection is dead.
-    Broken,
-}
-
-/// A bounded per-connection outbound queue: write what fits, keep the
-/// rest, report when the peer stops draining (DESIGN.md §15.4).
-///
-/// The cap bounds *queued* (unflushed) bytes — the answer to "how much
-/// memory may one non-reading peer pin" — and an overflowing send still
-/// queues before reporting, so the byte-count gauge stays exact until
-/// the eviction reconciles it.
-struct OutBuf {
-    buf: Vec<u8>,
-    /// Bytes of `buf` already written; drained lazily so partial flushes
-    /// do not memmove the queue.
-    head: usize,
-    cap: usize,
-}
-
-impl OutBuf {
-    fn new(cap: usize) -> OutBuf {
-        OutBuf {
-            buf: Vec::new(),
-            head: 0,
-            cap,
-        }
-    }
-
-    /// Bytes queued and not yet accepted by the socket.
-    fn pending(&self) -> usize {
-        self.buf.len() - self.head
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pending() == 0
-    }
-
-    /// Takes the queued bytes (for worker hand-off or a final farewell).
-    fn take_pending(mut self) -> Vec<u8> {
-        self.buf.split_off(self.head)
-    }
-
-    /// Queues `bytes`, then flushes as much as the socket accepts now.
-    fn send<C: Conn>(&mut self, conn: &mut C, bytes: &[u8]) -> (WriteState, usize) {
-        self.buf.extend_from_slice(bytes);
-        self.flush(conn)
-    }
-
-    /// Writes from the queue until it drains or the socket stops
-    /// accepting; returns the state plus the bytes written this call.
-    fn flush<C: Conn>(&mut self, conn: &mut C) -> (WriteState, usize) {
-        let mut wrote = 0;
-        while self.head < self.buf.len() {
-            match conn.write_ready(&self.buf[self.head..]) {
-                Ok(0) => return (WriteState::Broken, wrote),
-                Ok(n) => {
-                    self.head += n;
-                    wrote += n;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => return (WriteState::Broken, wrote),
-            }
-        }
-        if self.head == self.buf.len() {
-            self.buf.clear();
-            self.head = 0;
-            return (WriteState::Drained, wrote);
-        }
-        if self.head > 0 && self.head >= self.buf.len() / 2 {
-            // Compact once the drained prefix dominates the allocation.
-            self.buf.drain(..self.head);
-            self.head = 0;
-        }
-        if self.pending() > self.cap {
-            (WriteState::Overflow, wrote)
-        } else {
-            (WriteState::Pending, wrote)
-        }
-    }
-}
 
 /// A connection that earned trust (valid `RCPT TO`), ready for worker
 /// hand-off with its session state and any already-buffered bytes.
 pub struct Trusted<C> {
-    /// The socket (still registered nowhere — the engine deregistered it
-    /// before handing it over).
+    /// The socket (registered nowhere — the engine deregistered it before
+    /// handing it over).
     pub conn: C,
     /// SMTP session state up to and including the trusting `RCPT`.
     pub session: ServerSession,
@@ -222,8 +49,7 @@ pub struct Trusted<C> {
     /// `DATA`), with their pooled allocation.
     pub leftover: Vec<u8>,
     /// Reply bytes the master queued but the peer has not yet accepted;
-    /// the worker must write these (under its own deadline) before any
-    /// reply of its own.
+    /// the worker sends these before any reply of its own.
     pub pending_out: Vec<u8>,
     /// Client address.
     pub peer: Ipv4,
@@ -232,7 +58,8 @@ pub struct Trusted<C> {
     pub accepted_ns: u64,
 }
 
-/// Everything [`run`] needs beyond the transport, reactor, and sink.
+/// Everything [`run_pretrust`] needs beyond the transport, reactor, and
+/// sink.
 pub struct EngineCtx {
     /// Hard-stop flag; the loop exits at the next wakeup.
     pub stop: Arc<AtomicBool>,
@@ -269,247 +96,213 @@ pub struct EngineCtx {
     pub inflight: Arc<Gauge>,
 }
 
-/// One pre-trust connection's loop state.
-struct Pre<C> {
-    conn: C,
-    session: ServerSession,
-    lines: LineBuffer,
-    /// Reply bytes the socket has not accepted yet.
-    outq: OutBuf,
-    /// Whether write interest is currently armed on the reactor.
-    w_armed: bool,
-    peer: Ipv4,
-    /// Registry-clock accept instant, for the `master.pretrust_ns` span
-    /// and the session deadline.
-    accepted_ns: u64,
-    last_activity_ns: u64,
+/// Parses one SMTP command line and runs it through the session — the
+/// one parse site of the pre- and post-trust dialogs.
+pub(crate) fn smtp_command(
+    session: &mut ServerSession,
+    line: &[u8],
+    verbs: &VerbCounters,
+    mailboxes: &HashSet<String>,
+) -> Reply {
+    match Command::parse(&String::from_utf8_lossy(line)) {
+        Ok(cmd) => {
+            verbs.count(&cmd);
+            session.handle(cmd, &|a: &MailAddr| mailboxes.contains(a.local_part()))
+        }
+        Err(_) => {
+            verbs.count_unknown();
+            Reply::bad_argument()
+        }
+    }
 }
 
-/// Pre-resolved instrument handles for the loop.
-struct EngineMetrics {
+/// The one-write `421` every refusal and eviction parts with.
+pub(crate) fn say_unavailable<C: Conn>(conn: &mut C) {
+    farewell(conn, Reply::service_not_available().to_wire().as_bytes());
+}
+
+/// One pre-trust connection's protocol state.
+struct Pre {
+    session: ServerSession,
+    peer: Ipv4,
+}
+
+/// The pre-trust protocol: what the master does with a connection until
+/// it earns trust or leaves.
+struct PreTrust<'a, A, S> {
+    acceptor: &'a mut A,
+    ctx: &'a EngineCtx,
+    sink: &'a mut S,
+    /// Pre-trust connections held per client IP (admission ledger).
+    per_ip: HashMap<Ipv4, usize>,
     pretrust_ns: SpanHandle,
     agent_dropped: Arc<Counter>,
-    verbs: VerbCounters,
-    /// Reactor wait returns (`master.wakeups`).
-    wakeups: Arc<Counter>,
-    /// Readiness events delivered (`master.io_events`).
-    io_events: Arc<Counter>,
-    /// Timer-wheel expirations processed (`master.timers_fired`).
-    timers_fired: Arc<Counter>,
-    /// Connections whose reply outran the socket buffer and started
-    /// queuing (`master.write_stalls`).
-    write_stalls: Arc<Counter>,
-    /// Stalled writers evicted at the queue cap or the no-progress
-    /// deadline (`master.evicted_slow_writers`).
     evicted_slow_writers: Arc<Counter>,
-    /// Total queued outbound bytes across all pre-trust connections
-    /// (`master.outq_bytes`).
-    outq_bytes: Arc<Gauge>,
+    verbs: VerbCounters,
 }
 
-/// Best-effort whole-reply write for a connection being refused or
-/// evicted: writes what the socket accepts now and drops the rest — the
-/// peer is leaving either way, and nobody stalls the master to say
-/// goodbye.
-fn write_farewell<C: Conn>(conn: &mut C, reply: &Reply) {
-    best_effort_write(conn, reply.to_wire().as_bytes());
-}
-
-/// Loops [`Conn::write_ready`] until the bytes are gone or the socket
-/// stops accepting; whatever did not fit is dropped.
-fn best_effort_write<C: Conn>(conn: &mut C, mut bytes: &[u8]) {
-    while !bytes.is_empty() {
-        match conn.write_ready(bytes) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => bytes = &bytes[n..],
-        }
+impl<A: Acceptor, S> PreTrust<'_, A, S> {
+    /// `421`s and drops a connection the admission policy refused. Cheap
+    /// by design: one small write, no session, no DNSBL — shedding under
+    /// overload must cost microseconds, not the work it is shedding.
+    fn shed(mut conn: A::Conn, counter: &Counter) {
+        counter.inc();
+        say_unavailable(&mut conn);
     }
 }
 
-/// `421`s and drops a connection the admission policy refused. Cheap by
-/// design: one small write, no session, no DNSBL — shedding under
-/// overload must cost microseconds, not the work it is shedding.
-fn shed_conn<C: Conn>(mut conn: C, counter: &Counter) {
-    counter.inc();
-    write_farewell(&mut conn, &Reply::service_not_available());
-}
+impl<A, S> Protocol<A::Conn> for PreTrust<'_, A, S>
+where
+    A: Acceptor,
+    S: FnMut(Trusted<A::Conn>) -> Option<Trusted<A::Conn>>,
+{
+    type Session = Pre;
 
-/// Drops one pre-trust connection's per-IP admission slot.
-fn release_ip(per_ip: &mut HashMap<Ipv4, usize>, peer: Ipv4) {
-    if let Some(n) = per_ip.get_mut(&peer) {
-        *n = n.saturating_sub(1);
-        if *n == 0 {
-            per_ip.remove(&peer);
-        }
+    fn listener(&self) -> Option<u64> {
+        Some(self.acceptor.poll_id())
     }
-}
 
-/// Unhooks a connection from the reactor, the timer wheel, and the
-/// per-IP ledger; closes out its pre-trust span and returns its queued
-/// bytes to the outq gauge. The caller decides what happens to the
-/// socket, line buffer, and in-flight gauge (they differ between
-/// eviction and trusted hand-off).
-fn detach<C: Conn, R: Reactor>(
-    token: u64,
-    pre: Pre<C>,
-    reactor: &mut R,
-    wheel: &mut TimerWheel,
-    per_ip: &mut HashMap<Ipv4, usize>,
-    mm: &EngineMetrics,
-) -> Pre<C> {
-    let _ = reactor.deregister(pre.conn.poll_id());
-    wheel.cancel((token << 2) | TIMER_IDLE);
-    wheel.cancel((token << 2) | TIMER_SESSION);
-    wheel.cancel((token << 2) | TIMER_WRITE_STALL);
-    mm.outq_bytes.add(-(pre.outq.pending() as i64));
-    mm.pretrust_ns.record_since(pre.accepted_ns);
-    release_ip(per_ip, pre.peer);
-    pre
-}
-
-enum PumpResult {
-    Idle,
-    Progress,
-    Close,
-    Overflow,
-    Trusted,
-}
-
-/// How a connection came out of a write attempt.
-enum WriteVerdict {
-    /// Still healthy (possibly with queued bytes and armed interest).
-    Kept,
-    /// Queue cap or interest-arming failure: evict as a slow writer.
-    EvictSlow,
-    /// Transport error: close like a peer disconnect.
-    Broken,
-}
-
-/// Reconciles a connection's write-interest, stall-deadline, and gauge
-/// state with its [`OutBuf`] after one send/flush, and says whether the
-/// connection survives. `before` is the queue depth prior to the write
-/// attempt (for exact gauge deltas).
-#[allow(clippy::too_many_arguments)]
-fn settle_write<C: Conn, R: Reactor>(
-    token: u64,
-    pre: &mut Pre<C>,
-    before: usize,
-    state: WriteState,
-    wrote: usize,
-    reactor: &mut R,
-    wheel: &mut TimerWheel,
-    mm: &EngineMetrics,
-    now: u64,
-    stall_ns: u64,
-) -> WriteVerdict {
-    mm.outq_bytes.add(pre.outq.pending() as i64 - before as i64);
-    match state {
-        WriteState::Drained => {
-            if pre.w_armed {
-                pre.w_armed = false;
-                let _ = reactor.set_write_interest(pre.conn.poll_id(), false);
-                wheel.cancel((token << 2) | TIMER_WRITE_STALL);
-            }
-            WriteVerdict::Kept
-        }
-        WriteState::Pending => {
-            if !pre.w_armed {
-                // The stall begins here: count it, watch for writability,
-                // and start the no-progress clock.
-                mm.write_stalls.inc();
-                if reactor
-                    .set_write_interest(pre.conn.poll_id(), true)
-                    .is_err()
-                {
-                    // Never told when the peer drains ⇒ the queue would
-                    // sit forever; give the connection up now.
-                    return WriteVerdict::EvictSlow;
+    fn admit(&mut self, now_ns: u64, draining: bool) -> Option<Arrival<A::Conn, Pre>> {
+        let ctx = self.ctx;
+        let stats = &ctx.stats;
+        loop {
+            let (mut conn, peer_addr) = self.acceptor.try_accept().ok().flatten()?;
+            stats.accepted.inc();
+            let peer = match peer_addr.ip() {
+                std::net::IpAddr::V4(v4) => Ipv4::from(v4),
+                std::net::IpAddr::V6(_) => {
+                    // The DNSBL cache and trust machinery are IPv4-only;
+                    // refuse rather than impersonate a loopback peer.
+                    stats.rejected_ipv6.inc();
+                    farewell(&mut conn, Reply::ipv6_unsupported().to_wire().as_bytes());
+                    continue;
                 }
-                pre.w_armed = true;
-                wheel.schedule(
-                    (token << 2) | TIMER_WRITE_STALL,
-                    now.saturating_add(stall_ns),
-                );
-            } else if wrote > 0 {
-                // Progress resets the no-progress deadline: a slow drip
-                // is served for as long as it keeps accepting bytes.
-                wheel.schedule(
-                    (token << 2) | TIMER_WRITE_STALL,
-                    now.saturating_add(stall_ns),
-                );
+            };
+            // Admission control, cheapest checks first and all of them
+            // *before* the DNSBL query: a shed connection must not be
+            // able to spend our lookup budget.
+            if draining {
+                Self::shed(conn, &stats.shed_draining);
+                continue;
             }
-            WriteVerdict::Kept
+            if ctx.inflight.get() >= i64::try_from(ctx.max_connections).unwrap_or(i64::MAX) {
+                Self::shed(conn, &stats.shed_connections);
+                continue;
+            }
+            let held = self.per_ip.entry(peer).or_insert(0);
+            if *held >= ctx.max_pretrust_per_ip {
+                Self::shed(conn, &stats.shed_per_ip);
+                continue;
+            }
+            *held += 1;
+            ctx.inflight.inc();
+            if let Some(tx) = &ctx.dnsbl_tx {
+                // Fire-and-forget hand-off to the DNSBL agent thread: the
+                // verdict is record-only (§9), so the master never waits
+                // for it. A full queue drops the *lookup*, not the client
+                // — under overload we lose a statistic, never mail
+                // service.
+                if tx.try_send(peer).is_err() {
+                    self.agent_dropped.inc();
+                }
+            }
+            let session = ServerSession::new(SessionConfig {
+                hostname: Arc::clone(&ctx.hostname),
+                ..SessionConfig::default()
+            });
+            return Some(Arrival {
+                conn,
+                greeting: session.greeting().to_wire().into_bytes(),
+                session: Pre { session, peer },
+                lines: LineBuffer::from_remaining(ctx.line_pool.take_vec()),
+                accepted_ns: now_ns,
+            });
         }
-        WriteState::Overflow => WriteVerdict::EvictSlow,
-        WriteState::Broken => WriteVerdict::Broken,
     }
-}
 
-/// One readiness-driven pump: a single read, then every complete line it
-/// completed, replies coalesced into `out` (the caller routes them
-/// through the connection's [`OutBuf`]).
-fn pump<C: Conn>(
-    pre: &mut Pre<C>,
-    exists: &dyn Fn(&MailAddr) -> bool,
-    verbs: &VerbCounters,
-    out: &mut Vec<u8>,
-) -> PumpResult {
-    let mut tmp = [0u8; 1024];
-    let mut result = PumpResult::Idle;
-    out.clear();
-    match pre.conn.read_ready(&mut tmp) {
-        Ok(0) => return PumpResult::Close,
-        Ok(n) => {
-            pre.lines.push(&tmp[..n]);
-            result = PumpResult::Progress;
+    fn line(&mut self, pre: &mut Pre, line: &[u8], out: &mut Vec<u8>) -> Step {
+        smtp_command(&mut pre.session, line, &self.verbs, &self.ctx.mailboxes).write_wire(out);
+        if pre.session.phase() == SessionPhase::Closed {
+            Step::Close
+        } else if pre.session.has_valid_recipient() {
+            Step::Detach
+        } else {
+            Step::Continue
         }
-        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-        Err(_) => return PumpResult::Close,
     }
-    loop {
-        match pre.lines.pop_line() {
-            Ok(Some(line)) => {
-                let text = String::from_utf8_lossy(&line).into_owned();
-                let reply = match Command::parse(&text) {
-                    Ok(cmd) => {
-                        verbs.count(&cmd);
-                        pre.session.handle(cmd, exists)
-                    }
-                    Err(_) => {
-                        verbs.count_unknown();
-                        Reply::bad_argument()
-                    }
+
+    fn finish(&mut self, gone: Gone<A::Conn, Pre>, end: End) {
+        let ctx = self.ctx;
+        let stats = &ctx.stats;
+        let Pre { session, peer } = gone.session;
+        if let Some(held) = self.per_ip.get_mut(&peer) {
+            *held -= 1;
+            if *held == 0 {
+                self.per_ip.remove(&peer);
+            }
+        }
+        self.pretrust_ns.record_since(gone.accepted_ns);
+        let mut conn = gone.conn;
+        let mut leftover = gone.lines.into_remaining();
+        // Only a dialog the client ended (QUIT, hang-up) is a bounce; an
+        // eviction is an unfinished transaction whatever was said before.
+        let bounced = matches!(end, End::Closed | End::PeerGone)
+            && session.outcome() == SessionOutcome::Bounce;
+        match end {
+            End::Detached => {
+                let task = Trusted {
+                    conn,
+                    session,
+                    leftover,
+                    pending_out: gone.unsent,
+                    peer,
+                    accepted_ns: gone.accepted_ns,
                 };
-                // Replies accumulate; the whole burst reaches the OutBuf
-                // at once when the connection changes state or input runs
-                // dry.
-                reply.write_wire(out);
-                if pre.session.phase() == SessionPhase::Closed {
-                    return PumpResult::Close;
-                }
-                if pre.session.has_valid_recipient() {
-                    return PumpResult::Trusted;
-                }
-                result = PumpResult::Progress;
+                // Delegated: the worker side owns the in-flight slot and
+                // the terminal outcome from here.
+                let Some(mut back) = (self.sink)(task) else {
+                    return;
+                };
+                // Every queue full: tempfail instead of blocking. A
+                // blocking send here stalls the master — and with it
+                // every pre-trust dialog and the accept loop — behind the
+                // slowest worker; `421` sheds exactly one client instead.
+                stats.shed_worker_busy.inc();
+                say_unavailable(&mut back.conn);
+                leftover = back.leftover;
             }
-            Ok(None) => break,
-            Err(LineOverflow) => {
-                Reply::syntax_error().write_wire(out);
-                return PumpResult::Overflow;
+            End::Closed | End::PeerGone => {}
+            End::Overflow => {
+                stats.overflows.inc();
+                farewell(&mut conn, Reply::syntax_error().to_wire().as_bytes());
+            }
+            // Idle slow client: dropped without a word.
+            End::Idle => stats.idle_evictions.inc(),
+            // No farewell either: by definition it is not reading.
+            End::SlowWriter => self.evicted_slow_writers.inc(),
+            End::Session | End::Phase => {
+                stats.session_deadline_evictions.inc();
+                say_unavailable(&mut conn);
+            }
+            End::Drain => {
+                // Pre-trust connections hold no acked mail.
+                stats.shed_draining.inc();
+                stats.drain_evictions.inc();
+                say_unavailable(&mut conn);
+            }
+            End::Unwatchable => {
+                stats.sockopt_errors.inc();
+                say_unavailable(&mut conn);
             }
         }
+        ctx.line_pool.put(leftover);
+        if bounced {
+            stats.bounces.inc();
+        } else {
+            stats.unfinished.inc();
+        }
+        ctx.inflight.dec();
     }
-    result
-}
-
-/// What a fired timer asks the loop to do, resolved while the connection
-/// map is only borrowed shared.
-enum TimerAction {
-    Gone,
-    EvictIdle,
-    EvictSession,
-    EvictStalled,
-    Rearm(u64),
 }
 
 /// Drives the pre-trust event loop until `ctx.stop` is set.
@@ -523,482 +316,29 @@ where
     R: Reactor,
     S: FnMut(Trusted<A::Conn>) -> Option<Trusted<A::Conn>>,
 {
-    let mm = EngineMetrics {
-        pretrust_ns: ctx.registry.span("master.pretrust_ns"),
-        agent_dropped: ctx.registry.counter("dnsbl.agent_dropped"),
-        verbs: VerbCounters::register(&ctx.registry),
-        wakeups: ctx.registry.counter("master.wakeups"),
-        io_events: ctx.registry.counter("master.io_events"),
-        timers_fired: ctx.registry.counter("master.timers_fired"),
-        write_stalls: ctx.registry.counter("master.write_stalls"),
-        evicted_slow_writers: ctx.registry.counter("master.evicted_slow_writers"),
-        outq_bytes: ctx.registry.gauge("master.outq_bytes"),
+    let registry = &ctx.registry;
+    let env = DriverEnv {
+        clock: registry.clock(),
+        stop: Arc::clone(&ctx.stop),
+        draining: Arc::clone(&ctx.draining),
+        limits: Limits {
+            idle: ctx.pretrust_idle_timeout,
+            session: ctx.session_deadline,
+            write_stall: ctx.write_stall_timeout,
+            phase: Duration::MAX,
+            max_outq_bytes: ctx.max_outq_bytes,
+        },
+        metrics: DriverMetrics::master(registry),
     };
-    let stats = &ctx.stats;
-    let exists = |a: &MailAddr| ctx.mailboxes.contains(a.local_part());
-    let inflight_cap = i64::try_from(ctx.max_connections).unwrap_or(i64::MAX);
-    let idle_ns = duration_ns(ctx.pretrust_idle_timeout);
-    let session_ns = duration_ns(ctx.session_deadline);
-    let stall_ns = duration_ns(ctx.write_stall_timeout);
-    let mut wheel = TimerWheel::new(ctx.registry.now_nanos());
-    let mut conns: BTreeMap<u64, Pre<A::Conn>> = BTreeMap::new();
-    let mut per_ip: HashMap<Ipv4, usize> = HashMap::new();
-    let mut next_token: u64 = ACCEPT_TOKEN + 1;
-    let mut ready: Vec<ReadyEvent> = Vec::new();
-    let mut fired: Vec<(u64, u64)> = Vec::new();
-    // Reply bytes for one pumped burst, routed through the connection's
-    // OutBuf in one send.
-    let mut out: Vec<u8> = Vec::new();
-    if reactor.register(acceptor.poll_id(), ACCEPT_TOKEN).is_err() {
-        // A master that cannot watch its own listener cannot serve.
-        return;
-    }
-    while !ctx.stop.load(Ordering::SeqCst) {
-        let now = ctx.registry.now_nanos();
-        let timeout_ns = wheel.next_deadline().map(|d| d.saturating_sub(now));
-        ready.clear();
-        // The one sanctioned blocking call on the master thread: sleep
-        // until readiness, a timer deadline, or a waker.
-        if reactor.wait(timeout_ns, &mut ready).is_err() {
-            return;
-        }
-        mm.wakeups.inc();
-        if !ready.is_empty() {
-            mm.io_events.add(ready.len() as u64);
-        }
-        if ctx.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let draining = ctx.draining.load(Ordering::SeqCst);
-        if draining && !conns.is_empty() {
-            // Pre-trust connections hold no acked mail; evict them all so
-            // the drain converges regardless of client behavior.
-            let evicted: Vec<u64> = conns.keys().copied().collect();
-            for token in evicted {
-                if let Some(pre) = conns.remove(&token) {
-                    let mut pre = detach(token, pre, reactor, &mut wheel, &mut per_ip, &mm);
-                    write_farewell(&mut pre.conn, &Reply::service_not_available());
-                    ctx.line_pool.put(pre.lines.into_remaining());
-                    ctx.inflight.dec();
-                    stats.shed_draining.inc();
-                    stats.unfinished.inc();
-                }
-            }
-        }
-        for &ev in &ready {
-            let token = ev.token;
-            if token == ACCEPT_TOKEN {
-                // Accept everything pending.
-                loop {
-                    let (conn, peer_addr) = match acceptor.try_accept() {
-                        Ok(Some(pair)) => pair,
-                        Ok(None) | Err(_) => break,
-                    };
-                    stats.accepted.inc();
-                    let peer_ip = match peer_addr.ip() {
-                        std::net::IpAddr::V4(v4) => Ipv4::from(v4),
-                        std::net::IpAddr::V6(_) => {
-                            // The DNSBL cache and trust machinery are
-                            // IPv4-only; refuse rather than impersonate a
-                            // loopback peer.
-                            stats.rejected_ipv6.inc();
-                            let mut conn = conn;
-                            write_farewell(&mut conn, &Reply::ipv6_unsupported());
-                            continue;
-                        }
-                    };
-                    // Admission control, cheapest checks first and all of
-                    // them *before* the DNSBL query: a shed connection
-                    // must not be able to spend our lookup budget.
-                    if draining {
-                        shed_conn(conn, &stats.shed_draining);
-                        continue;
-                    }
-                    if ctx.inflight.get() >= inflight_cap {
-                        shed_conn(conn, &stats.shed_connections);
-                        continue;
-                    }
-                    let held = per_ip.get(&peer_ip).copied().unwrap_or(0);
-                    if held >= ctx.max_pretrust_per_ip {
-                        shed_conn(conn, &stats.shed_per_ip);
-                        continue;
-                    }
-                    if let Some(tx) = &ctx.dnsbl_tx {
-                        // Fire-and-forget hand-off to the DNSBL agent
-                        // thread: the verdict is record-only (§9), so the
-                        // master never waits for it. A full queue drops
-                        // the *lookup*, not the client — under overload
-                        // we lose a statistic, never mail service.
-                        if tx.try_send(peer_ip).is_err() {
-                            mm.agent_dropped.inc();
-                        }
-                    }
-                    let session = ServerSession::new(SessionConfig {
-                        hostname: Arc::clone(&ctx.hostname),
-                        ..SessionConfig::default()
-                    });
-                    let token = next_token;
-                    next_token += 1;
-                    if reactor.register(conn.poll_id(), token).is_err() {
-                        // A connection the reactor cannot watch would sit
-                        // unserved forever; refuse it instead.
-                        stats.sockopt_errors.inc();
-                        let mut conn = conn;
-                        write_farewell(&mut conn, &Reply::service_not_available());
-                        continue;
-                    }
-                    let accepted_ns = mm.pretrust_ns.now();
-                    ctx.inflight.inc();
-                    *per_ip.entry(peer_ip).or_insert(0) += 1;
-                    wheel.schedule(
-                        (token << 2) | TIMER_IDLE,
-                        accepted_ns.saturating_add(idle_ns),
-                    );
-                    wheel.schedule(
-                        (token << 2) | TIMER_SESSION,
-                        accepted_ns.saturating_add(session_ns),
-                    );
-                    let greeting = session.greeting().to_wire();
-                    conns.insert(
-                        token,
-                        Pre {
-                            conn,
-                            session,
-                            lines: LineBuffer::from_remaining(ctx.line_pool.take_vec()),
-                            outq: OutBuf::new(ctx.max_outq_bytes),
-                            w_armed: false,
-                            peer: peer_ip,
-                            accepted_ns,
-                            last_activity_ns: accepted_ns,
-                        },
-                    );
-                    // The greeting rides the same backpressure path as
-                    // every later reply — a zero-window peer can stall
-                    // from byte one.
-                    let verdict = match conns.get_mut(&token) {
-                        Some(pre) => {
-                            let before = pre.outq.pending();
-                            let (state, wrote) = pre.outq.send(&mut pre.conn, greeting.as_bytes());
-                            settle_write(
-                                token,
-                                pre,
-                                before,
-                                state,
-                                wrote,
-                                reactor,
-                                &mut wheel,
-                                &mm,
-                                accepted_ns,
-                                stall_ns,
-                            )
-                        }
-                        None => WriteVerdict::Kept,
-                    };
-                    match verdict {
-                        WriteVerdict::Kept => {}
-                        WriteVerdict::EvictSlow => {
-                            evict_slow_writer(
-                                token,
-                                &mut conns,
-                                reactor,
-                                &mut wheel,
-                                &mut per_ip,
-                                &mm,
-                                ctx,
-                            );
-                        }
-                        WriteVerdict::Broken => {
-                            close_conn(
-                                token,
-                                &mut conns,
-                                reactor,
-                                &mut wheel,
-                                &mut per_ip,
-                                &mm,
-                                ctx,
-                            );
-                        }
-                    }
-                }
-                continue;
-            }
-            if ev.writable {
-                // The peer drained some of its socket buffer: flush the
-                // queue before reading more work from it.
-                let verdict = match conns.get_mut(&token) {
-                    Some(pre) => {
-                        let before = pre.outq.pending();
-                        let (state, wrote) = pre.outq.flush(&mut pre.conn);
-                        let now = ctx.registry.now_nanos();
-                        settle_write(
-                            token, pre, before, state, wrote, reactor, &mut wheel, &mm, now,
-                            stall_ns,
-                        )
-                    }
-                    None => WriteVerdict::Kept,
-                };
-                match verdict {
-                    WriteVerdict::Kept => {}
-                    WriteVerdict::EvictSlow => {
-                        evict_slow_writer(
-                            token,
-                            &mut conns,
-                            reactor,
-                            &mut wheel,
-                            &mut per_ip,
-                            &mm,
-                            ctx,
-                        );
-                    }
-                    WriteVerdict::Broken => {
-                        close_conn(
-                            token,
-                            &mut conns,
-                            reactor,
-                            &mut wheel,
-                            &mut per_ip,
-                            &mm,
-                            ctx,
-                        );
-                    }
-                }
-            }
-            if !ev.readable {
-                continue;
-            }
-            let Some(pre) = conns.get_mut(&token) else {
-                // Evicted earlier this wakeup (e.g. by the drain sweep or
-                // a failed flush just above).
-                continue;
-            };
-            match pump(pre, &exists, &mm.verbs, &mut out) {
-                PumpResult::Idle => {}
-                PumpResult::Progress => {
-                    let now = ctx.registry.now_nanos();
-                    pre.last_activity_ns = now;
-                    wheel.schedule((token << 2) | TIMER_IDLE, now.saturating_add(idle_ns));
-                    let verdict = if out.is_empty() {
-                        WriteVerdict::Kept
-                    } else {
-                        let before = pre.outq.pending();
-                        let (state, wrote) = pre.outq.send(&mut pre.conn, &out);
-                        settle_write(
-                            token, pre, before, state, wrote, reactor, &mut wheel, &mm, now,
-                            stall_ns,
-                        )
-                    };
-                    match verdict {
-                        WriteVerdict::Kept => {}
-                        WriteVerdict::EvictSlow => {
-                            evict_slow_writer(
-                                token,
-                                &mut conns,
-                                reactor,
-                                &mut wheel,
-                                &mut per_ip,
-                                &mm,
-                                ctx,
-                            );
-                        }
-                        WriteVerdict::Broken => {
-                            close_conn(
-                                token,
-                                &mut conns,
-                                reactor,
-                                &mut wheel,
-                                &mut per_ip,
-                                &mm,
-                                ctx,
-                            );
-                        }
-                    }
-                }
-                PumpResult::Close => {
-                    if let Some(pre) = conns.remove(&token) {
-                        let pre = detach(token, pre, reactor, &mut wheel, &mut per_ip, &mm);
-                        // Final farewell (e.g. the QUIT 221): best effort
-                        // after any queued bytes, dropped if the peer has
-                        // stopped reading — it is gone either way.
-                        let mut conn = pre.conn;
-                        best_effort_write(&mut conn, &pre.outq.take_pending());
-                        best_effort_write(&mut conn, &out);
-                        ctx.line_pool.put(pre.lines.into_remaining());
-                        ctx.inflight.dec();
-                        match pre.session.outcome() {
-                            SessionOutcome::Bounce => stats.bounces.inc(),
-                            _ => stats.unfinished.inc(),
-                        }
-                    }
-                }
-                PumpResult::Overflow => {
-                    if let Some(pre) = conns.remove(&token) {
-                        let pre = detach(token, pre, reactor, &mut wheel, &mut per_ip, &mm);
-                        let mut conn = pre.conn;
-                        best_effort_write(&mut conn, &pre.outq.take_pending());
-                        best_effort_write(&mut conn, &out);
-                        ctx.line_pool.put(pre.lines.into_remaining());
-                        ctx.inflight.dec();
-                        stats.overflows.inc();
-                        stats.unfinished.inc();
-                    }
-                }
-                PumpResult::Trusted => {
-                    if let Some(mut pre) = conns.remove(&token) {
-                        // Flush the trusting reply burst as far as the
-                        // socket allows; whatever stays queued travels to
-                        // the worker, which writes it under its own
-                        // deadline.
-                        let before = pre.outq.pending();
-                        let (state, _) = pre.outq.send(&mut pre.conn, &out);
-                        mm.outq_bytes.add(pre.outq.pending() as i64 - before as i64);
-                        if matches!(state, WriteState::Broken) {
-                            let pre = detach(token, pre, reactor, &mut wheel, &mut per_ip, &mm);
-                            ctx.line_pool.put(pre.lines.into_remaining());
-                            ctx.inflight.dec();
-                            stats.unfinished.inc();
-                            continue;
-                        }
-                        let pre = detach(token, pre, reactor, &mut wheel, &mut per_ip, &mm);
-                        let task = Trusted {
-                            conn: pre.conn,
-                            session: pre.session,
-                            leftover: pre.lines.into_remaining(),
-                            pending_out: pre.outq.take_pending(),
-                            peer: pre.peer,
-                            accepted_ns: pre.accepted_ns,
-                        };
-                        if let Some(task) = sink(task) {
-                            // Every queue full: tempfail instead of
-                            // blocking. A blocking send here stalls the
-                            // master — and with it every pre-trust dialog
-                            // and the accept loop — behind the slowest
-                            // worker; `421` sheds exactly one client
-                            // instead.
-                            ctx.line_pool.put(task.leftover);
-                            ctx.inflight.dec();
-                            shed_conn(task.conn, &stats.shed_worker_busy);
-                            stats.unfinished.inc();
-                        }
-                    }
-                }
-            }
-        }
-        let now = ctx.registry.now_nanos();
-        fired.clear();
-        wheel.advance(now, &mut fired);
-        if !fired.is_empty() {
-            mm.timers_fired.add(fired.len() as u64);
-        }
-        for &(_, id) in &fired {
-            let token = id >> 2;
-            let kind = id & 3;
-            let action = match conns.get(&token) {
-                None => TimerAction::Gone,
-                Some(_) if kind == TIMER_SESSION => TimerAction::EvictSession,
-                Some(pre) if kind == TIMER_WRITE_STALL => {
-                    if pre.outq.is_empty() {
-                        // Drained in the same wakeup the deadline fired;
-                        // the cancel raced the expiry.
-                        TimerAction::Gone
-                    } else {
-                        TimerAction::EvictStalled
-                    }
-                }
-                Some(pre) => {
-                    if now.saturating_sub(pre.last_activity_ns) >= idle_ns {
-                        TimerAction::EvictIdle
-                    } else {
-                        // Activity raced the expiry; re-arm from the last
-                        // read (the wheel's reschedule makes this rare).
-                        TimerAction::Rearm(pre.last_activity_ns.saturating_add(idle_ns))
-                    }
-                }
-            };
-            match action {
-                TimerAction::Gone => {}
-                TimerAction::Rearm(deadline) => wheel.schedule(id, deadline),
-                TimerAction::EvictIdle => {
-                    if let Some(pre) = conns.remove(&token) {
-                        // Idle slow client: drop it without touching a
-                        // worker (counts as an unfinished transaction).
-                        let pre = detach(token, pre, reactor, &mut wheel, &mut per_ip, &mm);
-                        ctx.line_pool.put(pre.lines.into_remaining());
-                        ctx.inflight.dec();
-                        stats.idle_evictions.inc();
-                        stats.unfinished.inc();
-                    }
-                }
-                TimerAction::EvictSession => {
-                    if let Some(pre) = conns.remove(&token) {
-                        // The whole-session budget ran out mid-dialog:
-                        // evict with `421` wherever the client is.
-                        let mut pre = detach(token, pre, reactor, &mut wheel, &mut per_ip, &mm);
-                        write_farewell(&mut pre.conn, &Reply::service_not_available());
-                        ctx.line_pool.put(pre.lines.into_remaining());
-                        ctx.inflight.dec();
-                        stats.session_deadline_evictions.inc();
-                        stats.unfinished.inc();
-                    }
-                }
-                TimerAction::EvictStalled => {
-                    evict_slow_writer(
-                        token,
-                        &mut conns,
-                        reactor,
-                        &mut wheel,
-                        &mut per_ip,
-                        &mm,
-                        ctx,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Evicts a peer that stopped draining its socket (queue cap hit, or no
-/// write progress for the whole stall budget). No farewell: by
-/// definition it is not reading.
-fn evict_slow_writer<C: Conn, R: Reactor>(
-    token: u64,
-    conns: &mut BTreeMap<u64, Pre<C>>,
-    reactor: &mut R,
-    wheel: &mut TimerWheel,
-    per_ip: &mut HashMap<Ipv4, usize>,
-    mm: &EngineMetrics,
-    ctx: &EngineCtx,
-) {
-    if let Some(pre) = conns.remove(&token) {
-        let pre = detach(token, pre, reactor, wheel, per_ip, mm);
-        ctx.line_pool.put(pre.lines.into_remaining());
-        ctx.inflight.dec();
-        mm.evicted_slow_writers.inc();
-        ctx.stats.unfinished.inc();
-    }
-}
-
-/// Closes a connection whose transport failed mid-write (peer reset).
-fn close_conn<C: Conn, R: Reactor>(
-    token: u64,
-    conns: &mut BTreeMap<u64, Pre<C>>,
-    reactor: &mut R,
-    wheel: &mut TimerWheel,
-    per_ip: &mut HashMap<Ipv4, usize>,
-    mm: &EngineMetrics,
-    ctx: &EngineCtx,
-) {
-    if let Some(pre) = conns.remove(&token) {
-        let pre = detach(token, pre, reactor, wheel, per_ip, mm);
-        ctx.line_pool.put(pre.lines.into_remaining());
-        ctx.inflight.dec();
-        match pre.session.outcome() {
-            SessionOutcome::Bounce => ctx.stats.bounces.inc(),
-            _ => ctx.stats.unfinished.inc(),
-        }
-    }
-}
-
-/// Saturating [`Duration`] → nanoseconds.
-fn duration_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+    let mut proto = PreTrust {
+        acceptor,
+        ctx,
+        sink,
+        per_ip: HashMap::new(),
+        pretrust_ns: registry.span("master.pretrust_ns"),
+        agent_dropped: registry.counter("dnsbl.agent_dropped"),
+        evicted_slow_writers: registry.counter("master.evicted_slow_writers"),
+        verbs: VerbCounters::register(registry),
+    };
+    drive(reactor, &mut proto, &env);
 }

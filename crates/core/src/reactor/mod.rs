@@ -1,16 +1,16 @@
 //! Readiness notification behind a seam the tests can script.
 //!
-//! The master thread must never block on any one connection (§5 of the
-//! paper), and after this module it no longer polls for the lack of one
-//! either: it sleeps in [`Reactor::wait`] until the OS reports a socket
-//! readable or the next [`wheel::TimerWheel`] deadline is due. Two
+//! A session loop must never block on any one connection (§5 of the
+//! paper), and it does not poll for the lack of one either: the driver
+//! ([`crate::driver`]) sleeps in [`Reactor::wait`] until the OS reports a
+//! socket ready or the next [`wheel::TimerWheel`] deadline is due. Two
 //! implementations share the trait:
 //!
 //! * [`os::OsReactor`] — epoll via the vendored `rawpoll` bindings, plus
 //!   a self-pipe waker so drain/shutdown interrupt an idle wait;
 //! * [`sim::SimReactor`] — scripted readiness events on a
-//!   [`spamaware_metrics::ManualClock`], so the whole pre-trust event
-//!   loop (timeouts, drain, shed, slowloris eviction) runs
+//!   [`spamaware_metrics::ManualClock`], so the whole session engine
+//!   (timeouts, drain, shed, slowloris eviction, `DATA` deadlines) runs
 //!   byte-identically in unit tests with zero real sockets or sleeps.
 //!
 //! The trait keys registrations on an opaque `poll_id` ([`Pollable`])
@@ -61,9 +61,8 @@ pub struct ReadyEvent {
 
 /// Readiness notification: level-triggered readability, opt-in per-id
 /// write interest, plus a bounded wait. The reactor wait is the single
-/// sanctioned blocking call on the master thread (DESIGN.md §15); the
-/// xtask blocking pass whitelists it by name and keeps everything else
-/// banned.
+/// sanctioned blocking call of a driver thread (DESIGN.md §15); the xtask
+/// blocking pass whitelists it by name and keeps everything else banned.
 pub trait Reactor {
     /// Starts watching `poll_id` for readability under `token` (write
     /// interest starts disarmed).
@@ -75,7 +74,7 @@ pub trait Reactor {
     fn register(&mut self, poll_id: u64, token: u64) -> io::Result<()>;
 
     /// Stops watching `poll_id`. Must be called before a socket is handed
-    /// to another thread, or the master keeps seeing its readiness.
+    /// to another thread, or this loop keeps seeing its readiness.
     ///
     /// # Errors
     ///
@@ -83,16 +82,19 @@ pub trait Reactor {
     /// that is about to be closed.
     fn deregister(&mut self, poll_id: u64) -> io::Result<()>;
 
-    /// Arms (`on`) or disarms write-readiness reporting for `poll_id`.
-    /// Level-triggered: while armed, an id with socket-buffer room is
-    /// reported writable on every wait, so interest must be armed only
-    /// while output is actually queued (DESIGN.md §15.4).
+    /// Sets what `poll_id` is reported for from now on. Level-triggered:
+    /// while `write` is armed, an id with socket-buffer room is reported
+    /// writable on every wait, so it must be armed only while output is
+    /// actually queued (DESIGN.md §15.4). `read` is dropped for exactly as
+    /// long (backpressure: a peer that is not draining its replies is not
+    /// read from), and for good once input is over — a level-triggered
+    /// EOF would otherwise wake the loop on every wait.
     ///
     /// # Errors
     ///
     /// Fails if the OS rejects the re-registration; the caller should
     /// evict the connection (its queued output can never flush).
-    fn set_write_interest(&mut self, poll_id: u64, on: bool) -> io::Result<()>;
+    fn set_interest(&mut self, poll_id: u64, read: bool, write: bool) -> io::Result<()>;
 
     /// Blocks until at least one watched id is ready, the timeout
     /// elapses, or a waker fires; appends the ready events to `out`

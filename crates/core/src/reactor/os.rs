@@ -10,8 +10,8 @@ use std::os::fd::RawFd;
 /// this one value.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Readiness notification over epoll (level-triggered; read interest
-/// always, write interest per-fd while armed).
+/// Readiness notification over epoll (level-triggered; per-fd read and
+/// write interest, see [`Reactor::set_interest`]).
 ///
 /// The embedded wake pipe lets other threads interrupt a blocked
 /// [`Reactor::wait`]: [`OsReactor::waker`] hands out cloneable handles,
@@ -22,10 +22,10 @@ pub struct OsReactor {
     wake: rawpoll::WakePipe,
     /// Reusable kernel-event scratch buffer.
     events: Vec<rawpoll::Ready>,
-    /// Registration bookkeeping: `poll_id → (token, write armed)`, needed
+    /// Registration bookkeeping: `poll_id → (token, read, write)`, needed
     /// because `EPOLL_CTL_MOD` replaces the whole interest set, so the
-    /// token must be replayed on every interest flip.
-    watched: BTreeMap<u64, (u64, bool)>,
+    /// token and the other half must be replayed on every interest flip.
+    watched: BTreeMap<u64, (u64, bool, bool)>,
 }
 
 impl OsReactor {
@@ -55,7 +55,7 @@ impl OsReactor {
 impl Reactor for OsReactor {
     fn register(&mut self, poll_id: u64, token: u64) -> io::Result<()> {
         self.poller.add(poll_id as RawFd, token)?;
-        self.watched.insert(poll_id, (token, false));
+        self.watched.insert(poll_id, (token, true, false));
         Ok(())
     }
 
@@ -64,16 +64,15 @@ impl Reactor for OsReactor {
         self.poller.del(poll_id as RawFd)
     }
 
-    fn set_write_interest(&mut self, poll_id: u64, on: bool) -> io::Result<()> {
-        let Some(&(token, armed)) = self.watched.get(&poll_id) else {
+    fn set_interest(&mut self, poll_id: u64, read: bool, write: bool) -> io::Result<()> {
+        let Some(&(token, was_read, was_write)) = self.watched.get(&poll_id) else {
             return Err(io::Error::from(io::ErrorKind::NotFound));
         };
-        if armed == on {
-            // Idempotent: spare the epoll_ctl syscall.
-            return Ok(());
+        if (was_read, was_write) != (read, write) {
+            // (Unchanged interest spares the epoll_ctl syscall.)
+            self.poller.modify(poll_id as RawFd, token, read, write)?;
+            self.watched.insert(poll_id, (token, read, write));
         }
-        self.poller.modify(poll_id as RawFd, token, on)?;
-        self.watched.insert(poll_id, (token, on));
         Ok(())
     }
 

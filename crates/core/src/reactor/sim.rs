@@ -6,10 +6,11 @@
 //! sleeps: it either reports readiness that is already pending
 //! (level-triggered, like epoll), or jumps the clock forward to the next
 //! scripted event or the caller's timer deadline, whichever is sooner.
-//! Driven this way, the pre-trust engine in [`crate::pretrust`] runs its
-//! full behavior — timeouts, drain, shed, slowloris eviction, write
-//! backpressure — byte-identically on every run, with zero real sockets
-//! or sleeps.
+//! Driven this way, the session engine in [`crate::driver`] — under the
+//! pre-trust and the post-trust protocol alike — runs its full behavior
+//! (timeouts, drain, shed, slowloris eviction, write backpressure, `DATA`
+//! deadlines) byte-identically on every run, with zero real sockets or
+//! sleeps.
 //!
 //! [`SimAcceptor`] and [`SimConn`] are the transport doubles; all three
 //! share one scripted-network state, so a test builds a reactor, takes
@@ -28,7 +29,7 @@
 //! no hash-ordered iteration are allowed here.
 
 use super::{Pollable, Reactor, ReadyEvent};
-use crate::pretrust::{Acceptor, Conn};
+use crate::driver::{Acceptor, Conn};
 use parking_lot::Mutex;
 use spamaware_metrics::{Clock, ManualClock};
 use std::collections::{BTreeMap, VecDeque};
@@ -214,8 +215,8 @@ pub struct SimReactor {
     /// their authoring order).
     script: VecDeque<(u64, SimEvent)>,
     net: Arc<Mutex<NetState>>,
-    /// `poll_id → (token, write interest armed)`.
-    registered: BTreeMap<u64, (u64, bool)>,
+    /// `poll_id → (token, reads muted, write interest armed)`.
+    registered: BTreeMap<u64, (u64, bool, bool)>,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     log: Vec<String>,
@@ -348,7 +349,7 @@ impl SimReactor {
     /// (writable). Order follows registration ids, deterministically.
     fn collect_ready(&self, out: &mut Vec<ReadyEvent>) {
         let net = self.net.lock();
-        for (&poll_id, &(token, write_armed)) in &self.registered {
+        for (&poll_id, &(token, muted, write_armed)) in &self.registered {
             if poll_id == SIM_ACCEPTOR_ID {
                 if !net.pending.is_empty() {
                     out.push(ReadyEvent {
@@ -358,7 +359,7 @@ impl SimReactor {
                     });
                 }
             } else if let Some(st) = net.conns.get(&poll_id) {
-                let readable = !st.input.is_empty() || st.eof;
+                let readable = !muted && (!st.input.is_empty() || st.eof);
                 let writable = write_armed && st.writable();
                 if readable || writable {
                     out.push(ReadyEvent {
@@ -392,7 +393,7 @@ impl SimReactor {
 
 impl Reactor for SimReactor {
     fn register(&mut self, poll_id: u64, token: u64) -> io::Result<()> {
-        self.registered.insert(poll_id, (token, false));
+        self.registered.insert(poll_id, (token, false, false));
         self.log
             .push(format!("watch id={poll_id:#x} token={token}"));
         Ok(())
@@ -404,14 +405,19 @@ impl Reactor for SimReactor {
         Ok(())
     }
 
-    fn set_write_interest(&mut self, poll_id: u64, on: bool) -> io::Result<()> {
-        let Some(&(token, armed)) = self.registered.get(&poll_id) else {
+    fn set_interest(&mut self, poll_id: u64, read: bool, write: bool) -> io::Result<()> {
+        let Some(entry) = self.registered.get_mut(&poll_id) else {
             return Err(io::Error::from(ErrorKind::NotFound));
         };
-        if armed != on {
-            self.registered.insert(poll_id, (token, on));
-            let state = if on { "arm" } else { "disarm" };
+        let (_, muted, armed) = *entry;
+        (entry.1, entry.2) = (!read, write);
+        if armed != write {
+            let state = if write { "arm" } else { "disarm" };
             self.log.push(format!("{state}-write id={poll_id:#x}"));
+        }
+        if muted == read {
+            let state = if read { "unmute" } else { "mute" };
+            self.log.push(format!("{state}-read id={poll_id:#x}"));
         }
         Ok(())
     }

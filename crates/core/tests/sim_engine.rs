@@ -1,22 +1,30 @@
-//! The pre-trust event loop on scripted readiness and virtual time.
+//! The session engine on scripted readiness and virtual time.
 //!
 //! Every test here drives [`spamaware_core::pretrust::run_pretrust`] — the
-//! exact loop the live master runs — through a [`SimReactor`] replaying a
-//! written schedule of connects, byte deliveries, EOFs, and drain/stop
-//! flips against a `ManualClock`. No real sockets, no sleeps: the chaos
+//! exact loop the live master runs — and, past the trust seam,
+//! [`spamaware_core::posttrust::run_posttrust`] — the exact loop a live
+//! worker runs, here over a `MemFs` store — through a [`SimReactor`]
+//! replaying a written schedule of connects, byte deliveries, EOFs, and
+//! drain/stop flips against a `ManualClock`. No real sockets, no sleeps: the chaos
 //! scenarios that `overload_chaos.rs` exercises with wall-clock races
 //! (slowloris eviction, session-deadline 421s, drain convergence,
 //! admission shed, worker-busy shed) replay here byte-identically, and
 //! one regression pins that two identical runs produce byte-identical
 //! metrics renders and reactor event logs.
 
+#[path = "../../../tests/tests/common/mod.rs"]
+mod common;
+
+use common::assert_conserved;
+use spamaware_core::posttrust::{run_posttrust, WorkerCtx};
 use spamaware_core::pretrust::{run_pretrust, EngineCtx, Trusted};
 use spamaware_core::reactor::sim::{SimConn, SimEvent, SimReactor};
-use spamaware_core::{BufferPool, LiveStats};
+use spamaware_core::{BufferPool, LiveStats, ShardedStore, SyncBackend};
 use spamaware_metrics::{ManualClock, Registry};
+use spamaware_mfs::MemFs;
 use std::collections::HashSet;
 use std::net::SocketAddr;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,6 +105,14 @@ impl Harness {
     {
         let mut acceptor = self.reactor.acceptor();
         run_pretrust(&mut acceptor, &mut self.reactor, &self.ctx, sink);
+        self.assert_conserved();
+    }
+
+    /// Every accepted connection is in flight or in exactly one terminal
+    /// counter — checked after every engine run in this file.
+    fn assert_conserved(&self) {
+        let inflight = self.registry.gauge_value("live.inflight").unwrap_or(0);
+        assert_conserved(&self.stats.snapshot(), inflight);
     }
 
     fn output_text(&self, conn: u64) -> String {
@@ -758,6 +774,63 @@ fn outq_cap_overflow_evicts_at_the_accept_instant() {
     );
 }
 
+/// Backpressure: while replies sit queued toward a peer that is not
+/// draining them, the engine takes no more input from it — commands
+/// pipelined behind the stall stay in the socket, the queue holds the one
+/// burst that stalled and nothing more, and the grant that drains it
+/// resumes the dialog where it stopped, every reply in order.
+#[test]
+fn input_waits_while_replies_are_queued() {
+    const OK: &str = "250 2.0.0 Ok\r\n";
+    let script = |grant: bool| {
+        let mut script = vec![
+            connect(SEC, 1),
+            // The greeting flushed; then the peer stops reading.
+            (2 * SEC, SimEvent::Window { conn: 1, bytes: 0 }),
+            data(3 * SEC, 1, b"NOOP\r\nNOOP\r\nNOOP\r\n"),
+            data(4 * SEC, 1, b"NOOP\r\nNOOP\r\n"),
+            data(5 * SEC, 1, b"NOOP\r\n"),
+        ];
+        if grant {
+            let bytes = 4096;
+            script.push((6 * SEC, SimEvent::Window { conn: 1, bytes }));
+        }
+        script.push((7 * SEC, SimEvent::Stop));
+        script
+    };
+    let cfg = Config {
+        idle: Duration::from_secs(30),
+        ..Config::default()
+    };
+
+    let mut stalled = harness(script(false), &cfg);
+    stalled.run(&mut |t| Some(t));
+    assert_eq!(
+        stalled.registry.gauge_value("master.outq_bytes"),
+        Some(3 * OK.len() as i64),
+        "only the burst that met the closed window is queued"
+    );
+    assert_eq!(
+        stalled.reactor.unread_input(1),
+        3 * "NOOP\r\n".len(),
+        "later commands were never read"
+    );
+    assert_eq!(stalled.output_text(1), "220 sim.test ESMTP spamaware\r\n");
+
+    let mut drained = harness(script(true), &cfg);
+    drained.run(&mut |t| Some(t));
+    assert_eq!(
+        drained.output_text(1),
+        format!("220 sim.test ESMTP spamaware\r\n{}", OK.repeat(6)),
+        "the drain resumed the dialog"
+    );
+    assert_eq!(drained.reactor.unread_input(1), 0);
+    assert_eq!(drained.registry.gauge_value("master.outq_bytes"), Some(0));
+    let log = drained.reactor.log();
+    let at = |line: &str| log.iter().position(|l| l == line).expect(line);
+    assert!(at("mute-read id=0x1") < at("unmute-read id=0x1"), "{log:?}");
+}
+
 /// Reply bytes a stalled peer has not accepted travel with the trusted
 /// hand-off (`Trusted::pending_out`) instead of being dropped: the
 /// worker owes the peer those bytes before any reply of its own.
@@ -903,4 +976,322 @@ fn stall_and_eviction_history_replays_byte_identically() {
         log_a.iter().any(|l| l.contains("disarm-write")),
         "conn 2 drained and disarmed: {log_a:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Past the trust seam: the worker's loop on the same scripted network.
+// ---------------------------------------------------------------------
+
+type SimStore = ShardedStore<SyncBackend<MemFs>>;
+
+/// Post-trust knobs a scenario wants to pin down.
+struct WorkerConfig {
+    read_timeout: Duration,
+    data_deadline: Duration,
+}
+
+impl Default for WorkerConfig {
+    fn default() -> WorkerConfig {
+        WorkerConfig {
+            read_timeout: Duration::from_secs(30),
+            data_deadline: Duration::from_secs(10),
+        }
+    }
+}
+
+impl Harness {
+    /// Runs the master until the script's first `Stop`, queueing every
+    /// trusted hand-off the way `LiveServer`'s dispatch does; then clears
+    /// the stop flag and runs a worker over the *same* scripted network
+    /// (and a fresh `MemFs` store) until the next `Stop`. Both halves are
+    /// the production loops; only the thread boundary is gone.
+    fn run_through_the_seam(&mut self, cfg: &WorkerConfig) -> Arc<SimStore> {
+        let (tx, rx) = crossbeam::channel::bounded(8);
+        let delegated = Arc::clone(&self.stats.delegated);
+        let clock = Arc::clone(&self.registry);
+        self.run(&mut |t| {
+            delegated.inc();
+            tx.try_send((clock.now_nanos(), t)).err().map(|e| match e {
+                crossbeam::channel::TrySendError::Full((_, t))
+                | crossbeam::channel::TrySendError::Disconnected((_, t)) => t,
+            })
+        });
+        self.ctx.stop.store(false, Ordering::SeqCst);
+        let fs = SyncBackend::new(MemFs::new());
+        let store = Arc::new(ShardedStore::open_with(2, || Ok(fs.clone())).expect("memfs store"));
+        let ctx = WorkerCtx {
+            rx,
+            store: Arc::clone(&store),
+            stats: Arc::clone(&self.stats),
+            next_id: Arc::new(AtomicU64::new(1)),
+            mailboxes: Arc::clone(&self.ctx.mailboxes),
+            registry: Arc::clone(&self.registry),
+            line_pool: Arc::clone(&self.ctx.line_pool),
+            body_pool: Arc::new(BufferPool::new(&self.registry, 4, 1024)),
+            stop: Arc::clone(&self.ctx.stop),
+            draining: Arc::clone(&self.ctx.draining),
+            inflight: Arc::clone(&self.ctx.inflight),
+            read_timeout: cfg.read_timeout,
+            session_deadline: self.ctx.session_deadline,
+            data_deadline: cfg.data_deadline,
+            max_outq_bytes: self.ctx.max_outq_bytes,
+            hold: None,
+        };
+        run_posttrust(&mut self.reactor, ctx);
+        self.assert_conserved();
+        store
+    }
+}
+
+fn connect(at: u64, conn: u64) -> (u64, SimEvent) {
+    let peer = peer(&format!("10.0.0.{conn}:2525"));
+    (at, SimEvent::Connect { conn, peer })
+}
+
+fn data(at: u64, conn: u64, bytes: &[u8]) -> (u64, SimEvent) {
+    let bytes = bytes.to_vec();
+    (at, SimEvent::Data { conn, bytes })
+}
+
+const R421: &str = "421 4.3.2 Service not available, closing transmission channel\r\n";
+
+/// The delegation seam leaves no reply gap: the three `250`s the stalled
+/// peer had not accepted when it earned trust travel as `pending_out`,
+/// and the worker sends them before the `354` that answers the `DATA`
+/// pipelined past the trusting `RCPT`. The transaction then completes
+/// into the store and the connection ends in exactly one outcome.
+#[test]
+fn worker_sends_the_masters_backlog_before_its_first_reply() {
+    let script = vec![
+        connect(SEC, 1),
+        // The greeting flushed; then the peer's window closes, so the
+        // trusting burst's replies stay queued across the hand-off.
+        (2 * SEC, SimEvent::Window { conn: 1, bytes: 0 }),
+        data(3 * SEC, 1, TRUST_BURST),
+        (4 * SEC, SimEvent::Stop),
+        // Worker half: the window reopens, body and QUIT follow.
+        (
+            5 * SEC,
+            SimEvent::Window {
+                conn: 1,
+                bytes: 4096,
+            },
+        ),
+        data(6 * SEC, 1, b"Subject: seam\r\n\r\nhello\r\n.\r\n"),
+        data(7 * SEC, 1, b"QUIT\r\n"),
+        (8 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    let store = h.run_through_the_seam(&WorkerConfig::default());
+
+    let out = h.output_text(1);
+    let codes: Vec<&str> = out.lines().map(|l| &l[..3]).collect();
+    assert_eq!(
+        codes,
+        ["220", "250", "250", "250", "354", "250", "221"],
+        "one reply per command, in order, across the seam: {out}"
+    );
+    assert!(!h.reactor.conn_open(1), "QUIT closed it");
+    let mails = store.read_mailbox("alice").expect("read");
+    assert_eq!(mails.len(), 1);
+    assert!(String::from_utf8_lossy(&mails[0].body).contains("hello"));
+    let snap = h.stats.snapshot();
+    assert_eq!(
+        (snap.delegated, snap.mails_stored, snap.delivered),
+        (1, 1, 1)
+    );
+    assert_eq!(snap.unfinished, 0);
+    assert_eq!(h.registry.gauge_value("live.inflight"), Some(0));
+    assert_eq!(h.registry.histogram_count("worker.queue_wait_ns"), Some(1));
+    assert_eq!(h.registry.histogram_count("worker.data_ns"), Some(1));
+}
+
+/// A sender trickling its body keeps the idle timer at bay but cannot
+/// outlive the `DATA` budget: the `421` lands at exactly `354` + budget on
+/// the virtual clock, nothing is stored, and the connection — which
+/// reached *no* terminal counter before this engine — is `unfinished`.
+#[test]
+fn trickled_data_is_evicted_at_the_exact_data_deadline() {
+    let mut script = vec![
+        connect(SEC, 1),
+        data(2 * SEC, 1, TRUST_BURST),
+        (3 * SEC, SimEvent::Stop),
+    ];
+    // The worker adopts the connection at t=5s (its first wakeup), so the
+    // pipelined DATA gets its 354 — and the 10 s budget starts — there.
+    for i in 0..5u64 {
+        script.push(data((5 + 3 * i) * SEC, 1, b"drip\r\n"));
+    }
+    script.push((40 * SEC, SimEvent::Stop));
+    let mut h = harness(script, &Config::default());
+    let cfg = WorkerConfig {
+        read_timeout: Duration::from_secs(5),
+        ..WorkerConfig::default()
+    };
+    let store = h.run_through_the_seam(&cfg);
+
+    let snap = h.stats.snapshot();
+    assert_eq!(snap.data_deadline_evictions, 1);
+    assert_eq!(
+        (snap.delivered, snap.unfinished, snap.mails_stored),
+        (0, 1, 0)
+    );
+    assert!(store.read_mailbox("alice").expect("read").is_empty());
+    assert!(!h.reactor.conn_open(1));
+    let out = h.output_text(1);
+    assert!(
+        out.ends_with(&format!("354 End data with <CR><LF>.<CR><LF>\r\n{R421}")),
+        "{out}"
+    );
+    assert!(
+        h.reactor
+            .log()
+            .iter()
+            .any(|l| l == &format!("t={} timer", 15 * SEC)),
+        "expected the DATA-budget wakeup at t=15s in {:?}",
+        h.reactor.log()
+    );
+    // The abandoned transfer still shows up in the latency histogram.
+    assert_eq!(h.registry.histogram_count("worker.data_ns"), Some(1));
+    assert_eq!(h.registry.gauge_value("live.inflight"), Some(0));
+}
+
+/// Drain on the worker: a connection between transactions is told `421`
+/// at once; one mid-`DATA` runs to completion — its mail reaches the
+/// store and its `250` the wire — and is told `421` right behind the ack.
+#[test]
+fn drain_finishes_the_inflight_data_then_parts_with_421() {
+    let script = vec![
+        connect(SEC, 1),
+        connect(SEC, 2),
+        data(2 * SEC, 1, TRUST_BURST),
+        // Conn 2 earns trust but has not asked for DATA.
+        data(
+            2 * SEC,
+            2,
+            b"HELO b\r\nMAIL FROM:<y@client.example>\r\nRCPT TO:<bob@dept.example>\r\n",
+        ),
+        (3 * SEC, SimEvent::Stop),
+        data(5 * SEC, 1, b"first half\r\n"),
+        (6 * SEC, SimEvent::Drain),
+        data(7 * SEC, 1, b"second half\r\n.\r\n"),
+        (9 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    let store = h.run_through_the_seam(&WorkerConfig::default());
+
+    let idle = h.output_text(2);
+    assert!(idle.ends_with(&format!("250 2.0.0 Ok\r\n{R421}")), "{idle}");
+    let busy = h.output_text(1);
+    assert!(
+        busy.ends_with(&format!("250 2.0.0 Ok: queued as 0000000001\r\n{R421}")),
+        "ack first, farewell second: {busy}"
+    );
+    for conn in [1, 2] {
+        assert!(!h.reactor.conn_open(conn), "conn {conn} survived the drain");
+    }
+    // Conn 2 left at the drain instant, conn 1 only once its DATA ended.
+    let log = h.reactor.log();
+    // (Last occurrence: the master's hand-off also unwatched each id.)
+    let at = |line: &str| log.iter().rposition(|l| l == line).expect(line);
+    let second_half = at(&format!("t={} data conn=1 len=16", 7 * SEC));
+    assert!(at("unwatch id=0x2") < second_half);
+    assert!(second_half < at("unwatch id=0x1"));
+    let mails = store.read_mailbox("alice").expect("read");
+    assert_eq!(mails.len(), 1, "the mail acked mid-drain is stored");
+    assert!(String::from_utf8_lossy(&mails[0].body).contains("second half"));
+    let snap = h.stats.snapshot();
+    assert_eq!((snap.delivered, snap.unfinished), (1, 1));
+    assert_eq!(
+        snap.shed_draining, 0,
+        "a worker-side 421 is not a door shed"
+    );
+    assert_eq!(h.registry.gauge_value("live.inflight"), Some(0));
+}
+
+/// A connection that ends mid-`DATA` gives back both of its pooled
+/// buffers — the line buffer and the capture buffer taken at the `354` —
+/// so the next `DATA` on the worker recycles instead of allocating.
+#[test]
+fn a_body_buffer_abandoned_mid_data_returns_to_its_pool() {
+    let script = vec![
+        connect(SEC, 1),
+        connect(SEC, 2),
+        data(2 * SEC, 1, TRUST_BURST),
+        // Conn 2 earns trust but asks for DATA only after conn 1 is gone.
+        data(
+            2 * SEC,
+            2,
+            b"HELO b\r\nMAIL FROM:<y@client.example>\r\nRCPT TO:<bob@dept.example>\r\n",
+        ),
+        (3 * SEC, SimEvent::Stop),
+        data(5 * SEC, 1, b"half a mail\r\n"),
+        (6 * SEC, SimEvent::Eof { conn: 1 }),
+        data(7 * SEC, 2, b"DATA\r\n"),
+        (8 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    h.run_through_the_seam(&WorkerConfig::default());
+
+    assert!(h
+        .output_text(2)
+        .ends_with("354 End data with <CR><LF>.<CR><LF>\r\n"));
+    let snap = h.stats.snapshot();
+    assert_eq!((snap.delivered, snap.unfinished), (0, 1), "conn 1 is gone");
+    // Misses: two line buffers at the door, conn 1's body. Conn 2's body
+    // is conn 1's, recycled.
+    assert_eq!(h.registry.counter_value("live.pool_miss"), Some(3));
+    assert_eq!(h.registry.counter_value("live.pool_reuse"), Some(1));
+}
+
+/// The post-trust history — hand-off, backlog flush, a stored mail, a
+/// `DATA`-deadline eviction — is a pure function of the script too.
+#[test]
+fn posttrust_history_replays_byte_identically() {
+    fn script() -> Vec<(u64, SimEvent)> {
+        vec![
+            connect(SEC, 1),
+            connect(SEC, 2),
+            (2 * SEC, SimEvent::Window { conn: 1, bytes: 0 }),
+            data(3 * SEC, 1, TRUST_BURST),
+            data(3 * SEC, 2, TRUST_BURST),
+            (4 * SEC, SimEvent::Stop),
+            (
+                5 * SEC,
+                SimEvent::Window {
+                    conn: 1,
+                    bytes: 4096,
+                },
+            ),
+            data(6 * SEC, 1, b"mail one\r\n.\r\nQUIT\r\n"),
+            // Conn 2 starts a body and goes quiet: evicted at 5s + 10s.
+            data(6 * SEC, 2, b"never finished\r\n"),
+            (30 * SEC, SimEvent::Stop),
+        ]
+    }
+    let run = || {
+        let mut h = harness(script(), &Config::default());
+        let store = h.run_through_the_seam(&WorkerConfig::default());
+        (
+            h.reactor.log().to_vec(),
+            h.registry.render(),
+            h.output_text(1),
+            h.output_text(2),
+            store.read_mailbox("alice").expect("read").len(),
+        )
+    };
+    let a = run();
+    let b = run();
+    assert_eq!(a.0, b.0, "reactor event logs diverged");
+    assert_eq!(a.1, b.1, "metrics renders diverged");
+    assert_eq!((&a.2, &a.3, a.4), (&b.2, &b.3, b.4));
+    // Sanity: the replay exercised both outcomes.
+    assert_eq!(a.4, 1);
+    assert!(a.1.contains("counter live.delivered 1"), "{}", a.1);
+    assert!(
+        a.1.contains("counter live.data_deadline_evictions 1"),
+        "{}",
+        a.1
+    );
+    assert!(a.3.ends_with(R421), "{}", a.3);
 }

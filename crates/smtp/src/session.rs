@@ -195,6 +195,12 @@ impl ServerSession {
         }
     }
 
+    /// Takes the DATA capture buffer back, content and all — how a
+    /// connection that ends mid-`DATA` returns a donated allocation.
+    pub fn take_body_buffer(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.body)
+    }
+
     /// Handles one command, returning the reply to send.
     ///
     /// `mailbox_exists` implements the local access-database lookup: it is

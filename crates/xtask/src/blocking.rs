@@ -1,25 +1,30 @@
 //! Blocking-reachability lint.
 //!
 //! The paper's §5 fork-after-trust architecture lives on two promises:
-//! the master accept thread never blocks, and no thread blocks while it
-//! holds a store partition lock. This pass makes both checkable:
+//! no session loop — the master's above all — ever blocks on a peer, and
+//! no thread blocks while it holds a store partition lock. This pass
+//! makes both checkable:
 //!
 //! 1. **Blocking leaves** are classified by token: `thread::sleep`, UDP
-//!    `send_to`/`recv_from`, blocking-read socket configuration
-//!    (`set_read_timeout`), channel `recv`/`recv_timeout`, no-argument
-//!    `.join()`, readiness waits (`.wait(`, `poll2(`), stream writes
-//!    (`.write_all(`, `Write::write(`), and file I/O (`File::open`,
-//!    `fs::*`, `sync_all`, …).
-//! 2. **`blocking` (master)**: no blocking leaf of any kind may be
-//!    reachable from `master_loop` along call edges. Edges through a
-//!    `spawn(…)` call site are cut — a spawned closure blocks its own
-//!    thread, not the master. Two pinned exceptions: the reactor wait
-//!    ([`SANCTIONED_WAITS`]) — the §5 master *parks* in exactly one
-//!    readiness wait — and the pre-trust `OutBuf`'s single raw socket
-//!    write ([`SANCTIONED_WRITES`]), which is only ever issued against a
-//!    nonblocking fd and returns `WouldBlock` instead of stalling. Every
-//!    other write on the master path is a regression: `write_all` on a
-//!    blocking socket hands the master's fate to one peer's read loop.
+//!    `send_to`/`recv_from`, socket timeout configuration, channel
+//!    `recv`/`recv_timeout`, no-argument `.join()`, readiness waits
+//!    (`.wait(`), stream writes (`.write_all(`, `Write::write(`), and file
+//!    I/O (`File::open`, `fs::*`, `sync_all`, …).
+//! 2. **`blocking` (session engine)**: every thread that talks to a peer
+//!    runs the connection driver ([`DRIVER_FILE`]), so the §5 promise is
+//!    rooted there. From three roots — `master_loop`, every function of
+//!    the driver, and the master's protocol ([`MASTER_PROTOCOL`]) — no
+//!    blocking leaf may be reachable along call edges, with two pinned
+//!    exceptions that must each match exactly one line: the driver's
+//!    reactor wait ([`SANCTIONED_WAITS`]) and its single raw socket write
+//!    ([`SANCTIONED_WRITES`]), which is only ever issued against a
+//!    nonblocking fd and returns `WouldBlock` instead of stalling. Edges
+//!    through a `spawn(…)` call site are cut (a spawned closure blocks its
+//!    own thread), and so are the driver's calls into its `Protocol` — the
+//!    call graph resolves `.line(…)` to every method of that name, and
+//!    what a worker's protocol does (the store append) is that thread's
+//!    business, not the driver's. The master's protocol is rooted on its
+//!    own instead, and may reach nothing blocking at all.
 //! 3. **`blocking` (under lock)**: sleep / network / channel / join
 //!    leaves may not execute while any discovered lock class is held
 //!    (from [`crate::locks`]'s held-line map). File I/O under a store
@@ -49,26 +54,39 @@ pub const BLOCKING_SCOPE: &[&str] = &["core", "server", "smtp", "mfs", "dnsbl", 
 /// are the two places a blocking call under a hold becomes a §5 collapse.
 pub const BLOCKING_FILES: &[&str] = &["crates/dnsbl/src/breaker.rs", "crates/mfs/src/sharded.rs"];
 
-/// Readiness waits the master path is *allowed* to park in, as
-/// `(file suffix, line substring)` pairs. The §5 master must block in
+/// The session engine: the one file allowed to park a thread and to
+/// write to a socket.
+pub const DRIVER_FILE: &str = "crates/core/src/driver.rs";
+
+/// The receiver of the driver's calls into the `Protocol` it is generic
+/// over (its only handle on one is the `proto` field); edges of call
+/// sites spelled `proto.<method>(` are cut — those sites alone, not
+/// whatever else shares their line.
+pub const PROTOCOL_CALL: &str = "proto.";
+
+/// The master's protocol, as `(file suffix, impl self type)`: rooted on
+/// its own, it may reach no blocking leaf.
+pub const MASTER_PROTOCOL: (&str, &str) = ("crates/core/src/pretrust.rs", "PreTrust");
+
+/// Readiness waits a session loop is *allowed* to park in, as
+/// `(file suffix, line substring)` pairs. A driver thread must block in
 /// exactly one place — the reactor's `epoll_wait` — and these entries pin
-/// that place: the engine's single `reactor.wait(…)` call and the
-/// [`Poller::wait`] leaf it dispatches to. A `.wait(`/`poll2(` anywhere
-/// else on the master path is a regression to ad-hoc blocking.
+/// that place: the driver's single `reactor.wait(…)` call and the
+/// `Poller::wait` leaf it dispatches to. A `.wait(` anywhere else on the
+/// path is a regression to ad-hoc blocking.
 pub const SANCTIONED_WAITS: &[(&str, &str)] = &[
     ("crates/core/src/reactor/os.rs", ".wait("),
-    ("crates/core/src/pretrust.rs", "reactor.wait("),
+    (DRIVER_FILE, "reactor.wait("),
 ];
 
-/// Socket-write sites the master path is *allowed* to reach, as
-/// `(file suffix, line substring)` pairs. The pre-trust engine funnels
-/// every outbound byte through its bounded `OutBuf`, whose flush bottoms
-/// out in exactly one raw write against a nonblocking fd — `WouldBlock`
-/// comes back as data, not as a stall. Any other write token on the
-/// master path (a stray `write_all`, a second raw write site) bypasses
-/// the backpressure state machine and must fail the pass.
-pub const SANCTIONED_WRITES: &[(&str, &str)] =
-    &[("crates/core/src/pretrust.rs", "Write::write(self, buf)")];
+/// Socket-write sites a session loop is *allowed* to reach, as
+/// `(file suffix, line substring)` pairs. The driver funnels every
+/// outbound byte through its bounded `OutBuf`, whose flush bottoms out in
+/// exactly one raw write against a nonblocking fd — `WouldBlock` comes
+/// back as data, not as a stall. Any other write token on the path (a
+/// stray `write_all`, a second raw write site) bypasses the backpressure
+/// state machine and must fail the pass.
+pub const SANCTIONED_WRITES: &[(&str, &str)] = &[(DRIVER_FILE, "Write::write(self, buf)")];
 
 /// What a blocking leaf does, which decides where it is forbidden.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,12 +99,12 @@ pub enum Kind {
     Channel,
     /// `.join()` — blocks on a whole thread's lifetime.
     Join,
-    /// Readiness waits (`.wait(`, `poll2(`) — blocking, but sanctioned at
-    /// the [`SANCTIONED_WAITS`] sites where parking is the design.
+    /// Readiness waits (`.wait(`) — blocking, but sanctioned at the
+    /// [`SANCTIONED_WAITS`] sites where parking is the design.
     Wait,
     /// Stream writes (`.write_all(`, `Write::write(`) — blocking on a
     /// full socket buffer; sanctioned only at the [`SANCTIONED_WRITES`]
-    /// nonblocking raw-write site on the master path. Allowed under a
+    /// nonblocking raw-write site of the session engine. Allowed under a
     /// store lock (the mfs append *is* the critical section).
     SockWrite,
     /// File reads (allowed under a store lock, but not in a held loop).
@@ -126,7 +144,7 @@ const NET_TOKENS: &[&str] = &[
     ".set_write_timeout(",
 ];
 const CHANNEL_TOKENS: &[&str] = &[".recv()", ".recv_timeout("];
-const WAIT_TOKENS: &[&str] = &[".wait(", "poll2("];
+const WAIT_TOKENS: &[&str] = &[".wait("];
 /// `Write::write_all(` is covered by neither of the others (UFCS has no
 /// leading dot; `Write::write(` requires the paren right after `write`),
 /// so all three spellings are listed.
@@ -225,18 +243,29 @@ pub fn check(ws: &Workspace, locks: &LockAnalysis) -> BlockingAnalysis {
         }
     };
 
-    // --- Rule 1: nothing blocking reachable from the master loop. ---
+    // --- Rule 1: nothing blocking reachable from the session engine. ---
     let roots: Vec<FnId> = ws
         .fns
         .iter()
         .enumerate()
-        .filter(|(_, f)| !f.is_test && f.name == "master_loop")
+        .filter(|(_, f)| {
+            let path = &ws.files[f.file].path;
+            !f.is_test
+                && (f.name == "master_loop"
+                    || path.ends_with(DRIVER_FILE)
+                    || (path.ends_with(MASTER_PROTOCOL.0)
+                        && f.owner.as_deref() == Some(MASTER_PROTOCOL.1)))
+        })
         .map(|(id, _)| id)
         .collect();
     let came_from = reachable_no_spawn(ws, &roots);
-    let mut master_set: BTreeSet<FnId> = roots.iter().copied().collect();
-    master_set.extend(came_from.keys().copied());
-    for &f in &master_set {
+    let mut engine_set: BTreeSet<FnId> = roots.iter().copied().collect();
+    engine_set.extend(came_from.keys().copied());
+    let sanctioned = |pins: &[(&str, &str)], path: &str, code: &str| {
+        pins.iter()
+            .any(|&(suffix, pat)| path.ends_with(suffix) && code.contains(pat))
+    };
+    for &f in &engine_set {
         let info = &ws.fns[f];
         if !in_scope(info.file) {
             continue;
@@ -246,22 +275,12 @@ pub fn check(ws: &Workspace, locks: &LockAnalysis) -> BlockingAnalysis {
             if file.in_test[li] {
                 continue;
             }
-            for (_, kind, tok) in classify_line(&file.lines[li].code) {
-                // The one sanctioned park: the reactor wait, at the
-                // pinned sites only.
-                if kind == Kind::Wait
-                    && SANCTIONED_WAITS.iter().any(|&(suffix, pat)| {
-                        file.path.ends_with(suffix) && file.lines[li].code.contains(pat)
-                    })
-                {
-                    continue;
-                }
-                // The one sanctioned write: the OutBuf's raw nonblocking
-                // write, at its pinned site only.
-                if kind == Kind::SockWrite
-                    && SANCTIONED_WRITES.iter().any(|&(suffix, pat)| {
-                        file.path.ends_with(suffix) && file.lines[li].code.contains(pat)
-                    })
+            let code = &file.lines[li].code;
+            for (_, kind, tok) in classify_line(code) {
+                // The one sanctioned park and the one sanctioned write,
+                // at their pinned sites only.
+                if (kind == Kind::Wait && sanctioned(SANCTIONED_WAITS, &file.path, code))
+                    || (kind == Kind::SockWrite && sanctioned(SANCTIONED_WRITES, &file.path, code))
                 {
                     continue;
                 }
@@ -273,10 +292,29 @@ pub fn check(ws: &Workspace, locks: &LockAnalysis) -> BlockingAnalysis {
                     li + 1,
                     "blocking",
                     format!(
-                        "`{tok}` ({}) reachable from the master accept loop \
+                        "`{tok}` ({}) reachable from the session engine \
                          via {} — §5 requires a non-blocking master",
                         kind.label(),
                         ws.chain_to(&came_from, f),
+                    ),
+                ));
+            }
+        }
+    }
+    // "Exactly one": a pin that matches a second non-test line of its
+    // file would sanction a site nobody reviewed.
+    for &(suffix, pat) in SANCTIONED_WAITS.iter().chain(SANCTIONED_WRITES) {
+        for file in ws.files.iter().filter(|f| f.path.ends_with(suffix)) {
+            let sites = (0..file.lines.len())
+                .filter(|&li| !file.in_test[li] && file.lines[li].code.contains(pat))
+                .count();
+            if sites > 1 {
+                findings.push(Finding::new(
+                    &file.path,
+                    1,
+                    "blocking",
+                    format!(
+                        "sanctioned site `{pat}` matches {sites} lines; it must stay the only one"
                     ),
                 ));
             }
@@ -394,19 +432,21 @@ pub fn check(ws: &Workspace, locks: &LockAnalysis) -> BlockingAnalysis {
 }
 
 /// BFS over call edges from `roots`, cutting edges whose call site sits on
-/// a `spawn(…)` line: the spawned closure runs on another thread.
+/// a `spawn(…)` line (the spawned closure runs on another thread) and the
+/// driver's calls into its protocol (see the module docs).
 fn reachable_no_spawn(ws: &Workspace, roots: &[FnId]) -> BTreeMap<FnId, CallSite> {
     let mut came_from = BTreeMap::new();
     let mut seen: BTreeSet<FnId> = roots.iter().copied().collect();
     let mut queue: Vec<FnId> = roots.to_vec();
     while let Some(f) = queue.pop() {
         let file = &ws.files[ws.fns[f].file];
+        let in_driver = file.path.ends_with(DRIVER_FILE);
         for site in &ws.calls[f] {
-            let on_spawn_line = file
-                .lines
-                .get(site.line)
-                .is_some_and(|l| l.code.contains("spawn("));
-            if on_spawn_line {
+            let cut = file.lines.get(site.line).is_some_and(|l| {
+                let receiver = l.code.get(..site.byte).unwrap_or("");
+                l.code.contains("spawn(") || (in_driver && receiver.ends_with(PROTOCOL_CALL))
+            });
+            if cut {
                 continue;
             }
             for callee in ws.callees(site) {
@@ -691,12 +731,17 @@ fn helper() {
         );
     }
 
+    /// Analyzes a one-file workspace that *is* the session-engine file.
+    fn analyze_driver(src: &str) -> BlockingAnalysis {
+        let ws = Workspace::from_sources(&[(DRIVER_FILE, src)]);
+        check(&ws, &locks::check(&ws))
+    }
+
     #[test]
-    fn sanctioned_reactor_wait_on_master_path_is_clean() {
-        // Same shape as the real engine: the master parks in
-        // `reactor.wait(…)` inside pretrust.rs — the pinned site.
-        let ws = Workspace::from_sources(&[(
-            "crates/core/src/pretrust.rs",
+    fn sanctioned_reactor_wait_in_the_driver_is_clean() {
+        // Same shape as the real engine: the loop parks in
+        // `reactor.wait(…)` inside driver.rs — the pinned site.
+        let a = analyze_driver(
             "\
 fn master_loop() {
     run_pretrust();
@@ -705,32 +750,89 @@ fn run_pretrust() {
     reactor.wait(timeout_ns, &mut ready);
 }
 ",
-        )]);
-        let lock = locks::check(&ws);
-        let a = check(&ws, &lock);
+        );
         assert!(a.findings.is_empty(), "{:?}", a.findings);
     }
 
     #[test]
-    fn poll2_on_the_master_path_is_found() {
-        // `poll2` is the worker/admin parking primitive; the master must
-        // use the reactor, so even in pretrust.rs it is a violation.
-        let ws = Workspace::from_sources(&[(
-            "crates/core/src/pretrust.rs",
+    fn a_second_wait_site_in_the_driver_is_found() {
+        // The pin sanctions the token, the count rule keeps it singular.
+        let a = analyze_driver(
             "\
-fn master_loop() {
-    rawpoll::poll2(a, false, b, None);
+fn run() {
+    reactor.wait(timeout_ns, &mut ready);
+    self.reactor.wait(Some(0), &mut ready);
 }
 ",
-        )]);
-        let lock = locks::check(&ws);
-        let a = check(&ws, &lock);
+        );
         assert!(
             a.findings
                 .iter()
-                .any(|f| f.rule == "blocking" && f.message.contains("poll2")),
+                .any(|f| f.rule == "blocking" && f.message.contains("matches 2 lines")),
             "{:?}",
             a.findings
+        );
+    }
+
+    #[test]
+    fn driver_functions_are_roots_without_a_master_loop() {
+        let a = analyze_driver("fn pump() {\n    thread::sleep(d);\n}\n");
+        assert!(
+            a.findings
+                .iter()
+                .any(|f| f.rule == "blocking" && f.message.contains("sleep")),
+            "{:?}",
+            a.findings
+        );
+    }
+
+    #[test]
+    fn protocol_calls_are_cut_but_the_master_protocol_is_rooted() {
+        // The driver's `.line(…)` resolves to both impls; the edge is cut,
+        // so the worker protocol's store write is its own business — but
+        // the master's protocol is a root and may not sleep.
+        let driver = "fn pump() {\n    self.proto.line();\n}\n";
+        let worker = "\
+impl Protocol for PostTrust {
+    fn line(&mut self) {
+        fs::write(path, data);
+    }
+}
+";
+        let master_ok = "impl Protocol for PreTrust {\n    fn line(&mut self) {}\n}\n";
+        let master_bad =
+            "impl Protocol for PreTrust {\n    fn line(&mut self) {\n        thread::sleep(d);\n    }\n}\n";
+        let run = |master: &str| {
+            let ws = Workspace::from_sources(&[
+                (DRIVER_FILE, driver),
+                ("crates/core/src/posttrust.rs", worker),
+                (MASTER_PROTOCOL.0, master),
+            ]);
+            check(&ws, &locks::check(&ws)).findings
+        };
+        assert!(run(master_ok).is_empty(), "{:?}", run(master_ok));
+        let found = run(master_bad);
+        assert!(
+            found.len() == 1 && found[0].message.contains("sleep"),
+            "{found:?}"
+        );
+        // The cut is the `proto.` call site, not its line: a neighbour's
+        // edge out of the driver stands.
+        let ws = Workspace::from_sources(&[
+            (
+                DRIVER_FILE,
+                "fn pump() {\n    self.proto.line(); nap();\n}\n",
+            ),
+            ("crates/core/src/posttrust.rs", worker),
+            (
+                "crates/core/src/pool.rs",
+                "pub fn nap() {\n    thread::sleep(d);\n}\n",
+            ),
+        ]);
+        let found = check(&ws, &locks::check(&ws)).findings;
+        assert!(
+            found.len() == 1 && found[0].message.contains("sleep"),
+            "{found:?}"
         );
     }
 
@@ -755,11 +857,10 @@ fn greet(stream: &mut TcpStream) {
     }
 
     #[test]
-    fn sanctioned_outbuf_raw_write_on_master_path_is_clean() {
+    fn sanctioned_outbuf_raw_write_in_the_driver_is_clean() {
         // Same shape as the real engine: the OutBuf flush bottoms out in
-        // one raw nonblocking write inside pretrust.rs — the pinned site.
-        let ws = Workspace::from_sources(&[(
-            "crates/core/src/pretrust.rs",
+        // one raw nonblocking write inside driver.rs — the pinned site.
+        let a = analyze_driver(
             "\
 fn master_loop() {
     flush();
@@ -768,26 +869,15 @@ fn flush(&mut self) {
     Write::write(self, buf);
 }
 ",
-        )]);
-        let lock = locks::check(&ws);
-        let a = check(&ws, &lock);
+        );
         assert!(a.findings.is_empty(), "{:?}", a.findings);
     }
 
     #[test]
-    fn ufcs_write_all_on_the_master_path_is_found() {
-        // Even in pretrust.rs, only the pinned raw-write line is allowed;
-        // a UFCS `write_all` spelling must not slip through.
-        let ws = Workspace::from_sources(&[(
-            "crates/core/src/pretrust.rs",
-            "\
-fn master_loop() {
-    Write::write_all(stream, bytes);
-}
-",
-        )]);
-        let lock = locks::check(&ws);
-        let a = check(&ws, &lock);
+    fn ufcs_write_all_in_the_driver_is_found() {
+        // Even in driver.rs, only the pinned raw-write line is allowed; a
+        // UFCS `write_all` spelling must not slip through.
+        let a = analyze_driver("fn flush() {\n    Write::write_all(stream, bytes);\n}\n");
         assert!(
             a.findings
                 .iter()

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Pre-PR gate: run the full local verification pipeline.
 #
-#   scripts/check.sh [--crash] [--chaos]
+#   scripts/check.sh [--crash] [--chaos] [--flood] [--stall]
 #
 # Every stage must pass before a change is proposed. The stages are
 # ordered cheapest-first so failures surface quickly:
@@ -14,19 +14,24 @@
 #                                the call-graph flow passes — lock-order
 #                                graph (deadlock cycles, hierarchy
 #                                violations), blocking-reachability (no
-#                                blocking leaf on the master accept loop or
+#                                blocking leaf on the session engine or
 #                                under a store lock), and metrics provenance
 #                                (every used counter registered,
 #                                snapshot-visible, and documented in
 #                                DESIGN.md §14.3). The merged JSON report
 #                                lands in results/xtask_report.json.
-#   4. cargo test              — unit, integration, property and doc tests
-#   5. live_throughput --smoke — boots the real TCP server pair once with a
+#   4. cargo check benchmark/  — the standalone benchmark package still
+#                                compiles against this tree's API, with
+#                                the flags benchmark/run.sh builds with
+#                                (it is its own workspace, so stages 2
+#                                and 5 never see it)
+#   5. cargo test              — unit, integration, property and doc tests
+#   6. live_throughput --smoke — boots the real TCP server pair once with a
 #                                tiny client load and asserts the run
 #                                completes with a non-empty JSON report and
 #                                metrics sidecar
 #
-# With --crash, a sixth stage runs the deep crash-point sweep: every
+# With --crash, a further stage runs the deep crash-point sweep: every
 # (write, byte) cut of an extended MFS workload is injected, the store is
 # rebooted from the surviving bytes, and recovery + mfsck must restore a
 # prefix of the acknowledged operations (DESIGN.md §12).
@@ -75,6 +80,9 @@ cargo clippy --workspace --quiet -- -D warnings
 
 echo "==> cargo run -p spamaware-xtask -- report --json"
 cargo run --quiet -p spamaware-xtask -- report --json
+
+echo "==> cargo check --manifest-path benchmark/Cargo.toml"
+cargo check --quiet --manifest-path benchmark/Cargo.toml --all-targets --offline
 
 echo "==> cargo test"
 cargo test --quiet

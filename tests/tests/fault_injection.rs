@@ -4,6 +4,9 @@
 //! asserts at least one counter/histogram transition alongside the
 //! protocol-level behavior.
 
+mod common;
+
+use common::assert_conserved_at_quiesce;
 use spamaware_core::{LiveConfig, LiveServer, MAX_LINE};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -95,6 +98,9 @@ fn abrupt_disconnect_mid_data_is_counted_not_delivered() {
     assert_eq!(snap.mails_stored, 0);
     assert_eq!(snap.delivered, 0);
     assert_eq!(srv.metrics().counter_value("live.mails_stored"), Some(0));
+    // …and the abandoned connection still ends in exactly one outcome.
+    assert_conserved_at_quiesce(&srv);
+    assert_eq!(srv.stats().snapshot().unfinished, 1);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -121,6 +127,8 @@ fn oversized_command_line_gets_500_and_overflow_counter() {
     assert_eq!(snap.overflows, 1);
     assert_eq!(snap.unfinished, 1, "flooder never finished a transaction");
     assert_eq!(snap.delegated, 0, "master handled it without a worker");
+    drop(c);
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -172,6 +180,8 @@ fn pipelined_commands_in_one_segment_are_processed_in_order() {
     wait_until("delegation to be counted", || {
         srv.stats().snapshot().delegated == 1
     });
+    drop(c);
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -201,6 +211,8 @@ fn slowloris_pretrust_client_is_evicted_by_idle_timeout() {
     // The server still serves fresh clients afterwards.
     let mut c2 = Client::connect(&srv);
     assert!(c2.cmd("NOOP").starts_with("250"));
+    drop((c, c2));
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -249,6 +261,8 @@ fn admin_socket_serves_deterministic_metrics_report() {
     assert_eq!(srv.metrics_report(), report);
     // Unknown admin verbs get an error line, not a report.
     assert!(ask("REBOOT").starts_with("ERR"), "unknown verb must err");
+    drop(c);
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }

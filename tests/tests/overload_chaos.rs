@@ -9,6 +9,9 @@
 //! promises: shed with `421`, fail open on DNSBL trouble, never stall the
 //! accept loop, never lose an acked mail.
 
+mod common;
+
+use common::assert_conserved_at_quiesce;
 use spamaware_core::{BreakerConfig, LiveConfig, LiveServer};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
@@ -192,6 +195,8 @@ fn flood_past_connection_cap_sheds_with_421_then_recovers() {
     c.deliver("inbox", "post-flood mail");
     wait_for("mail stored", || srv.stats().snapshot().mails_stored == 1);
 
+    drop(c);
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -235,6 +240,8 @@ fn per_ip_pretrust_cap_sheds_the_hog_and_releases_on_trust() {
         c4.first_line
     );
 
+    drop((hog_a, hog_b, c3, c4));
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -296,6 +303,8 @@ fn blackholed_dnsbl_trips_breaker_and_mail_flows_fail_open() {
     wait_for("mail stored", || srv.stats().snapshot().mails_stored == 1);
     assert_eq!(srv.stats().snapshot().blacklisted, 0, "fail-open verdict");
 
+    drop(c);
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -328,6 +337,7 @@ fn garbled_dnsbl_counts_errors_not_timeouts_and_trips_breaker() {
     assert_eq!(m.counter_value("dnsbl.udp_timeouts"), Some(0));
     assert_eq!(m.counter_value("dnsbl.breaker_opened"), Some(1));
 
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -383,6 +393,7 @@ fn breaker_closes_again_when_the_dnsbl_heals() {
     });
 
     real.shutdown();
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -454,6 +465,10 @@ fn full_worker_queues_tempfail_instead_of_stalling_the_master() {
         srv.stats().snapshot().mails_stored == 2
     });
 
+    // Every connection of the episode — the two held, the one shed, the
+    // bystander — ends in exactly one outcome.
+    drop((a, b, c, d));
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -518,6 +533,7 @@ fn graceful_drain_finishes_inflight_data_and_loses_no_acked_mail() {
     assert!(all.contains("the second half"));
     drop(store);
 
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -658,6 +674,7 @@ fn capacity_flood_with_dead_dnsbl_delivers_everything_eventually() {
         usize::try_from(clients).expect("fits")
     );
     drop(store);
+    assert_conserved_at_quiesce(&srv);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }

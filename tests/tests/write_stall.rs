@@ -8,26 +8,20 @@
 //! the peer is evicted (`master.evicted_slow_writers`) — all while
 //! delivery probes keep flowing through the same single-threaded event
 //! loop. The POP3 side gets the same treatment: a client frozen
-//! mid-`RETR` is cut loose by the bounded writer's budget
-//! (`pop3.write_stall_evictions`) without pinning its session thread.
+//! mid-`RETR` is cut loose by the no-progress deadline
+//! (`pop3.write_stall_evictions`) without holding up any other session.
 //!
 //! The 100-peer storm is ignored by default; it runs via
 //! `scripts/check.sh --stall` or the manual `stall` job in
 //! `.github/workflows/check.yml`.
 
+mod common;
+
+use common::clamp_rcvbuf;
 use spamaware_core::{LiveConfig, LiveServer, Pop3Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
-
-/// Clamps a test client's kernel receive buffer so its TCP window
-/// actually closes when it stops reading — receive-buffer autotuning
-/// would otherwise absorb tens of megabytes and hide every
-/// backpressure path this suite exists to exercise.
-fn clamp_rcvbuf(stream: &TcpStream) {
-    rawpoll::set_recv_buffer(stream.as_raw_fd(), 4096).expect("clamp rcvbuf");
-}
 
 /// Unparsable three-byte command: the ~38-byte `501` reply amplifies a
 /// non-reading peer's input into >10× that much queued output.
