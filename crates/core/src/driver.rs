@@ -714,7 +714,7 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
                     break;
                 }
                 match slot.lines.pop_line() {
-                    Ok(Some(line)) => match self.proto.line(&mut slot.session, &line, &mut out) {
+                    Ok(Some(line)) => match self.proto.line(&mut slot.session, line, &mut out) {
                         Step::Continue => {}
                         Step::PhaseStart => {
                             slot.phase_open = true;

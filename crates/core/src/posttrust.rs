@@ -98,7 +98,9 @@ impl<C, B: Backend> PostTrust<C, B> {
         let reply = session.finish_data(&id.to_string());
         if reply.code() != 250 {
             // 552 oversized (or similar): the session already discarded
-            // the transaction.
+            // the transaction; the pool decides whether the capture
+            // buffer is still worth keeping.
+            ctx.body_pool.put(session.take_body_buffer());
             return reply;
         }
         let Some(env) = session.take_last_delivered() else {

@@ -1106,6 +1106,56 @@ fn worker_sends_the_masters_backlog_before_its_first_reply() {
     assert_eq!(h.registry.histogram_count("worker.data_ns"), Some(1));
 }
 
+/// A whole transaction in one segment straddles the seam: the master
+/// consumes up to the trusting `RCPT` and stops mid-buffer, the rest —
+/// second `RCPT`, `DATA`, body, `QUIT` — travels as `leftover` and the
+/// worker serves it without a single read. Every command still gets
+/// exactly one reply, in order, and nothing before the cursor is replayed.
+#[test]
+fn one_segment_straddling_the_seam_gets_one_reply_per_command() {
+    let mut burst = TRUST_BURST[..TRUST_BURST.len() - b"DATA\r\n".len()].to_vec();
+    burst.extend_from_slice(
+        b"RCPT TO:<bob@dept.example>\r\nDATA\r\nSubject: one segment\r\n\r\n..dotted\r\n.\r\nQUIT\r\n",
+    );
+    let script = vec![
+        connect(SEC, 1),
+        data(2 * SEC, 1, &burst),
+        (3 * SEC, SimEvent::Stop),
+        // Worker half: nothing more arrives; the grant only stands in for
+        // the wakeup the master's enqueue gives a live worker.
+        (
+            4 * SEC,
+            SimEvent::Window {
+                conn: 1,
+                bytes: 4096,
+            },
+        ),
+        (5 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    let store = h.run_through_the_seam(&WorkerConfig::default());
+
+    let out = h.output_text(1);
+    let codes: Vec<&str> = out.lines().map(|l| &l[..3]).collect();
+    assert_eq!(
+        codes,
+        ["220", "250", "250", "250", "250", "354", "250", "221"],
+        "one reply per command, in order, across the seam: {out}"
+    );
+    assert!(!h.reactor.conn_open(1), "QUIT closed it");
+    for mailbox in ["alice", "bob"] {
+        let mails = store.read_mailbox(mailbox).expect("read");
+        assert_eq!(mails.len(), 1, "{mailbox}");
+        assert_eq!(mails[0].body, b"Subject: one segment\r\n\r\n.dotted\r\n");
+    }
+    let snap = h.stats.snapshot();
+    assert_eq!(
+        (snap.delegated, snap.mails_stored, snap.delivered),
+        (1, 1, 1)
+    );
+    assert_eq!(h.registry.gauge_value("live.inflight"), Some(0));
+}
+
 /// A sender trickling its body keeps the idle timer at bay but cannot
 /// outlive the `DATA` budget: the `421` lands at exactly `354` + budget on
 /// the virtual clock, nothing is stored, and the connection — which

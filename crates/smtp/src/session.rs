@@ -102,7 +102,8 @@ pub struct ServerSession {
     sender: Option<MailAddr>,
     recipients: Vec<MailAddr>,
     body: Vec<u8>,
-    body_size_only: u64,
+    /// Content bytes of the `DATA` in flight, captured or not.
+    data_size: u64,
     capture_body: bool,
     delivered: Vec<Envelope>,
     /// Mails accepted over the connection's lifetime. Tracked separately
@@ -122,7 +123,7 @@ impl ServerSession {
             sender: None,
             recipients: Vec::new(),
             body: Vec::new(),
-            body_size_only: 0,
+            data_size: 0,
             capture_body: false,
             delivered: Vec::new(),
             accepted: 0,
@@ -306,14 +307,36 @@ impl ServerSession {
         } else {
             line
         };
-        if self.capture_body {
+        self.data_size += content.len() as u64 + 2;
+        // A message past the limit is refused at the dot whatever it
+        // holds: count it, but stop holding it.
+        if self.capture_body && !self.oversized() {
+            self.reserve_body(content.len() + 2);
             self.body.extend_from_slice(content);
             self.body.extend_from_slice(b"\r\n");
-        } else {
-            // Track size without materializing.
-            self.body_size_only += content.len() as u64 + 2;
         }
         DataVerdict::More
+    }
+
+    /// Makes room for `more` captured bytes where `Vec`'s own doubling
+    /// would overshoot the message limit, by growing straight to the limit
+    /// instead: what a peer can make the capture buffer hold is the
+    /// limit, not the power of two above it.
+    fn reserve_body(&mut self, more: usize) {
+        let Some(limit) = self.cfg.max_message_size else {
+            return;
+        };
+        let limit = usize::try_from(limit).unwrap_or(usize::MAX);
+        let (len, capacity) = (self.body.len(), self.body.capacity());
+        if capacity - len < more && capacity.saturating_mul(2) > limit {
+            self.body.reserve_exact(limit.max(len + more) - len);
+        }
+    }
+
+    fn oversized(&self) -> bool {
+        self.cfg
+            .max_message_size
+            .is_some_and(|limit| self.data_size > limit)
     }
 
     /// Completes the DATA phase after the terminator, recording the
@@ -324,28 +347,22 @@ impl ServerSession {
     /// Panics if the session is not in the DATA phase.
     pub fn finish_data(&mut self, mail_id: &str) -> Reply {
         assert_eq!(self.phase, SessionPhase::Data, "finish_data outside DATA");
-        let body = std::mem::take(&mut self.body);
-        let size = if self.capture_body {
-            body.len() as u64
-        } else {
-            self.body_size_only
-        };
-        if let Some(limit) = self.cfg.max_message_size {
-            if size > limit {
-                // Oversized: discard the transaction (RFC 5321 552).
-                self.reset_transaction();
-                self.phase = SessionPhase::Greeted;
-                return Reply::message_too_large();
-            }
+        if self.oversized() {
+            // Oversized: discard the transaction (RFC 5321 552). The
+            // capture buffer stays, cleared, for `take_body_buffer`.
+            self.reset_transaction();
+            self.phase = SessionPhase::Greeted;
+            return Reply::message_too_large();
         }
+        let size = self.data_size;
         self.delivered.push(Envelope {
             sender: self.sender.take(),
             recipients: std::mem::take(&mut self.recipients),
-            body,
+            body: std::mem::take(&mut self.body),
             body_size: size,
         });
         self.accepted += 1;
-        self.body_size_only = 0;
+        self.data_size = 0;
         self.phase = SessionPhase::Greeted;
         Reply::queued(mail_id)
     }
@@ -358,7 +375,7 @@ impl ServerSession {
     /// Panics if the session is not in the DATA phase.
     pub fn finish_data_sized(&mut self, mail_id: &str, size: u64) -> Reply {
         assert_eq!(self.phase, SessionPhase::Data, "finish_data outside DATA");
-        self.body_size_only = size;
+        self.data_size = size;
         self.capture_body = false;
         self.finish_data(mail_id)
     }
@@ -379,7 +396,7 @@ impl ServerSession {
         self.sender = None;
         self.recipients.clear();
         self.body.clear();
-        self.body_size_only = 0;
+        self.data_size = 0;
     }
 }
 
@@ -679,6 +696,41 @@ mod size_limit_tests {
         let mut s = to_data_phase(Some(1_000));
         assert_eq!(s.finish_data_sized("M1", 1_000).code(), 250);
         assert_eq!(s.delivered().len(), 1);
+    }
+
+    #[test]
+    fn capture_stops_at_the_limit_and_the_dot_still_draws_552() {
+        const LIMIT: usize = 10_000;
+        let mut s = to_data_phase(Some(LIMIT as u64));
+        s.capture_bodies(true);
+        let line = [b'x'; 98]; // 100 bytes with its CRLF
+        for _ in 0..4 * LIMIT / 100 {
+            assert_eq!(s.data_line(&line), DataVerdict::More);
+            assert!(
+                s.body.capacity() <= LIMIT + 100,
+                "capture buffer grew to {} under a {LIMIT}-byte limit",
+                s.body.capacity()
+            );
+        }
+        assert_eq!(s.data_line(b"."), DataVerdict::Complete);
+        assert_eq!(s.finish_data("M1").code(), 552);
+        assert!(s.delivered().is_empty());
+        // The buffer is handed back, empty, for its owner to recycle.
+        let buf = s.take_body_buffer();
+        assert!(buf.is_empty() && buf.capacity() > 0);
+        assert_eq!(s.phase(), SessionPhase::Greeted);
+    }
+
+    #[test]
+    fn captured_message_at_limit_is_accepted_whole() {
+        let mut s = to_data_phase(Some(200));
+        s.capture_bodies(true);
+        s.data_line(&[b'a'; 98]);
+        s.data_line(&[b'b'; 98]);
+        s.data_line(b".");
+        assert_eq!(s.finish_data("M1").code(), 250);
+        assert_eq!(s.delivered()[0].body.len(), 200);
+        assert_eq!(s.delivered()[0].body_size, 200);
     }
 
     #[test]

@@ -235,6 +235,91 @@ fn oversized_line_is_rejected() {
 }
 
 #[test]
+fn message_past_the_size_limit_draws_552_at_the_dot_and_the_session_goes_on() {
+    let (srv, root) = server("toolarge", &["alice"]);
+    let mut c = Client::connect(&srv);
+    c.cmd("HELO client.example");
+    c.cmd("MAIL FROM:<x@remote.example>");
+    assert!(c.cmd("RCPT TO:<alice@dept.example>").starts_with("250"));
+    assert!(c.cmd("DATA").starts_with("354"));
+    // 12 MiB of body against the default 10 MiB limit.
+    let mib =
+        "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcd\r\n".repeat(16 * 1024);
+    for _ in 0..12 {
+        c.stream.write_all(mib.as_bytes()).expect("body");
+    }
+    assert!(c.cmd(".").starts_with("552"));
+    // Refused, not fatal: the next transaction on the connection lands.
+    assert!(c.cmd("MAIL FROM:<x@remote.example>").starts_with("250"));
+    assert!(c.cmd("RCPT TO:<alice@dept.example>").starts_with("250"));
+    assert!(c.cmd("DATA").starts_with("354"));
+    c.raw("fits");
+    assert!(c.cmd(".").starts_with("250"));
+    assert!(c.cmd("QUIT").starts_with("221"));
+    wait_for_mails(&srv, 1);
+    let mails = srv.store().read_mailbox("alice").expect("read");
+    assert_eq!(mails.len(), 1);
+    assert_eq!(mails[0].body, b"fits\r\n");
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// Descriptors of this process that point into `dir`.
+fn fds_under(dir: &std::path::Path) -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("procfs")
+        .filter_map(|e| std::fs::read_link(e.expect("entry").path()).ok())
+        .filter(|target| target.starts_with(dir))
+        .count()
+}
+
+#[test]
+fn more_hot_mailboxes_than_handles_stay_within_the_fd_budget() {
+    // 640 mailboxes written round after round: more key files than the
+    // store's 9 handle tables hold (DESIGN.md §11).
+    let names: Vec<String> = (0..640).map(|i| format!("user{i}")).collect();
+    let (srv, root) = server(
+        "fdbudget",
+        &names.iter().map(String::as_str).collect::<Vec<_>>(),
+    );
+    let budget = 9 * spamaware_mfs::RealDir::MAX_OPEN;
+    let mut sent = 0;
+    for round in 0..2 {
+        for group in names.chunks(8) {
+            let mut c = Client::connect(&srv);
+            c.cmd("HELO bot.example");
+            c.cmd("MAIL FROM:<spam@bot.example>");
+            for mb in group {
+                assert!(c
+                    .cmd(&format!("RCPT TO:<{mb}@dept.example>"))
+                    .starts_with("250"));
+            }
+            assert!(c.cmd("DATA").starts_with("354"));
+            c.raw(&format!("round {round}"));
+            assert!(c.cmd(".").starts_with("250"));
+            c.cmd("QUIT");
+            sent += 1;
+            assert!(
+                fds_under(&root) <= budget,
+                "{} > {budget}",
+                fds_under(&root)
+            );
+        }
+    }
+    wait_for_mails(&srv, sent);
+    assert!(fds_under(&root) > budget / 2, "the tables are in use");
+    let store = srv.store();
+    for mb in [&names[0], &names[333], &names[639]] {
+        let mails = store.read_mailbox(mb).expect("read");
+        let bodies: Vec<&[u8]> = mails.iter().map(|m| &m.body[..]).collect();
+        assert_eq!(bodies, [&b"round 0\r\n"[..], b"round 1\r\n"], "{mb}");
+    }
+    drop(store);
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
 fn idle_pretrust_connection_is_dropped() {
     let root = std::env::temp_dir().join(format!(
         "spamaware-idle-{}-{:x}",

@@ -403,39 +403,105 @@ fn reference_split(bytes: &[u8]) -> (Vec<Vec<u8>>, Vec<u8>) {
     (lines, rest.to_vec())
 }
 
-proptest! {
-    #[test]
-    fn line_buffer_matches_reference_splitter(
-        raw in proptest::collection::vec(any::<u8>(), 0..600),
-        chunk_sizes in proptest::collection::vec(1usize..40, 1..20),
-    ) {
-        // Bias the stream toward terminators so multi-line and `\r`-run
-        // cases are exercised often, not once in 128 bytes.
-        let bytes: Vec<u8> = raw
-            .iter()
-            .map(|&b| match b % 8 {
-                0 => b'\n',
-                1 => b'\r',
-                _ => b,
-            })
-            .collect();
-        let mut lb = spamaware_core::LineBuffer::new();
-        let mut popped: Vec<Vec<u8>> = Vec::new();
-        let mut offset = 0;
-        let mut chunk = chunk_sizes.iter().cycle();
-        while offset < bytes.len() {
-            let n = (*chunk.next().unwrap()).min(bytes.len() - offset);
-            lb.push(&bytes[offset..offset + n]);
-            offset += n;
-            // Total input stays far below MAX_LINE, so overflow (Err) is
-            // impossible here; it has its own unit + fault tests.
-            while let Some(line) = lb.pop_line().expect("no overflow") {
-                popped.push(line);
-            }
+/// Pushes `bytes` in the cycled `chunk_sizes`, popping every complete
+/// line after each push the way the driver does.
+fn split_in_chunks(
+    lb: &mut spamaware_core::LineBuffer,
+    bytes: &[u8],
+    chunk_sizes: &[usize],
+) -> Vec<Vec<u8>> {
+    let mut popped = Vec::new();
+    let mut offset = 0;
+    let mut chunk = chunk_sizes.iter().cycle();
+    while offset < bytes.len() {
+        let n = (*chunk.next().unwrap()).min(bytes.len() - offset);
+        lb.push(&bytes[offset..offset + n]);
+        offset += n;
+        while let Some(line) = lb.pop_line().expect("no overflow") {
+            popped.push(line.to_vec());
         }
+    }
+    popped
+}
+
+/// Maps random bytes onto a stream dense in terminators, so multi-line,
+/// `\r`-run, `\r`|`\n`-across-a-push and `\n`-first-in-a-push cases come up
+/// often, not once in 128 bytes.
+fn terminator_rich(raw: &[u8]) -> Vec<u8> {
+    raw.iter()
+        .map(|&b| match b % 8 {
+            0 => b'\n',
+            1 => b'\r',
+            _ => b,
+        })
+        .collect()
+}
+
+proptest! {
+    /// Any two chunkings of one byte stream — byte-at-a-time included —
+    /// yield the reference splitter's lines and leave its remainder.
+    /// Total input stays far below MAX_LINE, so overflow is impossible
+    /// here; it has its own unit + fault tests.
+    #[test]
+    fn line_buffer_matches_reference_splitter_under_any_chunking(
+        raw in proptest::collection::vec(any::<u8>(), 0..600),
+        chunks_a in proptest::collection::vec(1usize..40, 1..20),
+        chunks_b in proptest::collection::vec(1usize..4, 1..5),
+    ) {
+        let bytes = terminator_rich(&raw);
         let (want_lines, want_rest) = reference_split(&bytes);
-        prop_assert_eq!(popped, want_lines);
-        prop_assert_eq!(lb.into_remaining(), want_rest);
+        for chunk_sizes in [&chunks_a, &chunks_b] {
+            let mut lb = spamaware_core::LineBuffer::new();
+            prop_assert_eq!(&split_in_chunks(&mut lb, &bytes, chunk_sizes), &want_lines);
+            prop_assert_eq!(&lb.into_remaining(), &want_rest);
+        }
+    }
+
+    /// The §5.2 fixed-size argument: however much pipelined input passes
+    /// through, the buffer's allocation never exceeds one maximal partial
+    /// line plus one read. (Capacity only grows, so its final value is
+    /// its maximum.)
+    #[test]
+    fn line_buffer_capacity_is_bounded_by_a_line_plus_a_read(
+        line_lens in proptest::collection::vec(0usize..=spamaware_core::MAX_LINE, 1..60),
+        reads in proptest::collection::vec(1usize..=4096, 1..12),
+    ) {
+        let mut bytes = Vec::new();
+        for (i, len) in line_lens.iter().enumerate() {
+            bytes.extend(std::iter::repeat_n(b'a' + (i % 26) as u8, *len));
+            bytes.push(b'\n');
+        }
+        let mut lb = spamaware_core::LineBuffer::new();
+        let popped = split_in_chunks(&mut lb, &bytes, &reads);
+        prop_assert_eq!(popped.len(), line_lens.len());
+        let biggest_read = *reads.iter().max().unwrap();
+        prop_assert!(lb.into_remaining().capacity() <= spamaware_core::MAX_LINE + biggest_read);
+    }
+
+    /// `into_remaining` is exactly the unconsumed suffix, in the
+    /// allocation the buffer was built over — what the master→worker
+    /// `leftover` hand-off and the line pool both rely on.
+    #[test]
+    fn line_buffer_remainder_is_the_unconsumed_suffix_in_place(
+        raw in proptest::collection::vec(any::<u8>(), 0..600),
+        pops in 0usize..12,
+    ) {
+        let bytes = terminator_rich(&raw);
+        let pooled = Vec::with_capacity(4096);
+        let allocation = pooled.as_ptr();
+        let mut lb = spamaware_core::LineBuffer::from_remaining(pooled);
+        lb.push(&bytes);
+        let mut consumed = 0;
+        for _ in 0..pops {
+            if lb.pop_line().expect("no overflow").is_none() {
+                break;
+            }
+            consumed += 1 + bytes[consumed..].iter().position(|&b| b == b'\n').unwrap();
+        }
+        let rest = lb.into_remaining();
+        prop_assert_eq!(&rest[..], &bytes[consumed..]);
+        prop_assert_eq!(rest.as_ptr(), allocation);
+        prop_assert_eq!(rest.capacity(), 4096);
     }
 
     #[test]
