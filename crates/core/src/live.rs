@@ -76,6 +76,20 @@ use std::time::Duration;
 /// counting failures against a dead resolver.
 const DNSBL_AGENT_QUEUE: usize = 256;
 
+/// Mailbox-lock stripes in the sharded store. Shards only need to
+/// outnumber the threads that can hold a mailbox lock at once, and 8
+/// covers the 4-worker default pool twice over (DESIGN.md §11).
+const STORE_SHARDS: usize = 8;
+
+/// How long a trusted session may go without sending a byte, and how
+/// long its queued replies may go without the peer taking one.
+const WORKER_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The same two budgets on the admin socket: a client that asks for
+/// `METRICS` and then stops reading is cut off
+/// (`live.admin_write_timeouts`).
+const ADMIN_IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Configuration for [`LiveServer::start`].
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
@@ -90,10 +104,6 @@ pub struct LiveConfig {
     pub worker_queue: usize,
     /// Root directory for the MFS mail store.
     pub storage_root: PathBuf,
-    /// Mailbox-lock stripes in the sharded store. More shards means less
-    /// false contention between unrelated mailboxes; the default of 8
-    /// comfortably covers the 4-worker default pool (see DESIGN.md §11).
-    pub store_shards: usize,
     /// Valid mailbox local parts.
     pub mailboxes: Vec<String>,
     /// Optional DNSBL checked (with prefix caching) per connection; the
@@ -125,10 +135,6 @@ pub struct LiveConfig {
     /// the excess is shed with `421` (a single spammer must not monopolize
     /// the master's event loop).
     pub max_pretrust_per_ip: usize,
-    /// Per-read socket timeout in the worker (was a hardcoded 30 s).
-    pub worker_read_timeout: Duration,
-    /// Per-read socket timeout on the admin socket (was a hardcoded 5 s).
-    pub admin_read_timeout: Duration,
     /// Wall-clock budget for a whole session, measured from accept; a
     /// connection that overstays is evicted with `421` wherever it is in
     /// the dialog.
@@ -147,10 +153,6 @@ pub struct LiveConfig {
     /// flushed byte resets the clock, so a slow-but-live reader is served
     /// indefinitely while a frozen one is cut off.
     pub write_stall_timeout: Duration,
-    /// Budget for writing one admin response; an admin client that asks
-    /// for `METRICS` and then stops reading is cut off
-    /// (`live.admin_write_timeouts`) instead of pinning the admin thread.
-    pub admin_write_timeout: Duration,
     /// Test-only fault injection: while the flag is `true`, workers stall
     /// after dequeuing a task, letting a chaos test fill every queue and
     /// observe the master's non-blocking `421` shed path deterministically.
@@ -166,7 +168,6 @@ impl LiveConfig {
             workers: 4,
             worker_queue: 28,
             storage_root: storage_root.into(),
-            store_shards: 8,
             mailboxes,
             dnsbl: None,
             dnsbl_udp: None,
@@ -175,13 +176,10 @@ impl LiveConfig {
             pretrust_idle_timeout: Duration::from_secs(30),
             max_connections: 512,
             max_pretrust_per_ip: 32,
-            worker_read_timeout: Duration::from_secs(30),
-            admin_read_timeout: Duration::from_secs(5),
             session_deadline: Duration::from_secs(300),
             data_deadline: Duration::from_secs(120),
             max_outq_bytes: 64 * 1024,
             write_stall_timeout: Duration::from_secs(10),
-            admin_write_timeout: Duration::from_secs(5),
             worker_hold: None,
         }
     }
@@ -371,6 +369,10 @@ impl LiveSnapshot {
     /// `shed_draining` also counts drain evictions, which are
     /// `unfinished`, hence the subtraction; `shed_worker_busy` and the
     /// eviction counters are causes of an `unfinished`, not outcomes.
+    ///
+    /// The subtraction is signed: a snapshot is not atomic, and one taken
+    /// while a drain evicts can read `drain_evictions` ahead of
+    /// `shed_draining`.
     pub fn unaccounted(&self) -> i64 {
         let terminal = self.delivered
             + self.bounces
@@ -378,8 +380,8 @@ impl LiveSnapshot {
             + self.rejected_ipv6
             + self.shed_connections
             + self.shed_per_ip
-            + (self.shed_draining - self.drain_evictions);
-        self.accepted as i64 - terminal as i64
+            + self.shed_draining;
+        self.accepted as i64 - (terminal as i64 - self.drain_evictions as i64)
     }
 }
 
@@ -508,9 +510,9 @@ impl LiveServer {
     /// Returns [`ServeError`] if a socket cannot be bound or the storage
     /// root cannot be created.
     pub fn start(cfg: LiveConfig) -> Result<LiveServer, ServeError> {
-        if cfg.workers == 0 || cfg.worker_queue == 0 || cfg.store_shards == 0 {
+        if cfg.workers == 0 || cfg.worker_queue == 0 {
             return Err(ServeError::Config(
-                "need at least one worker, queue slot, and store shard".to_owned(),
+                "need at least one worker and queue slot".to_owned(),
             ));
         }
         if cfg.max_connections == 0 || cfg.max_pretrust_per_ip == 0 {
@@ -523,15 +525,12 @@ impl LiveServer {
                 "outbound queue cap must admit at least one byte".to_owned(),
             ));
         }
-        if cfg.worker_read_timeout.is_zero()
-            || cfg.admin_read_timeout.is_zero()
-            || cfg.session_deadline.is_zero()
+        if cfg.session_deadline.is_zero()
             || cfg.data_deadline.is_zero()
             || cfg.write_stall_timeout.is_zero()
-            || cfg.admin_write_timeout.is_zero()
         {
             return Err(ServeError::Config(
-                "read timeouts, write budgets, and phase deadlines must be nonzero".to_owned(),
+                "write budgets and phase deadlines must be nonzero".to_owned(),
             ));
         }
         let (listener, addr) = listen(cfg.bind)?;
@@ -540,7 +539,7 @@ impl LiveServer {
         // Crash recovery first: fsck truncates torn tails and repairs
         // shmailbox refcounts on disk, then the partitions replay clean.
         let (store, fsck_report) =
-            ShardedStore::open_with_fsck(cfg.store_shards, || RealDir::new(&cfg.storage_root))
+            ShardedStore::open_with_fsck(STORE_SHARDS, || RealDir::new(&cfg.storage_root))
                 .map_err(|e| ServeError::Io(e.to_string()))?;
         let store = Arc::new(store.with_metrics(&registry, "mfs"));
         let stop = Arc::new(AtomicBool::new(false));
@@ -604,7 +603,7 @@ impl LiveServer {
                 stop: Arc::clone(&stop),
                 draining: Arc::clone(&draining),
                 inflight: Arc::clone(&inflight),
-                read_timeout: cfg.worker_read_timeout,
+                read_timeout: WORKER_IDLE_TIMEOUT,
                 session_deadline: cfg.session_deadline,
                 data_deadline: cfg.data_deadline,
                 max_outq_bytes: cfg.max_outq_bytes,
@@ -670,9 +669,9 @@ impl LiveServer {
             // operator watches it converge).
             draining: Arc::new(AtomicBool::new(false)),
             limits: Limits {
-                idle: cfg.admin_read_timeout,
+                idle: ADMIN_IDLE_TIMEOUT,
                 session: Duration::MAX,
-                write_stall: cfg.admin_write_timeout,
+                write_stall: ADMIN_IDLE_TIMEOUT,
                 phase: Duration::MAX,
                 max_outq_bytes: usize::MAX,
             },
@@ -927,5 +926,24 @@ impl Protocol<TcpStream> for Admin {
             End::Unwatchable => self.sockopt_errors.inc(),
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unaccounted_survives_a_snapshot_torn_across_a_drain_eviction() {
+        // `snapshot()` read `shed_draining` before an eviction and
+        // `drain_evictions` after it.
+        let snap = LiveSnapshot {
+            accepted: 3,
+            unfinished: 2,
+            shed_draining: 1,
+            drain_evictions: 2,
+            ..LiveSnapshot::default()
+        };
+        assert_eq!(snap.unaccounted(), 2);
     }
 }

@@ -54,7 +54,7 @@ struct ShardMetrics {
     write_ns: SpanHandle,
     delete_ns: SpanHandle,
     /// Time spent *waiting* for a partition lock — the contention signal
-    /// the `live_throughput` bench sweeps worker counts against.
+    /// the repo benchmark reports as `live.shard_contention_ns_per_op`.
     contention_ns: SpanHandle,
 }
 

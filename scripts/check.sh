@@ -20,16 +20,14 @@
 #                                snapshot-visible, and documented in
 #                                DESIGN.md §14.3). The merged JSON report
 #                                lands in results/xtask_report.json.
-#   4. cargo check benchmark/  — the standalone benchmark package still
-#                                compiles against this tree's API, with
-#                                the flags benchmark/run.sh builds with
-#                                (it is its own workspace, so stages 2
-#                                and 5 never see it)
-#   5. cargo test              — unit, integration, property and doc tests
-#   6. live_throughput --smoke — boots the real TCP server pair once with a
-#                                tiny client load and asserts the run
-#                                completes with a non-empty JSON report and
-#                                metrics sidecar
+#   4. cargo test              — unit, integration, property and doc tests
+#   5. cargo test benchmark/   — the standalone benchmark package (its own
+#                                workspace, so stages 2 and 4 never see
+#                                it) still builds against this tree's
+#                                API, and its suite boots the real TCP
+#                                server pair on all four workloads and
+#                                verifies every acked mail is in the
+#                                spool exactly once
 #
 # With --crash, a further stage runs the deep crash-point sweep: every
 # (write, byte) cut of an extended MFS workload is injected, the store is
@@ -81,24 +79,11 @@ cargo clippy --workspace --quiet -- -D warnings
 echo "==> cargo run -p spamaware-xtask -- report --json"
 cargo run --quiet -p spamaware-xtask -- report --json
 
-echo "==> cargo check --manifest-path benchmark/Cargo.toml"
-cargo check --quiet --manifest-path benchmark/Cargo.toml --all-targets --offline
-
 echo "==> cargo test"
 cargo test --quiet
 
-echo "==> live_throughput --smoke"
-smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
-cargo run --quiet --release -p spamaware-bench --bin live_throughput -- \
-    --smoke --json "$smoke_dir/smoke.json"
-for f in "$smoke_dir/smoke.json" "$smoke_dir/smoke.metrics"; do
-    [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
-done
-grep -q '"mails_per_sec"' "$smoke_dir/smoke.json" || {
-    echo "smoke.json lacks mails_per_sec rows" >&2
-    exit 1
-}
+echo "==> cargo test --manifest-path benchmark/Cargo.toml"
+cargo test --quiet --manifest-path benchmark/Cargo.toml --offline
 
 if [ "$crash" = 1 ]; then
     echo "==> crash-point deep sweep"

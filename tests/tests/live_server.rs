@@ -1,7 +1,7 @@
 //! End-to-end tests of the live fork-after-trust SMTP server over real
 //! TCP sockets.
 
-use spamaware_core::{LiveConfig, LiveServer};
+use spamaware_core::{LiveConfig, LiveServer, ServeError};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -317,6 +317,47 @@ fn more_hot_mailboxes_than_handles_stay_within_the_fd_budget() {
     drop(store);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn a_zeroed_limit_is_refused_and_leaves_no_thread_behind() {
+    let threads = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .count()
+    };
+    type Zero = fn(&mut LiveConfig);
+    let cases: [(&str, Zero); 8] = [
+        ("workers", |c| c.workers = 0),
+        ("worker_queue", |c| c.worker_queue = 0),
+        ("max_connections", |c| c.max_connections = 0),
+        ("max_pretrust_per_ip", |c| c.max_pretrust_per_ip = 0),
+        ("max_outq_bytes", |c| c.max_outq_bytes = 0),
+        ("session_deadline", |c| c.session_deadline = Duration::ZERO),
+        ("data_deadline", |c| c.data_deadline = Duration::ZERO),
+        ("write_stall_timeout", |c| {
+            c.write_stall_timeout = Duration::ZERO
+        }),
+    ];
+    let root = std::env::temp_dir().join(format!("spamaware-it-refused-{}", std::process::id()));
+    for (field, zero) in cases {
+        // The other tests of this binary start and stop servers meanwhile,
+        // so one pair of readings can grow through no fault of the refused
+        // start; a thread it left behind would make every pair grow.
+        let left_nothing = (0..20).any(|_| {
+            let mut cfg = LiveConfig::localhost(&root, vec!["inbox".into()]);
+            zero(&mut cfg);
+            let before = threads();
+            let refused = LiveServer::start(cfg).err();
+            assert!(
+                matches!(refused, Some(ServeError::Config(_))),
+                "{field} = 0: {refused:?}"
+            );
+            threads() <= before
+        });
+        assert!(left_nothing, "{field} = 0 left a thread behind");
+    }
+    assert!(!root.exists(), "a refused start touched the spool");
 }
 
 #[test]
