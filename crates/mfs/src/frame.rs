@@ -23,16 +23,29 @@ pub(crate) const FRAME_LEN: usize = PAYLOAD_LEN + 6;
 /// Current frame format version.
 pub(crate) const VERSION: u8 = 1;
 
-/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise —
-/// key-file frames are small enough that a lookup table buys nothing.
+/// One step of the reflected IEEE 802.3 polynomial per possible byte.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
+
+/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), one table lookup
+/// per byte: a restart checksums every key record in the spool.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -141,12 +154,47 @@ pub(crate) fn scan(bytes: &[u8]) -> (Vec<[u8; PAYLOAD_LEN]>, Tail) {
 mod tests {
     use super::*;
 
+    /// The polynomial division bit by bit — what [`CRC_TABLE`] tabulates.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC32 check values.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    #[test]
+    fn table_crc_equals_the_bitwise_reference() {
+        for vector in [&b"123456789"[..], b"", b"a"] {
+            assert_eq!(crc32(vector), crc32_bitwise(vector));
+        }
+        for b in 0..=255u8 {
+            assert_eq!(crc32(&[b]), crc32_bitwise(&[b]), "byte {b:#04x}");
+        }
+        // 1 000 frame-sized inputs from a fixed xorshift64 stream.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..1_000 {
+            let mut frame = [0u8; 2 + PAYLOAD_LEN];
+            for byte in &mut frame {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *byte = x as u8;
+            }
+            assert_eq!(crc32(&frame), crc32_bitwise(&frame), "{frame:02x?}");
+        }
     }
 
     #[test]

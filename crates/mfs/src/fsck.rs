@@ -22,8 +22,8 @@
 //! so repeated runs over identical stores print byte-identical reports —
 //! pinned by the golden-fixture tests.
 
-use crate::frame::{self, Tail};
-use crate::mfs_store::{KeyRecord, SHARED};
+use crate::frame;
+use crate::mfs_store::{KeyRecord, TailPolicy, SHARED};
 use crate::{Backend, DataRef, MailId, MfsStore, StoreResult};
 use std::fmt;
 
@@ -135,34 +135,11 @@ fn len_or_zero<B: Backend>(backend: &mut B, path: &str) -> StoreResult<u64> {
 pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
     let mut report = FsckReport::default();
     let mut store = MfsStore::new(backend);
-    let backend = store.backend_mut();
 
-    // 1+2. Cut every key file back to its longest valid frame prefix.
-    for path in backend.list("mfs/")? {
-        if !path.ends_with(".key") {
-            continue;
-        }
-        let total = backend.len(&path)?;
-        let bytes = backend.read_at(&path, 0, total)?;
-        match frame::scan(&bytes).1 {
-            Tail::Clean => {}
-            Tail::Torn { offset, .. } => {
-                backend.truncate(&path, offset)?;
-                report.torn_tails.push((path, total - offset));
-            }
-            Tail::Corrupt { offset, .. } => {
-                backend.truncate(&path, offset)?;
-                report.corrupt_frames.push((path, offset, total - offset));
-            }
-        }
-    }
-
-    // Replay the now frame-clean files without clamping, so every
-    // refcount discrepancy is still visible for reporting. Detach first:
-    // the accounting debug-check would trip on the very damage (dangling
-    // refs, under-counts) this pass exists to repair.
-    store.set_detached();
-    store.replay_partition(true, &|_| true, false)?;
+    // 1+2. Replay every key file, cutting each back to its longest valid
+    // frame prefix as it is read. Refcounts stay as logged, so every
+    // discrepancy is still visible for reporting.
+    store.replay(TailPolicy::Repair(&mut report))?;
 
     // 3a. Shared entries whose body range runs past the shared data file:
     // the body is unreadable, so zero the refcount out of the log.
@@ -183,6 +160,8 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
                     delta: -e.refs,
                 },
             )?;
+            // Replaying the record just appended frees the body too.
+            store.freed_shared_bytes += e.len;
             store.shared.remove(id);
             report.truncated_bodies.push((SHARED.to_owned(), *id));
         }
@@ -282,7 +261,6 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
         }
     }
 
-    store.set_attached();
     store.debug_check_shared_accounting();
     Ok((store, report))
 }
@@ -449,6 +427,65 @@ mod tests {
         let mails = repaired.read_mailbox("a")?;
         assert_eq!(mails.len(), 1);
         assert_eq!(mails[0].body, b"short");
+        Ok(())
+    }
+
+    /// One image needing every kind of repair: the index `fsck` repaired
+    /// in memory — what [`ShardedStore::open_with_fsck`] deals to the
+    /// shards — must be the index a replay of the repaired files builds.
+    #[test]
+    fn repaired_index_equals_a_replay_of_the_repaired_files(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        use crate::{ShardedStore, SyncBackend};
+        let delta_frame = |id, len, delta| {
+            let rec = KeyRecord {
+                id: MailId(id),
+                offset: 0,
+                len,
+                delta,
+            };
+            frame::encode(&rec.encode())
+        };
+        let mut s = MfsStore::new(MemFs::new());
+        s.deliver(MailId(1), &["a", "b"], DataRef::Bytes(b"over"))?;
+        s.deliver(MailId(2), &["c", "d", "e"], DataRef::Bytes(b"under"))?;
+        s.deliver(MailId(3), &["x", "y"], DataRef::Bytes(b"orphan"))?;
+        s.deliver(MailId(4), &["f"], DataRef::Bytes(b"short"))?;
+        s.deliver(MailId(5), &["f"], DataRef::Bytes(b"casualty"))?;
+        s.deliver(MailId(6), &["g", "h"], DataRef::Bytes(b"cut off"))?;
+        s.deliver(MailId(7), &["i"], DataRef::Bytes(b"one"))?;
+        s.deliver(MailId(8), &["i"], DataRef::Bytes(b"two"))?;
+        let mut fs = backend_of(s);
+        fs.append("mfs/shmailbox.key", DataRef::Bytes(&delta_frame(1, 4, 3)))?;
+        fs.append("mfs/shmailbox.key", DataRef::Bytes(&delta_frame(2, 5, -2)))?;
+        fs.remove("mfs/x.key")?;
+        fs.remove("mfs/y.key")?;
+        fs.truncate("mfs/f.data", 5)?;
+        let shared_data = fs.len("mfs/shmailbox.data")?;
+        fs.truncate("mfs/shmailbox.data", shared_data - 1)?;
+        fs.append("mfs/a.key", DataRef::Bytes(&[0x01, 0x20, 0xAB]))?;
+        let total = fs.len("mfs/i.key")?;
+        let mut bytes = fs.read_at("mfs/i.key", 0, total)?;
+        bytes[10] ^= 0xFF;
+        fs.replace("mfs/i.key", DataRef::Bytes(&bytes))?;
+
+        let fs = SyncBackend::new(fs);
+        let (dealt, report) = ShardedStore::open_with_fsck(3, || Ok(fs.clone()))?;
+        assert_eq!(report.torn_tails.len(), 1, "{report}");
+        assert_eq!(report.corrupt_frames.len(), 1, "{report}");
+        assert_eq!(report.truncated_bodies.len(), 2, "{report}");
+        assert_eq!(report.dangling_refs.len(), 2, "{report}");
+        assert_eq!(report.clamped_refcounts.len(), 1, "{report}");
+        assert_eq!(report.raised_refcounts.len(), 1, "{report}");
+        assert_eq!(report.orphans_reclaimed.len(), 1, "{report}");
+        let replayed = ShardedStore::open_with(3, || Ok(fs.clone()))?;
+        for mb in ["a", "b", "c", "d", "e", "f", "g", "h", "i", "x", "y"] {
+            assert_eq!(dealt.list_mailbox(mb), replayed.list_mailbox(mb), "{mb}");
+        }
+        assert_eq!(dealt.stats(), replayed.stats());
+        assert_eq!(dealt.max_mail_id(), replayed.max_mail_id());
+        assert_eq!(dealt.stats().own_records, 1);
+        assert_eq!(dealt.stats().shared_references, 5);
         Ok(())
     }
 

@@ -17,7 +17,7 @@
 
 use crate::backend::DataRef;
 use crate::frame::{self, Tail};
-use crate::{Backend, MailId, MailStore, StoreError, StoreResult, StoredMail};
+use crate::{Backend, FsckReport, MailId, MailStore, StoreError, StoreResult, StoredMail};
 use spamaware_metrics::{Counter, Registry, SpanHandle};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,6 +90,57 @@ pub(crate) struct MailboxEntry {
     pub(crate) shared: bool,
 }
 
+/// What replay does with a key file whose frames stop validating before
+/// the file ends.
+pub(crate) enum TailPolicy<'a> {
+    /// Strict open: truncate a torn tail (counted in
+    /// [`MfsStore::recovered_records`]), refuse corruption.
+    Strict,
+    /// [`crate::fsck`]: truncate at the first invalid frame whatever
+    /// follows it, and list the cut in the report.
+    Repair(&'a mut FsckReport),
+}
+
+/// One mailbox key file's records folded to its live entries, in delivery
+/// order. One tombstone deletes one entry — the first live match, exactly
+/// like the live `delete_local` path, so a mailbox holding duplicate ids
+/// replays to the same contents the writer saw. The entries a given id's
+/// tombstones delete are therefore always the first of that id, which
+/// makes the fold two linear passes: count each id's effective
+/// tombstones, then drop that many of its leading entries.
+fn live_entries(records: &[KeyRecord]) -> Vec<MailboxEntry> {
+    // id -> (entries seen so far, tombstones that found one to delete)
+    let mut deleted: HashMap<MailId, (u64, u64)> = HashMap::new();
+    let mut live = records.iter().filter(|r| r.delta != 0).count();
+    if live < records.len() {
+        for rec in records {
+            let (seen, dead) = deleted.entry(rec.id).or_default();
+            if rec.delta != 0 {
+                *seen += 1;
+            } else if dead < seen {
+                *dead += 1;
+                live -= 1;
+            }
+        }
+    }
+    let mut entries = Vec::with_capacity(live);
+    for rec in records.iter().filter(|r| r.delta != 0) {
+        if let Some((_, dead)) = deleted.get_mut(&rec.id) {
+            if *dead > 0 {
+                *dead -= 1;
+                continue;
+            }
+        }
+        entries.push(MailboxEntry {
+            id: rec.id,
+            offset: rec.offset,
+            len: rec.len,
+            shared: rec.delta < 0,
+        });
+    }
+    entries
+}
+
 /// Aggregate MFS statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MfsStats {
@@ -160,12 +211,6 @@ impl<B: Backend> MfsStore<B> {
         self.detached = true;
     }
 
-    /// Re-enables the cross-file accounting check after [`crate::fsck`]
-    /// has restored the invariants it asserts.
-    pub(crate) fn set_attached(&mut self) {
-        self.detached = false;
-    }
-
     /// Reports storage latency and byte/refcount accounting into
     /// `registry` under `<prefix>.write_ns`, `<prefix>.read_ns`,
     /// `<prefix>.delete_ns`, `<prefix>.shared_bytes`,
@@ -214,7 +259,9 @@ impl<B: Backend> MfsStore<B> {
     /// produce). Run [`crate::fsck`] to repair such a store.
     pub fn open(backend: B) -> StoreResult<MfsStore<B>> {
         let mut store = MfsStore::new(backend);
-        store.replay()?;
+        store.replay(TailPolicy::Strict)?;
+        store.clamp_shared_refcounts();
+        store.debug_check_shared_accounting();
         Ok(store)
     }
 
@@ -290,59 +337,14 @@ impl<B: Backend> MfsStore<B> {
         Ok(())
     }
 
-    /// Replays all key files into the in-memory index.
-    fn replay(&mut self) -> StoreResult<()> {
-        self.replay_partition(true, &|_| true, true)
-    }
-
-    /// Replays a partition of the key files: the shared key file when
-    /// `include_shared`, and exactly the mailbox key files whose name
-    /// passes `keep`. A [`crate::ShardedStore`] opens one detached store
-    /// per partition so shards never hold each other's index.
-    ///
-    /// With `clamp_shared` (a full, non-partitioned replay only — it needs
-    /// every mailbox in view), each shared refcount is clamped down to the
-    /// number of live references: a crash between the shared-log append
-    /// and the per-recipient attaches leaves the count high, and without
-    /// the clamp those bodies would never be reclaimed. A partitioned
-    /// replay must not clamp — the shared partition sees no mailboxes, so
-    /// clamping there would reclaim every live body.
-    pub(crate) fn replay_partition(
-        &mut self,
-        include_shared: bool,
-        keep: &dyn Fn(&str) -> bool,
-        clamp_shared: bool,
-    ) -> StoreResult<()> {
+    /// Rebuilds the in-memory index from the key files: one directory
+    /// listing, each key file read and checksummed once. Shared refcounts
+    /// are replayed as logged; only [`MfsStore::open`], which sees every
+    /// mailbox and keeps the whole index, clamps them afterwards.
+    pub(crate) fn replay(&mut self, mut tails: TailPolicy<'_>) -> StoreResult<()> {
         self.shared.clear();
         self.mailboxes.clear();
         self.freed_shared_bytes = 0;
-        // Shared key file first, so mailbox shared-refs can validate.
-        let sh_key = Self::key_path(SHARED);
-        if include_shared && self.backend.exists(&sh_key) {
-            for rec in self.read_key_records(&sh_key)? {
-                match self.shared.get_mut(&rec.id) {
-                    Some(e) => {
-                        e.refs += rec.delta;
-                        if e.refs <= 0 {
-                            self.freed_shared_bytes += e.len;
-                            self.shared.remove(&rec.id);
-                        }
-                    }
-                    None => {
-                        if rec.delta > 0 {
-                            self.shared.insert(
-                                rec.id,
-                                SharedEntry {
-                                    offset: rec.offset,
-                                    len: rec.len,
-                                    refs: rec.delta,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
         for path in self.backend.list("mfs/")? {
             let Some(stem) = path
                 .strip_prefix("mfs/")
@@ -350,41 +352,49 @@ impl<B: Backend> MfsStore<B> {
             else {
                 continue;
             };
-            if stem == SHARED || !keep(stem) {
-                continue;
+            let records = self.read_key_records(&path, &mut tails)?;
+            if stem == SHARED {
+                self.replay_shared(&records);
+            } else {
+                self.mailboxes
+                    .insert(stem.to_owned(), live_entries(&records));
             }
-            let mailbox = stem.to_owned();
-            let mut entries: Vec<MailboxEntry> = Vec::new();
-            for rec in self.read_key_records(&path)? {
-                match rec.delta {
-                    // One tombstone deletes one entry — the first match,
-                    // exactly like the live `delete_local` path, so a
-                    // mailbox holding duplicate ids replays to the same
-                    // contents the writer saw.
-                    0 => {
-                        if let Some(idx) = entries.iter().position(|e| e.id == rec.id) {
-                            entries.remove(idx);
-                        }
-                    }
-                    d => entries.push(MailboxEntry {
-                        id: rec.id,
-                        offset: rec.offset,
-                        len: rec.len,
-                        shared: d < 0,
-                    }),
-                }
-            }
-            self.mailboxes.insert(mailbox, entries);
         }
-        if clamp_shared {
-            self.clamp_shared_refcounts();
-        }
-        self.debug_check_shared_accounting();
         Ok(())
     }
 
+    /// Folds the shared key log's refcount deltas into the shared index.
+    fn replay_shared(&mut self, records: &[KeyRecord]) {
+        for rec in records {
+            match self.shared.get_mut(&rec.id) {
+                Some(e) => {
+                    e.refs += rec.delta;
+                    if e.refs <= 0 {
+                        self.freed_shared_bytes += e.len;
+                        self.shared.remove(&rec.id);
+                    }
+                }
+                None => {
+                    if rec.delta > 0 {
+                        self.shared.insert(
+                            rec.id,
+                            SharedEntry {
+                                offset: rec.offset,
+                                len: rec.len,
+                                refs: rec.delta,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Lowers every shared refcount to its live mailbox reference count
-    /// (in-memory only; [`crate::fsck`] makes the same repair durable).
+    /// (in-memory only; [`crate::fsck`] makes the same repair durable): a
+    /// crash between the shared-log append and the per-recipient attaches
+    /// leaves the count high, and without the clamp those bodies would
+    /// never be reclaimed.
     fn clamp_shared_refcounts(&mut self) {
         let mut held: HashMap<MailId, i64> = HashMap::new();
         for entries in self.mailboxes.values() {
@@ -410,22 +420,37 @@ impl<B: Backend> MfsStore<B> {
     }
 
     /// Reads and validates one key file's frames. A torn trailing frame is
-    /// truncated away (counted in `recovered`); a corrupt frame mid-file
-    /// is a hard error — [`crate::fsck`] repairs what strict replay won't.
-    fn read_key_records(&mut self, path: &str) -> StoreResult<Vec<KeyRecord>> {
+    /// truncated away; a corrupt frame mid-file is a hard error under
+    /// [`TailPolicy::Strict`] and truncated away too under
+    /// [`TailPolicy::Repair`].
+    fn read_key_records(
+        &mut self,
+        path: &str,
+        tails: &mut TailPolicy<'_>,
+    ) -> StoreResult<Vec<KeyRecord>> {
         let total = self.backend.len(path)?;
         let bytes = self.backend.read_at(path, 0, total)?;
         let (payloads, tail) = frame::scan(&bytes);
-        match tail {
-            Tail::Clean => {}
-            Tail::Torn { offset, .. } => {
+        match (tail, tails) {
+            (Tail::Clean, _) => {}
+            (Tail::Torn { offset, .. }, TailPolicy::Strict) => {
                 self.backend.truncate(path, offset)?;
                 self.recovered += 1;
             }
-            Tail::Corrupt { offset, fault } => {
+            (Tail::Corrupt { offset, fault }, TailPolicy::Strict) => {
                 return Err(StoreError::CorruptRecord(format!(
                     "{path}: {fault} at offset {offset}"
                 )));
+            }
+            (Tail::Torn { offset, .. }, TailPolicy::Repair(report)) => {
+                self.backend.truncate(path, offset)?;
+                report.torn_tails.push((path.to_owned(), total - offset));
+            }
+            (Tail::Corrupt { offset, .. }, TailPolicy::Repair(report)) => {
+                self.backend.truncate(path, offset)?;
+                report
+                    .corrupt_frames
+                    .push((path.to_owned(), offset, total - offset));
             }
         }
         let mut out = Vec::with_capacity(payloads.len());
@@ -950,6 +975,56 @@ mod tests {
         assert_eq!(stats.shared_mails, 1);
         assert_eq!(stats.freed_shared_bytes, 4);
         Ok(())
+    }
+
+    /// The fold `live_entries` replaced: each tombstone searches for and
+    /// removes its first match, O(entries) apiece.
+    fn live_entries_by_search(records: &[KeyRecord]) -> Vec<MailboxEntry> {
+        let mut entries: Vec<MailboxEntry> = Vec::new();
+        for rec in records {
+            match rec.delta {
+                0 => {
+                    if let Some(idx) = entries.iter().position(|e| e.id == rec.id) {
+                        entries.remove(idx);
+                    }
+                }
+                d => entries.push(MailboxEntry {
+                    id: rec.id,
+                    offset: rec.offset,
+                    len: rec.len,
+                    shared: d < 0,
+                }),
+            }
+        }
+        entries
+    }
+
+    proptest::proptest! {
+        /// Few ids, so duplicates, tombstones ahead of their entry and
+        /// tombstones with nothing left to delete all occur; the offset
+        /// tells same-id entries apart.
+        #[test]
+        fn linear_tombstone_fold_equals_search_and_remove(
+            script in proptest::collection::vec((0u64..6, -1i64..2), 0..80),
+        ) {
+            let records: Vec<KeyRecord> = script
+                .iter()
+                .enumerate()
+                .map(|(at, &(id, delta))| KeyRecord {
+                    id: MailId(id),
+                    offset: at as u64,
+                    len: 1,
+                    delta,
+                })
+                .collect();
+            let fold = |entries: Vec<MailboxEntry>| -> Vec<(MailId, u64, bool)> {
+                entries.iter().map(|e| (e.id, e.offset, e.shared)).collect()
+            };
+            proptest::prop_assert_eq!(
+                fold(live_entries(&records)),
+                fold(live_entries_by_search(&records))
+            );
+        }
     }
 
     #[test]

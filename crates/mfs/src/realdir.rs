@@ -262,17 +262,24 @@ impl Backend for RealDir {
         fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
             for entry in fs::read_dir(dir)? {
                 let entry = entry?;
-                let path = entry.path();
-                if path.is_dir() {
-                    walk(&path, root, out)?;
-                } else if let Ok(rel) = path.strip_prefix(root) {
+                // The type `readdir` already reported: no `stat` per file.
+                if entry.file_type()?.is_dir() {
+                    walk(&entry.path(), root, out)?;
+                } else if let Ok(rel) = entry.path().strip_prefix(root) {
                     out.push(rel.to_string_lossy().replace('\\', "/"));
                 }
             }
             Ok(())
         }
+        // Every match lives under the directory part of the prefix.
+        let dir = match prefix.rfind('/') {
+            Some(slash) => self.resolve(&prefix[..slash])?,
+            None => self.root.clone(),
+        };
         let mut out = Vec::new();
-        walk(&self.root, &self.root, &mut out)?;
+        if dir.is_dir() {
+            walk(&dir, &self.root, &mut out)?;
+        }
         out.retain(|p| p.starts_with(prefix));
         out.sort_unstable();
         Ok(out)
@@ -361,6 +368,47 @@ mod tests {
         ));
         assert!(!fs.exists("nope"));
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn list_walks_only_the_directory_of_the_prefix() -> Result<(), Box<dyn std::error::Error>> {
+        let (mut fs, dir) = tmp();
+        for path in [
+            "mfs/bob.key",
+            "mfs/alice.key",
+            "mfs/alice.data",
+            "mfs/deep/er.key",
+            "mfs2/eve.key",
+            "maildir/alice/1",
+            "top",
+        ] {
+            fs.append(path, DataRef::Bytes(b"x"))?;
+        }
+        assert_eq!(
+            fs.list("mfs/")?,
+            [
+                "mfs/alice.data",
+                "mfs/alice.key",
+                "mfs/bob.key",
+                "mfs/deep/er.key"
+            ]
+        );
+        assert_eq!(fs.list("mfs/al")?, ["mfs/alice.data", "mfs/alice.key"]);
+        assert_eq!(
+            fs.list("mfs")?,
+            [
+                "mfs/alice.data",
+                "mfs/alice.key",
+                "mfs/bob.key",
+                "mfs/deep/er.key",
+                "mfs2/eve.key"
+            ]
+        );
+        assert_eq!(fs.list("")?.len(), 7);
+        assert!(fs.list("absent/")?.is_empty());
+        assert!(fs.list("../").is_err(), "traversal is rejected here too");
+        let _ = std::fs::remove_dir_all(dir);
+        Ok(())
     }
 
     /// Descriptors of this process that point into `dir`.

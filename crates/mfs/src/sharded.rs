@@ -31,13 +31,14 @@
 //! [`crate::MemFs`] into cloneable handles.
 
 use crate::backend::DataRef;
+use crate::mfs_store::TailPolicy;
 use crate::{Backend, MailId, MailStore, MfsStats, MfsStore, StoreResult, StoredMail};
 use parking_lot::Mutex;
 use spamaware_metrics::{Registry, SpanHandle};
 use std::sync::{Arc, MutexGuard};
 
 /// FNV-1a shard selection: stable across runs and platforms, so a store
-/// reopened with the same shard count replays each mailbox into the same
+/// reopened with the same shard count deals each mailbox to the same
 /// shard that wrote it.
 fn shard_index(mailbox: &str, shards: usize) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -92,13 +93,15 @@ pub struct ShardedStore<B> {
 
 impl<B: Backend> ShardedStore<B> {
     /// Opens a sharded store with `shards` mailbox partitions, calling
-    /// `make` once per partition (plus once for the shared partition) to
-    /// produce backend handles that all view the same files — e.g.
-    /// `|| RealDir::new(&root)` or `|| Ok(sync_memfs.clone())`.
+    /// `make` once per partition (the shared one included, plus once for
+    /// the replay) to produce backend handles that all view the same files
+    /// — e.g. `|| RealDir::new(&root)` or `|| Ok(sync_memfs.clone())`.
     ///
-    /// Existing MFS files are replayed exactly once across partitions:
-    /// each mailbox key file into its shard, the shared key file into the
-    /// shared partition.
+    /// Existing MFS files are replayed exactly once, through the first
+    /// handle, and the index dealt to the partitions: each mailbox's
+    /// entries to its shard, the shared index to the shared partition.
+    /// Shared refcounts are taken as logged — clamping them durably is
+    /// [`ShardedStore::open_with_fsck`]'s job.
     ///
     /// # Errors
     ///
@@ -113,32 +116,16 @@ impl<B: Backend> ShardedStore<B> {
         mut make: impl FnMut() -> StoreResult<B>,
     ) -> StoreResult<ShardedStore<B>> {
         assert!(shards >= 1, "shard count must be at least 1");
-        // A partitioned replay must not clamp shared refcounts: the shared
-        // partition replays with no mailboxes in view, so clamping there
-        // would reclaim every live body. Cross-partition repair is
-        // `open_with_fsck`'s job.
-        let mut shared = MfsStore::new(make()?);
-        shared.replay_partition(true, &|_| false, false)?;
-        let mut parts = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let mut shard = MfsStore::new(make()?);
-            shard.set_detached();
-            shard.replay_partition(false, &|mb| shard_index(mb, shards) == i, false)?;
-            parts.push(Mutex::new(shard));
-        }
-        Ok(ShardedStore {
-            shared: Mutex::new(shared),
-            shards: parts,
-            share_threshold: 2,
-            metrics: None,
-        })
+        let mut whole = MfsStore::new(make()?);
+        whole.replay(TailPolicy::Strict)?;
+        Self::deal(whole, shards, make)
     }
 
     /// Opens a sharded store with a durable repair pass first: runs
-    /// [`crate::fsck`] over one backend handle (truncating torn tails,
-    /// dropping corrupt frames, rebuilding shmailbox refcounts on disk),
-    /// then opens the partitions over the repaired files. This is how the
-    /// live server restarts after a crash.
+    /// [`crate::fsck`] over the first backend handle (truncating torn
+    /// tails, dropping corrupt frames, rebuilding shmailbox refcounts on
+    /// disk), then deals the repaired index to the partitions. This is how
+    /// the live server restarts after a crash.
     ///
     /// # Errors
     ///
@@ -153,10 +140,46 @@ impl<B: Backend> ShardedStore<B> {
         shards: usize,
         mut make: impl FnMut() -> StoreResult<B>,
     ) -> StoreResult<(ShardedStore<B>, crate::FsckReport)> {
-        let (repaired, report) = crate::fsck(make()?)?;
-        drop(repaired);
-        let store = Self::open_with(shards, make)?;
-        Ok((store, report))
+        assert!(shards >= 1, "shard count must be at least 1");
+        let (whole, report) = crate::fsck(make()?)?;
+        Ok((Self::deal(whole, shards, make)?, report))
+    }
+
+    /// Splits a replayed whole-store index into partitions: every
+    /// mailbox's entries move to the shard its name hashes to, and `whole`
+    /// — left holding the shared index, the reclaimable-byte count and the
+    /// recovery count — becomes the shared partition.
+    fn deal(
+        mut whole: MfsStore<B>,
+        shards: usize,
+        mut make: impl FnMut() -> StoreResult<B>,
+    ) -> StoreResult<ShardedStore<B>> {
+        // The handle that read the spool still holds the mailboxes' files
+        // open, as many as its table takes, and the shared partition uses
+        // none of them. Kept, they push a starting server past the 64
+        // descriptors a process begins with, and growing that table once
+        // threads run stalls the caller ~10 ms (DESIGN.md §11 *Boot*).
+        *whole.backend_mut() = make()?;
+        let mut parts = Vec::with_capacity(shards);
+        for _ in 0..shards {
+            parts.push(MfsStore::new(make()?));
+        }
+        for (mailbox, entries) in std::mem::take(&mut whole.mailboxes) {
+            parts[shard_index(&mailbox, shards)]
+                .mailboxes
+                .insert(mailbox, entries);
+        }
+        // No partition sees both sides of the refcount accounting.
+        let detached = |mut part: MfsStore<B>| {
+            part.set_detached();
+            Mutex::new(part)
+        };
+        Ok(ShardedStore {
+            shared: detached(whole),
+            shards: parts.into_iter().map(detached).collect(),
+            share_threshold: 2,
+            metrics: None,
+        })
     }
 
     /// The highest [`MailId`] anywhere in the store (see
@@ -170,15 +193,11 @@ impl<B: Backend> ShardedStore<B> {
         max
     }
 
-    /// Torn trailing key records truncated away while replaying the
-    /// partitions (summed across shards; see
-    /// [`MfsStore::recovered_records`]).
+    /// Torn trailing key records truncated away by the replay in
+    /// [`ShardedStore::open_with`] (see [`MfsStore::recovered_records`]);
+    /// the store that replayed is the shared partition.
     pub fn recovered_records(&self) -> u64 {
-        let mut total = self.shared.lock().recovered_records();
-        for shard in &self.shards {
-            total += shard.lock().recovered_records();
-        }
-        total
+        self.shared.lock().recovered_records()
     }
 
     /// Reports the same per-operation metrics as
@@ -528,8 +547,13 @@ mod tests {
                 .unwrap();
             s.delete("b", MailId(2)).unwrap();
         }
+        // A torn append on a mailbox's key file is cut off and counted.
+        fs.clone()
+            .append("mfs/alice.key", DataRef::Bytes(&[0x01, 0x20, 0xAB]))
+            .unwrap();
         // Different shard count: every mailbox must still be found.
         let s = ShardedStore::open_with(7, || Ok(fs.clone())).unwrap();
+        assert_eq!(s.recovered_records(), 1);
         assert_eq!(s.read_mailbox("alice").unwrap()[0].body, b"own");
         assert_eq!(s.read_mailbox("a").unwrap()[0].body, b"shared");
         assert!(s.read_mailbox("b").unwrap().is_empty());
@@ -537,6 +561,83 @@ mod tests {
         assert_eq!(stats.shared_mails, 1);
         assert_eq!(stats.shared_references, 2);
         assert_eq!(stats.own_records, 1);
+    }
+
+    /// [`MemFs`] counting the calls a boot is budgeted in.
+    #[derive(Default)]
+    struct Counting {
+        fs: MemFs,
+        lists: u64,
+        reads: u64,
+    }
+
+    impl Backend for Counting {
+        fn create(&mut self, path: &str) -> StoreResult<()> {
+            self.fs.create(path)
+        }
+        fn append(&mut self, path: &str, data: DataRef<'_>) -> StoreResult<u64> {
+            self.fs.append(path, data)
+        }
+        fn read_at(&mut self, path: &str, offset: u64, len: u64) -> StoreResult<Vec<u8>> {
+            self.reads += 1;
+            self.fs.read_at(path, offset, len)
+        }
+        fn len(&mut self, path: &str) -> StoreResult<u64> {
+            self.fs.len(path)
+        }
+        fn link(&mut self, src: &str, dst: &str) -> StoreResult<()> {
+            self.fs.link(src, dst)
+        }
+        fn remove(&mut self, path: &str) -> StoreResult<()> {
+            self.fs.remove(path)
+        }
+        fn truncate(&mut self, path: &str, len: u64) -> StoreResult<()> {
+            self.fs.truncate(path, len)
+        }
+        fn exists(&mut self, path: &str) -> bool {
+            self.fs.exists(path)
+        }
+        fn list(&mut self, prefix: &str) -> StoreResult<Vec<String>> {
+            self.lists += 1;
+            self.fs.list(prefix)
+        }
+    }
+
+    #[test]
+    fn boot_lists_the_spool_once_and_reads_each_key_file_once() {
+        let fs = SyncBackend::new(Counting {
+            fs: MemFs::new(),
+            ..Counting::default()
+        });
+        {
+            let s = ShardedStore::open_with(8, || Ok(fs.clone())).unwrap();
+            for i in 0..20u64 {
+                let own = format!("own{i}");
+                s.deliver(MailId(2 * i), &[own.as_str()], DataRef::Bytes(b"own"))
+                    .unwrap();
+                s.deliver(
+                    MailId(2 * i + 1),
+                    &["a", "b", "c"],
+                    DataRef::Bytes(b"shared"),
+                )
+                .unwrap();
+            }
+            s.delete("b", MailId(1)).unwrap();
+        }
+        let key_files = 20 + 3 + 1;
+        let calls = |fs: &SyncBackend<Counting>| {
+            let mut fs = fs.inner.lock();
+            (std::mem::take(&mut fs.lists), std::mem::take(&mut fs.reads))
+        };
+        calls(&fs);
+        let replayed = ShardedStore::open_with(8, || Ok(fs.clone())).unwrap();
+        assert_eq!(calls(&fs), (1, key_files), "open_with");
+        let (dealt, report) = ShardedStore::open_with_fsck(8, || Ok(fs.clone())).unwrap();
+        assert_eq!(calls(&fs), (1, key_files), "open_with_fsck");
+        assert!(report.is_clean());
+        assert_eq!(dealt.stats(), replayed.stats());
+        assert_eq!(dealt.stats().own_records, 20);
+        assert_eq!(dealt.stats().shared_references, 59);
     }
 
     #[test]

@@ -81,6 +81,34 @@ pub fn record_write_log(ops: &[Op]) -> Vec<u64> {
     store.backend().write_log().to_vec()
 }
 
+/// Boots the files behind `fs` the way the live server restarts —
+/// [`ShardedStore::open_with_fsck`], which deals the index `fsck` repaired
+/// in memory to the shards without reading the files again — and checks
+/// that index against a plain replay of the repaired bytes: per mailbox
+/// the same listing, and the same statistics and highest id. Nothing else
+/// cross-checks fsck's in-memory repairs against the ones it wrote.
+/// Returns the dealt store.
+#[allow(dead_code)]
+pub fn dealt_equals_replayed(
+    fs: &SyncBackend<MemFs>,
+    shards: usize,
+) -> ShardedStore<SyncBackend<MemFs>> {
+    let (dealt, _) =
+        ShardedStore::open_with_fsck(shards, || Ok(fs.clone())).expect("repairing reopen");
+    let replayed =
+        ShardedStore::open_with(shards, || Ok(fs.clone())).expect("replay of the repaired files");
+    for mb in MAILBOXES {
+        assert_eq!(
+            dealt.list_mailbox(mb),
+            replayed.list_mailbox(mb),
+            "dealt index diverged from replay for {mb}"
+        );
+    }
+    assert_eq!(dealt.stats(), replayed.stats());
+    assert_eq!(dealt.max_mail_id(), replayed.max_mail_id());
+    dealt
+}
+
 /// Runs `ops` into a store that crashes at `point`, reboots from the
 /// surviving bytes, and checks every crash-consistency promise:
 ///
@@ -92,8 +120,11 @@ pub fn record_write_log(ops: &[Op]) -> Vec<u64> {
 ///   except mailboxes the *crashed* op touched, which may also show it
 ///   fully applied (a torn multi-recipient delivery legitimately lands in
 ///   the shards it reached before the cut);
-/// * a partitioned reopen ([`ShardedStore::open_with`] — the live
-///   server's restart path) shows exactly the same mailbox contents;
+/// * a strict partitioned reopen ([`ShardedStore::open_with`]) of the
+///   survivors shows exactly the same mailbox contents;
+/// * so does [`ShardedStore::open_with_fsck`] — the live server's restart
+///   path — whose dealt index must equal a replay of the bytes it repaired
+///   (see [`dealt_equals_replayed`]);
 /// * the repaired store stays writable.
 ///
 /// Panics (with context) on any violation.
@@ -130,6 +161,7 @@ pub fn check_crash_point(ops: &[Op], point: CrashPoint) {
     // touched — the (k+1)-op model (cut after the bytes landed).
     let before = model_view(ops, acked);
     let after = model_view(ops, (acked + 1).min(ops.len()));
+    let dealt = dealt_equals_replayed(&SyncBackend::new(survivor.clone()), 3);
     let sync = SyncBackend::new(survivor);
     let sharded =
         ShardedStore::open_with(3, || Ok(sync.clone())).expect("partitioned reopen after crash");
@@ -145,6 +177,11 @@ pub fn check_crash_point(ops: &[Op], point: CrashPoint) {
         assert_eq!(
             got, via_shards,
             "partitioned reopen diverged from fsck view for {mb} at {point:?}"
+        );
+        assert_eq!(
+            got,
+            dealt.read_mailbox(mb).expect("dealt read"),
+            "restart path diverged from fsck view for {mb} at {point:?}"
         );
     }
 

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{body_for, op_strategy, recipients, Op, MAILBOXES};
+use common::{body_for, dealt_equals_replayed, op_strategy, recipients, Op, MAILBOXES};
 use proptest::prelude::*;
 use spamaware_mfs::{DataRef, MailId, MailStore, MemFs, MfsStore, ShardedStore, SyncBackend};
 
@@ -50,5 +50,13 @@ proptest! {
             // ...and identical aggregate accounting.
             prop_assert_eq!(single.stats(), sharded.stats());
         }
+
+        // A restart over these files deals the shards the index the
+        // running store holds.
+        let dealt = dealt_equals_replayed(&fs, shards);
+        for mb in MAILBOXES {
+            prop_assert_eq!(dealt.list_mailbox(mb), sharded.list_mailbox(mb));
+        }
+        prop_assert_eq!(dealt.stats(), sharded.stats());
     }
 }

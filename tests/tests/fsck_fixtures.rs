@@ -14,7 +14,7 @@
 //! cargo test -p integration-tests --test fsck_fixtures -- --include-ignored regenerate
 //! ```
 
-use spamaware_mfs::{fsck, DataRef, MailId, MailStore, MfsStore, RealDir};
+use spamaware_mfs::{fsck, DataRef, MailId, MailStore, MfsStore, RealDir, ShardedStore};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -75,6 +75,31 @@ fn fixtures_produce_their_golden_reports() {
             again.is_clean(),
             "fsck of {case} was not idempotent: {again}"
         );
+        let _ = fs::remove_dir_all(root);
+    }
+}
+
+/// The restart path deals the shards the index `fsck` repaired in memory
+/// instead of reading the files again: on every fixture that index must be
+/// the one a replay of the repaired files builds.
+#[test]
+fn dealt_index_equals_a_replay_of_the_repaired_fixture() {
+    for case in CASES {
+        let root = checkout(case);
+        let (dealt, report) = ShardedStore::open_with_fsck(3, || RealDir::new(&root))
+            .unwrap_or_else(|e| panic!("repairing reopen of {case} failed: {e}"));
+        assert_eq!(report.to_string(), golden_report(case), "{case}");
+        let replayed = ShardedStore::open_with(3, || RealDir::new(&root))
+            .unwrap_or_else(|e| panic!("replay of repaired {case} failed: {e}"));
+        for mb in ["alice", "bob"] {
+            assert_eq!(
+                dealt.list_mailbox(mb),
+                replayed.list_mailbox(mb),
+                "{case}: {mb}"
+            );
+        }
+        assert_eq!(dealt.stats(), replayed.stats(), "{case}");
+        assert_eq!(dealt.max_mail_id(), replayed.max_mail_id(), "{case}");
         let _ = fs::remove_dir_all(root);
     }
 }
