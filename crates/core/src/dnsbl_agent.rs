@@ -11,6 +11,7 @@
 //! the lookup is dropped and counted (`dnsbl.agent_dropped`): under
 //! overload we shed a *statistic*, not a client.
 
+use crate::instruments::AgentMetrics;
 use crossbeam::channel::Receiver;
 use spamaware_dnsbl::{
     BreakerConfig, BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker, DnsblServer,
@@ -48,9 +49,7 @@ pub(crate) struct DnsblAgentCtx {
 /// short-circuits, so serial processing converges fast even when the
 /// master enqueues a burst.
 pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
-    let lookup_ns = ctx.registry.span("dnsbl.agent_ns");
-    let udp_timeouts = ctx.registry.counter("dnsbl.udp_timeouts");
-    let udp_errors = ctx.registry.counter("dnsbl.udp_errors");
+    let metrics = AgentMetrics::register(&ctx.registry);
     let mut breaker = CircuitBreaker::new(ctx.dnsbl_breaker.clone(), ctx.registry.clock())
         .with_metrics(&ctx.registry, "dnsbl");
     let mut resolver = CachingResolver::new(CacheScheme::PerPrefix, Nanos::from_secs(86_400))
@@ -63,7 +62,7 @@ pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
         // stopped and joined before this thread, so shutdown surfaces
         // here as a disconnect.
         let Ok(peer_ip) = ctx.rx.recv() else { break };
-        let start = lookup_ns.now();
+        let start = metrics.lookup_ns.now();
         let listed = if let Some((server_addr, zone)) = &ctx.dnsbl_udp {
             // Real DNSBLv6 query over UDP, cached per /25. Only
             // *successful* answers enter the cache: a fail-open verdict
@@ -92,9 +91,9 @@ pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
                             Err(e) => {
                                 breaker.record_failure();
                                 if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                                    udp_timeouts.inc();
+                                    metrics.udp_timeouts.inc();
                                 } else {
-                                    udp_errors.inc();
+                                    metrics.udp_errors.inc();
                                 }
                                 false
                             }
@@ -108,7 +107,7 @@ pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
         } else {
             false
         };
-        lookup_ns.record_since(start);
+        metrics.lookup_ns.record_since(start);
         if listed {
             ctx.blacklisted.inc();
         }

@@ -26,10 +26,11 @@
 //! production and on [`crate::reactor::sim`] and a `ManualClock` in the
 //! deterministic tests.
 
+pub use crate::instruments::DriverMetrics;
 use crate::linebuf::{LineBuffer, LineOverflow};
 use crate::reactor::wheel::TimerWheel;
 use crate::reactor::{Pollable, Reactor, ReadyEvent};
-use spamaware_metrics::{Clock, Counter, Gauge, Registry};
+use spamaware_metrics::Clock;
 use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -353,37 +354,6 @@ pub struct Limits {
     pub max_outq_bytes: usize,
 }
 
-/// Loop-health instruments. The master registers them as `master.*`;
-/// every other driver thread keeps [`DriverMetrics::default`] — detached
-/// instruments no report renders, so `master.*` keeps meaning the master
-/// thread alone.
-#[derive(Debug, Default)]
-pub struct DriverMetrics {
-    /// Reactor wait returns.
-    pub wakeups: Arc<Counter>,
-    /// Readiness events delivered.
-    pub io_events: Arc<Counter>,
-    /// Timer-wheel expirations processed.
-    pub timers_fired: Arc<Counter>,
-    /// Connections whose replies outran the socket and started queuing.
-    pub write_stalls: Arc<Counter>,
-    /// Queued outbound bytes across all connections.
-    pub outq_bytes: Arc<Gauge>,
-}
-
-impl DriverMetrics {
-    /// The master thread's instruments on `registry`.
-    pub fn master(registry: &Registry) -> DriverMetrics {
-        DriverMetrics {
-            wakeups: registry.counter("master.wakeups"),
-            io_events: registry.counter("master.io_events"),
-            timers_fired: registry.counter("master.timers_fired"),
-            write_stalls: registry.counter("master.write_stalls"),
-            outq_bytes: registry.gauge("master.outq_bytes"),
-        }
-    }
-}
-
 /// Everything [`drive`] needs beyond the reactor and the protocol.
 pub struct DriverEnv {
     /// The loop's only time source.
@@ -567,7 +537,10 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
 
     /// Starts serving one arrival: watch it, start its clocks, send its
     /// greeting, and handle whatever input came with it — without a read,
-    /// so a hand-off costs no wakeup before the peer's next bytes.
+    /// so bytes a pipelining client sent ahead of the hand-off are served
+    /// before the socket is ever polled. That saves a `read`, not a
+    /// wakeup: a queue-fed protocol's feeder wakes this thread for every
+    /// arrival (`Dispatch::offer` in live.rs records why).
     fn adopt(&mut self, arrival: Arrival<C, P::Session>) {
         let token = self.next_token;
         self.next_token += 1;

@@ -32,6 +32,7 @@
 mod dnsbl_agent;
 pub mod driver;
 pub mod experiment;
+mod instruments;
 mod linebuf;
 mod live;
 mod mix;
@@ -41,8 +42,9 @@ pub mod posttrust;
 pub mod pretrust;
 pub mod reactor;
 
+pub use instruments::{LiveSnapshot, LiveStats};
 pub use linebuf::{LineBuffer, LineOverflow, MAX_LINE};
-pub use live::{LiveConfig, LiveServer, LiveSnapshot, LiveStats};
+pub use live::{LiveConfig, LiveServer};
 pub use mix::combined_workload;
 pub use pool::BufferPool;
 pub use pop3::{Pop3Server, Pop3Stats};

@@ -45,8 +45,10 @@
 //! command line.
 
 use crate::dnsbl_agent::{agent_loop, DnsblAgentCtx};
-use crate::driver::{
-    drive, Acceptor, Arrival, DriverEnv, DriverMetrics, End, Gone, Limits, Protocol, Step,
+use crate::driver::{drive, Acceptor, Arrival, DriverEnv, End, Gone, Limits, Protocol, Step};
+use crate::instruments::{
+    AgentMetrics, DriverMetrics, LiveSnapshot, LiveStats, MasterMetrics, Occupancy, VerbCounters,
+    WorkerMetrics,
 };
 use crate::linebuf::LineBuffer;
 use crate::pool::BufferPool;
@@ -60,7 +62,6 @@ use spamaware_dnsbl::{BreakerConfig, DnsblServer};
 use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_mfs::{RealDir, ShardedStore};
 use spamaware_netaddr::Ipv4;
-use spamaware_smtp::Command;
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -185,280 +186,36 @@ impl LiveConfig {
     }
 }
 
-/// Registry-backed lifecycle counters of a running [`LiveServer`].
-///
-/// Each field is a handle into the server's metrics registry (the same
-/// instruments appear as `live.*` in [`LiveServer::metrics_report`]);
-/// [`LiveStats::snapshot`] reads them all at once.
-#[derive(Debug, Clone)]
-pub struct LiveStats {
-    /// Connections accepted.
-    pub accepted: Arc<Counter>,
-    /// Connections closed after delivering mail.
-    pub delivered: Arc<Counter>,
-    /// Bounce connections dispatched entirely by the master.
-    pub bounces: Arc<Counter>,
-    /// Connections that got a session and ended without delivering mail
-    /// or bouncing — on the master or on a worker, whatever the cause.
-    pub unfinished: Arc<Counter>,
-    /// Connections delegated to workers.
-    pub delegated: Arc<Counter>,
-    /// Mails stored.
-    pub mails_stored: Arc<Counter>,
-    /// Connections whose client IP was blacklisted.
-    pub blacklisted: Arc<Counter>,
-    /// IPv6 peers refused with a 554 reply (the server is IPv4-only).
-    pub rejected_ipv6: Arc<Counter>,
-    /// Connections dropped for overflowing the fixed-size line buffer.
-    pub overflows: Arc<Counter>,
-    /// Pre-trust connections evicted by the idle timeout.
-    pub idle_evictions: Arc<Counter>,
-    /// Torn key records truncated away while recovering the store at
-    /// startup (a clean shutdown leaves this at zero).
-    pub recovered_records: Arc<Counter>,
-    /// Repairs the startup `fsck` pass made durable (torn tails, refcount
-    /// rebuilds, orphan reclamation — see `spamaware_mfs::FsckReport`).
-    pub fsck_repairs: Arc<Counter>,
-    /// Connections shed with `421` at the total in-flight cap.
-    pub shed_connections: Arc<Counter>,
-    /// Connections shed with `421` at the per-IP pre-trust cap.
-    pub shed_per_ip: Arc<Counter>,
-    /// Trusted connections shed with `421` because every worker queue was
-    /// full (the master never blocks on a send).
-    pub shed_worker_busy: Arc<Counter>,
-    /// Connections shed with `421` because the server is draining: new
-    /// arrivals refused at the door, plus the pre-trust connections the
-    /// drain evicted (those are also in `drain_evictions`).
-    pub shed_draining: Arc<Counter>,
-    /// Pre-trust connections a drain evicted mid-dialog.
-    pub drain_evictions: Arc<Counter>,
-    /// Connections evicted with `421` for exhausting the whole-session
-    /// wall-clock budget.
-    pub session_deadline_evictions: Arc<Counter>,
-    /// Connections evicted with `421` for exhausting the `DATA` transfer
-    /// budget.
-    pub data_deadline_evictions: Arc<Counter>,
-    /// Connections a reactor could not register (master, worker, or
-    /// admin): closed rather than left unserved and outside its deadlines.
-    pub sockopt_errors: Arc<Counter>,
-    /// Trusted connections dropped because the peer stopped reading: its
-    /// queued replies hit the cap or made no progress for a whole budget.
-    pub worker_write_timeouts: Arc<Counter>,
-    /// Admin responses abandoned because the client stopped reading for a
-    /// whole write budget; the connection is dropped.
-    pub admin_write_timeouts: Arc<Counter>,
-}
-
-/// Point-in-time values of every [`LiveStats`] counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LiveSnapshot {
-    /// Connections accepted.
-    pub accepted: u64,
-    /// Connections closed after delivering mail.
-    pub delivered: u64,
-    /// Bounce connections dispatched entirely by the master.
-    pub bounces: u64,
-    /// Connections that ended without delivering mail or bouncing.
-    pub unfinished: u64,
-    /// Connections delegated to workers.
-    pub delegated: u64,
-    /// Mails stored.
-    pub mails_stored: u64,
-    /// Connections whose client IP was blacklisted.
-    pub blacklisted: u64,
-    /// IPv6 peers refused with a 554 reply.
-    pub rejected_ipv6: u64,
-    /// Connections dropped for overflowing the line buffer.
-    pub overflows: u64,
-    /// Pre-trust connections evicted by the idle timeout.
-    pub idle_evictions: u64,
-    /// Torn key records truncated away recovering the store at startup.
-    pub recovered_records: u64,
-    /// Repairs made durable by the startup `fsck` pass.
-    pub fsck_repairs: u64,
-    /// Connections shed with `421` at the total in-flight cap.
-    pub shed_connections: u64,
-    /// Connections shed with `421` at the per-IP pre-trust cap.
-    pub shed_per_ip: u64,
-    /// Trusted connections shed with `421` (every worker queue full).
-    pub shed_worker_busy: u64,
-    /// Connections shed with `421` while draining.
-    pub shed_draining: u64,
-    /// Pre-trust connections a drain evicted mid-dialog.
-    pub drain_evictions: u64,
-    /// Connections evicted for exhausting the session budget.
-    pub session_deadline_evictions: u64,
-    /// Connections evicted for exhausting the `DATA` budget.
-    pub data_deadline_evictions: u64,
-    /// Connections a reactor could not register.
-    pub sockopt_errors: u64,
-    /// Worker reply writes abandoned on a non-reading peer.
-    pub worker_write_timeouts: u64,
-    /// Admin responses abandoned on a non-reading client.
-    pub admin_write_timeouts: u64,
-}
-
-impl LiveStats {
-    /// Creates (or re-binds) every live-server counter on `registry`.
-    /// Public so the deterministic engine tests can drive
-    /// [`crate::pretrust::run_pretrust`] and
-    /// [`crate::posttrust::run_posttrust`] against a fresh registry.
-    pub fn register(registry: &Registry) -> LiveStats {
-        LiveStats {
-            accepted: registry.counter("live.accepted"),
-            delivered: registry.counter("live.delivered"),
-            bounces: registry.counter("live.bounces"),
-            unfinished: registry.counter("live.unfinished"),
-            delegated: registry.counter("live.delegated"),
-            mails_stored: registry.counter("live.mails_stored"),
-            blacklisted: registry.counter("live.blacklisted"),
-            rejected_ipv6: registry.counter("live.rejected_ipv6"),
-            overflows: registry.counter("live.overflows"),
-            idle_evictions: registry.counter("live.idle_evictions"),
-            recovered_records: registry.counter("live.recovered_records"),
-            fsck_repairs: registry.counter("live.fsck_repairs"),
-            shed_connections: registry.counter("live.shed_connections"),
-            shed_per_ip: registry.counter("live.shed_per_ip"),
-            shed_worker_busy: registry.counter("live.shed_worker_busy"),
-            shed_draining: registry.counter("live.shed_draining"),
-            drain_evictions: registry.counter("live.drain_evictions"),
-            session_deadline_evictions: registry.counter("live.session_deadline_evictions"),
-            data_deadline_evictions: registry.counter("live.data_deadline_evictions"),
-            sockopt_errors: registry.counter("live.sockopt_errors"),
-            worker_write_timeouts: registry.counter("live.worker_write_timeouts"),
-            admin_write_timeouts: registry.counter("live.admin_write_timeouts"),
-        }
-    }
-
-    /// Reads every counter at once.
-    pub fn snapshot(&self) -> LiveSnapshot {
-        LiveSnapshot {
-            accepted: self.accepted.get(),
-            delivered: self.delivered.get(),
-            bounces: self.bounces.get(),
-            unfinished: self.unfinished.get(),
-            delegated: self.delegated.get(),
-            mails_stored: self.mails_stored.get(),
-            blacklisted: self.blacklisted.get(),
-            rejected_ipv6: self.rejected_ipv6.get(),
-            overflows: self.overflows.get(),
-            idle_evictions: self.idle_evictions.get(),
-            recovered_records: self.recovered_records.get(),
-            fsck_repairs: self.fsck_repairs.get(),
-            shed_connections: self.shed_connections.get(),
-            shed_per_ip: self.shed_per_ip.get(),
-            shed_worker_busy: self.shed_worker_busy.get(),
-            shed_draining: self.shed_draining.get(),
-            drain_evictions: self.drain_evictions.get(),
-            session_deadline_evictions: self.session_deadline_evictions.get(),
-            data_deadline_evictions: self.data_deadline_evictions.get(),
-            sockopt_errors: self.sockopt_errors.get(),
-            worker_write_timeouts: self.worker_write_timeouts.get(),
-            admin_write_timeouts: self.admin_write_timeouts.get(),
-        }
-    }
-}
-
 impl LiveSnapshot {
     /// Accepted connections that have not reached a terminal outcome:
     /// the conservation equation of DESIGN.md §14.3. Every accepted
-    /// connection ends in exactly one of *delivered*, *bounce*,
-    /// *unfinished*, or *refused at the door* (IPv6, in-flight cap,
-    /// per-IP cap, draining), so at quiesce this equals the
-    /// `live.inflight` gauge — zero once every client has left.
-    /// `shed_draining` also counts drain evictions, which are
-    /// `unfinished`, hence the subtraction; `shed_worker_busy` and the
+    /// connection ends in exactly one of the outcomes the table marks
+    /// `terminal` — *delivered*, *bounce*, *unfinished*, or *refused at
+    /// the door* (IPv6, in-flight cap, per-IP cap, draining) — so at
+    /// quiesce this equals the `live.inflight` gauge: zero once every
+    /// client has left. `shed_draining` also counts drain evictions, which
+    /// are `unfinished`, hence the subtraction; `shed_worker_busy` and the
     /// eviction counters are causes of an `unfinished`, not outcomes.
     ///
     /// The subtraction is signed: a snapshot is not atomic, and one taken
     /// while a drain evicts can read `drain_evictions` ahead of
     /// `shed_draining`.
     pub fn unaccounted(&self) -> i64 {
-        let terminal = self.delivered
-            + self.bounces
-            + self.unfinished
-            + self.rejected_ipv6
-            + self.shed_connections
-            + self.shed_per_ip
-            + self.shed_draining;
-        self.accepted as i64 - (terminal as i64 - self.drain_evictions as i64)
-    }
-}
-
-/// Per-verb command counters (`smtp.verb.*`), shared by the master's
-/// pre-trust loop and the worker pool.
-#[derive(Debug, Clone)]
-pub(crate) struct VerbCounters {
-    helo: Arc<Counter>,
-    ehlo: Arc<Counter>,
-    mail: Arc<Counter>,
-    rcpt: Arc<Counter>,
-    data: Arc<Counter>,
-    rset: Arc<Counter>,
-    noop: Arc<Counter>,
-    vrfy: Arc<Counter>,
-    quit: Arc<Counter>,
-    unknown: Arc<Counter>,
-}
-
-impl VerbCounters {
-    pub(crate) fn register(registry: &Registry) -> VerbCounters {
-        VerbCounters {
-            helo: registry.counter("smtp.verb.helo"),
-            ehlo: registry.counter("smtp.verb.ehlo"),
-            mail: registry.counter("smtp.verb.mail"),
-            rcpt: registry.counter("smtp.verb.rcpt"),
-            data: registry.counter("smtp.verb.data"),
-            rset: registry.counter("smtp.verb.rset"),
-            noop: registry.counter("smtp.verb.noop"),
-            vrfy: registry.counter("smtp.verb.vrfy"),
-            quit: registry.counter("smtp.verb.quit"),
-            unknown: registry.counter("smtp.verb.unknown"),
-        }
-    }
-
-    /// Counts a line that failed to parse as any SMTP verb.
-    pub(crate) fn count_unknown(&self) {
-        self.unknown.inc();
-    }
-
-    pub(crate) fn count(&self, cmd: &Command) {
-        match cmd {
-            Command::Helo(_) => self.helo.inc(),
-            Command::Ehlo(_) => self.ehlo.inc(),
-            Command::MailFrom(_) => self.mail.inc(),
-            Command::RcptTo(_) => self.rcpt.inc(),
-            Command::Data => self.data.inc(),
-            Command::Rset => self.rset.inc(),
-            Command::Noop => self.noop.inc(),
-            Command::Vrfy(_) => self.vrfy.inc(),
-            Command::Quit => self.quit.inc(),
-            Command::Unknown(_) => self.unknown.inc(),
-        }
+        self.accepted as i64 - (self.terminal_outcomes() as i64 - self.drain_evictions as i64)
     }
 }
 
 /// Registers every instrument otherwise created lazily in a thread
-/// prologue (workers, master engine, DNSBL agent), so the registry's
-/// inventory — and an admin `METRICS` render — is complete the instant
-/// `LiveServer::start` returns instead of whenever the scheduler first
-/// runs each thread. `get_or_create` semantics make the later per-thread
-/// registrations resolve to these same instruments.
+/// prologue (workers, master engine), so the registry's inventory — and an
+/// admin `METRICS` render — is complete the instant `LiveServer::start`
+/// returns instead of whenever the scheduler first runs each thread.
+/// `get_or_create` semantics make the later per-thread registrations
+/// resolve to these same instruments.
 fn preregister_thread_instruments(registry: &Registry) {
-    registry.span("worker.queue_wait_ns");
-    registry.span("worker.data_ns");
-    registry.span("worker.storage_ns");
-    registry.gauge("worker.queue_depth");
-    registry.counter("live.internal_error");
+    WorkerMetrics::register(registry);
     VerbCounters::register(registry);
-    registry.span("master.pretrust_ns");
-    registry.counter("master.wakeups");
-    registry.counter("master.io_events");
-    registry.counter("master.timers_fired");
-    registry.counter("master.write_stalls");
-    registry.counter("master.evicted_slow_writers");
-    registry.gauge("master.outq_bytes");
-    registry.counter("dnsbl.agent_dropped");
+    MasterMetrics::register(registry);
+    DriverMetrics::register(registry);
 }
 
 /// A running spam-aware SMTP server.
@@ -556,7 +313,7 @@ impl LiveServer {
         let line_pool = Arc::new(BufferPool::new(&registry, 64, 4096));
         let body_pool = Arc::new(BufferPool::new(&registry, 32, 16 * 1024));
         let draining = Arc::new(AtomicBool::new(false));
-        let inflight = registry.gauge("live.inflight");
+        let inflight = Occupancy::register(&registry).inflight;
         preregister_thread_instruments(&registry);
 
         // Every reactor is built here, not on its thread, so its waker
@@ -584,7 +341,7 @@ impl LiveServer {
             next: 0,
             registry: Arc::clone(&registry),
             delegated: Arc::clone(&stats.delegated),
-            queue_depth: registry.gauge("worker.queue_depth"),
+            queue_depth: WorkerMetrics::register(&registry).queue_depth,
         };
         for w in 0..cfg.workers {
             let mut reactor = new_reactor()?;
@@ -621,9 +378,7 @@ impl LiveServer {
             // Same up-front registration as `preregister_thread_instruments`,
             // but only when an agent will actually run — a DNSBL-less
             // server's report should not list agent metrics.
-            registry.span("dnsbl.agent_ns");
-            registry.counter("dnsbl.udp_timeouts");
-            registry.counter("dnsbl.udp_errors");
+            AgentMetrics::register(&registry);
             let (tx, rx): (Sender<Ipv4>, Receiver<Ipv4>) = bounded(DNSBL_AGENT_QUEUE);
             let actx = DnsblAgentCtx {
                 rx,
@@ -826,6 +581,14 @@ impl Dispatch {
                     self.next = (w + 1) % self.workers.len();
                     self.delegated.inc();
                     self.queue_depth.inc();
+                    // One wake per hand-off, although the master could
+                    // put the socket on the worker's epoll set itself and
+                    // let the peer's next bytes do the waking: the wake
+                    // has the worker adopt the connection while the
+                    // client is still turning the `250` around. Without
+                    // it `ham_small` measured worse over 10 alternating
+                    // pairs (`cpu_us_per_session` 195.6 → 214.2 µs,
+                    // `session_us_p50` 463.8 → 483.0 µs; ROADMAP item 1).
                     waker.wake();
                     return None;
                 }

@@ -10,9 +10,9 @@
 //! allocation regression shows up in the metrics report instead of a
 //! profiler.
 
+use crate::instruments::PoolMetrics;
 use parking_lot::Mutex;
-use spamaware_metrics::{Counter, Registry};
-use std::sync::Arc;
+use spamaware_metrics::Registry;
 
 /// A bounded free list of reusable byte buffers.
 #[derive(Debug)]
@@ -25,10 +25,7 @@ pub struct BufferPool {
     /// Returned buffers that grew beyond this are dropped rather than
     /// pooled, so one pathological DATA body can't pin memory forever.
     max_capacity: usize,
-    reuse: Arc<Counter>,
-    miss: Arc<Counter>,
-    #[cfg(debug_assertions)]
-    alloc_bytes: Arc<Counter>,
+    metrics: PoolMetrics,
 }
 
 impl BufferPool {
@@ -41,10 +38,7 @@ impl BufferPool {
             max_pooled,
             default_capacity,
             max_capacity: default_capacity.saturating_mul(64).max(1 << 20),
-            reuse: registry.counter("live.pool_reuse"),
-            miss: registry.counter("live.pool_miss"),
-            #[cfg(debug_assertions)]
-            alloc_bytes: registry.counter("live.alloc_bytes"),
+            metrics: PoolMetrics::register(registry),
         }
     }
 
@@ -52,12 +46,12 @@ impl BufferPool {
     /// otherwise. Pair with [`BufferPool::put`].
     pub fn take_vec(&self) -> Vec<u8> {
         if let Some(buf) = self.free.lock().pop() {
-            self.reuse.inc();
+            self.metrics.reuse.inc();
             return buf;
         }
-        self.miss.inc();
+        self.metrics.miss.inc();
         #[cfg(debug_assertions)]
-        self.alloc_bytes.add(self.default_capacity as u64);
+        self.metrics.alloc_bytes.add(self.default_capacity as u64);
         Vec::with_capacity(self.default_capacity)
     }
 
@@ -79,6 +73,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn pool(max: usize, cap: usize) -> Arc<BufferPool> {
         Arc::new(BufferPool::new(&Registry::with_wall_clock(), max, cap))
@@ -89,10 +84,10 @@ mod tests {
         let p = pool(4, 128);
         let mut a = p.take_vec();
         a.extend_from_slice(b"dirty");
-        assert_eq!(p.miss.get(), 1);
+        assert_eq!(p.metrics.miss.get(), 1);
         p.put(a);
         let b = p.take_vec();
-        assert_eq!(p.reuse.get(), 1, "second take recycles");
+        assert_eq!(p.metrics.reuse.get(), 1, "second take recycles");
         assert!(b.is_empty(), "returned buffer was cleared");
         assert!(b.capacity() >= 128);
     }
@@ -122,6 +117,6 @@ mod tests {
         v.extend_from_slice(b"body");
         p.put(v);
         assert_eq!(p.take_vec().len(), 0);
-        assert_eq!(p.reuse.get(), 1);
+        assert_eq!(p.metrics.reuse.get(), 1);
     }
 }

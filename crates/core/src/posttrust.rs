@@ -16,13 +16,13 @@
 use crate::driver::{
     drive, farewell, Arrival, Conn, DriverEnv, DriverMetrics, End, Gone, Limits, Protocol, Step,
 };
+use crate::instruments::{LiveStats, VerbCounters, WorkerMetrics};
 use crate::linebuf::LineBuffer;
-use crate::live::{LiveStats, VerbCounters};
 use crate::pool::BufferPool;
 use crate::pretrust::{say_unavailable, smtp_command, Trusted};
 use crate::reactor::Reactor;
 use crossbeam::channel::Receiver;
-use spamaware_metrics::{Counter, Gauge, Registry, SpanHandle};
+use spamaware_metrics::{Gauge, Registry};
 use spamaware_mfs::{Backend, DataRef, MailId, ShardedStore};
 use spamaware_smtp::{DataVerdict, Reply, ServerSession, SessionOutcome, SessionPhase};
 use std::collections::HashSet;
@@ -82,11 +82,7 @@ struct Post {
 
 struct PostTrust<C, B> {
     ctx: WorkerCtx<C, B>,
-    queue_wait_ns: SpanHandle,
-    data_ns: SpanHandle,
-    storage_ns: SpanHandle,
-    queue_depth: Arc<Gauge>,
-    internal_errors: Arc<Counter>,
+    metrics: WorkerMetrics,
     verbs: VerbCounters,
 }
 
@@ -106,12 +102,12 @@ impl<C, B: Backend> PostTrust<C, B> {
         let Some(env) = session.take_last_delivered() else {
             // A 250 with no envelope is a state-machine bug: log it as a
             // counter and degrade to 451 instead of crashing the worker.
-            self.internal_errors.inc();
+            self.metrics.internal_errors.inc();
             return Reply::local_error();
         };
         let rcpts: Vec<&str> = env.recipients.iter().map(|a| a.local_part()).collect();
         let stored = {
-            let _span = self.storage_ns.start();
+            let _span = self.metrics.storage_ns.start();
             ctx.store.deliver(id, &rcpts, DataRef::Bytes(&env.body))
         };
         // The body's allocation goes back to the pool for the next DATA.
@@ -144,8 +140,8 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        self.queue_depth.dec();
-        self.queue_wait_ns.record_since(enqueued_ns);
+        self.metrics.queue_depth.dec();
+        self.metrics.queue_wait_ns.record_since(enqueued_ns);
         let mut session = task.session;
         session.capture_bodies(true);
         Some(Arrival {
@@ -170,14 +166,14 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
                 return Step::Continue;
             }
             post.data_start = None;
-            self.data_ns.record_since(start);
+            self.metrics.data_ns.record_since(start);
             self.store_mail(&mut post.session).write_wire(out);
             return Step::PhaseEnd;
         }
         let reply = smtp_command(&mut post.session, line, &self.verbs, &self.ctx.mailboxes);
         reply.write_wire(out);
         if reply.code() == 354 {
-            post.data_start = Some(self.data_ns.now());
+            post.data_start = Some(self.metrics.data_ns.now());
             // Capture the body into a pooled buffer.
             post.session
                 .provide_body_buffer(self.ctx.body_pool.take_vec());
@@ -201,7 +197,7 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
         if let Some(start) = gone.session.data_start {
             // Ended mid-DATA: close out the span so abandoned transfers
             // still show up in the latency histogram.
-            self.data_ns.record_since(start);
+            self.metrics.data_ns.record_since(start);
         }
         match end {
             End::Closed | End::PeerGone | End::Idle | End::Detached => {}
@@ -252,11 +248,7 @@ pub fn run_posttrust<C: Conn, R: Reactor, B: Backend>(reactor: &mut R, ctx: Work
     };
     let mut proto = PostTrust {
         ctx,
-        queue_wait_ns: registry.span("worker.queue_wait_ns"),
-        data_ns: registry.span("worker.data_ns"),
-        storage_ns: registry.span("worker.storage_ns"),
-        queue_depth: registry.gauge("worker.queue_depth"),
-        internal_errors: registry.counter("live.internal_error"),
+        metrics: WorkerMetrics::register(&registry),
         verbs: VerbCounters::register(&registry),
     };
     drive(reactor, &mut proto, &env);

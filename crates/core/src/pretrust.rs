@@ -22,12 +22,12 @@ use crate::driver::{
     drive, farewell, Acceptor, Arrival, Conn, DriverEnv, DriverMetrics, End, Gone, Limits,
     Protocol, Step,
 };
+use crate::instruments::{LiveStats, MasterMetrics, VerbCounters};
 use crate::linebuf::LineBuffer;
-use crate::live::{LiveStats, VerbCounters};
 use crate::pool::BufferPool;
 use crate::reactor::Reactor;
 use crossbeam::channel::Sender;
-use spamaware_metrics::{Counter, Gauge, Registry, SpanHandle};
+use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_netaddr::Ipv4;
 use spamaware_smtp::{
     Command, MailAddr, Reply, ServerSession, SessionConfig, SessionOutcome, SessionPhase,
@@ -135,9 +135,7 @@ struct PreTrust<'a, A, S> {
     sink: &'a mut S,
     /// Pre-trust connections held per client IP (admission ledger).
     per_ip: HashMap<Ipv4, usize>,
-    pretrust_ns: SpanHandle,
-    agent_dropped: Arc<Counter>,
-    evicted_slow_writers: Arc<Counter>,
+    metrics: MasterMetrics,
     verbs: VerbCounters,
 }
 
@@ -203,7 +201,7 @@ where
                 // — under overload we lose a statistic, never mail
                 // service.
                 if tx.try_send(peer).is_err() {
-                    self.agent_dropped.inc();
+                    self.metrics.agent_dropped.inc();
                 }
             }
             let session = ServerSession::new(SessionConfig {
@@ -241,7 +239,7 @@ where
                 self.per_ip.remove(&peer);
             }
         }
-        self.pretrust_ns.record_since(gone.accepted_ns);
+        self.metrics.pretrust_ns.record_since(gone.accepted_ns);
         let mut conn = gone.conn;
         let mut leftover = gone.lines.into_remaining();
         // Only a dialog the client ended (QUIT, hang-up) is a bounce; an
@@ -279,7 +277,7 @@ where
             // Idle slow client: dropped without a word.
             End::Idle => stats.idle_evictions.inc(),
             // No farewell either: by definition it is not reading.
-            End::SlowWriter => self.evicted_slow_writers.inc(),
+            End::SlowWriter => self.metrics.evicted_slow_writers.inc(),
             End::Session | End::Phase => {
                 stats.session_deadline_evictions.inc();
                 say_unavailable(&mut conn);
@@ -328,16 +326,14 @@ where
             phase: Duration::MAX,
             max_outq_bytes: ctx.max_outq_bytes,
         },
-        metrics: DriverMetrics::master(registry),
+        metrics: DriverMetrics::register(registry),
     };
     let mut proto = PreTrust {
         acceptor,
         ctx,
         sink,
         per_ip: HashMap::new(),
-        pretrust_ns: registry.span("master.pretrust_ns"),
-        agent_dropped: registry.counter("dnsbl.agent_dropped"),
-        evicted_slow_writers: registry.counter("master.evicted_slow_writers"),
+        metrics: MasterMetrics::register(registry),
         verbs: VerbCounters::register(registry),
     };
     drive(reactor, &mut proto, &env);

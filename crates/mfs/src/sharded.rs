@@ -85,9 +85,6 @@ pub struct ShardedStore<B> {
     shared: Mutex<MfsStore<B>>,
     /// Mailbox partitions, indexed by [`shard_index`].
     shards: Vec<Mutex<MfsStore<B>>>,
-    /// Recipient count at which delivery routes through `shmailbox`
-    /// (mirrors [`MfsStore::with_share_threshold`], default 2).
-    share_threshold: usize,
     metrics: Option<ShardMetrics>,
 }
 
@@ -177,7 +174,6 @@ impl<B: Backend> ShardedStore<B> {
         Ok(ShardedStore {
             shared: detached(whole),
             shards: parts.into_iter().map(detached).collect(),
-            share_threshold: 2,
             metrics: None,
         })
     }
@@ -219,24 +215,12 @@ impl<B: Backend> ShardedStore<B> {
         ShardedStore {
             shared,
             shards,
-            share_threshold: self.share_threshold,
             metrics: Some(ShardMetrics {
                 write_ns: registry.span(&format!("{prefix}.write_ns")),
                 delete_ns: registry.span(&format!("{prefix}.delete_ns")),
                 contention_ns: registry.span(&format!("{prefix}.shard_contention_ns")),
             }),
         }
-    }
-
-    /// Sets the share threshold (see [`MfsStore::with_share_threshold`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is zero.
-    pub fn with_share_threshold(mut self, threshold: usize) -> ShardedStore<B> {
-        assert!(threshold >= 1, "threshold must be at least 1");
-        self.share_threshold = threshold;
-        self
     }
 
     /// Number of mailbox shards.
@@ -263,11 +247,12 @@ impl<B: Backend> ShardedStore<B> {
     }
 
     /// Delivers one mail to all `mailboxes` — the concurrent
-    /// `mail_nwrite`. Below the share threshold each recipient's body goes
-    /// to its own shard under that shard's lock alone; at or above it, the
-    /// body is appended once to `shmailbox` under the short-hold shared
-    /// lock, which is released before the per-recipient key tuples are
-    /// attached shard by shard.
+    /// `mail_nwrite`. A single recipient's body goes to its own shard
+    /// under that shard's lock alone; for two or more (the share threshold
+    /// [`MfsStore::with_share_threshold`] defaults to) the body is
+    /// appended once to `shmailbox` under the short-hold shared lock,
+    /// which is released before the per-recipient key tuples are attached
+    /// shard by shard.
     ///
     /// # Errors
     ///
@@ -280,10 +265,8 @@ impl<B: Backend> ShardedStore<B> {
         }
         match mailboxes {
             [] => Ok(()),
-            mbs if mbs.len() < self.share_threshold => {
-                for mb in mbs {
-                    self.locked(self.shard_for(mb)).write_own(mb, id, body)?;
-                }
+            [mb] => {
+                self.locked(self.shard_for(mb)).write_own(mb, id, body)?;
                 Ok(())
             }
             _ => {

@@ -6,7 +6,9 @@
 //! in non-test code (incremented/recorded through its handle, or read by
 //! name), and **documented** in `DESIGN.md`. The pass walks string literals
 //! (via [`crate::scan::Line::strings`], so blanked code text is no obstacle)
-//! and reports any break in the loop:
+//! and reports any break in the loop. A registration is a registry call
+//! (`.counter("…")`) or a row of the live server's instrument table
+//! (`crates/core/src/instruments.rs`, [`is_table_row`]):
 //!
 //! * registered but not documented in `DESIGN.md`;
 //! * documented but never registered (stale docs);
@@ -28,9 +30,10 @@ use crate::findings::Finding;
 use crate::scan::find_token;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Metric namespaces under provenance control. Other prefixes (bench
-/// experiment tags, `smtp.verb.*`, `master.*`, `worker.*`) are operational
-/// detail and stay out of the documentation contract.
+/// Metric namespaces under provenance control. The live server's other
+/// prefixes (`smtp.verb.*`, `master.*`, `worker.*`) are rows of the same
+/// instrument table, which a test in `crates/core` holds to `DESIGN.md`
+/// §14.3 byte for byte; bench experiment tags stay out of the contract.
 pub const NAMESPACES: &[&str] = &["live", "dnsbl", "mfs"];
 
 /// Registry call shapes that register a metric.
@@ -144,6 +147,20 @@ fn binding_of(code: &str) -> Option<String> {
     .then(|| name.to_owned())
 }
 
+/// Whether `code` is a row of the live server's instrument table:
+/// `field: kind "name" …`. The table's macro turns each row into the one
+/// `registry.kind("name")` call that exists for the name, so a row is a
+/// registration. It binds no local for the dead-counter check to follow:
+/// the row becomes a struct field, and rustc's `dead_code` reports a
+/// crate-private field nothing reads.
+fn is_table_row(code: &str) -> bool {
+    code.split_once(':').is_some_and(|(_, rest)| {
+        ["counter \"", "gauge \"", "span \""]
+            .iter()
+            .any(|kind| rest.trim_start().starts_with(kind))
+    })
+}
+
 /// Scans `text` (DESIGN.md) for metric names; returns name → first line.
 fn documented_names(text: &str) -> BTreeMap<String, usize> {
     let mut out = BTreeMap::new();
@@ -203,7 +220,8 @@ pub fn check(ws: &Workspace, design: &str, design_path: &str) -> ProvenanceRepor
             if file.in_test[li] || line.strings.is_empty() {
                 continue;
             }
-            let is_reg = REG_TOKENS.iter().any(|t| line.code.contains(t));
+            let is_row = is_table_row(&line.code);
+            let is_reg = is_row || REG_TOKENS.iter().any(|t| line.code.contains(t));
             let is_read = READ_TOKENS.iter().any(|t| line.code.contains(t));
             if line.code.contains(".with_metrics(") {
                 for s in &line.strings {
@@ -221,7 +239,7 @@ pub fn check(ws: &Workspace, design: &str, design_path: &str) -> ProvenanceRepor
                             file: file.path.clone(),
                             line: li + 1,
                             krate: krate.clone(),
-                            binding: binding_of(&line.code),
+                            binding: (!is_row).then(|| binding_of(&line.code)).flatten(),
                             waived: file.waived(li, "metrics-provenance"),
                         });
                     } else if is_read {
@@ -520,6 +538,31 @@ fn snapshot(r: &Registry) -> String {
         let rep = check(&w, design, "DESIGN.md");
         assert!(rep.findings.is_empty(), "{:?}", rep.findings);
         assert!(rep.template_suffixes.contains("write_ns"));
+    }
+
+    #[test]
+    fn instrument_table_rows_are_registrations() {
+        let src = r#"
+instruments! {
+    pub struct LiveStats / LiveSnapshot {
+        accepted: counter "live.accepted" "Connections accepted.",
+        delivered: counter "live.delivered" terminal "Connections that delivered mail.",
+    }
+    pub(crate) struct AgentMetrics {
+        lookup_ns: span "dnsbl.agent_ns" "Agent latency.",
+    }
+}
+fn snapshot(r: &Registry) -> String {
+    r.render()
+}
+"#;
+        let design = "`live.accepted`, `dnsbl.agent_ns` and `live.stale` are documented.\n";
+        let w = ws(&[("crates/core/src/instruments.rs", src)]);
+        let rep = check(&w, design, "DESIGN.md");
+        let messages: Vec<&str> = rep.findings.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(messages.len(), 2, "{messages:?}");
+        assert!(messages[0].contains("`live.stale` is documented here but never registered"));
+        assert!(messages[1].contains("`live.delivered` is registered here but not documented"));
     }
 
     #[test]

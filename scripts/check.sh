@@ -7,7 +7,9 @@
 # ordered cheapest-first so failures surface quickly:
 #
 #   1. cargo fmt --check       — formatting is canonical
-#   2. cargo clippy            — workspace lints, warnings are errors
+#   2. cargo clippy            — workspace lints over every target (tests,
+#                                examples and benches too), warnings are
+#                                errors
 #   3. spamaware-xtask report  — every static-analysis pass in one run:
 #                                the line lint (determinism / panic-safety /
 #                                unsafe-audit / invariant-provenance) plus
@@ -73,8 +75,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --quiet -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 echo "==> cargo run -p spamaware-xtask -- report --json"
 cargo run --quiet -p spamaware-xtask -- report --json
