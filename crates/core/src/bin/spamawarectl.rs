@@ -142,6 +142,10 @@ fn run(args: &[String]) -> Result<(), String> {
             // in-flight work is allowed to finish and the process exits
             // cleanly, printing `DRAINED`.
             loop {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the process's main thread, which serves nobody: it polls for the admin DRAIN flag"
+                )]
                 std::thread::sleep(std::time::Duration::from_millis(50));
                 if server.is_draining() {
                     // The flag is already set, so the grace period here

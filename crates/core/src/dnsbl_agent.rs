@@ -61,7 +61,13 @@ pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
         // `recv` returns `Err` once every sender is gone; the master is
         // stopped and joined before this thread, so shutdown surfaces
         // here as a disconnect.
-        let Ok(peer_ip) = ctx.rx.recv() else { break };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the DNSBL agent's own thread: it has nothing to do until the master enqueues a lookup"
+        )]
+        let Ok(peer_ip) = ctx.rx.recv() else {
+            break;
+        };
         let start = metrics.lookup_ns.now();
         let listed = if let Some((server_addr, zone)) = &ctx.dnsbl_udp {
             // Real DNSBLv6 query over UDP, cached per /25. Only
@@ -76,12 +82,17 @@ pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
                     // dead dependency).
                     BreakerDecision::ShortCircuit => false,
                     BreakerDecision::Allow | BreakerDecision::Probe => {
-                        match UdpDnsbl::lookup_v6_timeout(
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the DNSBL agent's own thread: the master parks the connection and is woken with the verdict"
+                        )]
+                        let answer = UdpDnsbl::lookup_v6_timeout(
                             *server_addr,
                             zone,
                             peer_ip,
                             ctx.dnsbl_udp_timeout,
-                        ) {
+                        );
+                        match answer {
                             Ok(bitmap) => {
                                 breaker.record_success();
                                 let listed = bitmap.contains(peer_ip);

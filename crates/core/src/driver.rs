@@ -18,8 +18,8 @@
 //! master ([`crate::pretrust`]), post-trust SMTP on each worker
 //! ([`crate::posttrust`]), POP3, and the one-line admin protocol. The
 //! driver is the only code that parks a thread or touches a socket; a
-//! protocol is a state machine over lines (the xtask blocking pass pins
-//! exactly that, DESIGN.md §14.2).
+//! protocol is a state machine over lines, handed a `&mut Vec<u8>` to
+//! reply into and never the connection (DESIGN.md §14.2).
 //!
 //! Everything is injected — transport ([`Conn`]/[`Acceptor`]), reactor,
 //! clock, flags — so the same loop runs on epoll and real sockets in
@@ -96,7 +96,8 @@ impl Conn for TcpStream {
 
     fn write_ready(&mut self, buf: &[u8]) -> io::Result<usize> {
         // The server's single raw socket-write site: everything above it
-        // goes through an OutBuf (pinned in the xtask blocking pass).
+        // goes through an OutBuf, and `write_all` is refused crate-wide
+        // (clippy.toml).
         Write::write(self, buf)
     }
 }

@@ -307,6 +307,21 @@ histogram worker.queue_wait_ns\n\
 histogram worker.storage_ns\n\
 ";
 
+    /// How `metrics_report()` starts the line of an instrument that either
+    /// table of DESIGN.md §14.3 lists as `kind`: a span is its histogram.
+    fn report_line(kind: &str, name: &str) -> String {
+        let kind = if kind == "span" { "histogram" } else { kind };
+        format!("{kind} {name}")
+    }
+
+    /// `kind name` of every line of a `metrics_report()`.
+    fn inventory_of(report: &str) -> Vec<String> {
+        report
+            .lines()
+            .map(|line| line.splitn(3, ' ').take(2).collect::<Vec<_>>().join(" "))
+            .collect()
+    }
+
     #[test]
     fn fresh_server_registers_the_inventory_it_always_did() {
         let root = std::env::temp_dir().join(format!("spamaware-inventory-{}", std::process::id()));
@@ -315,15 +330,70 @@ histogram worker.storage_ns\n\
         let report = server.metrics_report();
         server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
-        let inventory: Vec<String> = report
-            .lines()
-            .map(|line| line.splitn(3, ' ').take(2).collect::<Vec<_>>().join(" "))
-            .collect();
+        let inventory = inventory_of(&report);
         let golden: Vec<&str> = FRESH_INVENTORY
             .lines()
             .filter(|line| cfg!(debug_assertions) || *line != "counter live.alloc_bytes")
             .collect();
         assert_eq!(inventory, golden);
+    }
+
+    /// The `dnsbl` and `mfs` crates name their instruments from a prefix
+    /// the caller passes, so no table can declare them. What the server's
+    /// registry holds under those two prefixes beyond the table's rows
+    /// must be DESIGN.md §14.3's second, hand-kept table and nothing
+    /// else — read from a running registry, in both directions.
+    #[test]
+    fn design_md_lists_every_prefixed_instrument_the_server_registers() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(path).expect("read DESIGN.md");
+        let mut documented: Vec<String> = design
+            .lines()
+            .skip_while(|line| *line != "| metric | kind | meaning |")
+            .skip(2)
+            .take_while(|line| line.starts_with("| `"))
+            .map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                report_line(cells[2], cells[1].trim_matches('`'))
+            })
+            .collect();
+        documented.sort();
+
+        let root = std::env::temp_dir().join(format!("spamaware-prefixed-{}", std::process::id()));
+        let mut cfg = LiveConfig::localhost(&root, vec!["alice".to_owned()]);
+        cfg.dnsbl = Some(crate::experiment::default_dnsbl([]));
+        let server = LiveServer::start(cfg).expect("start");
+        // The agent registers its breaker's and resolver's instruments
+        // from its own thread, some time after `start` returns.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let registered = loop {
+            let mut names = inventory_of(&server.metrics_report());
+            names.retain(|line| {
+                let name = line.split(' ').nth(1).unwrap_or_default();
+                (name.starts_with("dnsbl.") || name.starts_with("mfs."))
+                    && !TABLE.iter().any(|row| row.name == name)
+            });
+            names.sort();
+            if names == documented || std::time::Instant::now() >= deadline {
+                break names;
+            }
+            std::thread::yield_now();
+        };
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+        let unregistered: Vec<_> = documented
+            .iter()
+            .filter(|line| !registered.contains(line))
+            .collect();
+        let undocumented: Vec<_> = registered
+            .iter()
+            .filter(|line| !documented.contains(line))
+            .collect();
+        assert!(
+            registered == documented,
+            "DESIGN.md §14.3's second table lists {unregistered:?}, which the server never \
+             registers, and lacks {undocumented:?}, which it does"
+        );
     }
 
     #[test]
@@ -335,10 +405,7 @@ histogram worker.storage_ns\n\
         let mut declared: Vec<String> = TABLE
             .iter()
             .filter(|row| !agent_only.contains(&row.name))
-            .map(|row| match row.kind {
-                "span" => format!("histogram {}", row.name),
-                kind => format!("{kind} {}", row.name),
-            })
+            .map(|row| report_line(row.kind, row.name))
             .collect();
         declared.sort();
         let mut registered: Vec<&str> = FRESH_INVENTORY

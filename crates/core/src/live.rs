@@ -524,6 +524,10 @@ impl LiveServer {
             if std::time::Instant::now() >= deadline {
                 return false;
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the caller's thread (whoever asked for the drain), polling the in-flight gauge; no session runs on it"
+            )]
             std::thread::sleep(Duration::from_millis(2));
         }
         true
@@ -542,6 +546,10 @@ impl LiveServer {
             waker.wake();
         }
         for h in self.threads.drain(..) {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the caller's thread (shutdown or drop), after every session loop was told to stop and woken"
+            )]
             let _ = h.join();
         }
     }

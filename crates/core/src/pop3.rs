@@ -162,6 +162,10 @@ impl Pop3Server {
         self.stop.store(true, Ordering::SeqCst);
         self.waker.wake();
         if let Some(h) = self.thread.take() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the caller's thread (shutdown or drop), after the POP3 loop was told to stop and woken"
+            )]
             let _ = h.join();
         }
     }

@@ -137,6 +137,10 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
                 && !ctx.stop.load(Ordering::SeqCst)
                 && !ctx.draining.load(Ordering::SeqCst)
             {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a worker's driver thread, only under the chaos suite's hold flag: stalling this worker is what the hook is for"
+                )]
                 std::thread::sleep(Duration::from_millis(1));
             }
         }

@@ -7,8 +7,9 @@
 //! total in-flight cap, per-IP cap — cheapest first and all before any
 //! DNSBL spend), the fire-and-forget DNSBL hand-off, the SMTP dialog up
 //! to the first valid `RCPT TO`, and fork-after-trust delegation through
-//! an injected sink. Nothing here blocks or touches the reactor (the
-//! xtask blocking pass enforces it; DESIGN.md §14.2).
+//! an injected sink. Nothing here blocks or touches the reactor: the
+//! calls that could are refused crate-wide by `clippy.toml`, and none of
+//! its waivers is in this file (DESIGN.md §14.2).
 //!
 //! Everything is injected: the [`Acceptor`]/`Conn` transport pair (real
 //! `TcpListener`/`TcpStream`, or the scripted doubles in

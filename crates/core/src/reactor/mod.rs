@@ -61,8 +61,8 @@ pub struct ReadyEvent {
 
 /// Readiness notification: level-triggered readability, opt-in per-id
 /// write interest, plus a bounded wait. The reactor wait is the single
-/// sanctioned blocking call of a driver thread (DESIGN.md §15); the xtask
-/// blocking pass whitelists it by name and keeps everything else banned.
+/// blocking call of a driver thread, made from one line of `driver.rs`
+/// (DESIGN.md §14.2, §15).
 pub trait Reactor {
     /// Starts watching `poll_id` for readability under `token` (write
     /// interest starts disarmed).

@@ -12,6 +12,9 @@
 //! one regression pins that two identical runs produce byte-identical
 //! metrics renders and reactor event logs.
 
+// The shared helpers poll with a sleep on the test's own thread;
+// crates/core/clippy.toml is about the server's.
+#[allow(clippy::disallowed_methods)]
 #[path = "../../../tests/tests/common/mod.rs"]
 mod common;
 

@@ -125,7 +125,9 @@ impl<B: Backend> Backend for FaultyBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Layout, MailId, MailStore, MemFs, MfsStore};
+    use crate::{
+        HardlinkStore, Layout, MailId, MailStore, MaildirStore, MboxStore, MemFs, MfsStore,
+    };
 
     #[test]
     fn countdown_fault_fires_once_armed() {
@@ -150,29 +152,30 @@ mod tests {
         }
     }
 
+    /// Delivers to two mailboxes (MFS's shared path included), arms
+    /// `fail_reads` through the store's own `backend_mut`, and requires
+    /// the read to fail as `Io` rather than come back short or empty.
+    fn read_fault_surfaces<S: MailStore>(
+        mut store: S,
+        backend_mut: impl FnOnce(&mut S) -> &mut FaultyBackend<MemFs>,
+    ) {
+        let layout = store.layout_name();
+        store
+            .deliver(MailId(1), &["a", "b"], DataRef::Bytes(b"body"))
+            .unwrap();
+        assert_eq!(store.read_mailbox("a").unwrap().len(), 1, "{layout}");
+        backend_mut(&mut store).plan_mut().fail_reads = true;
+        let got = store.read_mailbox("a");
+        assert!(matches!(got, Err(StoreError::Io(_))), "{layout}: {got:?}");
+    }
+
     #[test]
-    fn all_layouts_surface_read_faults() -> Result<(), Box<dyn std::error::Error>> {
-        for layout in Layout::ALL {
-            let mut store = layout.build({
-                let mut fs = FaultyBackend::new(MemFs::new());
-                fs.plan_mut().fail_reads = false;
-                fs
-            });
-            store.deliver(MailId(1), &["a"], DataRef::Bytes(b"x"))?;
-            // No direct plan access after boxing: deliver a read fault by
-            // rebuilding instead. Covered per-layout below for MFS.
-            let _ = store.read_mailbox("a")?;
-        }
-        // Focused read-fault check on MFS (the layout with the most read
-        // paths: key replay + shared data).
-        let mut fs = FaultyBackend::new(MemFs::new());
-        let mut store = MfsStore::new(fs);
-        store.deliver(MailId(1), &["a", "b"], DataRef::Bytes(b"shared"))?;
-        store.backend_mut().plan_mut().fail_reads = true;
-        assert!(store.read_mailbox("a").is_err());
-        fs = std::mem::replace(store.backend_mut(), FaultyBackend::new(MemFs::new()));
-        let _ = fs;
-        Ok(())
+    fn all_layouts_surface_read_faults() {
+        let fs = || FaultyBackend::new(MemFs::new());
+        read_fault_surfaces(MboxStore::new(fs()), MboxStore::backend_mut);
+        read_fault_surfaces(MaildirStore::new(fs()), MaildirStore::backend_mut);
+        read_fault_surfaces(HardlinkStore::new(fs()), HardlinkStore::backend_mut);
+        read_fault_surfaces(MfsStore::new(fs()), MfsStore::backend_mut);
     }
 
     #[test]

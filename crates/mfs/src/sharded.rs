@@ -20,7 +20,11 @@
 //! No thread ever holds two partition locks at once. `deliver` acquires
 //! shared → release → each recipient shard in turn; `delete` acquires the
 //! shard → release → shared. Since every hold is singular, no cycle can
-//! form. The underlying files stay consistent without cross-lock critical
+//! form. The type says so: a partition is only reachable through
+//! `with_part`/`peek`, which run a closure under the lock and hand
+//! no guard out, and in debug builds `SoleHold` panics when a thread
+//! enters one of them while inside another.
+//! The underlying files stay consistent without cross-lock critical
 //! sections because every MFS file is append-only and a shared body's
 //! `(offset, len)` is only published to shards *after* its append
 //! completed.
@@ -35,7 +39,41 @@ use crate::mfs_store::TailPolicy;
 use crate::{Backend, MailId, MailStore, MfsStats, MfsStore, StoreResult, StoredMail};
 use parking_lot::Mutex;
 use spamaware_metrics::{Registry, SpanHandle};
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
+
+#[cfg(debug_assertions)]
+use sole_hold::SoleHold;
+
+/// Debug builds only.
+#[cfg(debug_assertions)]
+mod sole_hold {
+    use std::cell::Cell;
+
+    thread_local! {
+        static HOLDS_A_PARTITION: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Marks this thread as inside a partition hold for as long as the
+    /// value lives, and panics on a second hold under the first — the one
+    /// way left to deadlock a store whose locks never leave a closure.
+    pub(super) struct SoleHold;
+
+    impl SoleHold {
+        pub(super) fn enter() -> SoleHold {
+            assert!(
+                !HOLDS_A_PARTITION.replace(true),
+                "ShardedStore: partition lock requested while this thread already holds one"
+            );
+            SoleHold
+        }
+    }
+
+    impl Drop for SoleHold {
+        fn drop(&mut self) {
+            HOLDS_A_PARTITION.set(false);
+        }
+    }
+}
 
 /// FNV-1a shard selection: stable across runs and platforms, so a store
 /// reopened with the same shard count deals each mailbox to the same
@@ -182,9 +220,9 @@ impl<B: Backend> ShardedStore<B> {
     /// [`MfsStore::max_mail_id`]); the live server seeds its allocator
     /// above this on restart so ids are never reused.
     pub fn max_mail_id(&self) -> Option<MailId> {
-        let mut max = self.shared.lock().max_mail_id();
+        let mut max = Self::peek(&self.shared, MfsStore::max_mail_id);
         for shard in &self.shards {
-            max = max.max(shard.lock().max_mail_id());
+            max = max.max(Self::peek(shard, MfsStore::max_mail_id));
         }
         max
     }
@@ -193,7 +231,7 @@ impl<B: Backend> ShardedStore<B> {
     /// [`ShardedStore::open_with`] (see [`MfsStore::recovered_records`]);
     /// the store that replayed is the shared partition.
     pub fn recovered_records(&self) -> u64 {
-        self.shared.lock().recovered_records()
+        Self::peek(&self.shared, MfsStore::recovered_records)
     }
 
     /// Reports the same per-operation metrics as
@@ -228,10 +266,15 @@ impl<B: Backend> ShardedStore<B> {
         self.shards.len()
     }
 
-    /// Acquires a partition lock, charging wait time to
-    /// `shard_contention_ns` when metrics are on.
-    fn locked<'a>(&self, part: &'a Mutex<MfsStore<B>>) -> MutexGuard<'a, MfsStore<B>> {
-        match &self.metrics {
+    /// Runs one store operation, `f`, under a partition's lock, charging
+    /// the wait for it to `shard_contention_ns` when metrics are on. The
+    /// guard never leaves this function, so a hold ends where its
+    /// closure ends; it cannot reach a loop's next turn or a later match
+    /// arm.
+    fn with_part<R>(&self, part: &Mutex<MfsStore<B>>, f: impl FnOnce(&mut MfsStore<B>) -> R) -> R {
+        #[cfg(debug_assertions)]
+        let _sole = SoleHold::enter();
+        let mut guard = match &self.metrics {
             Some(m) => {
                 let start = m.contention_ns.now();
                 let guard = part.lock();
@@ -239,7 +282,16 @@ impl<B: Backend> ShardedStore<B> {
                 guard
             }
             None => part.lock(),
-        }
+        };
+        f(&mut guard)
+    }
+
+    /// [`ShardedStore::with_part`] for the reporting paths: read-only, and
+    /// not a store operation, so it stays out of the contention histogram.
+    fn peek<R>(part: &Mutex<MfsStore<B>>, f: impl FnOnce(&MfsStore<B>) -> R) -> R {
+        #[cfg(debug_assertions)]
+        let _sole = SoleHold::enter();
+        f(&part.lock())
     }
 
     fn shard_for(&self, mailbox: &str) -> &Mutex<MfsStore<B>> {
@@ -265,19 +317,15 @@ impl<B: Backend> ShardedStore<B> {
         }
         match mailboxes {
             [] => Ok(()),
-            [mb] => {
-                self.locked(self.shard_for(mb)).write_own(mb, id, body)?;
-                Ok(())
-            }
+            [mb] => self.with_part(self.shard_for(mb), |p| p.write_own(mb, id, body)),
             _ => {
-                let (offset, len) =
-                    self.locked(&self.shared)
-                        .shared_acquire(id, body, mailboxes.len() as i64)?;
+                let (offset, len) = self.with_part(&self.shared, |p| {
+                    p.shared_acquire(id, body, mailboxes.len() as i64)
+                })?;
                 // Shared lock released: the body is durably appended and
                 // its coordinates fixed, so shards may now reference it.
                 for mb in mailboxes {
-                    self.locked(self.shard_for(mb))
-                        .attach_shared(mb, id, offset, len)?;
+                    self.with_part(self.shard_for(mb), |p| p.attach_shared(mb, id, offset, len))?;
                 }
                 Ok(())
             }
@@ -287,7 +335,7 @@ impl<B: Backend> ShardedStore<B> {
     /// Index-only mailbox listing (see [`MfsStore::list_mailbox`]): one
     /// O(1)-hold acquisition of the mailbox's shard, no disk reads.
     pub fn list_mailbox(&self, mailbox: &str) -> Vec<(MailId, u64)> {
-        self.locked(self.shard_for(mailbox)).list_mailbox(mailbox)
+        self.with_part(self.shard_for(mailbox), |p| p.list_mailbox(mailbox))
     }
 
     /// Reads one mail under one short shard hold (see
@@ -298,7 +346,7 @@ impl<B: Backend> ShardedStore<B> {
     /// [`crate::StoreError::NotFound`] when the mailbox has no live mail
     /// with this id; backend read failures.
     pub fn read_mail(&self, mailbox: &str, id: MailId) -> StoreResult<StoredMail> {
-        self.locked(self.shard_for(mailbox)).read_mail(mailbox, id)
+        self.with_part(self.shard_for(mailbox), |p| p.read_mail(mailbox, id))
     }
 
     /// Reads every live mail in a mailbox, in delivery order. The shard
@@ -337,11 +385,9 @@ impl<B: Backend> ShardedStore<B> {
     /// [`crate::StoreError::NotFound`] when the mailbox or id is unknown.
     pub fn delete(&self, mailbox: &str, id: MailId) -> StoreResult<()> {
         let _span = self.metrics.as_ref().map(|m| m.delete_ns.start());
-        let freed = self
-            .locked(self.shard_for(mailbox))
-            .delete_local(mailbox, id)?;
+        let freed = self.with_part(self.shard_for(mailbox), |p| p.delete_local(mailbox, id))?;
         if let Some((offset, len)) = freed {
-            self.locked(&self.shared).shared_release(id, offset, len)?;
+            self.with_part(&self.shared, |p| p.shared_release(id, offset, len))?;
         }
         Ok(())
     }
@@ -350,9 +396,9 @@ impl<B: Backend> ShardedStore<B> {
     /// when quiescent (locks are taken one partition at a time, so a
     /// concurrent delivery may be half-counted — fine for reporting).
     pub fn stats(&self) -> MfsStats {
-        let mut total = self.shared.lock().stats();
+        let mut total = Self::peek(&self.shared, MfsStore::stats);
         for shard in &self.shards {
-            let s = shard.lock().stats();
+            let s = Self::peek(shard, MfsStore::stats);
             total.shared_mails += s.shared_mails;
             total.shared_bytes += s.shared_bytes;
             total.freed_shared_bytes += s.freed_shared_bytes;
@@ -645,7 +691,40 @@ mod tests {
             .is_err());
     }
 
+    /// A POP3 scan must not keep a stripe for O(mailbox) disk reads: one
+    /// hold snapshots the index and each mail is read under its own, so a
+    /// mailbox of n mails costs n + 1 acquisitions. Calling
+    /// `MfsStore::read_mailbox` under a single hold makes it 1.
     #[test]
+    fn read_mailbox_takes_one_short_hold_per_mail() {
+        let registry = Registry::with_wall_clock();
+        let s = sharded(4).with_metrics(&registry, "mfs");
+        let n = 5;
+        for i in 0..n {
+            s.deliver(MailId(i), &["alice"], DataRef::Bytes(b"own"))
+                .unwrap();
+        }
+        let holds = || registry.histogram_count("mfs.shard_contention_ns").unwrap();
+        let before = holds();
+        assert_eq!(s.read_mailbox("alice").unwrap().len() as u64, n);
+        assert_eq!(holds() - before, n + 1);
+    }
+
+    /// What `SoleHold` is for: a second partition under the first is the
+    /// only way this store can deadlock, and it dies in every debug test
+    /// instead of once in production.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already holds one")]
+    fn second_partition_under_a_hold_panics() {
+        let s = sharded(2);
+        s.with_part(&s.shards[0], |_| s.with_part(&s.shards[1], |_| ()));
+    }
+
+    // The test's own thread joins its writers; crates/mfs/clippy.toml is
+    // about code that may run under a partition.
+    #[test]
+    #[allow(clippy::disallowed_methods)]
     fn parallel_disjoint_mailboxes_do_not_interfere() {
         let s = std::sync::Arc::new(sharded(8));
         let mut handles = Vec::new();

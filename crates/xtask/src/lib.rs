@@ -2,7 +2,9 @@
 //! `cargo run -p spamaware-xtask -- lint`.
 //!
 //! Four token/line-level passes over `crates/*/src` (deliberately
-//! dependency-free — no `syn`, no network):
+//! dependency-free — no `syn`, no network), and nothing else: rules about
+//! locks, blocking calls and instrument names are held by types, by
+//! clippy's `disallowed-methods` and by tests (DESIGN.md §14).
 //!
 //! | pass            | scope                          | rule |
 //! |-----------------|--------------------------------|------|
@@ -15,15 +17,10 @@
 //! the waiver syntax. The self-test corpus under `crates/xtask/tests/`
 //! seeds one violation per rule and one clean fixture per pass.
 
-pub mod blocking;
-pub mod callgraph;
 pub mod determinism;
 pub mod findings;
 pub mod invariants;
-pub mod locks;
 pub mod panics;
-pub mod provenance;
-pub mod report;
 pub mod scan;
 pub mod unsafety;
 
@@ -33,8 +30,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Crates whose simulation output must be a pure function of seed + trace.
-/// `bench` rides along so experiment binaries stay reproducible; its one
-/// legitimate wall-clock read (live throughput measurement) is waived.
+/// `bench` rides along so experiment binaries stay reproducible.
 pub const DETERMINISM_SCOPE: &[&str] = &["sim", "server", "dnsbl", "metrics", "bench"];
 /// Individual files outside the determinism-scoped crates that must
 /// nonetheless be deterministic: the crash-recovery layer, whose `mfsck`
@@ -59,9 +55,6 @@ pub const DETERMINISM_FILES: &[&str] = &[
 pub const PANIC_SCOPE: &[&str] = &["server", "smtp", "mfs", "dnsbl", "metrics", "core"];
 /// Waiver budget file, relative to the workspace root.
 pub const BUDGET_FILE: &str = "crates/xtask/panic-waivers.budget";
-/// Waiver budget file for the flow passes (lock-order / blocking /
-/// metrics-provenance), keyed `<rule>/<crate>`.
-pub const CONCURRENCY_BUDGET_FILE: &str = "crates/xtask/concurrency-waivers.budget";
 
 /// Outcome of a full workspace lint.
 pub struct LintReport {
@@ -121,90 +114,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         findings,
         files_scanned: files.len(),
         waivers_used,
-    })
-}
-
-/// Outcome of the concurrency/provenance flow passes (call-graph-based).
-pub struct FlowReport {
-    /// One [`report::PassResult`] per pass, in `lock-order`, `blocking`,
-    /// `metrics-provenance` order, each with its slice of the shared
-    /// concurrency waiver budget already checked in.
-    pub passes: Vec<report::PassResult>,
-    /// Deterministic lock-order graph dump (classes, edges, entry-held sets).
-    pub lock_dump: String,
-    /// Deterministic provenance dump (registered/template/documented names).
-    pub provenance_dump: String,
-}
-
-/// Budget findings for one flow pass: both the used-waiver map and the budget
-/// file are filtered to `<rule>/…` keys so running a single pass never
-/// reports another pass's budget entries as stale.
-fn flow_budget_findings(
-    rule: &str,
-    used: &BTreeMap<String, usize>,
-    budget: &BTreeMap<String, usize>,
-) -> Vec<Finding> {
-    let prefix = format!("{rule}/");
-    let slice = |m: &BTreeMap<String, usize>| -> BTreeMap<String, usize> {
-        m.iter()
-            .filter(|(k, _)| k.starts_with(&prefix))
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    };
-    panics::check_budget_as(
-        &slice(used),
-        &slice(budget),
-        CONCURRENCY_BUDGET_FILE,
-        "concurrency-budget",
-        rule,
-    )
-}
-
-/// Runs the three call-graph flow passes over `crates/*/src` under `root`,
-/// plus the shared shrink-only waiver budget.
-pub fn flow_workspace(root: &Path) -> io::Result<FlowReport> {
-    let ws = callgraph::Workspace::load(root)?;
-    let la = locks::check(&ws);
-    let ba = blocking::check(&ws, &la);
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
-    let pa = provenance::check(&ws, &design, "DESIGN.md");
-
-    let budget_text =
-        std::fs::read_to_string(root.join(CONCURRENCY_BUDGET_FILE)).unwrap_or_default();
-    let (budget, mut budget_err) = match panics::parse_budget(&budget_text) {
-        Ok(b) => (b, Vec::new()),
-        Err(e) => (
-            BTreeMap::new(),
-            vec![Finding::new(
-                CONCURRENCY_BUDGET_FILE,
-                0,
-                "concurrency-budget",
-                e,
-            )],
-        ),
-    };
-
-    let lock_dump = la.dump(&ws);
-    let provenance_dump = pa.dump();
-    let mut passes = Vec::new();
-    for (name, mut findings, waivers_used) in [
-        ("lock-order", la.findings, la.waivers_used),
-        ("blocking", ba.findings, ba.waivers_used),
-        ("metrics-provenance", pa.findings, pa.waivers_used),
-    ] {
-        findings.extend(flow_budget_findings(name, &waivers_used, &budget));
-        findings.append(&mut budget_err); // parse error surfaces once, on the first pass
-        passes.push(report::PassResult {
-            pass: name.to_owned(),
-            findings,
-            waivers_used,
-        });
-    }
-
-    Ok(FlowReport {
-        passes,
-        lock_dump,
-        provenance_dump,
     })
 }
 

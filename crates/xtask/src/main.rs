@@ -2,84 +2,50 @@
 //!
 //! ```text
 //! cargo run -p spamaware-xtask -- lint
-//! cargo run -p spamaware-xtask -- lock-order blocking metrics-provenance
-//! cargo run -p spamaware-xtask -- lock-order --dump
-//! cargo run -p spamaware-xtask -- report --json
 //! ```
 //!
-//! Several pass names may be given in one invocation; the process exits
-//! non-zero if any pass produced findings. `report --json` runs every pass
-//! and merges the findings into `results/xtask_report.json` plus a summary
-//! table on stdout.
+//! The process exits non-zero if the lint produced findings.
 
-use spamaware_xtask::report::PassResult;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const PASSES: &[&str] = &[
-    "lint",
-    "lock-order",
-    "blocking",
-    "metrics-provenance",
-    "report",
-];
-
-struct Cli {
-    commands: Vec<String>,
-    root: Option<PathBuf>,
-    dump: bool,
-    json: bool,
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
+    let root = match parse_args(&args) {
+        Ok(root) => resolve_root(root),
         Err(msg) => {
             eprintln!("{msg}");
-            usage();
+            eprintln!("usage: spamaware-xtask lint [--root <workspace-root>]");
             return ExitCode::from(2);
         }
     };
-    if cli.commands.is_empty() {
-        usage();
-        return ExitCode::from(2);
-    }
-    let root = resolve_root(cli.root.clone());
-    run(&cli, &root)
+    run(&root)
 }
 
-fn usage() {
-    eprintln!(
-        "usage: spamaware-xtask <pass>... [--root <workspace-root>] [--dump] [--json]\n\
-         passes: lint | lock-order | blocking | metrics-provenance | report"
-    );
-}
-
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        commands: Vec::new(),
-        root: None,
-        dump: false,
-        json: false,
-    };
+/// The `--root` override, if any; `Err` (what to say before the usage
+/// line) unless the arguments name `lint` and nothing unknown.
+fn parse_args(args: &[String]) -> Result<Option<PathBuf>, String> {
+    let mut lint = false;
+    let mut root = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => {
-                cli.root = Some(
+                root = Some(
                     it.next()
                         .map(PathBuf::from)
                         .ok_or_else(|| "--root needs a path".to_owned())?,
                 );
             }
-            "--dump" => cli.dump = true,
-            "--json" => cli.json = true,
-            name if PASSES.contains(&name) => cli.commands.push(name.to_owned()),
+            "lint" => lint = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(cli)
+    if lint {
+        Ok(root)
+    } else {
+        Err("no command given".to_owned())
+    }
 }
 
 /// `--root` if given, else the workspace root containing this crate (via
@@ -97,84 +63,24 @@ fn resolve_root(explicit: Option<PathBuf>) -> PathBuf {
     PathBuf::from(".")
 }
 
-fn lint_pass(root: &std::path::Path) -> Result<PassResult, String> {
-    let report = spamaware_xtask::lint_workspace(root).map_err(|e| format!("lint error: {e}"))?;
+fn run(root: &std::path::Path) -> ExitCode {
+    let report = match spamaware_xtask::lint_workspace(root) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("lint error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     println!("lint: {} files scanned", report.files_scanned);
-    Ok(PassResult {
-        pass: "lint".to_owned(),
-        findings: report.findings,
-        waivers_used: report.waivers_used,
-    })
-}
-
-fn run(cli: &Cli, root: &std::path::Path) -> ExitCode {
-    let want_report = cli.commands.iter().any(|c| c == "report");
-    let want = |name: &str| want_report || cli.commands.iter().any(|c| c == name);
-    let need_flow = want("lock-order") || want("blocking") || want("metrics-provenance");
-
-    let mut results: Vec<PassResult> = Vec::new();
-    if want("lint") {
-        match lint_pass(root) {
-            Ok(r) => results.push(r),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::from(2);
-            }
-        }
+    for finding in &report.findings {
+        println!("{finding}");
     }
-    if need_flow {
-        let flow = match spamaware_xtask::flow_workspace(root) {
-            Ok(flow) => flow,
-            Err(e) => {
-                eprintln!("flow analysis error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if cli.dump {
-            print!("{}", flow.lock_dump);
-            if want("metrics-provenance") {
-                print!("{}", flow.provenance_dump);
-            }
-        }
-        for pass in flow.passes {
-            if want(&pass.pass) {
-                results.push(pass);
-            }
-        }
-    }
-
-    for r in &results {
-        for finding in &r.findings {
-            println!("{finding}");
-        }
-    }
-    let total: usize = results.iter().map(|r| r.findings.len()).sum();
-
-    if want_report {
-        let json = spamaware_xtask::report::render_json(&results);
-        if cli.json {
-            let dir = root.join("results");
-            let path = dir.join("xtask_report.json");
-            if let Err(e) =
-                std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, &json))
-            {
-                eprintln!("report write error: {e}");
-                return ExitCode::from(2);
-            }
-            println!("wrote {}", path.display());
-        }
-        print!("{}", spamaware_xtask::report::summary_table(&results));
-    }
-
-    if total == 0 {
-        let waived: usize = results.iter().flat_map(|r| r.waivers_used.values()).sum();
-        println!(
-            "analysis clean: {} pass(es), {waived} budgeted waivers in use",
-            results.len()
-        );
+    if report.findings.is_empty() {
+        let waived: usize = report.waivers_used.values().sum();
+        println!("analysis clean: 1 pass(es), {waived} budgeted waivers in use");
         ExitCode::SUCCESS
     } else {
-        eprintln!("analysis failed: {total} finding(s)");
+        eprintln!("analysis failed: {} finding(s)", report.findings.len());
         ExitCode::FAILURE
     }
 }

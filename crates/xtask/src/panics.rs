@@ -102,19 +102,6 @@ pub fn check_budget(
     budget: &BTreeMap<String, usize>,
     budget_path: &str,
 ) -> Vec<Finding> {
-    check_budget_as(used, budget, budget_path, "panic-budget", "panic")
-}
-
-/// [`check_budget`] with a configurable rule name and waiver kind, so the
-/// concurrency passes (lock-order / blocking / metrics-provenance) can reuse
-/// the same shrink-only ratchet with `<rule>/<crate>` budget keys.
-pub fn check_budget_as(
-    used: &BTreeMap<String, usize>,
-    budget: &BTreeMap<String, usize>,
-    budget_path: &str,
-    rule: &'static str,
-    what: &str,
-) -> Vec<Finding> {
     let mut out = Vec::new();
     for (krate, &n) in used {
         let allowed = budget.get(krate).copied().unwrap_or(0);
@@ -122,9 +109,9 @@ pub fn check_budget_as(
             out.push(Finding::new(
                 budget_path,
                 0,
-                rule,
+                "panic-budget",
                 format!(
-                    "crate `{krate}` uses {n} {what} waivers, budget allows {allowed} (shrink-only)"
+                    "crate `{krate}` uses {n} panic waivers, budget allows {allowed} (shrink-only)"
                 ),
             ));
         }
@@ -135,7 +122,7 @@ pub fn check_budget_as(
             out.push(Finding::new(
                 budget_path,
                 0,
-                rule,
+                "panic-budget",
                 format!("crate `{krate}` budget is stale: {allowed} allowed but only {n} used — ratchet it down"),
             ));
         }

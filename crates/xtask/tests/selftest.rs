@@ -2,9 +2,8 @@
 //! accept its clean fixture, and the full workspace lint must come back
 //! clean (this is the same check `scripts/check.sh` runs pre-PR).
 
-use spamaware_xtask::callgraph::Workspace;
 use spamaware_xtask::scan::scan_source;
-use spamaware_xtask::{blocking, determinism, invariants, locks, panics, provenance, unsafety};
+use spamaware_xtask::{determinism, invariants, panics, unsafety};
 
 fn fixture(name: &str, path: &str) -> spamaware_xtask::scan::SourceFile {
     let text = match name {
@@ -109,127 +108,6 @@ fn invariant_lint_exempts_the_home_modules() {
 
     let f = fixture("violation_refcount", "crates/mfs/src/mfs_store.rs");
     assert!(invariants::check(&f).is_empty());
-}
-
-/// Loads a flow-pass fixture as a one-file workspace rooted in `core`.
-fn flow_fixture(name: &str) -> Workspace {
-    let text = match name {
-        "violation_lock_cycle" => include_str!("fixtures/violation_lock_cycle.rs"),
-        "violation_master_blocking" => include_str!("fixtures/violation_master_blocking.rs"),
-        "violation_sleep_under_lock" => include_str!("fixtures/violation_sleep_under_lock.rs"),
-        "violation_orphan_counter" => include_str!("fixtures/violation_orphan_counter.rs"),
-        "clean_flow" => include_str!("fixtures/clean_flow.rs"),
-        other => panic!("unknown flow fixture {other}"),
-    };
-    Workspace::from_sources(&[("crates/core/src/fixture.rs", text)])
-}
-
-#[test]
-fn lock_order_catches_seeded_cycle() {
-    let ws = flow_fixture("violation_lock_cycle");
-    let la = locks::check(&ws);
-    assert!(
-        la.findings
-            .iter()
-            .any(|f| f.rule == "lock-order" && f.message.contains("lock-order cycle")),
-        "seeded deadlock cycle not found: {:?}",
-        la.findings
-    );
-}
-
-#[test]
-fn blocking_catches_seeded_master_leaf() {
-    let ws = flow_fixture("violation_master_blocking");
-    let ba = blocking::check(&ws, &locks::check(&ws));
-    assert!(
-        ba.findings.iter().any(|f| f.rule == "blocking"
-            && f.message.contains("recv_from")
-            && f.message.contains("master_loop → admit → lookup")),
-        "seeded master-reachable blocking leaf not found: {:?}",
-        ba.findings
-    );
-}
-
-#[test]
-fn blocking_catches_seeded_sleep_under_lock() {
-    let ws = flow_fixture("violation_sleep_under_lock");
-    let ba = blocking::check(&ws, &locks::check(&ws));
-    assert!(
-        ba.findings
-            .iter()
-            .any(|f| f.rule == "blocking" && f.message.contains("sleep")),
-        "seeded sleep under a partition hold not found: {:?}",
-        ba.findings
-    );
-}
-
-#[test]
-fn provenance_catches_seeded_orphan_counter() {
-    let ws = flow_fixture("violation_orphan_counter");
-    let design = "no ghost here\n";
-    let rep = provenance::check(&ws, design, "DESIGN.md");
-    assert!(
-        rep.findings
-            .iter()
-            .any(|f| f.message.contains("live.ghost") && f.message.contains("not documented")),
-        "seeded orphan counter not found: {:?}",
-        rep.findings
-    );
-}
-
-#[test]
-fn flow_passes_accept_clean_fixture() {
-    let ws = flow_fixture("clean_flow");
-    let la = locks::check(&ws);
-    assert!(
-        la.findings.is_empty(),
-        "clean lock order flagged: {:?}",
-        la.findings
-    );
-    let ba = blocking::check(&ws, &la);
-    assert!(
-        ba.findings.is_empty(),
-        "clean blocking flagged: {:?}",
-        ba.findings
-    );
-    let design = "connections are counted in `live.accepted`.\n";
-    let rep = provenance::check(&ws, design, "DESIGN.md");
-    assert!(
-        rep.findings.is_empty(),
-        "clean provenance flagged: {:?}",
-        rep.findings
-    );
-}
-
-/// The real workspace must come back clean from the three flow passes —
-/// the acceptance gate for `cargo run -p spamaware-xtask -- lock-order
-/// blocking metrics-provenance` — and the graph dumps must be
-/// byte-identical across runs.
-#[test]
-fn workspace_flow_is_clean_and_deterministic() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(std::path::Path::parent)
-        .expect("workspace root");
-    let flow = spamaware_xtask::flow_workspace(root).expect("flow analysis");
-    for pass in &flow.passes {
-        let rendered: Vec<String> = pass.findings.iter().map(ToString::to_string).collect();
-        assert!(
-            pass.findings.is_empty(),
-            "{} violations:\n{}",
-            pass.pass,
-            rendered.join("\n")
-        );
-    }
-    let again = spamaware_xtask::flow_workspace(root).expect("flow analysis, second run");
-    assert_eq!(
-        flow.lock_dump, again.lock_dump,
-        "lock dump not deterministic"
-    );
-    assert_eq!(
-        flow.provenance_dump, again.provenance_dump,
-        "provenance dump not deterministic"
-    );
 }
 
 /// The real workspace must lint clean — this is the acceptance gate for

@@ -9,20 +9,22 @@
 #   1. cargo fmt --check       — formatting is canonical
 #   2. cargo clippy            — workspace lints over every target (tests,
 #                                examples and benches too), warnings are
-#                                errors
-#   3. spamaware-xtask report  — every static-analysis pass in one run:
-#                                the line lint (determinism / panic-safety /
-#                                unsafe-audit / invariant-provenance) plus
-#                                the call-graph flow passes — lock-order
-#                                graph (deadlock cycles, hierarchy
-#                                violations), blocking-reachability (no
-#                                blocking leaf on the session engine or
-#                                under a store lock), and metrics provenance
-#                                (every used counter registered,
-#                                snapshot-visible, and documented in
-#                                DESIGN.md §14.3). The merged JSON report
-#                                lands in results/xtask_report.json.
-#   4. cargo test              — unit, integration, property and doc tests
+#                                errors. The blocking rules live here:
+#                                crates/core/clippy.toml refuses any call
+#                                that can park a thread unless it carries
+#                                an #[expect] with a written reason, and
+#                                crates/mfs/clippy.toml refuses them
+#                                outright, since that crate runs under
+#                                store partitions (DESIGN.md §14.2).
+#   3. spamaware-xtask lint    — the line lint: determinism, panic-safety,
+#                                unsafe-audit, invariant-provenance
+#                                (DESIGN.md §9)
+#   4. cargo test              — unit, integration, property and doc tests;
+#                                among them the debug-build assertion that
+#                                no thread holds two store partitions, the
+#                                one-hold-per-mail count of a mailbox scan,
+#                                and the metric inventory against
+#                                DESIGN.md §14.3
 #   5. cargo test benchmark/   — the standalone benchmark package (its own
 #                                workspace, so stages 2 and 4 never see
 #                                it) still builds against this tree's
@@ -78,8 +80,8 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> cargo run -p spamaware-xtask -- report --json"
-cargo run --quiet -p spamaware-xtask -- report --json
+echo "==> cargo run -p spamaware-xtask -- lint"
+cargo run --quiet -p spamaware-xtask -- lint
 
 echo "==> cargo test"
 cargo test --quiet
