@@ -1,103 +1,144 @@
-//! Shared helpers for the experiment binaries.
+//! The experiment table behind the `figures` binary.
 //!
-//! Every binary regenerates one of the paper's tables or figures. By
-//! default they run at a reduced scale that finishes in seconds; pass
-//! `--full` for paper-sized runs, or `--scale <0..1> --seconds <n>` for
-//! anything in between.
+//! Every row of [`TABLE`] regenerates one of the paper's tables or
+//! figures (or one ablation) by calling `spamaware_core::experiment` and
+//! printing the result in the paper's format. The one binary walks the
+//! table:
+//!
+//! ```text
+//! figures <name> [--full | --scale F --seconds N] [--json PATH]
+//! figures record <dir>     # write results/: every row, then full_key.txt
+//! figures check <dir>      # regenerate in memory, name every file that differs
+//! ```
+//!
+//! A row runs at a reduced scale that finishes in seconds unless told
+//! otherwise; `--full` is paper size. Output is a function of the flags
+//! alone, which is what lets `check` hold `results/` to what the code
+//! prints, byte for byte.
+
+pub mod cli;
+mod experiments;
 
 use spamaware_core::experiment::Scale;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::Path;
 
-/// Parses the common CLI flags into a [`Scale`].
-///
-/// Recognized: `--full`, `--scale <f>`, `--seconds <n>`. Unknown flags are
-/// ignored so binaries can layer their own.
-pub fn scale_from_args() -> Scale {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = Scale {
-        trace: 0.1,
-        seconds: 60,
-    };
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => scale = Scale::full(),
-            "--scale" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    scale.trace = v;
-                    i += 1;
-                }
-            }
-            "--seconds" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    scale.seconds = v;
-                    i += 1;
-                }
-            }
-            _ => {}
+/// Prints one experiment's report to the writer; with a path (only ever
+/// passed to a row that [`has_json`](Experiment::has_json)), also writes
+/// the row's JSON artifact there.
+pub type Run = fn(&mut dyn Write, Scale, Option<&Path>) -> io::Result<()>;
+
+/// One experiment: what `figures <name>` runs.
+pub struct Experiment {
+    /// Subcommand, and stem of the row's file under `results/`.
+    pub name: &'static str,
+    /// The printing code.
+    pub run: Run,
+    /// Whether the row accepts `--json`.
+    pub has_json: bool,
+    /// Whether the row's paper-scale run is a section of
+    /// `results/full_key.txt`.
+    pub full_key: bool,
+}
+
+impl Experiment {
+    const fn new(name: &'static str, run: Run) -> Experiment {
+        Experiment {
+            name,
+            run,
+            has_json: false,
+            full_key: false,
         }
-        i += 1;
     }
-    scale
+
+    const fn json(mut self) -> Experiment {
+        self.has_json = true;
+        self
+    }
+
+    const fn full_key(mut self) -> Experiment {
+        self.full_key = true;
+        self
+    }
 }
 
-/// Parses an optional `--json <path>` flag.
-pub fn json_path_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
+/// Every experiment, in the paper's order, ablations last. DESIGN.md §4
+/// lists the same rows (a test holds the two together).
+pub const TABLE: [Experiment; 21] = [
+    Experiment::new("table1", experiments::table1),
+    Experiment::new("fig01", experiments::fig01),
+    Experiment::new("fig03", experiments::fig03),
+    Experiment::new("fig04", experiments::fig04),
+    Experiment::new("fig05", experiments::fig05),
+    Experiment::new("fig08", experiments::fig08)
+        .json()
+        .full_key(),
+    Experiment::new("fig10", experiments::fig10),
+    Experiment::new("fig11", experiments::fig11),
+    Experiment::new("fig12", experiments::fig12),
+    Experiment::new("fig13", experiments::fig13),
+    Experiment::new("fig14", experiments::fig14),
+    Experiment::new("fig15", experiments::fig15)
+        .json()
+        .full_key(),
+    Experiment::new("mfs_sinkhole", experiments::mfs_sinkhole).full_key(),
+    Experiment::new("combined", experiments::combined)
+        .json()
+        .full_key(),
+    Experiment::new("generality_qmail", experiments::generality_qmail),
+    Experiment::new("ablation_batching", experiments::ablation_batching),
+    Experiment::new("ablation_cache_size", experiments::ablation_cache_size).json(),
+    Experiment::new(
+        "ablation_mfs_threshold",
+        experiments::ablation_mfs_threshold,
+    ),
+    Experiment::new("ablation_prefix_width", experiments::ablation_prefix_width),
+    Experiment::new("ablation_trust_point", experiments::ablation_trust_point),
+    Experiment::new("ablation_ttl", experiments::ablation_ttl).json(),
+];
 
 /// Writes a serializable result to `path` as pretty JSON.
-///
-/// # Panics
-///
-/// Panics on I/O or serialization failure (experiment binaries treat a
-/// failed artifact write as fatal).
-pub fn write_json<T: serde::Serialize>(path: &std::path::Path, value: &T) {
-    let file = std::fs::File::create(path)
-        .unwrap_or_else(|e| panic!("cannot create {}: {e}", path.display()));
-    serde_json::to_writer_pretty(std::io::BufWriter::new(file), value)
-        .unwrap_or_else(|e| panic!("cannot serialize to {}: {e}", path.display()));
-    println!("(wrote {})", path.display());
+fn write_json<T: serde::Serialize>(out: &mut dyn Write, path: &Path, value: &T) -> io::Result<()> {
+    let mut file = io::BufWriter::new(std::fs::File::create(path)?);
+    serde_json::to_writer_pretty(&mut file, value).map_err(io::Error::other)?;
+    file.flush()?;
+    writeln!(out, "(wrote {})", path.display())
 }
 
 /// Writes a metrics registry's deterministic text report next to a
 /// `--json` artifact, with the extension swapped to `.metrics`.
-///
-/// # Panics
-///
-/// Panics on I/O failure, like [`write_json`].
-pub fn write_metrics_sidecar(json_path: &std::path::Path, registry: &spamaware_metrics::Registry) {
+fn write_metrics_sidecar(
+    out: &mut dyn Write,
+    json_path: &Path,
+    registry: &spamaware_metrics::Registry,
+) -> io::Result<()> {
     let path = json_path.with_extension("metrics");
-    std::fs::write(&path, registry.render())
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("(wrote {})", path.display());
+    std::fs::write(&path, registry.render())?;
+    writeln!(out, "(wrote {})", path.display())
 }
 
-/// A deterministic registry for experiment binaries: time is a
+/// A deterministic registry for the experiments: time is a
 /// [`spamaware_metrics::ManualClock`] pinned at zero, so snapshots depend
 /// only on what the instrumented code records (simulated latencies,
 /// counters), never on the host.
-pub fn experiment_registry() -> spamaware_metrics::Registry {
+fn experiment_registry() -> spamaware_metrics::Registry {
     spamaware_metrics::Registry::new(std::sync::Arc::new(spamaware_metrics::ManualClock::new()))
 }
 
 /// Prints a figure banner.
-pub fn banner(id: &str, caption: &str, scale: Scale) {
-    println!("=== {id}: {caption}");
-    println!(
+fn banner(out: &mut dyn Write, id: &str, caption: &str, scale: Scale) -> io::Result<()> {
+    writeln!(out, "=== {id}: {caption}")?;
+    writeln!(
+        out,
         "    (scale: {:.0}% trace, {} sim-seconds per point; --full for paper size)",
         scale.trace * 100.0,
         scale.seconds
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
 /// Down-samples a CDF to at most `n` evenly spaced points for printing.
-pub fn thin_cdf(cdf: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
+fn thin_cdf(cdf: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
     if cdf.len() <= n || n == 0 {
         return cdf.to_vec();
     }
@@ -114,6 +155,81 @@ pub fn thin_cdf(cdf: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn repo_file(path: &str) -> String {
+        let path = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    /// The full-scale comparison against `results/` is `figures check`
+    /// (release, `scripts/check.sh`); this only shows that every row
+    /// runs, reports, and is a function of its arguments.
+    #[test]
+    fn every_row_prints_the_same_report_twice() {
+        let tiny = Scale {
+            trace: 0.005,
+            seconds: 1,
+        };
+        for e in &TABLE {
+            let print = || {
+                let mut text = Vec::new();
+                (e.run)(&mut text, tiny, None).expect("write to a Vec");
+                text
+            };
+            let first = print();
+            assert!(first.starts_with(b"=== "), "{}: no banner", e.name);
+            assert!(first.len() > 100, "{}: empty report", e.name);
+            assert!(first == print(), "{}: two runs differ", e.name);
+        }
+    }
+
+    #[test]
+    fn row_names_are_unique_and_each_is_recorded() {
+        for (i, e) in TABLE.iter().enumerate() {
+            assert!(
+                TABLE[..i].iter().all(|earlier| earlier.name != e.name),
+                "{} twice",
+                e.name
+            );
+            assert!(!repo_file(&format!("results/{}.txt", e.name)).is_empty());
+        }
+    }
+
+    #[test]
+    fn full_key_txt_has_one_section_per_full_key_row() {
+        let recorded = repo_file("results/full_key.txt");
+        let sections: Vec<&str> = recorded
+            .lines()
+            .filter_map(|line| line.strip_prefix("=== ")?.strip_suffix(" full ==="))
+            .collect();
+        let rows: Vec<&str> = TABLE
+            .iter()
+            .filter(|e| e.full_key)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(sections, rows);
+    }
+
+    /// DESIGN.md §4's last column names the row that regenerates each
+    /// paper item: every name there is a row, and every row is there.
+    #[test]
+    fn design_md_indexes_exactly_the_rows_of_the_table() {
+        let design = repo_file("DESIGN.md");
+        let mut indexed: Vec<&str> = design
+            .lines()
+            .skip_while(|line| !line.starts_with("| Id | Paper content |"))
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .filter_map(|line| {
+                let cell = line.trim_end_matches('|').rsplit('|').next()?.trim();
+                cell.strip_prefix("`figures ")?.strip_suffix('`')
+            })
+            .collect();
+        let mut rows: Vec<&str> = TABLE.iter().map(|e| e.name).collect();
+        indexed.sort_unstable();
+        rows.sort_unstable();
+        assert_eq!(indexed, rows);
+    }
 
     #[test]
     fn thin_cdf_keeps_endpoints() {

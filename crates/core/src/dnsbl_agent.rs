@@ -14,18 +14,25 @@
 use crate::instruments::AgentMetrics;
 use crossbeam::channel::Receiver;
 use spamaware_dnsbl::{
-    BreakerConfig, BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker, DnsblServer,
-    UdpDnsbl,
+    BreakerConfig, BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker, Fetched, UdpDnsbl,
 };
 use spamaware_metrics::{Counter, Registry};
 use spamaware_netaddr::Ipv4;
 use spamaware_sim::Nanos;
-use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long a fetched /25 bitmap answers for its prefix (the paper's
+/// setting, §7.2: blacklists "are updated rather infrequently").
+const CACHE_TTL: Nanos = Nanos::from_secs(86_400);
+
+/// Bitmaps the cache holds at once. The whole sinkhole trace fits in a
+/// quarter of this (`figures ablation_cache_size`); past it, expired
+/// entries and then the soonest to expire make room.
+const CACHE_CAPACITY: usize = 4096;
 
 /// Everything the agent thread owns.
 pub(crate) struct DnsblAgentCtx {
@@ -35,12 +42,80 @@ pub(crate) struct DnsblAgentCtx {
     /// `live.blacklisted` — the verdict sink.
     pub blacklisted: Arc<Counter>,
     pub registry: Arc<Registry>,
-    /// In-process simulated DNSBL (used when `dnsbl_udp` is unset).
-    pub dnsbl: Option<DnsblServer>,
-    /// Real DNSBL over UDP: `(server address, zone)`.
-    pub dnsbl_udp: Option<(SocketAddr, String)>,
+    /// The DNSBL, queried over UDP: `(server address, zone)`.
+    pub dnsbl_udp: (SocketAddr, String),
     pub dnsbl_udp_timeout: Duration,
     pub dnsbl_breaker: BreakerConfig,
+}
+
+/// The lookup path: cache, then breaker, then one UDP query. Time is
+/// the registry's clock throughout.
+struct Agent {
+    registry: Arc<Registry>,
+    metrics: AgentMetrics,
+    breaker: CircuitBreaker,
+    resolver: CachingResolver,
+    dnsbl_udp: (SocketAddr, String),
+    dnsbl_udp_timeout: Duration,
+}
+
+impl Agent {
+    fn new(
+        registry: Arc<Registry>,
+        dnsbl_udp: (SocketAddr, String),
+        dnsbl_udp_timeout: Duration,
+        dnsbl_breaker: BreakerConfig,
+    ) -> Agent {
+        Agent {
+            metrics: AgentMetrics::register(&registry),
+            breaker: CircuitBreaker::new(dnsbl_breaker, registry.clock())
+                .with_metrics(&registry, "dnsbl"),
+            resolver: CachingResolver::new(CacheScheme::PerPrefix, CACHE_TTL)
+                .with_capacity(CACHE_CAPACITY)
+                .with_metrics(&registry, "dnsbl"),
+            registry,
+            dnsbl_udp,
+            dnsbl_udp_timeout,
+        }
+    }
+
+    /// Whether the DNSBL lists `peer_ip`, failing open to "not listed".
+    fn listed(&mut self, peer_ip: Ipv4) -> bool {
+        let now = Nanos::from_nanos(self.registry.now_nanos());
+        if let Some(listed) = self.resolver.probe(peer_ip, now) {
+            return listed;
+        }
+        // Open circuit: fail open without touching the network (§9 —
+        // never delay mail for a dead dependency).
+        if self.breaker.admit() == BreakerDecision::ShortCircuit {
+            return false;
+        }
+        let (server_addr, zone) = &self.dnsbl_udp;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the DNSBL agent's own thread: the master parks the connection and is woken with the verdict"
+        )]
+        let answer =
+            UdpDnsbl::lookup_v6_timeout(*server_addr, zone, peer_ip, self.dnsbl_udp_timeout);
+        match answer {
+            // Only *successful* answers enter the cache: a fail-open
+            // verdict is a degraded guess, and caching it would poison
+            // the whole /25 for a day.
+            Ok(bitmap) => {
+                self.breaker.record_success();
+                self.resolver.insert(peer_ip, now, Fetched::Bitmap(bitmap))
+            }
+            Err(e) => {
+                self.breaker.record_failure();
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                    self.metrics.udp_timeouts.inc();
+                } else {
+                    self.metrics.udp_errors.inc();
+                }
+                false
+            }
+        }
+    }
 }
 
 /// Drains lookup requests until the stop flag is set or every sender is
@@ -49,14 +124,12 @@ pub(crate) struct DnsblAgentCtx {
 /// short-circuits, so serial processing converges fast even when the
 /// master enqueues a burst.
 pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
-    let metrics = AgentMetrics::register(&ctx.registry);
-    let mut breaker = CircuitBreaker::new(ctx.dnsbl_breaker.clone(), ctx.registry.clock())
-        .with_metrics(&ctx.registry, "dnsbl");
-    let mut resolver = CachingResolver::new(CacheScheme::PerPrefix, Nanos::from_secs(86_400))
-        .with_metrics(&ctx.registry, "dnsbl");
-    let mut rng = spamaware_sim::det_rng(0x11FE);
-    let mut udp_cache: HashMap<spamaware_netaddr::Prefix25, spamaware_netaddr::PrefixBitmap> =
-        HashMap::new();
+    let mut agent = Agent::new(
+        ctx.registry,
+        ctx.dnsbl_udp,
+        ctx.dnsbl_udp_timeout,
+        ctx.dnsbl_breaker,
+    );
     while !ctx.stop.load(Ordering::SeqCst) {
         // `recv` returns `Err` once every sender is gone; the master is
         // stopped and joined before this thread, so shutdown surfaces
@@ -68,59 +141,53 @@ pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
         let Ok(peer_ip) = ctx.rx.recv() else {
             break;
         };
-        let start = metrics.lookup_ns.now();
-        let listed = if let Some((server_addr, zone)) = &ctx.dnsbl_udp {
-            // Real DNSBLv6 query over UDP, cached per /25. Only
-            // *successful* answers enter the cache: a fail-open verdict
-            // is a degraded guess, and caching it would poison the whole
-            // /25 until restart.
-            match udp_cache.get(&peer_ip.prefix25()) {
-                Some(bitmap) => bitmap.contains(peer_ip),
-                None => match breaker.admit() {
-                    // Open circuit: fail open to "not listed" without
-                    // touching the network (§9 — never delay mail for a
-                    // dead dependency).
-                    BreakerDecision::ShortCircuit => false,
-                    BreakerDecision::Allow | BreakerDecision::Probe => {
-                        #[expect(
-                            clippy::disallowed_methods,
-                            reason = "the DNSBL agent's own thread: the master parks the connection and is woken with the verdict"
-                        )]
-                        let answer = UdpDnsbl::lookup_v6_timeout(
-                            *server_addr,
-                            zone,
-                            peer_ip,
-                            ctx.dnsbl_udp_timeout,
-                        );
-                        match answer {
-                            Ok(bitmap) => {
-                                breaker.record_success();
-                                let listed = bitmap.contains(peer_ip);
-                                udp_cache.insert(peer_ip.prefix25(), bitmap);
-                                listed
-                            }
-                            Err(e) => {
-                                breaker.record_failure();
-                                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                                    metrics.udp_timeouts.inc();
-                                } else {
-                                    metrics.udp_errors.inc();
-                                }
-                                false
-                            }
-                        }
-                    }
-                },
-            }
-        } else if let Some(server) = &ctx.dnsbl {
-            let now = Nanos::from_nanos(0);
-            resolver.lookup(peer_ip, now, server, &mut rng).listed
-        } else {
-            false
-        };
-        metrics.lookup_ns.record_since(start);
+        let start = agent.metrics.lookup_ns.now();
+        let listed = agent.listed(peer_ip);
+        agent.metrics.lookup_ns.record_since(start);
         if listed {
             ctx.blacklisted.inc();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spamaware_dnsbl::BlacklistDb;
+    use spamaware_metrics::ManualClock;
+
+    #[test]
+    fn a_cached_prefix_expires_with_the_registry_clock_and_the_cache_stays_bounded() {
+        let bot = Ipv4::new(203, 0, 113, 7);
+        let db: BlacklistDb = [bot].into_iter().collect();
+        let stub = UdpDnsbl::start(SocketAddr::from(([127, 0, 0, 1], 0)), "bl.example", db)
+            .expect("start the UDP stub");
+        let answered = || stub.stats().answered.load(Ordering::Relaxed);
+        let clock = ManualClock::new();
+        let mut agent = Agent::new(
+            Arc::new(Registry::new(Arc::new(clock.clone()))),
+            (stub.local_addr(), "bl.example".to_owned()),
+            Duration::from_secs(5),
+            BreakerConfig::default(),
+        );
+
+        assert!(agent.listed(bot));
+        assert_eq!(answered(), 1);
+        // A neighbour in the /25, a second before the TTL runs out: the
+        // cached bitmap answers, and does not list it.
+        clock.advance(CACHE_TTL.as_nanos() - 1_000_000_000);
+        assert!(!agent.listed(Ipv4::new(203, 0, 113, 8)));
+        assert_eq!(answered(), 1);
+        clock.advance(1_000_000_000);
+        assert!(agent.listed(bot));
+        assert_eq!(answered(), 2, "the expired entry was asked for again");
+
+        for i in 0..CACHE_CAPACITY as u32 + 64 {
+            agent.listed(Ipv4::from_u32(0x0A00_0000 + i * 128));
+            assert!(agent.resolver.cached_entries() <= CACHE_CAPACITY);
+        }
+        assert_eq!(agent.resolver.cached_entries(), CACHE_CAPACITY);
+        assert_eq!(answered(), 2 + CACHE_CAPACITY as u64 + 64);
+        stub.shutdown();
     }
 }

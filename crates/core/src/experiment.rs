@@ -1,7 +1,7 @@
 //! Experiment runners: one function per paper table/figure.
 //!
-//! Each runner returns typed rows; the benchmark binaries in
-//! `spamaware-bench` print them in the paper's format, and integration
+//! Each runner returns typed rows; the `figures` binary of
+//! `spamaware-bench` prints them in the paper's format, and integration
 //! tests pin the qualitative shapes. Every runner accepts a [`Scale`] so
 //! tests can run in seconds while `--full` regenerations use paper-sized
 //! inputs.

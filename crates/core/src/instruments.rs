@@ -360,8 +360,14 @@ histogram worker.storage_ns\n\
         documented.sort();
 
         let root = std::env::temp_dir().join(format!("spamaware-prefixed-{}", std::process::id()));
+        let dnsbl = spamaware_dnsbl::UdpDnsbl::start(
+            std::net::SocketAddr::from(([127, 0, 0, 1], 0)),
+            "bl.example",
+            spamaware_dnsbl::BlacklistDb::default(),
+        )
+        .expect("start the UDP stub");
         let mut cfg = LiveConfig::localhost(&root, vec!["alice".to_owned()]);
-        cfg.dnsbl = Some(crate::experiment::default_dnsbl([]));
+        cfg.dnsbl_udp = Some((dnsbl.local_addr(), "bl.example".to_owned()));
         let server = LiveServer::start(cfg).expect("start");
         // The agent registers its breaker's and resolver's instruments
         // from its own thread, some time after `start` returns.
@@ -380,6 +386,7 @@ histogram worker.storage_ns\n\
             std::thread::yield_now();
         };
         server.shutdown();
+        dnsbl.shutdown();
         let _ = std::fs::remove_dir_all(&root);
         let unregistered: Vec<_> = documented
             .iter()

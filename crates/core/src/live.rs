@@ -58,7 +58,7 @@ use crate::reactor::os::OsReactor;
 use crate::reactor::Pollable;
 use crate::ServeError;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use spamaware_dnsbl::{BreakerConfig, DnsblServer};
+use spamaware_dnsbl::BreakerConfig;
 use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_mfs::{RealDir, ShardedStore};
 use spamaware_netaddr::Ipv4;
@@ -107,13 +107,10 @@ pub struct LiveConfig {
     pub storage_root: PathBuf,
     /// Valid mailbox local parts.
     pub mailboxes: Vec<String>,
-    /// Optional DNSBL checked (with prefix caching) per connection; the
-    /// verdict is recorded, not used to reject (§9: "our solution does not
-    /// delay/deny mail service to any client").
-    pub dnsbl: Option<DnsblServer>,
-    /// Optional real DNSBL over UDP: `(server address, zone)`. Queried
-    /// with the DNSBLv6 bitmap scheme and cached per /25 like `dnsbl`;
-    /// takes precedence over the in-process `dnsbl` when both are set.
+    /// Optional DNSBL over UDP, `(server address, zone)`, checked per
+    /// connection with the DNSBLv6 bitmap scheme and cached per /25 for
+    /// 24 h; the verdict is recorded, not used to reject (§9: "our
+    /// solution does not delay/deny mail service to any client").
     pub dnsbl_udp: Option<(std::net::SocketAddr, String)>,
     /// Per-query budget for `dnsbl_udp` lookups. The DNSBL agent thread
     /// blocks for at most this long per uncached query; the master hands
@@ -170,7 +167,6 @@ impl LiveConfig {
             worker_queue: 28,
             storage_root: storage_root.into(),
             mailboxes,
-            dnsbl: None,
             dnsbl_udp: None,
             dnsbl_udp_timeout: Duration::from_millis(100),
             dnsbl_breaker: BreakerConfig::default(),
@@ -374,7 +370,7 @@ impl LiveServer {
         // The DNSBL agent thread owns every lookup (cache, breaker, UDP
         // socket); the master only ever does a non-blocking `try_send`
         // into this bounded queue (§5: the master must never block).
-        let dnsbl_tx = if cfg.dnsbl.is_some() || cfg.dnsbl_udp.is_some() {
+        let dnsbl_tx = if let Some(dnsbl_udp) = cfg.dnsbl_udp {
             // Same up-front registration as `preregister_thread_instruments`,
             // but only when an agent will actually run — a DNSBL-less
             // server's report should not list agent metrics.
@@ -385,8 +381,7 @@ impl LiveServer {
                 stop: Arc::clone(&stop),
                 blacklisted: Arc::clone(&stats.blacklisted),
                 registry: Arc::clone(&registry),
-                dnsbl: cfg.dnsbl,
-                dnsbl_udp: cfg.dnsbl_udp,
+                dnsbl_udp,
                 dnsbl_udp_timeout: cfg.dnsbl_udp_timeout,
                 dnsbl_breaker: cfg.dnsbl_breaker,
             };

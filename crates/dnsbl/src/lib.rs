@@ -31,7 +31,7 @@ pub mod wire;
 pub use breaker::{BreakerConfig, BreakerDecision, CircuitBreaker};
 pub use database::{BlacklistDb, ListingCode};
 pub use latency::{paper_servers, LatencyModel};
-pub use resolver::{CacheScheme, CachingResolver, LookupOutcome, ResolverStats};
+pub use resolver::{CacheScheme, CachingResolver, Fetched, LookupOutcome, ResolverStats};
 pub use server::{DnsblServer, WireAnswer};
 pub use udp::{UdpDnsbl, UdpStats, DEFAULT_LOOKUP_TIMEOUT};
 

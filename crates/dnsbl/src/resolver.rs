@@ -93,6 +93,42 @@ impl ResolverStats {
     }
 }
 
+/// A DNSBL answer as fetched, in the shape its query returns.
+#[derive(Debug, Clone, Copy)]
+pub enum Fetched {
+    /// A per-IP (A record) answer: whether the queried IP is listed.
+    Listed(bool),
+    /// A DNSBLv6 (AAAA record) answer: the queried IP's whole /25.
+    Bitmap(PrefixBitmap),
+}
+
+/// Frees a slot in a cache that has reached `capacity`: expired entries
+/// go first, then the soonest to expire. Returns how many live entries
+/// had to be evicted.
+fn make_room<K: Copy + Ord + std::hash::Hash, V>(
+    cache: &mut HashMap<K, (Nanos, V)>,
+    capacity: Option<usize>,
+    now: Nanos,
+) -> u64 {
+    let Some(cap) = capacity else { return 0 };
+    if cache.len() < cap {
+        return 0;
+    }
+    cache.retain(|_, (expiry, _)| *expiry > now);
+    let mut evicted = 0;
+    while cache.len() >= cap {
+        let victim = cache
+            // lint:allow(hashmap-iter): selection tie-broken by key, order-independent
+            .iter()
+            .min_by_key(|(k, (expiry, _))| (*expiry, **k))
+            .map(|(k, _)| *k);
+        let Some(victim) = victim else { break };
+        cache.remove(&victim);
+        evicted += 1;
+    }
+    evicted
+}
+
 /// A TTL-based caching stub resolver for DNSBL lookups.
 ///
 /// Cached entries expire `ttl` after they were fetched (the paper uses
@@ -189,45 +225,6 @@ impl CachingResolver {
         self
     }
 
-    fn evict_if_full(&mut self, now: Nanos) {
-        let Some(cap) = self.capacity else { return };
-        // Expired entries go first; then the soonest-to-expire.
-        if self.ip_cache.len() >= cap {
-            self.ip_cache.retain(|_, (expiry, _)| *expiry > now);
-            while self.ip_cache.len() >= cap {
-                let victim = self
-                    // lint:allow(hashmap-iter): selection tie-broken by key, order-independent
-                    .ip_cache
-                    .iter()
-                    .min_by_key(|(k, (expiry, _))| (*expiry, **k))
-                    .map(|(k, _)| *k);
-                let Some(victim) = victim else { break };
-                self.ip_cache.remove(&victim);
-                self.stats.evictions += 1;
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                }
-            }
-        }
-        if self.prefix_cache.len() >= cap {
-            self.prefix_cache.retain(|_, (expiry, _)| *expiry > now);
-            while self.prefix_cache.len() >= cap {
-                let victim = self
-                    // lint:allow(hashmap-iter): selection tie-broken by key, order-independent
-                    .prefix_cache
-                    .iter()
-                    .min_by_key(|(k, (expiry, _))| (*expiry, **k))
-                    .map(|(k, _)| *k);
-                let Some(victim) = victim else { break };
-                self.prefix_cache.remove(&victim);
-                self.stats.evictions += 1;
-                if let Some(m) = &self.metrics {
-                    m.evictions.inc();
-                }
-            }
-        }
-    }
-
     /// The configured scheme.
     pub fn scheme(&self) -> CacheScheme {
         self.scheme
@@ -241,70 +238,91 @@ impl CachingResolver {
         server: &DnsblServer,
         rng: &mut R,
     ) -> LookupOutcome {
-        self.stats.lookups += 1;
-        let outcome = match self.scheme {
-            CacheScheme::None => {
-                let (code, latency) = server.query_v4(ip, rng);
-                self.stats.queries_issued += 1;
+        let outcome = match self.probe(ip, now) {
+            Some(listed) => LookupOutcome {
+                listed,
+                latency: Self::HIT_COST,
+                cache_hit: true,
+            },
+            None => {
+                let (answer, latency) = if self.scheme == CacheScheme::PerPrefix {
+                    let (bitmap, latency) = server.query_v6(ip.prefix25(), rng);
+                    (Fetched::Bitmap(bitmap), latency)
+                } else {
+                    let (code, latency) = server.query_v4(ip, rng);
+                    (Fetched::Listed(code.is_some()), latency)
+                };
                 LookupOutcome {
-                    listed: code.is_some(),
+                    listed: self.insert(ip, now, answer),
                     latency,
                     cache_hit: false,
                 }
             }
-            CacheScheme::PerIp => match self.ip_cache.get(&ip) {
-                Some(&(expiry, listed)) if expiry > now => LookupOutcome {
-                    listed,
-                    latency: Self::HIT_COST,
-                    cache_hit: true,
-                },
-                _ => {
-                    let (code, latency) = server.query_v4(ip, rng);
-                    self.stats.queries_issued += 1;
-                    self.evict_if_full(now);
-                    self.ip_cache.insert(ip, (now + self.ttl, code.is_some()));
-                    LookupOutcome {
-                        listed: code.is_some(),
-                        latency,
-                        cache_hit: false,
-                    }
-                }
-            },
-            CacheScheme::PerPrefix => {
-                let p = ip.prefix25();
-                match self.prefix_cache.get(&p) {
-                    Some(&(expiry, bm)) if expiry > now => LookupOutcome {
-                        listed: bm.contains(ip),
-                        latency: Self::HIT_COST,
-                        cache_hit: true,
-                    },
-                    _ => {
-                        let (bm, latency) = server.query_v6(p, rng);
-                        self.stats.queries_issued += 1;
-                        self.evict_if_full(now);
-                        self.prefix_cache.insert(p, (now + self.ttl, bm));
-                        LookupOutcome {
-                            listed: bm.contains(ip),
-                            latency,
-                            cache_hit: false,
-                        }
-                    }
-                }
-            }
         };
-        if outcome.cache_hit {
-            self.stats.hits += 1;
-        }
         self.stats.latency_ms.record_nanos_as_ms(outcome.latency);
         if let Some(m) = &self.metrics {
-            if outcome.cache_hit {
-                m.hits.inc();
-            } else {
-                m.misses.inc();
-            }
             m.lookup_ns.record(outcome.latency.as_nanos());
         }
         outcome
+    }
+
+    /// The first half of [`lookup`](Self::lookup): the verdict for `ip`
+    /// from an entry still unexpired at `now`, if the cache holds one.
+    /// Counts the lookup, as a hit or a miss. A caller that fetches the
+    /// answer itself (the live server asks over UDP) follows a `None`
+    /// with [`insert`](Self::insert) once it has one.
+    pub fn probe(&mut self, ip: Ipv4, now: Nanos) -> Option<bool> {
+        let cached = match self.scheme {
+            CacheScheme::None => None,
+            CacheScheme::PerIp => match self.ip_cache.get(&ip) {
+                Some(&(expiry, listed)) if expiry > now => Some(listed),
+                _ => None,
+            },
+            CacheScheme::PerPrefix => match self.prefix_cache.get(&ip.prefix25()) {
+                Some((expiry, bitmap)) if *expiry > now => Some(bitmap.contains(ip)),
+                _ => None,
+            },
+        };
+        self.stats.lookups += 1;
+        self.stats.hits += u64::from(cached.is_some());
+        if let Some(m) = &self.metrics {
+            match cached {
+                Some(_) => m.hits.inc(),
+                None => m.misses.inc(),
+            }
+        }
+        cached
+    }
+
+    /// The second half: counts one query issued and caches its `answer`
+    /// for `ip` until `now + ttl`, first making room as
+    /// [`with_capacity`](Self::with_capacity) describes. Returns whether
+    /// the answer lists `ip`. The bitmap scheme can only cache a bitmap.
+    pub fn insert(&mut self, ip: Ipv4, now: Nanos, answer: Fetched) -> bool {
+        self.stats.queries_issued += 1;
+        let listed = match answer {
+            Fetched::Listed(listed) => listed,
+            Fetched::Bitmap(bitmap) => bitmap.contains(ip),
+        };
+        let expiry = now + self.ttl;
+        let evicted = match (self.scheme, answer) {
+            (CacheScheme::PerIp, _) => {
+                let evicted = make_room(&mut self.ip_cache, self.capacity, now);
+                self.ip_cache.insert(ip, (expiry, listed));
+                evicted
+            }
+            (CacheScheme::PerPrefix, Fetched::Bitmap(bitmap)) => {
+                let evicted = make_room(&mut self.prefix_cache, self.capacity, now);
+                self.prefix_cache.insert(ip.prefix25(), (expiry, bitmap));
+                evicted
+            }
+            _ => 0,
+        };
+        self.stats.evictions += evicted;
+        if let Some(m) = &self.metrics {
+            m.evictions.add(evicted);
+        }
+        listed
     }
 
     /// Statistics so far.
@@ -490,6 +508,25 @@ mod tests {
         assert!(!first.listed && !first.cache_hit);
         let second = r.lookup(clean, Nanos::from_secs(5), &s, &mut rng);
         assert!(!second.listed && second.cache_hit);
+    }
+
+    #[test]
+    fn the_halves_serve_a_caller_that_fetches_for_itself() {
+        let listed = Ipv4::new(203, 0, 113, 7);
+        let neighbour = Ipv4::new(203, 0, 113, 8);
+        let bitmap = server().query_v6(listed.prefix25(), &mut det_rng(79)).0;
+        let mut r = CachingResolver::new(CacheScheme::PerPrefix, DAY);
+        // A miss the caller could not resolve caches nothing.
+        assert_eq!(r.probe(listed, Nanos::ZERO), None);
+        assert_eq!(r.probe(listed, Nanos::from_secs(1)), None);
+        assert!(r.insert(listed, Nanos::from_secs(1), Fetched::Bitmap(bitmap)));
+        assert_eq!(r.probe(neighbour, Nanos::from_secs(2)), Some(false));
+        assert_eq!(r.probe(listed, DAY + Nanos::from_secs(1)), None);
+        let stats = r.stats();
+        assert_eq!((stats.lookups, stats.hits, stats.queries_issued), (4, 1, 1));
+        // A per-IP answer cannot fill a bitmap: reported, not cached.
+        assert!(r.insert(neighbour, DAY, Fetched::Listed(true)));
+        assert_eq!(r.cached_entries(), 1);
     }
 
     #[test]

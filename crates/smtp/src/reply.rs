@@ -23,12 +23,13 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// Builds an arbitrary reply.
+    /// Builds an arbitrary reply. Private: every code/text pair the
+    /// servers can send is a named constructor below, defined once.
     ///
     /// # Panics
     ///
     /// Panics if `code` is not a 3-digit SMTP code (200–599).
-    pub fn new(code: u16, text: impl Into<String>) -> Reply {
+    fn new(code: u16, text: impl Into<String>) -> Reply {
         assert!((200..=599).contains(&code), "invalid SMTP code {code}");
         Reply {
             code,
@@ -44,7 +45,7 @@ impl Reply {
     ///
     /// Panics if `code` is not a 3-digit SMTP code or `rest` is empty
     /// (use [`Reply::new`] for single-line replies).
-    pub fn multiline(code: u16, first: impl Into<String>, rest: Vec<String>) -> Reply {
+    fn multiline(code: u16, first: impl Into<String>, rest: Vec<String>) -> Reply {
         assert!((200..=599).contains(&code), "invalid SMTP code {code}");
         assert!(!rest.is_empty(), "multiline reply needs extra lines");
         let mut lines = vec![first.into()];

@@ -1,64 +1,30 @@
 //! Domain-invariant lint.
 //!
-//! Two repo-specific rules that the type system alone does not fully close
-//! off:
-//!
-//! 1. **Reply provenance** — SMTP reply codes are part of the protocol
-//!    surface the paper's figures depend on (550 bounces drive Fig. 8, 250
-//!    acknowledgements drive goodput). Every reply must come from a named
-//!    constructor in `crates/smtp/src/reply.rs`; ad-hoc `Reply::new(…)`
-//!    calls elsewhere scatter code/text pairs and drift out of RFC shape.
-//!    Waive deliberate pass-throughs with `lint:allow(reply-ctor)`.
-//!
-//! 2. **MFS refcount confinement** — the shared-record refcount fields
-//!    (`KeyRecord::delta`, `SharedEntry::refs`) implement §6.1's "a shared
-//!    record cannot be deleted until it is deleted from all MFS files that
-//!    share it". All mutation must stay inside `crates/mfs/src/mfs_store.rs`
-//!    (the log-structured replay logic) or `crates/mfs/src/fsck.rs` (the
-//!    offline repair pass that rebuilds the same accounting from disk);
-//!    the fields are crate-private, and this pass keeps textual
-//!    regressions (e.g. a helper moved to another module) from reopening
-//!    the hole. Waive with `lint:allow(mfs-refcount)`.
+//! One repo-specific rule that the type system alone does not fully close
+//! off: **MFS refcount confinement**. The shared-record refcount fields
+//! (`KeyRecord::delta`, `SharedEntry::refs`) implement §6.1's "a shared
+//! record cannot be deleted until it is deleted from all MFS files that
+//! share it". All mutation must stay inside `crates/mfs/src/mfs_store.rs`
+//! (the log-structured replay logic) or `crates/mfs/src/fsck.rs` (the
+//! offline repair pass that rebuilds the same accounting from disk); the
+//! fields are crate-private, and this pass keeps textual regressions
+//! (e.g. a helper moved to another module) from reopening the hole. Waive
+//! with `lint:allow(mfs-refcount)`.
 
 use crate::findings::Finding;
 use crate::scan::SourceFile;
 
-const REPLY_HOME: &str = "smtp/src/reply.rs";
 const REFCOUNT_HOMES: &[&str] = &["mfs/src/mfs_store.rs", "mfs/src/fsck.rs"];
 const REFCOUNT_FIELDS: &[&str] = &["refs", "delta"];
 
-/// Runs both invariant rules over one file.
+/// Runs the invariant rule over one file.
 pub fn check(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     let norm = file.path.replace('\\', "/");
-    if !norm.ends_with(REPLY_HOME) {
-        check_reply_provenance(file, &mut out);
-    }
     if norm.contains("mfs/src/") && !REFCOUNT_HOMES.iter().any(|h| norm.ends_with(h)) {
         check_refcount_confinement(file, &mut out);
     }
     out
-}
-
-fn check_reply_provenance(file: &SourceFile, out: &mut Vec<Finding>) {
-    for (i, line) in file.lines.iter().enumerate() {
-        if file.in_test[i] {
-            continue;
-        }
-        for ctor in ["Reply::new(", "Reply::multiline("] {
-            if line.code.contains(ctor) && !file.waived(i, "reply-ctor") {
-                out.push(Finding::new(
-                    &file.path,
-                    i + 1,
-                    "reply-provenance",
-                    format!(
-                        "`{ctor}…)` outside smtp/src/reply.rs — add a named constructor there \
-                         so the code/text pair is defined once"
-                    ),
-                ));
-            }
-        }
-    }
 }
 
 fn check_refcount_confinement(file: &SourceFile, out: &mut Vec<Finding>) {
@@ -129,24 +95,6 @@ mod tests {
     use crate::scan::scan_source;
 
     #[test]
-    fn ad_hoc_reply_is_flagged_outside_home() {
-        let f = scan_source(
-            "crates/smtp/src/session.rs",
-            "fn a() -> Reply { Reply::new(452, \"\") }\n",
-        );
-        assert_eq!(check(&f).len(), 1);
-    }
-
-    #[test]
-    fn reply_home_is_exempt() {
-        let f = scan_source(
-            "crates/smtp/src/reply.rs",
-            "pub fn ok() -> Reply { Reply::new(250, \"\") }\n",
-        );
-        assert!(check(&f).is_empty());
-    }
-
-    #[test]
     fn refcount_mutation_flagged_outside_store() {
         let f = scan_source(
             "crates/mfs/src/compact.rs",
@@ -166,8 +114,8 @@ mod tests {
 
     #[test]
     fn waivers_apply() {
-        let src = "// lint:allow(reply-ctor): proxying a parsed upstream code\nfn a(c: u16) -> Reply { Reply::new(c, \"\") }\n";
-        let f = scan_source("crates/core/src/live.rs", src);
+        let src = "// lint:allow(mfs-refcount): compaction rewrites the record it just replayed\nfn a(e: &mut SharedEntry) { e.refs -= 1; }\n";
+        let f = scan_source("crates/mfs/src/compact.rs", src);
         assert!(check(&f).is_empty());
     }
 

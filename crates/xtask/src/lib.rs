@@ -11,7 +11,7 @@
 //! | `determinism`   | sim, server, dnsbl, metrics, bench, plus `mfs`'s frame/crash/fsck files | no wall clock, ambient RNG, env branching, or hash-order leaks |
 //! | `panic-safety`  | server, smtp, mfs, dnsbl, metrics, core | no `unwrap`/`expect`/`panic!` in non-test code; budgeted waivers |
 //! | `unsafe-audit`  | every crate                    | `unsafe` requires an adjacent `// SAFETY:` comment |
-//! | `invariants`    | every crate                    | replies built in `smtp/src/reply.rs`; MFS refcounts mutated only in `mfs_store.rs`/`fsck.rs` |
+//! | `invariants`    | every crate                    | MFS refcounts mutated only in `mfs_store.rs`/`fsck.rs` |
 //!
 //! See `DESIGN.md` § "Invariants & static analysis" for the rationale and
 //! the waiver syntax. The self-test corpus under `crates/xtask/tests/`

@@ -14,7 +14,7 @@
 //! stale (too-high) budget fails too, forcing the ratchet downward.
 
 use crate::findings::Finding;
-use crate::scan::{find_token, SourceFile};
+use crate::scan::SourceFile;
 use std::collections::BTreeMap;
 
 const PANIC_TOKENS: &[&str] = &[
@@ -128,13 +128,6 @@ pub fn check_budget(
         }
     }
     out
-}
-
-/// True when a code line contains any panic token (used by fixtures).
-pub fn has_panic_token(code: &str) -> bool {
-    PANIC_TOKENS
-        .iter()
-        .any(|t| find_token(code, t).is_some() || code.contains(t))
 }
 
 #[cfg(test)]

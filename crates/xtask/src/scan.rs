@@ -18,11 +18,6 @@ pub struct Line {
     /// Concatenated comment text appearing on this line (line comments and
     /// the per-line slices of block comments).
     pub comment: String,
-    /// Contents of string literals starting or continuing on this line, in
-    /// source order (multi-line literals contribute one entry per line).
-    /// Kept separate from `code` so passes that care about literal values
-    /// (metrics provenance) can see them without un-blanking the code text.
-    pub strings: Vec<String>,
 }
 
 /// A scanned source file.
@@ -86,8 +81,6 @@ pub fn scan_source(path: &str, text: &str) -> SourceFile {
 fn split_lines(text: &str) -> Vec<Line> {
     let mut lines = Vec::new();
     let mut cur = Line::default();
-    let mut cur_str = String::new();
-    let mut in_str = false;
     let mut state = State::Code;
     let chars: Vec<char> = text.chars().collect();
     let mut i = 0;
@@ -96,10 +89,6 @@ fn split_lines(text: &str) -> Vec<Line> {
         if c == '\n' {
             if state == State::LineComment {
                 state = State::Code;
-            }
-            if in_str {
-                // Multi-line literal: each line carries its own slice.
-                cur.strings.push(std::mem::take(&mut cur_str));
             }
             lines.push(std::mem::take(&mut cur));
             i += 1;
@@ -121,7 +110,6 @@ fn split_lines(text: &str) -> Vec<Line> {
                 if c == '"' {
                     cur.code.push('"');
                     state = State::Str;
-                    in_str = true;
                     i += 1;
                     continue;
                 }
@@ -135,7 +123,6 @@ fn split_lines(text: &str) -> Vec<Line> {
                         // b"..": plain byte string.
                         cur.code.push_str("b\"");
                         state = State::Str;
-                        in_str = true;
                         i = j + 1;
                         continue;
                     }
@@ -147,7 +134,6 @@ fn split_lines(text: &str) -> Vec<Line> {
                         cur.code.push(c);
                         cur.code.push('"');
                         state = State::RawStr(hashes);
-                        in_str = true;
                         i = j + hashes as usize + 1;
                         continue;
                     }
@@ -198,19 +184,12 @@ fn split_lines(text: &str) -> Vec<Line> {
             }
             State::Str => {
                 if c == '\\' {
-                    cur_str.push(c);
-                    if let Some(&esc) = chars.get(i + 1) {
-                        cur_str.push(esc);
-                    }
                     i += 2;
                 } else if c == '"' {
                     cur.code.push('"');
-                    cur.strings.push(std::mem::take(&mut cur_str));
-                    in_str = false;
                     state = State::Code;
                     i += 1;
                 } else {
-                    cur_str.push(c);
                     i += 1;
                 }
             }
@@ -225,14 +204,11 @@ fn split_lines(text: &str) -> Vec<Line> {
                     }
                     if ok {
                         cur.code.push('"');
-                        cur.strings.push(std::mem::take(&mut cur_str));
-                        in_str = false;
                         state = State::Code;
                         i += 1 + hashes as usize;
                         continue;
                     }
                 }
-                cur_str.push(c);
                 i += 1;
             }
             State::CharLit => {
@@ -248,10 +224,7 @@ fn split_lines(text: &str) -> Vec<Line> {
             }
         }
     }
-    if in_str {
-        cur.strings.push(std::mem::take(&mut cur_str));
-    }
-    if !cur.code.is_empty() || !cur.comment.is_empty() || !cur.strings.is_empty() {
+    if !cur.code.is_empty() || !cur.comment.is_empty() {
         lines.push(cur);
     }
     lines
@@ -392,18 +365,6 @@ mod tests {
         assert!(f.in_test[2] && f.in_test[3]);
         assert!(!f.in_test[5], "impl after test module marked as test");
         assert!(!f.in_test[6], "post-module body marked as test");
-    }
-
-    #[test]
-    fn string_contents_are_collected_per_line() {
-        let f = scan_source(
-            "t.rs",
-            "let a = reg.counter(\"live.accepted\");\nlet b = r#\"raw.name\"#;\nlet c = \"multi\nline\";\n",
-        );
-        assert_eq!(f.lines[0].strings, vec!["live.accepted".to_owned()]);
-        assert_eq!(f.lines[1].strings, vec!["raw.name".to_owned()]);
-        assert_eq!(f.lines[2].strings, vec!["multi".to_owned()]);
-        assert_eq!(f.lines[3].strings, vec!["line".to_owned()]);
     }
 
     #[test]

@@ -17,7 +17,6 @@ fn fixture(name: &str, path: &str) -> spamaware_xtask::scan::SourceFile {
         "clean_panic" => include_str!("fixtures/clean_panic.rs"),
         "violation_unsafe" => include_str!("fixtures/violation_unsafe.rs"),
         "clean_unsafe" => include_str!("fixtures/clean_unsafe.rs"),
-        "violation_reply" => include_str!("fixtures/violation_reply.rs"),
         "violation_refcount" => include_str!("fixtures/violation_refcount.rs"),
         other => panic!("unknown fixture {other}"),
     };
@@ -91,11 +90,7 @@ fn unsafe_audit_requires_safety_comment() {
 }
 
 #[test]
-fn invariant_lint_catches_reply_and_refcount_escapes() {
-    let reply = invariants::check(&fixture("violation_reply", "crates/server/src/fixture.rs"));
-    assert_eq!(reply.len(), 1, "{reply:?}");
-    assert_eq!(reply[0].rule, "reply-provenance");
-
+fn invariant_lint_catches_refcount_escapes() {
     let refs = invariants::check(&fixture("violation_refcount", "crates/mfs/src/fixture.rs"));
     assert_eq!(refs.len(), 1, "{refs:?}");
     assert_eq!(refs[0].rule, "mfs-refcount");
@@ -103,9 +98,6 @@ fn invariant_lint_catches_reply_and_refcount_escapes() {
 
 #[test]
 fn invariant_lint_exempts_the_home_modules() {
-    let f = fixture("violation_reply", "crates/smtp/src/reply.rs");
-    assert!(invariants::check(&f).is_empty());
-
     let f = fixture("violation_refcount", "crates/mfs/src/mfs_store.rs");
     assert!(invariants::check(&f).is_empty());
 }

@@ -25,7 +25,18 @@
 #                                one-hold-per-mail count of a mailbox scan,
 #                                and the metric inventory against
 #                                DESIGN.md §14.3
-#   5. cargo test benchmark/   — the standalone benchmark package (its own
+#   5. figures check results   — every experiment is re-run in release at
+#                                the recorded scale (and the four
+#                                full_key rows at --full) and compared
+#                                byte for byte with results/; a file
+#                                that differs is named with its first
+#                                differing line. No tolerance: output is
+#                                a function of the flags alone, so a
+#                                moved digit is a changed model (or a
+#                                changed libm), and `figures record
+#                                results` is the deliberate way to
+#                                accept it (results/README.md). ≈ 40 s.
+#   6. cargo test benchmark/   — the standalone benchmark package (its own
 #                                workspace, so stages 2 and 4 never see
 #                                it) still builds against this tree's
 #                                API, and its suite boots the real TCP
@@ -85,6 +96,9 @@ cargo run --quiet -p spamaware-xtask -- lint
 
 echo "==> cargo test"
 cargo test --quiet
+
+echo "==> figures check results"
+cargo run --release --quiet -p spamaware-bench -- check results
 
 echo "==> cargo test --manifest-path benchmark/Cargo.toml"
 cargo test --quiet --manifest-path benchmark/Cargo.toml --offline
