@@ -24,7 +24,7 @@ use crate::reactor::Pollable;
 use crate::ServeError;
 use spamaware_metrics::WallClock;
 use spamaware_mfs::{MailId, RealDir, ShardedStore};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,7 +49,17 @@ pub struct Pop3Stats {
     /// kernel socket buffer full — made no progress for a whole read
     /// timeout. A peer that keeps reading, however slowly, is served.
     pub write_stall_evictions: AtomicU64,
+    /// Sessions cut at the whole-session budget (60 read timeouts): a
+    /// peer that moves a byte just inside every read timeout passes both
+    /// deadlines above and would otherwise keep its slot for ever.
+    pub session_evictions: AtomicU64,
 }
+
+/// A session's whole budget, in read timeouts (30 min at the 30 s
+/// default) — long enough to download a full mailbox over a slow link,
+/// and the only bound on a peer that trickles just inside the other two
+/// deadlines.
+const SESSION_READ_TIMEOUTS: u32 = 60;
 
 /// A POP3 server sharing a mail store with the SMTP side.
 ///
@@ -80,7 +90,8 @@ impl Pop3Server {
     }
 
     /// Binds and starts serving; a client is dropped after `read_timeout`
-    /// without a byte moving in either direction.
+    /// without a byte moving in either direction, and however it behaves
+    /// after 60 of them.
     ///
     /// # Errors
     ///
@@ -110,7 +121,7 @@ impl Pop3Server {
             draining: Arc::new(AtomicBool::new(false)),
             limits: Limits {
                 idle: read_timeout,
-                session: Duration::MAX,
+                session: read_timeout.saturating_mul(SESSION_READ_TIMEOUTS),
                 write_stall: read_timeout,
                 phase: Duration::MAX,
                 // One RETR reply is as large as the mail it carries, so
@@ -185,8 +196,9 @@ struct SessionState {
     authed: Option<String>,
     /// Mail ids visible this session, with per-mail sizes.
     listing: Vec<(MailId, usize)>,
-    /// Indices (0-based) marked for deletion.
-    marked: HashSet<usize>,
+    /// Indices (0-based) marked for deletion; ordered, so `QUIT` writes
+    /// its tombstones in the same order every run.
+    marked: BTreeSet<usize>,
 }
 
 /// The POP3 protocol: the command dialog over the shared store.
@@ -347,6 +359,10 @@ impl Protocol<TcpStream> for Pop3 {
                 self.stats
                     .write_stall_evictions
                     .fetch_add(1, Ordering::Relaxed);
+            }
+            End::Session => {
+                self.stats.session_evictions.fetch_add(1, Ordering::Relaxed);
+                farewell(&mut gone.conn, b"-ERR session time limit exceeded\r\n");
             }
             _ => {}
         }

@@ -2,10 +2,15 @@
 //!
 //! MFS is "a simple application-level extension to any conventional
 //! byte-oriented file system" (paper §6.1); the [`Backend`] trait is that
-//! conventional file system. Implementations: [`crate::MemFs`] (in-memory,
-//! with optional content retention), [`crate::RealDir`] (actual files via
-//! `std::fs`), and [`crate::Metered`] (wraps another backend with the
-//! operation/cost accounting that drives Figs. 10/11).
+//! conventional file system. Two implementations store bytes:
+//! [`crate::MemFs`] (in-memory, with optional content retention) and
+//! [`crate::RealDir`] (actual files via `std::fs`). Two wrap another
+//! backend: [`crate::SyncBackend`] shares one between handles, and
+//! [`crate::Intercept`] puts a [`crate::Policy`] in front of one — the
+//! fault plan of [`crate::FaultyBackend`], the crash point of
+//! [`crate::CrashBackend`], the operation/cost accounting of
+//! [`crate::Metered`] that drives Figs. 10/11. Nothing else implements the
+//! trait, so a rule about every write is written in `intercept.rs` once.
 
 use crate::StoreResult;
 
@@ -34,6 +39,14 @@ impl DataRef<'_> {
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The first `n` bytes (all of them if there are fewer).
+    pub fn prefix(self, n: u64) -> Self {
+        match self {
+            DataRef::Bytes(b) => DataRef::Bytes(&b[..b.len().min(n as usize)]),
+            DataRef::Zeros(len) => DataRef::Zeros(len.min(n)),
+        }
     }
 
     /// Materializes the content (zero-filled for [`DataRef::Zeros`]).
@@ -129,6 +142,9 @@ mod tests {
         assert_eq!(DataRef::Zeros(10).len(), 10);
         assert!(DataRef::Bytes(b"").is_empty());
         assert!(!DataRef::Zeros(1).is_empty());
+        assert_eq!(DataRef::Bytes(b"abc").prefix(2).to_vec(), b"ab");
+        assert_eq!(DataRef::Bytes(b"abc").prefix(9).len(), 3);
+        assert_eq!(DataRef::Zeros(10).prefix(4).len(), 4);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! `kill -9`. The crash-point torture tests sweep every `(write, byte)`
 //! pair of a scripted workload and reopen the store from the survivors.
 
-use crate::{Backend, DataRef, StoreError, StoreResult};
+use crate::intercept::{Call, Intercept, Policy, Verdict};
+use crate::Backend;
 
 /// Where to kill the store: the `byte`-th byte of the `write`-th
 /// write-side operation (both 0-based). `byte == 0` loses the whole
@@ -28,7 +29,9 @@ pub struct CrashPoint {
 /// In *recording* mode (no crash point armed) it forwards everything and
 /// logs the byte size of each write-side operation — the script for an
 /// exhaustive sweep. Metadata operations (create/link/remove/truncate)
-/// count as 1-byte writes: they either happened or they didn't.
+/// count as 1-byte writes: they either happened or they didn't. A framed
+/// record (`append_record`) is one write of header plus body, so its cuts
+/// leave a header prefix or the whole header and a body prefix.
 ///
 /// # Example
 ///
@@ -43,172 +46,73 @@ pub struct CrashPoint {
 /// assert_eq!(survivor.len("f")?, 4);
 /// # Ok::<(), spamaware_mfs::StoreError>(())
 /// ```
-#[derive(Debug)]
-pub struct CrashBackend<B> {
-    inner: B,
+pub type CrashBackend<B> = Intercept<B, CrashPolicy>;
+
+/// The [`Policy`] of a [`CrashBackend`]: the armed point, whether it has
+/// fired, and the write log.
+#[derive(Debug, Default)]
+pub struct CrashPolicy {
     plan: Option<CrashPoint>,
-    writes_seen: u64,
     crashed: bool,
     write_log: Vec<u64>,
+}
+
+const DEAD: &str = "crashed store";
+
+impl Policy for CrashPolicy {
+    fn before(&mut self, call: Call<'_>) -> Verdict {
+        if self.crashed {
+            return Verdict::Fail(DEAD);
+        }
+        if !call.op.is_write() {
+            return Verdict::Pass;
+        }
+        let size = if call.op.carries_data() { call.len } else { 1 };
+        let index = self.write_log.len() as u64;
+        self.write_log.push(size);
+        match self.plan {
+            Some(p) if p.write == index => {
+                self.crashed = true;
+                Verdict::Tear {
+                    keep: p.byte,
+                    reason: DEAD,
+                }
+            }
+            _ => Verdict::Pass,
+        }
+    }
 }
 
 impl<B: Backend> CrashBackend<B> {
     /// Wraps a backend in recording mode: nothing fails, every write-side
     /// operation's byte size is logged.
     pub fn new(inner: B) -> CrashBackend<B> {
-        CrashBackend {
-            inner,
-            plan: None,
-            writes_seen: 0,
-            crashed: false,
-            write_log: Vec::new(),
-        }
+        Intercept::with_policy(inner, CrashPolicy::default())
     }
 
     /// Wraps a backend armed to crash at `point`.
     pub fn with_plan(inner: B, point: CrashPoint) -> CrashBackend<B> {
-        CrashBackend {
-            plan: Some(point),
-            ..CrashBackend::new(inner)
-        }
+        let mut fs = CrashBackend::new(inner);
+        fs.policy_mut().plan = Some(point);
+        fs
     }
 
     /// Byte sizes of the write-side operations seen so far, in order.
     pub fn write_log(&self) -> &[u64] {
-        &self.write_log
+        &self.policy().write_log
     }
 
     /// Whether the crash point has fired.
     pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
-    /// Unwraps the inner backend — "reboots the machine": the surviving
-    /// bytes are whatever landed before the crash.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
-    fn dead(&self) -> StoreError {
-        StoreError::Io("crashed store".to_owned())
-    }
-
-    /// Accounts one write-side operation of `size` bytes. `Ok(None)` lets
-    /// it through whole; `Ok(Some(n))` means the crash fires now and only
-    /// the first `n` bytes may be persisted.
-    fn write_gate(&mut self, size: u64) -> StoreResult<Option<u64>> {
-        if self.crashed {
-            return Err(self.dead());
-        }
-        let index = self.writes_seen;
-        self.writes_seen += 1;
-        self.write_log.push(size);
-        if let Some(p) = self.plan {
-            if p.write == index {
-                self.crashed = true;
-                return Ok(Some(p.byte.min(size)));
-            }
-        }
-        Ok(None)
-    }
-
-    fn read_gate(&self) -> StoreResult<()> {
-        if self.crashed {
-            return Err(self.dead());
-        }
-        Ok(())
-    }
-}
-
-impl<B: Backend> Backend for CrashBackend<B> {
-    fn create(&mut self, path: &str) -> StoreResult<()> {
-        match self.write_gate(1)? {
-            None => self.inner.create(path),
-            Some(cut) => {
-                if cut >= 1 {
-                    self.inner.create(path)?;
-                }
-                Err(self.dead())
-            }
-        }
-    }
-
-    fn append(&mut self, path: &str, data: DataRef<'_>) -> StoreResult<u64> {
-        match self.write_gate(data.len())? {
-            None => self.inner.append(path, data),
-            Some(cut) => {
-                if cut > 0 {
-                    let partial = match data {
-                        DataRef::Bytes(b) => DataRef::Bytes(&b[..cut as usize]),
-                        DataRef::Zeros(_) => DataRef::Zeros(cut),
-                    };
-                    self.inner.append(path, partial)?;
-                }
-                Err(self.dead())
-            }
-        }
-    }
-
-    fn read_at(&mut self, path: &str, offset: u64, len: u64) -> StoreResult<Vec<u8>> {
-        self.read_gate()?;
-        self.inner.read_at(path, offset, len)
-    }
-
-    fn len(&mut self, path: &str) -> StoreResult<u64> {
-        self.read_gate()?;
-        self.inner.len(path)
-    }
-
-    fn link(&mut self, src: &str, dst: &str) -> StoreResult<()> {
-        match self.write_gate(1)? {
-            None => self.inner.link(src, dst),
-            Some(cut) => {
-                if cut >= 1 {
-                    self.inner.link(src, dst)?;
-                }
-                Err(self.dead())
-            }
-        }
-    }
-
-    fn remove(&mut self, path: &str) -> StoreResult<()> {
-        match self.write_gate(1)? {
-            None => self.inner.remove(path),
-            Some(cut) => {
-                if cut >= 1 {
-                    self.inner.remove(path)?;
-                }
-                Err(self.dead())
-            }
-        }
-    }
-
-    fn truncate(&mut self, path: &str, len: u64) -> StoreResult<()> {
-        match self.write_gate(1)? {
-            None => self.inner.truncate(path, len),
-            Some(cut) => {
-                if cut >= 1 {
-                    self.inner.truncate(path, len)?;
-                }
-                Err(self.dead())
-            }
-        }
-    }
-
-    fn exists(&mut self, path: &str) -> bool {
-        !self.crashed && self.inner.exists(path)
-    }
-
-    fn list(&mut self, prefix: &str) -> StoreResult<Vec<String>> {
-        self.read_gate()?;
-        self.inner.list(prefix)
+        self.policy().crashed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MailId, MailStore, MemFs, MfsStore};
+    use crate::{DataRef, MailId, MailStore, MemFs, MfsStore};
+    use std::collections::BTreeSet;
 
     #[test]
     fn recording_mode_logs_write_sizes() -> Result<(), Box<dyn std::error::Error>> {
@@ -296,5 +200,48 @@ mod tests {
         recovered.deliver(MailId(1), &["a"], DataRef::Bytes(b"mail"))?;
         assert_eq!(recovered.read_mailbox("a")?.len(), 1);
         Ok(())
+    }
+
+    /// What `f` leaves of "f" at every crash point the recording run of
+    /// `f` lists.
+    fn survivors(f: impl Fn(&mut CrashBackend<MemFs>)) -> (Vec<u64>, BTreeSet<Vec<u8>>) {
+        let mut rec = CrashBackend::new(MemFs::new());
+        f(&mut rec);
+        let log = rec.write_log().to_vec();
+        let mut states = BTreeSet::new();
+        for (write, &size) in log.iter().enumerate() {
+            for byte in 0..=size {
+                let write = write as u64;
+                let mut fs = CrashBackend::with_plan(MemFs::new(), CrashPoint { write, byte });
+                f(&mut fs);
+                assert!(fs.crashed(), "{write}/{byte}");
+                let mut fs = fs.into_inner();
+                let len = fs.len("f").unwrap_or(0);
+                states.insert(fs.read_at("f", 0, len).unwrap_or_default());
+            }
+        }
+        (log, states)
+    }
+
+    /// A framed record is one intercepted write, and cutting it leaves
+    /// exactly what cutting the trait's two-append default leaves: a
+    /// header prefix, or the whole header and a body prefix.
+    #[test]
+    fn cuts_inside_one_record_leave_what_two_appends_left() {
+        let (header, body) = (b"From x\n".as_slice(), b"body bytes".as_slice());
+        let (one_log, one) = survivors(|fs| {
+            let _ = fs.append_record("f", header, DataRef::Bytes(body));
+        });
+        let (two_log, two) = survivors(|fs| {
+            let _ = fs
+                .append("f", DataRef::Bytes(header))
+                .and_then(|_| fs.append("f", DataRef::Bytes(body)));
+        });
+        assert_eq!(one_log, [17]);
+        assert_eq!(two_log, [7, 10]);
+        assert_eq!(one, two);
+        let whole = [header, body].concat();
+        let prefixes: BTreeSet<Vec<u8>> = (0..=whole.len()).map(|n| whole[..n].to_vec()).collect();
+        assert_eq!(one, prefixes);
     }
 }

@@ -1,7 +1,8 @@
 //! Fault injection: a backend wrapper that fails on command, for testing
 //! the error paths of every layout.
 
-use crate::{Backend, DataRef, StoreError, StoreResult};
+use crate::intercept::{Call, Intercept, Op, Policy, Verdict};
+use crate::Backend;
 
 /// Which backend operations to fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -14,7 +15,7 @@ pub struct FaultPlan {
     pub fail_reads: bool,
 }
 
-/// A [`Backend`] wrapper that injects [`StoreError::Io`] failures.
+/// A [`Backend`] wrapper that injects [`crate::StoreError::Io`] failures.
 ///
 /// # Example
 ///
@@ -26,99 +27,51 @@ pub struct FaultPlan {
 /// assert!(fs.append("f", DataRef::Bytes(b"boom")).is_err());
 /// # Ok::<(), spamaware_mfs::StoreError>(())
 /// ```
-#[derive(Debug)]
-pub struct FaultyBackend<B> {
-    inner: B,
+pub type FaultyBackend<B> = Intercept<B, FaultPolicy>;
+
+/// The [`Policy`] of a [`FaultyBackend`]: its plan and an operation count.
+#[derive(Debug, Default)]
+pub struct FaultPolicy {
     plan: FaultPlan,
     ops: u64,
+}
+
+impl Policy for FaultPolicy {
+    fn before(&mut self, call: Call<'_>) -> Verdict {
+        // `exists` cannot report an error, so it is neither failed nor
+        // counted.
+        if call.op == Op::Exists {
+            return Verdict::Pass;
+        }
+        self.ops += 1;
+        if let Some(n) = self.plan.fail_after {
+            if n == 0 {
+                return Verdict::Fail("injected fault (countdown)");
+            }
+            self.plan.fail_after = Some(n - 1);
+        }
+        match call.op.is_write() {
+            true if self.plan.fail_writes => Verdict::Fail("injected write fault"),
+            false if self.plan.fail_reads => Verdict::Fail("injected read fault"),
+            _ => Verdict::Pass,
+        }
+    }
 }
 
 impl<B: Backend> FaultyBackend<B> {
     /// Wraps a backend with no faults armed.
     pub fn new(inner: B) -> FaultyBackend<B> {
-        FaultyBackend {
-            inner,
-            plan: FaultPlan::default(),
-            ops: 0,
-        }
+        Intercept::with_policy(inner, FaultPolicy::default())
     }
 
     /// The current fault plan.
     pub fn plan_mut(&mut self) -> &mut FaultPlan {
-        &mut self.plan
+        &mut self.policy_mut().plan
     }
 
     /// Total operations attempted (successful or failed).
     pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Unwraps the inner backend.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-
-    fn gate(&mut self, is_write: bool) -> StoreResult<()> {
-        self.ops += 1;
-        if let Some(n) = self.plan.fail_after {
-            if n == 0 {
-                return Err(StoreError::Io("injected fault (countdown)".to_owned()));
-            }
-            self.plan.fail_after = Some(n - 1);
-        }
-        if is_write && self.plan.fail_writes {
-            return Err(StoreError::Io("injected write fault".to_owned()));
-        }
-        if !is_write && self.plan.fail_reads {
-            return Err(StoreError::Io("injected read fault".to_owned()));
-        }
-        Ok(())
-    }
-}
-
-impl<B: Backend> Backend for FaultyBackend<B> {
-    fn create(&mut self, path: &str) -> StoreResult<()> {
-        self.gate(true)?;
-        self.inner.create(path)
-    }
-
-    fn append(&mut self, path: &str, data: DataRef<'_>) -> StoreResult<u64> {
-        self.gate(true)?;
-        self.inner.append(path, data)
-    }
-
-    fn read_at(&mut self, path: &str, offset: u64, len: u64) -> StoreResult<Vec<u8>> {
-        self.gate(false)?;
-        self.inner.read_at(path, offset, len)
-    }
-
-    fn len(&mut self, path: &str) -> StoreResult<u64> {
-        self.gate(false)?;
-        self.inner.len(path)
-    }
-
-    fn link(&mut self, src: &str, dst: &str) -> StoreResult<()> {
-        self.gate(true)?;
-        self.inner.link(src, dst)
-    }
-
-    fn remove(&mut self, path: &str) -> StoreResult<()> {
-        self.gate(true)?;
-        self.inner.remove(path)
-    }
-
-    fn truncate(&mut self, path: &str, len: u64) -> StoreResult<()> {
-        self.gate(true)?;
-        self.inner.truncate(path, len)
-    }
-
-    fn exists(&mut self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn list(&mut self, prefix: &str) -> StoreResult<Vec<String>> {
-        self.gate(false)?;
-        self.inner.list(prefix)
+        self.policy().ops
     }
 }
 
@@ -126,7 +79,8 @@ impl<B: Backend> Backend for FaultyBackend<B> {
 mod tests {
     use super::*;
     use crate::{
-        HardlinkStore, Layout, MailId, MailStore, MaildirStore, MboxStore, MemFs, MfsStore,
+        DataRef, HardlinkStore, Layout, MailId, MailStore, MaildirStore, MboxStore, MemFs,
+        MfsStore, StoreError,
     };
 
     #[test]

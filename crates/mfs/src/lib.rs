@@ -5,9 +5,11 @@
 //! # Layers
 //!
 //! * **Backends** ([`Backend`]): [`MemFs`] (in-memory, hard links,
-//!   optional size-only mode), [`RealDir`] (`std::fs`), and [`Metered`]
-//!   (cost/operation accounting under a [`DiskProfile`] — the Ext3/Reiser
-//!   models behind Figs. 10/11).
+//!   optional size-only mode) and [`RealDir`] (`std::fs`); over either,
+//!   one [`Intercept`] layer whose [`Policy`] fails, tears, prices or
+//!   counts operations — [`Metered`] (cost/operation accounting under a
+//!   [`DiskProfile`], the Ext3/Reiser models behind Figs. 10/11),
+//!   [`FaultyBackend`], [`CrashBackend`].
 //! * **Layouts** ([`MailStore`]): [`MboxStore`] (vanilla postfix),
 //!   [`MaildirStore`], [`HardlinkStore`], and [`MfsStore`].
 //! * **Paper API**: [`MfsStore::mail_open`] / [`MfsStore::mail_seek`] /
@@ -47,9 +49,9 @@ mod crash;
 mod error;
 mod faulty;
 mod frame;
-mod fsck;
 mod handle;
 mod id;
+mod intercept;
 mod maildir;
 mod mbox;
 mod memfs;
@@ -60,17 +62,18 @@ mod sharded;
 mod store;
 
 pub use backend::{Backend, DataRef};
-pub use crash::{CrashBackend, CrashPoint};
+pub use crash::{CrashBackend, CrashPoint, CrashPolicy};
 pub use error::{StoreError, StoreResult};
-pub use faulty::{FaultPlan, FaultyBackend};
-pub use fsck::{fsck, FsckReport};
+pub use faulty::{FaultPlan, FaultPolicy, FaultyBackend};
 pub use handle::{MailFile, Whence};
 pub use id::{MailId, MailIdAllocator};
+pub use intercept::{Call, Intercept, Op, Policy, Verdict};
 pub use maildir::{HardlinkStore, MaildirStore};
 pub use mbox::MboxStore;
 pub use memfs::MemFs;
+pub use mfs_store::fsck::{fsck, FsckReport};
 pub use mfs_store::{MfsStats, MfsStore};
-pub use profile::{DiskProfile, Metered, OpCounts};
+pub use profile::{DiskProfile, Meter, Metered, OpCounts};
 pub use realdir::RealDir;
 pub use sharded::{ShardedStore, SyncBackend};
 pub use store::{MailStore, StoredMail};

@@ -22,6 +22,8 @@ use spamaware_metrics::{Counter, Registry, SpanHandle};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+pub(crate) mod fsck;
+
 /// Registry-backed store instrumentation (see [`MfsStore::with_metrics`]).
 #[derive(Debug)]
 struct StoreMetrics {
@@ -45,8 +47,11 @@ pub(crate) struct KeyRecord {
     pub(crate) offset: u64,
     pub(crate) len: u64,
     /// Mailbox key files: `1` own record, `-1` shared reference, `0`
-    /// tombstone. Shared key file: signed refcount delta.
-    pub(crate) delta: i64,
+    /// tombstone. Shared key file: signed refcount delta. Private, like
+    /// [`SharedEntry::refs`]: §6.1's "a shared record cannot be deleted
+    /// until it is deleted from all MFS files that share it" is kept by
+    /// this module and its child [`fsck`] and by nothing else.
+    delta: i64,
 }
 
 impl KeyRecord {
@@ -79,7 +84,7 @@ impl KeyRecord {
 pub(crate) struct SharedEntry {
     pub(crate) offset: u64,
     pub(crate) len: u64,
-    pub(crate) refs: i64,
+    refs: i64,
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -22,8 +22,8 @@
 //! so repeated runs over identical stores print byte-identical reports —
 //! pinned by the golden-fixture tests.
 
+use super::{KeyRecord, TailPolicy, SHARED};
 use crate::frame;
-use crate::mfs_store::{KeyRecord, TailPolicy, SHARED};
 use crate::{Backend, DataRef, MailId, MfsStore, StoreResult};
 use std::fmt;
 

@@ -7,9 +7,11 @@
 //! many-small-file workloads while Reiser excels. [`DiskProfile`] encodes
 //! per-operation costs; [`Metered`] wraps any [`Backend`] and accumulates
 //! both operation counts and total virtual time, which the DES charges to
-//! its disk resource.
+//! its disk resource. Only operations that succeeded are counted or
+//! charged.
 
-use crate::{Backend, DataRef, StoreResult};
+use crate::intercept::{Call, Intercept, Op, Policy, Verdict};
+use crate::Backend;
 use spamaware_sim::Nanos;
 
 /// Per-operation virtual-time costs of a file system.
@@ -117,150 +119,122 @@ pub struct OpCounts {
 /// assert!(disk.cost() > spamaware_sim::Nanos::ZERO);
 /// # Ok::<(), spamaware_mfs::StoreError>(())
 /// ```
+pub type Metered<B> = Intercept<B, Meter>;
+
+/// The [`Policy`] of a [`Metered`] backend: the price list and the tally.
 #[derive(Debug)]
-pub struct Metered<B> {
-    inner: B,
+pub struct Meter {
     profile: DiskProfile,
     counts: OpCounts,
     cost: Nanos,
 }
 
+impl Meter {
+    fn wrote(&mut self, bytes: u64) {
+        self.counts.appends += 1;
+        self.counts.bytes_written += bytes;
+        self.cost += self.profile.write_cost(bytes);
+    }
+
+    fn created_file(&mut self) {
+        self.counts.creates += 1;
+        self.cost += self.profile.create_file;
+    }
+
+    fn deleted(&mut self) {
+        self.counts.deletes += 1;
+        self.cost += self.profile.delete;
+    }
+}
+
+impl Policy for Meter {
+    const WANTS_CREATED: bool = true;
+
+    fn before(&mut self, _call: Call<'_>) -> Verdict {
+        Verdict::Pass
+    }
+
+    fn after(&mut self, call: Call<'_>, ok: bool, created: bool) {
+        if !ok {
+            return;
+        }
+        match call.op {
+            Op::Create => self.created_file(),
+            // A record is one vectored write: a single setup charge
+            // covers header + body.
+            Op::Append | Op::AppendRecord => {
+                if created {
+                    self.created_file();
+                }
+                self.wrote(call.len);
+            }
+            // Remove what was there, then write into a fresh file.
+            Op::Replace => {
+                if !created {
+                    self.deleted();
+                }
+                self.created_file();
+                self.wrote(call.len);
+            }
+            Op::ReadAt => {
+                self.counts.reads += 1;
+                self.counts.bytes_read += call.len;
+                self.cost += self.profile.read_cost(call.len);
+            }
+            Op::Link => {
+                self.counts.links += 1;
+                self.cost += self.profile.link;
+            }
+            Op::Remove => self.deleted(),
+            // Recovery-only metadata operation; charged like a removal.
+            Op::Truncate => self.cost += self.profile.delete,
+            Op::List => self.cost += self.profile.read_setup,
+            Op::Len | Op::Exists => {}
+        }
+    }
+}
+
 impl<B: Backend> Metered<B> {
     /// Wraps `inner` with the given cost profile.
     pub fn new(inner: B, profile: DiskProfile) -> Metered<B> {
-        Metered {
-            inner,
+        let (counts, cost) = (OpCounts::default(), Nanos::ZERO);
+        let meter = Meter {
             profile,
-            counts: OpCounts::default(),
-            cost: Nanos::ZERO,
-        }
+            counts,
+            cost,
+        };
+        Intercept::with_policy(inner, meter)
     }
 
     /// Accumulated operation counts.
     pub fn counts(&self) -> OpCounts {
-        self.counts
+        self.policy().counts
     }
 
     /// Total accumulated virtual-time cost.
     pub fn cost(&self) -> Nanos {
-        self.cost
+        self.policy().cost
     }
 
     /// Returns and resets the accumulated cost (the DES drains this after
     /// each storage action to charge its disk resource).
     pub fn take_cost(&mut self) -> Nanos {
-        std::mem::replace(&mut self.cost, Nanos::ZERO)
+        std::mem::replace(&mut self.policy_mut().cost, Nanos::ZERO)
     }
 
     /// Resets counts and cost to zero (after pre-warming steady-state
     /// structures like pre-existing mailbox files).
     pub fn reset_accounting(&mut self) {
-        self.counts = OpCounts::default();
-        self.cost = Nanos::ZERO;
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped backend (operations through this are
-    /// not metered).
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
-    /// Consumes the wrapper, returning the backend.
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
-}
-
-impl<B: Backend> Backend for Metered<B> {
-    fn create(&mut self, path: &str) -> StoreResult<()> {
-        self.inner.create(path)?;
-        self.counts.creates += 1;
-        self.cost += self.profile.create_file;
-        Ok(())
-    }
-
-    fn append(&mut self, path: &str, data: DataRef<'_>) -> StoreResult<u64> {
-        let implicit_create = !self.inner.exists(path);
-        let off = self.inner.append(path, data)?;
-        if implicit_create {
-            self.counts.creates += 1;
-            self.cost += self.profile.create_file;
-        }
-        self.counts.appends += 1;
-        self.counts.bytes_written += data.len();
-        self.cost += self.profile.write_cost(data.len());
-        Ok(off)
-    }
-
-    fn read_at(&mut self, path: &str, offset: u64, len: u64) -> StoreResult<Vec<u8>> {
-        let out = self.inner.read_at(path, offset, len)?;
-        self.counts.reads += 1;
-        self.counts.bytes_read += len;
-        self.cost += self.profile.read_cost(len);
-        Ok(out)
-    }
-
-    fn len(&mut self, path: &str) -> StoreResult<u64> {
-        self.inner.len(path)
-    }
-
-    fn link(&mut self, src: &str, dst: &str) -> StoreResult<()> {
-        self.inner.link(src, dst)?;
-        self.counts.links += 1;
-        self.cost += self.profile.link;
-        Ok(())
-    }
-
-    fn remove(&mut self, path: &str) -> StoreResult<()> {
-        self.inner.remove(path)?;
-        self.counts.deletes += 1;
-        self.cost += self.profile.delete;
-        Ok(())
-    }
-
-    fn truncate(&mut self, path: &str, len: u64) -> StoreResult<()> {
-        // Recovery-only metadata operation; charged like a removal.
-        self.inner.truncate(path, len)?;
-        self.cost += self.profile.delete;
-        Ok(())
-    }
-
-    fn exists(&mut self, path: &str) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn list(&mut self, prefix: &str) -> StoreResult<Vec<String>> {
-        let out = self.inner.list(prefix)?;
-        self.cost += self.profile.read_setup;
-        Ok(out)
-    }
-
-    fn append_record(&mut self, path: &str, header: &[u8], body: DataRef<'_>) -> StoreResult<u64> {
-        // One vectored write: a single setup charge covers header + body.
-        let implicit_create = !self.inner.exists(path);
-        let off = self.inner.append(path, DataRef::Bytes(header))?;
-        self.inner.append(path, body)?;
-        if implicit_create {
-            self.counts.creates += 1;
-            self.cost += self.profile.create_file;
-        }
-        let total = header.len() as u64 + body.len();
-        self.counts.appends += 1;
-        self.counts.bytes_written += total;
-        self.cost += self.profile.write_cost(total);
-        Ok(off)
+        let meter = self.policy_mut();
+        meter.counts = OpCounts::default();
+        meter.cost = Nanos::ZERO;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemFs;
+    use crate::{DataRef, MemFs};
 
     #[test]
     fn ext3_penalizes_creation_reiser_does_not() {
@@ -317,6 +291,24 @@ mod tests {
         d.append("fresh", DataRef::Zeros(10))?;
         assert_eq!(d.counts().creates, 1);
         assert_eq!(d.counts().appends, 2);
+        Ok(())
+    }
+
+    #[test]
+    fn a_replace_is_priced_as_the_removal_and_fresh_append_it_is(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let mut one = Metered::new(MemFs::new(), DiskProfile::ext3());
+        let mut two = Metered::new(MemFs::new(), DiskProfile::ext3());
+        for d in [&mut one, &mut two] {
+            d.append("f", DataRef::Zeros(10))?;
+        }
+        one.replace("f", DataRef::Zeros(3000))?;
+        one.replace("fresh", DataRef::Zeros(5))?;
+        two.remove("f")?;
+        two.append("f", DataRef::Zeros(3000))?;
+        two.append("fresh", DataRef::Zeros(5))?;
+        assert_eq!(one.counts(), two.counts());
+        assert_eq!(one.cost(), two.cost());
         Ok(())
     }
 

@@ -507,7 +507,7 @@ impl<B: Backend> Backend for SyncBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemFs;
+    use crate::{Call, Intercept, MemFs, Op, Policy, Verdict};
 
     fn sharded(n: usize) -> ShardedStore<SyncBackend<MemFs>> {
         let fs = SyncBackend::new(MemFs::new());
@@ -592,52 +592,29 @@ mod tests {
         assert_eq!(stats.own_records, 1);
     }
 
-    /// [`MemFs`] counting the calls a boot is budgeted in.
+    /// Counts the calls a boot is budgeted in.
     #[derive(Default)]
-    struct Counting {
-        fs: MemFs,
+    struct CallCounts {
         lists: u64,
         reads: u64,
     }
 
-    impl Backend for Counting {
-        fn create(&mut self, path: &str) -> StoreResult<()> {
-            self.fs.create(path)
-        }
-        fn append(&mut self, path: &str, data: DataRef<'_>) -> StoreResult<u64> {
-            self.fs.append(path, data)
-        }
-        fn read_at(&mut self, path: &str, offset: u64, len: u64) -> StoreResult<Vec<u8>> {
-            self.reads += 1;
-            self.fs.read_at(path, offset, len)
-        }
-        fn len(&mut self, path: &str) -> StoreResult<u64> {
-            self.fs.len(path)
-        }
-        fn link(&mut self, src: &str, dst: &str) -> StoreResult<()> {
-            self.fs.link(src, dst)
-        }
-        fn remove(&mut self, path: &str) -> StoreResult<()> {
-            self.fs.remove(path)
-        }
-        fn truncate(&mut self, path: &str, len: u64) -> StoreResult<()> {
-            self.fs.truncate(path, len)
-        }
-        fn exists(&mut self, path: &str) -> bool {
-            self.fs.exists(path)
-        }
-        fn list(&mut self, prefix: &str) -> StoreResult<Vec<String>> {
-            self.lists += 1;
-            self.fs.list(prefix)
+    impl Policy for CallCounts {
+        fn before(&mut self, call: Call<'_>) -> Verdict {
+            match call.op {
+                Op::List => self.lists += 1,
+                Op::ReadAt => self.reads += 1,
+                _ => {}
+            }
+            Verdict::Pass
         }
     }
 
+    type Counting = Intercept<MemFs, CallCounts>;
+
     #[test]
     fn boot_lists_the_spool_once_and_reads_each_key_file_once() {
-        let fs = SyncBackend::new(Counting {
-            fs: MemFs::new(),
-            ..Counting::default()
-        });
+        let fs = SyncBackend::new(Counting::with_policy(MemFs::new(), CallCounts::default()));
         {
             let s = ShardedStore::open_with(8, || Ok(fs.clone())).unwrap();
             for i in 0..20u64 {
@@ -655,8 +632,8 @@ mod tests {
         }
         let key_files = 20 + 3 + 1;
         let calls = |fs: &SyncBackend<Counting>| {
-            let mut fs = fs.inner.lock();
-            (std::mem::take(&mut fs.lists), std::mem::take(&mut fs.reads))
+            let counts = std::mem::take(fs.inner.lock().policy_mut());
+            (counts.lists, counts.reads)
         };
         calls(&fs);
         let replayed = ShardedStore::open_with(8, || Ok(fs.clone())).unwrap();
@@ -719,6 +696,38 @@ mod tests {
     fn second_partition_under_a_hold_panics() {
         let s = sharded(2);
         s.with_part(&s.shards[0], |_| s.with_part(&s.shards[1], |_| ()));
+    }
+
+    /// A record stays whole on a shared backend only if every layer above
+    /// the lock forwards `append_record` as the one call it is: spelled as
+    /// two appends, the lock drops between header and body and another
+    /// handle's bytes land there.
+    #[test]
+    #[allow(clippy::disallowed_methods)]
+    fn a_metered_record_over_a_shared_backend_is_never_split() {
+        const RECORDS: usize = 20_000;
+        let fs = SyncBackend::new(MemFs::new());
+        let mut other = fs.clone();
+        let noise = std::thread::spawn(move || {
+            for _ in 0..RECORDS {
+                other.append("mbox", DataRef::Bytes(b"!")).unwrap();
+            }
+        });
+        let mut metered = crate::Metered::new(fs.clone(), crate::DiskProfile::free());
+        for _ in 0..RECORDS {
+            metered
+                .append_record("mbox", b"<", DataRef::Bytes(b">"))
+                .unwrap();
+        }
+        noise.join().unwrap();
+        assert_eq!(metered.counts().appends, RECORDS as u64);
+        let bytes = fs
+            .inner
+            .lock()
+            .read_at("mbox", 0, 3 * RECORDS as u64)
+            .unwrap();
+        let split = bytes.windows(2).filter(|w| w == b"<!").count();
+        assert_eq!(split, 0, "headers followed by another handle's byte");
     }
 
     // The test's own thread joins its writers; crates/mfs/clippy.toml is

@@ -3,7 +3,7 @@
 //! clean (this is the same check `scripts/check.sh` runs pre-PR).
 
 use spamaware_xtask::scan::scan_source;
-use spamaware_xtask::{determinism, invariants, panics, unsafety};
+use spamaware_xtask::{determinism, panics, unsafety};
 
 fn fixture(name: &str, path: &str) -> spamaware_xtask::scan::SourceFile {
     let text = match name {
@@ -17,7 +17,6 @@ fn fixture(name: &str, path: &str) -> spamaware_xtask::scan::SourceFile {
         "clean_panic" => include_str!("fixtures/clean_panic.rs"),
         "violation_unsafe" => include_str!("fixtures/violation_unsafe.rs"),
         "clean_unsafe" => include_str!("fixtures/clean_unsafe.rs"),
-        "violation_refcount" => include_str!("fixtures/violation_refcount.rs"),
         other => panic!("unknown fixture {other}"),
     };
     scan_source(path, text)
@@ -87,19 +86,6 @@ fn unsafe_audit_requires_safety_comment() {
 
     let good = unsafety::check(&fixture("clean_unsafe", "crates/sim/src/fixture.rs"));
     assert!(good.is_empty(), "documented unsafe flagged: {good:?}");
-}
-
-#[test]
-fn invariant_lint_catches_refcount_escapes() {
-    let refs = invariants::check(&fixture("violation_refcount", "crates/mfs/src/fixture.rs"));
-    assert_eq!(refs.len(), 1, "{refs:?}");
-    assert_eq!(refs[0].rule, "mfs-refcount");
-}
-
-#[test]
-fn invariant_lint_exempts_the_home_modules() {
-    let f = fixture("violation_refcount", "crates/mfs/src/mfs_store.rs");
-    assert!(invariants::check(&f).is_empty());
 }
 
 /// The real workspace must lint clean — this is the acceptance gate for

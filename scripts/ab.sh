@@ -11,7 +11,10 @@
 # the median change, whether it exceeds the distance between the parent's
 # quartiles, and the pairs each side won (ties count for neither) — plus
 # failed operations and verification per side. A gain may be claimed when
-# the change wins at least nine tenths of the pairs and "gap>iqr" says yes.
+# the change wins at least nine tenths of the pairs and "gap>iqr" says yes —
+# from ten pairs up: below that the column reads "n<10" and the header says
+# so, because a few pairs produce verdicts that more pairs take back (four
+# once read -7.9 %, 4/0, "yes" for a change that ten pairs put at +0.4 %).
 #
 # Only the last line of each run's stdout is read.
 
@@ -56,6 +59,9 @@ done
 
 echo
 echo "workload $workload, $pairs pairs (seeds 1..$pairs), parent $parent, change $change"
+if [ "$pairs" -lt 10 ]; then
+    echo "fewer than ten pairs: no gain or regression may be read from this table (gap>iqr shows n<10)"
+fi
 awk -v pairs="$pairs" '
 # First file: BENCHMARK.json — the end-to-end metrics and their direction.
 FNR == NR {
@@ -115,7 +121,7 @@ END {
             if (d > 0) { won++ } else if (d < 0) { lost++ } else { tie++ }
         }
         gap = cm - pm; if (gap < 0) { gap = -gap }
-        beyond = (gap > p3 - p1) ? "yes" : "no"
+        beyond = pairs < 10 ? "n<10" : (gap > p3 - p1) ? "yes" : "no"
         percent = pm ? 100 * (cm - pm) / pm : 0
         printf "%-32s %-6s %-34s %-34s %+7.1f%% %8s  %d/%d/%d\n", name, better[name], \
             sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", cm, c1, c3), \

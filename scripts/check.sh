@@ -17,8 +17,7 @@
 #                                outright, since that crate runs under
 #                                store partitions (DESIGN.md §14.2).
 #   3. spamaware-xtask lint    — the line lint: determinism, panic-safety,
-#                                unsafe-audit, invariant-provenance
-#                                (DESIGN.md §9)
+#                                unsafe-audit (DESIGN.md §9)
 #   4. cargo test              — unit, integration, property and doc tests;
 #                                among them the debug-build assertion that
 #                                no thread holds two store partitions, the

@@ -4,6 +4,7 @@
 use spamaware_core::{LiveConfig, LiveServer, Pop3Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 struct Pop {
@@ -48,6 +49,13 @@ impl Pop {
 }
 
 fn setup(tag: &str) -> (LiveServer, Pop3Server, std::path::PathBuf) {
+    setup_with_timeout(tag, Duration::from_secs(30))
+}
+
+fn setup_with_timeout(
+    tag: &str,
+    read_timeout: Duration,
+) -> (LiveServer, Pop3Server, std::path::PathBuf) {
     let root = std::env::temp_dir().join(format!(
         "spamaware-pop-{tag}-{}-{:x}",
         std::process::id(),
@@ -58,10 +66,11 @@ fn setup(tag: &str) -> (LiveServer, Pop3Server, std::path::PathBuf) {
     ));
     let mailboxes = vec!["alice".to_string(), "bob".to_string()];
     let smtp = LiveServer::start(LiveConfig::localhost(&root, mailboxes.clone())).expect("smtp");
-    let pop = Pop3Server::start(
+    let pop = Pop3Server::start_with_timeout(
         "127.0.0.1:0".parse().expect("addr"),
         smtp.store(),
         mailboxes,
+        read_timeout,
     )
     .expect("pop3");
     (smtp, pop, root)
@@ -199,6 +208,73 @@ fn pop3_rset_unmarks_and_bad_auth_rejected() {
     pop.shutdown();
     smtp.shutdown();
     let _ = std::fs::remove_dir_all(root);
+}
+
+/// A peer that moves one byte just inside every read timeout passes the
+/// idle and the no-progress deadlines for ever; the whole-session budget
+/// of 60 read timeouts is what gives its slot back.
+#[test]
+fn pop3_session_budget_cuts_a_peer_that_is_never_idle() {
+    let read_timeout = Duration::from_millis(100);
+    let budget = read_timeout * 60;
+    let (smtp, pop, root) = setup_with_timeout("budget", read_timeout);
+    let mut p = Pop::connect(pop.local_addr());
+    let started = std::time::Instant::now();
+    let mut served = 0u32;
+    let cut_after = loop {
+        let asked = std::time::Instant::now();
+        let mut reply = String::new();
+        let alive = p.stream.write_all(b"NOOP\r\n").is_ok()
+            && p.reader.read_line(&mut reply).is_ok_and(|n| n > 0)
+            && reply.starts_with("+OK");
+        if !alive {
+            break started.elapsed();
+        }
+        served += 1;
+        assert!(
+            started.elapsed() < budget + Duration::from_secs(3),
+            "still served {:?} into a {budget:?} budget",
+            started.elapsed()
+        );
+        std::thread::sleep((read_timeout * 2 / 3).saturating_sub(asked.elapsed()));
+    };
+    let stats = pop.stats();
+    assert_eq!(stats.idle_evictions.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.session_evictions.load(Ordering::Relaxed), 1);
+    assert!(cut_after >= budget, "cut early, at {cut_after:?}");
+    assert!(served >= 60, "{served} NOOPs served before the cut");
+    pop.shutdown();
+    smtp.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+/// `QUIT` applies the session's `DELE`s in message order, so the same
+/// session leaves the same key file — byte for byte — every run.
+#[test]
+fn pop3_quit_writes_its_tombstones_in_message_order() {
+    let run = |tag: &str| {
+        let (smtp, pop, root) = setup(tag);
+        for i in 0..8 {
+            smtp_deliver(smtp.local_addr(), &["alice"], &format!("mail number {i}"));
+        }
+        wait_for_mails(&smtp, 8);
+        let mut p = Pop::connect(pop.local_addr());
+        p.cmd("USER alice");
+        assert!(p.cmd("PASS x").starts_with("+OK 8"));
+        for n in [7, 2, 5, 1, 8, 3, 6] {
+            assert!(p.cmd(&format!("DELE {n}")).starts_with("+OK"));
+        }
+        assert!(p.cmd("QUIT").starts_with("+OK"));
+        assert_eq!(pop.stats().deleted.load(Ordering::Relaxed), 7);
+        pop.shutdown();
+        smtp.shutdown();
+        let key = std::fs::read(root.join("mfs/alice.key")).expect("alice's key file");
+        let _ = std::fs::remove_dir_all(root);
+        key
+    };
+    let (first, second) = (run("order-a"), run("order-b"));
+    assert!(!first.is_empty());
+    assert_eq!(first, second);
 }
 
 #[test]
