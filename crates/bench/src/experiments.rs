@@ -178,20 +178,22 @@ pub(crate) fn fig05(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
         "DNSBL query latency CDFs (six servers)",
         scale,
     )?;
+    const MS_100: u64 = Nanos::from_millis(100).as_nanos();
     let rows = experiment::fig05(scale);
     for (name, hist) in &rows {
         writeln!(out, "  {name}:")?;
-        for (ms, f) in thin_cdf(&hist.cdf(), 8) {
+        for (ns, f) in thin_cdf(&hist.cdf(), 8) {
+            let ms = Nanos::from_nanos(ns).as_millis_f64();
             writeln!(out, "    {:>8.1} ms   {:>5.3}", ms, f)?;
         }
         writeln!(
             out,
             "    fraction > 100 ms: {:.0}%",
-            hist.fraction_above(100.0) * 100.0
+            hist.fraction_above(MS_100) * 100.0
         )?;
         writeln!(out)?;
     }
-    let fracs: Vec<f64> = rows.iter().map(|(_, h)| h.fraction_above(100.0)).collect();
+    let fracs: Vec<f64> = rows.iter().map(|(_, h)| h.fraction_above(MS_100)).collect();
     let min = fracs.iter().cloned().fold(f64::MAX, f64::min);
     let max = fracs.iter().cloned().fold(0.0f64, f64::max);
     writeln!(
@@ -359,19 +361,21 @@ pub(crate) fn fig13(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
     )?;
     let (ip, prefix) = experiment::fig13(scale);
     writeln!(out, "  per-IP interarrivals (seconds):")?;
-    for (s, f) in thin_cdf(&ip.cdf(), 10) {
+    for (ns, f) in thin_cdf(&ip.cdf(), 10) {
+        let s = Nanos::from_nanos(ns).as_secs_f64();
         writeln!(out, "    {:>10.0} s   {:>5.3}", s, f)?;
     }
     writeln!(out, "  per-/24 interarrivals (seconds):")?;
-    for (s, f) in thin_cdf(&prefix.cdf(), 10) {
+    for (ns, f) in thin_cdf(&prefix.cdf(), 10) {
+        let s = Nanos::from_nanos(ns).as_secs_f64();
         writeln!(out, "    {:>10.0} s   {:>5.3}", s, f)?;
     }
     writeln!(out)?;
     writeln!(
         out,
         "  medians: per-IP {:.0} s vs per-/24 {:.0} s — prefix-level arrivals are",
-        ip.quantile(0.5),
-        prefix.quantile(0.5)
+        Nanos::from_nanos(ip.quantile(50)).as_secs_f64(),
+        Nanos::from_nanos(prefix.quantile(50)).as_secs_f64()
     )?;
     writeln!(
         out,
@@ -439,7 +443,8 @@ pub(crate) fn fig15(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -> i
     let f = experiment::fig15_with_metrics(scale, &registry);
     for (scheme, hist, hit, qfrac) in &f.rows {
         writeln!(out, "  {scheme:?}:")?;
-        for (ms, frac) in thin_cdf(&hist.cdf(), 8) {
+        for (ns, frac) in thin_cdf(&hist.cdf(), 8) {
+            let ms = Nanos::from_nanos(ns).as_millis_f64();
             writeln!(out, "    {:>8.2} ms   {:>5.3}", ms, frac)?;
         }
         writeln!(
@@ -481,7 +486,10 @@ pub(crate) fn fig15(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -> i
                 scheme: format!("{scheme:?}"),
                 hit_ratio: *hit,
                 query_fraction: *qfrac,
-                latency_cdf_ms: thin_cdf(&hist.cdf(), 32),
+                latency_cdf_ms: thin_cdf(&hist.cdf(), 32)
+                    .into_iter()
+                    .map(|(ns, frac)| (Nanos::from_nanos(ns).as_millis_f64(), frac))
+                    .collect(),
             })
             .collect();
         write_json(out, path, &rows)?;

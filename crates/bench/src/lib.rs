@@ -138,12 +138,12 @@ fn banner(out: &mut dyn Write, id: &str, caption: &str, scale: Scale) -> io::Res
 }
 
 /// Down-samples a CDF to at most `n` evenly spaced points for printing.
-fn thin_cdf(cdf: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
+fn thin_cdf<P: Copy + PartialEq>(cdf: &[P], n: usize) -> Vec<P> {
     if cdf.len() <= n || n == 0 {
         return cdf.to_vec();
     }
     let step = cdf.len() as f64 / n as f64;
-    let mut out: Vec<(f64, f64)> = (0..n).map(|i| cdf[(i as f64 * step) as usize]).collect();
+    let mut out: Vec<P> = (0..n).map(|i| cdf[(i as f64 * step) as usize]).collect();
     if let Some(last) = cdf.last() {
         if out.last() != Some(last) {
             out.push(*last);

@@ -13,8 +13,7 @@ use spamaware_dnsbl::{
 use spamaware_mfs::{DiskProfile, Layout};
 use spamaware_netaddr::Ipv4;
 use spamaware_server::{run, ClientModel, DnsConfig, RunReport, ServerConfig};
-use spamaware_sim::metrics::Histogram;
-use spamaware_sim::{det_rng, Nanos};
+use spamaware_sim::{det_rng, LogHistogram, Nanos, Readout};
 use spamaware_trace::{
     bounce_sweep_trace, mfs_sequence_trace, EcnSeries, SinkholeConfig, SinkholeTrace, Trace,
     TraceStats, UnivConfig, UnivTrace,
@@ -124,9 +123,9 @@ pub fn fig04(scale: Scale) -> Vec<(u32, f64)> {
 
 // ---------------------------------------------------------------- Fig. 5
 
-/// Fig. 5: per-DNSBL cold-query latency CDFs over the sinkhole's unique
-/// spammer IPs.
-pub fn fig05(scale: Scale) -> Vec<(&'static str, Histogram)> {
+/// Fig. 5: per-DNSBL cold-query latency CDFs (ns) over the sinkhole's
+/// unique spammer IPs.
+pub fn fig05(scale: Scale) -> Vec<(&'static str, Readout)> {
     let sink = SinkholeConfig::scaled(scale.trace).generate();
     let ips: std::collections::HashSet<Ipv4> =
         sink.trace.connections.iter().map(|c| c.client_ip).collect();
@@ -134,11 +133,11 @@ pub fn fig05(scale: Scale) -> Vec<(&'static str, Histogram)> {
     paper_servers()
         .into_iter()
         .map(|(name, model)| {
-            let mut h = Histogram::for_latency_ms();
+            let h = LogHistogram::new();
             for _ in &ips {
-                h.record_nanos_as_ms(model.sample(&mut rng));
+                h.record(model.sample(&mut rng).as_nanos());
             }
-            (name, h)
+            (name, Readout::from(&h))
         })
         .collect()
 }
@@ -264,23 +263,22 @@ pub fn fig12(scale: Scale) -> Vec<(u32, f64)> {
 
 // ---------------------------------------------------------------- Fig. 13
 
-/// Fig. 13: interarrival-time CDFs for same-IP and same-/24 spam.
-pub fn fig13(scale: Scale) -> (Histogram, Histogram) {
+/// Fig. 13: interarrival-time CDFs (ns) for same-IP and same-/24 spam.
+pub fn fig13(scale: Scale) -> (Readout, Readout) {
     let sink = SinkholeConfig::scaled(scale.trace).generate();
     let mut per_ip: std::collections::HashMap<Ipv4, Nanos> = std::collections::HashMap::new();
     let mut per_prefix: std::collections::HashMap<_, Nanos> = std::collections::HashMap::new();
-    // Seconds-scale histogram.
-    let mut ip_hist = Histogram::new(1.0, 1.1);
-    let mut prefix_hist = Histogram::new(1.0, 1.1);
+    let ip_hist = LogHistogram::new();
+    let prefix_hist = LogHistogram::new();
     for c in &sink.trace.connections {
         if let Some(prev) = per_ip.insert(c.client_ip, c.arrival) {
-            ip_hist.record((c.arrival - prev).as_secs_f64());
+            ip_hist.record((c.arrival - prev).as_nanos());
         }
         if let Some(prev) = per_prefix.insert(c.client_ip.prefix24(), c.arrival) {
-            prefix_hist.record((c.arrival - prev).as_secs_f64());
+            prefix_hist.record((c.arrival - prev).as_nanos());
         }
     }
-    (ip_hist, prefix_hist)
+    (Readout::from(&ip_hist), Readout::from(&prefix_hist))
 }
 
 // ---------------------------------------------------------------- Fig. 14
@@ -337,8 +335,8 @@ pub fn fig14(scale: Scale, rates: &[f64]) -> Vec<Fig14Point> {
 /// trace replayed through the resolver at trace timestamps.
 #[derive(Debug, Clone)]
 pub struct Fig15 {
-    /// `(scheme, lookup-latency histogram, hit ratio, query fraction)`.
-    pub rows: Vec<(CacheScheme, Histogram, f64, f64)>,
+    /// `(scheme, lookup latency (ns), hit ratio, query fraction)`.
+    pub rows: Vec<(CacheScheme, Readout, f64, f64)>,
 }
 
 /// Runs the Fig. 15 replay.
@@ -374,12 +372,8 @@ pub fn fig15_with_metrics(scale: Scale, registry: &spamaware_metrics::Registry) 
             resolver.lookup(c.client_ip, c.arrival, &server, &mut rng);
         }
         let s = resolver.stats();
-        (
-            scheme,
-            s.latency_ms.clone(),
-            s.hit_ratio(),
-            s.query_fraction(),
-        )
+        let (hit_ratio, query_fraction) = (s.hit_ratio(), s.query_fraction());
+        (scheme, s.latency_ns, hit_ratio, query_fraction)
     })
     .collect();
     Fig15 { rows }
@@ -510,7 +504,7 @@ mod tests {
     #[test]
     fn fig13_prefix_interarrivals_are_shorter() {
         let (ip, prefix) = fig13(Scale::quick());
-        assert!(prefix.quantile(0.5) < ip.quantile(0.5));
+        assert!(prefix.quantile(50) < ip.quantile(50));
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl LineBuffer {
         // memmove: of the partial line the last read ended in.
         self.buf.drain(..self.head);
         self.head = 0;
-        // Exact growth, so the capacity is a high-water mark of what was
+        // Grown exactly, so the capacity is a high-water mark of what was
         // needed and not a power of two above it.
         self.buf.reserve_exact(bytes.len());
         self.buf.extend_from_slice(bytes);

@@ -106,7 +106,7 @@ mod tests {
     fn oversized_and_unallocated_buffers_are_dropped() {
         let p = pool(4, 16);
         p.put(Vec::new()); // never allocated
-        p.put(Vec::with_capacity(64 << 20)); // pathological growth
+        p.put(Vec::with_capacity(64 << 20)); // pathologically large
         assert_eq!(p.free.lock().len(), 0);
     }
 

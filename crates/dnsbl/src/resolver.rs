@@ -10,14 +10,14 @@ use crate::DnsblServer;
 use rand::Rng;
 use spamaware_metrics::{Counter, LogHistogram, Registry};
 use spamaware_netaddr::{Ipv4, Prefix25, PrefixBitmap};
-use spamaware_sim::metrics::Histogram;
-use spamaware_sim::Nanos;
+use spamaware_sim::{Nanos, Readout};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Registry-backed resolver instrumentation (see
-/// [`CachingResolver::with_metrics`]).
-#[derive(Debug)]
+/// The resolver's one set of books: its own instruments until
+/// [`CachingResolver::with_metrics`] swaps in a registry's, and what
+/// [`CachingResolver::stats`] reads either way.
+#[derive(Debug, Default)]
 struct ResolverMetrics {
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -59,21 +59,12 @@ pub struct ResolverStats {
     pub queries_issued: u64,
     /// Entries evicted due to the capacity bound.
     pub evictions: u64,
-    /// Lookup-time distribution in milliseconds (hits record ~0).
-    pub latency_ms: Histogram,
+    /// Lookup-time distribution in nanoseconds (a hit records
+    /// [`CachingResolver::HIT_COST`]).
+    pub latency_ns: Readout,
 }
 
 impl ResolverStats {
-    fn new() -> ResolverStats {
-        ResolverStats {
-            lookups: 0,
-            hits: 0,
-            queries_issued: 0,
-            evictions: 0,
-            latency_ms: Histogram::for_latency_ms(),
-        }
-    }
-
     /// Cache hit ratio (0 when no lookups yet).
     pub fn hit_ratio(&self) -> f64 {
         if self.lookups == 0 {
@@ -166,8 +157,8 @@ pub struct CachingResolver {
     capacity: Option<usize>,
     ip_cache: HashMap<Ipv4, (Nanos, bool)>,
     prefix_cache: HashMap<Prefix25, (Nanos, PrefixBitmap)>,
-    stats: ResolverStats,
-    metrics: Option<ResolverMetrics>,
+    queries_issued: u64,
+    metrics: ResolverMetrics,
 }
 
 impl CachingResolver {
@@ -190,23 +181,25 @@ impl CachingResolver {
             capacity: None,
             ip_cache: HashMap::new(),
             prefix_cache: HashMap::new(),
-            stats: ResolverStats::new(),
-            metrics: None,
+            queries_issued: 0,
+            metrics: ResolverMetrics::default(),
         }
     }
 
-    /// Reports cache hits/misses/evictions and the (virtual) lookup
-    /// latency into `registry` under `<prefix>.cache_hit`,
+    /// Keeps the cache hits/misses/evictions and the (virtual) lookup
+    /// latency in `registry`, under `<prefix>.cache_hit`,
     /// `<prefix>.cache_miss`, `<prefix>.eviction`, and
-    /// `<prefix>.lookup_ns`. The prefix keeps several resolvers (one per
-    /// cache scheme in the ablation sweeps) apart in one registry.
+    /// `<prefix>.lookup_ns`, instead of in instruments of the resolver's
+    /// own; [`stats`](Self::stats) then reads those. Call it before the
+    /// first lookup. The prefix keeps several resolvers (one per cache
+    /// scheme in the ablation sweeps) apart in one registry.
     pub fn with_metrics(mut self, registry: &Registry, prefix: &str) -> CachingResolver {
-        self.metrics = Some(ResolverMetrics {
+        self.metrics = ResolverMetrics {
             hits: registry.counter(&format!("{prefix}.cache_hit")),
             misses: registry.counter(&format!("{prefix}.cache_miss")),
             evictions: registry.counter(&format!("{prefix}.eviction")),
             lookup_ns: registry.histogram(&format!("{prefix}.lookup_ns")),
-        });
+        };
         self
     }
 
@@ -259,10 +252,7 @@ impl CachingResolver {
                 }
             }
         };
-        self.stats.latency_ms.record_nanos_as_ms(outcome.latency);
-        if let Some(m) = &self.metrics {
-            m.lookup_ns.record(outcome.latency.as_nanos());
-        }
+        self.metrics.lookup_ns.record(outcome.latency.as_nanos());
         outcome
     }
 
@@ -283,13 +273,9 @@ impl CachingResolver {
                 _ => None,
             },
         };
-        self.stats.lookups += 1;
-        self.stats.hits += u64::from(cached.is_some());
-        if let Some(m) = &self.metrics {
-            match cached {
-                Some(_) => m.hits.inc(),
-                None => m.misses.inc(),
-            }
+        match cached {
+            Some(_) => self.metrics.hits.inc(),
+            None => self.metrics.misses.inc(),
         }
         cached
     }
@@ -299,7 +285,7 @@ impl CachingResolver {
     /// [`with_capacity`](Self::with_capacity) describes. Returns whether
     /// the answer lists `ip`. The bitmap scheme can only cache a bitmap.
     pub fn insert(&mut self, ip: Ipv4, now: Nanos, answer: Fetched) -> bool {
-        self.stats.queries_issued += 1;
+        self.queries_issued += 1;
         let listed = match answer {
             Fetched::Listed(listed) => listed,
             Fetched::Bitmap(bitmap) => bitmap.contains(ip),
@@ -318,16 +304,20 @@ impl CachingResolver {
             }
             _ => 0,
         };
-        self.stats.evictions += evicted;
-        if let Some(m) = &self.metrics {
-            m.evictions.add(evicted);
-        }
+        self.metrics.evictions.add(evicted);
         listed
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> &ResolverStats {
-        &self.stats
+    /// Statistics so far, read out of the instruments.
+    pub fn stats(&self) -> ResolverStats {
+        let hits = self.metrics.hits.get();
+        ResolverStats {
+            lookups: hits + self.metrics.misses.get(),
+            hits,
+            queries_issued: self.queries_issued,
+            evictions: self.metrics.evictions.get(),
+            latency_ns: Readout::from(&*self.metrics.lookup_ns),
+        }
     }
 
     /// Number of live cache entries (either granularity).
@@ -575,7 +565,13 @@ mod tests {
         assert_eq!(registry.counter_value("dnsbl.cache_hit"), Some(3));
         assert_eq!(registry.counter_value("dnsbl.cache_miss"), Some(1));
         assert_eq!(registry.counter_value("dnsbl.eviction"), Some(0));
-        assert_eq!(registry.histogram_count("dnsbl.lookup_ns"), Some(4));
+        let stats = r.stats();
+        assert_eq!((stats.lookups, stats.hits), (4, 3));
+        assert_eq!(
+            registry.histogram_count("dnsbl.lookup_ns"),
+            Some(stats.lookups)
+        );
+        assert_eq!(stats.latency_ns.count, stats.lookups);
     }
 
     #[test]

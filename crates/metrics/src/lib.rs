@@ -7,8 +7,10 @@
 //! DNSBL resolver all report into:
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free event counts and levels;
-//! * [`LogHistogram`] — fixed-bucket log2 latency histograms with
-//!   p50/p95/p99;
+//! * [`LogHistogram`] — fixed-bucket log-linear histograms (16 buckets
+//!   per power of two) with p50/p95/p99 — the workspace's one distribution
+//!   type: [`quantile_of`] is the only rank-to-value walk, here and under
+//!   the simulator's serialized read-outs;
 //! * [`SpanHandle`] / [`SpanGuard`] — scoped timers over an injectable
 //!   [`Clock`], so the live server measures wall time while simulations
 //!   and tests inject a [`ManualClock`] and stay byte-deterministic;
@@ -42,7 +44,7 @@ mod instruments;
 mod span;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use instruments::{Counter, Gauge, LogHistogram, BUCKETS};
+pub use instruments::{quantile_of, Counter, Gauge, LogHistogram, BUCKETS};
 pub use span::{SpanGuard, SpanHandle};
 
 use std::collections::BTreeMap;
@@ -189,7 +191,7 @@ impl Registry {
     /// ```text
     /// counter live.accepted 12
     /// gauge worker.queue_depth 0
-    /// histogram mfs.write_ns count=3 sum=9300 p50=4095 p95=4095 p99=4095 max=4000
+    /// histogram mfs.write_ns count=3 sum=9300 p50=4000 p95=4000 p99=4000 max=4000
     /// ```
     ///
     /// All values are integers (nanoseconds for span histograms); given
@@ -242,6 +244,18 @@ mod tests {
         h.record(40);
         assert_eq!(r.histogram_max("lat_ns"), Some(900));
         assert_eq!(r.histogram_max("absent"), None);
+    }
+
+    #[test]
+    fn render_prints_what_its_doc_shows() {
+        let r = Registry::new(Arc::new(ManualClock::new()));
+        for v in [1_300, 4_000, 4_000] {
+            r.histogram("mfs.write_ns").record(v);
+        }
+        assert_eq!(
+            r.render(),
+            "histogram mfs.write_ns count=3 sum=9300 p50=4000 p95=4000 p99=4000 max=4000\n"
+        );
     }
 
     #[test]

@@ -22,9 +22,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use spamaware_dnsbl::{CacheScheme, CachingResolver, DnsblServer, ResolverStats};
 use spamaware_mfs::{DiskProfile, Layout, OpCounts};
-use spamaware_sim::metrics::Histogram;
 use spamaware_sim::{
-    det_rng, run_until, FifoResource, Nanos, ProcId, Scheduler, ServiceJob, World as SimWorld,
+    det_rng, run_until, FifoResource, LogHistogram, Nanos, ProcId, Readout, Scheduler, ServiceJob,
+    World as SimWorld,
 };
 use spamaware_smtp::{Command, MailAddr, ServerSession, SessionConfig, SessionOutcome};
 use spamaware_trace::Trace;
@@ -184,17 +184,17 @@ pub struct DnsReport {
     pub hits: u64,
     /// Queries issued to the DNSBL.
     pub queries_issued: u64,
-    /// Lookup-latency distribution (ms).
-    pub latency_ms: Histogram,
+    /// Lookup-latency distribution (ns).
+    pub latency_ns: Readout,
 }
 
 impl DnsReport {
-    fn from_stats(s: &ResolverStats) -> DnsReport {
+    fn from_stats(s: ResolverStats) -> DnsReport {
         DnsReport {
             lookups: s.lookups,
             hits: s.hits,
             queries_issued: s.queries_issued,
-            latency_ms: s.latency_ms.clone(),
+            latency_ns: s.latency_ns,
         }
     }
 
@@ -243,7 +243,7 @@ pub struct RunReport {
     pub store_failures: u64,
     /// CPU context switches.
     pub context_switches: u64,
-    /// Processes forked (pool growth).
+    /// Processes forked (the pool growing).
     pub forks: u64,
     /// CPU busy time.
     pub cpu_busy: Nanos,
@@ -261,8 +261,8 @@ pub struct RunReport {
     pub disk_ops: OpCounts,
     /// DNSBL statistics, when enabled.
     pub dns: Option<DnsReport>,
-    /// Session duration distribution (ms), completed connections.
-    pub session_ms: Histogram,
+    /// Session duration distribution (ns), completed connections.
+    pub session_ns: Readout,
 }
 
 impl RunReport {
@@ -414,7 +414,7 @@ struct World<'a> {
     cpu_delivering: Nanos,
     cpu_bounce: Nanos,
     cpu_unfinished: Nanos,
-    session_ms: Histogram,
+    session_ns: LogHistogram,
     layout: Layout,
     /// Trace-spec index of each connection (for client IP lookups).
     spec_of: Vec<usize>,
@@ -476,7 +476,7 @@ impl<'a> World<'a> {
             cpu_delivering: Nanos::ZERO,
             cpu_bounce: Nanos::ZERO,
             cpu_unfinished: Nanos::ZERO,
-            session_ms: Histogram::for_latency_ms(),
+            session_ns: LogHistogram::new(),
             layout: cfg.layout,
             spec_of: Vec::new(),
         }
@@ -540,7 +540,7 @@ impl<'a> World<'a> {
                 .resolver
                 .as_ref()
                 .map(|r| DnsReport::from_stats(r.stats())),
-            session_ms: self.session_ms,
+            session_ns: Readout::from(&self.session_ns),
         }
     }
 
@@ -929,7 +929,7 @@ impl<'a> World<'a> {
             }
         }
         let elapsed = sched.now() - self.conns[id].started;
-        self.session_ms.record_nanos_as_ms(elapsed);
+        self.session_ns.record(elapsed.as_nanos());
         // Release execution resources.
         match self.arch {
             Architecture::Vanilla => {
@@ -1120,7 +1120,7 @@ mod tests {
             lookups: 100,
             hits: 80,
             queries_issued: 20,
-            latency_ms: spamaware_sim::metrics::Histogram::for_latency_ms(),
+            latency_ns: Readout::default(),
         };
         assert!((r.hit_ratio() - 0.8).abs() < 1e-12);
         assert!((r.query_fraction() - 0.2).abs() < 1e-12);
@@ -1151,5 +1151,8 @@ mod tests {
         let back: RunReport = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back.mails, rep.mails);
         assert_eq!(back.context_switches, rep.context_switches);
+        assert!(rep.session_ns.count > 0);
+        assert_eq!(back.session_ns, rep.session_ns);
+        assert_eq!(back.session_ns.quantile(50), rep.session_ns.quantile(50));
     }
 }

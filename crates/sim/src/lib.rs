@@ -10,8 +10,9 @@
 //!   times and context-switch accounting, used to model CPUs and disks.
 //! * [`dist`] — hand-rolled random distributions (exponential, lognormal,
 //!   Pareto, Zipf) built on [`rand`], since `rand_distr` is out of scope.
-//! * [`metrics`] — counters and a log-bucketed histogram with CDF export,
-//!   used by the benchmark harness to print the paper's figures.
+//! * [`Readout`] — the serializable copy of a
+//!   [`spamaware_metrics::LogHistogram`] that reports carry, with the CDF
+//!   export the benchmark harness prints the paper's figures from.
 //!
 //! # Example
 //!
@@ -40,13 +41,17 @@
 //! ```
 
 pub mod dist;
-pub mod metrics;
+mod readout;
 mod resource;
 mod sched;
 mod time;
 
+pub use readout::Readout;
 pub use resource::{FifoResource, ProcId, ResourceStats, ServiceJob};
 pub use sched::{run, run_until, Scheduler, SimClock, World};
+/// What the simulator records distributions into; re-exported so a model
+/// crate needs no dependency edge of its own to `spamaware-metrics`.
+pub use spamaware_metrics::LogHistogram;
 pub use time::Nanos;
 
 /// Creates a deterministic small RNG from a 64-bit seed.

@@ -65,6 +65,11 @@
 # close) while a POP3 client freezes mid-RETR; every stalled peer must
 # be evicted and delivery probes must keep flowing at full goodput
 # through the storm (DESIGN.md §15.4).
+#
+# Not a stage, but part of every PR: scripts/loc.sh [DIR] is the one way
+# to count the tree's Rust (tracked *.rs lines per crate and top-level
+# directory, src/ and tests apart, plus the total). Run it on the parent
+# checkout and on the change and quote both (ROADMAP aim 2).
 
 set -eu
 

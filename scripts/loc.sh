@@ -1,0 +1,40 @@
+#!/bin/sh
+# The one way to count this repo's Rust: lines (`wc -l`) of every tracked
+# `*.rs` file, per crate and per top-level directory, `src/` apart from
+# `tests/` + `benches/`, plus the total. ROADMAP aim 2 asks every PR for
+# its net line delta; run this at the parent and at the change and quote
+# both.
+#
+#   scripts/loc.sh [DIR]     # DIR: a git checkout, default this one
+#
+# Tracked files only, so build output never counts. An inline
+# `#[cfg(test)]` module counts as the `src` file it sits in.
+set -eu
+cd "${1:-$(dirname "$0")/..}"
+git ls-files '*.rs' | while IFS= read -r f; do
+    printf '%s %s\n' "$(wc -l <"$f")" "$f"
+done | awk '
+function add(unit, kind, n) {
+    if (!(unit in seen)) { seen[unit] = 1; order[++units] = unit }
+    lines[unit, kind] += n
+}
+{
+    n = split($2, p, "/")
+    top = p[1]
+    unit = (top == "crates" || top == "vendor") ? top "/" p[2] : top
+    kind = "src"
+    for (i = 2; i < n; i++) if (p[i] == "tests" || p[i] == "benches") kind = "tests"
+    add(unit, kind, $1)
+    if (unit != top) add(top " (all)", kind, $1)
+    add("TOTAL", kind, $1)
+}
+END {
+    printf "%-22s %8s %8s %8s\n", "", "src", "tests", "total"
+    for (i = 1; i <= units; i++) {
+        u = order[i]; s = lines[u, "src"] + 0; t = lines[u, "tests"] + 0
+        row = sprintf("%-22s %8d %8d %8d", u, s, t, s + t)
+        if (u == "TOTAL") total = row; else print row | "sort"
+    }
+    close("sort")
+    print total
+}'

@@ -245,11 +245,8 @@ fn session_latency_reflects_rtt_floor() {
         Nanos::from_secs(20),
     );
     // A delivering session needs ≥ 6 round trips at 30 ms RTT.
-    assert!(
-        rep.session_ms.quantile(0.05) >= 150.0,
-        "p5 {}",
-        rep.session_ms.quantile(0.05)
-    );
+    let p5 = Nanos::from_nanos(rep.session_ns.quantile(5));
+    assert!(p5 >= Nanos::from_millis(150), "p5 {p5}");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use spamaware_core::experiment::*;
 use spamaware_mfs::{DiskProfile, Layout};
+use spamaware_sim::Nanos;
 
 fn quick() -> Scale {
     Scale {
@@ -157,7 +158,7 @@ fn fig05_latency_band() {
     let rows = fig05(quick());
     assert_eq!(rows.len(), 6);
     for (name, h) in &rows {
-        let f = h.fraction_above(100.0);
+        let f = h.fraction_above(Nanos::from_millis(100).as_nanos());
         assert!((0.10..=0.55).contains(&f), "{name}: {f}");
     }
 }

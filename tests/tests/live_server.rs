@@ -189,6 +189,53 @@ fn concurrent_clients_all_delivered() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// A `ham_small`-shaped burst (one 4 KiB mail per session) must read back
+/// from a running server as a distribution, not one number three times:
+/// the parent's log2 buckets printed p50 = p95 = p99 = 4194303.
+#[test]
+fn metrics_show_distinct_ordered_pretrust_percentiles() {
+    let (srv, root) = server("percentiles", &["inbox"]);
+    let addr = srv.local_addr();
+    let (clients, sessions) = (4, 50);
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            std::thread::spawn(move || {
+                for _ in 0..sessions {
+                    let mut c = Client::connect_addr(addr);
+                    c.cmd("HELO c.example");
+                    c.cmd("MAIL FROM:<c@remote.example>");
+                    assert!(c.cmd("RCPT TO:<inbox@dept.example>").starts_with("250"));
+                    assert!(c.cmd("DATA").starts_with("354"));
+                    for _ in 0..64 {
+                        c.raw(&"x".repeat(62));
+                    }
+                    assert!(c.cmd(".").starts_with("250"));
+                    c.cmd("QUIT");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("client thread");
+    }
+    wait_for_mails(&srv, clients * sessions);
+
+    let report = srv.metrics_report();
+    let line = report
+        .lines()
+        .find(|l| l.starts_with("histogram master.pretrust_ns "))
+        .unwrap_or_else(|| panic!("no pretrust line in {report}"));
+    let field = |key: &str| -> u64 {
+        let value = line.split(' ').find_map(|f| f.strip_prefix(key));
+        value.and_then(|v| v.parse().ok()).expect(key)
+    };
+    assert_eq!(field("count="), clients * sessions, "{line}");
+    let (p50, p99, max) = (field("p50="), field("p99="), field("max="));
+    assert!(p50 < p99 && p99 <= max, "{line}");
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+}
+
 #[test]
 fn mail_survives_server_restart() {
     let (srv, root) = server("restart", &["alice"]);

@@ -5,8 +5,7 @@ use spamaware_mfs::{
     DataRef, HardlinkStore, Layout, MailId, MailStore, MboxStore, MemFs, MfsStore,
 };
 use spamaware_netaddr::{Ipv4, PrefixBitmap, QueryName, QueryScheme};
-use spamaware_sim::metrics::Histogram;
-use spamaware_sim::Nanos;
+use spamaware_sim::{LogHistogram, Nanos, Readout};
 use spamaware_smtp::{Command, MailAddr, Reply};
 use std::collections::HashMap;
 
@@ -88,20 +87,68 @@ proptest! {
 // ------------------------------------------------------------- metrics
 
 proptest! {
+    /// `LogHistogram` and its serialized `Readout` against an exact
+    /// sorted-`Vec` nearest-rank reference. A random word shifted right by
+    /// a random amount spreads the samples over every magnitude: zeros,
+    /// the exact buckets below 16, and values past 2^40 all turn up.
     #[test]
-    fn histogram_quantiles_bracket_samples(mut xs in proptest::collection::vec(0.0f64..1e6, 1..200)) {
-        let mut h = Histogram::new(0.001, 1.05);
+    fn histogram_quantiles_bracket_samples(
+        mut xs in proptest::collection::vec(
+            (any::<u64>(), 0u32..64).prop_map(|(word, shift)| word >> shift),
+            1..200,
+        )
+    ) {
+        let h = LogHistogram::new();
         for &x in &xs {
             h.record(x);
         }
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let max = *xs.last().unwrap();
-        prop_assert!(h.quantile(1.0) <= max * 1.06 + 0.001);
-        prop_assert!(h.quantile(0.0) <= h.quantile(0.5));
-        prop_assert!(h.quantile(0.5) <= h.quantile(1.0));
-        // CDF covers all samples.
-        let cdf = h.cdf();
-        prop_assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
+        let r = Readout::from(&h);
+        xs.sort_unstable();
+        let n = xs.len() as u64;
+        let max = xs[xs.len() - 1];
+        prop_assert_eq!((r.count, r.max), (n, max));
+        prop_assert_eq!(r.buckets.iter().map(|&(_, c)| c).sum::<u64>(), n);
+
+        let mut prev = 0;
+        for p in 0..=100u64 {
+            let rank = (n * p).div_ceil(100).max(1);
+            let exact = xs[rank as usize - 1];
+            let q = r.quantile(p);
+            prop_assert_eq!(q, h.quantile(p), "read-out and live histogram at p{}", p);
+            prop_assert!(
+                exact <= q && q <= exact.saturating_add(exact / 16) && q <= max,
+                "p{p}: exact {exact}, got {q}, max {max}"
+            );
+            prop_assert!(prev <= q, "p{p}: {q} after {prev}");
+            prev = q;
+        }
+
+        let cdf = r.cdf();
+        for w in cdf.windows(2) {
+            prop_assert!(w[0].0 < w[1].0 && w[0].1 <= w[1].1, "{:?} then {:?}", w[0], w[1]);
+        }
+        prop_assert_eq!(cdf.last().copied(), Some((max, 1.0)));
+        for &(edge, fraction) in &cdf {
+            let at_or_below = xs.partition_point(|&x| x <= edge);
+            prop_assert_eq!(fraction, at_or_below as f64 / n as f64, "cdf at {}", edge);
+        }
+
+        let probes = cdf
+            .iter()
+            .flat_map(|&(edge, _)| [edge.saturating_sub(1), edge, edge.saturating_add(1)])
+            .chain([0, u64::MAX]);
+        for x in probes {
+            // One minus the CDF at the first edge >= x: never more than the
+            // exact share above x, and equal to it when x is an edge.
+            let covering = cdf.iter().find(|&&(edge, _)| edge >= x);
+            let got = r.fraction_above(x);
+            prop_assert_eq!(got, 1.0 - covering.map_or(1.0, |&(_, f)| f), "fraction above {}", x);
+            let exact = (xs.len() - xs.partition_point(|&v| v <= x)) as f64 / n as f64;
+            prop_assert!(got <= exact + 1e-12, "fraction above {x}: {got} > exact {exact}");
+            if covering.is_none_or(|&(edge, _)| edge == x) {
+                prop_assert!((got - exact).abs() < 1e-12, "at edge {x}: {got} vs {exact}");
+            }
+        }
     }
 }
 
