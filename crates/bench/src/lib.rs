@@ -1,3 +1,4 @@
+#![deny(clippy::iter_over_hash_type)] // DESIGN.md §9
 //! The experiment table behind the `figures` binary.
 //!
 //! Every row of [`TABLE`] regenerates one of the paper's tables or

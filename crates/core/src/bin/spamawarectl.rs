@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // DESIGN.md §9
+#![deny(clippy::unreachable)]
 //! `spamawarectl` — admin tool for an on-disk MFS mail store and for
 //! trace archives.
 //!

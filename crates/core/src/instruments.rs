@@ -240,6 +240,7 @@ impl VerbCounters {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may read clock and env (DESIGN.md §9)
 mod tests {
     use super::*;
     use crate::{LiveConfig, LiveServer};

@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // DESIGN.md §9
+#![deny(clippy::unreachable)]
 //! Spam-aware high-performance mail server — the public facade.
 //!
 //! Reproduction of Pathak, Jafri & Hu, *"The Case for Spam-Aware High

@@ -507,6 +507,11 @@ impl LiveServer {
     /// the grace period expires first (stragglers are cut off by the
     /// subsequent [`LiveServer::shutdown`]).
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the caller's thread (whoever asked for the drain) sleeps and reads the wall clock \
+                  while polling the in-flight gauge against a real grace period; no session runs on it"
+    )]
     pub fn drain(&self, grace: Duration) -> bool {
         self.draining.store(true, Ordering::SeqCst);
         // Interrupt the reactor waits so the drain sweeps run now, not at
@@ -519,10 +524,6 @@ impl LiveServer {
             if std::time::Instant::now() >= deadline {
                 return false;
             }
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the caller's thread (whoever asked for the drain), polling the in-flight gauge; no session runs on it"
-            )]
             std::thread::sleep(Duration::from_millis(2));
         }
         true

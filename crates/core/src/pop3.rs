@@ -225,7 +225,10 @@ impl Pop3 {
             None => (trimmed, ""),
         };
         match verb.to_ascii_uppercase().as_str() {
-            "USER" => {
+            // Logins belong to the AUTHORIZATION state only (RFC 1939):
+            // a second PASS would swap `listing` under the marks taken
+            // against the first, and `QUIT` would index past its end.
+            "USER" if st.authed.is_none() => {
                 if self.mailboxes.contains(arg) {
                     st.user = Some(arg.to_owned());
                     writeln!(out, "+OK send PASS\r")?;
@@ -233,7 +236,7 @@ impl Pop3 {
                     writeln!(out, "-ERR no such mailbox\r")?;
                 }
             }
-            "PASS" => match &st.user {
+            "PASS" if st.authed.is_none() => match &st.user {
                 Some(user) => {
                     // Index-only scan: sizes come from the key index, so no
                     // shard lock is held across disk reads (§10 scan phase).
@@ -384,5 +387,78 @@ fn parse_index(arg: &str, st: &SessionState) -> Option<usize> {
         Some(idx)
     } else {
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use spamaware_mfs::DataRef;
+
+    const MAILBOXES: [&str; 2] = ["alice", "bob"];
+
+    /// A login; a command on one message whose number is in range, zero,
+    /// past the end, too large for any integer, negative, absent or not a
+    /// number (`DELE` and `3` twice: a mark past bob's shorter listing is
+    /// what a second login used to trip over); a bare command; any bytes.
+    fn line() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            "(USER alice|USER bob|USER nobody|PASS x|pass)\r\n".prop_map(String::into_bytes),
+            "(RETR|DELE|dele|DELE|LIST)( 1| 2| 3| 3| 4| 0| 18446744073709551616| -1|| x)\r\n"
+                .prop_map(String::into_bytes),
+            "(STAT|LIST|RSET|NOOP|QUIT|APOP|retr)\r\n".prop_map(String::into_bytes),
+            proptest::collection::vec(any::<u8>(), 0..40),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The panic lints cannot see indexing (DESIGN.md §9). Whatever a
+        /// peer sends, every reply is a status line, and the `QUIT` ending
+        /// the dialog (its own, or one appended) deletes the marked mails.
+        #[test]
+        fn any_dialog_gets_status_replies_and_quit_deletes_exactly_the_marked(
+            lines in proptest::collection::vec(line(), 0..60)
+        ) {
+            // A fresh spool: three mails for alice, two for bob, one shared.
+            let root = std::env::temp_dir().join(format!("spamaware-pop3-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let store = ShardedStore::open_with(2, || RealDir::new(&root)).expect("open spool");
+            let rcpts: [&[&str]; 4] = [&["alice"], &["alice", "bob"], &["bob"], &["alice"]];
+            for (n, to) in (1..).zip(rcpts) {
+                let body = DataRef::Bytes(b".a line to stuff\r\nno newline");
+                store.deliver(MailId(n), to, body).expect("deliver");
+            }
+            let pop = Pop3 {
+                listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
+                store: Arc::new(store),
+                mailboxes: MAILBOXES.map(str::to_owned).into(),
+                stats: Arc::default(),
+            };
+            let before = MAILBOXES.map(|mb| pop.store.list_mailbox(mb));
+            let (mut st, mut quit) = (SessionState::default(), None);
+            for line in lines.iter().map(Vec::as_slice).chain([&b"QUIT\r\n"[..]]) {
+                let marked: BTreeSet<MailId> =
+                    st.marked.iter().filter_map(|&i| st.listing.get(i)).map(|m| m.0).collect();
+                prop_assert_eq!(marked.len(), st.marked.len(), "a mark past the listing");
+                let (authed, mut out) = (st.authed.clone(), Vec::new());
+                let step = pop.command(&mut st, line, &mut out).expect("writes to a Vec");
+                let reply = String::from_utf8_lossy(&out);
+                prop_assert!(reply.starts_with("+OK") || reply.starts_with("-ERR"), "{}", reply);
+                if step == Step::Close {
+                    quit = Some((authed, marked));
+                    break;
+                }
+            }
+            let (authed, marked) = quit.expect("QUIT ends the dialog");
+            for (mb, before) in MAILBOXES.iter().zip(before) {
+                let gone = |id: &MailId| authed.as_deref() == Some(mb) && marked.contains(id);
+                let kept: Vec<_> = before.into_iter().filter(|(id, _)| !gone(id)).collect();
+                prop_assert_eq!(pop.store.list_mailbox(mb), kept, "{} after QUIT", mb);
+            }
+            let _ = std::fs::remove_dir_all(root);
+        }
     }
 }

@@ -25,8 +25,8 @@
 //! zero-window stall), and later grants model the peer draining its
 //! receive buffer.
 //!
-//! This file is in the xtask determinism scope: no wall-clock reads and
-//! no hash-ordered iteration are allowed here.
+//! No wall-clock reads or ambient entropy here: `crates/core/clippy.toml`
+//! refuses both (DESIGN.md §9), and the file holds no hash containers.
 
 use super::{Pollable, Reactor, ReadyEvent};
 use crate::driver::{Acceptor, Conn};

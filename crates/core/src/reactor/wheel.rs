@@ -25,8 +25,9 @@
 //! what the property tests in `tests/wheel_prop.rs` pin down.
 //!
 //! Everything here is pure data structure: no clock reads, no hash
-//! containers, no I/O — the xtask determinism pass keeps it that way, so
-//! the wheel behaves byte-identically under the simulated reactor.
+//! containers, no I/O — `crates/core/clippy.toml` refuses the clock and
+//! ambient entropy (DESIGN.md §9), so the wheel behaves byte-identically
+//! under the simulated reactor.
 
 use std::collections::BTreeMap;
 

@@ -1,6 +1,6 @@
 //! The blacklist database held by a DNSBL server.
 
-use spamaware_netaddr::{Ipv4, Prefix24, Prefix25, PrefixBitmap};
+use spamaware_netaddr::{Ipv4, Prefix25, PrefixBitmap};
 use std::collections::{HashMap, HashSet};
 
 /// The listing code returned for a blacklisted IP.
@@ -85,15 +85,6 @@ impl BlacklistDb {
     pub fn is_empty(&self) -> bool {
         self.listed.is_empty()
     }
-
-    /// Listed-host counts per /24, the population plotted in Fig. 12.
-    pub fn per_prefix24_counts(&self) -> HashMap<Prefix24, u32> {
-        let mut out: HashMap<Prefix24, u32> = HashMap::new();
-        for ip in &self.listed {
-            *out.entry(ip.prefix24()).or_insert(0) += 1;
-        }
-        out
-    }
 }
 
 impl FromIterator<Ipv4> for BlacklistDb {
@@ -159,20 +150,6 @@ mod tests {
         let db = BlacklistDb::new();
         let p = Ipv4::new(8, 8, 8, 8).prefix25();
         assert!(db.bitmap(p).is_empty());
-    }
-
-    #[test]
-    fn per_prefix24_counts_match_fig12_semantics() {
-        let db: BlacklistDb = [
-            Ipv4::new(9, 9, 9, 1),
-            Ipv4::new(9, 9, 9, 200),
-            Ipv4::new(7, 7, 7, 7),
-        ]
-        .into_iter()
-        .collect();
-        let counts = db.per_prefix24_counts();
-        assert_eq!(counts[&Prefix24::new(9, 9, 9)], 2);
-        assert_eq!(counts[&Prefix24::new(7, 7, 7)], 1);
     }
 
     #[test]

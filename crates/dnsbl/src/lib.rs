@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // DESIGN.md §9
+#![deny(clippy::unreachable, clippy::iter_over_hash_type)]
 //! DNS-based blacklist (DNSBL) substrate: blacklist database, authoritative
 //! server model, latency models, and the mail server's caching stub
 //! resolver — including the paper's prefix-based DNSBLv6 scheme (§7).

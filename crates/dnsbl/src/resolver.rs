@@ -96,6 +96,10 @@ pub enum Fetched {
 /// Frees a slot in a cache that has reached `capacity`: expired entries
 /// go first, then the soonest to expire. Returns how many live entries
 /// had to be evicted.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the victim is the min by (expiry, key); resolver_eviction_is_hash_order_independent"
+)]
 fn make_room<K: Copy + Ord + std::hash::Hash, V>(
     cache: &mut HashMap<K, (Nanos, V)>,
     capacity: Option<usize>,
@@ -109,7 +113,6 @@ fn make_room<K: Copy + Ord + std::hash::Hash, V>(
     let mut evicted = 0;
     while cache.len() >= cap {
         let victim = cache
-            // lint:allow(hashmap-iter): selection tie-broken by key, order-independent
             .iter()
             .min_by_key(|(k, (expiry, _))| (*expiry, **k))
             .map(|(k, _)| *k);

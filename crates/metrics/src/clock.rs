@@ -22,9 +22,8 @@ pub trait Clock: std::fmt::Debug + Send + Sync {
 ///
 /// This is the one deliberate wall-clock read in the workspace's
 /// instrumented path: the live TCP server measures real durations.
-/// Deterministic runs must inject a [`ManualClock`] instead — the
-/// determinism static-analysis pass enforces that no *other* wall-clock
-/// read sneaks into scoped crates.
+/// Deterministic runs must inject a [`ManualClock`] instead —
+/// `crates/clippy.toml` refuses any *other* wall-clock read in this crate.
 #[derive(Debug)]
 pub struct WallClock {
     epoch: std::time::Instant,
@@ -32,9 +31,9 @@ pub struct WallClock {
 
 impl WallClock {
     /// Creates a wall clock whose epoch is "now".
+    #[expect(clippy::disallowed_methods, reason = "the one sanctioned wall clock")]
     pub fn new() -> WallClock {
         WallClock {
-            // lint:allow(time): the single sanctioned wall-clock source; sim runs inject ManualClock
             epoch: std::time::Instant::now(),
         }
     }

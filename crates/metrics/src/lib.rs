@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // DESIGN.md §9
+#![deny(clippy::unreachable, clippy::iter_over_hash_type)]
 //! `spamaware-metrics` — dependency-free observability for the mail
 //! server.
 //!

@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // DESIGN.md §9
+#![deny(clippy::unreachable)]
 //! Mailbox storage engine: MFS (the paper's single-copy, record-oriented
 //! mail file system, §6) plus the three baseline layouts it is evaluated
 //! against, all running over pluggable byte-oriented backends.

@@ -287,6 +287,7 @@ impl Backend for RealDir {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may read clock and env (DESIGN.md §9)
 mod tests {
     use super::*;
 

@@ -5,6 +5,8 @@
 //! inflicted behind the store's back, then replay and `fsck` must repair
 //! it through [`RealDir`].
 
+#![allow(clippy::disallowed_methods)] // temp-dir names read the clock (DESIGN.md §9)
+
 use spamaware_mfs::{fsck, DataRef, MailId, MailStore, MfsStore, RealDir, StoreError};
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};

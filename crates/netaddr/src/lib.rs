@@ -1,3 +1,4 @@
+#![deny(clippy::iter_over_hash_type)] // DESIGN.md §9
 //! IPv4 addressing utilities for DNSBL lookups.
 //!
 //! This crate implements the address-level machinery of the paper's §7:

@@ -1,3 +1,5 @@
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // DESIGN.md §9
+#![deny(clippy::unreachable, clippy::iter_over_hash_type)]
 //! The simulated mail server: vanilla process-per-connection and hybrid
 //! fork-after-trust architectures (paper §5) over the DES kernel, with
 //! integrated DNSBL lookups (§7) and pluggable mailbox storage (§6).

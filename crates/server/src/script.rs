@@ -14,16 +14,16 @@ pub enum Step {
 }
 
 /// Renders a mailbox id as the recipient address the client sends.
+#[expect(clippy::expect_used, reason = "address template; tested below")]
 pub fn rcpt_addr(id: MailboxId) -> MailAddr {
-    // lint:allow(panic): template-generated address; validity pinned by unit test
     id.address().parse().expect("generated address is valid")
 }
 
 /// An invalid (random-guessing) recipient address.
+#[expect(clippy::expect_used, reason = "address template; tested below")]
 pub fn guess_addr(n: u32) -> MailAddr {
     format!("guess{n}@dept.example")
         .parse()
-        // lint:allow(panic): template-generated address; validity pinned by unit test
         .expect("generated address is valid")
 }
 
@@ -38,9 +38,9 @@ pub fn build_script(spec: &ConnectionSpec) -> VecDeque<Step> {
     match &spec.kind {
         ConnectionKind::Mail(mails) => {
             for (i, m) in mails.iter().enumerate() {
+                #[expect(clippy::expect_used, reason = "address template; tested below")]
                 let sender: MailAddr = format!("sender{i}@remote.example")
                     .parse()
-                    // lint:allow(panic): template-generated address; validity pinned by unit test
                     .expect("generated address is valid");
                 s.push_back(Step::Cmd(Command::mail_from(Some(sender))));
                 for g in 0..m.invalid_rcpts {
@@ -128,8 +128,9 @@ mod tests {
         }
     }
 
-    /// Backs the `lint:allow(panic)` waivers above: every address template
-    /// used by script construction parses for a representative id range.
+    /// Backs the `#[expect(clippy::expect_used)]` sites above: every
+    /// address template used by script construction parses for a
+    /// representative id range.
     #[test]
     fn generated_addresses_are_always_valid() {
         for n in [0u32, 1, 7, 499, 10_000, u32::MAX] {

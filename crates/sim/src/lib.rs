@@ -1,3 +1,4 @@
+#![deny(clippy::iter_over_hash_type)] // DESIGN.md §9
 //! Discrete-event simulation (DES) kernel for the spam-aware mail server
 //! reproduction.
 //!

@@ -96,6 +96,7 @@ impl Trace {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests may read clock and env (DESIGN.md §9)
 mod tests {
     use super::*;
     use crate::bounce_sweep_trace;

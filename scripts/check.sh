@@ -9,22 +9,36 @@
 #   1. cargo fmt --check       — formatting is canonical
 #   2. cargo clippy            — workspace lints over every target (tests,
 #                                examples and benches too), warnings are
-#                                errors. The blocking rules live here:
-#                                crates/core/clippy.toml refuses any call
-#                                that can park a thread unless it carries
-#                                an #[expect] with a written reason, and
-#                                crates/mfs/clippy.toml refuses them
-#                                outright, since that crate runs under
-#                                store partitions (DESIGN.md §14.2).
-#   3. spamaware-xtask lint    — the line lint: determinism, panic-safety,
-#                                unsafe-audit (DESIGN.md §9)
-#   4. cargo test              — unit, integration, property and doc tests;
+#                                errors. Every static rule lives here, and
+#                                a sanctioned site carries an #[expect]
+#                                with a written reason:
+#                                - blocking: crates/core/clippy.toml
+#                                  refuses any call that can park a
+#                                  thread, crates/mfs/clippy.toml refuses
+#                                  them outright, since that crate runs
+#                                  under store partitions (DESIGN.md §14.2);
+#                                - determinism: crates/clippy.toml refuses
+#                                  the wall clock, the environment,
+#                                  ambient entropy and hash-order
+#                                  iteration in every crate without a
+#                                  config of its own (for loops:
+#                                  iter_over_hash_type, denied at their
+#                                  roots); the core and mfs files refuse
+#                                  the first three (DESIGN.md §9);
+#                                - panic-safety: unwrap/expect/panic/
+#                                  unreachable denied at the six server
+#                                  crate roots, allowed in tests by the
+#                                  same clippy.toml files (DESIGN.md §9);
+#                                - unsafe: undocumented_unsafe_blocks in
+#                                  Cargo.toml's [workspace.lints.clippy]
+#                                  and at vendor/rawpoll's root (§9)
+#   3. cargo test              — unit, integration, property and doc tests;
 #                                among them the debug-build assertion that
 #                                no thread holds two store partitions, the
 #                                one-hold-per-mail count of a mailbox scan,
 #                                and the metric inventory against
 #                                DESIGN.md §14.3
-#   5. figures check results   — every experiment is re-run in release at
+#   4. figures check results   — every experiment is re-run in release at
 #                                the recorded scale (and the four
 #                                full_key rows at --full) and compared
 #                                byte for byte with results/; a file
@@ -35,8 +49,8 @@
 #                                changed libm), and `figures record
 #                                results` is the deliberate way to
 #                                accept it (results/README.md). ≈ 40 s.
-#   6. cargo test benchmark/   — the standalone benchmark package (its own
-#                                workspace, so stages 2 and 4 never see
+#   5. cargo test benchmark/   — the standalone benchmark package (its own
+#                                workspace, so stages 2 and 3 never see
 #                                it) still builds against this tree's
 #                                API, and its suite boots the real TCP
 #                                server pair on all four workloads and
@@ -94,9 +108,6 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
-
-echo "==> cargo run -p spamaware-xtask -- lint"
-cargo run --quiet -p spamaware-xtask -- lint
 
 echo "==> cargo test"
 cargo test --quiet
