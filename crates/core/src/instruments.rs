@@ -18,7 +18,7 @@
 //! them is plain atomics.
 
 use spamaware_metrics::{Counter, Gauge, Registry, SpanHandle};
-use spamaware_smtp::Command;
+use spamaware_smtp::SessionOutcome;
 use std::sync::Arc;
 
 /// The handle type a row's registry call returns.
@@ -127,7 +127,7 @@ instruments! {
     pub struct LiveStats / LiveSnapshot {
         accepted: counter "live.accepted" "Connections accepted by the master.",
         delivered: counter "live.delivered" terminal "Connections closed after delivering mail.",
-        bounces: counter "live.bounces" terminal "Bounce connections dispatched entirely by the master.",
+        bounces: counter "live.bounces" terminal "Connections the client ended after a `550` without delivering mail, on the master or on a worker.",
         unfinished: counter "live.unfinished" terminal "Connections that got a session and ended without delivering mail or bouncing, on the master or on a worker, whatever the cause.",
         delegated: counter "live.delegated" "Trusted connections handed to workers.",
         mails_stored: counter "live.mails_stored" "Mails written to the store.",
@@ -217,24 +217,31 @@ instruments! {
     }
 }
 
-impl VerbCounters {
-    /// Counts a line that failed to parse as any SMTP verb.
-    pub(crate) fn count_unknown(&self) {
-        self.unknown.inc();
+impl LiveStats {
+    /// Counts an SMTP connection's terminal outcome, on the master or on
+    /// a worker.
+    pub(crate) fn count_outcome(&self, outcome: SessionOutcome) {
+        outcome
+            .pick(&self.delivered, &self.bounces, &self.unfinished)
+            .inc();
     }
+}
 
-    pub(crate) fn count(&self, cmd: &Command) {
-        match cmd {
-            Command::Helo(_) => self.helo.inc(),
-            Command::Ehlo(_) => self.ehlo.inc(),
-            Command::MailFrom(_) => self.mail.inc(),
-            Command::RcptTo(_) => self.rcpt.inc(),
-            Command::Data => self.data.inc(),
-            Command::Rset => self.rset.inc(),
-            Command::Noop => self.noop.inc(),
-            Command::Vrfy(_) => self.vrfy.inc(),
-            Command::Quit => self.quit.inc(),
-            Command::Unknown(_) => self.unknown.inc(),
+impl VerbCounters {
+    /// Counts one command line by the verb
+    /// [`spamaware_smtp::ServerSession::handle_line`] returned.
+    pub(crate) fn count(&self, verb: &str) {
+        match verb {
+            "HELO" => self.helo.inc(),
+            "EHLO" => self.ehlo.inc(),
+            "MAIL" => self.mail.inc(),
+            "RCPT" => self.rcpt.inc(),
+            "DATA" => self.data.inc(),
+            "RSET" => self.rset.inc(),
+            "NOOP" => self.noop.inc(),
+            "VRFY" => self.vrfy.inc(),
+            "QUIT" => self.quit.inc(),
+            _ => self.unknown.inc(),
         }
     }
 }

@@ -19,12 +19,12 @@ use crate::driver::{
 use crate::instruments::{LiveStats, VerbCounters, WorkerMetrics};
 use crate::linebuf::LineBuffer;
 use crate::pool::BufferPool;
-use crate::pretrust::{say_unavailable, smtp_command, Trusted};
+use crate::pretrust::{say_unavailable, Trusted};
 use crate::reactor::Reactor;
 use crossbeam::channel::Receiver;
 use spamaware_metrics::{Gauge, Registry};
 use spamaware_mfs::{Backend, DataRef, MailId, ShardedStore};
-use spamaware_smtp::{DataVerdict, Reply, ServerSession, SessionOutcome, SessionPhase};
+use spamaware_smtp::{DataVerdict, Reply, ServerSession, SessionPhase};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -174,7 +174,8 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
             self.store_mail(&mut post.session).write_wire(out);
             return Step::PhaseEnd;
         }
-        let reply = smtp_command(&mut post.session, line, &self.verbs, &self.ctx.mailboxes);
+        let (reply, verb) = post.session.handle_line(line, &self.ctx.mailboxes);
+        self.verbs.count(verb);
         reply.write_wire(out);
         if reply.code() == 354 {
             post.data_start = Some(self.metrics.data_ns.now());
@@ -224,11 +225,8 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
             End::Drain => say_unavailable(&mut conn),
             End::Unwatchable => stats.sockopt_errors.inc(),
         }
-        if gone.session.session.outcome() == SessionOutcome::Delivered {
-            stats.delivered.inc();
-        } else {
-            stats.unfinished.inc();
-        }
+        let ended_by_client = matches!(end, End::Closed | End::PeerGone);
+        stats.count_outcome(gone.session.session.outcome(ended_by_client));
         self.ctx.inflight.dec();
     }
 }

@@ -30,9 +30,7 @@ use crate::reactor::Reactor;
 use crossbeam::channel::Sender;
 use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_netaddr::Ipv4;
-use spamaware_smtp::{
-    Command, MailAddr, Reply, ServerSession, SessionConfig, SessionOutcome, SessionPhase,
-};
+use spamaware_smtp::{Reply, ServerSession, SessionConfig, SessionPhase, TrustPoint};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -95,26 +93,6 @@ pub struct EngineCtx {
     pub line_pool: Arc<BufferPool>,
     /// In-flight connection gauge (`live.inflight`).
     pub inflight: Arc<Gauge>,
-}
-
-/// Parses one SMTP command line and runs it through the session — the
-/// one parse site of the pre- and post-trust dialogs.
-pub(crate) fn smtp_command(
-    session: &mut ServerSession,
-    line: &[u8],
-    verbs: &VerbCounters,
-    mailboxes: &HashSet<String>,
-) -> Reply {
-    match Command::parse(&String::from_utf8_lossy(line)) {
-        Ok(cmd) => {
-            verbs.count(&cmd);
-            session.handle(cmd, &|a: &MailAddr| mailboxes.contains(a.local_part()))
-        }
-        Err(_) => {
-            verbs.count_unknown();
-            Reply::bad_argument()
-        }
-    }
 }
 
 /// The one-write `421` every refusal and eviction parts with.
@@ -220,10 +198,12 @@ where
     }
 
     fn line(&mut self, pre: &mut Pre, line: &[u8], out: &mut Vec<u8>) -> Step {
-        smtp_command(&mut pre.session, line, &self.verbs, &self.ctx.mailboxes).write_wire(out);
+        let (reply, verb) = pre.session.handle_line(line, &self.ctx.mailboxes);
+        self.verbs.count(verb);
+        reply.write_wire(out);
         if pre.session.phase() == SessionPhase::Closed {
             Step::Close
-        } else if pre.session.has_valid_recipient() {
+        } else if pre.session.trusted(TrustPoint::AfterValidRcpt) {
             Step::Detach
         } else {
             Step::Continue
@@ -243,10 +223,7 @@ where
         self.metrics.pretrust_ns.record_since(gone.accepted_ns);
         let mut conn = gone.conn;
         let mut leftover = gone.lines.into_remaining();
-        // Only a dialog the client ended (QUIT, hang-up) is a bounce; an
-        // eviction is an unfinished transaction whatever was said before.
-        let bounced = matches!(end, End::Closed | End::PeerGone)
-            && session.outcome() == SessionOutcome::Bounce;
+        let outcome = session.outcome(matches!(end, End::Closed | End::PeerGone));
         match end {
             End::Detached => {
                 let task = Trusted {
@@ -295,11 +272,7 @@ where
             }
         }
         ctx.line_pool.put(leftover);
-        if bounced {
-            stats.bounces.inc();
-        } else {
-            stats.unfinished.inc();
-        }
+        stats.count_outcome(outcome);
         ctx.inflight.dec();
     }
 }

@@ -22,10 +22,16 @@ use common::assert_conserved;
 use spamaware_core::posttrust::{run_posttrust, WorkerCtx};
 use spamaware_core::pretrust::{run_pretrust, EngineCtx, Trusted};
 use spamaware_core::reactor::sim::{SimConn, SimEvent, SimReactor};
-use spamaware_core::{BufferPool, LiveStats, ShardedStore, SyncBackend};
+use spamaware_core::{
+    combined_workload, BufferPool, ClientModel, LiveStats, ServerConfig, ShardedStore,
+    SinkholeConfig, SyncBackend, Trace, TrustPoint, UnivConfig,
+};
 use spamaware_metrics::{ManualClock, Registry};
 use spamaware_mfs::MemFs;
-use std::collections::HashSet;
+use spamaware_server::{build_script, Step};
+use spamaware_sim::Nanos;
+use spamaware_trace::{bounce_sweep_trace, ConnectionKind};
+use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,6 +47,8 @@ struct Config {
     max_per_ip: usize,
     max_outq_bytes: usize,
     write_stall: Duration,
+    /// Hosted mailbox names.
+    hosted: HashSet<String>,
 }
 
 impl Default for Config {
@@ -52,6 +60,7 @@ impl Default for Config {
             max_per_ip: 8,
             max_outq_bytes: 64 * 1024,
             write_stall: Duration::from_secs(10),
+            hosted: HashSet::from(["alice".to_owned(), "bob".to_owned()]),
         }
     }
 }
@@ -71,14 +80,13 @@ fn harness(script: Vec<(u64, SimEvent)>, cfg: &Config) -> Harness {
     let draining = Arc::new(AtomicBool::new(false));
     let reactor = SimReactor::new(&clock, &stop, &draining, script);
     let stats = Arc::new(LiveStats::register(&registry));
-    let mailboxes: HashSet<String> = ["alice".to_owned(), "bob".to_owned()].into_iter().collect();
     let line_pool = Arc::new(BufferPool::new(&registry, 8, 1024));
     let inflight = registry.gauge("live.inflight");
     let ctx = EngineCtx {
         stop,
         draining,
         stats: Arc::clone(&stats),
-        mailboxes: Arc::new(mailboxes),
+        mailboxes: Arc::new(cfg.hosted.clone()),
         hostname: Arc::from("sim.test"),
         dnsbl_tx: None,
         pretrust_idle_timeout: cfg.idle,
@@ -159,7 +167,7 @@ fn trusted_handoff_carries_session_and_pipelined_leftover() {
 
     assert_eq!(trusted.len(), 1, "one connection earned trust");
     let t = &trusted[0];
-    assert!(t.session.has_valid_recipient());
+    assert!(t.session.trusted(TrustPoint::AfterValidRcpt));
     assert_eq!(
         t.leftover, b"DATA\r\n",
         "pipelined bytes past the trusting RCPT travel with the hand-off"
@@ -991,6 +999,8 @@ type SimStore = ShardedStore<SyncBackend<MemFs>>;
 struct WorkerConfig {
     read_timeout: Duration,
     data_deadline: Duration,
+    /// Hand-offs the queue between master and worker holds.
+    queue: usize,
 }
 
 impl Default for WorkerConfig {
@@ -998,6 +1008,7 @@ impl Default for WorkerConfig {
         WorkerConfig {
             read_timeout: Duration::from_secs(30),
             data_deadline: Duration::from_secs(10),
+            queue: 8,
         }
     }
 }
@@ -1009,7 +1020,7 @@ impl Harness {
     /// (and a fresh `MemFs` store) until the next `Stop`. Both halves are
     /// the production loops; only the thread boundary is gone.
     fn run_through_the_seam(&mut self, cfg: &WorkerConfig) -> Arc<SimStore> {
-        let (tx, rx) = crossbeam::channel::bounded(8);
+        let (tx, rx) = crossbeam::channel::bounded(cfg.queue);
         let delegated = Arc::clone(&self.stats.delegated);
         let clock = Arc::clone(&self.registry);
         self.run(&mut |t| {
@@ -1347,4 +1358,147 @@ fn posttrust_history_replays_byte_identically() {
         a.1
     );
     assert!(a.3.ends_with(R421), "{}", a.3);
+}
+
+/// A session trusted after one `550` that quits before `DATA` is the same
+/// bounce on the worker as in the DES: the client ended a dialogue that
+/// drew a `550` and delivered nothing. Before the verdict had one home,
+/// the worker counted it `unfinished`.
+#[test]
+fn a_trusted_session_that_quits_after_a_550_is_one_bounce() {
+    let script = vec![
+        connect(SEC, 1),
+        data(
+            2 * SEC,
+            1,
+            b"HELO relay.example\r\nMAIL FROM:<x@client.example>\r\n\
+              RCPT TO:<ghost@dept.example>\r\nRCPT TO:<alice@dept.example>\r\n",
+        ),
+        (3 * SEC, SimEvent::Stop),
+        data(4 * SEC, 1, b"QUIT\r\n"),
+        (5 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    h.run_through_the_seam(&WorkerConfig::default());
+
+    let out = h.output_text(1);
+    let codes: Vec<&str> = out.lines().map(|l| &l[..3]).collect();
+    assert_eq!(codes, ["220", "250", "250", "550", "250", "221"], "{out}");
+    let snap = h.stats.snapshot();
+    assert_eq!(snap.delegated, 1, "the valid RCPT earned trust");
+    assert_eq!((snap.bounces, snap.unfinished), (1, 0));
+}
+
+// ---------------------------------------------------------------------
+// The DES and the live engine classify a trace the same way.
+// ---------------------------------------------------------------------
+
+const MS: u64 = 1_000_000;
+
+/// The bytes a DES client script puts on the wire: each command and its
+/// CRLF, a body as lines of at most 998 bytes and the lone dot.
+fn wire(script: &VecDeque<Step>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for step in script {
+        match step {
+            Step::Cmd(cmd) => out.extend_from_slice(format!("{cmd}\r\n").as_bytes()),
+            Step::Body(n) => {
+                for _ in 0..n.div_ceil(998) {
+                    out.extend_from_slice(&[b'x'; 996]);
+                    out.extend_from_slice(b"\r\n");
+                }
+                out.extend_from_slice(b".\r\n");
+            }
+        }
+    }
+    out
+}
+
+/// Runs `trace` through the DES one connection at a time, so spec *k* is
+/// connection *k*, then replays the specs it completed as wire bytes
+/// through the master and a worker, and asserts both count the same
+/// delivered, bounce and unfinished connections. Returns how many specs
+/// were replayed.
+fn des_and_live_agree_on(trace: &Trace) -> usize {
+    let des = spamaware_core::run(
+        trace,
+        ServerConfig::hybrid(),
+        ClientModel::Closed { concurrency: 1 },
+        Nanos::from_secs(60),
+    );
+    let conns = des.connections;
+    assert!(conns > 100, "only {conns} DES connections");
+    let mut script = Vec::new();
+    for (k, spec) in trace
+        .connections
+        .iter()
+        .cycle()
+        .take(conns as usize)
+        .enumerate()
+    {
+        let (conn, at) = (k as u64 + 1, (k as u64 + 1) * MS);
+        let peer = SocketAddr::from(([10, 1, (conn >> 8) as u8, conn as u8], 2525));
+        script.push((at, SimEvent::Connect { conn, peer }));
+        let bytes = wire(&build_script(spec));
+        // An empty script is a client that hangs up after the greeting.
+        script.push(if bytes.is_empty() {
+            (at, SimEvent::Eof { conn })
+        } else {
+            (at, SimEvent::Data { conn, bytes })
+        });
+    }
+    let end = (conns + 2) * MS;
+    script.push((end, SimEvent::Stop));
+    // Stands in for the wakeup the master's enqueue gives a live worker.
+    script.push(data(end + MS, 1, b""));
+    script.push((end + 2 * MS, SimEvent::Stop));
+    let cfg = Config {
+        max_connections: conns as usize,
+        hosted: (0..trace.mailbox_count)
+            .map(|i| format!("user{i}"))
+            .collect(),
+        ..Config::default()
+    };
+    let mut h = harness(script, &cfg);
+    h.run_through_the_seam(&WorkerConfig {
+        queue: conns as usize,
+        ..WorkerConfig::default()
+    });
+
+    let live = h.stats.snapshot();
+    assert_eq!(
+        (live.delivered, live.bounces, live.unfinished),
+        (des.delivered_connections, des.bounces, des.unfinished),
+        "live (delivered, bounces, unfinished) vs the DES over {conns} connections"
+    );
+    assert!(des.delivered_connections > 0 && des.bounces > 0);
+    conns as usize
+}
+
+#[test]
+fn des_and_live_agree_on_a_bounce_sweep() {
+    des_and_live_agree_on(&bounce_sweep_trace(5, 200, 0.6, 400));
+}
+
+#[test]
+fn des_and_live_agree_on_the_combined_sinkhole_workload() {
+    let sink = SinkholeConfig::scaled(0.005).generate();
+    let trace = combined_workload(&sink.trace, 0.25, 0.10, 8);
+    let replayed = des_and_live_agree_on(&trace);
+    // Bounces, unfinished handshakes and silent drops were all replayed.
+    let kinds: Vec<&ConnectionKind> = trace.connections[..replayed]
+        .iter()
+        .map(|c| &c.kind)
+        .collect();
+    assert!(kinds
+        .iter()
+        .any(|k| matches!(k, ConnectionKind::Bounce { .. })));
+    for handshake_commands in [0, 1] {
+        assert!(kinds.contains(&&ConnectionKind::Unfinished { handshake_commands }));
+    }
+}
+
+#[test]
+fn des_and_live_agree_on_a_univ_trace() {
+    des_and_live_agree_on(&UnivConfig::scaled(1e-4).generate().trace);
 }

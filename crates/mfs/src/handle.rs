@@ -5,6 +5,38 @@
 //! seek pointer moves "at the granularity of a mail instead of a byte".
 //! The Rust rendering keeps that shape: a [`MailFile`] is a cursor over a
 //! mailbox, and all operations go through the owning [`MfsStore`].
+//!
+//! # Example
+//!
+//! A spam to three mailboxes is stored once, and the shared copy lives
+//! until its last recipient deletes it:
+//!
+//! ```
+//! use spamaware_mfs::{DataRef, MailId, MemFs, MfsStore, Whence};
+//!
+//! let mut store = MfsStore::new(MemFs::new());
+//! let mut boxes = Vec::new();
+//! for name in ["alice", "bob", "carol"] {
+//!     boxes.push(store.mail_open(name)?);
+//! }
+//! let spam = b"Subject: totally legitimate offer\r\n\r\nclick here!\r\n";
+//! let all: Vec<_> = boxes.iter().collect();
+//! store.mail_nwrite(&all, MailId(1), DataRef::Bytes(spam))?;
+//! assert_eq!(store.stats().shared_mails, 1);
+//!
+//! let alice = &mut boxes[0];
+//! let mail = store.mail_read(alice)?.expect("alice holds the spam");
+//! assert_eq!((mail.id, mail.body.as_slice()), (MailId(1), &spam[..]));
+//! assert!(store.mail_read(alice)?.is_none(), "and nothing else");
+//!
+//! for (deleted, file) in boxes.iter_mut().enumerate() {
+//!     assert_eq!(store.stats().shared_mails, 1, "{deleted} deleted so far");
+//!     store.mail_seek(file, 0, Whence::Set)?;
+//!     store.mail_delete(file)?;
+//! }
+//! assert_eq!(store.stats().shared_mails, 0);
+//! # Ok::<(), spamaware_mfs::StoreError>(())
+//! ```
 
 use crate::backend::DataRef;
 use crate::{Backend, MailId, MailStore, MfsStore, StoreError, StoreResult, StoredMail};

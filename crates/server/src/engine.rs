@@ -26,9 +26,9 @@ use spamaware_sim::{
     det_rng, run_until, FifoResource, LogHistogram, Nanos, ProcId, Readout, Scheduler, ServiceJob,
     World as SimWorld,
 };
-use spamaware_smtp::{Command, MailAddr, ServerSession, SessionConfig, SessionOutcome};
+use spamaware_smtp::{Command, ServerSession, SessionConfig, TrustPoint};
 use spamaware_trace::Trace;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 /// Which concurrency architecture the server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -46,22 +46,6 @@ impl std::fmt::Display for Architecture {
             Architecture::Hybrid => "Hybrid",
         })
     }
-}
-
-/// When the hybrid master delegates a connection to a worker — the
-/// ablation axis for the fork-after-trust design point. The paper's
-/// architecture is [`TrustPoint::AfterValidRcpt`]; [`TrustPoint::AfterAccept`]
-/// degenerates to process-per-connection with an accepting master, and
-/// [`TrustPoint::AfterHelo`] trusts anyone who completes a greeting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TrustPoint {
-    /// Delegate as soon as the connection is accepted.
-    AfterAccept,
-    /// Delegate after HELO/EHLO.
-    AfterHelo,
-    /// Delegate after the first valid `RCPT TO` (the paper's design).
-    #[default]
-    AfterValidRcpt,
 }
 
 /// DNSBL integration for a run.
@@ -98,7 +82,8 @@ pub struct ServerConfig {
     pub dns: Option<DnsConfig>,
     /// SMTP session policy.
     pub session: SessionConfig,
-    /// Hybrid only: when connections are delegated to workers.
+    /// Hybrid only: when connections are delegated to workers (the
+    /// trust-point ablation; the live server has only the default).
     pub trust_point: TrustPoint,
     /// Connections an smtpd process serves before terminating itself and
     /// being re-forked (postfix `max_use`, default 100; paper §2: a
@@ -375,6 +360,8 @@ struct World<'a> {
     arch: Architecture,
     cost: CostModel,
     session_cfg: SessionConfig,
+    /// The hosted mailbox names `RCPT TO` is checked against.
+    hosted: HashSet<String>,
     cpu: FifoResource<Ev>,
     disk_load: Nanos,
     store: SimStore,
@@ -441,6 +428,7 @@ impl<'a> World<'a> {
             arch: cfg.arch,
             cost: cfg.cost,
             session_cfg: cfg.session,
+            hosted: HashSet::new(),
             cpu: FifoResource::new(cfg.cost.context_switch),
             disk_load: Nanos::ZERO,
             store: SimStore::new(cfg.layout, cfg.disk),
@@ -491,6 +479,7 @@ impl<'a> World<'a> {
         if let Err(e) = self.store.prewarm(&refs) {
             debug_assert!(false, "prewarm on in-memory store cannot fail: {e}");
         }
+        self.hosted = names.into_iter().collect();
         match self.client {
             ClientModel::Closed { concurrency } => {
                 for i in 0..concurrency {
@@ -502,10 +491,6 @@ impl<'a> World<'a> {
                 sched.schedule_at(Nanos::ZERO, Ev::Arrive);
             }
         }
-    }
-
-    fn mailbox_count(&self) -> u32 {
-        self.trace.mailbox_count
     }
 
     fn into_report(self, duration: Nanos) -> RunReport {
@@ -707,29 +692,9 @@ impl<'a> World<'a> {
             debug_assert!(false, "CmdCpuDone without a pending command");
             return;
         };
-        let mailboxes = self.mailbox_count();
-        let exists = move |a: &MailAddr| mailbox_exists(a, mailboxes);
         let is_quit = matches!(cmd, Command::Quit);
-        let reply = self.conns[id].session.handle(cmd, &exists);
-        // Fork-after-trust: delegation fires at the configured trust point
-        // (the paper's design: the first valid recipient).
-        let trusted = match self.trust_point {
-            TrustPoint::AfterAccept => true,
-            TrustPoint::AfterHelo => !matches!(
-                self.conns[id].session.phase(),
-                spamaware_smtp::SessionPhase::Start
-            ),
-            TrustPoint::AfterValidRcpt => self.conns[id].session.has_valid_recipient(),
-        };
-        if self.arch == Architecture::Hybrid && !self.conns[id].delegated && trusted {
-            self.conns[id].delegated = true;
-            self.conns[id].cpu_used += self.cost.delegation_cpu;
-            self.cpu.submit(
-                sched,
-                ServiceJob::new(MASTER, self.cost.delegation_cpu, Ev::DelegCpuDone(id)),
-            );
-        }
-        let _ = reply;
+        self.conns[id].session.handle_hosted(cmd, &self.hosted);
+        self.delegate_if_trusted(sched, id);
         if is_quit {
             // 221 travels to the client; the connection closes when it
             // lands.
@@ -799,19 +764,28 @@ impl<'a> World<'a> {
 
     fn greet(&mut self, sched: &mut Scheduler<Ev>, id: ConnId) {
         self.conns[id].phase = Phase::Dialog;
+        self.delegate_if_trusted(sched, id);
+        // The 220 greeting travels to the client, which answers with the
+        // first scripted command.
+        sched.schedule_in(self.cost.half_rtt(), Ev::ReplyAtClient(id));
+    }
+
+    /// Fork-after-trust: the hybrid master hands a connection to a worker
+    /// the first time its dialog has earned trust at the configured point
+    /// (the paper's design: the first valid recipient).
+    fn delegate_if_trusted(&mut self, sched: &mut Scheduler<Ev>, id: ConnId) {
+        let conn = &mut self.conns[id];
         if self.arch == Architecture::Hybrid
-            && self.trust_point == TrustPoint::AfterAccept
-            && !self.conns[id].delegated
+            && !conn.delegated
+            && conn.session.trusted(self.trust_point)
         {
-            self.conns[id].delegated = true;
+            conn.delegated = true;
+            conn.cpu_used += self.cost.delegation_cpu;
             self.cpu.submit(
                 sched,
                 ServiceJob::new(MASTER, self.cost.delegation_cpu, Ev::DelegCpuDone(id)),
             );
         }
-        // The 220 greeting travels to the client, which answers with the
-        // first scripted command.
-        sched.schedule_in(self.cost.half_rtt(), Ev::ReplyAtClient(id));
     }
 
     fn delegate(&mut self, sched: &mut Scheduler<Ev>, id: ConnId) {
@@ -914,20 +888,15 @@ impl<'a> World<'a> {
         }
         self.conns[id].phase = Phase::Done;
         self.connections += 1;
-        match self.conns[id].session.outcome() {
-            SessionOutcome::Delivered => {
-                self.delivered_connections += 1;
-                self.cpu_delivering += self.conns[id].cpu_used;
-            }
-            SessionOutcome::Bounce => {
-                self.bounces += 1;
-                self.cpu_bounce += self.conns[id].cpu_used;
-            }
-            SessionOutcome::Unfinished => {
-                self.unfinished += 1;
-                self.cpu_unfinished += self.conns[id].cpu_used;
-            }
-        }
+        // Every DES connection ends by QUIT or by its script running out:
+        // the client ended the dialogue.
+        let (count, cpu) = self.conns[id].session.outcome(true).pick(
+            (&mut self.delivered_connections, &mut self.cpu_delivering),
+            (&mut self.bounces, &mut self.cpu_bounce),
+            (&mut self.unfinished, &mut self.cpu_unfinished),
+        );
+        *count += 1;
+        *cpu += self.conns[id].cpu_used;
         let elapsed = sched.now() - self.conns[id].started;
         self.session_ns.record(elapsed.as_nanos());
         // Release execution resources.
@@ -966,16 +935,6 @@ impl<'a> World<'a> {
         self.conns[id].script.clear();
         self.conns[id].buffered = None;
     }
-}
-
-fn mailbox_exists(a: &MailAddr, mailbox_count: u32) -> bool {
-    if a.domain() != "dept.example" {
-        return false;
-    }
-    a.local_part()
-        .strip_prefix("user")
-        .and_then(|n| n.parse::<u32>().ok())
-        .is_some_and(|n| n < mailbox_count)
 }
 
 impl SimWorld for World<'_> {
@@ -1124,17 +1083,6 @@ mod tests {
         };
         assert!((r.hit_ratio() - 0.8).abs() < 1e-12);
         assert!((r.query_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mailbox_validator_semantics() {
-        let a = |s: &str| s.parse::<MailAddr>().expect("valid");
-        assert!(mailbox_exists(&a("user0@dept.example"), 400));
-        assert!(mailbox_exists(&a("user399@dept.example"), 400));
-        assert!(!mailbox_exists(&a("user400@dept.example"), 400));
-        assert!(!mailbox_exists(&a("guess1@dept.example"), 400));
-        assert!(!mailbox_exists(&a("user1@other.example"), 400));
-        assert!(!mailbox_exists(&a("userx@dept.example"), 400));
     }
 
     #[test]

@@ -28,8 +28,7 @@ mod script;
 mod storage;
 
 pub use cost::CostModel;
-pub use engine::{
-    run, Architecture, ClientModel, DnsConfig, DnsReport, RunReport, ServerConfig, TrustPoint,
-};
+pub use engine::{run, Architecture, ClientModel, DnsConfig, DnsReport, RunReport, ServerConfig};
 pub use script::{build_script, guess_addr, rcpt_addr, Step};
+pub use spamaware_smtp::TrustPoint;
 pub use storage::SimStore;

@@ -83,7 +83,7 @@ mod tests {
     use super::*;
     use spamaware_netaddr::Ipv4;
     use spamaware_sim::Nanos;
-    use spamaware_trace::MailSpec;
+    use spamaware_trace::{bounce_sweep_trace, MailSpec, SinkholeConfig, UnivConfig};
 
     fn spec(kind: ConnectionKind) -> ConnectionSpec {
         ConnectionSpec {
@@ -192,5 +192,29 @@ mod tests {
     fn generated_addresses_parse() {
         assert_eq!(rcpt_addr(MailboxId(3)).local_part(), "user3");
         assert_eq!(guess_addr(9).local_part(), "guess9");
+    }
+
+    /// The DES hands its session built commands where the live server
+    /// parses wire lines. That is the same dialogue because every command
+    /// a script sends parses back to itself from its wire form — over the
+    /// bounce sweep, the sinkhole and the Univ generators (the last holds
+    /// every kind `combined_workload` adds to a sinkhole trace).
+    #[test]
+    fn every_scripted_command_round_trips_through_the_wire() {
+        let traces = [
+            bounce_sweep_trace(5, 200, 0.6, 400),
+            SinkholeConfig::scaled(0.005).generate().trace,
+            UnivConfig::scaled(1e-4).generate().trace,
+        ];
+        let mut commands = 0;
+        for spec in traces.iter().flat_map(|t| &t.connections) {
+            for step in build_script(spec) {
+                if let Step::Cmd(cmd) = step {
+                    assert_eq!(Command::parse(&cmd.to_string()), Ok(cmd));
+                    commands += 1;
+                }
+            }
+        }
+        assert!(commands > 1_000, "{commands} commands");
     }
 }

@@ -7,7 +7,12 @@
 //! threaded TCP server (`spamaware-core::live`) drive the same
 //! [`ServerSession`] state machine, so protocol behaviour — including the
 //! paper's bounce (`550 User unknown`) and unfinished-transaction handling —
-//! is implemented exactly once.
+//! is implemented exactly once. So are the per-connection decisions both
+//! servers make around it: where trust is earned
+//! ([`ServerSession::trusted`] at a [`TrustPoint`]), which recipients are
+//! hosted ([`ServerSession::handle_hosted`]), how a wire line becomes a
+//! reply ([`ServerSession::handle_line`]), and how the connection is
+//! classified ([`ServerSession::outcome`], the §4.1 taxonomy).
 //!
 //! # Example
 //!
@@ -38,5 +43,5 @@ pub use addr::{MailAddr, ParseAddrError};
 pub use command::{Command, ParseCommandError};
 pub use reply::Reply;
 pub use session::{
-    DataVerdict, Envelope, ServerSession, SessionConfig, SessionOutcome, SessionPhase,
+    DataVerdict, Envelope, ServerSession, SessionConfig, SessionOutcome, SessionPhase, TrustPoint,
 };

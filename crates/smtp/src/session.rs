@@ -1,6 +1,7 @@
 //! Server-side SMTP session state machine.
 
 use crate::{Command, MailAddr, Reply};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Static per-session policy knobs.
@@ -78,21 +79,55 @@ pub enum DataVerdict {
 pub enum SessionOutcome {
     /// At least one mail was accepted.
     Delivered,
-    /// No mail accepted, and at least one `RCPT TO` drew a `550 User
-    /// unknown` — a bounce connection from random-guessing spam.
+    /// No mail accepted, at least one `RCPT TO` drew a `550 User
+    /// unknown`, and the client ended the dialogue — a bounce connection
+    /// from random-guessing spam.
     Bounce,
-    /// No mail accepted and no recipient rejected: the client connected,
-    /// possibly exchanged a few handshake messages, and quit — an
-    /// unfinished SMTP transaction.
+    /// No mail accepted and no bounce: the client connected, possibly
+    /// exchanged a few handshake messages, and quit — or the server
+    /// evicted it, whatever was said before — an unfinished SMTP
+    /// transaction.
     Unfinished,
+}
+
+impl SessionOutcome {
+    /// Whichever of `delivered`, `bounce` and `unfinished` stands for this
+    /// outcome: how a caller keeps one tally per outcome without spelling
+    /// the taxonomy out again.
+    pub fn pick<T>(self, delivered: T, bounce: T, unfinished: T) -> T {
+        match self {
+            SessionOutcome::Delivered => delivered,
+            SessionOutcome::Bounce => bounce,
+            SessionOutcome::Unfinished => unfinished,
+        }
+    }
+}
+
+/// Where in the dialog a connection earns trust — the point a
+/// fork-after-trust master delegates it to a worker. The paper's
+/// architecture is [`TrustPoint::AfterValidRcpt`] (the live server's only
+/// one); the DES sweeps all three as an ablation, where
+/// [`TrustPoint::AfterAccept`] degenerates to process-per-connection with
+/// an accepting master and [`TrustPoint::AfterHelo`] trusts anyone who
+/// completes a greeting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum TrustPoint {
+    /// Trusted as soon as the connection is accepted.
+    AfterAccept,
+    /// Trusted after HELO/EHLO.
+    AfterHelo,
+    /// Trusted after the first valid `RCPT TO` (the paper's design).
+    #[default]
+    AfterValidRcpt,
 }
 
 /// The server-side SMTP state machine.
 ///
 /// The machine is transport-agnostic: the simulation feeds it [`Command`]
-/// values directly, while the live TCP server parses wire lines first. The
-/// recipient validator is passed per-call so the caller decides how mailbox
-/// existence is checked (local access database in the paper).
+/// values through [`ServerSession::handle_hosted`], while the live TCP
+/// server hands it wire lines through [`ServerSession::handle_line`]; both
+/// check recipients against the same set of hosted mailboxes (the local
+/// access database in the paper).
 ///
 /// See the crate-level example for a full dialog.
 #[derive(Debug)]
@@ -148,11 +183,16 @@ impl ServerSession {
         self.phase
     }
 
-    /// Whether at least one valid recipient has been accepted in the
-    /// current transaction — the paper's *trust point*: a hybrid master
-    /// delegates the connection to an smtpd worker once this turns true.
-    pub fn has_valid_recipient(&self) -> bool {
-        !self.recipients.is_empty()
+    /// Whether the dialog so far has earned trust at `point`; a hybrid
+    /// master delegates the connection to an smtpd worker once this turns
+    /// true. At the paper's [`TrustPoint::AfterValidRcpt`] that is the
+    /// first valid recipient of the current transaction.
+    pub fn trusted(&self, point: TrustPoint) -> bool {
+        match point {
+            TrustPoint::AfterAccept => true,
+            TrustPoint::AfterHelo => self.phase != SessionPhase::Start,
+            TrustPoint::AfterValidRcpt => !self.recipients.is_empty(),
+        }
     }
 
     /// `RCPT TO` attempts rejected with `550` over the whole connection.
@@ -204,14 +244,15 @@ impl ServerSession {
 
     /// Handles one command, returning the reply to send.
     ///
-    /// `mailbox_exists` implements the local access-database lookup: it is
-    /// consulted once per `RCPT TO`.
+    /// `exists` implements the local access-database lookup: it is
+    /// consulted once per `RCPT TO`. Both servers call this through
+    /// [`ServerSession::handle_hosted`].
     ///
     /// # Panics
     ///
     /// Panics if called while in the [`SessionPhase::Data`] phase — content
     /// must go through [`ServerSession::data_line`].
-    pub fn handle(&mut self, cmd: Command, mailbox_exists: &dyn Fn(&MailAddr) -> bool) -> Reply {
+    pub fn handle(&mut self, cmd: Command, exists: &dyn Fn(&MailAddr) -> bool) -> Reply {
         assert!(
             self.phase != SessionPhase::Data,
             "handle() called during DATA; feed content via data_line()"
@@ -255,7 +296,7 @@ impl ServerSession {
                     if self.recipients.len() >= self.cfg.max_recipients {
                         return Reply::too_many_recipients();
                     }
-                    if mailbox_exists(&rcpt) {
+                    if exists(&rcpt) {
                         self.recipients.push(rcpt);
                         self.phase = SessionPhase::RcptGiven;
                         Reply::ok()
@@ -288,6 +329,27 @@ impl ServerSession {
                 Reply::bye()
             }
             Command::Unknown(_) => Reply::syntax_error(),
+        }
+    }
+
+    /// [`ServerSession::handle`] under the hosted-recipient rule both
+    /// servers use: a recipient exists when its local part is one of the
+    /// `hosted` mailbox names, whatever its domain.
+    pub fn handle_hosted(&mut self, cmd: Command, hosted: &HashSet<String>) -> Reply {
+        self.handle(cmd, &|a: &MailAddr| hosted.contains(a.local_part()))
+    }
+
+    /// One CRLF-stripped command line off the wire: parses it, runs it
+    /// through [`ServerSession::handle_hosted`], and answers `501` when a
+    /// known verb's argument does not parse. Returns the reply and the
+    /// line's [`Command::verb`] (`"?"` for a line that does not parse).
+    pub fn handle_line(&mut self, line: &[u8], hosted: &HashSet<String>) -> (Reply, &'static str) {
+        match Command::parse(&String::from_utf8_lossy(line)) {
+            Ok(cmd) => {
+                let verb = cmd.verb();
+                (self.handle_hosted(cmd, hosted), verb)
+            }
+            Err(_) => (Reply::bad_argument(), "?"),
         }
     }
 
@@ -380,12 +442,15 @@ impl ServerSession {
         self.finish_data(mail_id)
     }
 
-    /// Classifies the connection per the paper's taxonomy. Valid at any
-    /// point; normally consulted after QUIT or connection drop.
-    pub fn outcome(&self) -> SessionOutcome {
+    /// Classifies the connection per the paper's taxonomy — the one
+    /// classifier of the DES and the live server. `ended_by_client` says
+    /// the client ended the dialogue (`QUIT`, hang-up, or a script that ran
+    /// out); only such a dialogue can be a bounce, so a connection the
+    /// server evicted is unfinished whatever it was told before.
+    pub fn outcome(&self, ended_by_client: bool) -> SessionOutcome {
         if self.accepted > 0 {
             SessionOutcome::Delivered
-        } else if self.rejected_rcpts > 0 {
+        } else if ended_by_client && self.rejected_rcpts > 0 {
             SessionOutcome::Bounce
         } else {
             SessionOutcome::Unfinished
@@ -443,7 +508,7 @@ mod tests {
         let r = s.finish_data("M1");
         assert_eq!(r.code(), 250);
         assert_eq!(s.handle(Command::Quit, &all_exist).code(), 221);
-        assert_eq!(s.outcome(), SessionOutcome::Delivered);
+        assert_eq!(s.outcome(true), SessionOutcome::Delivered);
         assert_eq!(s.delivered().len(), 1);
         assert_eq!(s.delivered()[0].recipients.len(), 1);
     }
@@ -455,28 +520,67 @@ mod tests {
         let r = s.handle(Command::rcpt_to(addr("guess@x.example")), &none_exist);
         assert_eq!(r.code(), 550);
         s.handle(Command::Quit, &none_exist);
-        assert_eq!(s.outcome(), SessionOutcome::Bounce);
+        assert_eq!(s.outcome(true), SessionOutcome::Bounce);
         assert_eq!(s.rejected_rcpts(), 1);
-        assert!(!s.has_valid_recipient());
+        assert!(!s.trusted(TrustPoint::AfterValidRcpt));
+        // The same dialogue cut short by the server is no bounce.
+        assert_eq!(s.outcome(false), SessionOutcome::Unfinished);
     }
 
     #[test]
     fn unfinished_connection_is_classified() {
         let mut s = greeted();
         s.handle(Command::Quit, &all_exist);
-        assert_eq!(s.outcome(), SessionOutcome::Unfinished);
+        assert_eq!(s.outcome(true), SessionOutcome::Unfinished);
     }
 
     #[test]
     fn trust_point_triggers_on_first_valid_rcpt() {
         let mut s = greeted();
         s.handle(Command::mail_from(None), &all_exist);
-        assert!(!s.has_valid_recipient());
+        assert!(!s.trusted(TrustPoint::AfterValidRcpt));
         // One 550 first: still untrusted.
         s.handle(Command::rcpt_to(addr("bad@x.example")), &none_exist);
-        assert!(!s.has_valid_recipient());
+        assert!(!s.trusted(TrustPoint::AfterValidRcpt));
         s.handle(Command::rcpt_to(addr("ok@x.example")), &all_exist);
-        assert!(s.has_valid_recipient());
+        assert!(s.trusted(TrustPoint::AfterValidRcpt));
+    }
+
+    #[test]
+    fn earlier_trust_points_trust_earlier() {
+        let mut s = ServerSession::new(SessionConfig::default());
+        let at = |s: &ServerSession| {
+            [
+                TrustPoint::AfterAccept,
+                TrustPoint::AfterHelo,
+                TrustPoint::AfterValidRcpt,
+            ]
+            .map(|point| s.trusted(point))
+        };
+        assert_eq!(at(&s), [true, false, false]);
+        s.handle(Command::helo("c.example"), &all_exist);
+        assert_eq!(at(&s), [true, true, false]);
+        s.handle(Command::mail_from(None), &all_exist);
+        s.handle(Command::rcpt_to(addr("ok@x.example")), &all_exist);
+        assert_eq!(at(&s), [true, true, true]);
+    }
+
+    #[test]
+    fn handle_line_parses_checks_hosted_local_parts_and_answers_501() {
+        let hosted: HashSet<String> = HashSet::from(["alice".to_owned()]);
+        let mut s = ServerSession::new(SessionConfig::default());
+        let mut step = |line: &[u8]| {
+            let (reply, verb) = s.handle_line(line, &hosted);
+            (reply.code(), verb)
+        };
+        assert_eq!(step(b"HELO c.example"), (250, "HELO"));
+        assert_eq!(step(b"MAIL FROM:<junk>"), (501, "?"));
+        assert_eq!(step(b"MAIL FROM:<>"), (250, "MAIL"));
+        assert_eq!(step(b"RCPT TO:<bob@dept.example>"), (550, "RCPT"));
+        // The domain is not consulted: the local part decides.
+        assert_eq!(step(b"RCPT TO:<alice@elsewhere.example>"), (250, "RCPT"));
+        assert_eq!(step(b"XEXP"), (500, "?"));
+        assert_eq!(s.commands_handled(), 5, "a 501 never reaches handle");
     }
 
     #[test]
@@ -542,7 +646,7 @@ mod tests {
         s.handle(Command::mail_from(Some(addr("a@b.example"))), &all_exist);
         s.handle(Command::rcpt_to(addr("u@d.example")), &all_exist);
         s.handle(Command::Rset, &all_exist);
-        assert!(!s.has_valid_recipient());
+        assert!(!s.trusted(TrustPoint::AfterValidRcpt));
         // Must re-issue MAIL before RCPT.
         assert_eq!(
             s.handle(Command::rcpt_to(addr("u@d.example")), &all_exist)
@@ -571,7 +675,7 @@ mod tests {
         // Both accepted mails count against max_transactions even though
         // the delivered list was drained.
         assert_eq!(s.handle(Command::mail_from(None), &all_exist).code(), 452);
-        assert_eq!(s.outcome(), SessionOutcome::Delivered);
+        assert_eq!(s.outcome(true), SessionOutcome::Delivered);
         assert_eq!(s.take_last_delivered(), None);
     }
 
@@ -688,7 +792,7 @@ mod size_limit_tests {
         assert!(s.delivered().is_empty());
         // Session is usable for the next transaction.
         assert_eq!(s.phase(), SessionPhase::Greeted);
-        assert_eq!(s.outcome(), SessionOutcome::Unfinished);
+        assert_eq!(s.outcome(true), SessionOutcome::Unfinished);
     }
 
     #[test]

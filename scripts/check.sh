@@ -7,8 +7,8 @@
 # ordered cheapest-first so failures surface quickly:
 #
 #   1. cargo fmt --check       — formatting is canonical
-#   2. cargo clippy            — workspace lints over every target (tests,
-#                                examples and benches too), warnings are
+#   2. cargo clippy            — workspace lints over every target (tests
+#                                and benches too), warnings are
 #                                errors. Every static rule lives here, and
 #                                a sanctioned site carries an #[expect]
 #                                with a written reason:
@@ -55,7 +55,9 @@
 #                                API, and its suite boots the real TCP
 #                                server pair on all four workloads and
 #                                verifies every acked mail is in the
-#                                spool exactly once
+#                                spool exactly once; --locked, so a
+#                                dependency-edge change fails here instead
+#                                of rewriting the frozen benchmark/Cargo.lock
 #
 # With --crash, a further stage runs the deep crash-point sweep: every
 # (write, byte) cut of an extended MFS workload is injected, the store is
@@ -115,8 +117,8 @@ cargo test --quiet
 echo "==> figures check results"
 cargo run --release --quiet -p spamaware-bench -- check results
 
-echo "==> cargo test --manifest-path benchmark/Cargo.toml"
-cargo test --quiet --manifest-path benchmark/Cargo.toml --offline
+echo "==> cargo test --manifest-path benchmark/Cargo.toml --locked"
+cargo test --quiet --manifest-path benchmark/Cargo.toml --offline --locked
 
 if [ "$crash" = 1 ]; then
     echo "==> crash-point deep sweep"

@@ -341,15 +341,18 @@ proptest! {
         }
         prop_assert_eq!(s.rejected_rcpts(), rejected);
         let delivered = s.delivered().len();
-        match s.outcome() {
-            SessionOutcome::Delivered => prop_assert!(delivered > 0),
-            SessionOutcome::Bounce => {
-                prop_assert_eq!(delivered, 0);
-                prop_assert!(rejected > 0);
-            }
-            SessionOutcome::Unfinished => {
-                prop_assert_eq!(delivered, 0);
-                prop_assert_eq!(rejected, 0);
+        for ended_by_client in [true, false] {
+            match s.outcome(ended_by_client) {
+                SessionOutcome::Delivered => prop_assert!(delivered > 0),
+                SessionOutcome::Bounce => {
+                    prop_assert!(ended_by_client, "an eviction is never a bounce");
+                    prop_assert_eq!(delivered, 0);
+                    prop_assert!(rejected > 0);
+                }
+                SessionOutcome::Unfinished => {
+                    prop_assert_eq!(delivered, 0);
+                    prop_assert!(!ended_by_client || rejected == 0);
+                }
             }
         }
     }
