@@ -3,13 +3,14 @@
 //! §5 of the paper argues that one cheap event loop should carry every
 //! connection that has not earned a process of its own. [`drive`] is that
 //! loop, written once: it sleeps in [`Reactor::wait`] until a socket is
-//! ready or a [`TimerWheel`] deadline is due, reads into a fixed-size
+//! ready or the earliest deadline in its [`TimerWheel`] — an ordered set
+//! of `(deadline, timer)` pairs — is due, reads into a fixed-size
 //! per-connection [`LineBuffer`], hands each complete line to a
 //! [`Protocol`], coalesces the replies of a pipelined burst, and routes
 //! every outbound byte through a bounded per-connection [`OutBuf`] (write
 //! what fits, queue the rest, arm write interest, flush on writable —
 //! and take no further input from a peer until it has drained what it
-//! was sent, DESIGN.md §15.4). Four deadlines live on the wheel per connection —
+//! was sent, DESIGN.md §15.4). Four deadlines per connection live in that set —
 //! idle, whole-session, write-stall (no progress), and one protocol
 //! *phase* (SMTP's `DATA` transfer) — and every connection leaves through
 //! one exit, [`Protocol::finish`], with the [`End`] that explains why.

@@ -134,7 +134,7 @@ instruments! {
         blacklisted: counter "live.blacklisted" "Connections whose peer the DNSBL agent found listed.",
         rejected_ipv6: counter "live.rejected_ipv6" terminal "IPv6 peers refused with a 554 reply (the server is IPv4-only).",
         overflows: counter "live.overflows" "Connections dropped for overflowing the fixed-size line buffer.",
-        idle_evictions: counter "live.idle_evictions" "Pre-trust connections evicted by the idle timeout.",
+        idle_evictions: counter "live.idle_evictions" "Connections evicted by the idle timeout, on the master or on a worker.",
         recovered_records: counter "live.recovered_records" "Torn key records truncated away while recovering the store at startup (a clean shutdown leaves this at zero).",
         fsck_repairs: counter "live.fsck_repairs" "Repairs the startup fsck pass made durable (torn tails, refcount rebuilds, orphan reclamation).",
         shed_connections: counter "live.shed_connections" terminal "Connections shed with `421` at the total in-flight cap.",
@@ -177,7 +177,7 @@ instruments! {
     pub struct DriverMetrics {
         wakeups: counter "master.wakeups" "Returns from the master's reactor wait.",
         io_events: counter "master.io_events" "Readiness events delivered to the master.",
-        timers_fired: counter "master.timers_fired" "Timer-wheel expirations the master processed.",
+        timers_fired: counter "master.timers_fired" "Timer expirations the master processed.",
         write_stalls: counter "master.write_stalls" "Pre-trust connections whose replies outran the socket and started queuing.",
         outq_bytes: gauge "master.outq_bytes" "Reply bytes queued across all pre-trust connections.",
     }

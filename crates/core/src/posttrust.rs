@@ -205,7 +205,8 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
             self.metrics.data_ns.record_since(start);
         }
         match end {
-            End::Closed | End::PeerGone | End::Idle | End::Detached => {}
+            End::Closed | End::PeerGone | End::Detached => {}
+            End::Idle => stats.idle_evictions.inc(),
             End::Overflow => {
                 stats.overflows.inc();
                 farewell(&mut conn, Reply::syntax_error().to_wire().as_bytes());

@@ -1,7 +1,7 @@
 //! Pre-trust SMTP: the master's instance of the session engine.
 //!
 //! [`run_pretrust`] is the §5 "one cheap thread carries every untrusted
-//! connection" loop. The loop itself — readiness wait, timer wheel,
+//! connection" loop. The loop itself — readiness wait, ordered timers,
 //! bounded reply queues, the one exit — is [`crate::driver`]; this module
 //! is the protocol it runs on the master: admission control (draining,
 //! total in-flight cap, per-IP cap — cheapest first and all before any

@@ -3,7 +3,8 @@
 //! A session loop must never block on any one connection (§5 of the
 //! paper), and it does not poll for the lack of one either: the driver
 //! ([`crate::driver`]) sleeps in [`Reactor::wait`] until the OS reports a
-//! socket ready or the next [`wheel::TimerWheel`] deadline is due. Two
+//! socket ready or the earliest deadline in its [`wheel::TimerWheel`] (an
+//! ordered set of armed timers) is due. Two
 //! implementations share the trait:
 //!
 //! * [`os::OsReactor`] — epoll via the vendored `rawpoll` bindings, plus

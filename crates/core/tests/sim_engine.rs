@@ -1389,6 +1389,42 @@ fn a_trusted_session_that_quits_after_a_550_is_one_bounce() {
     assert_eq!((snap.bounces, snap.unfinished), (1, 0));
 }
 
+/// A trusted session that falls silent is evicted by the worker's idle
+/// timer, and the eviction is counted where the master counts its own:
+/// `live.idle_evictions` names the cause of the `unfinished`.
+#[test]
+fn a_silent_trusted_session_is_an_idle_eviction_on_the_worker() {
+    let script = vec![
+        connect(SEC, 1),
+        data(
+            2 * SEC,
+            1,
+            b"HELO relay.example\r\nMAIL FROM:<x@client.example>\r\nRCPT TO:<alice@dept.example>\r\n",
+        ),
+        (3 * SEC, SimEvent::Stop),
+        // Worker half: the grant stands in for the enqueue's wakeup; then
+        // nothing arrives.
+        (
+            4 * SEC,
+            SimEvent::Window {
+                conn: 1,
+                bytes: 4096,
+            },
+        ),
+        (20 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    h.run_through_the_seam(&WorkerConfig {
+        read_timeout: Duration::from_secs(5),
+        ..WorkerConfig::default()
+    });
+
+    let snap = h.stats.snapshot();
+    assert_eq!(snap.delegated, 1, "the valid RCPT earned trust");
+    assert_eq!((snap.idle_evictions, snap.unfinished), (1, 1));
+    assert!(!h.reactor.conn_open(1), "the idle timer closed it");
+}
+
 // ---------------------------------------------------------------------
 // The DES and the live engine classify a trace the same way.
 // ---------------------------------------------------------------------

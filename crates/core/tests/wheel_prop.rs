@@ -1,15 +1,16 @@
-//! Property tests pinning [`TimerWheel`] to its reference model.
+//! Property tests pinning [`TimerWheel`] to a brute-force scan.
 //!
-//! The model is the structure the wheel's module docs name as the naive
-//! alternative: a `BTreeMap` of armed timers fired in `(deadline, id)`
-//! order. Any op sequence — schedule (including re-arm and past
-//! deadlines), cancel, and monotonic advance across level boundaries and
-//! the overflow horizon — must produce byte-identical firings, the same
-//! `next_deadline`, and the same armed count. The wheel is allowed to
-//! differ only in *cost*, never in observable behavior.
+//! The model keeps armed timers in a plain id → deadline map and answers
+//! every question by scanning all of them: the earliest deadline is the
+//! minimum, and an advance collects and sorts every due timer by
+//! `(deadline, id)`. Any op sequence — schedule (including re-arm and past
+//! deadlines), cancel, and monotonic advance by small and huge steps —
+//! must produce byte-identical firings, the same `next_deadline`, and the
+//! same armed count. The timers may differ from the scan only in *cost*,
+//! never in observable behavior.
 
 use proptest::prelude::*;
-use spamaware_core::reactor::wheel::{TimerWheel, TICK_SHIFT};
+use spamaware_core::reactor::wheel::TimerWheel;
 use std::collections::BTreeMap;
 
 const MS: u64 = 1_000_000;
@@ -35,16 +36,15 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        // Offsets span level 0 (< 64 ticks), the outer levels, and — via
-        // the occasional huge offset — the ~4.9 h overflow horizon.
+        // Offsets span milliseconds to seconds and, via the occasional
+        // huge offset, hours.
         (0u64..12, 0u64..5_000 * MS, 0u64..8).prop_map(|(id, offset, kind)| Op::Schedule {
             id,
             offset: if kind == 0 { offset * 4_000 } else { offset },
             past: kind == 1,
         }),
         (0u64..12).prop_map(|id| Op::Cancel { id }),
-        // Jumps from sub-tick to minutes; large ones trip the O(n)
-        // rebuild path.
+        // Jumps from sub-millisecond to minutes.
         (0u64..4, 0u64..3_000 * MS).prop_map(|(kind, dt)| Op::Advance {
             dt: if kind == 0 { dt * 200 } else { dt },
         }),
@@ -87,12 +87,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
     #[test]
     fn wheel_matches_btreemap_reference(
-        start_ticks in 0u64..200_000,
+        start_ns in 0u64..1 << 62,
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
-        // Arbitrary epoch: the wheel must not care where "now" starts
-        // relative to slot/level boundaries.
-        let mut now = start_ticks << (TICK_SHIFT - 2);
+        // Arbitrary epoch: the wheel must not care where "now" starts.
+        let mut now = start_ns;
         let mut wheel = TimerWheel::new(now);
         let mut model = ModelWheel::default();
         let mut fired = Vec::new();
@@ -202,10 +201,10 @@ proptest! {
     /// and cancels independently, exactly like the reference model.
     #[test]
     fn packed_per_connection_timer_kinds_stay_independent(
-        start_ticks in 0u64..200_000,
+        start_ns in 0u64..1 << 62,
         ops in proptest::collection::vec(conn_op_strategy(), 1..150),
     ) {
-        let mut now = start_ticks << (TICK_SHIFT - 2);
+        let mut now = start_ns;
         let mut wheel = TimerWheel::new(now);
         let mut model = ModelWheel::default();
         let mut fired = Vec::new();

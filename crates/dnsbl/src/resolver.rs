@@ -11,7 +11,8 @@ use rand::Rng;
 use spamaware_metrics::{Counter, LogHistogram, Registry};
 use spamaware_netaddr::{Ipv4, Prefix25, PrefixBitmap};
 use spamaware_sim::{Nanos, Readout};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// The resolver's one set of books: its own instruments until
@@ -93,34 +94,53 @@ pub enum Fetched {
     Bitmap(PrefixBitmap),
 }
 
-/// Frees a slot in a cache that has reached `capacity`: expired entries
-/// go first, then the soonest to expire. Returns how many live entries
-/// had to be evicted.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the victim is the min by (expiry, key); resolver_eviction_is_hash_order_independent"
-)]
-fn make_room<K: Copy + Ord + std::hash::Hash, V>(
-    cache: &mut HashMap<K, (Nanos, V)>,
-    capacity: Option<usize>,
-    now: Nanos,
-) -> u64 {
-    let Some(cap) = capacity else { return 0 };
-    if cache.len() < cap {
-        return 0;
+/// One expiring cache: a map for lookups plus the same keys ordered by
+/// `(expiry, key)`, so the soonest to expire is always the first.
+#[derive(Debug)]
+struct Cache<K, V> {
+    entries: HashMap<K, (Nanos, V)>,
+    by_expiry: BTreeSet<(Nanos, K)>,
+}
+
+impl<K: Copy + Ord + Hash, V> Cache<K, V> {
+    fn new() -> Cache<K, V> {
+        Cache {
+            entries: HashMap::new(),
+            by_expiry: BTreeSet::new(),
+        }
     }
-    cache.retain(|_, (expiry, _)| *expiry > now);
-    let mut evicted = 0;
-    while cache.len() >= cap {
-        let victim = cache
-            .iter()
-            .min_by_key(|(k, (expiry, _))| (*expiry, **k))
-            .map(|(k, _)| *k);
-        let Some(victim) = victim else { break };
-        cache.remove(&victim);
-        evicted += 1;
+
+    /// The value under `key`, if it is still unexpired at `now`.
+    fn get(&self, key: &K, now: Nanos) -> Option<&V> {
+        match self.entries.get(key) {
+            Some((expiry, value)) if *expiry > now => Some(value),
+            _ => None,
+        }
     }
-    evicted
+
+    /// Caches `value` under `key` until `expiry`. A cache that has
+    /// reached its `cap` first drops its expired entries, then the
+    /// soonest to expire until a slot is free; ties go to the smaller
+    /// key. Returns how many live entries had to be evicted.
+    fn insert(&mut self, key: K, value: V, expiry: Nanos, now: Nanos, cap: Option<usize>) -> u64 {
+        let mut evicted = 0;
+        if let Some(cap) = cap.filter(|&cap| self.entries.len() >= cap) {
+            while let Some(&(soonest, victim)) = self.by_expiry.first() {
+                let live = soonest > now;
+                if live && self.entries.len() < cap {
+                    break;
+                }
+                self.by_expiry.pop_first();
+                self.entries.remove(&victim);
+                evicted += u64::from(live);
+            }
+        }
+        if let Some((old, _)) = self.entries.insert(key, (expiry, value)) {
+            self.by_expiry.remove(&(old, key));
+        }
+        self.by_expiry.insert((expiry, key));
+        evicted
+    }
 }
 
 /// A TTL-based caching stub resolver for DNSBL lookups.
@@ -158,8 +178,8 @@ pub struct CachingResolver {
     scheme: CacheScheme,
     ttl: Nanos,
     capacity: Option<usize>,
-    ip_cache: HashMap<Ipv4, (Nanos, bool)>,
-    prefix_cache: HashMap<Prefix25, (Nanos, PrefixBitmap)>,
+    ip_cache: Cache<Ipv4, bool>,
+    prefix_cache: Cache<Prefix25, PrefixBitmap>,
     queries_issued: u64,
     metrics: ResolverMetrics,
 }
@@ -182,8 +202,8 @@ impl CachingResolver {
             scheme,
             ttl,
             capacity: None,
-            ip_cache: HashMap::new(),
-            prefix_cache: HashMap::new(),
+            ip_cache: Cache::new(),
+            prefix_cache: Cache::new(),
             queries_issued: 0,
             metrics: ResolverMetrics::default(),
         }
@@ -267,14 +287,11 @@ impl CachingResolver {
     pub fn probe(&mut self, ip: Ipv4, now: Nanos) -> Option<bool> {
         let cached = match self.scheme {
             CacheScheme::None => None,
-            CacheScheme::PerIp => match self.ip_cache.get(&ip) {
-                Some(&(expiry, listed)) if expiry > now => Some(listed),
-                _ => None,
-            },
-            CacheScheme::PerPrefix => match self.prefix_cache.get(&ip.prefix25()) {
-                Some((expiry, bitmap)) if *expiry > now => Some(bitmap.contains(ip)),
-                _ => None,
-            },
+            CacheScheme::PerIp => self.ip_cache.get(&ip, now).copied(),
+            CacheScheme::PerPrefix => self
+                .prefix_cache
+                .get(&ip.prefix25(), now)
+                .map(|bitmap| bitmap.contains(ip)),
         };
         match cached {
             Some(_) => self.metrics.hits.inc(),
@@ -293,17 +310,12 @@ impl CachingResolver {
             Fetched::Listed(listed) => listed,
             Fetched::Bitmap(bitmap) => bitmap.contains(ip),
         };
-        let expiry = now + self.ttl;
+        let (expiry, cap) = (now + self.ttl, self.capacity);
         let evicted = match (self.scheme, answer) {
-            (CacheScheme::PerIp, _) => {
-                let evicted = make_room(&mut self.ip_cache, self.capacity, now);
-                self.ip_cache.insert(ip, (expiry, listed));
-                evicted
-            }
+            (CacheScheme::PerIp, _) => self.ip_cache.insert(ip, listed, expiry, now, cap),
             (CacheScheme::PerPrefix, Fetched::Bitmap(bitmap)) => {
-                let evicted = make_room(&mut self.prefix_cache, self.capacity, now);
-                self.prefix_cache.insert(ip.prefix25(), (expiry, bitmap));
-                evicted
+                let prefix = ip.prefix25();
+                self.prefix_cache.insert(prefix, bitmap, expiry, now, cap)
             }
             _ => 0,
         };
@@ -325,7 +337,7 @@ impl CachingResolver {
 
     /// Number of live cache entries (either granularity).
     pub fn cached_entries(&self) -> usize {
-        self.ip_cache.len() + self.prefix_cache.len()
+        self.ip_cache.entries.len() + self.prefix_cache.entries.len()
     }
 }
 
@@ -333,6 +345,7 @@ impl CachingResolver {
 mod capacity_tests {
     use super::*;
     use crate::{BlacklistDb, LatencyModel};
+    use proptest::prelude::*;
     use spamaware_sim::det_rng;
 
     fn tiny_server() -> DnsblServer {
@@ -391,6 +404,104 @@ mod capacity_tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = CachingResolver::new(CacheScheme::PerIp, Nanos::from_secs(1)).with_capacity(0);
+    }
+
+    /// The scan [`Cache::insert`] replaced, kept as its oracle: frees a
+    /// slot in a full cache by dropping expired entries, then the minimum
+    /// by `(expiry, key)`. Returns how many live entries it evicted.
+    #[allow(clippy::disallowed_methods)] // a min by (expiry, key) is total: hash order cannot reach it
+    fn make_room<K: Copy + Ord + Hash, V>(
+        cache: &mut HashMap<K, (Nanos, V)>,
+        cap: usize,
+        now: Nanos,
+    ) -> u64 {
+        if cache.len() < cap {
+            return 0;
+        }
+        cache.retain(|_, (expiry, _)| *expiry > now);
+        let mut evicted = 0;
+        while cache.len() >= cap {
+            let victim = cache
+                .iter()
+                .min_by_key(|(k, (expiry, _))| (*expiry, **k))
+                .map(|(k, _)| *k);
+            let Some(victim) = victim else { break };
+            cache.remove(&victim);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// One lookup of `key` in the oracle's `cache` at `now`: the cached
+    /// value and `true`, or `fetched`, cached after [`make_room`], and
+    /// `false`.
+    fn oracle_lookup<K: Copy + Ord + Hash, V: Copy>(
+        cache: &mut HashMap<K, (Nanos, V)>,
+        evictions: &mut u64,
+        key: K,
+        fetched: V,
+        now: Nanos,
+        cap: usize,
+    ) -> (V, bool) {
+        match cache.get(&key) {
+            Some(&(expiry, value)) if expiry > now => (value, true),
+            _ => {
+                *evictions += make_room(cache, cap, now);
+                cache.insert(key, (now + TTL, fetched));
+                (fetched, false)
+            }
+        }
+    }
+
+    const TTL: Nanos = Nanos::from_secs(10);
+
+    /// Host `i % 8` of /25 number `i / 8`: 10.0.0.0/25, 10.0.0.128/25,
+    /// 10.0.1.0/25.
+    fn stream_ip(i: u32) -> Ipv4 {
+        Ipv4::from_u32(0x0a00_0000 + i / 8 * 128 + i % 8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The indexed cache evicts exactly the victims the scan chose:
+        /// same answers, same hits, same eviction count and same size
+        /// after every lookup of a random stream.
+        #[test]
+        fn indexed_cache_matches_the_scan_it_replaced(
+            per_ip in any::<bool>(),
+            cap in (0usize..4).prop_map(|i| [1, 2, 3, 8][i]),
+            // (host, gap in ms): repeats, short gaps, and gaps either
+            // side of the 10 s TTL.
+            stream in proptest::collection::vec(
+                (0u32..24, prop_oneof![Just(0u64), 0u64..3_000, 9_000u64..11_000]),
+                1..200,
+            ),
+        ) {
+            // Every third host listed.
+            let db: BlacklistDb = (0..24).step_by(3).map(stream_ip).collect();
+            let scheme = if per_ip { CacheScheme::PerIp } else { CacheScheme::PerPrefix };
+            let server = DnsblServer::new("bl.example", db.clone(), LatencyModel::new(40.0, 0.8, 0.0));
+            let mut r = CachingResolver::new(scheme, TTL).with_capacity(cap);
+            let (mut ips, mut prefixes, mut evictions) = (HashMap::new(), HashMap::new(), 0);
+            let mut rng = det_rng(93);
+            let mut now = Nanos::ZERO;
+            for (i, gap_ms) in stream {
+                now += Nanos::from_millis(gap_ms);
+                let ip = stream_ip(i);
+                let o = r.lookup(ip, now, &server, &mut rng);
+                let expected = if per_ip {
+                    oracle_lookup(&mut ips, &mut evictions, ip, db.lookup(ip).is_some(), now, cap)
+                } else {
+                    let prefix = ip.prefix25();
+                    let (bitmap, hit) =
+                        oracle_lookup(&mut prefixes, &mut evictions, prefix, db.bitmap(prefix), now, cap);
+                    (bitmap.contains(ip), hit)
+                };
+                prop_assert_eq!((o.listed, o.cache_hit), expected);
+                prop_assert_eq!(r.stats().evictions, evictions);
+                prop_assert_eq!(r.cached_entries(), ips.len() + prefixes.len());
+            }
+        }
     }
 }
 

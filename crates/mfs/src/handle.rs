@@ -78,9 +78,7 @@ impl<B: Backend> MfsStore<B> {
         // Creation is lazy (files appear on first write), matching the
         // paper's "if the file does not exist, the proper ... files are
         // created".
-        if mailbox == "shmailbox" || mailbox.is_empty() || mailbox.contains('/') {
-            return Err(StoreError::Io(format!("illegal mailbox name: {mailbox:?}")));
-        }
+        Self::check_mailbox_name(mailbox)?;
         Ok(MailFile {
             mailbox: mailbox.to_owned(),
             cursor: 0,
@@ -92,15 +90,16 @@ impl<B: Backend> MfsStore<B> {
     ///
     /// # Errors
     ///
-    /// [`StoreError::OutOfRange`] if the target falls outside
-    /// `0..=mail_count`.
+    /// [`StoreError::OutOfRange`] if the target falls outside `0..=n` for
+    /// a mailbox of `n` mails. The count comes from the in-memory index,
+    /// so a seek reads no mail.
     pub fn mail_seek(
         &mut self,
         file: &mut MailFile,
         offset: i64,
         whence: Whence,
     ) -> StoreResult<()> {
-        let count = self.mail_count(&file.mailbox) as i64;
+        let count = self.list_mailbox(&file.mailbox).len() as i64;
         let base = match whence {
             Whence::Set => 0,
             Whence::Cur => file.cursor as i64,
@@ -145,7 +144,8 @@ impl<B: Backend> MfsStore<B> {
         self.nwrite(id, &names, body)
     }
 
-    /// Deletes the mail under the seek pointer (paper `mail_delete`).
+    /// Deletes the mail under the seek pointer (paper `mail_delete`),
+    /// located through the in-memory index without reading any body.
     /// Later mails shift down; the pointer stays put, now naming the next
     /// mail.
     ///
@@ -153,15 +153,14 @@ impl<B: Backend> MfsStore<B> {
     ///
     /// [`StoreError::OutOfRange`] if the pointer is at end of mailbox.
     pub fn mail_delete(&mut self, file: &mut MailFile) -> StoreResult<()> {
-        let mails = self.read_mailbox(&file.mailbox)?;
-        let Some(target) = mails.get(file.cursor) else {
+        let listing = self.list_mailbox(&file.mailbox);
+        let Some(&(id, _)) = listing.get(file.cursor) else {
             return Err(StoreError::OutOfRange(format!(
                 "delete at {} in mailbox of {} mails",
                 file.cursor,
-                mails.len()
+                listing.len()
             )));
         };
-        let id = target.id;
         self.delete(&file.mailbox, id)
     }
 
@@ -170,19 +169,21 @@ impl<B: Backend> MfsStore<B> {
     pub fn mail_close(&mut self, file: MailFile) {
         drop(file);
     }
-
-    fn mail_count(&mut self, mailbox: &str) -> usize {
-        self.read_mailbox(mailbox).map(|m| m.len()).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemFs;
+    use crate::intercept::{Call, Intercept, Op, Policy, Verdict};
+    use crate::{FaultyBackend, MemFs};
 
     fn store_with_mail() -> (MfsStore<MemFs>, MailFile) {
-        let mut s = MfsStore::new(MemFs::new());
+        filled(MemFs::new())
+    }
+
+    /// A store over `backend` whose `inbox` holds mails 1, 2, 3.
+    fn filled<B: Backend>(backend: B) -> (MfsStore<B>, MailFile) {
+        let mut s = MfsStore::new(backend);
         let inbox = s.mail_open("inbox").unwrap();
         for i in 1..=3u64 {
             s.nwrite(MailId(i), &["inbox"], DataRef::Bytes(&[i as u8]))
@@ -223,6 +224,37 @@ mod tests {
         assert!(s.mail_seek(&mut f, 1, Whence::End).is_err());
         // Failed seeks leave the cursor untouched.
         assert_eq!(f.position(), 0);
+    }
+
+    #[test]
+    fn a_read_fault_fails_the_read_not_the_seek() {
+        let (mut s, mut f) = filled(FaultyBackend::new(MemFs::new()));
+        s.backend_mut().plan_mut().fail_reads = true;
+        assert_eq!(s.mail_seek(&mut f, 1, Whence::Set), Ok(()));
+        assert!(matches!(s.mail_read(&mut f), Err(StoreError::Io(_))));
+    }
+
+    /// Counts the body reads that reach the backend.
+    #[derive(Default)]
+    struct ReadAts(u64);
+
+    impl Policy for ReadAts {
+        fn before(&mut self, call: Call<'_>) -> Verdict {
+            if call.op == Op::ReadAt {
+                self.0 += 1;
+            }
+            Verdict::Pass
+        }
+    }
+
+    #[test]
+    fn delete_reads_no_body() -> Result<(), Box<dyn std::error::Error>> {
+        let (mut s, mut f) = filled(Intercept::with_policy(MemFs::new(), ReadAts::default()));
+        s.mail_delete(&mut f)?;
+        assert_eq!(s.backend_mut().policy().0, 0);
+        let left: Vec<MailId> = s.list_mailbox("inbox").iter().map(|&(id, _)| id).collect();
+        assert_eq!(left, [MailId(2), MailId(3)]);
+        Ok(())
     }
 
     #[test]

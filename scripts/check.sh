@@ -82,10 +82,10 @@
 # be evicted and delivery probes must keep flowing at full goodput
 # through the storm (DESIGN.md §15.4).
 #
-# Not a stage, but part of every PR: scripts/loc.sh [DIR] is the one way
+# Not a stage, but part of every PR: scripts/loc.sh [REV] is the one way
 # to count the tree's Rust (tracked *.rs lines per crate and top-level
-# directory, src/ and tests apart, plus the total). Run it on the parent
-# checkout and on the change and quote both (ROADMAP aim 2).
+# directory, src/ and tests apart, plus the total). Run it bare on the
+# change and with the parent's revision, and quote both (ROADMAP aim 2).
 
 set -eu
 

@@ -2,18 +2,25 @@
 # The one way to count this repo's Rust: lines (`wc -l`) of every tracked
 # `*.rs` file, per crate and per top-level directory, `src/` apart from
 # `tests/` + `benches/`, plus the total. ROADMAP aim 2 asks every PR for
-# its net line delta; run this at the parent and at the change and quote
-# both.
+# its net line delta; run this at the change and with the parent's
+# revision, and quote both.
 #
-#   scripts/loc.sh [DIR]     # DIR: a git checkout, default this one
+#   scripts/loc.sh           # the working tree's tracked files
+#   scripts/loc.sh REV       # the tree of commit REV, read from git
 #
 # Tracked files only, so build output never counts. An inline
 # `#[cfg(test)]` module counts as the `src` file it sits in.
 set -eu
-cd "${1:-$(dirname "$0")/..}"
-git ls-files '*.rs' | while IFS= read -r f; do
-    printf '%s %s\n' "$(wc -l <"$f")" "$f"
-done | awk '
+cd "$(dirname "$0")/.."
+if [ $# -gt 0 ]; then
+    git ls-tree -r --name-only "$1" | grep '\.rs$' | while IFS= read -r f; do
+        printf '%s %s\n' "$(git cat-file -p "$1:$f" | wc -l)" "$f"
+    done
+else
+    git ls-files '*.rs' | while IFS= read -r f; do
+        printf '%s %s\n' "$(wc -l <"$f")" "$f"
+    done
+fi | awk '
 function add(unit, kind, n) {
     if (!(unit in seen)) { seen[unit] = 1; order[++units] = unit }
     lines[unit, kind] += n
