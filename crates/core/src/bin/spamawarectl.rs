@@ -54,7 +54,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let cmd = args.first().map(String::as_str).unwrap_or("");
     match cmd {
         "stats" => {
-            let store = open_store(args.get(1))?;
+            let mut store = open_store(args.get(1))?;
             let s = store.stats();
             println!("shared mails:        {}", s.shared_mails);
             println!("shared bytes:        {}", s.shared_bytes);

@@ -82,6 +82,11 @@ const DNSBL_AGENT_QUEUE: usize = 256;
 /// covers the 4-worker default pool twice over (DESIGN.md §11).
 const STORE_SHARDS: usize = 8;
 
+/// Descriptor slots reserved before the first thread starts: the budget
+/// of DESIGN.md §11's fd arithmetic (spool handles, sockets, epoll sets
+/// and wake pipes under the customary 1024 soft limit).
+const FD_TABLE: usize = 1024;
+
 /// How long a trusted session may go without sending a byte, and how
 /// long its queued replies may go without the peer taking one.
 const WORKER_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -286,6 +291,11 @@ impl LiveServer {
                 "write budgets and phase deadlines must be nonzero".to_owned(),
             ));
         }
+        // Every doubling of the descriptor table once threads run stalls
+        // the thread that needs the slot for an RCU grace period — a
+        // worker, perhaps under a shard lock. Grow it now, before this
+        // server spawns any.
+        rawpoll::reserve_fd_table(FD_TABLE);
         let (listener, addr) = listen(cfg.bind)?;
         let (admin_listener, admin_addr) = listen(SocketAddr::from(([127, 0, 0, 1], 0)))?;
         let registry = Arc::new(Registry::with_wall_clock());

@@ -3,8 +3,9 @@
 //! The paper motivates MFS with "mail server applications (mail
 //! server/POP/IMAP servers)" whose accesses are all mail-granular (§6.1).
 //! This module is the retrieval side of that claim: a POP3 (RFC 1939)
-//! server whose `STAT`/`LIST`/`RETR`/`DELE` map directly onto
-//! [`ShardedStore::read_mailbox`] and [`ShardedStore::delete`], sharing
+//! server whose `PASS`/`RETR`/`QUIT` map directly onto
+//! [`ShardedStore::list_entries`], [`ShardedStore::read_entry`] and
+//! [`ShardedStore::delete`], sharing
 //! the same on-disk store as the SMTP side — deleting a shared spam from
 //! one mailbox decrements the refcount, exactly as §6.1 requires. Because
 //! the store stripes its locks per mailbox, a POP3 client draining one
@@ -23,7 +24,7 @@ use crate::reactor::os::OsReactor;
 use crate::reactor::Pollable;
 use crate::ServeError;
 use spamaware_metrics::WallClock;
-use spamaware_mfs::{MailId, RealDir, ShardedStore};
+use spamaware_mfs::{MailboxEntry, RealDir, ShardedStore};
 use std::collections::{BTreeSet, HashSet};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -194,8 +195,9 @@ struct SessionState {
     /// The authenticated mailbox, set once PASS succeeds (doubles as the
     /// "is authed" flag so the mailbox name never needs re-unwrapping).
     authed: Option<String>,
-    /// Mail ids visible this session, with per-mail sizes.
-    listing: Vec<(MailId, usize)>,
+    /// The mails visible this session, as `PASS` listed them: id, size,
+    /// and where the body lies, so that `RETR` reads the body alone.
+    listing: Vec<MailboxEntry>,
     /// Indices (0-based) marked for deletion; ordered, so `QUIT` writes
     /// its tombstones in the same order every run.
     marked: BTreeSet<usize>,
@@ -237,40 +239,40 @@ impl Pop3 {
                 }
             }
             "PASS" if st.authed.is_none() => match &st.user {
-                Some(user) => {
-                    // Index-only scan: sizes come from the key index, so no
-                    // shard lock is held across disk reads (§10 scan phase).
-                    st.listing = self
-                        .store
-                        .list_mailbox(user)
-                        .into_iter()
-                        .map(|(id, len)| (id, usize::try_from(len).unwrap_or(usize::MAX)))
-                        .collect();
-                    st.authed = Some(user.clone());
-                    writeln!(out, "+OK {} messages\r", st.listing.len())?;
-                }
+                // The listing is the mailbox's key file, read under one
+                // shard hold; no body is read until RETR (DESIGN.md §14.2).
+                // A key file that cannot be read fails the login.
+                Some(user) => match self.store.list_entries(user) {
+                    Ok(listing) => {
+                        st.listing = listing;
+                        st.authed = Some(user.clone());
+                        writeln!(out, "+OK {} messages\r", st.listing.len())?;
+                    }
+                    Err(_) => writeln!(out, "-ERR mailbox unavailable\r")?,
+                },
                 None => writeln!(out, "-ERR USER first\r")?,
             },
             "STAT" if st.authed.is_some() => {
-                let (n, bytes) =
-                    live(st).fold((0usize, 0usize), |(n, b), (_, (_, sz))| (n + 1, b + sz));
+                let (n, bytes) = live(st).fold((0u64, 0u64), |(n, b), (_, e)| (n + 1, b + e.len));
                 writeln!(out, "+OK {n} {bytes}\r")?;
             }
             "LIST" if st.authed.is_some() => {
                 writeln!(out, "+OK scan listing follows\r")?;
-                for (idx, (_, size)) in live(st) {
-                    writeln!(out, "{} {}\r", idx + 1, size)?;
+                for (idx, e) in live(st) {
+                    writeln!(out, "{} {}\r", idx + 1, e.len)?;
                 }
                 writeln!(out, ".\r")?;
             }
             "RETR" if st.authed.is_some() => {
                 match (st.authed.as_deref(), parse_index(arg, st)) {
                     (Some(user), Some(idx)) => {
-                        // One positioned read under one short shard hold — not a
-                        // whole-mailbox scan per retrieval.
+                        // One positioned read of the body PASS located,
+                        // under one short shard hold: no key-file read, so
+                        // another session's login on this shard costs
+                        // this one nothing.
                         let body = self
                             .store
-                            .read_mail(user, st.listing[idx].0)
+                            .read_entry(user, &st.listing[idx])
                             .ok()
                             .map(|m| m.body);
                         match body {
@@ -283,16 +285,7 @@ impl Pop3 {
                                 // is evicted by the no-progress deadline,
                                 // never waited on.
                                 write!(out, "+OK {} octets\r\n", body.len())?;
-                                // Byte-stuff lines starting with '.'.
-                                for l in body.split(|&b| b == b'\n') {
-                                    let l = l.strip_suffix(b"\r").unwrap_or(l);
-                                    if l.first() == Some(&b'.') {
-                                        out.push(b'.');
-                                    }
-                                    out.extend_from_slice(l);
-                                    out.extend_from_slice(b"\r\n");
-                                }
-                                out.extend_from_slice(b".\r\n");
+                                multiline(&body, out);
                             }
                             None => writeln!(out, "-ERR no such message\r")?,
                         }
@@ -315,7 +308,7 @@ impl Pop3 {
             "QUIT" => {
                 if let Some(user) = &st.authed {
                     for &idx in &st.marked {
-                        if self.store.delete(user, st.listing[idx].0).is_ok() {
+                        if self.store.delete(user, st.listing[idx].id).is_ok() {
                             self.stats.deleted.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -372,8 +365,27 @@ impl Protocol<TcpStream> for Pop3 {
     }
 }
 
+/// Appends `body` as the lines of a multi-line reply (RFC 1939 §3): each
+/// line once and CRLF-terminated — a bare LF becomes CRLF, and a last line
+/// without an ending gains one — a line that starts with `.` byte-stuffed,
+/// then the terminating `.` line.
+fn multiline(body: &[u8], out: &mut Vec<u8>) {
+    if !body.is_empty() {
+        let text = body.strip_suffix(b"\n").unwrap_or(body);
+        for line in text.split(|&b| b == b'\n') {
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            if line.first() == Some(&b'.') {
+                out.push(b'.');
+            }
+            out.extend_from_slice(line);
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+    out.extend_from_slice(b".\r\n");
+}
+
 /// Live (not deletion-marked) messages with their 0-based indices.
-fn live<'a>(st: &'a SessionState) -> impl Iterator<Item = (usize, &'a (MailId, usize))> + 'a {
+fn live<'a>(st: &'a SessionState) -> impl Iterator<Item = (usize, &'a MailboxEntry)> + 'a {
     st.listing
         .iter()
         .enumerate()
@@ -394,7 +406,7 @@ fn parse_index(arg: &str, st: &SessionState) -> Option<usize> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use spamaware_mfs::DataRef;
+    use spamaware_mfs::{DataRef, MailId};
 
     const MAILBOXES: [&str; 2] = ["alice", "bob"];
 
@@ -410,6 +422,116 @@ mod tests {
             "(STAT|LIST|RSET|NOOP|QUIT|APOP|retr)\r\n".prop_map(String::into_bytes),
             proptest::collection::vec(any::<u8>(), 0..40),
         ]
+    }
+
+    fn serving(store: ShardedStore<RealDir>) -> Pop3 {
+        Pop3 {
+            listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
+            store: Arc::new(store),
+            mailboxes: MAILBOXES.map(str::to_owned).into(),
+            stats: Arc::default(),
+        }
+    }
+
+    /// One command line and its reply.
+    fn say(pop: &Pop3, st: &mut SessionState, line: &str) -> String {
+        let mut out = Vec::new();
+        let line = format!("{line}\r\n");
+        pop.command(st, line.as_bytes(), &mut out)
+            .expect("writes to a Vec");
+        String::from_utf8(out).expect("ASCII replies")
+    }
+
+    /// A login lists the mailbox from its key file; one that cannot be
+    /// read fails the login instead of showing an empty mailbox.
+    #[test]
+    fn pass_fails_when_the_key_file_cannot_be_read() {
+        let root = std::env::temp_dir().join(format!("spamaware-pass-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = ShardedStore::open_with(2, || RealDir::new(&root)).expect("open spool");
+        store
+            .deliver(MailId(1), &["alice"], DataRef::Bytes(b"mail\r\n"))
+            .expect("deliver");
+        // Two frames' worth of bytes that are no frame: corruption.
+        std::fs::write(root.join("mfs/bob.key"), [0u8; 80]).expect("plant");
+        let pop = serving(store);
+        let mut st = SessionState::default();
+        assert_eq!(say(&pop, &mut st, "USER bob"), "+OK send PASS\r\n");
+        assert_eq!(say(&pop, &mut st, "PASS x"), "-ERR mailbox unavailable\r\n");
+        assert_eq!(st.authed, None);
+        let mut st = SessionState::default();
+        say(&pop, &mut st, "USER alice");
+        assert_eq!(say(&pop, &mut st, "PASS x"), "+OK 1 messages\r\n");
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// `RETR` writes each stored line once: a body that ends in CRLF — as
+    /// every mail SMTP stores does — gains no empty line before the `.`,
+    /// one that does not gains its CRLF, and a line that starts with `.`
+    /// is byte-stuffed.
+    #[test]
+    fn retr_sends_each_line_of_the_body_once() {
+        let root = std::env::temp_dir().join(format!("spamaware-retr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = ShardedStore::open_with(2, || RealDir::new(&root)).expect("open spool");
+        let bodies: [&[u8]; 3] = [
+            b"Subject: x\r\n\r\nhello\r\n",
+            b"Subject: y\r\n\r\nno newline",
+            b"Subject: z\r\n\r\n.hidden\r\n..two\r\n",
+        ];
+        for (n, body) in (1..).zip(bodies) {
+            let body = DataRef::Bytes(body);
+            store.deliver(MailId(n), &["alice"], body).expect("deliver");
+        }
+        let pop = serving(store);
+        let mut st = SessionState::default();
+        let mut say = |line: &str| say(&pop, &mut st, line);
+        assert_eq!(say("USER alice"), "+OK send PASS\r\n");
+        assert_eq!(say("PASS x"), "+OK 3 messages\r\n");
+        assert_eq!(
+            say("RETR 1"),
+            "+OK 21 octets\r\nSubject: x\r\n\r\nhello\r\n.\r\n"
+        );
+        assert_eq!(
+            say("RETR 2"),
+            "+OK 24 octets\r\nSubject: y\r\n\r\nno newline\r\n.\r\n"
+        );
+        assert_eq!(
+            say("RETR 3"),
+            "+OK 30 octets\r\nSubject: z\r\n\r\n..hidden\r\n...two\r\n.\r\n"
+        );
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// `RETR` reads the body `PASS` located and nothing else: after the
+    /// login, another session deletes a mail and the key file turns
+    /// unreadable, and the session still retrieves what its login listed.
+    #[test]
+    fn retr_serves_the_login_listing_without_the_key_file() {
+        let root = std::env::temp_dir().join(format!("spamaware-snap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = ShardedStore::open_with(2, || RealDir::new(&root)).expect("open spool");
+        let own = DataRef::Bytes(b"Subject: a\r\n\r\nfirst\r\n");
+        store.deliver(MailId(1), &["alice"], own).expect("deliver");
+        let shared = DataRef::Bytes(b"Subject: b\r\n\r\nshared\r\n");
+        store
+            .deliver(MailId(2), &["alice", "bob"], shared)
+            .expect("deliver");
+        let pop = serving(store);
+        let mut st = SessionState::default();
+        say(&pop, &mut st, "USER alice");
+        assert_eq!(say(&pop, &mut st, "PASS x"), "+OK 2 messages\r\n");
+        pop.store.delete("alice", MailId(2)).expect("delete");
+        std::fs::write(root.join("mfs/alice.key"), [0u8; 80]).expect("plant");
+        assert_eq!(
+            say(&pop, &mut st, "RETR 1"),
+            "+OK 21 octets\r\nSubject: a\r\n\r\nfirst\r\n.\r\n"
+        );
+        assert_eq!(
+            say(&pop, &mut st, "RETR 2"),
+            "+OK 22 octets\r\nSubject: b\r\n\r\nshared\r\n.\r\n"
+        );
+        let _ = std::fs::remove_dir_all(root);
     }
 
     proptest! {
@@ -431,17 +553,12 @@ mod tests {
                 let body = DataRef::Bytes(b".a line to stuff\r\nno newline");
                 store.deliver(MailId(n), to, body).expect("deliver");
             }
-            let pop = Pop3 {
-                listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
-                store: Arc::new(store),
-                mailboxes: MAILBOXES.map(str::to_owned).into(),
-                stats: Arc::default(),
-            };
+            let pop = serving(store);
             let before = MAILBOXES.map(|mb| pop.store.list_mailbox(mb));
             let (mut st, mut quit) = (SessionState::default(), None);
             for line in lines.iter().map(Vec::as_slice).chain([&b"QUIT\r\n"[..]]) {
                 let marked: BTreeSet<MailId> =
-                    st.marked.iter().filter_map(|&i| st.listing.get(i)).map(|m| m.0).collect();
+                    st.marked.iter().filter_map(|&i| st.listing.get(i)).map(|m| m.id).collect();
                 prop_assert_eq!(marked.len(), st.marked.len(), "a mark past the listing");
                 let (authed, mut out) = (st.authed.clone(), Vec::new());
                 let step = pop.command(&mut st, line, &mut out).expect("writes to a Vec");

@@ -23,9 +23,12 @@ pub(crate) const FRAME_LEN: usize = PAYLOAD_LEN + 6;
 /// Current frame format version.
 pub(crate) const VERSION: u8 = 1;
 
-/// One step of the reflected IEEE 802.3 polynomial per possible byte.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the reflected IEEE 802.3 polynomial, built at
+/// compile time: `CRC_TABLES[0][b]` is one byte's step, and
+/// `CRC_TABLES[k][b]` is that step followed by `k` zero bytes, so eight
+/// lookups advance the checksum by eight bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut byte = 0;
     while byte < 256 {
         let mut crc = byte as u32;
@@ -34,18 +37,42 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[byte] = crc;
+        tables[0][byte] = crc;
         byte += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), one table lookup
-/// per byte: a restart checksums every key record in the spool.
+/// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), eight bytes per
+/// step: a restart checksums every key record in the spool, and so does
+/// every read of a mailbox.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let (words, rest) = bytes.as_chunks::<8>();
+    for word in words {
+        let w = u64::from_le_bytes(*word) ^ u64::from(crc);
+        crc = t[7][(w & 0xFF) as usize]
+            ^ t[6][((w >> 8) & 0xFF) as usize]
+            ^ t[5][((w >> 16) & 0xFF) as usize]
+            ^ t[4][((w >> 24) & 0xFF) as usize]
+            ^ t[3][((w >> 32) & 0xFF) as usize]
+            ^ t[2][((w >> 40) & 0xFF) as usize]
+            ^ t[1][((w >> 48) & 0xFF) as usize]
+            ^ t[0][(w >> 56) as usize];
+    }
+    for &b in rest {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -154,7 +181,7 @@ pub(crate) fn scan(bytes: &[u8]) -> (Vec<[u8; PAYLOAD_LEN]>, Tail) {
 mod tests {
     use super::*;
 
-    /// The polynomial division bit by bit — what [`CRC_TABLE`] tabulates.
+    /// The polynomial division bit by bit — what [`CRC_TABLES`] tabulates.
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
         let mut crc = !0u32;
         for &b in bytes {
@@ -183,16 +210,24 @@ mod tests {
         for b in 0..=255u8 {
             assert_eq!(crc32(&[b]), crc32_bitwise(&[b]), "byte {b:#04x}");
         }
-        // 1 000 frame-sized inputs from a fixed xorshift64 stream.
+        // A fixed xorshift64 stream.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        };
+        // Every length up to 80: no words, whole words, every remainder.
+        let stream: Vec<u8> = (0..80).map(|_| next()).collect();
+        for len in 0..=stream.len() {
+            let input = &stream[..len];
+            assert_eq!(crc32(input), crc32_bitwise(input), "length {len}");
+        }
+        // 1 000 frame-sized inputs.
         for _ in 0..1_000 {
             let mut frame = [0u8; 2 + PAYLOAD_LEN];
-            for byte in &mut frame {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                *byte = x as u8;
-            }
+            frame.fill_with(&mut next);
             assert_eq!(crc32(&frame), crc32_bitwise(&frame), "{frame:02x?}");
         }
     }

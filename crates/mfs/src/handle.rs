@@ -91,15 +91,15 @@ impl<B: Backend> MfsStore<B> {
     /// # Errors
     ///
     /// [`StoreError::OutOfRange`] if the target falls outside `0..=n` for
-    /// a mailbox of `n` mails. The count comes from the in-memory index,
-    /// so a seek reads no mail.
+    /// a mailbox of `n` mails; key-file read failures. The count comes
+    /// from the mailbox's key file, so a seek reads no mail.
     pub fn mail_seek(
         &mut self,
         file: &mut MailFile,
         offset: i64,
         whence: Whence,
     ) -> StoreResult<()> {
-        let count = self.list_mailbox(&file.mailbox).len() as i64;
+        let count = self.list_entries(&file.mailbox)?.len() as i64;
         let base = match whence {
             Whence::Set => 0,
             Whence::Cur => file.cursor as i64,
@@ -145,16 +145,17 @@ impl<B: Backend> MfsStore<B> {
     }
 
     /// Deletes the mail under the seek pointer (paper `mail_delete`),
-    /// located through the in-memory index without reading any body.
+    /// located through the mailbox's key file without reading any body.
     /// Later mails shift down; the pointer stays put, now naming the next
     /// mail.
     ///
     /// # Errors
     ///
-    /// [`StoreError::OutOfRange`] if the pointer is at end of mailbox.
+    /// [`StoreError::OutOfRange`] if the pointer is at end of mailbox;
+    /// key-file read failures.
     pub fn mail_delete(&mut self, file: &mut MailFile) -> StoreResult<()> {
-        let listing = self.list_mailbox(&file.mailbox);
-        let Some(&(id, _)) = listing.get(file.cursor) else {
+        let listing = self.list_entries(&file.mailbox)?;
+        let Some(id) = listing.get(file.cursor).map(|e| e.id) else {
             return Err(StoreError::OutOfRange(format!(
                 "delete at {} in mailbox of {} mails",
                 file.cursor,
@@ -226,12 +227,29 @@ mod tests {
         assert_eq!(f.position(), 0);
     }
 
+    /// A seek reads no mail: once the store holds the mailbox's listing,
+    /// a read fault fails only the read.
     #[test]
     fn a_read_fault_fails_the_read_not_the_seek() {
         let (mut s, mut f) = filled(FaultyBackend::new(MemFs::new()));
+        assert_eq!(s.mail_seek(&mut f, 0, Whence::End), Ok(()));
         s.backend_mut().plan_mut().fail_reads = true;
         assert_eq!(s.mail_seek(&mut f, 1, Whence::Set), Ok(()));
         assert!(matches!(s.mail_read(&mut f), Err(StoreError::Io(_))));
+    }
+
+    /// The count a seek needs comes from the key file: when the store
+    /// holds no listing of the mailbox, a fault reading that file fails
+    /// the seek and leaves the cursor where it was.
+    #[test]
+    fn a_key_file_fault_fails_the_seek() {
+        let (mut s, mut f) = filled(FaultyBackend::new(MemFs::new()));
+        s.backend_mut().plan_mut().fail_reads = true;
+        assert!(matches!(
+            s.mail_seek(&mut f, 1, Whence::Set),
+            Err(StoreError::Io(_))
+        ));
+        assert_eq!(f.position(), 0);
     }
 
     /// Counts the body reads that reach the backend.
@@ -240,7 +258,7 @@ mod tests {
 
     impl Policy for ReadAts {
         fn before(&mut self, call: Call<'_>) -> Verdict {
-            if call.op == Op::ReadAt {
+            if call.op == Op::ReadAt && call.path.ends_with(".data") {
                 self.0 += 1;
             }
             Verdict::Pass

@@ -13,7 +13,9 @@ struct Inode {
 /// An in-memory file system with hard links.
 ///
 /// With `retain_content` off, only file lengths are tracked (reads return
-/// zeros) — the mode used by the simulation, where bodies are size-only.
+/// zeros) — the mode used by the simulation, where bodies are size-only
+/// and nothing is read back (an MFS store over it cannot be: its key
+/// files are its index).
 ///
 /// `Clone` snapshots the whole file system (hard links preserved) — the
 /// crash tests clone a post-crash image to repair it several independent

@@ -64,19 +64,20 @@ impl KeyRecord {
         b
     }
 
-    pub(crate) fn decode(b: &[u8], path: &str) -> StoreResult<KeyRecord> {
-        if b.len() != RECORD_LEN as usize {
-            return Err(StoreError::CorruptRecord(format!(
-                "{path}: key record of {} bytes",
-                b.len()
-            )));
+    /// The inverse of [`KeyRecord::encode`]: a frame's payload is always
+    /// one whole record, so this cannot fail.
+    pub(crate) fn decode(b: &[u8; RECORD_LEN as usize]) -> KeyRecord {
+        let word = |at: usize| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&b[at..at + 8]);
+            w
+        };
+        KeyRecord {
+            id: MailId(u64::from_be_bytes(word(0))),
+            offset: u64::from_be_bytes(word(8)),
+            len: u64::from_be_bytes(word(16)),
+            delta: i64::from_be_bytes(word(24)),
         }
-        Ok(KeyRecord {
-            id: MailId(u64::from_be_bytes(crate::error::be_array(b, 0, path)?)),
-            offset: u64::from_be_bytes(crate::error::be_array(b, 8, path)?),
-            len: u64::from_be_bytes(crate::error::be_array(b, 16, path)?),
-            delta: i64::from_be_bytes(crate::error::be_array(b, 24, path)?),
-        })
     }
 }
 
@@ -87,17 +88,27 @@ pub(crate) struct SharedEntry {
     refs: i64,
 }
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MailboxEntry {
-    pub(crate) id: MailId,
+/// One live mail of a mailbox, as its key file lists it: the id and body
+/// length, and where the body lies. A listing hands these out so that a
+/// later read of the same mail is one body read
+/// ([`crate::ShardedStore::read_entry`]); only the store makes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MailboxEntry {
+    /// The mail's id.
+    pub id: MailId,
+    /// Body length in bytes.
+    pub len: u64,
     pub(crate) offset: u64,
-    pub(crate) len: u64,
+    /// In the shared data file rather than the mailbox's own.
     pub(crate) shared: bool,
 }
 
-/// What replay does with a key file whose frames stop validating before
+/// What a read does with a key file whose frames stop validating before
 /// the file ends.
 pub(crate) enum TailPolicy<'a> {
+    /// A live read of one mailbox: any invalid frame is an error, and
+    /// nothing is cut — only replay and fsck change a key file's length.
+    Refuse,
     /// Strict open: truncate a torn tail (counted in
     /// [`MfsStore::recovered_records`]), refuse corruption.
     Strict,
@@ -111,15 +122,27 @@ pub(crate) enum TailPolicy<'a> {
 /// like the live `delete_local` path, so a mailbox holding duplicate ids
 /// replays to the same contents the writer saw. The entries a given id's
 /// tombstones delete are therefore always the first of that id, which
-/// makes the fold two linear passes: count each id's effective
-/// tombstones, then drop that many of its leading entries.
+/// makes the fold two linear passes: count each tombstoned id's effective
+/// tombstones, then drop that many of its leading entries. Only the ids a
+/// tombstone names are tracked, sorted and searched: a mailbox deletes
+/// few of its mails.
 fn live_entries(records: &[KeyRecord]) -> Vec<MailboxEntry> {
-    // id -> (entries seen so far, tombstones that found one to delete)
-    let mut deleted: HashMap<MailId, (u64, u64)> = HashMap::new();
+    // Per tombstoned id, by id: (id, entries seen so far, tombstones that
+    // found one to delete).
+    let mut deleted: Vec<(MailId, u64, u64)> = records
+        .iter()
+        .filter(|r| r.delta == 0)
+        .map(|r| (r.id, 0, 0))
+        .collect();
+    deleted.sort_unstable_by_key(|d| d.0);
+    deleted.dedup_by_key(|d| d.0);
+    let tracked = |deleted: &[(MailId, u64, u64)], id: MailId| {
+        deleted.binary_search_by_key(&id, |d| d.0).ok()
+    };
     let mut live = records.iter().filter(|r| r.delta != 0).count();
-    if live < records.len() {
-        for rec in records {
-            let (seen, dead) = deleted.entry(rec.id).or_default();
+    for rec in records {
+        if let Some(at) = tracked(&deleted, rec.id) {
+            let (_, seen, dead) = &mut deleted[at];
             if rec.delta != 0 {
                 *seen += 1;
             } else if dead < seen {
@@ -130,7 +153,8 @@ fn live_entries(records: &[KeyRecord]) -> Vec<MailboxEntry> {
     }
     let mut entries = Vec::with_capacity(live);
     for rec in records.iter().filter(|r| r.delta != 0) {
-        if let Some((_, dead)) = deleted.get_mut(&rec.id) {
+        if let Some(at) = tracked(&deleted, rec.id) {
+            let dead = &mut deleted[at].2;
             if *dead > 0 {
                 *dead -= 1;
                 continue;
@@ -144,6 +168,13 @@ fn live_entries(records: &[KeyRecord]) -> Vec<MailboxEntry> {
         });
     }
     entries
+}
+
+/// Counts the shared references among `entries` into `held`, per id.
+pub(crate) fn count_held(held: &mut HashMap<MailId, i64>, entries: &[MailboxEntry]) {
+    for e in entries.iter().filter(|e| e.shared) {
+        *held.entry(e.id).or_insert(0) += 1;
+    }
 }
 
 /// Aggregate MFS statistics.
@@ -164,6 +195,11 @@ pub struct MfsStats {
 
 /// The MFS mail store.
 ///
+/// A mailbox's key file is its index (§6): the store keeps no per-mail
+/// state in memory beyond the shared mailbox's refcounts and the entries
+/// of the one mailbox it read last (DESIGN.md §11 *What the store
+/// holds*).
+///
 /// # Example
 ///
 /// ```
@@ -179,21 +215,25 @@ pub struct MfsStats {
 pub struct MfsStore<B> {
     backend: B,
     pub(crate) shared: HashMap<MailId, SharedEntry>,
-    pub(crate) mailboxes: HashMap<String, Vec<MailboxEntry>>,
     pub(crate) freed_shared_bytes: u64,
+    /// The live entries of the mailbox this store read last, and of no
+    /// other. Always equal to that mailbox's key file: every append to
+    /// the file goes through this store (one appender per file, DESIGN.md
+    /// §11 *Open files*), which pushes or removes the same entry here, and
+    /// an append that fails empties it. A POP3 session's listing and its
+    /// deletes name one mailbox, as do a listing and the reads by id that
+    /// follow it, so each folds the key file once.
+    memo: Option<(String, Vec<MailboxEntry>)>,
+    /// The highest id replay found live, raised by every append since.
+    max_id: Option<MailId>,
     share_threshold: usize,
     metrics: Option<StoreMetrics>,
     /// Torn trailing records truncated away while replaying key files.
     recovered: u64,
-    /// True when this store is one partition of a [`crate::ShardedStore`]:
-    /// mailbox shards hold shared *references* without the shared index
-    /// (and vice versa), so the cross-file accounting check must not run —
-    /// the sharding layer's equivalence tests cover it instead.
-    detached: bool,
 }
 
 impl<B: Backend> MfsStore<B> {
-    /// Creates a fresh store (empty index) over a backend.
+    /// Creates a fresh store over a backend, reading nothing.
     ///
     /// For a backend that already contains MFS files, use
     /// [`MfsStore::open`], which replays the key files.
@@ -201,19 +241,13 @@ impl<B: Backend> MfsStore<B> {
         MfsStore {
             backend,
             shared: HashMap::new(),
-            mailboxes: HashMap::new(),
             freed_shared_bytes: 0,
+            memo: None,
+            max_id: None,
             share_threshold: 2,
             metrics: None,
             recovered: 0,
-            detached: false,
         }
-    }
-
-    /// Marks this store as one partition of a sharded store (see
-    /// [`MfsStore::detached`] field docs).
-    pub(crate) fn set_detached(&mut self) {
-        self.detached = true;
     }
 
     /// Reports storage latency and byte/refcount accounting into
@@ -249,8 +283,8 @@ impl<B: Backend> MfsStore<B> {
         self
     }
 
-    /// Opens a store over an existing backend, rebuilding the in-memory
-    /// index by replaying every key file (crash recovery).
+    /// Opens a store over an existing backend, replaying every key file
+    /// once (crash recovery).
     ///
     /// A torn trailing record in any key file — an append interrupted by a
     /// crash — is truncated away and counted in
@@ -264,9 +298,12 @@ impl<B: Backend> MfsStore<B> {
     /// produce). Run [`crate::fsck`] to repair such a store.
     pub fn open(backend: B) -> StoreResult<MfsStore<B>> {
         let mut store = MfsStore::new(backend);
-        store.replay(TailPolicy::Strict)?;
-        store.clamp_shared_refcounts();
-        store.debug_check_shared_accounting();
+        let mut held = HashMap::new();
+        store.replay(TailPolicy::Strict, |_, entries| {
+            count_held(&mut held, &entries);
+        })?;
+        store.clamp_shared_refcounts(&held);
+        store.debug_check_shared_accounting(&held);
         Ok(store)
     }
 
@@ -276,17 +313,13 @@ impl<B: Backend> MfsStore<B> {
         self.recovered
     }
 
-    /// The highest [`MailId`] referenced anywhere in the store (live
-    /// mailbox entries and shared bodies), or `None` when empty. A
-    /// reopened server seeds its id allocator above this so recovery
+    /// The highest [`MailId`] this store has known live — every live
+    /// mailbox entry and shared body replay found, and every id written
+    /// since (a delete does not lower it) — or `None` when there is none.
+    /// A reopened server seeds its id allocator above this so recovery
     /// never reuses an id already on disk.
     pub fn max_mail_id(&self) -> Option<MailId> {
-        let in_boxes = self
-            .mailboxes
-            .values()
-            .flat_map(|entries| entries.iter().map(|e| e.id));
-        let in_shared = self.shared.keys().copied();
-        in_boxes.chain(in_shared).max()
+        self.max_id
     }
 
     /// The underlying backend.
@@ -299,24 +332,52 @@ impl<B: Backend> MfsStore<B> {
         &mut self.backend
     }
 
-    /// Current statistics.
-    pub fn stats(&self) -> MfsStats {
-        let mut stats = MfsStats {
+    /// Current statistics: the shared counts from the shared index, the
+    /// per-mailbox ones by reading every mailbox's key file — a scan of
+    /// the spool, for tests and `spamawarectl stats`; the server never
+    /// asks. A key file that cannot be read counts as empty, as in
+    /// [`MfsStore::list_mailbox`]. The memo is left as it was.
+    pub fn stats(&mut self) -> MfsStats {
+        let mut stats = self.shared_stats();
+        for mailbox in self.mailbox_names().unwrap_or_default() {
+            self.count_mailbox(&mailbox, &mut stats);
+        }
+        stats
+    }
+
+    /// The shared index's part of [`MfsStore::stats`].
+    pub(crate) fn shared_stats(&self) -> MfsStats {
+        MfsStats {
             shared_mails: self.shared.len() as u64,
             shared_bytes: self.shared.values().map(|e| e.len).sum(),
             freed_shared_bytes: self.freed_shared_bytes,
             ..MfsStats::default()
-        };
-        for entries in self.mailboxes.values() {
-            for e in entries {
-                if e.shared {
-                    stats.shared_references += 1;
-                } else {
-                    stats.own_records += 1;
-                }
+        }
+    }
+
+    /// Adds `mailbox`'s live entries to the own-record and
+    /// shared-reference counts of `stats`, read from its key file (an
+    /// unreadable one adds nothing).
+    pub(crate) fn count_mailbox(&mut self, mailbox: &str, stats: &mut MfsStats) {
+        for e in self.read_entries(mailbox).unwrap_or_default() {
+            if e.shared {
+                stats.shared_references += 1;
+            } else {
+                stats.own_records += 1;
             }
         }
-        stats
+    }
+
+    /// Every mailbox that has a key file, sorted.
+    pub(crate) fn mailbox_names(&mut self) -> StoreResult<Vec<String>> {
+        Ok(self
+            .backend
+            .list("mfs/")?
+            .iter()
+            .filter_map(|path| Self::key_stem(path))
+            .filter(|&stem| stem != SHARED)
+            .map(str::to_owned)
+            .collect())
     }
 
     pub(crate) fn key_path(mailbox: &str) -> String {
@@ -327,12 +388,41 @@ impl<B: Backend> MfsStore<B> {
         format!("mfs/{mailbox}.data")
     }
 
+    /// The mailbox (or `shmailbox`) whose key file `path` is.
+    fn key_stem(path: &str) -> Option<&str> {
+        path.strip_prefix("mfs/")
+            .and_then(|p| p.strip_suffix(".key"))
+    }
+
     pub(crate) fn append_key(&mut self, mailbox: &str, rec: KeyRecord) -> StoreResult<()> {
-        self.backend.append(
-            &Self::key_path(mailbox),
-            DataRef::Bytes(&frame::encode(&rec.encode())),
-        )?;
-        Ok(())
+        let path = Self::key_path(mailbox);
+        let appended = self
+            .backend
+            .append(&path, DataRef::Bytes(&frame::encode(&rec.encode())));
+        if appended.is_err() {
+            self.cut_torn_frame(mailbox, &path);
+        }
+        appended.map(drop)
+    }
+
+    /// After a failed key append: cuts whatever part of its frame landed,
+    /// so the file stays whole frames — readable now, and not corrupt
+    /// mid-file once the next append lands after it — and forgets the
+    /// memo of `mailbox`, since whether the whole frame landed is unknown.
+    /// Online, a key file is whole frames up to that append: replay cut
+    /// any torn tail, and its partition is its one appender. A cut that
+    /// fails too leaves the tail for the next boot's replay, and reads of
+    /// the mailbox refuse the file until then.
+    fn cut_torn_frame(&mut self, mailbox: &str, path: &str) {
+        if self.memo_of(mailbox).is_some() {
+            self.memo = None;
+        }
+        if let Ok(len) = self.backend.len(path) {
+            let torn = len % frame::FRAME_LEN as u64;
+            if torn > 0 {
+                let _ = self.backend.truncate(path, len - torn);
+            }
+        }
     }
 
     pub(crate) fn check_mailbox_name(mailbox: &str) -> StoreResult<()> {
@@ -342,29 +432,36 @@ impl<B: Backend> MfsStore<B> {
         Ok(())
     }
 
-    /// Rebuilds the in-memory index from the key files: one directory
-    /// listing, each key file read and checksummed once. Shared refcounts
-    /// are replayed as logged; only [`MfsStore::open`], which sees every
-    /// mailbox and keeps the whole index, clamps them afterwards.
-    pub(crate) fn replay(&mut self, mut tails: TailPolicy<'_>) -> StoreResult<()> {
+    /// Replays the key files: one directory listing, each key file read
+    /// and checksummed once. Rebuilds the shared index,
+    /// `freed_shared_bytes` and the running maximum id, and hands each
+    /// mailbox's live entries to `visit` — which keeps what it needs; the
+    /// store keeps none of them. Shared refcounts are replayed as logged;
+    /// only [`MfsStore::open`], which counts every live reference through
+    /// `visit`, clamps them afterwards.
+    pub(crate) fn replay(
+        &mut self,
+        mut tails: TailPolicy<'_>,
+        mut visit: impl FnMut(&str, Vec<MailboxEntry>),
+    ) -> StoreResult<()> {
         self.shared.clear();
-        self.mailboxes.clear();
         self.freed_shared_bytes = 0;
+        self.memo = None;
+        let mut max_id = None;
         for path in self.backend.list("mfs/")? {
-            let Some(stem) = path
-                .strip_prefix("mfs/")
-                .and_then(|p| p.strip_suffix(".key"))
-            else {
+            let Some(stem) = Self::key_stem(&path) else {
                 continue;
             };
             let records = self.read_key_records(&path, &mut tails)?;
             if stem == SHARED {
                 self.replay_shared(&records);
             } else {
-                self.mailboxes
-                    .insert(stem.to_owned(), live_entries(&records));
+                let entries = live_entries(&records);
+                max_id = max_id.max(entries.iter().map(|e| e.id).max());
+                visit(stem, entries);
             }
         }
+        self.max_id = max_id.max(self.shared.keys().copied().max());
         Ok(())
     }
 
@@ -396,17 +493,11 @@ impl<B: Backend> MfsStore<B> {
     }
 
     /// Lowers every shared refcount to its live mailbox reference count
-    /// (in-memory only; [`crate::fsck`] makes the same repair durable): a
-    /// crash between the shared-log append and the per-recipient attaches
-    /// leaves the count high, and without the clamp those bodies would
-    /// never be reclaimed.
-    fn clamp_shared_refcounts(&mut self) {
-        let mut held: HashMap<MailId, i64> = HashMap::new();
-        for entries in self.mailboxes.values() {
-            for e in entries.iter().filter(|e| e.shared) {
-                *held.entry(e.id).or_insert(0) += 1;
-            }
-        }
+    /// `held` (in-memory only; [`crate::fsck`] makes the same repair
+    /// durable): a crash between the shared-log append and the
+    /// per-recipient attaches leaves the count high, and without the clamp
+    /// those bodies would never be reclaimed.
+    fn clamp_shared_refcounts(&mut self, held: &HashMap<MailId, i64>) {
         let ids: Vec<MailId> = self.shared.keys().copied().collect();
         for id in ids {
             let live = held.get(&id).copied().unwrap_or(0);
@@ -424,10 +515,11 @@ impl<B: Backend> MfsStore<B> {
         }
     }
 
-    /// Reads and validates one key file's frames. A torn trailing frame is
-    /// truncated away; a corrupt frame mid-file is a hard error under
-    /// [`TailPolicy::Strict`] and truncated away too under
-    /// [`TailPolicy::Repair`].
+    /// Reads and validates one key file's frames: `len`, one `read_at`,
+    /// every frame's CRC checked. Under [`TailPolicy::Refuse`] any invalid
+    /// frame is an error; under [`TailPolicy::Strict`] a torn trailing
+    /// frame is truncated away and a corrupt frame mid-file is an error;
+    /// under [`TailPolicy::Repair`] both are truncated away.
     fn read_key_records(
         &mut self,
         path: &str,
@@ -442,7 +534,11 @@ impl<B: Backend> MfsStore<B> {
                 self.backend.truncate(path, offset)?;
                 self.recovered += 1;
             }
-            (Tail::Corrupt { offset, fault }, TailPolicy::Strict) => {
+            (
+                Tail::Torn { offset, fault } | Tail::Corrupt { offset, fault },
+                TailPolicy::Refuse,
+            )
+            | (Tail::Corrupt { offset, fault }, TailPolicy::Strict) => {
                 return Err(StoreError::CorruptRecord(format!(
                     "{path}: {fault} at offset {offset}"
                 )));
@@ -458,11 +554,55 @@ impl<B: Backend> MfsStore<B> {
                     .push((path.to_owned(), offset, total - offset));
             }
         }
-        let mut out = Vec::with_capacity(payloads.len());
-        for p in &payloads {
-            out.push(KeyRecord::decode(p, path)?);
+        Ok(payloads.iter().map(KeyRecord::decode).collect())
+    }
+
+    /// Reads one mailbox's live entries from its key file, with the fold
+    /// replay uses. No key file is an empty mailbox, and so is a name no
+    /// mailbox can have.
+    fn read_entries(&mut self, mailbox: &str) -> StoreResult<Vec<MailboxEntry>> {
+        if Self::check_mailbox_name(mailbox).is_err() {
+            return Ok(Vec::new());
         }
-        Ok(out)
+        match self.read_key_records(&Self::key_path(mailbox), &mut TailPolicy::Refuse) {
+            Ok(records) => Ok(live_entries(&records)),
+            Err(StoreError::NotFound(_)) => Ok(Vec::new()),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// `mailbox`'s live entries: the memo's when it holds that mailbox,
+    /// else read from its key file into the memo, in place of the mailbox
+    /// it held.
+    fn entries(&mut self, mailbox: &str) -> StoreResult<&mut Vec<MailboxEntry>> {
+        let memo = match self.memo.take() {
+            Some((held, entries)) if held == mailbox => (held, entries),
+            _ => (mailbox.to_owned(), self.read_entries(mailbox)?),
+        };
+        Ok(&mut self.memo.insert(memo).1)
+    }
+
+    /// The memo's entries, if it holds `mailbox`.
+    fn memo_of(&mut self, mailbox: &str) -> Option<&mut Vec<MailboxEntry>> {
+        match &mut self.memo {
+            Some((held, entries)) if held == mailbox => Some(entries),
+            _ => None,
+        }
+    }
+
+    /// Records an entry whose key tuple was just appended to `mailbox`:
+    /// in the memo if it holds that mailbox, and in the running maximum.
+    fn note_entry(&mut self, mailbox: &str, entry: MailboxEntry) {
+        self.max_id = self.max_id.max(Some(entry.id));
+        if let Some(entries) = self.memo_of(mailbox) {
+            entries.push(entry);
+        }
+    }
+
+    /// Mailbox entries this store holds in memory: the memo's, no others.
+    #[cfg(test)]
+    pub(crate) fn held_entries(&self) -> usize {
+        self.memo.as_ref().map_or(0, |(_, entries)| entries.len())
     }
 
     /// The paper's `mail_nwrite`: writes one mail to `n` mailboxes with a
@@ -493,7 +633,6 @@ impl<B: Backend> MfsStore<B> {
                 for mb in mailboxes {
                     self.attach_shared(mb, id, offset, len)?;
                 }
-                self.debug_check_shared_accounting();
                 Ok(())
             }
         }
@@ -525,15 +664,15 @@ impl<B: Backend> MfsStore<B> {
                 delta: 1,
             },
         )?;
-        self.mailboxes
-            .entry(mailbox.to_owned())
-            .or_default()
-            .push(MailboxEntry {
+        self.note_entry(
+            mailbox,
+            MailboxEntry {
                 id,
                 offset,
                 len: body.len(),
                 shared: false,
-            });
+            },
+        );
         Ok(())
     }
 
@@ -604,6 +743,7 @@ impl<B: Backend> MfsStore<B> {
                         refs: n,
                     },
                 );
+                self.max_id = self.max_id.max(Some(id));
                 Ok((offset, body.len()))
             }
         }
@@ -631,38 +771,37 @@ impl<B: Backend> MfsStore<B> {
                 delta: -1,
             },
         )?;
-        self.mailboxes
-            .entry(mailbox.to_owned())
-            .or_default()
-            .push(MailboxEntry {
+        self.note_entry(
+            mailbox,
+            MailboxEntry {
                 id,
                 offset,
                 len,
                 shared: true,
-            });
+            },
+        );
         Ok(())
     }
 
-    /// Removes one mail from a mailbox's in-memory index and appends the
-    /// tombstone (`delta = 0`) key tuple. Returns `Some((offset, len))` if
-    /// the removed entry referenced shared content — the caller must then
-    /// release that reference via [`MfsStore::shared_release`].
+    /// Removes one mail from a mailbox: appends the tombstone (`delta =
+    /// 0`) key tuple, which deletes the first live entry with this id.
+    /// Returns `Some((offset, len))` if the removed entry referenced
+    /// shared content — the caller must then release that reference via
+    /// [`MfsStore::shared_release`].
     ///
     /// Sharding primitive — touches only the named mailbox, so it runs
     /// under that mailbox's shard lock alone.
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFound`] when the mailbox or mail id is unknown.
+    /// [`StoreError::NotFound`] when the mailbox holds no live mail with
+    /// this id; key-file read and append failures.
     pub(crate) fn delete_local(
         &mut self,
         mailbox: &str,
         id: MailId,
     ) -> StoreResult<Option<(u64, u64)>> {
-        let entries = self
-            .mailboxes
-            .get_mut(mailbox)
-            .ok_or_else(|| StoreError::NotFound(format!("{mailbox}/{id}")))?;
+        let entries = self.entries(mailbox)?;
         let idx = entries
             .iter()
             .position(|e| e.id == id)
@@ -718,27 +857,31 @@ impl<B: Backend> MfsStore<B> {
         Ok(())
     }
 
-    fn live_entries(&self, mailbox: &str) -> &[MailboxEntry] {
-        self.mailboxes
-            .get(mailbox)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Mailbox listing: every live mail, in delivery order, from the
+    /// mailbox's key file — one `read_at` and a fold, or nothing at all
+    /// when the memo already holds the mailbox. No body is read, so a
+    /// caller holding a partition lock holds it for one key file, not for
+    /// an O(mailbox) body scan. Fails on backend failures reading the key
+    /// file, and with [`StoreError::CorruptRecord`] on a frame that fails
+    /// validation.
+    pub(crate) fn list_entries(&mut self, mailbox: &str) -> StoreResult<Vec<MailboxEntry>> {
+        Ok(self.entries(mailbox)?.clone())
     }
 
-    /// Index-only mailbox listing: `(id, body length)` per live mail, in
-    /// delivery order, straight from the in-memory key index. No disk
-    /// reads, so a caller holding a partition lock releases it in O(1) —
-    /// this is how the POP3 scan phase avoids pinning a shard for the
-    /// duration of an O(mailbox) body scan.
-    pub fn list_mailbox(&self, mailbox: &str) -> Vec<(MailId, u64)> {
-        self.live_entries(mailbox)
-            .iter()
-            .map(|e| (e.id, e.len))
-            .collect()
+    /// Mailbox listing: `(id, body length)` per live mail, in delivery
+    /// order, from the mailbox's key file — one `read_at` and a fold, or
+    /// nothing at all when the memo already holds the mailbox. A mailbox
+    /// whose key file cannot be read lists as empty.
+    pub fn list_mailbox(&mut self, mailbox: &str) -> Vec<(MailId, u64)> {
+        match self.entries(mailbox) {
+            Ok(entries) => entries.iter().map(|e| (e.id, e.len)).collect(),
+            Err(_) => Vec::new(),
+        }
     }
 
     /// Reads one mail's body: a single positioned `read_at` against the
-    /// private or shared data file.
+    /// private or shared data file, after the key file's when the memo
+    /// holds another mailbox.
     ///
     /// # Errors
     ///
@@ -748,36 +891,44 @@ impl<B: Backend> MfsStore<B> {
     pub fn read_mail(&mut self, mailbox: &str, id: MailId) -> StoreResult<StoredMail> {
         let _span = self.metrics.as_ref().map(|m| m.read_ns.start());
         let e = self
-            .live_entries(mailbox)
+            .entries(mailbox)?
             .iter()
             .find(|e| e.id == id)
             .copied()
             .ok_or_else(|| StoreError::NotFound(format!("{mailbox}/{id}")))?;
-        let data_file = if e.shared {
+        self.read_body(mailbox, &e)
+    }
+
+    /// Reads the body `entry`, listed from `mailbox`, points at: one
+    /// `read_at`, and no key-file read. Data files only grow while the
+    /// store is open — [`MfsStore::compact`] runs on a stopped spool — so
+    /// the coordinates a listing gave stay good, and a mail deleted since
+    /// still reads as the listing saw it.
+    pub(crate) fn read_body(
+        &mut self,
+        mailbox: &str,
+        entry: &MailboxEntry,
+    ) -> StoreResult<StoredMail> {
+        let data_file = if entry.shared {
             Self::data_path(SHARED)
         } else {
             Self::data_path(mailbox)
         };
-        let body = self.backend.read_at(&data_file, e.offset, e.len)?;
-        Ok(StoredMail { id: e.id, body })
+        let body = self.backend.read_at(&data_file, entry.offset, entry.len)?;
+        Ok(StoredMail { id: entry.id, body })
     }
 
-    /// Debug-build invariant check for §6.1's refcounting: every shared
-    /// entry's refcount is positive and at least the number of live
-    /// mailbox entries referencing it, and no mailbox entry points at an
+    /// Debug-build invariant check for §6.1's refcounting, run where the
+    /// whole store was just read (open, fsck, compact): every shared
+    /// entry's refcount is positive and at least `held`, its count of live
+    /// mailbox references, and no mailbox entry points at an
     /// already-reclaimed shared mail. Under-counting would reclaim the
     /// single stored copy while mailboxes still reference it (data loss);
     /// over-counting is clamped at replay and repaired on disk by
     /// [`crate::fsck`]. Compiles to a no-op in release builds.
-    pub(crate) fn debug_check_shared_accounting(&self) {
-        if !cfg!(debug_assertions) || self.detached {
+    pub(crate) fn debug_check_shared_accounting(&self, held: &HashMap<MailId, i64>) {
+        if !cfg!(debug_assertions) {
             return;
-        }
-        let mut held: HashMap<MailId, i64> = HashMap::new();
-        for entries in self.mailboxes.values() {
-            for e in entries.iter().filter(|e| e.shared) {
-                *held.entry(e.id).or_insert(0) += 1;
-            }
         }
         for (id, e) in &self.shared {
             debug_assert!(
@@ -808,18 +959,8 @@ impl<B: Backend> MailStore for MfsStore<B> {
 
     fn read_mailbox(&mut self, mailbox: &str) -> StoreResult<Vec<StoredMail>> {
         let _span = self.metrics.as_ref().map(|m| m.read_ns.start());
-        let entries: Vec<MailboxEntry> = self.live_entries(mailbox).to_vec();
-        let mut out = Vec::with_capacity(entries.len());
-        for e in entries {
-            let data_file = if e.shared {
-                Self::data_path(SHARED)
-            } else {
-                Self::data_path(mailbox)
-            };
-            let body = self.backend.read_at(&data_file, e.offset, e.len)?;
-            out.push(StoredMail { id: e.id, body });
-        }
-        Ok(out)
+        let entries = self.entries(mailbox)?.clone();
+        entries.iter().map(|e| self.read_body(mailbox, e)).collect()
     }
 
     fn delete(&mut self, mailbox: &str, id: MailId) -> StoreResult<()> {
@@ -827,7 +968,6 @@ impl<B: Backend> MailStore for MfsStore<B> {
         if let Some((offset, len)) = self.delete_local(mailbox, id)? {
             self.shared_release(id, offset, len)?;
         }
-        self.debug_check_shared_accounting();
         Ok(())
     }
 
@@ -839,7 +979,7 @@ impl<B: Backend> MailStore for MfsStore<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemFs;
+    use crate::{Call, Intercept, MemFs, Op, Policy, Verdict};
 
     fn store() -> MfsStore<MemFs> {
         MfsStore::new(MemFs::new())
@@ -1032,6 +1172,62 @@ mod tests {
         }
     }
 
+    /// Tears the next key-file append after `keep` bytes once armed, as a
+    /// full disk does mid-`write`; passes everything else.
+    struct TearNextKeyAppend(Option<u64>);
+
+    impl Policy for TearNextKeyAppend {
+        fn before(&mut self, call: Call<'_>) -> Verdict {
+            match self.0 {
+                Some(keep) if call.op == Op::Append && call.path.ends_with(".key") => {
+                    self.0 = None;
+                    Verdict::Tear {
+                        keep,
+                        reason: "injected torn append",
+                    }
+                }
+                _ => Verdict::Pass,
+            }
+        }
+    }
+
+    /// A key append that fails partway leaves no torn frame behind: the
+    /// mailbox keeps listing what it held — the failed delivery and the
+    /// failed delete changed nothing — later appends land on whole frames,
+    /// and a reopen finds nothing to recover.
+    #[test]
+    fn a_torn_key_append_is_cut_and_the_mailbox_stays_readable(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let mut s = MfsStore::new(Intercept::with_policy(
+            MemFs::new(),
+            TearNextKeyAppend(None),
+        ));
+        let ids = |s: &mut MfsStore<_>| -> StoreResult<Vec<u64>> {
+            Ok(s.list_entries("a")?.iter().map(|e| e.id.0).collect())
+        };
+        s.deliver(MailId(1), &["a"], DataRef::Bytes(b"one"))?;
+        assert_eq!(ids(&mut s)?, [1], "the memo holds a");
+        s.backend_mut().policy_mut().0 = Some(5);
+        assert!(s
+            .deliver(MailId(2), &["a"], DataRef::Bytes(b"two"))
+            .is_err());
+        assert_eq!(s.backend_mut().len("mfs/a.key")?, frame::FRAME_LEN as u64);
+        assert_eq!(ids(&mut s)?, [1]);
+        s.deliver(MailId(3), &["a"], DataRef::Bytes(b"three"))?;
+        s.backend_mut().policy_mut().0 = Some(frame::FRAME_LEN as u64 - 1);
+        assert!(s.delete("a", MailId(1)).is_err());
+        assert_eq!(ids(&mut s)?, [1, 3]);
+        assert_eq!(s.read_mail("a", MailId(3))?.body, b"three");
+        let fs = std::mem::replace(
+            s.backend_mut(),
+            Intercept::with_policy(MemFs::new(), TearNextKeyAppend(None)),
+        );
+        let mut reopened = MfsStore::open(fs.into_inner())?;
+        assert_eq!(reopened.recovered_records(), 0);
+        assert_eq!(reopened.list_mailbox("a"), [(MailId(1), 3), (MailId(3), 5)]);
+        Ok(())
+    }
+
     #[test]
     fn shared_mailbox_name_is_reserved() {
         let mut s = store();
@@ -1072,10 +1268,20 @@ mod tests {
 
     #[test]
     fn size_only_bodies_supported() -> Result<(), Box<dyn std::error::Error>> {
-        let mut s = MfsStore::new(MemFs::size_only());
+        let mut s = store();
         s.deliver(MailId(1), &["a", "b"], DataRef::Zeros(4096))?;
         let mails = s.read_mailbox("a")?;
-        assert_eq!(mails[0].body.len(), 4096);
+        assert_eq!(mails[0].body, vec![0; 4096]);
+        // A size-only backend keeps lengths, not bytes: it takes the
+        // writes the simulation prices, but the key files are the index,
+        // so nothing reads back.
+        let mut s = MfsStore::new(MemFs::size_only());
+        s.deliver(MailId(1), &["a", "b"], DataRef::Zeros(4096))?;
+        assert_eq!(s.backend_mut().len("mfs/shmailbox.data")?, 4096);
+        assert!(matches!(
+            s.read_mailbox("a"),
+            Err(StoreError::CorruptRecord(_))
+        ));
         Ok(())
     }
 }
@@ -1084,8 +1290,8 @@ impl<B: Backend> MfsStore<B> {
     /// Compacts the store: rewrites the shared data file without dead
     /// (zero-refcount) bytes, collapses the log-structured shared key file
     /// to one record per live mail, and rewrites every mailbox key file
-    /// without tombstones. Returns the number of shared-data bytes
-    /// reclaimed.
+    /// without tombstones, folding one key file at a time. Returns the
+    /// number of shared-data bytes reclaimed.
     ///
     /// This is the maintenance pass implied by §6.1's refcounting ("a
     /// shared record cannot be deleted until it is deleted from all MFS
@@ -1093,10 +1299,13 @@ impl<B: Backend> MfsStore<B> {
     ///
     /// # Errors
     ///
-    /// Propagates backend I/O errors; on error the in-memory index is
-    /// unchanged but on-disk files may be partially rewritten (run
+    /// Propagates backend I/O errors and key files that fail validation;
+    /// on error the on-disk files may be partially rewritten (run
     /// [`MfsStore::open`] to recover).
     pub fn compact(&mut self) -> StoreResult<u64> {
+        // Shared offsets move under every mailbox: nothing read before
+        // stays true.
+        self.memo = None;
         // 1. Rewrite shared data, remembering new offsets.
         let mut ids: Vec<MailId> = self.shared.keys().copied().collect();
         ids.sort_unstable();
@@ -1137,23 +1346,22 @@ impl<B: Backend> MfsStore<B> {
         }
         self.backend.replace(&sh_key, DataRef::Bytes(&key_bytes))?;
         self.freed_shared_bytes = 0;
-        // 3. Rewrite mailbox key files from the live index, patching
+        // 3. Rewrite each mailbox key file from its live entries, patching
         //    shared offsets.
-        let names: Vec<String> = self.mailboxes.keys().cloned().collect();
-        for mb in names {
-            let Some(entries) = self.mailboxes.get_mut(&mb) else {
-                debug_assert!(false, "mailbox {mb} was listed from the index");
-                continue;
-            };
+        let mut held = HashMap::new();
+        for mb in self.mailbox_names()? {
+            let entries = self.read_entries(&mb)?;
+            count_held(&mut held, &entries);
             let mut bytes = Vec::with_capacity(entries.len() * frame::FRAME_LEN);
-            for e in entries.iter_mut() {
-                if e.shared {
-                    e.offset = new_offsets[&e.id];
-                }
+            for e in entries {
+                let offset = match new_offsets.get(&e.id) {
+                    Some(&moved) if e.shared => moved,
+                    _ => e.offset,
+                };
                 bytes.extend_from_slice(&frame::encode(
                     &KeyRecord {
                         id: e.id,
-                        offset: e.offset,
+                        offset,
                         len: e.len,
                         delta: if e.shared { -1 } else { 1 },
                     }
@@ -1163,7 +1371,7 @@ impl<B: Backend> MfsStore<B> {
             self.backend
                 .replace(&Self::key_path(&mb), DataRef::Bytes(&bytes))?;
         }
-        self.debug_check_shared_accounting();
+        self.debug_check_shared_accounting(&held);
         Ok(reclaimed)
     }
 }

@@ -22,9 +22,10 @@
 //! so repeated runs over identical stores print byte-identical reports —
 //! pinned by the golden-fixture tests.
 
-use super::{KeyRecord, TailPolicy, SHARED};
+use super::{count_held, KeyRecord, MailboxEntry, TailPolicy, SHARED};
 use crate::frame;
 use crate::{Backend, DataRef, MailId, MfsStore, StoreResult};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Everything [`fsck`] repaired, in deterministic order.
@@ -138,8 +139,12 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
 
     // 1+2. Replay every key file, cutting each back to its longest valid
     // frame prefix as it is read. Refcounts stay as logged, so every
-    // discrepancy is still visible for reporting.
-    store.replay(TailPolicy::Repair(&mut report))?;
+    // discrepancy is still visible for reporting. The mailboxes' entries
+    // live here, for the repairs below, and not in the store.
+    let mut boxes: BTreeMap<String, Vec<MailboxEntry>> = BTreeMap::new();
+    store.replay(TailPolicy::Repair(&mut report), |mb, entries| {
+        boxes.insert(mb.to_owned(), entries);
+    })?;
 
     // 3a. Shared entries whose body range runs past the shared data file:
     // the body is unreadable, so zero the refcount out of the log.
@@ -172,13 +177,10 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
     // tombstone can't single out one of several same-id entries, so the
     // repair rewrites the key file from the surviving entries instead —
     // the one place fsck replaces a log rather than appending to it.
-    let mut mailbox_names: Vec<String> = store.mailboxes.keys().cloned().collect();
-    mailbox_names.sort_unstable();
-    for mb in &mailbox_names {
+    for (mb, entries) in &mut boxes {
         let data_len = len_or_zero(store.backend_mut(), &MfsStore::<B>::data_path(mb))?;
-        let entries = store.mailboxes.get(mb).cloned().unwrap_or_default();
         let mut keep = Vec::with_capacity(entries.len());
-        for e in &entries {
+        for e in entries.iter() {
             let (bad, dangling) = if e.shared {
                 match store.shared.get(&e.id) {
                     None => (true, true),
@@ -215,16 +217,14 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
             store
                 .backend_mut()
                 .replace(&MfsStore::<B>::key_path(mb), DataRef::Bytes(&bytes))?;
-            store.mailboxes.insert(mb.clone(), keep);
+            *entries = keep;
         }
     }
 
     // 5. Rebuild shmailbox refcounts from the surviving mailbox entries.
-    let mut held: std::collections::HashMap<MailId, i64> = std::collections::HashMap::new();
-    for entries in store.mailboxes.values() {
-        for e in entries.iter().filter(|e| e.shared) {
-            *held.entry(e.id).or_insert(0) += 1;
-        }
+    let mut held = HashMap::new();
+    for entries in boxes.values() {
+        count_held(&mut held, entries);
     }
     let mut shared_ids: Vec<MailId> = store.shared.keys().copied().collect();
     shared_ids.sort_unstable();
@@ -261,7 +261,10 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
         }
     }
 
-    store.debug_check_shared_accounting();
+    // The highest id a replay of the repaired files finds.
+    let in_boxes = boxes.values().flatten().map(|e| e.id);
+    store.max_id = in_boxes.chain(store.shared.keys().copied()).max();
+    store.debug_check_shared_accounting(&held);
     Ok((store, report))
 }
 
@@ -345,11 +348,11 @@ mod tests {
             .encode(),
         );
         fs.append("mfs/shmailbox.key", DataRef::Bytes(&extra))?;
-        let (repaired, report) = fsck(fs)?;
+        let (mut repaired, report) = fsck(fs)?;
         assert_eq!(report.clamped_refcounts, vec![(MailId(5), 5, 2)]);
         assert_eq!(repaired.stats().shared_mails, 1);
         // The clamp is durable: a strict reopen agrees without clamping.
-        let (reopened, again) = fsck(backend_of(repaired))?;
+        let (mut reopened, again) = fsck(backend_of(repaired))?;
         assert!(again.is_clean());
         assert_eq!(reopened.stats().shared_mails, 1);
         Ok(())
@@ -363,7 +366,7 @@ mod tests {
         // Lose both mailbox key files: the shared body has no referents.
         fs.remove("mfs/x.key")?;
         fs.remove("mfs/y.key")?;
-        let (repaired, report) = fsck(fs)?;
+        let (mut repaired, report) = fsck(fs)?;
         assert_eq!(report.orphans_reclaimed, vec![(MailId(9), 6)]);
         assert_eq!(repaired.stats().shared_mails, 0);
         assert_eq!(repaired.stats().freed_shared_bytes, 6);
@@ -430,9 +433,11 @@ mod tests {
         Ok(())
     }
 
-    /// One image needing every kind of repair: the index `fsck` repaired
-    /// in memory — what [`ShardedStore::open_with_fsck`] deals to the
-    /// shards — must be the index a replay of the repaired files builds.
+    /// One image needing every kind of repair: what `fsck` repaired in
+    /// memory — the shared index and the highest id, which
+    /// [`ShardedStore::open_with_fsck`] deals to the shared partition —
+    /// must be what a replay of the repaired files builds, and every
+    /// mailbox must list the same.
     #[test]
     fn repaired_index_equals_a_replay_of_the_repaired_files(
     ) -> Result<(), Box<dyn std::error::Error>> {

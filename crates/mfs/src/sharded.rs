@@ -7,9 +7,12 @@
 //! architecture promises by partitioning the store:
 //!
 //! * **N mailbox shards**, selected by FNV-1a hash of the mailbox name.
-//!   Each shard is a full (detached) [`MfsStore`] whose in-memory index
-//!   covers exactly its own mailboxes; operations on different shards
-//!   never contend.
+//!   Each shard is a full [`MfsStore`] that alone appends to its
+//!   mailboxes' files. It keeps no index of them: a listing, a read by id
+//!   or a delete reads the mailbox's key file under the shard's lock, and
+//!   the shard remembers only the one mailbox it read last; a read of an
+//!   entry a listing returned reads the body alone. Operations on
+//!   different shards never contend.
 //! * **One shared partition** holding the §6.1 `shmailbox` state (the
 //!   single-copy bodies and the refcount log). Multi-recipient delivery
 //!   takes this lock once, appends the body, and releases it *before*
@@ -36,7 +39,9 @@
 
 use crate::backend::DataRef;
 use crate::mfs_store::TailPolicy;
-use crate::{Backend, MailId, MailStore, MfsStats, MfsStore, StoreResult, StoredMail};
+use crate::{
+    Backend, MailId, MailStore, MailboxEntry, MfsStats, MfsStore, StoreResult, StoredMail,
+};
 use parking_lot::Mutex;
 use spamaware_metrics::{Registry, SpanHandle};
 use std::sync::Arc;
@@ -133,9 +138,10 @@ impl<B: Backend> ShardedStore<B> {
     /// — e.g. `|| RealDir::new(&root)` or `|| Ok(sync_memfs.clone())`.
     ///
     /// Existing MFS files are replayed exactly once, through the first
-    /// handle, and the index dealt to the partitions: each mailbox's
-    /// entries to its shard, the shared index to the shared partition.
-    /// Shared refcounts are taken as logged — clamping them durably is
+    /// handle, and what replay keeps — the shared index, the highest id
+    /// and the recovery count — becomes the shared partition; the mailbox
+    /// shards start empty and read their key files when asked. Shared
+    /// refcounts are taken as logged — clamping them durably is
     /// [`ShardedStore::open_with_fsck`]'s job.
     ///
     /// # Errors
@@ -152,15 +158,15 @@ impl<B: Backend> ShardedStore<B> {
     ) -> StoreResult<ShardedStore<B>> {
         assert!(shards >= 1, "shard count must be at least 1");
         let mut whole = MfsStore::new(make()?);
-        whole.replay(TailPolicy::Strict)?;
+        whole.replay(TailPolicy::Strict, |_, _| {})?;
         Self::deal(whole, shards, make)
     }
 
     /// Opens a sharded store with a durable repair pass first: runs
     /// [`crate::fsck`] over the first backend handle (truncating torn
     /// tails, dropping corrupt frames, rebuilding shmailbox refcounts on
-    /// disk), then deals the repaired index to the partitions. This is how
-    /// the live server restarts after a crash.
+    /// disk), then deals the repaired shared index to the shared
+    /// partition. This is how the live server restarts after a crash.
     ///
     /// # Errors
     ///
@@ -180,10 +186,10 @@ impl<B: Backend> ShardedStore<B> {
         Ok((Self::deal(whole, shards, make)?, report))
     }
 
-    /// Splits a replayed whole-store index into partitions: every
-    /// mailbox's entries move to the shard its name hashes to, and `whole`
-    /// — left holding the shared index, the reclaimable-byte count and the
-    /// recovery count — becomes the shared partition.
+    /// Partitions a replayed store: `whole` — holding the shared index,
+    /// the reclaimable-byte count, the highest id and the recovery count —
+    /// becomes the shared partition, and `shards` fresh stores the
+    /// mailbox partitions.
     fn deal(
         mut whole: MfsStore<B>,
         shards: usize,
@@ -191,27 +197,16 @@ impl<B: Backend> ShardedStore<B> {
     ) -> StoreResult<ShardedStore<B>> {
         // The handle that read the spool still holds the mailboxes' files
         // open, as many as its table takes, and the shared partition uses
-        // none of them. Kept, they push a starting server past the 64
-        // descriptors a process begins with, and growing that table once
-        // threads run stalls the caller ~10 ms (DESIGN.md §11 *Boot*).
+        // none of them: a server keeps its descriptors for its shards
+        // (DESIGN.md §11 *Boot*).
         *whole.backend_mut() = make()?;
         let mut parts = Vec::with_capacity(shards);
         for _ in 0..shards {
-            parts.push(MfsStore::new(make()?));
+            parts.push(Mutex::new(MfsStore::new(make()?)));
         }
-        for (mailbox, entries) in std::mem::take(&mut whole.mailboxes) {
-            parts[shard_index(&mailbox, shards)]
-                .mailboxes
-                .insert(mailbox, entries);
-        }
-        // No partition sees both sides of the refcount accounting.
-        let detached = |mut part: MfsStore<B>| {
-            part.set_detached();
-            Mutex::new(part)
-        };
         Ok(ShardedStore {
-            shared: detached(whole),
-            shards: parts.into_iter().map(detached).collect(),
+            shared: Mutex::new(whole),
+            shards: parts,
             metrics: None,
         })
     }
@@ -220,9 +215,9 @@ impl<B: Backend> ShardedStore<B> {
     /// [`MfsStore::max_mail_id`]); the live server seeds its allocator
     /// above this on restart so ids are never reused.
     pub fn max_mail_id(&self) -> Option<MailId> {
-        let mut max = Self::peek(&self.shared, MfsStore::max_mail_id);
+        let mut max = Self::peek(&self.shared, |p| p.max_mail_id());
         for shard in &self.shards {
-            max = max.max(Self::peek(shard, MfsStore::max_mail_id));
+            max = max.max(Self::peek(shard, |p| p.max_mail_id()));
         }
         max
     }
@@ -231,7 +226,7 @@ impl<B: Backend> ShardedStore<B> {
     /// [`ShardedStore::open_with`] (see [`MfsStore::recovered_records`]);
     /// the store that replayed is the shared partition.
     pub fn recovered_records(&self) -> u64 {
-        Self::peek(&self.shared, MfsStore::recovered_records)
+        Self::peek(&self.shared, |p| p.recovered_records())
     }
 
     /// Reports the same per-operation metrics as
@@ -286,12 +281,12 @@ impl<B: Backend> ShardedStore<B> {
         f(&mut guard)
     }
 
-    /// [`ShardedStore::with_part`] for the reporting paths: read-only, and
-    /// not a store operation, so it stays out of the contention histogram.
-    fn peek<R>(part: &Mutex<MfsStore<B>>, f: impl FnOnce(&MfsStore<B>) -> R) -> R {
+    /// [`ShardedStore::with_part`] for the reporting paths: not a store
+    /// operation, so it stays out of the contention histogram.
+    fn peek<R>(part: &Mutex<MfsStore<B>>, f: impl FnOnce(&mut MfsStore<B>) -> R) -> R {
         #[cfg(debug_assertions)]
         let _sole = SoleHold::enter();
-        f(&part.lock())
+        f(&mut part.lock())
     }
 
     fn shard_for(&self, mailbox: &str) -> &Mutex<MfsStore<B>> {
@@ -332,8 +327,21 @@ impl<B: Backend> ShardedStore<B> {
         }
     }
 
-    /// Index-only mailbox listing (see [`MfsStore::list_mailbox`]): one
-    /// O(1)-hold acquisition of the mailbox's shard, no disk reads.
+    /// Mailbox listing: every live mail, in delivery order, under one
+    /// hold of the mailbox's shard for one key-file read — none when the
+    /// shard's memo holds the mailbox — and no body read.
+    ///
+    /// # Errors
+    ///
+    /// Backend failures reading the key file, and
+    /// [`crate::StoreError::CorruptRecord`] for a frame that fails
+    /// validation.
+    pub fn list_entries(&self, mailbox: &str) -> StoreResult<Vec<MailboxEntry>> {
+        self.with_part(self.shard_for(mailbox), |p| p.list_entries(mailbox))
+    }
+
+    /// `(id, body length)` per live mail ([`ShardedStore::list_entries`]),
+    /// listing a mailbox whose key file cannot be read as empty.
     pub fn list_mailbox(&self, mailbox: &str) -> Vec<(MailId, u64)> {
         self.with_part(self.shard_for(mailbox), |p| p.list_mailbox(mailbox))
     }
@@ -349,12 +357,26 @@ impl<B: Backend> ShardedStore<B> {
         self.with_part(self.shard_for(mailbox), |p| p.read_mail(mailbox, id))
     }
 
+    /// Reads the body of `entry`, from a listing of `mailbox`, under one
+    /// short shard hold: one body read, and no key-file read whatever the
+    /// shard read since. Data files only grow while the store is open, so
+    /// a mail deleted after the listing still reads as the listing saw it
+    /// — a POP3 session's `RETR` serves the mailbox as its login listed
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Backend read failures.
+    pub fn read_entry(&self, mailbox: &str, entry: &MailboxEntry) -> StoreResult<StoredMail> {
+        self.with_part(self.shard_for(mailbox), |p| p.read_body(mailbox, entry))
+    }
+
     /// Reads every live mail in a mailbox, in delivery order. The shard
-    /// lock is *not* held across the scan: one short hold snapshots the
-    /// key index, then each body is read under its own hold, so concurrent
+    /// lock is *not* held across the scan: one hold lists the key file,
+    /// then each body is read under its own hold, so concurrent
     /// deliveries to other mailboxes on the same stripe interleave instead
     /// of waiting out O(mailbox) disk reads. A mail deleted between the
-    /// snapshot and its read is skipped, which is the same answer a
+    /// listing and its read is skipped, which is the same answer a
     /// slightly earlier scan would have given. Shared bodies are read
     /// through the shard's own backend handle: the shared data file is
     /// append-only and coordinates are published only after the append
@@ -364,10 +386,10 @@ impl<B: Backend> ShardedStore<B> {
     ///
     /// Propagates backend read failures.
     pub fn read_mailbox(&self, mailbox: &str) -> StoreResult<Vec<StoredMail>> {
-        let index = self.list_mailbox(mailbox);
+        let index = self.list_entries(mailbox)?;
         let mut out = Vec::with_capacity(index.len());
-        for (id, _len) in index {
-            match self.read_mail(mailbox, id) {
+        for e in index {
+            match self.read_mail(mailbox, e.id) {
                 Ok(mail) => out.push(mail),
                 Err(crate::StoreError::NotFound(_)) => {}
                 Err(e) => return Err(e),
@@ -392,18 +414,18 @@ impl<B: Backend> ShardedStore<B> {
         Ok(())
     }
 
-    /// Aggregate statistics summed across all partitions. Consistent only
-    /// when quiescent (locks are taken one partition at a time, so a
-    /// concurrent delivery may be half-counted — fine for reporting).
+    /// Aggregate statistics (see [`MfsStore::stats`]): the shared
+    /// partition's counts, plus every mailbox's key file read under its
+    /// shard's lock. Consistent only when quiescent (locks are taken one
+    /// partition at a time, so a concurrent delivery may be half-counted —
+    /// fine for reporting).
     pub fn stats(&self) -> MfsStats {
-        let mut total = Self::peek(&self.shared, MfsStore::stats);
-        for shard in &self.shards {
-            let s = Self::peek(shard, MfsStore::stats);
-            total.shared_mails += s.shared_mails;
-            total.shared_bytes += s.shared_bytes;
-            total.freed_shared_bytes += s.freed_shared_bytes;
-            total.own_records += s.own_records;
-            total.shared_references += s.shared_references;
+        let (mut total, names) =
+            Self::peek(&self.shared, |p| (p.shared_stats(), p.mailbox_names()));
+        for mailbox in names.unwrap_or_default() {
+            Self::peek(self.shard_for(&mailbox), |p| {
+                p.count_mailbox(&mailbox, &mut total);
+            });
         }
         total
     }
@@ -669,7 +691,7 @@ mod tests {
     }
 
     /// A POP3 scan must not keep a stripe for O(mailbox) disk reads: one
-    /// hold snapshots the index and each mail is read under its own, so a
+    /// hold lists the key file and each mail is read under its own, so a
     /// mailbox of n mails costs n + 1 acquisitions. Calling
     /// `MfsStore::read_mailbox` under a single hold makes it 1.
     #[test]
@@ -685,6 +707,42 @@ mod tests {
         let before = holds();
         assert_eq!(s.read_mailbox("alice").unwrap().len() as u64, n);
         assert_eq!(holds() - before, n + 1);
+    }
+
+    /// The key files are the index: no partition holds a mailbox's
+    /// entries until it reads that mailbox, and then only that one's.
+    #[test]
+    fn a_partition_holds_only_the_mailbox_it_read_last() {
+        let s = sharded(4);
+        let held = || -> usize {
+            std::iter::once(&s.shared)
+                .chain(&s.shards)
+                .map(|part| ShardedStore::peek(part, |p| p.held_entries()))
+                .sum()
+        };
+        let a = "alice";
+        let b = (0..)
+            .map(|i| format!("user{i}"))
+            .find(|mb| shard_index(mb, 4) == shard_index(a, 4))
+            .unwrap();
+        let (mut in_a, mut in_b) = (0, 0);
+        for i in 0..10_000u64 {
+            let to: &[&str] = match i % 4 {
+                0 => &[a, &b],
+                1 | 2 => &[a],
+                _ => &[&b],
+            };
+            in_a += usize::from(to.contains(&a));
+            in_b += usize::from(to.contains(&b.as_str()));
+            s.deliver(MailId(i + 1), to, DataRef::Bytes(b"m")).unwrap();
+        }
+        assert_eq!(held(), 0, "deliveries read no mailbox");
+        assert_eq!(s.list_mailbox(a).len(), in_a);
+        assert_eq!(held(), in_a);
+        assert_eq!(s.list_mailbox(&b).len(), in_b);
+        assert_eq!(held(), in_b, "the second listing replaced the first");
+        s.delete(&b, MailId(4)).unwrap();
+        assert_eq!(held(), in_b - 1, "a delete keeps the memo equal");
     }
 
     /// What `SoleHold` is for: a second partition under the first is the

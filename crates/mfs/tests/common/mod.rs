@@ -82,11 +82,12 @@ pub fn record_write_log(ops: &[Op]) -> Vec<u64> {
 }
 
 /// Boots the files behind `fs` the way the live server restarts —
-/// [`ShardedStore::open_with_fsck`], which deals the index `fsck` repaired
-/// in memory to the shards without reading the files again — and checks
-/// that index against a plain replay of the repaired bytes: per mailbox
-/// the same listing, and the same statistics and highest id. Nothing else
-/// cross-checks fsck's in-memory repairs against the ones it wrote.
+/// [`ShardedStore::open_with_fsck`], which deals the shared index `fsck`
+/// repaired in memory to the shared partition without reading the files
+/// again — and checks it against a plain replay of the repaired bytes:
+/// per mailbox the same listing, and the same statistics and highest id.
+/// Nothing else cross-checks fsck's in-memory repairs against the ones it
+/// wrote.
 /// Returns the dealt store.
 #[allow(dead_code)]
 pub fn dealt_equals_replayed(
@@ -101,7 +102,7 @@ pub fn dealt_equals_replayed(
         assert_eq!(
             dealt.list_mailbox(mb),
             replayed.list_mailbox(mb),
-            "dealt index diverged from replay for {mb}"
+            "restart diverged from replay for {mb}"
         );
     }
     assert_eq!(dealt.stats(), replayed.stats());
@@ -123,8 +124,8 @@ pub fn dealt_equals_replayed(
 /// * a strict partitioned reopen ([`ShardedStore::open_with`]) of the
 ///   survivors shows exactly the same mailbox contents;
 /// * so does [`ShardedStore::open_with_fsck`] — the live server's restart
-///   path — whose dealt index must equal a replay of the bytes it repaired
-///   (see [`dealt_equals_replayed`]);
+///   path — whose dealt shared index must equal a replay of the bytes it
+///   repaired (see [`dealt_equals_replayed`]);
 /// * the repaired store stays writable.
 ///
 /// Panics (with context) on any violation.

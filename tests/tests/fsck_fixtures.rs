@@ -123,7 +123,7 @@ fn repaired_fixtures_serve_the_surviving_mail() {
     let _ = fs::remove_dir_all(root);
 
     let root = checkout("orphan-shmailbox");
-    let (store, _) = fsck(RealDir::new(&root).expect("open")).expect("fsck");
+    let (mut store, _) = fsck(RealDir::new(&root).expect("open")).expect("fsck");
     let stats = store.stats();
     assert_eq!(stats.shared_mails, 0, "orphaned body is reclaimed");
     assert_eq!(stats.freed_shared_bytes, 11);

@@ -366,6 +366,46 @@ fn more_hot_mailboxes_than_handles_stay_within_the_fd_budget() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+/// `FDSize` of this process's descriptor table, from `/proc/self/status`.
+fn fd_table_size() -> usize {
+    std::fs::read_to_string("/proc/self/status")
+        .expect("procfs")
+        .lines()
+        .find_map(|l| l.strip_prefix("FDSize:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("FDSize line")
+}
+
+/// A started server has grown its descriptor table to the fd budget
+/// before any of its threads ran, so no later doubling stalls one of them
+/// (DESIGN.md §11 *Boot*). Runs in a child of itself: the other tests of
+/// this binary grow the table on their own.
+#[test]
+fn a_started_server_has_reserved_its_descriptor_table() {
+    const CHILD: &str = "SPAMAWARE_FD_TABLE_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--exact",
+                "--test-threads=1",
+                "a_started_server_has_reserved_its_descriptor_table",
+            ])
+            .env(CHILD, "1")
+            .output()
+            .expect("run the child");
+        let said = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "{said}");
+        assert!(said.contains("1 passed"), "the child ran no test: {said}");
+        return;
+    }
+    let before = fd_table_size();
+    assert!(before < 1024, "a fresh process has FDSize {before}");
+    let (srv, root) = server("fdtable", &["inbox"]);
+    assert!(fd_table_size() >= 1024, "FDSize {}", fd_table_size());
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+}
+
 #[test]
 fn a_zeroed_limit_is_refused_and_leaves_no_thread_behind() {
     let threads = || {
