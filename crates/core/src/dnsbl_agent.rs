@@ -34,6 +34,11 @@ const CACHE_TTL: Nanos = Nanos::from_secs(86_400);
 /// entries and then the soonest to expire make room.
 const CACHE_CAPACITY: usize = 4096;
 
+/// How long the agent waits for one uncached answer. The master never
+/// waits at all, so a slow resolver delays verdict *statistics*, not
+/// connections; the paper's Fig. 5 puts 16–50 % of cold queries past it.
+const UDP_TIMEOUT: Duration = Duration::from_millis(100);
+
 /// Everything the agent thread owns.
 pub(crate) struct DnsblAgentCtx {
     /// Peer IPs the master wants looked up (fire-and-forget).
@@ -44,38 +49,30 @@ pub(crate) struct DnsblAgentCtx {
     pub registry: Arc<Registry>,
     /// The DNSBL, queried over UDP: `(server address, zone)`.
     pub dnsbl_udp: (SocketAddr, String),
-    pub dnsbl_udp_timeout: Duration,
-    pub dnsbl_breaker: BreakerConfig,
 }
 
-/// The lookup path: cache, then breaker, then one UDP query. Time is
-/// the registry's clock throughout.
+/// The lookup path: cache, then breaker — [`BreakerConfig::default`]: open
+/// after three straight failures, for 1 s doubling to 60 s — then one UDP
+/// query. Time is the registry's clock throughout.
 struct Agent {
     registry: Arc<Registry>,
     metrics: AgentMetrics,
     breaker: CircuitBreaker,
     resolver: CachingResolver,
     dnsbl_udp: (SocketAddr, String),
-    dnsbl_udp_timeout: Duration,
 }
 
 impl Agent {
-    fn new(
-        registry: Arc<Registry>,
-        dnsbl_udp: (SocketAddr, String),
-        dnsbl_udp_timeout: Duration,
-        dnsbl_breaker: BreakerConfig,
-    ) -> Agent {
+    fn new(registry: Arc<Registry>, dnsbl_udp: (SocketAddr, String)) -> Agent {
         Agent {
             metrics: AgentMetrics::register(&registry),
-            breaker: CircuitBreaker::new(dnsbl_breaker, registry.clock())
+            breaker: CircuitBreaker::new(BreakerConfig::default(), registry.clock())
                 .with_metrics(&registry, "dnsbl"),
             resolver: CachingResolver::new(CacheScheme::PerPrefix, CACHE_TTL)
                 .with_capacity(CACHE_CAPACITY)
                 .with_metrics(&registry, "dnsbl"),
             registry,
             dnsbl_udp,
-            dnsbl_udp_timeout,
         }
     }
 
@@ -95,8 +92,7 @@ impl Agent {
             clippy::disallowed_methods,
             reason = "the DNSBL agent's own thread: the master parks the connection and is woken with the verdict"
         )]
-        let answer =
-            UdpDnsbl::lookup_v6_timeout(*server_addr, zone, peer_ip, self.dnsbl_udp_timeout);
+        let answer = UdpDnsbl::lookup_v6_timeout(*server_addr, zone, peer_ip, UDP_TIMEOUT);
         match answer {
             // Only *successful* answers enter the cache: a fail-open
             // verdict is a degraded guess, and caching it would poison
@@ -124,12 +120,7 @@ impl Agent {
 /// short-circuits, so serial processing converges fast even when the
 /// master enqueues a burst.
 pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
-    let mut agent = Agent::new(
-        ctx.registry,
-        ctx.dnsbl_udp,
-        ctx.dnsbl_udp_timeout,
-        ctx.dnsbl_breaker,
-    );
+    let mut agent = Agent::new(ctx.registry, ctx.dnsbl_udp);
     while !ctx.stop.load(Ordering::SeqCst) {
         // `recv` returns `Err` once every sender is gone; the master is
         // stopped and joined before this thread, so shutdown surfaces
@@ -167,8 +158,6 @@ mod tests {
         let mut agent = Agent::new(
             Arc::new(Registry::new(Arc::new(clock.clone()))),
             (stub.local_addr(), "bl.example".to_owned()),
-            Duration::from_secs(5),
-            BreakerConfig::default(),
         );
 
         assert!(agent.listed(bot));

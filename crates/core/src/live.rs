@@ -58,7 +58,6 @@ use crate::reactor::os::OsReactor;
 use crate::reactor::Pollable;
 use crate::ServeError;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use spamaware_dnsbl::BreakerConfig;
 use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_mfs::{RealDir, ShardedStore};
 use spamaware_netaddr::Ipv4;
@@ -91,6 +90,10 @@ const FD_TABLE: usize = 1024;
 /// long its queued replies may go without the peer taking one.
 const WORKER_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long one `DATA` body transfer may take; a trickling client is
+/// evicted with `421` (`live.data_deadline_evictions`).
+const DATA_DEADLINE: Duration = Duration::from_secs(120);
+
 /// The same two budgets on the admin socket: a client that asks for
 /// `METRICS` and then stops reading is cut off
 /// (`live.admin_write_timeouts`).
@@ -117,16 +120,6 @@ pub struct LiveConfig {
     /// 24 h; the verdict is recorded, not used to reject (§9: "our
     /// solution does not delay/deny mail service to any client").
     pub dnsbl_udp: Option<(std::net::SocketAddr, String)>,
-    /// Per-query budget for `dnsbl_udp` lookups. The DNSBL agent thread
-    /// blocks for at most this long per uncached query; the master hands
-    /// lookups to the agent over a bounded queue and never waits, so a
-    /// slow resolver delays verdict *statistics*, not connections.
-    pub dnsbl_udp_timeout: Duration,
-    /// Circuit breaker over `dnsbl_udp`: after `failure_threshold`
-    /// consecutive failures the agent stops querying entirely (fail-open
-    /// to "not listed", §9) and retries with one probe per deterministic
-    /// backoff window.
-    pub dnsbl_breaker: BreakerConfig,
     /// How long a pre-trust connection may sit idle in the master's event
     /// loop before it is dropped (slow clients must not pin master state;
     /// the paper's smtpd has the analogous idle self-termination, §2).
@@ -142,9 +135,6 @@ pub struct LiveConfig {
     /// connection that overstays is evicted with `421` wherever it is in
     /// the dialog.
     pub session_deadline: Duration,
-    /// Wall-clock budget for one `DATA` body transfer; a trickling client
-    /// is evicted with `421` rather than pinning a worker thread.
-    pub data_deadline: Duration,
     /// Hard cap on reply bytes queued toward any one pre-trust peer in the
     /// master's event loop. A peer whose backlog would exceed it — it
     /// pipelines commands but never reads replies — is evicted
@@ -156,10 +146,6 @@ pub struct LiveConfig {
     /// flushed byte resets the clock, so a slow-but-live reader is served
     /// indefinitely while a frozen one is cut off.
     pub write_stall_timeout: Duration,
-    /// Test-only fault injection: while the flag is `true`, workers stall
-    /// after dequeuing a task, letting a chaos test fill every queue and
-    /// observe the master's non-blocking `421` shed path deterministically.
-    pub worker_hold: Option<Arc<AtomicBool>>,
 }
 
 impl LiveConfig {
@@ -173,16 +159,12 @@ impl LiveConfig {
             storage_root: storage_root.into(),
             mailboxes,
             dnsbl_udp: None,
-            dnsbl_udp_timeout: Duration::from_millis(100),
-            dnsbl_breaker: BreakerConfig::default(),
             pretrust_idle_timeout: Duration::from_secs(30),
             max_connections: 512,
             max_pretrust_per_ip: 32,
             session_deadline: Duration::from_secs(300),
-            data_deadline: Duration::from_secs(120),
             max_outq_bytes: 64 * 1024,
             write_stall_timeout: Duration::from_secs(10),
-            worker_hold: None,
         }
     }
 }
@@ -283,12 +265,9 @@ impl LiveServer {
                 "outbound queue cap must admit at least one byte".to_owned(),
             ));
         }
-        if cfg.session_deadline.is_zero()
-            || cfg.data_deadline.is_zero()
-            || cfg.write_stall_timeout.is_zero()
-        {
+        if cfg.session_deadline.is_zero() || cfg.write_stall_timeout.is_zero() {
             return Err(ServeError::Config(
-                "write budgets and phase deadlines must be nonzero".to_owned(),
+                "the session deadline and the write-stall budget must be nonzero".to_owned(),
             ));
         }
         // Every doubling of the descriptor table once threads run stalls
@@ -368,9 +347,8 @@ impl LiveServer {
                 inflight: Arc::clone(&inflight),
                 read_timeout: WORKER_IDLE_TIMEOUT,
                 session_deadline: cfg.session_deadline,
-                data_deadline: cfg.data_deadline,
+                data_deadline: DATA_DEADLINE,
                 max_outq_bytes: cfg.max_outq_bytes,
-                hold: cfg.worker_hold.clone(),
             };
             server.spawn(format!("smtpd-{w}"), move || {
                 run_posttrust(&mut reactor, ctx);
@@ -392,8 +370,6 @@ impl LiveServer {
                 blacklisted: Arc::clone(&stats.blacklisted),
                 registry: Arc::clone(&registry),
                 dnsbl_udp,
-                dnsbl_udp_timeout: cfg.dnsbl_udp_timeout,
-                dnsbl_breaker: cfg.dnsbl_breaker,
             };
             server.spawn("dnsbl-agent".to_owned(), move || agent_loop(actx))?;
             Some(tx)
@@ -569,23 +545,23 @@ impl Drop for LiveServer {
 
 /// Round-robin non-blocking dispatch of trusted connections to the worker
 /// queues.
-struct Dispatch {
+struct Dispatch<C> {
     /// Each worker's queue and the waker of the reactor it parks in.
-    workers: Vec<(Sender<Handoff<TcpStream>>, rawpoll::WakePipe)>,
+    workers: Vec<(Sender<Handoff<C>>, rawpoll::WakePipe)>,
     next: usize,
     registry: Arc<Registry>,
     delegated: Arc<Counter>,
     queue_depth: Arc<Gauge>,
 }
 
-impl Dispatch {
+impl<C> Dispatch<C> {
     /// Offers `task` to each worker once, starting after the last taker;
     /// a full queue pushes it to the next worker (natural throttle). A
     /// fully saturated pool returns the task, and the engine sheds it
     /// with `421` — a blocking send here would stall the master, and with
     /// it every pre-trust dialog and the accept path, behind the slowest
     /// worker.
-    fn offer(&mut self, task: Trusted<TcpStream>) -> Option<Trusted<TcpStream>> {
+    fn offer(&mut self, task: Trusted<C>) -> Option<Trusted<C>> {
         let mut item = (self.registry.now_nanos(), task);
         for probe in 0..self.workers.len() {
             let w = (self.next + probe) % self.workers.len();
@@ -624,7 +600,7 @@ fn master_loop(
     mut listener: TcpListener,
     mut reactor: OsReactor,
     engine: EngineCtx,
-    mut dispatch: Dispatch,
+    mut dispatch: Dispatch<TcpStream>,
 ) {
     let mut sink = |task| dispatch.offer(task);
     pretrust::run_pretrust(&mut listener, &mut reactor, &engine, &mut sink);
@@ -722,5 +698,53 @@ mod tests {
             ..LiveSnapshot::default()
         };
         assert_eq!(snap.unaccounted(), 2);
+    }
+
+    #[test]
+    fn a_full_pool_hands_the_task_back_and_a_freed_slot_takes_the_next() {
+        let registry = Arc::new(Registry::with_wall_clock());
+        let (delegated, queue_depth) = (registry.counter("d"), registry.gauge("q"));
+        let mut dispatch = Dispatch {
+            workers: Vec::new(),
+            next: 0,
+            registry: Arc::clone(&registry),
+            delegated: Arc::clone(&delegated),
+            queue_depth: Arc::clone(&queue_depth),
+        };
+        // One-slot queues whose receivers are held and never drained.
+        let mut queues = Vec::new();
+        for _ in 0..3 {
+            let (tx, rx) = bounded(1);
+            dispatch
+                .workers
+                .push((tx, rawpoll::WakePipe::new().expect("wake pipe")));
+            queues.push(rx);
+        }
+        let task = |tag: u32| Trusted {
+            conn: tag,
+            session: spamaware_smtp::ServerSession::new(Default::default()),
+            leftover: Vec::new(),
+            pending_out: Vec::new(),
+            peer: Ipv4::new(192, 0, 2, 1),
+            accepted_ns: 0,
+        };
+        let take = |w: usize| queues[w].try_recv().map(|(_, t)| t.conn);
+
+        for tag in 0..3 {
+            assert!(dispatch.offer(task(tag)).is_none(), "task {tag} refused");
+        }
+        assert_eq!((delegated.get(), queue_depth.get()), (3, 3));
+        // The whole pool is full: the task comes back, nothing is counted.
+        let back = dispatch
+            .offer(task(3))
+            .expect("a full pool hands the task back");
+        assert_eq!(back.conn, 3);
+        assert_eq!((delegated.get(), queue_depth.get()), (3, 3));
+        // Round robin put task w on worker w. Once worker 1 takes its task,
+        // the next offer lands there, past the still-full worker 0.
+        assert_eq!(take(1), Some(1));
+        assert!(dispatch.offer(task(4)).is_none());
+        assert_eq!((delegated.get(), queue_depth.get()), (4, 4));
+        assert_eq!([take(0), take(1), take(2)], [Some(0), Some(4), Some(2)]);
     }
 }

@@ -67,10 +67,6 @@ pub struct WorkerCtx<C, B> {
     pub data_deadline: Duration,
     /// Cap on one connection's queued reply bytes.
     pub max_outq_bytes: usize,
-    /// Test-only chaos hook: while `true`, the worker stalls on a task it
-    /// just dequeued (pretending to be wedged on a slow disk or a stuck
-    /// filter), so tests can fill every queue.
-    pub hold: Option<Arc<AtomicBool>>,
 }
 
 /// One trusted connection's protocol state.
@@ -132,18 +128,6 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
     fn admit(&mut self, _now_ns: u64, _draining: bool) -> Option<Arrival<C, Post>> {
         let ctx = &self.ctx;
         let (enqueued_ns, task) = ctx.rx.try_recv()?;
-        if let Some(hold) = &ctx.hold {
-            while hold.load(Ordering::SeqCst)
-                && !ctx.stop.load(Ordering::SeqCst)
-                && !ctx.draining.load(Ordering::SeqCst)
-            {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "a worker's driver thread, only under the chaos suite's hold flag: stalling this worker is what the hook is for"
-                )]
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
         self.metrics.queue_depth.dec();
         self.metrics.queue_wait_ns.record_since(enqueued_ns);
         let mut session = task.session;

@@ -12,17 +12,20 @@
 // about the server's.
 #![allow(clippy::disallowed_methods)]
 
+#[path = "../../../tests/tests/common/mod.rs"]
+mod common;
+
+use common::{spool, wait_for, Line};
 use spamaware_core::{fsck, MailStore, RealDir};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
 
 /// A `spamawarectl serve` child process, killed on drop.
 struct Server {
     child: Child,
-    addr: String,
+    addr: SocketAddr,
     admin: String,
     stdout: BufReader<std::process::ChildStdout>,
 }
@@ -44,7 +47,8 @@ impl Server {
             .strip_prefix("LISTENING ")
             .unwrap_or_else(|| panic!("unexpected serve banner {line:?}"))
             .trim()
-            .to_owned();
+            .parse()
+            .expect("LISTENING address");
         line.clear();
         stdout.read_line(&mut line).expect("read ADMIN line");
         let admin = line
@@ -60,23 +64,9 @@ impl Server {
         }
     }
 
-    fn connect(&self) -> Client {
-        // The banner is printed after bind, so the port is live already;
-        // retry briefly anyway in case the accept loop is still spinning up.
-        for _ in 0..50 {
-            if let Ok(stream) = TcpStream::connect(&self.addr) {
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(10)))
-                    .expect("timeout");
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut greeting = String::new();
-                reader.read_line(&mut greeting).expect("greeting");
-                assert!(greeting.starts_with("220"), "greeting {greeting:?}");
-                return Client { stream, reader };
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        panic!("could not connect to {}", self.addr);
+    /// The banner is printed after bind, so the port is live already.
+    fn connect(&self) -> Line {
+        Line::greet(self.addr)
     }
 
     /// SIGKILL — no shutdown hooks, no flushes: the power-cut analogue.
@@ -96,20 +86,19 @@ impl Server {
             .read_line(&mut reply)
             .expect("drain reply");
         assert!(reply.starts_with("OK draining"), "admin said {reply:?}");
-        for _ in 0..400 {
-            if let Some(status) = self.child.try_wait().expect("try_wait") {
-                assert!(status.success(), "drained server exits 0, got {status}");
-                let mut rest = String::new();
-                std::io::Read::read_to_string(&mut self.stdout, &mut rest).expect("rest of stdout");
-                assert!(
-                    rest.lines().any(|l| l.trim() == "DRAINED"),
-                    "expected DRAINED banner, got {rest:?}"
-                );
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        panic!("server did not exit within 10s of DRAIN");
+        let mut status = None;
+        wait_for("the drained server to exit", || {
+            status = self.child.try_wait().expect("try_wait");
+            status.is_some()
+        });
+        let status = status.expect("exited");
+        assert!(status.success(), "drained server exits 0, got {status}");
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut self.stdout, &mut rest).expect("rest of stdout");
+        assert!(
+            rest.lines().any(|l| l.trim() == "DRAINED"),
+            "expected DRAINED banner, got {rest:?}"
+        );
     }
 }
 
@@ -120,61 +109,16 @@ impl Drop for Server {
     }
 }
 
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn cmd(&mut self, line: &str) -> String {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-        self.read_reply()
-    }
-
-    fn read_reply(&mut self) -> String {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("reply");
-        reply
-    }
-
-    /// Full transaction through the acknowledged 250 after `.`.
-    fn deliver(&mut self, rcpt: &str, body: &str) {
-        assert!(self.cmd("MAIL FROM:<x@client.example>").starts_with("250"));
-        assert!(self
-            .cmd(&format!("RCPT TO:<{rcpt}@dept.example>"))
-            .starts_with("250"));
-        assert!(self.cmd("DATA").starts_with("354"));
-        self.stream
-            .write_all(format!("{body}\r\n.\r\n").as_bytes())
-            .expect("body");
-        let ack = self.read_reply();
-        assert!(ack.starts_with("250"), "delivery ack {ack:?}");
-    }
-}
-
-fn temp_root(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "spamaware-crash-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
-
 #[test]
 fn sigkill_mid_data_loses_no_acked_mail_and_invents_none() {
-    let root = temp_root("middata");
+    let root = spool("crash-middata");
 
     // Phase 1: accept two mails, then die mid-DATA of a third.
     let server = Server::spawn(&root);
     let mut c = server.connect();
     assert!(c.cmd("HELO client.example").starts_with("250"));
-    c.deliver("alice", "first accepted mail");
-    c.deliver("alice", "second accepted mail");
+    c.deliver(&["alice"], "first accepted mail");
+    c.deliver(&["alice"], "second accepted mail");
     assert!(c.cmd("MAIL FROM:<x@client.example>").starts_with("250"));
     assert!(c.cmd("RCPT TO:<alice@dept.example>").starts_with("250"));
     assert!(c.cmd("DATA").starts_with("354"));
@@ -202,7 +146,7 @@ fn sigkill_mid_data_loses_no_acked_mail_and_invents_none() {
     let server = Server::spawn(&root);
     let mut c = server.connect();
     assert!(c.cmd("HELO client.example").starts_with("250"));
-    c.deliver("alice", "post-restart mail");
+    c.deliver(&["alice"], "post-restart mail");
     assert!(c.cmd("QUIT").starts_with("221"));
     server.kill();
 
@@ -225,7 +169,7 @@ fn sigkill_mid_data_loses_no_acked_mail_and_invents_none() {
 
 #[test]
 fn graceful_drain_loses_no_acked_mail_and_exits_clean() {
-    let root = temp_root("drain");
+    let root = spool("crash-drain");
 
     // Deliver acked mail, leave the (delegated, in-worker) connection
     // open, then drain: the sibling of the SIGKILL test above, proving
@@ -234,14 +178,13 @@ fn graceful_drain_loses_no_acked_mail_and_exits_clean() {
     let server = Server::spawn(&root);
     let mut c = server.connect();
     assert!(c.cmd("HELO client.example").starts_with("250"));
-    c.deliver("alice", "acked before drain one");
-    c.deliver("bob", "acked before drain two");
+    c.deliver(&["alice"], "acked before drain one");
+    c.deliver(&["bob"], "acked before drain two");
     server.drain();
 
     // The idle delegated connection was told to come back later (421) —
     // or the socket was torn down with the process; either way no hang.
-    let mut farewell = String::new();
-    let _ = c.reader.read_line(&mut farewell);
+    let farewell = c.read_or_eof();
     assert!(
         farewell.is_empty() || farewell.starts_with("421"),
         "drained server said {farewell:?}"

@@ -1049,7 +1049,6 @@ impl Harness {
             session_deadline: self.ctx.session_deadline,
             data_deadline: cfg.data_deadline,
             max_outq_bytes: self.ctx.max_outq_bytes,
-            hold: None,
         };
         run_posttrust(&mut self.reactor, ctx);
         self.assert_conserved();

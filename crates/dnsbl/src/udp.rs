@@ -192,7 +192,7 @@ impl UdpDnsbl {
     }
 
     fn exchange(server: SocketAddr, query: Message, timeout: Duration) -> std::io::Result<Message> {
-        let socket = UdpSocket::bind(("127.0.0.1", 0))?;
+        let socket = client_socket(server)?;
         // A zero timeout would mean "block forever" to the socket layer —
         // clamp to the smallest bounded wait instead.
         socket.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
@@ -202,6 +202,17 @@ impl UdpDnsbl {
         Message::decode(&buf[..n])
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
+}
+
+/// The socket one exchange with `server` runs on, bound to the unspecified
+/// address of its family: Linux refuses to send from a loopback-bound
+/// socket to any address off the host (`EINVAL`).
+fn client_socket(server: SocketAddr) -> std::io::Result<UdpSocket> {
+    let any: SocketAddr = match server {
+        SocketAddr::V4(_) => (std::net::Ipv4Addr::UNSPECIFIED, 0).into(),
+        SocketAddr::V6(_) => (std::net::Ipv6Addr::UNSPECIFIED, 0).into(),
+    };
+    UdpSocket::bind(any)
 }
 
 /// Response budget of the convenience [`UdpDnsbl::lookup_v4`] /
@@ -317,6 +328,34 @@ mod tests {
         assert!(bm.contains(Ipv4::new(203, 0, 113, 77)));
         assert!(!bm.contains(Ipv4::new(203, 0, 113, 9)));
         assert_eq!(bm.count(), 2, "only the lower /25");
+        s.shutdown();
+        Ok(())
+    }
+
+    #[test]
+    fn a_dnsbl_off_the_loopback_interface_is_reachable() -> Result<(), Box<dyn std::error::Error>> {
+        // Connecting a UDP socket looks its route up and sends nothing, and
+        // fails as a send would. A TEST-NET-1 address stands for a resolver
+        // off the host; the local end of that route is this host's own
+        // non-loopback address.
+        let off_host: SocketAddr = "192.0.2.1:9".parse()?;
+        let probe = UdpSocket::bind(("0.0.0.0", 0))?;
+        if probe.connect(off_host).is_err() {
+            println!("no IPv4 route off the host; nothing to check");
+            return Ok(());
+        }
+        let host = probe.local_addr()?.ip();
+        client_socket(off_host)?.connect(off_host)?;
+        let db: BlacklistDb = [Ipv4::new(203, 0, 113, 7)].into_iter().collect();
+        let s = UdpDnsbl::start(SocketAddr::new(host, 0), "bl.example", db)?;
+        let bm = UdpDnsbl::lookup_v6_timeout(
+            s.local_addr(),
+            "bl.example",
+            Ipv4::new(203, 0, 113, 9),
+            Duration::from_secs(3),
+        )?;
+        assert!(bm.contains(Ipv4::new(203, 0, 113, 7)));
+        assert_eq!(bm.count(), 1);
         s.shutdown();
         Ok(())
     }

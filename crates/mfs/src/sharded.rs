@@ -38,7 +38,6 @@
 //! [`crate::MemFs`] into cloneable handles.
 
 use crate::backend::DataRef;
-use crate::mfs_store::TailPolicy;
 use crate::{
     Backend, MailId, MailStore, MailboxEntry, MfsStats, MfsStore, StoreResult, StoredMail,
 };
@@ -138,11 +137,10 @@ impl<B: Backend> ShardedStore<B> {
     /// — e.g. `|| RealDir::new(&root)` or `|| Ok(sync_memfs.clone())`.
     ///
     /// Existing MFS files are replayed exactly once, through the first
-    /// handle, and what replay keeps — the shared index, the highest id
+    /// handle, by [`MfsStore::open`], and what it keeps — the shared index
+    /// with its refcounts clamped to the live references, the highest id
     /// and the recovery count — becomes the shared partition; the mailbox
-    /// shards start empty and read their key files when asked. Shared
-    /// refcounts are taken as logged — clamping them durably is
-    /// [`ShardedStore::open_with_fsck`]'s job.
+    /// shards start empty and read their key files when asked.
     ///
     /// # Errors
     ///
@@ -157,9 +155,7 @@ impl<B: Backend> ShardedStore<B> {
         mut make: impl FnMut() -> StoreResult<B>,
     ) -> StoreResult<ShardedStore<B>> {
         assert!(shards >= 1, "shard count must be at least 1");
-        let mut whole = MfsStore::new(make()?);
-        whole.replay(TailPolicy::Strict, |_, _| {})?;
-        Self::deal(whole, shards, make)
+        Self::deal(MfsStore::open(make()?)?, shards, make)
     }
 
     /// Opens a sharded store with a durable repair pass first: runs

@@ -122,7 +122,9 @@ pub fn dealt_equals_replayed(
 ///   fully applied (a torn multi-recipient delivery legitimately lands in
 ///   the shards it reached before the cut);
 /// * a strict partitioned reopen ([`ShardedStore::open_with`]) of the
-///   survivors shows exactly the same mailbox contents;
+///   survivors shows exactly the same mailbox contents, and the same
+///   statistics as a strict [`MfsStore::open`] — shared refcounts a
+///   crash left high are clamped by both;
 /// * so does [`ShardedStore::open_with_fsck`] — the live server's restart
 ///   path — whose dealt shared index must equal a replay of the bytes it
 ///   repaired (see [`dealt_equals_replayed`]);
@@ -166,6 +168,12 @@ pub fn check_crash_point(ops: &[Op], point: CrashPoint) {
     let sync = SyncBackend::new(survivor);
     let sharded =
         ShardedStore::open_with(3, || Ok(sync.clone())).expect("partitioned reopen after crash");
+    let mut plain = MfsStore::open(sync.clone()).expect("strict reopen after crash");
+    assert_eq!(
+        sharded.stats(),
+        plain.stats(),
+        "the two strict opens disagree at {point:?}"
+    );
     for (i, mb) in MAILBOXES.iter().enumerate() {
         let got = repaired.read_mailbox(mb).expect("read after fsck");
         assert!(

@@ -6,75 +6,18 @@
 
 mod common;
 
-use common::assert_conserved_at_quiesce;
-use spamaware_core::{LiveConfig, LiveServer, MAX_LINE};
-use std::io::{BufRead, BufReader, Read, Write};
+use common::{assert_conserved_at_quiesce, serve, wait_for, Line};
+use spamaware_core::MAX_LINE;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(server: &LiveServer) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut greeting = String::new();
-        reader.read_line(&mut greeting).expect("greeting");
-        assert!(greeting.starts_with("220"), "greeting {greeting:?}");
-        Client { stream, reader }
-    }
-
-    fn cmd(&mut self, line: &str) -> String {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-        self.read_reply()
-    }
-
-    fn read_reply(&mut self) -> String {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("reply");
-        reply
-    }
-}
-
-fn server_with(tag: &str, tweak: impl FnOnce(&mut LiveConfig)) -> (LiveServer, std::path::PathBuf) {
-    let root = std::env::temp_dir().join(format!(
-        "spamaware-fi-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let mut cfg = LiveConfig::localhost(&root, vec!["alice".to_owned()]);
-    tweak(&mut cfg);
-    (LiveServer::start(cfg).expect("start"), root)
-}
-
-/// Polls `cond` for up to ~3 s; panics with `what` on timeout.
-fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    for _ in 0..300 {
-        if cond() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("timed out waiting for {what}");
-}
-
 #[test]
 fn abrupt_disconnect_mid_data_is_counted_not_delivered() {
-    let (srv, root) = server_with("middata", |_| {});
+    let (srv, root) = serve("middata", &["alice"], |_| {});
     assert_eq!(srv.metrics().histogram_count("worker.data_ns"), Some(0));
     {
-        let mut c = Client::connect(&srv);
+        let mut c = Line::greet(srv.local_addr());
         assert!(c.cmd("HELO rude.example").starts_with("250"));
         assert!(c.cmd("MAIL FROM:<x@rude.example>").starts_with("250"));
         assert!(c.cmd("RCPT TO:<alice@dept.example>").starts_with("250"));
@@ -84,13 +27,13 @@ fn abrupt_disconnect_mid_data_is_counted_not_delivered() {
     }
     // The worker closes out the DATA span even though the transfer was
     // abandoned, and nothing is stored or counted as delivered.
-    wait_until("abandoned DATA span to be recorded", || {
+    wait_for("abandoned DATA span to be recorded", || {
         srv.metrics().histogram_count("worker.data_ns") == Some(1)
     });
     // The worker can finish the abandoned span before the master's
     // `delegated.inc()` lands, so poll the counter too instead of
     // asserting it the instant the span shows up.
-    wait_until("delegation to be counted", || {
+    wait_for("delegation to be counted", || {
         srv.stats().snapshot().delegated == 1
     });
     let snap = srv.stats().snapshot();
@@ -107,20 +50,19 @@ fn abrupt_disconnect_mid_data_is_counted_not_delivered() {
 
 #[test]
 fn oversized_command_line_gets_500_and_overflow_counter() {
-    let (srv, root) = server_with("flood", |_| {});
+    let (srv, root) = serve("flood", &["alice"], |_| {});
     assert_eq!(srv.metrics().counter_value("live.overflows"), Some(0));
-    let mut c = Client::connect(&srv);
+    let mut c = Line::greet(srv.local_addr());
     // A single "line" longer than the fixed-size buffer, never terminated.
     c.stream
         .write_all(&vec![b'A'; MAX_LINE + 100])
         .expect("write flood");
-    let reply = c.read_reply();
+    let reply = c.read_line();
     assert!(reply.starts_with("500"), "flood reply {reply:?}");
     // The connection is closed behind the 500.
-    let mut rest = String::new();
-    let n = c.reader.read_line(&mut rest).unwrap_or(0);
-    assert_eq!(n, 0, "connection should be closed, got {rest:?}");
-    wait_until("overflow counter transition", || {
+    let rest = c.read_or_eof();
+    assert!(rest.is_empty(), "connection should be closed, got {rest:?}");
+    wait_for("overflow counter transition", || {
         srv.metrics().counter_value("live.overflows") == Some(1)
     });
     let snap = srv.stats().snapshot();
@@ -135,8 +77,8 @@ fn oversized_command_line_gets_500_and_overflow_counter() {
 
 #[test]
 fn pipelined_commands_in_one_segment_are_processed_in_order() {
-    let (srv, root) = server_with("pipeline", |_| {});
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("pipeline", &["alice"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     // The whole session arrives in one TCP segment: the master must parse
     // command-by-command, trust after RCPT, and hand the unread tail
     // (DATA onward) to the worker intact.
@@ -152,18 +94,18 @@ fn pipelined_commands_in_one_segment_are_processed_in_order() {
         )
         .expect("write burst");
     for expect in ["250", "250", "250", "354", "250", "221"] {
-        let reply = c.read_reply();
+        let reply = c.read_line();
         assert!(
             reply.starts_with(expect),
             "expected {expect}, got {reply:?}"
         );
     }
-    wait_until("pipelined mail to be stored", || {
+    wait_for("pipelined mail to be stored", || {
         srv.stats().snapshot().mails_stored == 1
     });
     // `delivered` ticks after the worker flushes the 221, so the replies
     // above can race it — wait for the transition rather than asserting.
-    wait_until("delivery to be counted", || {
+    wait_for("delivery to be counted", || {
         srv.stats().snapshot().delivered == 1
     });
     let m = srv.metrics();
@@ -177,7 +119,7 @@ fn pipelined_commands_in_one_segment_are_processed_in_order() {
     // The worker can race the master's `delegated.inc()` (the task is
     // visible to it the instant `try_send` lands), so poll the counter
     // like `abrupt_disconnect_mid_data_is_counted_not_delivered` does.
-    wait_until("delegation to be counted", || {
+    wait_for("delegation to be counted", || {
         srv.stats().snapshot().delegated == 1
     });
     drop(c);
@@ -188,20 +130,22 @@ fn pipelined_commands_in_one_segment_are_processed_in_order() {
 
 #[test]
 fn slowloris_pretrust_client_is_evicted_by_idle_timeout() {
-    let (srv, root) = server_with("slowloris", |cfg| {
+    let (srv, root) = serve("slowloris", &["alice"], |cfg| {
         cfg.pretrust_idle_timeout = Duration::from_millis(200);
     });
     assert_eq!(srv.metrics().counter_value("live.idle_evictions"), Some(0));
-    let mut c = Client::connect(&srv);
+    let mut c = Line::greet(srv.local_addr());
     // A slowloris client: drip a partial command, then stall forever.
     c.stream.write_all(b"HEL").expect("drip");
-    wait_until("idle eviction counter transition", || {
+    wait_for("idle eviction counter transition", || {
         srv.metrics().counter_value("live.idle_evictions") == Some(1)
     });
     // The master dropped the connection: the client sees EOF.
-    let mut line = String::new();
-    let n = c.reader.read_line(&mut line).unwrap_or(0);
-    assert_eq!(n, 0, "evicted connection should be closed, got {line:?}");
+    let line = c.read_or_eof();
+    assert!(
+        line.is_empty(),
+        "evicted connection should be closed, got {line:?}"
+    );
     let snap = srv.stats().snapshot();
     assert_eq!(snap.idle_evictions, 1);
     assert_eq!(snap.unfinished, 1);
@@ -209,7 +153,7 @@ fn slowloris_pretrust_client_is_evicted_by_idle_timeout() {
     // The eviction closed out the pre-trust span.
     assert_eq!(srv.metrics().histogram_count("master.pretrust_ns"), Some(1));
     // The server still serves fresh clients afterwards.
-    let mut c2 = Client::connect(&srv);
+    let mut c2 = Line::greet(srv.local_addr());
     assert!(c2.cmd("NOOP").starts_with("250"));
     drop((c, c2));
     assert_conserved_at_quiesce(&srv);
@@ -219,7 +163,7 @@ fn slowloris_pretrust_client_is_evicted_by_idle_timeout() {
 
 #[test]
 fn ipv6_peer_is_refused_with_554_and_counted() {
-    let (srv, root) = server_with("ipv6", |_| {});
+    let (srv, root) = serve("ipv6", &["alice"], |_| {});
     // The server listens on 127.0.0.1 (IPv4), so drive the counter the way
     // the master would: assert the counter exists and starts at zero, then
     // check the reply constructor used for the refusal.
@@ -233,11 +177,11 @@ fn ipv6_peer_is_refused_with_554_and_counted() {
 
 #[test]
 fn admin_socket_serves_deterministic_metrics_report() {
-    let (srv, root) = server_with("admin", |_| {});
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("admin", &["alice"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     assert!(c.cmd("NOOP").starts_with("250"));
     assert!(c.cmd("QUIT").starts_with("221"));
-    wait_until("session to be retired", || {
+    wait_for("session to be retired", || {
         srv.stats().snapshot().unfinished == 1
     });
 

@@ -14,6 +14,8 @@
 //! cargo test -p integration-tests --test fsck_fixtures -- --include-ignored regenerate
 //! ```
 
+mod common;
+
 use spamaware_mfs::{fsck, DataRef, MailId, MailStore, MfsStore, RealDir, ShardedStore};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,14 +36,7 @@ fn fixture_dir(case: &str) -> PathBuf {
 /// Copies a fixture's store files into a scratch root (fsck repairs in
 /// place; the checked-in bytes must stay damaged).
 fn checkout(case: &str) -> PathBuf {
-    let scratch = std::env::temp_dir().join(format!(
-        "spamaware-fixture-{case}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
+    let scratch = common::spool(&format!("fixture-{case}"));
     let src = fixture_dir(case).join("mfs");
     let dst = scratch.join("mfs");
     fs::create_dir_all(&dst).expect("mkdir scratch");

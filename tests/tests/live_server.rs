@@ -1,84 +1,25 @@
 //! End-to-end tests of the live fork-after-trust SMTP server over real
 //! TCP sockets.
 
+mod common;
+
+use common::{serve, spool, wait_for, Line};
 use spamaware_core::{LiveConfig, LiveServer, ServeError};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::Duration;
 
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(server: &LiveServer) -> Client {
-        Client::connect_addr(server.local_addr())
-    }
-
-    fn connect_addr(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut greeting = String::new();
-        reader.read_line(&mut greeting).expect("greeting");
-        assert!(greeting.starts_with("220"), "greeting {greeting:?}");
-        Client { stream, reader }
-    }
-
-    fn cmd(&mut self, line: &str) -> String {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("reply");
-        reply
-    }
-
-    fn raw(&mut self, line: &str) {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-    }
-}
-
-fn server(tag: &str, mailboxes: &[&str]) -> (LiveServer, std::path::PathBuf) {
-    let root = std::env::temp_dir().join(format!(
-        "spamaware-it-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let cfg = LiveConfig::localhost(&root, mailboxes.iter().map(|s| s.to_string()).collect());
-    (LiveServer::start(cfg).expect("start"), root)
-}
-
 fn wait_for_mails(server: &LiveServer, n: u64) {
-    for _ in 0..200 {
-        if server.stats().snapshot().mails_stored >= n {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("timed out waiting for {n} stored mails");
+    wait_for(&format!("{n} stored mails"), || {
+        server.stats().snapshot().mails_stored >= n
+    });
 }
 
 #[test]
 fn delivers_single_recipient_mail() {
-    let (srv, root) = server("single", &["alice"]);
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("single", &["alice"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     assert!(c.cmd("HELO client.example").starts_with("250"));
-    assert!(c.cmd("MAIL FROM:<x@remote.example>").starts_with("250"));
-    assert!(c.cmd("RCPT TO:<alice@dept.example>").starts_with("250"));
-    assert!(c.cmd("DATA").starts_with("354"));
-    c.raw("Subject: hi");
-    c.raw("");
-    c.raw("body line");
-    assert!(c.cmd(".").starts_with("250"));
+    c.deliver(&["alice"], "Subject: hi\r\n\r\nbody line");
     assert!(c.cmd("QUIT").starts_with("221"));
     wait_for_mails(&srv, 1);
     let store = srv.store();
@@ -92,18 +33,10 @@ fn delivers_single_recipient_mail() {
 
 #[test]
 fn multi_recipient_spam_stored_once() {
-    let (srv, root) = server("multi", &["a", "b", "c"]);
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("multi", &["a", "b", "c"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     c.cmd("HELO bot.example");
-    c.cmd("MAIL FROM:<spam@bot.example>");
-    for mb in ["a", "b", "c"] {
-        assert!(c
-            .cmd(&format!("RCPT TO:<{mb}@dept.example>"))
-            .starts_with("250"));
-    }
-    assert!(c.cmd("DATA").starts_with("354"));
-    c.raw("spam body");
-    assert!(c.cmd(".").starts_with("250"));
+    c.deliver(&["a", "b", "c"], "spam body");
     c.cmd("QUIT");
     wait_for_mails(&srv, 1);
     let store = srv.store();
@@ -120,20 +53,17 @@ fn multi_recipient_spam_stored_once() {
 
 #[test]
 fn bounce_connection_never_reaches_workers() {
-    let (srv, root) = server("bounce", &["alice"]);
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("bounce", &["alice"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     c.cmd("HELO harvester.example");
     c.cmd("MAIL FROM:<>");
     assert!(c.cmd("RCPT TO:<admin@dept.example>").starts_with("550"));
     assert!(c.cmd("RCPT TO:<root@dept.example>").starts_with("550"));
     assert!(c.cmd("QUIT").starts_with("221"));
     // Master dispatched it: bounces counted, nothing delegated.
-    for _ in 0..100 {
-        if srv.stats().snapshot().bounces == 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for("the bounce to be counted", || {
+        srv.stats().snapshot().bounces == 1
+    });
     let snap = srv.stats().snapshot();
     assert_eq!(snap.bounces, 1);
     assert_eq!(snap.delegated, 0);
@@ -144,36 +74,28 @@ fn bounce_connection_never_reaches_workers() {
 
 #[test]
 fn unfinished_connection_counted() {
-    let (srv, root) = server("unfinished", &["alice"]);
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("unfinished", &["alice"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     c.cmd("HELO shy.example");
     c.cmd("QUIT");
-    for _ in 0..100 {
-        if srv.stats().snapshot().unfinished == 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(srv.stats().snapshot().unfinished, 1);
+    wait_for("the unfinished session to be counted", || {
+        srv.stats().snapshot().unfinished == 1
+    });
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
 
 #[test]
 fn concurrent_clients_all_delivered() {
-    let (srv, root) = server("concurrent", &["inbox"]);
+    let (srv, root) = serve("concurrent", &["inbox"], |_| {});
     let addr = srv.local_addr();
     let n = 8;
     let handles: Vec<_> = (0..n)
         .map(|i| {
             std::thread::spawn(move || {
-                let mut c = Client::connect_addr(addr);
+                let mut c = Line::greet(addr);
                 c.cmd("HELO c.example");
-                c.cmd(&format!("MAIL FROM:<c{i}@remote.example>"));
-                assert!(c.cmd("RCPT TO:<inbox@dept.example>").starts_with("250"));
-                assert!(c.cmd("DATA").starts_with("354"));
-                c.raw(&format!("mail number {i}"));
-                assert!(c.cmd(".").starts_with("250"));
+                c.deliver(&["inbox"], &format!("mail number {i}"));
                 c.cmd("QUIT");
             })
         })
@@ -194,22 +116,17 @@ fn concurrent_clients_all_delivered() {
 /// the parent's log2 buckets printed p50 = p95 = p99 = 4194303.
 #[test]
 fn metrics_show_distinct_ordered_pretrust_percentiles() {
-    let (srv, root) = server("percentiles", &["inbox"]);
+    let (srv, root) = serve("percentiles", &["inbox"], |_| {});
     let addr = srv.local_addr();
     let (clients, sessions) = (4, 50);
     let handles: Vec<_> = (0..clients)
         .map(|_| {
             std::thread::spawn(move || {
+                let body = vec!["x".repeat(62); 64].join("\r\n");
                 for _ in 0..sessions {
-                    let mut c = Client::connect_addr(addr);
+                    let mut c = Line::greet(addr);
                     c.cmd("HELO c.example");
-                    c.cmd("MAIL FROM:<c@remote.example>");
-                    assert!(c.cmd("RCPT TO:<inbox@dept.example>").starts_with("250"));
-                    assert!(c.cmd("DATA").starts_with("354"));
-                    for _ in 0..64 {
-                        c.raw(&"x".repeat(62));
-                    }
-                    assert!(c.cmd(".").starts_with("250"));
+                    c.deliver(&["inbox"], &body);
                     c.cmd("QUIT");
                 }
             })
@@ -238,14 +155,10 @@ fn metrics_show_distinct_ordered_pretrust_percentiles() {
 
 #[test]
 fn mail_survives_server_restart() {
-    let (srv, root) = server("restart", &["alice"]);
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("restart", &["alice"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     c.cmd("HELO c.example");
-    c.cmd("MAIL FROM:<x@remote.example>");
-    c.cmd("RCPT TO:<alice@dept.example>");
-    c.cmd("DATA");
-    c.raw("persistent");
-    c.cmd(".");
+    c.deliver(&["alice"], "persistent");
     c.cmd("QUIT");
     wait_for_mails(&srv, 1);
     srv.shutdown();
@@ -262,20 +175,19 @@ fn mail_survives_server_restart() {
 
 #[test]
 fn oversized_line_is_rejected() {
-    let (srv, root) = server("overflow", &["alice"]);
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("overflow", &["alice"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     let huge = "X".repeat(5000);
     // The server may close (even RST, with flood bytes still unread)
     // as soon as it detects the overflow, so these writes can
     // legitimately fail mid-flood.
     let _ = c.stream.write_all(huge.as_bytes());
     let _ = c.stream.write_all(b"\r\n");
-    let mut reply = String::new();
     // Server answers 500 and closes, or just closes; both are acceptable
     // overflow handling. It must not crash.
-    let _ = c.reader.read_line(&mut reply);
+    let _ = c.read_or_eof();
     drop(c);
-    let mut c2 = Client::connect(&srv);
+    let mut c2 = Line::greet(srv.local_addr());
     assert!(c2.cmd("HELO still.alive").starts_with("250"));
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
@@ -283,8 +195,8 @@ fn oversized_line_is_rejected() {
 
 #[test]
 fn message_past_the_size_limit_draws_552_at_the_dot_and_the_session_goes_on() {
-    let (srv, root) = server("toolarge", &["alice"]);
-    let mut c = Client::connect(&srv);
+    let (srv, root) = serve("toolarge", &["alice"], |_| {});
+    let mut c = Line::greet(srv.local_addr());
     c.cmd("HELO client.example");
     c.cmd("MAIL FROM:<x@remote.example>");
     assert!(c.cmd("RCPT TO:<alice@dept.example>").starts_with("250"));
@@ -297,11 +209,7 @@ fn message_past_the_size_limit_draws_552_at_the_dot_and_the_session_goes_on() {
     }
     assert!(c.cmd(".").starts_with("552"));
     // Refused, not fatal: the next transaction on the connection lands.
-    assert!(c.cmd("MAIL FROM:<x@remote.example>").starts_with("250"));
-    assert!(c.cmd("RCPT TO:<alice@dept.example>").starts_with("250"));
-    assert!(c.cmd("DATA").starts_with("354"));
-    c.raw("fits");
-    assert!(c.cmd(".").starts_with("250"));
+    c.deliver(&["alice"], "fits");
     assert!(c.cmd("QUIT").starts_with("221"));
     wait_for_mails(&srv, 1);
     let mails = srv.store().read_mailbox("alice").expect("read");
@@ -325,25 +233,15 @@ fn more_hot_mailboxes_than_handles_stay_within_the_fd_budget() {
     // 640 mailboxes written round after round: more key files than the
     // store's 9 handle tables hold (DESIGN.md §11).
     let names: Vec<String> = (0..640).map(|i| format!("user{i}")).collect();
-    let (srv, root) = server(
-        "fdbudget",
-        &names.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let (srv, root) = serve("fdbudget", &names, |_| {});
     let budget = 9 * spamaware_mfs::RealDir::MAX_OPEN;
     let mut sent = 0;
     for round in 0..2 {
         for group in names.chunks(8) {
-            let mut c = Client::connect(&srv);
+            let mut c = Line::greet(srv.local_addr());
             c.cmd("HELO bot.example");
-            c.cmd("MAIL FROM:<spam@bot.example>");
-            for mb in group {
-                assert!(c
-                    .cmd(&format!("RCPT TO:<{mb}@dept.example>"))
-                    .starts_with("250"));
-            }
-            assert!(c.cmd("DATA").starts_with("354"));
-            c.raw(&format!("round {round}"));
-            assert!(c.cmd(".").starts_with("250"));
+            c.deliver(group, &format!("round {round}"));
             c.cmd("QUIT");
             sent += 1;
             assert!(
@@ -356,7 +254,7 @@ fn more_hot_mailboxes_than_handles_stay_within_the_fd_budget() {
     wait_for_mails(&srv, sent);
     assert!(fds_under(&root) > budget / 2, "the tables are in use");
     let store = srv.store();
-    for mb in [&names[0], &names[333], &names[639]] {
+    for mb in [names[0], names[333], names[639]] {
         let mails = store.read_mailbox(mb).expect("read");
         let bodies: Vec<&[u8]> = mails.iter().map(|m| &m.body[..]).collect();
         assert_eq!(bodies, [&b"round 0\r\n"[..], b"round 1\r\n"], "{mb}");
@@ -400,7 +298,7 @@ fn a_started_server_has_reserved_its_descriptor_table() {
     }
     let before = fd_table_size();
     assert!(before < 1024, "a fresh process has FDSize {before}");
-    let (srv, root) = server("fdtable", &["inbox"]);
+    let (srv, root) = serve("fdtable", &["inbox"], |_| {});
     assert!(fd_table_size() >= 1024, "FDSize {}", fd_table_size());
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
@@ -414,19 +312,18 @@ fn a_zeroed_limit_is_refused_and_leaves_no_thread_behind() {
             .count()
     };
     type Zero = fn(&mut LiveConfig);
-    let cases: [(&str, Zero); 8] = [
+    let cases: [(&str, Zero); 7] = [
         ("workers", |c| c.workers = 0),
         ("worker_queue", |c| c.worker_queue = 0),
         ("max_connections", |c| c.max_connections = 0),
         ("max_pretrust_per_ip", |c| c.max_pretrust_per_ip = 0),
         ("max_outq_bytes", |c| c.max_outq_bytes = 0),
         ("session_deadline", |c| c.session_deadline = Duration::ZERO),
-        ("data_deadline", |c| c.data_deadline = Duration::ZERO),
         ("write_stall_timeout", |c| {
             c.write_stall_timeout = Duration::ZERO
         }),
     ];
-    let root = std::env::temp_dir().join(format!("spamaware-it-refused-{}", std::process::id()));
+    let root = spool("refused");
     for (field, zero) in cases {
         // The other tests of this binary start and stop servers meanwhile,
         // so one pair of readings can grow through no fault of the refused
@@ -449,32 +346,23 @@ fn a_zeroed_limit_is_refused_and_leaves_no_thread_behind() {
 
 #[test]
 fn idle_pretrust_connection_is_dropped() {
-    let root = std::env::temp_dir().join(format!(
-        "spamaware-idle-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let mut cfg = LiveConfig::localhost(&root, vec!["alice".into()]);
-    cfg.pretrust_idle_timeout = Duration::from_millis(150);
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("idle", &["alice"], |cfg| {
+        cfg.pretrust_idle_timeout = Duration::from_millis(150);
+    });
 
     // Connect, read the greeting, then go silent.
-    let mut c = Client::connect(&srv);
+    let mut c = Line::greet(srv.local_addr());
     std::thread::sleep(Duration::from_millis(500));
     // The master dropped us: further reads see EOF.
-    let mut line = String::new();
-    let n = c.reader.read_line(&mut line).unwrap_or(0);
-    assert_eq!(n, 0, "connection should be closed, got {line:?}");
+    let line = c.read_or_eof();
+    assert!(line.is_empty(), "connection should be closed, got {line:?}");
     assert_eq!(
         srv.stats().snapshot().unfinished,
         1,
         "counted as unfinished"
     );
     // The server still serves new clients.
-    let mut c2 = Client::connect(&srv);
+    let mut c2 = Line::greet(srv.local_addr());
     assert!(c2.cmd("HELO fresh.example").starts_with("250"));
     srv.shutdown();
     let _ = std::fs::remove_dir_all(root);
@@ -482,23 +370,15 @@ fn idle_pretrust_connection_is_dropped() {
 
 #[test]
 fn idle_eviction_boundary_activity_resets_the_clock() {
-    let root = std::env::temp_dir().join(format!(
-        "spamaware-idleb-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let mut cfg = LiveConfig::localhost(&root, vec!["alice".into()]);
-    cfg.pretrust_idle_timeout = Duration::from_millis(600);
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("idleb", &["alice"], |cfg| {
+        cfg.pretrust_idle_timeout = Duration::from_millis(600);
+    });
 
     // Stay just under the timeout twice: each NOOP answers 250 and resets
     // the idle clock, so by the second one the connection has been open
     // longer than one whole timeout — proof the deadline is idle time,
     // not connection age.
-    let mut c = Client::connect(&srv);
+    let mut c = Line::greet(srv.local_addr());
     for _ in 0..2 {
         std::thread::sleep(Duration::from_millis(300));
         assert!(c.cmd("NOOP").starts_with("250"), "just-under must survive");
@@ -507,9 +387,8 @@ fn idle_eviction_boundary_activity_resets_the_clock() {
 
     // Now go just over: silent past the timeout, evicted exactly once.
     std::thread::sleep(Duration::from_millis(900));
-    let mut line = String::new();
-    let n = c.reader.read_line(&mut line).unwrap_or(0);
-    assert_eq!(n, 0, "just-over should see EOF, got {line:?}");
+    let line = c.read_or_eof();
+    assert!(line.is_empty(), "just-over should see EOF, got {line:?}");
     let snap = srv.stats().snapshot();
     assert_eq!(snap.idle_evictions, 1, "evicted exactly once");
     assert_eq!(snap.unfinished, 1);

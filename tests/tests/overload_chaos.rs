@@ -4,109 +4,22 @@
 //! argument: the master must stay responsive no matter what clients or
 //! external dependencies do. These tests inflict the bad days — floods
 //! past the connection cap, one IP hogging the pre-trust loop, a
-//! blackholed or garbled DNSBL, every worker queue full, a drain during
-//! live traffic — and assert the server degrades the way DESIGN.md §13
-//! promises: shed with `421`, fail open on DNSBL trouble, never stall the
-//! accept loop, never lose an acked mail.
+//! blackholed or garbled DNSBL, a drain during live traffic — and assert
+//! the server degrades the way DESIGN.md §13 promises: shed with `421`,
+//! fail open on DNSBL trouble, never stall the accept loop, never lose an
+//! acked mail. The server runs on its shipped DNSBL budget and breaker.
+//! A full worker pool is `Dispatch::offer`'s unit test (`live.rs`) and
+//! `sim_engine::worker_saturation_hands_back_and_sheds_with_421`.
 
 mod common;
 
-use common::assert_conserved_at_quiesce;
-use spamaware_core::{BreakerConfig, LiveConfig, LiveServer};
+use common::{assert_conserved_at_quiesce, serve, wait_for, Line};
+use spamaware_core::BreakerConfig;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A raw client that records the first line the server said, whatever it
-/// was — `220` service ready or `421` shed.
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    first_line: String,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut first_line = String::new();
-        reader.read_line(&mut first_line).expect("first line");
-        Client {
-            stream,
-            reader,
-            first_line,
-        }
-    }
-
-    fn greeted(&self) -> bool {
-        self.first_line.starts_with("220")
-    }
-
-    fn shed(&self) -> bool {
-        self.first_line.starts_with("421")
-    }
-
-    fn cmd(&mut self, line: &str) -> String {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-        self.read_line()
-    }
-
-    fn read_line(&mut self) -> String {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("reply");
-        reply
-    }
-
-    fn raw(&mut self, line: &str) {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-    }
-
-    /// Full transaction through the acknowledged 250 after `.`.
-    fn deliver(&mut self, rcpt: &str, body: &str) {
-        assert!(self.cmd("MAIL FROM:<x@client.example>").starts_with("250"));
-        assert!(self
-            .cmd(&format!("RCPT TO:<{rcpt}@dept.example>"))
-            .starts_with("250"));
-        assert!(self.cmd("DATA").starts_with("354"));
-        self.raw(body);
-        let ack = self.cmd(".");
-        assert!(ack.starts_with("250"), "delivery ack {ack:?}");
-    }
-}
-
-fn temp_root(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "spamaware-chaos-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
-
-fn base_config(root: &std::path::Path) -> LiveConfig {
-    LiveConfig::localhost(root, vec!["inbox".into()])
-}
-
-fn wait_for<F: Fn() -> bool>(what: &str, cond: F) {
-    for _ in 0..500 {
-        if cond() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("timed out waiting for {what}");
-}
 
 /// A UDP socket that answers every datagram with garbage — the
 /// mis-behaving-resolver sibling of a blackhole.
@@ -159,23 +72,22 @@ impl Drop for GarbledDnsbl {
 
 #[test]
 fn flood_past_connection_cap_sheds_with_421_then_recovers() {
-    let root = temp_root("cap");
-    let mut cfg = base_config(&root);
-    cfg.max_connections = 8;
-    cfg.max_pretrust_per_ip = 10_000; // everyone is 127.0.0.1 here
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("cap", &["inbox"], |cfg| {
+        cfg.max_connections = 8;
+        cfg.max_pretrust_per_ip = 10_000; // everyone is 127.0.0.1 here
+    });
     let addr = srv.local_addr();
 
     // Fill the cap with silent pre-trust connections.
-    let holders: Vec<Client> = (0..8).map(|_| Client::connect(addr)).collect();
-    assert!(holders.iter().all(Client::greeted), "under cap: all 220");
+    let holders: Vec<Line> = (0..8).map(|_| Line::connect(addr)).collect();
+    assert!(holders.iter().all(Line::greeted), "under cap: all 220");
     wait_for("inflight to reach cap", || srv.inflight() == 8);
 
     // Past the cap: shed with 421, and fast — no session, no worker.
     for _ in 0..4 {
         let t0 = Instant::now();
-        let c = Client::connect(addr);
-        assert!(c.shed(), "over cap expected 421, got {:?}", c.first_line);
+        let c = Line::connect(addr);
+        assert!(c.shed(), "over cap expected 421, got {:?}", c.first);
         assert!(
             t0.elapsed() < Duration::from_secs(1),
             "shedding must be fast, took {:?}",
@@ -189,10 +101,10 @@ fn flood_past_connection_cap_sheds_with_421_then_recovers() {
     // Capacity returns as soon as the holders leave.
     drop(holders);
     wait_for("inflight to drain", || srv.inflight() == 0);
-    let mut c = Client::connect(addr);
-    assert!(c.greeted(), "capacity recovered: {:?}", c.first_line);
+    let mut c = Line::connect(addr);
+    assert!(c.greeted(), "capacity recovered: {:?}", c.first);
     assert!(c.cmd("HELO late.example").starts_with("250"));
-    c.deliver("inbox", "post-flood mail");
+    c.deliver(&["inbox"], "post-flood mail");
     wait_for("mail stored", || srv.stats().snapshot().mails_stored == 1);
 
     drop(c);
@@ -203,26 +115,21 @@ fn flood_past_connection_cap_sheds_with_421_then_recovers() {
 
 #[test]
 fn per_ip_pretrust_cap_sheds_the_hog_and_releases_on_trust() {
-    let root = temp_root("perip");
-    let mut cfg = base_config(&root);
-    cfg.max_connections = 1000;
-    cfg.max_pretrust_per_ip = 2;
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("perip", &["inbox"], |cfg| {
+        cfg.max_connections = 1000;
+        cfg.max_pretrust_per_ip = 2;
+    });
     let addr = srv.local_addr();
 
     // Two silent pre-trust connections from this IP fill its quota…
-    let hog_a = Client::connect(addr);
-    let hog_b = Client::connect(addr);
+    let hog_a = Line::connect(addr);
+    let hog_b = Line::connect(addr);
     assert!(hog_a.greeted() && hog_b.greeted());
     wait_for("hogs admitted", || srv.inflight() == 2);
     // …so the third is shed even though the server is nowhere near the
     // total cap.
-    let c3 = Client::connect(addr);
-    assert!(
-        c3.shed(),
-        "per-IP cap expected 421, got {:?}",
-        c3.first_line
-    );
+    let c3 = Line::connect(addr);
+    assert!(c3.shed(), "per-IP cap expected 421, got {:?}", c3.first);
     assert_eq!(srv.stats().snapshot().shed_per_ip, 1);
 
     // The cap counts *pre-trust* connections only: once a connection
@@ -233,11 +140,11 @@ fn per_ip_pretrust_cap_sheds_the_hog_and_releases_on_trust() {
     assert!(hog_a.cmd("MAIL FROM:<x@one.example>").starts_with("250"));
     assert!(hog_a.cmd("RCPT TO:<inbox@dept.example>").starts_with("250"));
     wait_for("hog A delegated", || srv.stats().snapshot().delegated == 1);
-    let c4 = Client::connect(addr);
+    let c4 = Line::connect(addr);
     assert!(
         c4.greeted(),
         "slot released after delegation, got {:?}",
-        c4.first_line
+        c4.first
     );
 
     drop((hog_a, hog_b, c3, c4));
@@ -248,30 +155,23 @@ fn per_ip_pretrust_cap_sheds_the_hog_and_releases_on_trust() {
 
 #[test]
 fn blackholed_dnsbl_trips_breaker_and_mail_flows_fail_open() {
-    // A bound socket that never answers: every lookup burns its full
-    // (tiny) budget until the breaker opens.
+    // A bound socket that never answers: every lookup burns the shipped
+    // 100 ms budget until the shipped breaker opens, after three.
     let sink = UdpSocket::bind(("127.0.0.1", 0)).expect("bind sink");
     let sink_addr = sink.local_addr().expect("addr");
 
-    let root = temp_root("blackhole");
-    let mut cfg = base_config(&root);
-    cfg.dnsbl_udp = Some((sink_addr, "bl.example".to_owned()));
-    cfg.dnsbl_udp_timeout = Duration::from_millis(25);
-    cfg.dnsbl_breaker = BreakerConfig {
-        failure_threshold: 3,
-        open_backoff: Duration::from_secs(600), // stays open for the test
-        max_backoff: Duration::from_secs(600),
-    };
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("blackhole", &["inbox"], |cfg| {
+        cfg.dnsbl_udp = Some((sink_addr, "bl.example".to_owned()));
+    });
     let addr = srv.local_addr();
 
     // Every connection is greeted promptly: the lookups happen on the
     // agent thread, so not even the first three (which burn their full
-    // 25 ms budget) can slow a greeting down.
+    // 100 ms budget) can slow a greeting down.
     for i in 0..10 {
         let t0 = Instant::now();
-        let c = Client::connect(addr);
-        assert!(c.greeted(), "conn {i}: {:?}", c.first_line);
+        let c = Line::connect(addr);
+        assert!(c.greeted(), "conn {i}: {:?}", c.first);
         assert!(
             t0.elapsed() < Duration::from_secs(1),
             "conn {i} greeting took {:?}",
@@ -297,9 +197,9 @@ fn blackholed_dnsbl_trips_breaker_and_mail_flows_fail_open() {
     );
 
     // §9: DNSBL trouble never delays or denies mail.
-    let mut c = Client::connect(addr);
+    let mut c = Line::connect(addr);
     assert!(c.cmd("HELO failopen.example").starts_with("250"));
-    c.deliver("inbox", "delivered despite dead dnsbl");
+    c.deliver(&["inbox"], "delivered despite dead dnsbl");
     wait_for("mail stored", || srv.stats().snapshot().mails_stored == 1);
     assert_eq!(srv.stats().snapshot().blacklisted, 0, "fail-open verdict");
 
@@ -313,20 +213,13 @@ fn blackholed_dnsbl_trips_breaker_and_mail_flows_fail_open() {
 fn garbled_dnsbl_counts_errors_not_timeouts_and_trips_breaker() {
     let garbled = GarbledDnsbl::start();
 
-    let root = temp_root("garbled");
-    let mut cfg = base_config(&root);
-    cfg.dnsbl_udp = Some((garbled.addr, "bl.example".to_owned()));
-    cfg.dnsbl_udp_timeout = Duration::from_millis(100);
-    cfg.dnsbl_breaker = BreakerConfig {
-        failure_threshold: 3,
-        open_backoff: Duration::from_secs(600),
-        max_backoff: Duration::from_secs(600),
-    };
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("garbled", &["inbox"], |cfg| {
+        cfg.dnsbl_udp = Some((garbled.addr, "bl.example".to_owned()));
+    });
     let addr = srv.local_addr();
 
     for _ in 0..6 {
-        let c = Client::connect(addr);
+        let c = Line::connect(addr);
         assert!(c.greeted());
     }
     let m = srv.metrics();
@@ -348,20 +241,13 @@ fn breaker_closes_again_when_the_dnsbl_heals() {
     let sink = UdpSocket::bind(("127.0.0.1", 0)).expect("bind sink");
     let dnsbl_addr = sink.local_addr().expect("addr");
 
-    let root = temp_root("heal");
-    let mut cfg = base_config(&root);
-    cfg.dnsbl_udp = Some((dnsbl_addr, "bl.example".to_owned()));
-    cfg.dnsbl_udp_timeout = Duration::from_millis(25);
-    cfg.dnsbl_breaker = BreakerConfig {
-        failure_threshold: 2,
-        open_backoff: Duration::from_millis(200),
-        max_backoff: Duration::from_secs(2),
-    };
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("heal", &["inbox"], |cfg| {
+        cfg.dnsbl_udp = Some((dnsbl_addr, "bl.example".to_owned()));
+    });
     let addr = srv.local_addr();
 
     for _ in 0..3 {
-        let c = Client::connect(addr);
+        let c = Line::connect(addr);
         assert!(c.greeted());
     }
     let m = srv.metrics();
@@ -380,10 +266,11 @@ fn breaker_closes_again_when_the_dnsbl_heals() {
     let real = spamaware_dnsbl::UdpDnsbl::start(dnsbl_addr, "bl.example", db)
         .expect("rebind real dnsbl on the sink's port");
 
-    // Let the open window lapse, then the next connection is the probe.
-    std::thread::sleep(Duration::from_millis(300));
+    // Let the shipped open window lapse, then the next connection is the
+    // probe.
+    std::thread::sleep(BreakerConfig::default().open_backoff + Duration::from_millis(100));
     wait_for("breaker to close after probe", || {
-        let c = Client::connect(addr);
+        let c = Line::connect(addr);
         assert!(c.greeted());
         srv.metrics().gauge_value("dnsbl.breaker_state") == Some(0)
     });
@@ -399,94 +286,18 @@ fn breaker_closes_again_when_the_dnsbl_heals() {
 }
 
 #[test]
-fn full_worker_queues_tempfail_instead_of_stalling_the_master() {
-    let root = temp_root("busy");
-    let mut cfg = base_config(&root);
-    cfg.workers = 1;
-    cfg.worker_queue = 1;
-    let hold = Arc::new(AtomicBool::new(true));
-    cfg.worker_hold = Some(Arc::clone(&hold));
-    let srv = LiveServer::start(cfg).expect("start");
-    let addr = srv.local_addr();
-
-    let trust = |c: &mut Client, tag: &str| {
-        assert!(c.cmd(&format!("HELO {tag}.example")).starts_with("250"));
-        assert!(c
-            .cmd(&format!("MAIL FROM:<x@{tag}.example>"))
-            .starts_with("250"));
-        assert!(c.cmd("RCPT TO:<inbox@dept.example>").starts_with("250"));
-    };
-
-    // A is dequeued and held by the stalled worker; B fills the one queue
-    // slot. The queue-depth gauge counts both (the held task has not been
-    // accounted as started).
-    let mut a = Client::connect(addr);
-    trust(&mut a, "a");
-    let mut b = Client::connect(addr);
-    trust(&mut b, "b");
-    wait_for("worker saturated", || {
-        srv.metrics().gauge_value("worker.queue_depth") == Some(2)
-    });
-
-    // C earns trust but there is nowhere to put it: the master answers
-    // `421` immediately instead of blocking on a queue send.
-    let mut c = Client::connect(addr);
-    trust(&mut c, "c");
-    let shed_reply = c.read_line();
-    assert!(
-        shed_reply.starts_with("421"),
-        "expected shed, got {shed_reply:?}"
-    );
-    assert_eq!(srv.stats().snapshot().shed_worker_busy, 1);
-
-    // The master never stalled: a fresh pre-trust dialog is served at
-    // full speed while the worker is still wedged.
-    let t0 = Instant::now();
-    let mut d = Client::connect(addr);
-    assert!(d.greeted());
-    assert!(d.cmd("HELO d.example").starts_with("250"));
-    assert!(
-        t0.elapsed() < Duration::from_secs(1),
-        "master stalled behind the wedged worker: {:?}",
-        t0.elapsed()
-    );
-
-    // Release the worker: the held and queued transactions finish whole.
-    // The single worker serves one connection at a time, so A must QUIT
-    // before B's queued task is picked up.
-    hold.store(false, Ordering::SeqCst);
-    for (client, tag) in [(&mut a, "a"), (&mut b, "b")] {
-        assert!(client.cmd("DATA").starts_with("354"), "{tag}");
-        client.raw(&format!("mail from held client {tag}"));
-        assert!(client.cmd(".").starts_with("250"), "{tag}");
-        assert!(client.cmd("QUIT").starts_with("221"), "{tag}");
-    }
-    wait_for("held mail stored", || {
-        srv.stats().snapshot().mails_stored == 2
-    });
-
-    // Every connection of the episode — the two held, the one shed, the
-    // bystander — ends in exactly one outcome.
-    drop((a, b, c, d));
-    assert_conserved_at_quiesce(&srv);
-    srv.shutdown();
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
 fn graceful_drain_finishes_inflight_data_and_loses_no_acked_mail() {
-    let root = temp_root("drain");
-    let srv = LiveServer::start(base_config(&root)).expect("start");
+    let (srv, root) = serve("drain", &["inbox"], |_| {});
     let addr = srv.local_addr();
 
     // Two mails fully acked before the drain.
-    let mut settled = Client::connect(addr);
+    let mut settled = Line::connect(addr);
     assert!(settled.cmd("HELO settled.example").starts_with("250"));
-    settled.deliver("inbox", "acked before drain");
-    settled.deliver("inbox", "also acked before drain");
+    settled.deliver(&["inbox"], "acked before drain");
+    settled.deliver(&["inbox"], "also acked before drain");
 
     // A third client is *mid-DATA* when the drain begins.
-    let mut mid = Client::connect(addr);
+    let mut mid = Line::connect(addr);
     assert!(mid.cmd("HELO mid.example").starts_with("250"));
     assert!(mid.cmd("MAIL FROM:<x@mid.example>").starts_with("250"));
     assert!(mid.cmd("RCPT TO:<inbox@dept.example>").starts_with("250"));
@@ -499,15 +310,14 @@ fn graceful_drain_finishes_inflight_data_and_loses_no_acked_mail() {
             let h = s.spawn(move || srv.drain(Duration::from_secs(10)));
             // The flag is set synchronously, so a new arrival is shed…
             std::thread::sleep(Duration::from_millis(100));
-            let late = Client::connect(addr);
-            assert!(late.shed(), "draining server said {:?}", late.first_line);
+            let late = Line::connect(addr);
+            assert!(late.shed(), "draining server said {:?}", late.first);
             // …while the in-flight DATA transfer runs to completion.
             mid.raw("and the second half");
             let ack = mid.cmd(".");
             assert!(ack.starts_with("250"), "mid-drain ack {ack:?}");
             // After the ack the worker parts with a 421 (or just closes).
-            let mut farewell = String::new();
-            let _ = mid.reader.read_line(&mut farewell);
+            let farewell = mid.read_or_eof();
             assert!(
                 farewell.is_empty() || farewell.starts_with("421"),
                 "unexpected farewell {farewell:?}"
@@ -609,16 +419,13 @@ fn capacity_flood_with_dead_dnsbl_delivers_everything_eventually() {
     let sink = UdpSocket::bind(("127.0.0.1", 0)).expect("bind sink");
     let sink_addr = sink.local_addr().expect("addr");
 
-    let root = temp_root("flood");
-    let mut cfg = base_config(&root);
-    cfg.max_connections = 16;
-    cfg.max_pretrust_per_ip = 10_000;
-    cfg.workers = 2;
-    cfg.worker_queue = 4;
-    cfg.dnsbl_udp = Some((sink_addr, "bl.example".to_owned()));
-    cfg.dnsbl_udp_timeout = Duration::from_millis(25);
-    cfg.dnsbl_breaker = BreakerConfig::default();
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("flood", &["inbox"], |cfg| {
+        cfg.max_connections = 16;
+        cfg.max_pretrust_per_ip = 10_000;
+        cfg.workers = 2;
+        cfg.worker_queue = 4;
+        cfg.dnsbl_udp = Some((sink_addr, "bl.example".to_owned()));
+    });
     let addr = srv.local_addr();
 
     let clients = 32; // 2× the connection cap
@@ -663,7 +470,7 @@ fn capacity_flood_with_dead_dnsbl_delivers_everything_eventually() {
         "a 2x-cap flood must actually shed"
     );
     // The dead DNSBL cost each connection microseconds, not 3 s. The
-    // breaker trips once the agent has burned three 25 ms budgets, which
+    // breaker trips once the agent has burned three 100 ms budgets, which
     // a fast host's flood can finish ahead of.
     wait_for("breaker to trip on the dead resolver", || {
         srv.metrics().counter_value("dnsbl.breaker_opened") == Some(1)

@@ -1,52 +1,14 @@
 //! Full mail-lifecycle tests: deliver over SMTP, retrieve and delete over
 //! POP3, against the same on-disk MFS store.
 
-use spamaware_core::{LiveConfig, LiveServer, Pop3Server};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+mod common;
+
+use common::{serve, wait_for, Line};
+use spamaware_core::{LiveServer, Pop3Server};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-
-struct Pop {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Pop {
-    fn connect(addr: std::net::SocketAddr) -> Pop {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut banner = String::new();
-        reader.read_line(&mut banner).expect("banner");
-        assert!(banner.starts_with("+OK"), "{banner:?}");
-        Pop { stream, reader }
-    }
-
-    fn cmd(&mut self, line: &str) -> String {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("reply");
-        reply
-    }
-
-    fn read_multiline(&mut self) -> Vec<String> {
-        let mut lines = Vec::new();
-        loop {
-            let mut l = String::new();
-            self.reader.read_line(&mut l).expect("line");
-            let t = l.trim_end().to_owned();
-            if t == "." {
-                return lines;
-            }
-            lines.push(t);
-        }
-    }
-}
 
 fn setup(tag: &str) -> (LiveServer, Pop3Server, std::path::PathBuf) {
     setup_with_timeout(tag, Duration::from_secs(30))
@@ -56,69 +18,28 @@ fn setup_with_timeout(
     tag: &str,
     read_timeout: Duration,
 ) -> (LiveServer, Pop3Server, std::path::PathBuf) {
-    let root = std::env::temp_dir().join(format!(
-        "spamaware-pop-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let mailboxes = vec!["alice".to_string(), "bob".to_string()];
-    let smtp = LiveServer::start(LiveConfig::localhost(&root, mailboxes.clone())).expect("smtp");
+    let (smtp, root) = serve(tag, &["alice", "bob"], |_| {});
     let pop = Pop3Server::start_with_timeout(
         "127.0.0.1:0".parse().expect("addr"),
         smtp.store(),
-        mailboxes,
+        vec!["alice".to_owned(), "bob".to_owned()],
         read_timeout,
     )
     .expect("pop3");
     (smtp, pop, root)
 }
 
-fn smtp_deliver(addr: std::net::SocketAddr, rcpts: &[&str], body: &str) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut stream = stream;
-    let mut l = String::new();
-    reader.read_line(&mut l).expect("greeting");
-    fn cmd(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
-        stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-        let mut r = String::new();
-        reader.read_line(&mut r).expect("reply");
-        r
-    }
-    cmd(&mut stream, &mut reader, "HELO c.example");
-    cmd(&mut stream, &mut reader, "MAIL FROM:<s@remote.example>");
-    for r in rcpts {
-        assert!(cmd(
-            &mut stream,
-            &mut reader,
-            &format!("RCPT TO:<{r}@dept.example>")
-        )
-        .starts_with("250"));
-    }
-    assert!(cmd(&mut stream, &mut reader, "DATA").starts_with("354"));
-    stream
-        .write_all(format!("{body}\r\n").as_bytes())
-        .expect("write body");
-    assert!(cmd(&mut stream, &mut reader, ".").starts_with("250"));
-    cmd(&mut stream, &mut reader, "QUIT");
+fn smtp_deliver(addr: SocketAddr, rcpts: &[&str], body: &str) {
+    let mut c = Line::connect(addr);
+    c.cmd("HELO c.example");
+    c.deliver(rcpts, body);
+    c.cmd("QUIT");
 }
 
 fn wait_for_mails(server: &LiveServer, n: u64) {
-    for _ in 0..300 {
-        if server.stats().snapshot().mails_stored >= n {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("timed out waiting for {n} stored mails");
+    wait_for(&format!("{n} stored mails"), || {
+        server.stats().snapshot().mails_stored >= n
+    });
 }
 
 #[test]
@@ -127,7 +48,7 @@ fn smtp_to_pop3_roundtrip() {
     smtp_deliver(smtp.local_addr(), &["alice"], "hello from the wire");
     wait_for_mails(&smtp, 1);
 
-    let mut p = Pop::connect(pop.local_addr());
+    let mut p = Line::greet(pop.local_addr());
     assert!(p.cmd("USER alice").starts_with("+OK"));
     assert!(p.cmd("PASS whatever").starts_with("+OK 1"));
     assert!(p.cmd("STAT").starts_with("+OK 1"));
@@ -151,7 +72,7 @@ fn pop3_delete_decrements_shared_refcount() {
     }
 
     // Alice deletes her copy; the shared record must survive for Bob.
-    let mut p = Pop::connect(pop.local_addr());
+    let mut p = Line::greet(pop.local_addr());
     p.cmd("USER alice");
     p.cmd("PASS x");
     assert!(p.cmd("DELE 1").starts_with("+OK"));
@@ -165,7 +86,7 @@ fn pop3_delete_decrements_shared_refcount() {
     }
 
     // Bob deletes too: the shared bytes become reclaimable.
-    let mut p = Pop::connect(pop.local_addr());
+    let mut p = Line::greet(pop.local_addr());
     p.cmd("USER bob");
     p.cmd("PASS x");
     p.cmd("DELE 1");
@@ -188,7 +109,7 @@ fn pop3_rset_unmarks_and_bad_auth_rejected() {
     smtp_deliver(smtp.local_addr(), &["alice"], "keep me");
     wait_for_mails(&smtp, 1);
 
-    let mut p = Pop::connect(pop.local_addr());
+    let mut p = Line::greet(pop.local_addr());
     assert!(p.cmd("USER mallory").starts_with("-ERR"));
     assert!(p.cmd("PASS x").starts_with("-ERR"));
     assert!(p.cmd("STAT").starts_with("-ERR"));
@@ -218,15 +139,12 @@ fn pop3_session_budget_cuts_a_peer_that_is_never_idle() {
     let read_timeout = Duration::from_millis(100);
     let budget = read_timeout * 60;
     let (smtp, pop, root) = setup_with_timeout("budget", read_timeout);
-    let mut p = Pop::connect(pop.local_addr());
+    let mut p = Line::greet(pop.local_addr());
     let started = std::time::Instant::now();
     let mut served = 0u32;
     let cut_after = loop {
         let asked = std::time::Instant::now();
-        let mut reply = String::new();
-        let alive = p.stream.write_all(b"NOOP\r\n").is_ok()
-            && p.reader.read_line(&mut reply).is_ok_and(|n| n > 0)
-            && reply.starts_with("+OK");
+        let alive = p.stream.write_all(b"NOOP\r\n").is_ok() && p.read_or_eof().starts_with("+OK");
         if !alive {
             break started.elapsed();
         }
@@ -258,7 +176,7 @@ fn pop3_quit_writes_its_tombstones_in_message_order() {
             smtp_deliver(smtp.local_addr(), &["alice"], &format!("mail number {i}"));
         }
         wait_for_mails(&smtp, 8);
-        let mut p = Pop::connect(pop.local_addr());
+        let mut p = Line::greet(pop.local_addr());
         p.cmd("USER alice");
         assert!(p.cmd("PASS x").starts_with("+OK 8"));
         for n in [7, 2, 5, 1, 8, 3, 6] {
@@ -284,7 +202,7 @@ fn pop3_list_and_dot_stuffing() {
     smtp_deliver(smtp.local_addr(), &["alice"], "..stuffed line");
     wait_for_mails(&smtp, 2);
 
-    let mut p = Pop::connect(pop.local_addr());
+    let mut p = Line::greet(pop.local_addr());
     p.cmd("USER alice");
     p.cmd("PASS x");
     assert!(p.cmd("LIST").starts_with("+OK"));
@@ -311,25 +229,14 @@ fn live_server_queries_real_udp_dnsbl() {
     let dnsbl =
         UdpDnsbl::start("127.0.0.1:0".parse().expect("addr"), "bl.example", db).expect("dnsbl");
 
-    let root = std::env::temp_dir().join(format!(
-        "spamaware-udpbl-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let mut cfg = LiveConfig::localhost(&root, vec!["alice".into()]);
-    cfg.dnsbl_udp = Some((dnsbl.local_addr(), "bl.example".to_owned()));
-    let smtp = LiveServer::start(cfg).expect("smtp");
+    let (smtp, root) = serve("udpbl", &["alice"], |cfg| {
+        cfg.dnsbl_udp = Some((dnsbl.local_addr(), "bl.example".to_owned()));
+    });
 
     smtp_deliver(smtp.local_addr(), &["alice"], "mail from a listed host");
-    for _ in 0..200 {
-        if smtp.stats().snapshot().blacklisted >= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for("the listed client to be flagged", || {
+        smtp.stats().snapshot().blacklisted >= 1
+    });
     let blacklisted = smtp.stats().snapshot().blacklisted;
     assert_eq!(
         blacklisted, 1,

@@ -11,9 +11,11 @@
 //! processes); runs via `scripts/check.sh --flood` or the manual
 //! `flood` job in `.github/workflows/check.yml`.
 
-use spamaware_core::{LiveConfig, LiveServer};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use common::{serve, wait_for, Line};
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -24,57 +26,25 @@ const PER_HOLDER: usize = 5000;
 const HELD: usize = HOLDERS * PER_HOLDER;
 const PROBE_MAILS: usize = 16;
 
-fn temp_root() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "spamaware-flood-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("epoch")
-            .as_nanos()
-    ))
-}
-
 /// One full SMTP transaction; panics on anything but clean 250 acks (a
 /// `421` here would mean the flood starved a legitimate client out).
 fn deliver(addr: SocketAddr) {
-    let stream = TcpStream::connect(addr).expect("probe connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("probe timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut out = stream;
-    fn cmd(out: &mut TcpStream, reader: &mut BufReader<TcpStream>, verb: &str) -> String {
-        out.write_all(verb.as_bytes()).expect("probe write");
-        out.write_all(b"\r\n").expect("probe write");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("probe reply");
-        line
-    }
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("greeting");
-    assert!(line.starts_with("220"), "greeting through flood: {line:?}");
-    assert!(cmd(&mut out, &mut reader, "HELO probe.example").starts_with("250"));
-    assert!(cmd(&mut out, &mut reader, "MAIL FROM:<x@client.example>").starts_with("250"));
-    assert!(cmd(&mut out, &mut reader, "RCPT TO:<inbox@dept.example>").starts_with("250"));
-    assert!(cmd(&mut out, &mut reader, "DATA").starts_with("354"));
-    out.write_all(b"probe body through the flood\r\n")
-        .expect("probe body");
-    let ack = cmd(&mut out, &mut reader, ".");
-    assert!(ack.starts_with("250"), "ack: {ack:?}");
-    let _ = cmd(&mut out, &mut reader, "QUIT");
+    let mut c = Line::connect_within(addr, Duration::from_secs(30));
+    assert!(c.greeted(), "greeting through flood: {:?}", c.first);
+    assert!(c.cmd("HELO probe.example").starts_with("250"));
+    c.deliver(&["inbox"], "probe body through the flood");
+    let _ = c.cmd("QUIT");
 }
 
 #[test]
 #[ignore = "opens 10k real sockets; run via scripts/check.sh --flood"]
 fn master_carries_10k_parked_pretrust_connections_without_starving_delivery() {
-    let root = temp_root();
-    let mut cfg = LiveConfig::localhost(&root, vec!["inbox".to_owned()]);
-    cfg.max_connections = HELD + 256;
-    cfg.max_pretrust_per_ip = HELD + 256; // every holder is 127.0.0.1
-    cfg.pretrust_idle_timeout = Duration::from_secs(300);
-    cfg.session_deadline = Duration::from_secs(600);
-    let server = LiveServer::start(cfg).expect("start server");
+    let (server, root) = serve("flood", &["inbox"], |cfg| {
+        cfg.max_connections = HELD + 256;
+        cfg.max_pretrust_per_ip = HELD + 256; // every holder is 127.0.0.1
+        cfg.pretrust_idle_timeout = Duration::from_secs(300);
+        cfg.session_deadline = Duration::from_secs(600);
+    });
     let addr = server.local_addr();
 
     let mut holders: Vec<Child> = (0..HOLDERS)
@@ -102,17 +72,9 @@ fn master_carries_10k_parked_pretrust_connections_without_starving_delivery() {
     }
     // The greeting is written a beat before the inflight gauge ticks;
     // give the gauge a moment to account for the last connections.
-    for _ in 0..2000 {
-        if server.inflight() >= HELD as i64 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(
-        server.inflight() >= HELD as i64,
-        "flood not fully admitted: {} of {HELD}",
-        server.inflight()
-    );
+    wait_for("the whole flood to be admitted", || {
+        server.inflight() >= HELD as i64
+    });
 
     // Deliver straight through the standing flood: every probe must be
     // greeted and acked — 10k parked sockets cost the master a larger
@@ -120,12 +82,9 @@ fn master_carries_10k_parked_pretrust_connections_without_starving_delivery() {
     for _ in 0..PROBE_MAILS {
         deliver(addr);
     }
-    for _ in 0..2000 {
-        if server.stats().snapshot().mails_stored >= PROBE_MAILS as u64 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_for("every probe mail to be stored", || {
+        server.stats().snapshot().mails_stored >= PROBE_MAILS as u64
+    });
 
     let snap = server.stats().snapshot();
     assert_eq!(

@@ -12,9 +12,9 @@
 
 mod common;
 
-use common::{assert_conserved_at_quiesce, clamp_rcvbuf};
-use spamaware_core::{LiveConfig, LiveServer, Pop3Server};
-use std::io::{BufRead, BufReader, Write};
+use common::{assert_conserved_at_quiesce, clamp_rcvbuf, serve, wait_for, Line};
+use spamaware_core::Pop3Server;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -22,82 +22,18 @@ use std::time::{Duration, Instant};
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// A lockstep line client; `greet` reads the banner (`220 …` / `+OK …`).
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
+/// A client whose every reply must come within 5 s ("reply in time").
+fn greet(addr: SocketAddr) -> Line {
+    let c = Line::connect_within(addr, Duration::from_secs(5));
+    assert!(c.greeted(), "{:?}", c.first);
+    c
 }
 
-impl Client {
-    fn greet(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut c = Client { stream, reader };
-        let banner = c.read_line();
-        assert!(
-            banner.starts_with("220") || banner.starts_with("+OK"),
-            "{banner:?}"
-        );
-        c
-    }
-
-    fn raw(&mut self, line: &str) {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-    }
-
-    fn read_line(&mut self) -> String {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("reply in time");
-        reply
-    }
-
-    fn cmd(&mut self, line: &str) -> String {
-        self.raw(line);
-        self.read_line()
-    }
-
-    /// `HELO` through the `354` after `DATA`.
-    fn open_data(&mut self, tag: &str) {
-        assert!(self.cmd(&format!("HELO {tag}.example")).starts_with("250"));
-        assert!(self
-            .cmd(&format!("MAIL FROM:<x@{tag}.example>"))
-            .starts_with("250"));
-        assert!(self.cmd("RCPT TO:<inbox@dept.example>").starts_with("250"));
-        assert!(self.cmd("DATA").starts_with("354"));
-    }
-
-    fn finish_data(&mut self, body: &str) {
-        self.raw(body);
-        let ack = self.cmd(".");
-        assert!(ack.starts_with("250"), "{ack:?}");
-        assert!(self.cmd("QUIT").starts_with("221"));
-    }
-}
-
-fn temp_root(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "spamaware-slow-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("epoch")
-            .as_nanos()
-    ))
-}
-
-fn wait_for(what: &str, cond: impl Fn() -> bool) {
-    for _ in 0..1000 {
-        if cond() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    panic!("timed out waiting for {what}");
+/// One whole delivery of `body` to `inbox`, `HELO` through `QUIT`.
+fn send(c: &mut Line, tag: &str, body: &str) {
+    assert!(c.cmd(&format!("HELO {tag}.example")).starts_with("250"));
+    c.deliver(&["inbox"], body);
+    assert!(c.cmd("QUIT").starts_with("221"));
 }
 
 fn thread_count() -> usize {
@@ -109,17 +45,19 @@ fn thread_count() -> usize {
 #[test]
 fn trickling_ham_sender_does_not_hold_up_fast_ham_on_the_only_worker() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let root = temp_root("ham");
-    let mut cfg = LiveConfig::localhost(&root, vec!["inbox".to_owned()]);
-    cfg.workers = 1;
-    cfg.worker_queue = 1;
-    let srv = LiveServer::start(cfg).expect("start");
+    let (srv, root) = serve("ham", &["inbox"], |cfg| {
+        cfg.workers = 1;
+        cfg.worker_queue = 1;
+    });
     let addr = srv.local_addr();
 
     // A earns trust, gets its 354, and then trickles: one body line now,
     // the rest only after everybody else is done.
-    let mut slow = Client::greet(addr);
-    slow.open_data("slow");
+    let mut slow = greet(addr);
+    assert!(slow.cmd("HELO slow.example").starts_with("250"));
+    assert!(slow.cmd("MAIL FROM:<x@slow.example>").starts_with("250"));
+    assert!(slow.cmd("RCPT TO:<inbox@dept.example>").starts_with("250"));
+    assert!(slow.cmd("DATA").starts_with("354"));
     slow.raw("the first line of a long, slow mail");
     wait_for("A delegated", || srv.stats().snapshot().delegated == 1);
 
@@ -129,9 +67,7 @@ fn trickling_ham_sender_does_not_hold_up_fast_ham_on_the_only_worker() {
     // slot taken by B — was shed with 421.
     let started = Instant::now();
     for tag in ["b", "c"] {
-        let mut fast = Client::greet(addr);
-        fast.open_data(tag);
-        fast.finish_data(&format!("fast ham from {tag}"));
+        send(&mut greet(addr), tag, &format!("fast ham from {tag}"));
     }
     assert!(
         started.elapsed() < Duration::from_secs(3),
@@ -148,7 +84,10 @@ fn trickling_ham_sender_does_not_hold_up_fast_ham_on_the_only_worker() {
     assert_eq!(srv.inflight(), 1, "A is still being served");
 
     // A was never harmed either: it finishes whenever it likes.
-    slow.finish_data("…and its long-awaited last line");
+    slow.raw("…and its long-awaited last line");
+    let ack = slow.cmd(".");
+    assert!(ack.starts_with("250"), "{ack:?}");
+    assert!(slow.cmd("QUIT").starts_with("221"));
     wait_for("the slow mail stored", || {
         srv.stats().snapshot().mails_stored == 3
     });
@@ -168,28 +107,22 @@ fn trickling_ham_sender_does_not_hold_up_fast_ham_on_the_only_worker() {
 #[test]
 fn frozen_retr_delays_no_other_pop3_session_and_idle_sessions_cost_no_threads() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let root = temp_root("pop");
-    let mailboxes = vec!["inbox".to_owned()];
-    let smtp = LiveServer::start(LiveConfig::localhost(&root, mailboxes.clone())).expect("smtp");
+    let (smtp, root) = serve("pop", &["inbox"], |_| {});
     // A long timeout: the frozen peer must stay frozen — not evicted —
     // for the whole test, so what is measured is serving *beside* it.
     let pop = Pop3Server::start_with_timeout(
         "127.0.0.1:0".parse().expect("addr"),
         smtp.store(),
-        mailboxes,
+        vec!["inbox".to_owned()],
         Duration::from_secs(120),
     )
     .expect("pop3");
 
     // One mail larger than the kernel will buffer for a peer that never
     // reads (~7.4 MiB against a ~4 MiB send-buffer ceiling).
-    let mut bulk = Client::greet(smtp.local_addr());
-    bulk.open_data("bulk");
+    let mut bulk = greet(smtp.local_addr());
     let row = "X".repeat(72) + "\r\n";
-    bulk.stream
-        .write_all(row.repeat(100_000).as_bytes())
-        .expect("body");
-    bulk.finish_data("the end");
+    send(&mut bulk, "bulk", &(row.repeat(100_000) + "the end"));
 
     let frozen = TcpStream::connect(pop.local_addr()).expect("pop connect");
     clamp_rcvbuf(&frozen);
@@ -202,7 +135,7 @@ fn frozen_retr_delays_no_other_pop3_session_and_idle_sessions_cost_no_threads() 
 
     // A second session is answered promptly beside the stuck download.
     let started = Instant::now();
-    let mut healthy = Client::greet(pop.local_addr());
+    let mut healthy = greet(pop.local_addr());
     assert!(healthy.cmd("USER inbox").starts_with("+OK"));
     assert!(healthy.cmd("PASS x").starts_with("+OK 1"));
     assert!(healthy.cmd("STAT").starts_with("+OK 1 "));
@@ -214,7 +147,7 @@ fn frozen_retr_delays_no_other_pop3_session_and_idle_sessions_cost_no_threads() 
 
     // Sixty-four idle sessions are sixty-four slots in one event loop.
     let threads = thread_count();
-    let idle: Vec<Client> = (0..64).map(|_| Client::greet(pop.local_addr())).collect();
+    let idle: Vec<Line> = (0..64).map(|_| greet(pop.local_addr())).collect();
     wait_for("every idle session admitted", || {
         pop.stats().sessions.load(Ordering::Relaxed) == 66
     });
@@ -236,26 +169,20 @@ fn frozen_retr_delays_no_other_pop3_session_and_idle_sessions_cost_no_threads() 
 #[test]
 fn pipelined_retrs_to_a_non_reading_peer_are_not_run_ahead_of_the_socket() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let root = temp_root("retr-flood");
-    let mailboxes = vec!["inbox".to_owned()];
-    let smtp = LiveServer::start(LiveConfig::localhost(&root, mailboxes.clone())).expect("smtp");
+    let (smtp, root) = serve("retr-flood", &["inbox"], |_| {});
     let pop = Pop3Server::start_with_timeout(
         "127.0.0.1:0".parse().expect("addr"),
         smtp.store(),
-        mailboxes,
+        vec!["inbox".to_owned()],
         Duration::from_millis(1500),
     )
     .expect("pop3");
 
     // One 256 KiB mail, asked for two thousand times by a peer that never
     // reads: ~500 MiB of replies if every command were run.
-    let mut seed = Client::greet(smtp.local_addr());
-    seed.open_data("seed");
+    let mut seed = greet(smtp.local_addr());
     let row = "X".repeat(62) + "\r\n";
-    seed.stream
-        .write_all(row.repeat(4096).as_bytes())
-        .expect("body");
-    seed.finish_data("the end");
+    send(&mut seed, "seed", &(row.repeat(4096) + "the end"));
 
     const ASKED: usize = 2000;
     let hostile = TcpStream::connect(pop.local_addr()).expect("pop connect");

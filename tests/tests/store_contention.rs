@@ -8,112 +8,57 @@
 //! shared overlapping mailbox (single-shard serialization), and then
 //! verify the ground truth: no mail lost, none duplicated.
 
-use spamaware_core::{LiveConfig, LiveServer, Pop3Server};
+mod common;
+
+use common::{serve, wait_for, Line};
+use spamaware_core::{LiveServer, Pop3Server};
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 const WORKERS: usize = 4;
 const MAILS_PER_WRITER: usize = 20;
 
 fn setup(tag: &str, mailboxes: &[&str]) -> (LiveServer, Pop3Server, std::path::PathBuf) {
-    let root = std::env::temp_dir().join(format!(
-        "spamaware-contend-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let mailboxes: Vec<String> = mailboxes.iter().map(|s| (*s).to_owned()).collect();
-    let mut cfg = LiveConfig::localhost(&root, mailboxes.clone());
-    cfg.workers = WORKERS;
-    let smtp = LiveServer::start(cfg).expect("smtp");
+    let (smtp, root) = serve(tag, mailboxes, |cfg| cfg.workers = WORKERS);
     let pop = Pop3Server::start(
         "127.0.0.1:0".parse().expect("addr"),
         smtp.store(),
-        mailboxes,
+        mailboxes.iter().map(|s| (*s).to_owned()).collect(),
     )
     .expect("pop3");
     (smtp, pop, root)
 }
 
-struct Smtp {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Smtp {
-    fn connect(addr: SocketAddr) -> Smtp {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut greeting = String::new();
-        reader.read_line(&mut greeting).expect("greeting");
-        let mut c = Smtp { stream, reader };
-        assert!(c.cmd("HELO contender.example").starts_with("250"));
-        c
+/// One connection delivering `MAILS_PER_WRITER` mails to `rcpt`, each
+/// body carrying a unique marker `<tag>-<i>`.
+fn write(addr: SocketAddr, rcpt: &str, tag: &str) {
+    let mut c = Line::connect(addr);
+    assert!(c.cmd("HELO contender.example").starts_with("250"));
+    for i in 0..MAILS_PER_WRITER {
+        c.deliver(&[rcpt], &format!("marker: {tag}-{i}"));
     }
-
-    fn cmd(&mut self, line: &str) -> String {
-        self.stream
-            .write_all(format!("{line}\r\n").as_bytes())
-            .expect("write");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("reply");
-        reply
-    }
-
-    /// Delivers one mail whose body carries a unique marker.
-    fn deliver(&mut self, rcpt: &str, marker: &str) {
-        assert!(self.cmd("MAIL FROM:<s@remote.example>").starts_with("250"));
-        assert!(self
-            .cmd(&format!("RCPT TO:<{rcpt}@dept.example>"))
-            .starts_with("250"));
-        assert!(self.cmd("DATA").starts_with("354"));
-        self.stream
-            .write_all(format!("marker: {marker}\r\n").as_bytes())
-            .expect("body");
-        assert!(self.cmd(".").starts_with("250"), "delivery accepted");
-    }
+    c.cmd("QUIT");
 }
 
 /// Polls a mailbox over POP3 while deliveries are in flight; retrieval
 /// must keep working mid-stream (the sharded store never wedges readers).
 fn pop3_poll(addr: SocketAddr, mailbox: &str, rounds: usize) {
     for _ in 0..rounds {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut out = stream;
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("banner");
+        let mut p = Line::connect(addr);
         for cmd in [format!("USER {mailbox}"), "PASS x".into(), "STAT".into()] {
-            out.write_all(format!("{cmd}\r\n").as_bytes()).expect("cmd");
-            line.clear();
-            reader.read_line(&mut line).expect("reply");
-            assert!(line.starts_with("+OK"), "{cmd}: {line:?}");
+            let reply = p.cmd(&cmd);
+            assert!(reply.starts_with("+OK"), "{cmd}: {reply:?}");
         }
-        out.write_all(b"QUIT\r\n").expect("quit");
-        line.clear();
-        reader.read_line(&mut line).expect("bye");
+        p.cmd("QUIT");
         std::thread::sleep(Duration::from_millis(5));
     }
 }
 
-fn wait_for_mails(server: &LiveServer, n: u64) {
-    for _ in 0..1000 {
-        if server.stats().snapshot().mails_stored >= n {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("timed out waiting for {n} stored mails");
+fn wait_for_mails(server: &LiveServer, n: usize) {
+    wait_for(&format!("{n} stored mails"), || {
+        server.stats().snapshot().mails_stored >= n as u64
+    });
 }
 
 /// Asserts a mailbox holds exactly the expected markers: nothing lost,
@@ -148,15 +93,7 @@ fn concurrent_disjoint_mailboxes_lose_nothing() {
     // pollers reading different mailboxes the whole time.
     let writers: Vec<_> = boxes
         .into_iter()
-        .map(|mb| {
-            std::thread::spawn(move || {
-                let mut c = Smtp::connect(addr);
-                for i in 0..MAILS_PER_WRITER {
-                    c.deliver(mb, &format!("{mb}-{i}"));
-                }
-                c.cmd("QUIT");
-            })
-        })
+        .map(|mb| std::thread::spawn(move || write(addr, mb, mb)))
         .collect();
     let pollers: Vec<_> = ["alpha", "charlie"]
         .into_iter()
@@ -168,7 +105,7 @@ fn concurrent_disjoint_mailboxes_lose_nothing() {
     for h in pollers {
         h.join().expect("poller");
     }
-    wait_for_mails(&smtp, (boxes.len() * MAILS_PER_WRITER) as u64);
+    wait_for_mails(&smtp, boxes.len() * MAILS_PER_WRITER);
 
     let store = smtp.store();
     for mb in boxes {
@@ -190,15 +127,7 @@ fn concurrent_overlapping_mailbox_loses_nothing() {
     let pop_addr = pop.local_addr();
 
     let writers: Vec<_> = (0..WORKERS)
-        .map(|w| {
-            std::thread::spawn(move || {
-                let mut c = Smtp::connect(addr);
-                for i in 0..MAILS_PER_WRITER {
-                    c.deliver("shared", &format!("w{w}-{i}"));
-                }
-                c.cmd("QUIT");
-            })
-        })
+        .map(|w| std::thread::spawn(move || write(addr, "shared", &format!("w{w}"))))
         .collect();
     let pollers: Vec<_> = ["shared", "other"]
         .into_iter()
@@ -210,7 +139,7 @@ fn concurrent_overlapping_mailbox_loses_nothing() {
     for h in pollers {
         h.join().expect("poller");
     }
-    wait_for_mails(&smtp, (WORKERS * MAILS_PER_WRITER) as u64);
+    wait_for_mails(&smtp, WORKERS * MAILS_PER_WRITER);
 
     let store = smtp.store();
     let expected: HashSet<String> = (0..WORKERS)

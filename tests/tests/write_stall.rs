@@ -17,55 +17,34 @@
 
 mod common;
 
-use common::clamp_rcvbuf;
-use spamaware_core::{LiveConfig, LiveServer, Pop3Server};
-use std::io::{BufRead, BufReader, Write};
+use common::{clamp_rcvbuf, serve, wait_for, Line};
+use spamaware_core::{LiveServer, Pop3Server};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Unparsable three-byte command: the ~38-byte `501` reply amplifies a
 /// non-reading peer's input into >10× that much queued output.
 const AMPLIFIER: &str = "a\r\n";
 
-fn temp_root(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "spamaware-stall-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("epoch")
-            .as_nanos()
-    ))
-}
-
 /// One full SMTP transaction; panics on anything but clean 250 acks (a
 /// stalled-peer storm must never degrade a legitimate client to `421`).
-fn deliver(addr: SocketAddr) {
-    let stream = TcpStream::connect(addr).expect("probe connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("probe timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut out = stream;
-    fn cmd(out: &mut TcpStream, reader: &mut BufReader<TcpStream>, verb: &str) -> String {
-        out.write_all(verb.as_bytes()).expect("probe write");
-        out.write_all(b"\r\n").expect("probe write");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("probe reply");
-        line
-    }
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("greeting");
-    assert!(line.starts_with("220"), "greeting through storm: {line:?}");
-    assert!(cmd(&mut out, &mut reader, "HELO probe.example").starts_with("250"));
-    assert!(cmd(&mut out, &mut reader, "MAIL FROM:<x@client.example>").starts_with("250"));
-    assert!(cmd(&mut out, &mut reader, "RCPT TO:<inbox@dept.example>").starts_with("250"));
-    assert!(cmd(&mut out, &mut reader, "DATA").starts_with("354"));
-    out.write_all(b"probe body through the storm\r\n")
-        .expect("probe body");
-    let ack = cmd(&mut out, &mut reader, ".");
-    assert!(ack.starts_with("250"), "ack: {ack:?}");
-    let _ = cmd(&mut out, &mut reader, "QUIT");
+fn deliver(addr: SocketAddr, rcpt: &str, body: &str) {
+    let mut c = Line::connect_within(addr, Duration::from_secs(30));
+    assert!(c.greeted(), "greeting through storm: {:?}", c.first);
+    assert!(c.cmd("HELO probe.example").starts_with("250"));
+    c.deliver(&[rcpt], body);
+    let _ = c.cmd("QUIT");
+}
+
+/// The one large mail a frozen `RETR` waits on: ~7.4 MiB, past the
+/// ~4 MiB the kernel send buffer can autotune to, so the flush blocks.
+fn bulk_body() -> String {
+    vec!["X".repeat(72); 100_000].join("\r\n")
+}
+
+fn counter(server: &LiveServer, name: &str) -> u64 {
+    server.metrics().counter_value(name).unwrap_or(0)
 }
 
 /// Connects one non-reading peer and blasts amplifier commands until the
@@ -90,27 +69,15 @@ fn stalled_peer(addr: SocketAddr, max_bytes: usize) -> TcpStream {
     stream
 }
 
-fn poll_counter(server: &LiveServer, name: &str, at_least: u64, budget: Duration) -> u64 {
-    let deadline = Instant::now() + budget;
-    loop {
-        let v = server.metrics().counter_value(name).unwrap_or(0);
-        if v >= at_least || Instant::now() >= deadline {
-            return v;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
 #[test]
 fn stalled_smtp_writer_is_evicted_while_delivery_flows() {
-    let root = temp_root("fast");
-    let mut cfg = LiveConfig::localhost(&root, vec!["inbox".to_owned()]);
-    // A tight cap so the test's single peer overflows quickly: the
-    // kernel's own buffers absorb the first few hundred KiB, the OutBuf
-    // the next 4 KiB, and then the eviction must fire.
-    cfg.max_outq_bytes = 4 * 1024;
-    cfg.write_stall_timeout = Duration::from_millis(500);
-    let server = LiveServer::start(cfg).expect("start server");
+    let (server, root) = serve("fast", &["inbox"], |cfg| {
+        // A tight cap so the test's single peer overflows quickly: the
+        // kernel's own buffers absorb the first few hundred KiB, the
+        // OutBuf the next 4 KiB, and then the eviction must fire.
+        cfg.max_outq_bytes = 4 * 1024;
+        cfg.write_stall_timeout = Duration::from_millis(500);
+    });
     let addr = server.local_addr();
 
     // ~1 MiB of unparsable commands → ~14 MiB of replies the peer never
@@ -118,30 +85,19 @@ fn stalled_smtp_writer_is_evicted_while_delivery_flows() {
     // plus the 4 KiB cap.
     let peer = stalled_peer(addr, 1024 * 1024);
 
-    let evicted = poll_counter(
-        &server,
-        "master.evicted_slow_writers",
-        1,
-        Duration::from_secs(30),
-    );
-    assert!(evicted >= 1, "stalled writer never evicted");
+    wait_for("the stalled writer to be evicted", || {
+        counter(&server, "master.evicted_slow_writers") >= 1
+    });
     assert!(
-        server
-            .metrics()
-            .counter_value("master.write_stalls")
-            .unwrap_or(0)
-            >= 1,
+        counter(&server, "master.write_stalls") >= 1,
         "the stall was counted before the eviction"
     );
 
     // The master is still serving: a normal client delivers immediately.
-    deliver(addr);
-    for _ in 0..1000 {
-        if server.stats().snapshot().mails_stored >= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    deliver(addr, "inbox", "probe body through the storm");
+    wait_for("the probe mail to be stored", || {
+        server.stats().snapshot().mails_stored >= 1
+    });
     assert_eq!(server.stats().snapshot().mails_stored, 1);
     assert_eq!(
         server.metrics().gauge_value("master.outq_bytes"),
@@ -156,55 +112,21 @@ fn stalled_smtp_writer_is_evicted_while_delivery_flows() {
 
 #[test]
 fn frozen_retr_peer_is_cut_loose_by_the_bounded_writer() {
-    let root = temp_root("retr");
-    let mailboxes = vec!["alice".to_owned()];
-    let smtp = LiveServer::start(LiveConfig::localhost(&root, mailboxes.clone())).expect("smtp");
+    let (smtp, root) = serve("retr", &["alice"], |_| {});
     let pop = Pop3Server::start_with_timeout(
         "127.0.0.1:0".parse().expect("addr"),
         smtp.store(),
-        mailboxes,
+        vec!["alice".to_owned()],
         Duration::from_secs(1),
     )
     .expect("pop3");
 
     // One large mail: the RETR body must outgrow the kernel's socket
     // buffers so the flush actually blocks on the frozen peer.
-    {
-        let stream = TcpStream::connect(smtp.local_addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut out = stream;
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("greeting");
-        for verb in [
-            "HELO bulk.example",
-            "MAIL FROM:<bulk@client.example>",
-            "RCPT TO:<alice@dept.example>",
-            "DATA",
-        ] {
-            out.write_all(verb.as_bytes()).expect("write");
-            out.write_all(b"\r\n").expect("write");
-            line.clear();
-            reader.read_line(&mut line).expect("reply");
-        }
-        let row = "X".repeat(72) + "\r\n";
-        // ~7.4 MiB: the RETR flush must outgrow the ~4 MiB the kernel
-        // send buffer can autotune to before the bounded writer blocks.
-        let body = row.repeat(100_000);
-        out.write_all(body.as_bytes()).expect("body");
-        out.write_all(b".\r\n").expect("dot");
-        line.clear();
-        reader.read_line(&mut line).expect("ack");
-        assert!(line.starts_with("250"), "bulk mail ack: {line:?}");
-    }
-    for _ in 0..1000 {
-        if smtp.stats().snapshot().mails_stored >= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    deliver(smtp.local_addr(), "alice", &bulk_body());
+    wait_for("the bulk mail to be stored", || {
+        smtp.stats().snapshot().mails_stored >= 1
+    });
 
     // The frozen peer: logs in, asks for the mail, reads nothing.
     let frozen = TcpStream::connect(pop.local_addr()).expect("pop connect");
@@ -215,52 +137,24 @@ fn frozen_retr_peer_is_cut_loose_by_the_bounded_writer() {
 
     // The bounded writer abandons the flush after its 1 s budget instead
     // of pinning the session thread on a peer that reads nothing.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while pop
-        .stats()
-        .write_stall_evictions
-        .load(std::sync::atomic::Ordering::Relaxed)
-        == 0
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(
+    let stall_evictions = || {
         pop.stats()
             .write_stall_evictions
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1,
-        "frozen RETR peer was not cut loose"
-    );
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    wait_for("the frozen RETR peer to be cut loose", || {
+        stall_evictions() > 0
+    });
+    assert_eq!(stall_evictions(), 1, "frozen RETR peer was not cut loose");
 
     // A healthy client retrieves the same mail right afterwards.
-    let healthy = TcpStream::connect(pop.local_addr()).expect("pop connect");
-    healthy
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    let mut reader = BufReader::new(healthy.try_clone().expect("clone"));
-    let mut hout = healthy;
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("banner");
-    hout.write_all(b"USER alice\r\nPASS x\r\nRETR 1\r\n")
-        .expect("healthy commands");
-    let mut body_bytes = 0usize;
-    let mut replies = 0;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line).expect("line") == 0 {
-            panic!("peer hung up mid-RETR");
-        }
-        if replies < 3 {
-            assert!(line.starts_with("+OK"), "{line:?}");
-            replies += 1;
-            continue;
-        }
-        if line.trim_end() == "." {
-            break;
-        }
-        body_bytes += line.trim_end().len();
+    let mut healthy = Line::connect_within(pop.local_addr(), Duration::from_secs(30));
+    healthy.raw("USER alice\r\nPASS x\r\nRETR 1");
+    for _ in 0..3 {
+        let reply = healthy.read_line();
+        assert!(reply.starts_with("+OK"), "{reply:?}");
     }
+    let body_bytes: usize = healthy.read_multiline().iter().map(String::len).sum();
     assert_eq!(body_bytes, 72 * 100_000, "healthy RETR body complete");
 
     drop(frozen);
@@ -278,52 +172,24 @@ fn master_serves_probes_through_a_100_peer_write_stall_storm() {
     const STALLED: usize = 100;
     const PROBE_MAILS: usize = 16;
 
-    let root = temp_root("storm");
-    let mailboxes = vec!["inbox".to_owned(), "alice".to_owned()];
-    let mut cfg = LiveConfig::localhost(&root, mailboxes.clone());
-    cfg.max_pretrust_per_ip = STALLED + 64; // every peer is 127.0.0.1
-    cfg.pretrust_idle_timeout = Duration::from_secs(300);
-    cfg.session_deadline = Duration::from_secs(600);
-    cfg.max_outq_bytes = 16 * 1024;
-    cfg.write_stall_timeout = Duration::from_secs(60);
-    let server = LiveServer::start(cfg).expect("start server");
+    let (server, root) = serve("storm", &["inbox", "alice"], |cfg| {
+        cfg.max_pretrust_per_ip = STALLED + 64; // every peer is 127.0.0.1
+        cfg.pretrust_idle_timeout = Duration::from_secs(300);
+        cfg.session_deadline = Duration::from_secs(600);
+        cfg.max_outq_bytes = 16 * 1024;
+        cfg.write_stall_timeout = Duration::from_secs(60);
+    });
     let addr = server.local_addr();
     let pop = Pop3Server::start_with_timeout(
         "127.0.0.1:0".parse().expect("addr"),
-        smtp_store(&server),
-        mailboxes,
+        server.store(),
+        vec!["inbox".to_owned(), "alice".to_owned()],
         Duration::from_secs(2),
     )
     .expect("pop3");
 
     // Seed one large mail for the frozen RETR.
-    {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut out = stream;
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("greeting");
-        for verb in [
-            "HELO bulk.example",
-            "MAIL FROM:<bulk@client.example>",
-            "RCPT TO:<alice@dept.example>",
-            "DATA",
-        ] {
-            out.write_all(verb.as_bytes()).expect("write");
-            out.write_all(b"\r\n").expect("write");
-            line.clear();
-            reader.read_line(&mut line).expect("reply");
-        }
-        let row = "X".repeat(72) + "\r\n";
-        out.write_all(row.repeat(100_000).as_bytes()).expect("body");
-        out.write_all(b".\r\n").expect("dot");
-        line.clear();
-        reader.read_line(&mut line).expect("ack");
-        assert!(line.starts_with("250"), "{line:?}");
-    }
+    deliver(addr, "alice", &bulk_body());
 
     // 100 peers blasting amplifier commands from their own threads, each
     // holding its socket (and its unread replies) until the end.
@@ -333,13 +199,9 @@ fn master_serves_probes_through_a_100_peer_write_stall_storm() {
 
     // Every peer must register a stall (and, pushing far past the 16 KiB
     // cap, an eviction) — while they stack up, the master stays live.
-    let stalls = poll_counter(
-        &server,
-        "master.write_stalls",
-        STALLED as u64,
-        Duration::from_secs(60),
-    );
-    assert!(stalls >= STALLED as u64, "only {stalls} write stalls");
+    wait_for("every peer's write stall", || {
+        counter(&server, "master.write_stalls") >= STALLED as u64
+    });
 
     // Freeze a POP3 download mid-body at the same time.
     let frozen = TcpStream::connect(pop.local_addr()).expect("pop connect");
@@ -350,14 +212,11 @@ fn master_serves_probes_through_a_100_peer_write_stall_storm() {
 
     // Full goodput through the storm: every probe greeted and acked.
     for _ in 0..PROBE_MAILS {
-        deliver(addr);
+        deliver(addr, "inbox", "probe body through the storm");
     }
-    for _ in 0..2000 {
-        if server.stats().snapshot().mails_stored > PROBE_MAILS as u64 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_for("every probe mail to be stored", || {
+        server.stats().snapshot().mails_stored > PROBE_MAILS as u64
+    });
     let snap = server.stats().snapshot();
     assert_eq!(
         snap.mails_stored,
@@ -366,32 +225,17 @@ fn master_serves_probes_through_a_100_peer_write_stall_storm() {
     );
     assert_eq!(snap.shed_connections, 0, "probe shed below the cap");
 
-    let evicted = poll_counter(
-        &server,
-        "master.evicted_slow_writers",
-        STALLED as u64,
-        Duration::from_secs(60),
-    );
-    assert!(
-        evicted >= STALLED as u64,
-        "only {evicted} slow-writer evictions"
-    );
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while pop
-        .stats()
-        .write_stall_evictions
-        .load(std::sync::atomic::Ordering::Relaxed)
-        == 0
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(
-        pop.stats()
-            .write_stall_evictions
-            .load(std::sync::atomic::Ordering::Relaxed)
-            >= 1,
-        "frozen RETR peer not cut loose during the storm"
+    wait_for("every stalled peer's eviction", || {
+        counter(&server, "master.evicted_slow_writers") >= STALLED as u64
+    });
+    wait_for(
+        "the frozen RETR peer to be cut loose during the storm",
+        || {
+            pop.stats()
+                .write_stall_evictions
+                .load(std::sync::atomic::Ordering::Relaxed)
+                >= 1
+        },
     );
 
     let peers: Vec<TcpStream> = handles
@@ -403,10 +247,4 @@ fn master_serves_probes_through_a_100_peer_write_stall_storm() {
     pop.shutdown();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
-}
-
-fn smtp_store(
-    server: &LiveServer,
-) -> std::sync::Arc<spamaware_core::ShardedStore<spamaware_core::RealDir>> {
-    server.store()
 }
