@@ -14,7 +14,7 @@
 use crate::instruments::AgentMetrics;
 use crossbeam::channel::Receiver;
 use spamaware_dnsbl::{
-    BreakerConfig, BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker, Fetched, UdpDnsbl,
+    BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker, Fetched, UdpDnsbl,
 };
 use spamaware_metrics::{Counter, Registry};
 use spamaware_netaddr::Ipv4;
@@ -51,9 +51,9 @@ pub(crate) struct DnsblAgentCtx {
     pub dnsbl_udp: (SocketAddr, String),
 }
 
-/// The lookup path: cache, then breaker — [`BreakerConfig::default`]: open
-/// after three straight failures, for 1 s doubling to 60 s — then one UDP
-/// query. Time is the registry's clock throughout.
+/// The lookup path: cache, then breaker — open after
+/// [`spamaware_dnsbl::FAILURE_THRESHOLD`] straight failures, for 1 s
+/// doubling to 60 s — then one UDP query. Time is the registry's clock throughout.
 struct Agent {
     registry: Arc<Registry>,
     metrics: AgentMetrics,
@@ -66,8 +66,7 @@ impl Agent {
     fn new(registry: Arc<Registry>, dnsbl_udp: (SocketAddr, String)) -> Agent {
         Agent {
             metrics: AgentMetrics::register(&registry),
-            breaker: CircuitBreaker::new(BreakerConfig::default(), registry.clock())
-                .with_metrics(&registry, "dnsbl"),
+            breaker: CircuitBreaker::new(registry.clock()).with_metrics(&registry, "dnsbl"),
             resolver: CachingResolver::new(CacheScheme::PerPrefix, CACHE_TTL)
                 .with_capacity(CACHE_CAPACITY)
                 .with_metrics(&registry, "dnsbl"),

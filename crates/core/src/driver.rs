@@ -4,16 +4,18 @@
 //! connection that has not earned a process of its own. [`drive`] is that
 //! loop, written once: it sleeps in [`Reactor::wait`] until a socket is
 //! ready or the earliest deadline in its [`TimerWheel`] — an ordered set
-//! of `(deadline, timer)` pairs — is due, reads into a fixed-size
+//! of `(deadline, token)` pairs — is due, reads into a fixed-size
 //! per-connection [`LineBuffer`], hands each complete line to a
 //! [`Protocol`], coalesces the replies of a pipelined burst, and routes
-//! every outbound byte through a bounded per-connection [`OutBuf`] (write
+//! every outbound byte through a bounded per-connection queue (write
 //! what fits, queue the rest, arm write interest, flush on writable —
 //! and take no further input from a peer until it has drained what it
-//! was sent, DESIGN.md §15.4). Four deadlines per connection live in that set —
-//! idle, whole-session, write-stall (no progress), and one protocol
-//! *phase* (SMTP's `DATA` transfer) — and every connection leaves through
-//! one exit, [`Protocol::finish`], with the [`End`] that explains why.
+//! was sent, DESIGN.md §15.4). Each connection has one deadline in that
+//! set: the earliest of its budgets — idle (or write-stall, while output
+//! is queued), whole-session, and one protocol *phase* (SMTP's `DATA`
+//! transfer). It is filed only when a change moves it earlier, and
+//! recomputed when it fires. Every connection leaves through one exit,
+//! [`Protocol::finish`], with the [`End`] that explains why.
 //!
 //! The server's four dialogs are instances of it: pre-trust SMTP on the
 //! master ([`crate::pretrust`]), post-trust SMTP on each worker
@@ -42,13 +44,6 @@ use std::time::Duration;
 /// The reactor token reserved for a protocol's listening socket;
 /// connection tokens start above it.
 pub const ACCEPT_TOKEN: u64 = 0;
-
-/// Per-connection timer kinds, packed into wheel ids as
-/// `token << 2 | kind`.
-const TIMER_IDLE: u64 = 0;
-const TIMER_SESSION: u64 = 1;
-const TIMER_WRITE_STALL: u64 = 2;
-const TIMER_PHASE: u64 = 3;
 
 /// Reply bytes one pump may coalesce before it must offer them to the
 /// socket. Together with "no input is taken while output is queued" this
@@ -272,10 +267,10 @@ pub enum End {
 pub enum Step {
     /// Keep serving.
     Continue,
-    /// A deadline-bounded phase began (SMTP `DATA`): arm the phase
-    /// deadline; a drain lets the phase finish.
+    /// A deadline-bounded phase began (SMTP `DATA`): its budget starts
+    /// to run; a drain lets the phase finish.
     PhaseStart,
-    /// The phase completed: disarm its deadline.
+    /// The phase completed: its budget no longer applies.
     PhaseEnd,
     /// Flush the replies, then end the dialog ([`End::Closed`]).
     Close,
@@ -336,7 +331,7 @@ pub trait Protocol<C: Conn> {
     fn line(&mut self, session: &mut Self::Session, line: &[u8], out: &mut Vec<u8>) -> Step;
 
     /// The one exit: releases the connection's resources, says a
-    /// farewell if `end` deserves one ([`farewell`]), and counts the
+    /// best-effort farewell if `end` deserves one, and counts the
     /// outcome.
     fn finish(&mut self, gone: Gone<C, Self::Session>, end: End);
 }
@@ -381,20 +376,53 @@ struct Slot<C, S> {
     outq: OutBuf,
     /// Whether write interest is currently armed on the reactor.
     w_armed: bool,
-    /// A protocol phase is in flight (its deadline is armed).
-    phase_open: bool,
+    /// When the protocol phase in flight began, if one is.
+    phase_since: Option<u64>,
     /// Input is finished (dialog closed, overflow, or peer EOF) and reads
     /// are muted; the connection leaves with this end once `outq` drains.
     closing: Option<End>,
     accepted_ns: u64,
-    last_activity_ns: u64,
+    /// When bytes last moved in either direction, or output began to
+    /// queue: the idle and write-stall budgets run from here.
+    quiet_since: u64,
+    /// The deadline filed for this connection in the timer set, or
+    /// `u64::MAX` if none is. The connection's deadline is never earlier.
+    armed_ns: u64,
+}
+
+impl<C, S> Slot<C, S> {
+    /// The connection's deadline — the earliest of its budgets — and the
+    /// [`End`] it gives. The quiet budget is the write-stall one while
+    /// output is queued (the peer owes us a drain) and the idle one
+    /// otherwise (it owes us bytes). Ties go to idle, then session, write
+    /// stall and phase; `u64::MAX` is no deadline.
+    fn deadline(&self, limits: &Limits) -> (u64, End) {
+        let after = |since: u64, budget: Duration| since.saturating_add(duration_ns(budget));
+        let (idle, stall) = match self.outq.pending() {
+            0 => (after(self.quiet_since, limits.idle), u64::MAX),
+            _ => (u64::MAX, after(self.quiet_since, limits.write_stall)),
+        };
+        let phase = self
+            .phase_since
+            .map_or(u64::MAX, |t| after(t, limits.phase));
+        [
+            (idle, End::Idle),
+            (after(self.accepted_ns, limits.session), End::Session),
+            (stall, End::SlowWriter),
+            (phase, End::Phase),
+        ]
+        .into_iter()
+        .min_by_key(|&(deadline, _)| deadline)
+        .unwrap_or((u64::MAX, End::Idle))
+    }
 }
 
 struct Driver<'a, C: Conn, R: Reactor, P: Protocol<C>> {
     reactor: &'a mut R,
     proto: &'a mut P,
     env: &'a DriverEnv,
-    timers: Timers,
+    /// One entry per connection, keyed by its token: its deadline.
+    timers: TimerWheel,
     conns: BTreeMap<u64, Slot<C, P::Session>>,
     next_token: u64,
     /// Reply bytes of the burst being pumped.
@@ -416,45 +444,13 @@ pub fn drive<C: Conn, R: Reactor, P: Protocol<C>>(reactor: &mut R, proto: &mut P
         reactor,
         proto,
         env,
-        timers: Timers {
-            wheel: TimerWheel::new(env.clock.now_nanos()),
-            // Indexed by TIMER_IDLE, _SESSION, _WRITE_STALL, _PHASE.
-            budget_ns: [
-                env.limits.idle,
-                env.limits.session,
-                env.limits.write_stall,
-                env.limits.phase,
-            ]
-            .map(duration_ns),
-        },
+        timers: TimerWheel::new(env.clock.now_nanos()),
         conns: BTreeMap::new(),
         next_token: ACCEPT_TOKEN + 1,
         out: Vec::new(),
         scratch: [0; 4096],
     }
     .run(listening);
-}
-
-/// The wheel plus the four per-connection budgets, indexed by timer kind.
-struct Timers {
-    wheel: TimerWheel,
-    budget_ns: [u64; 4],
-}
-
-impl Timers {
-    /// Arms (or re-arms) `token`'s timer `kind` at `from` + its budget; a
-    /// budget of `u64::MAX` means the deadline is disabled.
-    fn arm(&mut self, token: u64, kind: u64, from: u64) {
-        let budget_ns = self.budget_ns[kind as usize];
-        if budget_ns != u64::MAX {
-            self.wheel
-                .schedule((token << 2) | kind, from.saturating_add(budget_ns));
-        }
-    }
-
-    fn cancel(&mut self, token: u64, kind: u64) {
-        self.wheel.cancel((token << 2) | kind);
-    }
 }
 
 impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
@@ -469,11 +465,7 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
         let mut fired: Vec<(u64, u64)> = Vec::new();
         while !self.env.stop.load(Ordering::SeqCst) {
             let now = self.now();
-            let timeout_ns = self
-                .timers
-                .wheel
-                .next_deadline()
-                .map(|d| d.saturating_sub(now));
+            let timeout_ns = self.timers.next_deadline().map(|d| d.saturating_sub(now));
             ready.clear();
             // The one place a driver thread parks: until readiness, a
             // timer deadline, or a waker.
@@ -512,12 +504,12 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
             }
             let now = self.now();
             fired.clear();
-            self.timers.wheel.advance(now, &mut fired);
+            self.timers.advance(now, &mut fired);
             if !fired.is_empty() {
                 mm.timers_fired.add(fired.len() as u64);
             }
-            for &(_, id) in &fired {
-                self.on_timer(id, now);
+            for &(_, token) in &fired {
+                self.on_timer(token, now);
             }
             if draining {
                 // Whatever holds no in-flight phase holds no unacked
@@ -527,13 +519,21 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
                 let idle: Vec<u64> = self
                     .conns
                     .iter()
-                    .filter(|(_, slot)| !slot.phase_open)
+                    .filter(|(_, slot)| slot.phase_since.is_none())
                     .map(|(&token, _)| token)
                     .collect();
                 for token in idle {
                     self.retire(token, End::Drain);
                 }
             }
+            debug_assert_eq!(
+                self.timers.len(),
+                self.conns
+                    .values()
+                    .filter(|s| s.armed_ns != u64::MAX)
+                    .count(),
+                "the timer set holds one deadline per armed connection"
+            );
         }
     }
 
@@ -552,10 +552,11 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
             lines: arrival.lines,
             outq: OutBuf::new(self.env.limits.max_outq_bytes),
             w_armed: false,
-            phase_open: false,
+            phase_since: None,
             closing: None,
             accepted_ns: arrival.accepted_ns,
-            last_activity_ns: self.now(),
+            quiet_since: self.now(),
+            armed_ns: u64::MAX,
         };
         if self.reactor.register(slot.conn.poll_id(), token).is_err() {
             // A connection the reactor cannot watch would sit unserved
@@ -563,8 +564,6 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
             self.release(token, slot, End::Unwatchable);
             return;
         }
-        self.timers.arm(token, TIMER_IDLE, slot.last_activity_ns);
-        self.timers.arm(token, TIMER_SESSION, arrival.accepted_ns);
         self.conns.insert(token, slot);
         // The greeting rides the same backpressure path as every later
         // reply — a zero-window peer can stall from byte one.
@@ -574,8 +573,8 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
 
     /// Queues `bytes` (possibly none) behind the connection's backlog and
     /// flushes what the socket accepts; then reconciles write interest,
-    /// the no-progress deadline, and the gauge with the queue's state,
-    /// and retires the connection if the write path says it is over.
+    /// the deadline, and the gauge with the queue's state, and retires
+    /// the connection if the write path says it is over.
     fn send(&mut self, token: u64, bytes: &[u8]) {
         let now = self.now();
         let env = self.env;
@@ -588,7 +587,9 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
         mm.outq_bytes
             .add(slot.outq.pending() as i64 - before as i64);
         if wrote > 0 {
-            slot.last_activity_ns = now;
+            // Progress moves the deadline later: a slow drip is served
+            // for as long as it keeps accepting.
+            slot.quiet_since = now;
         }
         if !slot.w_armed && matches!(state, WriteState::Pending | WriteState::Overflow) {
             // The stall begins here, whether or not the cap survives it.
@@ -599,7 +600,6 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
             WriteState::Drained => {
                 if slot.w_armed {
                     slot.w_armed = false;
-                    self.timers.cancel(token, TIMER_WRITE_STALL);
                     if slot.closing.is_none() {
                         // The peer caught up: listen to it again.
                         let _ = self.reactor.set_interest(slot.conn.poll_id(), true, false);
@@ -617,26 +617,22 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
                 match self.reactor.set_interest(slot.conn.poll_id(), false, true) {
                     Ok(()) => {
                         slot.w_armed = true;
-                        self.timers.arm(token, TIMER_WRITE_STALL, now);
+                        slot.quiet_since = now;
                         None
                     }
                     Err(_) => Some(End::SlowWriter),
                 }
             }
-            WriteState::Pending => {
-                if wrote > 0 {
-                    // Progress resets the no-progress deadline: a slow
-                    // drip is served for as long as it keeps accepting.
-                    self.timers.arm(token, TIMER_WRITE_STALL, now);
-                }
-                None
-            }
+            WriteState::Pending => None,
             WriteState::Overflow => Some(End::SlowWriter),
             WriteState::Broken => Some(End::PeerGone),
         };
         if let Some(end) = end {
             self.retire(token, end);
-        } else if resume {
+            return;
+        }
+        self.arm_if_earlier(token);
+        if resume {
             // Lines that arrived behind the stalled replies are due now.
             self.pump(token, false);
         }
@@ -661,9 +657,8 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
                 Ok(0) => end = Some(End::PeerGone),
                 Ok(n) => {
                     slot.lines.push(&self.scratch[..n]);
-                    let now = self.env.clock.now_nanos();
-                    slot.last_activity_ns = now;
-                    self.timers.arm(token, TIMER_IDLE, now);
+                    // Moves the deadline later: nothing to file.
+                    slot.quiet_since = self.env.clock.now_nanos();
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {}
                 Err(_) => end = Some(End::PeerGone),
@@ -681,8 +676,6 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
             }
             out.clear();
             more = false;
-            let was_open = slot.phase_open;
-            let mut phase_started = false;
             while end.is_none() {
                 if out.len() >= BURST_BYTES {
                     more = true;
@@ -691,11 +684,8 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
                 match slot.lines.pop_line() {
                     Ok(Some(line)) => match self.proto.line(&mut slot.session, line, &mut out) {
                         Step::Continue => {}
-                        Step::PhaseStart => {
-                            slot.phase_open = true;
-                            phase_started = true;
-                        }
-                        Step::PhaseEnd => slot.phase_open = false,
+                        Step::PhaseStart => slot.phase_since = Some(self.env.clock.now_nanos()),
+                        Step::PhaseEnd => slot.phase_since = None,
                         Step::Close => end = Some(End::Closed),
                         Step::Detach => end = Some(End::Detached),
                     },
@@ -703,12 +693,7 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
                     Err(LineOverflow) => end = Some(End::Overflow),
                 }
             }
-            if phase_started && slot.phase_open {
-                self.timers
-                    .arm(token, TIMER_PHASE, self.env.clock.now_nanos());
-            } else if was_open && !slot.phase_open {
-                self.timers.cancel(token, TIMER_PHASE);
-            }
+            self.arm_if_earlier(token);
             match end {
                 None if out.is_empty() => {}
                 None => self.send(token, &out),
@@ -749,34 +734,35 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
         self.release(token, slot, end);
     }
 
-    fn on_timer(&mut self, id: u64, now: u64) {
-        let (token, kind) = (id >> 2, id & 3);
-        let Some(slot) = self.conns.get(&token) else {
+    /// Files `token`'s deadline if it is earlier than the one armed; every
+    /// send, pump burst and timer ends here. Only adoption, output that
+    /// starts to queue, a drain (the stall budget gives way to a shorter
+    /// idle one) and `PhaseStart` move a deadline earlier. A later one is
+    /// left for the armed one to find when it fires ([`Driver::on_timer`]),
+    /// so a read, a flush or a `PhaseEnd` never touches the timer set.
+    fn arm_if_earlier(&mut self, token: u64) {
+        let Some(slot) = self.conns.get_mut(&token) else {
             return;
         };
-        let end = match kind {
-            TIMER_SESSION => End::Session,
-            TIMER_PHASE => End::Phase,
-            // Drained in the same wakeup the deadline fired: the cancel
-            // raced the expiry.
-            TIMER_WRITE_STALL if slot.outq.pending() == 0 => return,
-            TIMER_WRITE_STALL => End::SlowWriter,
-            _ => {
-                // Idle means the peer owes us bytes. While replies are
-                // queued toward it, it is the stall deadline's case.
-                let quiet_since = match slot.outq.pending() {
-                    0 => slot.last_activity_ns,
-                    _ => now,
-                };
-                if now.saturating_sub(quiet_since) < self.timers.budget_ns[TIMER_IDLE as usize] {
-                    // Activity raced the expiry: re-arm from it.
-                    self.timers.arm(token, TIMER_IDLE, quiet_since);
-                    return;
-                }
-                End::Idle
-            }
+        let (deadline, _) = slot.deadline(&self.env.limits);
+        if deadline < slot.armed_ns {
+            self.timers.schedule(token, deadline);
+            slot.armed_ns = deadline;
+        }
+    }
+
+    /// `token`'s armed deadline fired: evict the connection with the
+    /// budget that ran out, or, if activity has moved its deadline later
+    /// since, arm that.
+    fn on_timer(&mut self, token: u64, now: u64) {
+        let Some(slot) = self.conns.get_mut(&token) else {
+            return;
         };
-        self.retire(token, end);
+        slot.armed_ns = u64::MAX;
+        match slot.deadline(&self.env.limits) {
+            (deadline, end) if deadline <= now => self.retire(token, end),
+            _ => self.arm_if_earlier(token),
+        }
     }
 
     fn retire(&mut self, token: u64, end: End) {
@@ -786,15 +772,13 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
     }
 
     /// The driver half of the one exit: unhook the connection from the
-    /// reactor, the wheel, and the gauge, then give it back to its
+    /// reactor, the timer set, and the gauge, then give it back to its
     /// protocol. A forced eviction the peer may still hear (`Session`,
     /// `Phase`, `Drain`) first gets its queued replies, best effort, so
     /// the protocol's farewell lands in order.
     fn release(&mut self, token: u64, slot: Slot<C, P::Session>, end: End) {
         let _ = self.reactor.deregister(slot.conn.poll_id());
-        for kind in [TIMER_IDLE, TIMER_SESSION, TIMER_WRITE_STALL, TIMER_PHASE] {
-            self.timers.cancel(token, kind);
-        }
+        self.timers.cancel(token);
         let mm = &self.env.metrics;
         mm.outq_bytes.add(-(slot.outq.pending() as i64));
         let mut conn = slot.conn;

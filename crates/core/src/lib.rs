@@ -54,8 +54,8 @@ pub use pop3::{Pop3Server, Pop3Stats};
 // Re-export the workspace's main types so downstream users can depend on
 // this crate alone.
 pub use spamaware_dnsbl::{
-    BlacklistDb, BreakerConfig, BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker,
-    DnsblServer, LatencyModel,
+    BlacklistDb, BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker, DnsblServer,
+    LatencyModel,
 };
 pub use spamaware_mfs::{
     fsck, FsckReport, Layout, MailId, MailStore, MfsStore, RealDir, ShardedStore, SyncBackend,

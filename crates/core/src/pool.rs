@@ -56,8 +56,8 @@ impl BufferPool {
     }
 
     /// Returns a buffer to the pool: cleared, and dropped instead of
-    /// pooled when it never allocated, outgrew [`BufferPool::max_capacity`],
-    /// or the free list is full.
+    /// pooled when it never allocated, outgrew 64 × the default capacity
+    /// (at least 1 MiB), or the free list is full.
     pub fn put(&self, mut buf: Vec<u8>) {
         if buf.capacity() == 0 || buf.capacity() > self.max_capacity {
             return;

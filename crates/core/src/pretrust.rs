@@ -185,7 +185,6 @@ where
             }
             let session = ServerSession::new(SessionConfig {
                 hostname: Arc::clone(&ctx.hostname),
-                ..SessionConfig::default()
             });
             return Some(Arrival {
                 conn,

@@ -291,11 +291,6 @@ impl SimReactor {
             .unwrap_or(0)
     }
 
-    /// Remaining scripted write budget for `conn` (`None` = unlimited).
-    pub fn window_left(&self, conn: u64) -> Option<usize> {
-        self.net.lock().conns.get(&conn).and_then(|st| st.window)
-    }
-
     /// Applies one scripted event to the network/control state.
     fn apply(&mut self, at: u64, ev: SimEvent) {
         match ev {

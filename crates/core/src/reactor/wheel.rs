@@ -1,7 +1,8 @@
 //! The driver's deadlines: armed timers kept in `(deadline, id)` order.
 //!
-//! The session engine (DESIGN.md §15.1) arms up to four timers per
-//! connection and sizes every reactor wait to the earliest. An id →
+//! The session engine (DESIGN.md §15.1) arms one timer per connection,
+//! keyed by its token, at the earliest of that connection's budgets, and
+//! sizes every reactor wait to the earliest timer. An id →
 //! deadline map finds a timer to re-arm or cancel; a `BTreeSet` of
 //! `(deadline_ns, id)` pairs beside it makes the earliest its `first()`
 //! and firing its `pop_first()`: `O(log n)` per operation, exact to the

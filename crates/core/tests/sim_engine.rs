@@ -135,6 +135,16 @@ fn peer(s: &str) -> SocketAddr {
     s.parse().expect("literal peer address")
 }
 
+fn connect(at: u64, conn: u64) -> (u64, SimEvent) {
+    let peer = peer(&format!("10.0.0.{conn}:2525"));
+    (at, SimEvent::Connect { conn, peer })
+}
+
+fn data(at: u64, conn: u64, bytes: &[u8]) -> (u64, SimEvent) {
+    let bytes = bytes.to_vec();
+    (at, SimEvent::Data { conn, bytes })
+}
+
 /// A burst that earns trust and pipelines `DATA` past the trusting RCPT.
 const TRUST_BURST: &[u8] =
     b"HELO relay.example\r\nMAIL FROM:<x@client.example>\r\nRCPT TO:<alice@dept.example>\r\nDATA\r\n";
@@ -142,20 +152,8 @@ const TRUST_BURST: &[u8] =
 #[test]
 fn trusted_handoff_carries_session_and_pipelined_leftover() {
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:2525"),
-            },
-        ),
-        (
-            2 * SEC,
-            SimEvent::Data {
-                conn: 1,
-                bytes: TRUST_BURST.to_vec(),
-            },
-        ),
+        connect(SEC, 1),
+        data(2 * SEC, 1, TRUST_BURST),
         (3 * SEC, SimEvent::Stop),
     ];
     let mut h = harness(script, &Config::default());
@@ -193,50 +191,14 @@ fn trusted_handoff_carries_session_and_pipelined_leftover() {
 fn identical_scripts_replay_byte_identically() {
     fn script() -> Vec<(u64, SimEvent)> {
         vec![
-            (
-                SEC,
-                SimEvent::Connect {
-                    conn: 1,
-                    peer: peer("10.0.0.1:1001"),
-                },
-            ),
-            (
-                2 * SEC,
-                SimEvent::Data {
-                    conn: 1,
-                    bytes: TRUST_BURST.to_vec(),
-                },
-            ),
+            connect(SEC, 1),
+            data(2 * SEC, 1, TRUST_BURST),
             // Same-instant burst: a second handshake lands in the same
             // wakeup batch that trusts conn 1.
-            (
-                2 * SEC,
-                SimEvent::Connect {
-                    conn: 2,
-                    peer: peer("10.0.0.2:1002"),
-                },
-            ),
-            (
-                3 * SEC,
-                SimEvent::Data {
-                    conn: 2,
-                    bytes: b"HELO slowloris".to_vec(),
-                },
-            ),
-            (
-                4 * SEC,
-                SimEvent::Connect {
-                    conn: 3,
-                    peer: peer("10.0.0.3:1003"),
-                },
-            ),
-            (
-                4 * SEC,
-                SimEvent::Data {
-                    conn: 3,
-                    bytes: b"HELO c\r\nQUIT\r\n".to_vec(),
-                },
-            ),
+            connect(2 * SEC, 2),
+            data(3 * SEC, 2, b"HELO slowloris"),
+            connect(4 * SEC, 3),
+            data(4 * SEC, 3, b"HELO c\r\nQUIT\r\n"),
             // Silence until well past conn 2's idle deadline, so a timer
             // eviction is part of the replayed history.
             (20 * SEC, SimEvent::Stop),
@@ -271,22 +233,10 @@ fn identical_scripts_replay_byte_identically() {
 #[test]
 fn silent_client_is_evicted_by_the_idle_timer() {
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:4000"),
-            },
-        ),
-        // One partial line, then silence: the idle clock re-arms from this
+        connect(SEC, 1),
+        // One partial line, then silence: the idle budget restarts at this
         // read, so eviction lands at t=7s, not t=6s.
-        (
-            2 * SEC,
-            SimEvent::Data {
-                conn: 1,
-                bytes: b"HELO slow".to_vec(),
-            },
-        ),
+        data(2 * SEC, 1, b"HELO slow"),
         (30 * SEC, SimEvent::Stop),
     ];
     let mut h = harness(script, &Config::default());
@@ -320,24 +270,12 @@ fn dripping_client_cannot_outlive_the_session_deadline() {
         session: Duration::from_secs(12),
         ..Config::default()
     };
-    // One byte every 2s: each read re-arms the idle timer, so the drip
+    // One byte every 2s: each read restarts the idle budget, so the drip
     // never idles out — the §5 slowloris defense is the *session* budget,
     // charged from accept no matter how lively the trickle looks.
-    let mut script = vec![(
-        SEC,
-        SimEvent::Connect {
-            conn: 1,
-            peer: peer("10.0.0.1:5000"),
-        },
-    )];
+    let mut script = vec![connect(SEC, 1)];
     for i in 0..5u64 {
-        script.push((
-            (3 + 2 * i) * SEC,
-            SimEvent::Data {
-                conn: 1,
-                bytes: b"X".to_vec(),
-            },
-        ));
+        script.push(data((3 + 2 * i) * SEC, 1, b"X"));
     }
     script.push((30 * SEC, SimEvent::Stop));
     let mut h = harness(script, &cfg);
@@ -367,38 +305,48 @@ fn dripping_client_cannot_outlive_the_session_deadline() {
     );
 }
 
+/// When two budgets run out at the same instant the first in the order
+/// idle, session, write stall, phase names the end: a client silent since
+/// its last read, whose idle and session budgets both expire at t=7s, is
+/// an idle eviction — dropped without the session budget's `421`.
+#[test]
+fn idle_and_session_budgets_due_together_end_in_an_idle_eviction() {
+    let cfg = Config {
+        idle: Duration::from_secs(5),
+        session: Duration::from_secs(6),
+        ..Config::default()
+    };
+    // Idle runs from the read to t=7s; session from accept to t=7s.
+    let script = vec![
+        connect(SEC, 1),
+        data(2 * SEC, 1, b"HELO tie"),
+        (30 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &cfg);
+    h.run(&mut |t| Some(t));
+
+    assert_eq!(h.stats.idle_evictions.get(), 1);
+    assert_eq!(h.stats.session_deadline_evictions.get(), 0);
+    assert_eq!(h.stats.unfinished.get(), 1);
+    assert!(!h.output_text(1).contains("421"), "no farewell");
+    assert!(
+        h.reactor
+            .log()
+            .iter()
+            .any(|l| l == &format!("t={} timer", 7 * SEC)),
+        "expected the eviction wakeup at t=7s in {:?}",
+        h.reactor.log()
+    );
+}
+
 #[test]
 fn drain_evicts_pretrust_and_sheds_new_arrivals() {
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:6001"),
-            },
-        ),
-        (
-            2 * SEC,
-            SimEvent::Data {
-                conn: 1,
-                bytes: b"HELO a\r\n".to_vec(),
-            },
-        ),
-        (
-            2 * SEC,
-            SimEvent::Connect {
-                conn: 2,
-                peer: peer("10.0.0.2:6002"),
-            },
-        ),
+        connect(SEC, 1),
+        data(2 * SEC, 1, b"HELO a\r\n"),
+        connect(2 * SEC, 2),
         (3 * SEC, SimEvent::Drain),
-        (
-            4 * SEC,
-            SimEvent::Connect {
-                conn: 3,
-                peer: peer("10.0.0.3:6003"),
-            },
-        ),
+        connect(4 * SEC, 3),
         (5 * SEC, SimEvent::Stop),
     ];
     let mut h = harness(script, &Config::default());
@@ -437,20 +385,8 @@ fn inflight_cap_sheds_with_421_before_any_session_work() {
         ..Config::default()
     };
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:7001"),
-            },
-        ),
-        (
-            2 * SEC,
-            SimEvent::Connect {
-                conn: 2,
-                peer: peer("10.0.0.2:7002"),
-            },
-        ),
+        connect(SEC, 1),
+        connect(2 * SEC, 2),
         (3 * SEC, SimEvent::Stop),
     ];
     let mut h = harness(script, &cfg);
@@ -511,20 +447,8 @@ fn per_ip_cap_sheds_the_second_connection_from_one_address() {
 #[test]
 fn worker_saturation_hands_back_and_sheds_with_421() {
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:9001"),
-            },
-        ),
-        (
-            2 * SEC,
-            SimEvent::Data {
-                conn: 1,
-                bytes: TRUST_BURST.to_vec(),
-            },
-        ),
+        connect(SEC, 1),
+        data(2 * SEC, 1, TRUST_BURST),
         (3 * SEC, SimEvent::Stop),
     ];
     let mut h = harness(script, &Config::default());
@@ -573,20 +497,8 @@ fn ipv6_peer_is_refused_at_the_door() {
 #[test]
 fn peer_eof_mid_dialog_counts_one_unfinished() {
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:3100"),
-            },
-        ),
-        (
-            2 * SEC,
-            SimEvent::Data {
-                conn: 1,
-                bytes: b"HELO a\r\n".to_vec(),
-            },
-        ),
+        connect(SEC, 1),
+        data(2 * SEC, 1, b"HELO a\r\n"),
         (3 * SEC, SimEvent::Eof { conn: 1 }),
         (4 * SEC, SimEvent::Stop),
     ];
@@ -608,13 +520,7 @@ fn peer_eof_mid_dialog_counts_one_unfinished() {
 /// simulation instead of hanging the test forever.
 #[test]
 fn exhausted_script_terminates_the_run() {
-    let script = vec![(
-        SEC,
-        SimEvent::Connect {
-            conn: 1,
-            peer: peer("10.0.0.1:3200"),
-        },
-    )];
+    let script = vec![connect(SEC, 1)];
     let mut h = harness(script, &Config::default());
     h.run(&mut |t| Some(t));
 
@@ -646,13 +552,7 @@ fn zero_window_peer_is_evicted_at_the_stall_deadline() {
         ..Config::default()
     };
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:2600"),
-            },
-        ),
+        connect(SEC, 1),
         // Same-instant zero grant: scripted flow control from byte one.
         (SEC, SimEvent::Window { conn: 1, bytes: 0 }),
         (20 * SEC, SimEvent::Stop),
@@ -704,13 +604,7 @@ fn one_byte_per_tick_drip_outlives_the_stall_budget_without_eviction() {
     };
     let greeting = "220 sim.test ESMTP spamaware\r\n";
     let mut script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:2700"),
-            },
-        ),
+        connect(SEC, 1),
         (SEC, SimEvent::Window { conn: 1, bytes: 0 }),
     ];
     // One byte of window per second: each grant is inside the 3 s stall
@@ -757,13 +651,7 @@ fn outq_cap_overflow_evicts_at_the_accept_instant() {
         ..Config::default()
     };
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:2800"),
-            },
-        ),
+        connect(SEC, 1),
         (SEC, SimEvent::Window { conn: 1, bytes: 0 }),
         (2 * SEC, SimEvent::Stop),
     ];
@@ -782,6 +670,36 @@ fn outq_cap_overflow_evicts_at_the_accept_instant() {
         !h.reactor.log().iter().any(|l| l.contains("timer")),
         "{:?}",
         h.reactor.log()
+    );
+}
+
+/// A drain hands the connection back from the write-stall budget to the
+/// shorter idle one, which runs from the drain: the peer that drained its
+/// reply at t=7s and then fell silent is evicted at exactly t=12s, not at
+/// the t=14s stall deadline that was armed while the reply sat queued.
+#[test]
+fn a_drain_restarts_the_idle_budget_from_the_drain() {
+    let script = vec![
+        connect(SEC, 1),
+        (3 * SEC, SimEvent::Window { conn: 1, bytes: 0 }),
+        // The reply queues at t=4s: a 10 s stall budget, due at t=14s.
+        data(4 * SEC, 1, b"NOOP\r\n"),
+        (7 * SEC, SimEvent::Window { conn: 1, bytes: 64 }),
+        (30 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    h.run(&mut |t| Some(t));
+
+    assert_eq!(h.stats.idle_evictions.get(), 1);
+    assert_eq!(
+        h.registry.counter_value("master.evicted_slow_writers"),
+        Some(0)
+    );
+    assert!(h.output_text(1).ends_with("250 2.0.0 Ok\r\n"));
+    let log = h.reactor.log();
+    assert!(
+        log.iter().any(|l| l == &format!("t={} timer", 12 * SEC)),
+        "expected the idle wakeup at t=12s in {log:?}"
     );
 }
 
@@ -848,23 +766,11 @@ fn input_waits_while_replies_are_queued() {
 #[test]
 fn stalled_trust_burst_hands_queued_replies_to_the_worker() {
     let script = vec![
-        (
-            SEC,
-            SimEvent::Connect {
-                conn: 1,
-                peer: peer("10.0.0.1:2900"),
-            },
-        ),
+        connect(SEC, 1),
         // The greeting flushed under the default unlimited window; now
         // the peer's receive buffer fills before the dialog replies.
         (2 * SEC, SimEvent::Window { conn: 1, bytes: 0 }),
-        (
-            3 * SEC,
-            SimEvent::Data {
-                conn: 1,
-                bytes: TRUST_BURST.to_vec(),
-            },
-        ),
+        data(3 * SEC, 1, TRUST_BURST),
         (5 * SEC, SimEvent::Stop),
     ];
     let mut h = harness(script, &Config::default());
@@ -896,7 +802,7 @@ fn stalled_trust_burst_hands_queued_replies_to_the_worker() {
 }
 
 /// The whole stall history — a zero-window eviction and a drip that
-/// survives on progress re-arms — is a pure function of the script: two
+/// survives on progress — is a pure function of the script: two
 /// runs agree byte-for-byte on the reactor log (arm/disarm instants,
 /// timer wakeups) and the metrics render.
 #[test]
@@ -904,23 +810,11 @@ fn stall_and_eviction_history_replays_byte_identically() {
     fn script() -> Vec<(u64, SimEvent)> {
         vec![
             // Conn 1: zero window forever; stall deadline evicts at 6s.
-            (
-                SEC,
-                SimEvent::Connect {
-                    conn: 1,
-                    peer: peer("10.0.0.1:3001"),
-                },
-            ),
+            connect(SEC, 1),
             (SEC, SimEvent::Window { conn: 1, bytes: 0 }),
             // Conn 2: stalls at 2s, then drips inside the 5s budget and
             // drains fully on a big grant.
-            (
-                2 * SEC,
-                SimEvent::Connect {
-                    conn: 2,
-                    peer: peer("10.0.0.2:3002"),
-                },
-            ),
+            connect(2 * SEC, 2),
             (2 * SEC, SimEvent::Window { conn: 2, bytes: 0 }),
             (4 * SEC, SimEvent::Window { conn: 2, bytes: 1 }),
             (6 * SEC, SimEvent::Window { conn: 2, bytes: 1 }),
@@ -1054,16 +948,6 @@ impl Harness {
         self.assert_conserved();
         store
     }
-}
-
-fn connect(at: u64, conn: u64) -> (u64, SimEvent) {
-    let peer = peer(&format!("10.0.0.{conn}:2525"));
-    (at, SimEvent::Connect { conn, peer })
-}
-
-fn data(at: u64, conn: u64, bytes: &[u8]) -> (u64, SimEvent) {
-    let bytes = bytes.to_vec();
-    (at, SimEvent::Data { conn, bytes })
 }
 
 const R421: &str = "421 4.3.2 Service not available, closing transmission channel\r\n";

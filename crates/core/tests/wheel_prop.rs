@@ -137,10 +137,9 @@ proptest! {
     }
 }
 
-/// One per-connection lifecycle operation, exercising the engine's id
-/// packing: a connection `token` owns three wheel ids,
-/// `(token << 2) | {IDLE, SESSION, STALL}`, re-armed and cancelled on
-/// different rhythms.
+/// One lifecycle operation of an owner `token` that holds three timer
+/// ids, `(token << 2) | {IDLE, SESSION, STALL}`, re-armed and cancelled
+/// on different rhythms: dense interleaving of neighbouring ids.
 #[derive(Debug, Clone)]
 enum ConnOp {
     /// A new connection: arms all three kinds at once (idle short,
@@ -194,11 +193,11 @@ fn conn_op_strategy() -> impl Strategy<Value = ConnOp> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-    /// The engine's three interleaved deadline kinds per connection —
-    /// idle re-armed on every read, the fixed session budget, and the
-    /// write-stall deadline that progress re-arms and drain cancels —
-    /// never interfere through the shared wheel: each packed id fires
-    /// and cancels independently, exactly like the reference model.
+    /// Three interleaved deadline kinds per owner — one re-armed on
+    /// every activity, one fixed, and one that progress re-arms and a
+    /// drain cancels — never interfere through the shared set: each
+    /// packed id fires and cancels independently, exactly like the
+    /// reference model.
     #[test]
     fn packed_per_connection_timer_kinds_stay_independent(
         start_ns in 0u64..1 << 62,

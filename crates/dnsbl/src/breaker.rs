@@ -5,11 +5,11 @@
 //! indirectly: every connection pays the full lookup timeout before the
 //! greeting-side machinery moves on. This breaker converts a dead
 //! dependency from a per-connection stall into a per-*backoff-window*
-//! probe: after `failure_threshold` consecutive failures the circuit
+//! probe: after [`FAILURE_THRESHOLD`] consecutive failures the circuit
 //! opens, lookups are short-circuited (the caller fails open to "not
 //! listed"), and one half-open probe is admitted per backoff window. The
 //! backoff doubles deterministically on each failed probe up to
-//! `max_backoff` and resets to `open_backoff` when a probe succeeds.
+//! [`MAX_BACKOFF`] and resets to [`OPEN_BACKOFF`] when a probe succeeds.
 //!
 //! Time comes exclusively from an injected [`Clock`], so the whole state
 //! machine is a pure function of the call sequence and the clock readings
@@ -18,23 +18,18 @@
 //! # Example
 //!
 //! ```
-//! use spamaware_dnsbl::{BreakerConfig, BreakerDecision, CircuitBreaker};
+//! use spamaware_dnsbl::{BreakerDecision, CircuitBreaker, FAILURE_THRESHOLD, OPEN_BACKOFF};
 //! use spamaware_metrics::ManualClock;
 //! use std::sync::Arc;
-//! use std::time::Duration;
 //!
 //! let clock = ManualClock::new();
-//! let cfg = BreakerConfig {
-//!     failure_threshold: 2,
-//!     open_backoff: Duration::from_millis(100),
-//!     max_backoff: Duration::from_secs(1),
-//! };
-//! let mut breaker = CircuitBreaker::new(cfg, Arc::new(clock.clone()));
+//! let mut breaker = CircuitBreaker::new(Arc::new(clock.clone()));
 //! assert_eq!(breaker.admit(), BreakerDecision::Allow);
-//! breaker.record_failure();
-//! breaker.record_failure(); // threshold reached: opens
+//! for _ in 0..FAILURE_THRESHOLD {
+//!     breaker.record_failure(); // the last one opens the circuit
+//! }
 //! assert_eq!(breaker.admit(), BreakerDecision::ShortCircuit);
-//! clock.advance(100_000_000); // backoff elapsed
+//! clock.advance(OPEN_BACKOFF.as_nanos() as u64); // backoff elapsed
 //! assert_eq!(breaker.admit(), BreakerDecision::Probe);
 //! breaker.record_success();
 //! assert_eq!(breaker.admit(), BreakerDecision::Allow);
@@ -44,28 +39,15 @@ use spamaware_metrics::{Clock, Counter, Gauge, Registry};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tuning knobs for a [`CircuitBreaker`].
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Consecutive failures (while closed) that open the circuit.
-    pub failure_threshold: u32,
-    /// How long the circuit stays open after tripping; also the backoff
-    /// reset value after a successful probe closes it.
-    pub open_backoff: Duration,
-    /// Cap for the deterministic backoff doubling applied when a
-    /// half-open probe fails.
-    pub max_backoff: Duration,
-}
+/// Consecutive failures (while closed) that open the circuit.
+pub const FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 3,
-            open_backoff: Duration::from_secs(1),
-            max_backoff: Duration::from_secs(60),
-        }
-    }
-}
+/// How long the circuit stays open after tripping; also the backoff a
+/// successful probe resets to.
+pub const OPEN_BACKOFF: Duration = Duration::from_secs(1);
+
+/// Cap for the backoff doubling applied when a half-open probe fails.
+pub const MAX_BACKOFF: Duration = Duration::from_secs(60);
 
 /// What the breaker decided about one prospective lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,10 +90,9 @@ struct BreakerMetrics {
 ///
 /// Not internally synchronized: the intended owner is a single dispatch
 /// thread (the live server's master loop). See the module docs for the
-/// state machine and [`BreakerConfig`] for the knobs.
+/// state machine.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     clock: Arc<dyn Clock>,
     state: State,
     metrics: Option<BreakerMetrics>,
@@ -119,9 +100,8 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// Creates a closed breaker reading time from `clock`.
-    pub fn new(cfg: BreakerConfig, clock: Arc<dyn Clock>) -> CircuitBreaker {
+    pub fn new(clock: Arc<dyn Clock>) -> CircuitBreaker {
         CircuitBreaker {
-            cfg,
             clock,
             state: State::Closed { failures: 0 },
             metrics: None,
@@ -192,14 +172,14 @@ impl CircuitBreaker {
 
     /// Reports a failed lookup (timeout, network error, garbled answer).
     /// While closed, counts toward the threshold; while half-open, reopens
-    /// with the backoff doubled (capped at `max_backoff`).
+    /// with the backoff doubled (capped at [`MAX_BACKOFF`]).
     pub fn record_failure(&mut self) {
         let now = self.clock.now_nanos();
         match self.state {
             State::Closed { failures } => {
                 let failures = failures + 1;
-                if failures >= self.cfg.failure_threshold {
-                    self.open(now, duration_ns(self.cfg.open_backoff));
+                if failures >= FAILURE_THRESHOLD {
+                    self.open(now, duration_ns(OPEN_BACKOFF));
                 } else {
                     self.state = State::Closed { failures };
                 }
@@ -207,7 +187,7 @@ impl CircuitBreaker {
             State::HalfOpen { backoff_ns } => {
                 let doubled = backoff_ns
                     .saturating_mul(2)
-                    .min(duration_ns(self.cfg.max_backoff))
+                    .min(duration_ns(MAX_BACKOFF))
                     .max(1);
                 self.open(now, doubled);
             }
@@ -267,15 +247,17 @@ mod tests {
     use super::*;
     use spamaware_metrics::ManualClock;
 
+    const SEC: u64 = 1_000_000_000;
+
     fn breaker(clock: &ManualClock) -> CircuitBreaker {
-        CircuitBreaker::new(
-            BreakerConfig {
-                failure_threshold: 3,
-                open_backoff: Duration::from_millis(100),
-                max_backoff: Duration::from_millis(400),
-            },
-            Arc::new(clock.clone()),
-        )
+        CircuitBreaker::new(Arc::new(clock.clone()))
+    }
+
+    #[test]
+    fn the_knobs_are_the_shipped_ones() {
+        assert_eq!(FAILURE_THRESHOLD, 3);
+        assert_eq!(duration_ns(OPEN_BACKOFF), SEC);
+        assert_eq!(duration_ns(MAX_BACKOFF), 60 * SEC);
     }
 
     #[test]
@@ -313,7 +295,7 @@ mod tests {
             b.record_failure();
         }
         assert!(b.is_open());
-        clock.advance(99_999_999);
+        clock.advance(SEC - 1);
         assert_eq!(b.admit(), BreakerDecision::ShortCircuit, "1ns early");
         clock.advance(1);
         assert_eq!(b.admit(), BreakerDecision::Probe, "exactly at backoff");
@@ -331,22 +313,22 @@ mod tests {
         for _ in 0..3 {
             b.record_failure();
         }
-        // Windows: 100ms, then 200ms, 400ms, 400ms (capped).
-        for expect_ms in [100u64, 200, 400, 400] {
-            clock.advance(expect_ms * 1_000_000 - 1);
-            assert_eq!(b.admit(), BreakerDecision::ShortCircuit, "{expect_ms}ms");
+        // Windows: 1 s, doubling on each failed probe, capped at 60 s.
+        for expect_s in [1u64, 2, 4, 8, 16, 32, 60, 60] {
+            clock.advance(expect_s * SEC - 1);
+            assert_eq!(b.admit(), BreakerDecision::ShortCircuit, "{expect_s}s");
             clock.advance(1);
-            assert_eq!(b.admit(), BreakerDecision::Probe, "{expect_ms}ms");
+            assert_eq!(b.admit(), BreakerDecision::Probe, "{expect_s}s");
             b.record_failure();
         }
-        // A successful probe resets the backoff to open_backoff.
-        clock.advance(400 * 1_000_000);
+        // A successful probe resets the backoff to OPEN_BACKOFF.
+        clock.advance(60 * SEC);
         assert_eq!(b.admit(), BreakerDecision::Probe);
         b.record_success();
         for _ in 0..3 {
             b.record_failure();
         }
-        clock.advance(100 * 1_000_000);
+        clock.advance(SEC);
         assert_eq!(b.admit(), BreakerDecision::Probe, "backoff reset to base");
     }
 
@@ -389,7 +371,7 @@ mod tests {
             registry.counter_value("dnsbl.breaker_short_circuits"),
             Some(1)
         );
-        clock.advance(100_000_000);
+        clock.advance(SEC);
         b.admit();
         assert_eq!(registry.counter_value("dnsbl.breaker_probes"), Some(1));
         assert_eq!(registry.gauge_value("dnsbl.breaker_state"), Some(2));

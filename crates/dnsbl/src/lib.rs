@@ -30,12 +30,12 @@ mod server;
 mod udp;
 pub mod wire;
 
-pub use breaker::{BreakerConfig, BreakerDecision, CircuitBreaker};
+pub use breaker::{BreakerDecision, CircuitBreaker, FAILURE_THRESHOLD, MAX_BACKOFF, OPEN_BACKOFF};
 pub use database::{BlacklistDb, ListingCode};
 pub use latency::{paper_servers, LatencyModel};
 pub use resolver::{CacheScheme, CachingResolver, Fetched, LookupOutcome, ResolverStats};
 pub use server::{DnsblServer, WireAnswer};
-pub use udp::{UdpDnsbl, UdpStats, DEFAULT_LOOKUP_TIMEOUT};
+pub use udp::{UdpDnsbl, UdpStats};
 
 use rand::Rng;
 use spamaware_sim::Nanos;

@@ -30,10 +30,16 @@ pub struct UdpStats {
 /// ```no_run
 /// use spamaware_dnsbl::{BlacklistDb, UdpDnsbl};
 /// use spamaware_netaddr::Ipv4;
+/// use std::time::Duration;
 ///
 /// let db: BlacklistDb = [Ipv4::new(203, 0, 113, 7)].into_iter().collect();
 /// let server = UdpDnsbl::start("127.0.0.1:0".parse().unwrap(), "bl.example", db)?;
-/// let listed = UdpDnsbl::lookup_v4(server.local_addr(), "bl.example", Ipv4::new(203, 0, 113, 7))?;
+/// let listed = UdpDnsbl::lookup_v4_timeout(
+///     server.local_addr(),
+///     "bl.example",
+///     Ipv4::new(203, 0, 113, 7),
+///     Duration::from_secs(3),
+/// )?;
 /// assert!(listed.is_some());
 /// server.shutdown();
 /// # Ok::<(), std::io::Error>(())
@@ -100,26 +106,11 @@ impl UdpDnsbl {
     }
 
     /// Blocking stub client: classic per-IP A lookup against `server`,
-    /// waiting up to [`DEFAULT_LOOKUP_TIMEOUT`]. Returns the listing
-    /// address (`127.0.0.x`) if listed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors; a malformed response surfaces as
-    /// `InvalidData`.
-    pub fn lookup_v4(
-        server: SocketAddr,
-        zone: &str,
-        ip: spamaware_netaddr::Ipv4,
-    ) -> std::io::Result<Option<spamaware_netaddr::Ipv4>> {
-        Self::lookup_v4_timeout(server, zone, ip, DEFAULT_LOOKUP_TIMEOUT)
-    }
-
-    /// [`lookup_v4`](Self::lookup_v4) with an explicit response budget —
-    /// servers checking DNSBLs inline must bound the wait themselves. A
-    /// lookup that exceeds `timeout` fails with `WouldBlock`/`TimedOut`
-    /// (platform-dependent), distinguishable from network or decode
-    /// errors.
+    /// waiting up to `timeout` — a caller checking DNSBLs inline must bound
+    /// the wait itself. Returns the listing address (`127.0.0.x`) if
+    /// listed. A lookup that exceeds `timeout` fails with
+    /// `WouldBlock`/`TimedOut` (platform-dependent), distinguishable from
+    /// network or decode errors.
     ///
     /// # Errors
     ///
@@ -144,24 +135,9 @@ impl UdpDnsbl {
             .map(|a| spamaware_netaddr::Ipv4::new(a.rdata[0], a.rdata[1], a.rdata[2], a.rdata[3])))
     }
 
-    /// Blocking stub client: DNSBLv6 AAAA lookup waiting up to
-    /// [`DEFAULT_LOOKUP_TIMEOUT`]; returns the /25 bitmap.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors; a malformed response surfaces as
-    /// `InvalidData`.
-    pub fn lookup_v6(
-        server: SocketAddr,
-        zone: &str,
-        ip: spamaware_netaddr::Ipv4,
-    ) -> std::io::Result<spamaware_netaddr::PrefixBitmap> {
-        Self::lookup_v6_timeout(server, zone, ip, DEFAULT_LOOKUP_TIMEOUT)
-    }
-
-    /// [`lookup_v6`](Self::lookup_v6) with an explicit response budget
+    /// Blocking stub client: DNSBLv6 AAAA lookup waiting up to `timeout`
     /// (see [`lookup_v4_timeout`](Self::lookup_v4_timeout) for the error
-    /// classification).
+    /// classification); returns the /25 bitmap.
     ///
     /// # Errors
     ///
@@ -214,12 +190,6 @@ fn client_socket(server: SocketAddr) -> std::io::Result<UdpSocket> {
     };
     UdpSocket::bind(any)
 }
-
-/// Response budget of the convenience [`UdpDnsbl::lookup_v4`] /
-/// [`UdpDnsbl::lookup_v6`] wrappers. Inline callers on a hot path (the
-/// live server's master loop) should pass their own much shorter budget
-/// via the `_timeout` variants.
-pub const DEFAULT_LOOKUP_TIMEOUT: Duration = Duration::from_secs(3);
 
 impl Drop for UdpDnsbl {
     fn drop(&mut self) {
@@ -296,6 +266,8 @@ mod tests {
     use super::*;
     use spamaware_netaddr::Ipv4;
 
+    const BUDGET: Duration = Duration::from_secs(3);
+
     fn server() -> UdpDnsbl {
         let db: BlacklistDb = [
             Ipv4::new(203, 0, 113, 7),
@@ -311,9 +283,19 @@ mod tests {
     #[test]
     fn classic_lookup_over_udp() -> Result<(), Box<dyn std::error::Error>> {
         let s = server();
-        let listed = UdpDnsbl::lookup_v4(s.local_addr(), "bl.example", Ipv4::new(203, 0, 113, 7))?;
+        let listed = UdpDnsbl::lookup_v4_timeout(
+            s.local_addr(),
+            "bl.example",
+            Ipv4::new(203, 0, 113, 7),
+            BUDGET,
+        )?;
         assert_eq!(listed, Some(Ipv4::new(127, 0, 0, 2)));
-        let clean = UdpDnsbl::lookup_v4(s.local_addr(), "bl.example", Ipv4::new(203, 0, 113, 8))?;
+        let clean = UdpDnsbl::lookup_v4_timeout(
+            s.local_addr(),
+            "bl.example",
+            Ipv4::new(203, 0, 113, 8),
+            BUDGET,
+        )?;
         assert_eq!(clean, None);
         assert!(s.stats().answered.load(Ordering::Relaxed) >= 2);
         s.shutdown();
@@ -323,7 +305,12 @@ mod tests {
     #[test]
     fn bitmap_lookup_over_udp() -> Result<(), Box<dyn std::error::Error>> {
         let s = server();
-        let bm = UdpDnsbl::lookup_v6(s.local_addr(), "bl.example", Ipv4::new(203, 0, 113, 9))?;
+        let bm = UdpDnsbl::lookup_v6_timeout(
+            s.local_addr(),
+            "bl.example",
+            Ipv4::new(203, 0, 113, 9),
+            BUDGET,
+        )?;
         assert!(bm.contains(Ipv4::new(203, 0, 113, 7)));
         assert!(bm.contains(Ipv4::new(203, 0, 113, 77)));
         assert!(!bm.contains(Ipv4::new(203, 0, 113, 9)));
@@ -352,7 +339,7 @@ mod tests {
             s.local_addr(),
             "bl.example",
             Ipv4::new(203, 0, 113, 9),
-            Duration::from_secs(3),
+            BUDGET,
         )?;
         assert!(bm.contains(Ipv4::new(203, 0, 113, 7)));
         assert_eq!(bm.count(), 1);
@@ -388,7 +375,12 @@ mod tests {
         let sock = UdpSocket::bind(("127.0.0.1", 0))?;
         sock.send_to(b"junk", s.local_addr())?;
         // Server keeps answering afterwards.
-        let listed = UdpDnsbl::lookup_v4(s.local_addr(), "bl.example", Ipv4::new(203, 0, 113, 7))?;
+        let listed = UdpDnsbl::lookup_v4_timeout(
+            s.local_addr(),
+            "bl.example",
+            Ipv4::new(203, 0, 113, 7),
+            BUDGET,
+        )?;
         assert!(listed.is_some());
         assert!(s.stats().malformed.load(Ordering::Relaxed) >= 1);
         s.shutdown();

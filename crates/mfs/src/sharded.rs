@@ -252,11 +252,6 @@ impl<B: Backend> ShardedStore<B> {
         }
     }
 
-    /// Number of mailbox shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Runs one store operation, `f`, under a partition's lock, charging
     /// the wait for it to `shard_contention_ns` when metrics are on. The
     /// guard never leaves this function, so a hold ends where its

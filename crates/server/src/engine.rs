@@ -80,8 +80,6 @@ pub struct ServerConfig {
     pub disk: DiskProfile,
     /// DNSBL lookups (None = disabled).
     pub dns: Option<DnsConfig>,
-    /// SMTP session policy.
-    pub session: SessionConfig,
     /// Hybrid only: when connections are delegated to workers (the
     /// trust-point ablation; the live server has only the default).
     pub trust_point: TrustPoint,
@@ -105,7 +103,6 @@ impl ServerConfig {
             layout: Layout::Mbox,
             disk: DiskProfile::ext3(),
             dns: None,
-            session: SessionConfig::default(),
             trust_point: TrustPoint::default(),
             smtpd_max_requests: 100,
         }
@@ -359,7 +356,6 @@ struct World<'a> {
     trace: &'a Trace,
     arch: Architecture,
     cost: CostModel,
-    session_cfg: SessionConfig,
     /// The hosted mailbox names `RCPT TO` is checked against.
     hosted: HashSet<String>,
     cpu: FifoResource<Ev>,
@@ -427,7 +423,6 @@ impl<'a> World<'a> {
             trace,
             arch: cfg.arch,
             cost: cfg.cost,
-            session_cfg: cfg.session,
             hosted: HashSet::new(),
             cpu: FifoResource::new(cfg.cost.context_switch),
             disk_load: Nanos::ZERO,
@@ -533,7 +528,7 @@ impl<'a> World<'a> {
     fn new_conn(&mut self, sched: &mut Scheduler<Ev>) {
         let spec = &self.trace.connections[self.next_spec % self.trace.connections.len()];
         self.next_spec += 1;
-        let mut session = ServerSession::new(self.session_cfg.clone());
+        let mut session = ServerSession::new(SessionConfig::default());
         session.capture_bodies(false);
         let id = self.conns.len();
         self.conns.push(Conn {

@@ -1,7 +1,7 @@
 //! Random distributions built directly on [`rand`].
 //!
-//! The workload models in this workspace need exponential, lognormal,
-//! Pareto, and Zipf samplers. `rand_distr` is outside the sanctioned
+//! The workload models in this workspace need exponential, lognormal and
+//! Pareto samplers. `rand_distr` is outside the sanctioned
 //! dependency set, so the samplers are implemented here from uniform
 //! variates; each is exact (inverse-CDF or Box–Muller), not approximate.
 
@@ -159,66 +159,6 @@ impl Sample for Pareto {
     }
 }
 
-/// Zipf distribution over ranks `1..=n` with exponent `s`.
-///
-/// Sampling uses a precomputed cumulative table (O(log n) per draw), which
-/// is fine for the rank counts used here (≤ a few hundred thousand).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `1..=n` with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative/non-finite.
-    pub fn new(n: usize, s: f64) -> Zipf {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s.is_finite() && s >= 0.0);
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Draws a rank in `1..=n`.
-    pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf has no NaN"))
-        {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.cdf.len()),
-        }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the distribution has zero ranks (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-}
-
-impl Sample for Zipf {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_rank(rng) as f64
-    }
-}
-
 /// An empirical discrete distribution over arbitrary values with weights.
 ///
 /// # Example
@@ -343,20 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn zipf_rank_one_dominates() {
-        let mut rng = det_rng(16);
-        let d = Zipf::new(100, 1.0);
-        let n = 30_000;
-        let ones = (0..n).filter(|_| d.sample_rank(&mut rng) == 1).count() as f64 / n as f64;
-        // P(rank 1) = 1/H_100 ≈ 0.1928
-        assert!((ones - 0.1928).abs() < 0.02, "p1 {ones}");
-        for _ in 0..1000 {
-            let r = d.sample_rank(&mut rng);
-            assert!((1..=100).contains(&r));
-        }
-    }
-
-    #[test]
     fn weighted_frequencies_match() {
         let mut rng = det_rng(17);
         let d = Weighted::new(vec![(0u8, 1.0), (1u8, 3.0)]);
@@ -415,24 +341,6 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
     }
 }
 
-/// Draws a Binomial(n, p) count by direct Bernoulli trials.
-///
-/// Intended for small `n` (≤ a few hundred), where the loop is cheapest.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 1]`.
-pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
-    assert!((0.0..=1.0).contains(&p), "binomial p out of range: {p}");
-    let mut k = 0;
-    for _ in 0..n {
-        if rng.gen::<f64>() < p {
-            k += 1;
-        }
-    }
-    k
-}
-
 #[cfg(test)]
 mod count_tests {
     use super::*;
@@ -461,23 +369,5 @@ mod count_tests {
     fn poisson_zero_mean_is_zero() {
         let mut rng = det_rng(33);
         assert_eq!(poisson(&mut rng, 0.0), 0);
-    }
-
-    #[test]
-    fn binomial_mean_matches() {
-        let mut rng = det_rng(34);
-        let n = 30_000;
-        let mean = (0..n)
-            .map(|_| binomial(&mut rng, 40, 0.25) as f64)
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 10.0).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn binomial_edge_probabilities() {
-        let mut rng = det_rng(35);
-        assert_eq!(binomial(&mut rng, 10, 0.0), 0);
-        assert_eq!(binomial(&mut rng, 10, 1.0), 10);
     }
 }

@@ -10,7 +10,7 @@
 //! * [`FifoResource`] — a single-server FIFO queue with per-job service
 //!   times and context-switch accounting, used to model CPUs and disks.
 //! * [`dist`] — hand-rolled random distributions (exponential, lognormal,
-//!   Pareto, Zipf) built on [`rand`], since `rand_distr` is out of scope.
+//!   Pareto) built on [`rand`], since `rand_distr` is out of scope.
 //! * [`Readout`] — the serializable copy of a
 //!   [`spamaware_metrics::LogHistogram`] that reports carry, with the CDF
 //!   export the benchmark harness prints the paper's figures from.

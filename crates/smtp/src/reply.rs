@@ -59,12 +59,10 @@ impl Reply {
         }
     }
 
-    /// `250` EHLO acknowledgement advertising ESMTP extensions.
-    pub fn hello_esmtp(host: &str, max_message_size: Option<u64>) -> Reply {
-        let mut ext = vec!["8BITMIME".to_owned()];
-        if let Some(n) = max_message_size {
-            ext.push(format!("SIZE {n}"));
-        }
+    /// `250` EHLO acknowledgement advertising ESMTP extensions, among
+    /// them the largest message accepted (`SIZE`, RFC 1870).
+    pub fn hello_esmtp(host: &str, max_message_size: u64) -> Reply {
+        let ext = vec!["8BITMIME".to_owned(), format!("SIZE {max_message_size}")];
         Reply::multiline(250, host.to_owned(), ext)
     }
 
@@ -192,11 +190,6 @@ impl Reply {
         self.code >= 500
     }
 
-    /// The continuation lines preceding the terminal line.
-    pub fn extra_lines(&self) -> &[String] {
-        &self.extra
-    }
-
     /// Serializes as wire lines, CRLF-terminated, handling multiline
     /// replies (`250-a`, `250 b`).
     pub fn to_wire(&self) -> String {
@@ -287,20 +280,13 @@ mod tests {
 
     #[test]
     fn multiline_wire_format() {
-        let r = Reply::hello_esmtp("mx.example", Some(10_000_000));
+        let r = Reply::hello_esmtp("mx.example", 10_000_000);
         assert!(r.is_multiline());
         let wire = r.to_wire();
         assert_eq!(
             wire,
             "250-mx.example\r\n250-8BITMIME\r\n250 SIZE 10000000\r\n"
         );
-    }
-
-    #[test]
-    fn esmtp_without_size_limit_omits_size() {
-        let r = Reply::hello_esmtp("mx.example", None);
-        assert!(!r.to_wire().contains("SIZE"));
-        assert!(r.to_wire().contains("8BITMIME"));
     }
 
     #[test]

@@ -4,30 +4,30 @@ use crate::{Command, MailAddr, Reply};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Static per-session policy knobs.
+/// Recipients accepted per transaction (postfix allows 1000; 100 is
+/// ample for the paper's 5–15-recipient spam).
+const MAX_RECIPIENTS: usize = 100;
+
+/// Mail transactions accepted per connection.
+const MAX_TRANSACTIONS: usize = 100;
+
+/// Largest accepted message in bytes, advertised as `SIZE`: a larger one
+/// draws `552` at end-of-data and is discarded.
+const MAX_MESSAGE_SIZE: u64 = 10 * 1024 * 1024;
+
+/// What a server announces about itself in a session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionConfig {
     /// Hostname announced in the greeting. `Arc<str>` so a server
     /// delegating thousands of connections shares one allocation instead
     /// of cloning the string per session.
     pub hostname: Arc<str>,
-    /// Maximum recipients accepted per transaction (postfix default 1000;
-    /// we default to 100, ample for the paper's 5–15 rcpt spam).
-    pub max_recipients: usize,
-    /// Maximum mail transactions per connection.
-    pub max_transactions: usize,
-    /// Maximum accepted message size in bytes (None = unlimited). Oversized
-    /// messages draw `552` at end-of-data and are discarded.
-    pub max_message_size: Option<u64>,
 }
 
 impl Default for SessionConfig {
     fn default() -> SessionConfig {
         SessionConfig {
             hostname: "mx.spamaware.test".into(),
-            max_recipients: 100,
-            max_transactions: 100,
-            max_message_size: Some(10 * 1024 * 1024),
         }
     }
 }
@@ -211,11 +211,6 @@ impl ServerSession {
         &self.delivered
     }
 
-    /// Consumes the session, returning accepted mails.
-    pub fn into_delivered(self) -> Vec<Envelope> {
-        self.delivered
-    }
-
     /// Removes and returns the most recently accepted envelope, if any —
     /// how the live server takes ownership of a mail for storage right
     /// after [`ServerSession::finish_data`] returns `250`. Draining does
@@ -273,14 +268,14 @@ impl ServerSession {
                 }
                 self.phase = SessionPhase::Greeted;
                 self.reset_transaction();
-                Reply::hello_esmtp(&self.cfg.hostname, self.cfg.max_message_size)
+                Reply::hello_esmtp(&self.cfg.hostname, MAX_MESSAGE_SIZE)
             }
             Command::MailFrom(sender) => match self.phase {
                 SessionPhase::Start => Reply::bad_sequence("HELO"),
                 SessionPhase::MailGiven | SessionPhase::RcptGiven => Reply::bad_sequence("DATA"),
                 SessionPhase::Closed => Reply::bad_sequence("connection"),
                 SessionPhase::Greeted => {
-                    if self.accepted >= self.cfg.max_transactions {
+                    if self.accepted >= MAX_TRANSACTIONS {
                         return Reply::too_many_transactions();
                     }
                     self.sender = sender;
@@ -293,7 +288,7 @@ impl ServerSession {
             },
             Command::RcptTo(rcpt) => match self.phase {
                 SessionPhase::MailGiven | SessionPhase::RcptGiven => {
-                    if self.recipients.len() >= self.cfg.max_recipients {
+                    if self.recipients.len() >= MAX_RECIPIENTS {
                         return Reply::too_many_recipients();
                     }
                     if exists(&rcpt) {
@@ -385,10 +380,7 @@ impl ServerSession {
     /// instead: what a peer can make the capture buffer hold is the
     /// limit, not the power of two above it.
     fn reserve_body(&mut self, more: usize) {
-        let Some(limit) = self.cfg.max_message_size else {
-            return;
-        };
-        let limit = usize::try_from(limit).unwrap_or(usize::MAX);
+        let limit = usize::try_from(MAX_MESSAGE_SIZE).unwrap_or(usize::MAX);
         let (len, capacity) = (self.body.len(), self.body.capacity());
         if capacity - len < more && capacity.saturating_mul(2) > limit {
             self.body.reserve_exact(limit.max(len + more) - len);
@@ -396,9 +388,7 @@ impl ServerSession {
     }
 
     fn oversized(&self) -> bool {
-        self.cfg
-            .max_message_size
-            .is_some_and(|limit| self.data_size > limit)
+        self.data_size > MAX_MESSAGE_SIZE
     }
 
     /// Completes the DATA phase after the terminator, recording the
@@ -602,15 +592,16 @@ mod tests {
 
     #[test]
     fn recipient_limit_enforced() {
-        let mut s = ServerSession::new(SessionConfig {
-            max_recipients: 2,
-            ..SessionConfig::default()
-        });
-        s.handle(Command::helo("c.example"), &all_exist);
+        let mut s = greeted();
         s.handle(Command::mail_from(None), &all_exist);
-        s.handle(Command::rcpt_to(addr("a@d.example")), &all_exist);
-        s.handle(Command::rcpt_to(addr("b@d.example")), &all_exist);
-        let r = s.handle(Command::rcpt_to(addr("c@d.example")), &all_exist);
+        for i in 0..MAX_RECIPIENTS {
+            let r = s.handle(
+                Command::rcpt_to(addr(&format!("u{i}@d.example"))),
+                &all_exist,
+            );
+            assert_eq!(r.code(), 250);
+        }
+        let r = s.handle(Command::rcpt_to(addr("over@d.example")), &all_exist);
         assert_eq!(r.code(), 452);
     }
 
@@ -657,12 +648,8 @@ mod tests {
 
     #[test]
     fn draining_envelopes_preserves_outcome_and_limits() {
-        let mut s = ServerSession::new(SessionConfig {
-            max_transactions: 2,
-            ..SessionConfig::default()
-        });
-        s.handle(Command::helo("c.example"), &all_exist);
-        for t in 0..2 {
+        let mut s = greeted();
+        for t in 0..MAX_TRANSACTIONS {
             s.handle(Command::mail_from(None), &all_exist);
             s.handle(Command::rcpt_to(addr("u@d.example")), &all_exist);
             s.handle(Command::Data, &all_exist);
@@ -672,7 +659,7 @@ mod tests {
             assert_eq!(env.body_size, 10);
             assert!(s.delivered().is_empty());
         }
-        // Both accepted mails count against max_transactions even though
+        // Every accepted mail counts against MAX_TRANSACTIONS even though
         // the delivered list was drained.
         assert_eq!(s.handle(Command::mail_from(None), &all_exist).code(), 452);
         assert_eq!(s.outcome(true), SessionOutcome::Delivered);
@@ -769,11 +756,8 @@ mod size_limit_tests {
         true
     }
 
-    fn to_data_phase(limit: Option<u64>) -> ServerSession {
-        let mut s = ServerSession::new(SessionConfig {
-            max_message_size: limit,
-            ..SessionConfig::default()
-        });
+    fn to_data_phase() -> ServerSession {
+        let mut s = ServerSession::new(SessionConfig::default());
         s.handle(Command::helo("c.example"), &all_exist);
         s.handle(Command::mail_from(None), &all_exist);
         s.handle(
@@ -786,8 +770,8 @@ mod size_limit_tests {
 
     #[test]
     fn oversized_message_draws_552_and_is_discarded() {
-        let mut s = to_data_phase(Some(1_000));
-        let reply = s.finish_data_sized("M1", 2_000);
+        let mut s = to_data_phase();
+        let reply = s.finish_data_sized("M1", MAX_MESSAGE_SIZE + 1);
         assert_eq!(reply.code(), 552);
         assert!(s.delivered().is_empty());
         // Session is usable for the next transaction.
@@ -797,18 +781,18 @@ mod size_limit_tests {
 
     #[test]
     fn message_at_limit_is_accepted() {
-        let mut s = to_data_phase(Some(1_000));
-        assert_eq!(s.finish_data_sized("M1", 1_000).code(), 250);
+        let mut s = to_data_phase();
+        assert_eq!(s.finish_data_sized("M1", MAX_MESSAGE_SIZE).code(), 250);
         assert_eq!(s.delivered().len(), 1);
     }
 
     #[test]
     fn capture_stops_at_the_limit_and_the_dot_still_draws_552() {
-        const LIMIT: usize = 10_000;
-        let mut s = to_data_phase(Some(LIMIT as u64));
+        const LIMIT: usize = MAX_MESSAGE_SIZE as usize;
+        let mut s = to_data_phase();
         s.capture_bodies(true);
         let line = [b'x'; 98]; // 100 bytes with its CRLF
-        for _ in 0..4 * LIMIT / 100 {
+        for _ in 0..2 * LIMIT / 100 {
             assert_eq!(s.data_line(&line), DataVerdict::More);
             assert!(
                 s.body.capacity() <= LIMIT + 100,
@@ -827,19 +811,15 @@ mod size_limit_tests {
 
     #[test]
     fn captured_message_at_limit_is_accepted_whole() {
-        let mut s = to_data_phase(Some(200));
+        let mut s = to_data_phase();
         s.capture_bodies(true);
-        s.data_line(&[b'a'; 98]);
-        s.data_line(&[b'b'; 98]);
+        // 1 KiB with its CRLF, as many as make exactly the limit.
+        for _ in 0..MAX_MESSAGE_SIZE / 1024 {
+            s.data_line(&[b'a'; 1022]);
+        }
         s.data_line(b".");
         assert_eq!(s.finish_data("M1").code(), 250);
-        assert_eq!(s.delivered()[0].body.len(), 200);
-        assert_eq!(s.delivered()[0].body_size, 200);
-    }
-
-    #[test]
-    fn unlimited_accepts_anything() {
-        let mut s = to_data_phase(None);
-        assert_eq!(s.finish_data_sized("M1", u64::MAX / 2).code(), 250);
+        assert_eq!(s.delivered()[0].body.len() as u64, MAX_MESSAGE_SIZE);
+        assert_eq!(s.delivered()[0].body_size, MAX_MESSAGE_SIZE);
     }
 }

@@ -32,13 +32,18 @@
 #                                - unsafe: undocumented_unsafe_blocks in
 #                                  Cargo.toml's [workspace.lints.clippy]
 #                                  and at vendor/rawpoll's root (§9)
-#   3. cargo test              — unit, integration, property and doc tests;
+#   3. cargo doc               — rustdoc over every workspace crate with
+#                                warnings as errors, so a doc link to an
+#                                item that was deleted, made private or
+#                                became ambiguous fails here
+#   4. cargo test              — unit, integration, property and doc tests;
 #                                among them the debug-build assertion that
 #                                no thread holds two store partitions, the
 #                                one-hold-per-mail count of a mailbox scan,
-#                                and the metric inventory against
-#                                DESIGN.md §14.3
-#   4. figures check results   — every experiment is re-run in release at
+#                                the one-deadline-per-connection count of
+#                                the session engine's timer set, and the
+#                                metric inventory against DESIGN.md §14.3
+#   5. figures check results   — every experiment is re-run in release at
 #                                the recorded scale (and the four
 #                                full_key rows at --full) and compared
 #                                byte for byte with results/; a file
@@ -49,7 +54,7 @@
 #                                changed libm), and `figures record
 #                                results` is the deliberate way to
 #                                accept it (results/README.md). ≈ 40 s.
-#   5. cargo test benchmark/   — the standalone benchmark package (its own
+#   6. cargo test benchmark/   — the standalone benchmark package (its own
 #                                workspace, so stages 2 and 3 never see
 #                                it) still builds against this tree's
 #                                API, and its suite boots the real TCP
@@ -110,6 +115,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo test"
 cargo test --quiet

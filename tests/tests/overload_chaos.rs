@@ -14,7 +14,6 @@
 mod common;
 
 use common::{assert_conserved_at_quiesce, serve, wait_for, Line};
-use spamaware_core::BreakerConfig;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -268,7 +267,7 @@ fn breaker_closes_again_when_the_dnsbl_heals() {
 
     // Let the shipped open window lapse, then the next connection is the
     // probe.
-    std::thread::sleep(BreakerConfig::default().open_backoff + Duration::from_millis(100));
+    std::thread::sleep(spamaware_dnsbl::OPEN_BACKOFF + Duration::from_millis(100));
     wait_for("breaker to close after probe", || {
         let c = Line::connect(addr);
         assert!(c.greeted());
