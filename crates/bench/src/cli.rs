@@ -1,8 +1,8 @@
 //! The one argument parser of the `figures` binary, and the `record` /
 //! `check` pair that walks [`TABLE`].
 
+use crate::experiment::Scale;
 use crate::{Experiment, TABLE};
-use spamaware_core::experiment::Scale;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 

@@ -1,12 +1,10 @@
 //! Experiment runners: one function per paper table/figure.
 //!
-//! Each runner returns typed rows; the `figures` binary of
-//! `spamaware-bench` prints them in the paper's format, and integration
-//! tests pin the qualitative shapes. Every runner accepts a [`Scale`] so
-//! tests can run in seconds while `--full` regenerations use paper-sized
-//! inputs.
+//! Each runner returns typed rows; the `figures` binary prints them in
+//! the paper's format, and integration tests pin the qualitative shapes.
+//! Every runner accepts a [`Scale`] so tests can run in seconds while
+//! `--full` regenerations use paper-sized inputs.
 
-use crate::combined_workload;
 use spamaware_dnsbl::{
     paper_servers, BlacklistDb, CacheScheme, CachingResolver, DnsblServer, LatencyModel,
 };
@@ -15,8 +13,8 @@ use spamaware_netaddr::Ipv4;
 use spamaware_server::{run, ClientModel, DnsConfig, RunReport, ServerConfig};
 use spamaware_sim::{det_rng, LogHistogram, Nanos, Readout};
 use spamaware_trace::{
-    bounce_sweep_trace, mfs_sequence_trace, EcnSeries, SinkholeConfig, SinkholeTrace, Trace,
-    TraceStats, UnivConfig, UnivTrace,
+    bounce_sweep_trace, combined_workload, mfs_sequence_trace, EcnSeries, SinkholeConfig,
+    SinkholeTrace, Trace, TraceStats, UnivConfig, UnivTrace,
 };
 
 /// How big to run an experiment.
@@ -134,7 +132,7 @@ pub fn fig05(scale: Scale) -> Vec<(&'static str, Readout)> {
         .into_iter()
         .map(|(name, model)| {
             let h = LogHistogram::new();
-            for _ in &ips {
+            for _ in 0..ips.len() {
                 h.record(model.sample(&mut rng).as_nanos());
             }
             (name, Readout::from(&h))

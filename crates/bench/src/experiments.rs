@@ -1,13 +1,12 @@
 //! The printing code of every row of [`crate::TABLE`]: each function
 //! runs one experiment at `scale` and writes the report to `out`.
 
+use crate::experiment::{self, default_dnsbl, CombinedWorkload, Fig10Point, Scale};
 use crate::{banner, experiment_registry, thin_cdf, write_json, write_metrics_sidecar};
 use rand::Rng;
-use spamaware_core::experiment::{self, default_dnsbl, CombinedWorkload, Fig10Point, Scale};
-use spamaware_core::{run, ClientModel, ServerConfig, TrustPoint};
 use spamaware_dnsbl::{width_analysis, CacheScheme, CachingResolver};
 use spamaware_mfs::{DiskProfile, Layout};
-use spamaware_server::SimStore;
+use spamaware_server::{run, ClientModel, ServerConfig, SimStore, TrustPoint};
 use spamaware_sim::{det_rng, Nanos};
 use spamaware_trace::{bounce_sweep_trace, MailSizeModel, RcptCountModel, SinkholeConfig};
 use std::io::{self, Write};

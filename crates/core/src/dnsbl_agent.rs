@@ -12,7 +12,6 @@
 //! overload we shed a *statistic*, not a client.
 
 use crate::instruments::AgentMetrics;
-use crossbeam::channel::Receiver;
 use spamaware_dnsbl::{
     BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker, Fetched, UdpDnsbl,
 };
@@ -22,6 +21,7 @@ use spamaware_sim::Nanos;
 use std::io::ErrorKind;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 

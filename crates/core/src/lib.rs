@@ -1,43 +1,48 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // DESIGN.md §9
 #![deny(clippy::unreachable)]
-//! Spam-aware high-performance mail server — the public facade.
+//! Spam-aware high-performance mail server — the live server.
 //!
 //! Reproduction of Pathak, Jafri & Hu, *"The Case for Spam-Aware High
-//! Performance Mail Server Architecture"* (ICDCS 2009). The paper's three
-//! optimizations live in the substrate crates and are tied together here:
+//! Performance Mail Server Architecture"* (ICDCS 2009). This crate is the
+//! deployable server: real sockets, a real on-disk store, and the paper's
+//! three optimizations wired together.
 //!
-//! | Optimization | Crate | Entry point |
+//! | Optimization | Crate | Live entry point |
 //! |---|---|---|
-//! | Fork-after-trust concurrency (§5) | `spamaware-server` | [`ServerConfig::hybrid`] |
-//! | MFS single-copy mail store (§6) | `spamaware-mfs` | [`spamaware_mfs::MfsStore`] |
-//! | Prefix-based DNSBL caching (§7) | `spamaware-dnsbl` | [`spamaware_dnsbl::CacheScheme::PerPrefix`] |
+//! | Fork-after-trust concurrency (§5) | this crate | [`pretrust`] master → [`posttrust`] workers, wired by [`LiveServer`] |
+//! | MFS single-copy mail store (§6) | `spamaware-mfs` | [`ShardedStore`] over [`RealDir`] |
+//! | Prefix-based DNSBL caching (§7) | `spamaware-dnsbl` | [`CachingResolver`] with [`CacheScheme::PerPrefix`], on the DNSBL agent thread |
 //!
-//! This crate adds:
+//! Beside SMTP, [`Pop3Server`] reads and deletes from the same store, a
+//! localhost admin socket serves [`LiveServer::metrics_report`], and the
+//! `spamawarectl` binary serves, inspects, checks and compacts a spool.
+//! Every peer-facing thread runs one session engine, [`driver`], over a
+//! [`reactor`]. The discrete-event simulator that regenerates the paper's
+//! figures is not here: its engines are `spamaware-server`, its runner
+//! the `figures` binary of `spamaware-bench`.
 //!
-//! * [`experiment`] — one runner per paper table/figure (the benchmark
-//!   harness and the EXPERIMENTS.md numbers come from here);
-//! * [`combined_workload`] — the §8 mixed workload builder;
-//! * [`LiveServer`] — a real TCP SMTP server wiring all three
-//!   optimizations together over real sockets and a real on-disk store.
-//!
-//! # Quickstart (simulation)
+//! # Quickstart
 //!
 //! ```
-//! use spamaware_core::experiment::{combined, CombinedWorkload, Scale};
+//! use spamaware_core::{LiveConfig, LiveServer};
+//! use std::io::{BufRead, BufReader};
+//! use std::net::TcpStream;
 //!
-//! let result = combined(Scale::quick(), CombinedWorkload::Spam);
-//! // The three optimizations outperform vanilla postfix on a spam-heavy
-//! // workload (the paper reports +40% at full scale).
-//! assert!(result.throughput_gain() > 0.0);
+//! let spool = std::env::temp_dir().join(format!("spamaware-quickstart-{}", std::process::id()));
+//! let server = LiveServer::start(LiveConfig::localhost(&spool, vec!["alice".into()]))?;
+//! let mut greeting = String::new();
+//! BufReader::new(TcpStream::connect(server.local_addr())?).read_line(&mut greeting)?;
+//! assert!(greeting.starts_with("220 "));
+//! server.shutdown();
+//! std::fs::remove_dir_all(&spool)?;
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 mod dnsbl_agent;
 pub mod driver;
-pub mod experiment;
 mod instruments;
 mod linebuf;
 mod live;
-mod mix;
 mod pool;
 mod pop3;
 pub mod posttrust;
@@ -47,7 +52,6 @@ pub mod reactor;
 pub use instruments::{LiveSnapshot, LiveStats};
 pub use linebuf::{LineBuffer, LineOverflow, MAX_LINE};
 pub use live::{LiveConfig, LiveServer};
-pub use mix::combined_workload;
 pub use pool::BufferPool;
 pub use pop3::{Pop3Server, Pop3Stats};
 
@@ -60,10 +64,7 @@ pub use spamaware_dnsbl::{
 pub use spamaware_mfs::{
     fsck, FsckReport, Layout, MailId, MailStore, MfsStore, RealDir, ShardedStore, SyncBackend,
 };
-pub use spamaware_server::{
-    run, Architecture, ClientModel, CostModel, DnsConfig, RunReport, ServerConfig, TrustPoint,
-};
-pub use spamaware_smtp::{Command, MailAddr, Reply, ServerSession, SessionConfig};
+pub use spamaware_smtp::{Command, MailAddr, Reply, ServerSession, SessionConfig, TrustPoint};
 pub use spamaware_trace::{SinkholeConfig, Trace, TraceStats, UnivConfig};
 
 use std::fmt;

@@ -57,14 +57,13 @@ use crate::pretrust::{self, EngineCtx, Trusted};
 use crate::reactor::os::OsReactor;
 use crate::reactor::Pollable;
 use crate::ServeError;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_mfs::{RealDir, ShardedStore};
-use spamaware_netaddr::Ipv4;
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -330,7 +329,7 @@ impl LiveServer {
         };
         for w in 0..cfg.workers {
             let mut reactor = new_reactor()?;
-            let (tx, rx) = bounded(cfg.worker_queue);
+            let (tx, rx) = sync_channel(cfg.worker_queue);
             server.session_wakers.push(reactor.waker());
             dispatch.workers.push((tx, reactor.waker()));
             let ctx = WorkerCtx {
@@ -363,7 +362,7 @@ impl LiveServer {
             // but only when an agent will actually run — a DNSBL-less
             // server's report should not list agent metrics.
             AgentMetrics::register(&registry);
-            let (tx, rx): (Sender<Ipv4>, Receiver<Ipv4>) = bounded(DNSBL_AGENT_QUEUE);
+            let (tx, rx) = sync_channel(DNSBL_AGENT_QUEUE);
             let actx = DnsblAgentCtx {
                 rx,
                 stop: Arc::clone(&stop),
@@ -547,7 +546,7 @@ impl Drop for LiveServer {
 /// queues.
 struct Dispatch<C> {
     /// Each worker's queue and the waker of the reactor it parks in.
-    workers: Vec<(Sender<Handoff<C>>, rawpoll::WakePipe)>,
+    workers: Vec<(SyncSender<Handoff<C>>, rawpoll::WakePipe)>,
     next: usize,
     registry: Arc<Registry>,
     delegated: Arc<Counter>,
@@ -685,6 +684,7 @@ impl Protocol<TcpStream> for Admin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spamaware_netaddr::Ipv4;
 
     #[test]
     fn unaccounted_survives_a_snapshot_torn_across_a_drain_eviction() {
@@ -714,7 +714,7 @@ mod tests {
         // One-slot queues whose receivers are held and never drained.
         let mut queues = Vec::new();
         for _ in 0..3 {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = sync_channel(1);
             dispatch
                 .workers
                 .push((tx, rawpoll::WakePipe::new().expect("wake pipe")));
@@ -728,7 +728,7 @@ mod tests {
             peer: Ipv4::new(192, 0, 2, 1),
             accepted_ns: 0,
         };
-        let take = |w: usize| queues[w].try_recv().map(|(_, t)| t.conn);
+        let take = |w: usize| queues[w].try_recv().ok().map(|(_, t)| t.conn);
 
         for tag in 0..3 {
             assert!(dispatch.offer(task(tag)).is_none(), "task {tag} refused");

@@ -11,8 +11,8 @@
 //! profiler.
 
 use crate::instruments::PoolMetrics;
-use parking_lot::Mutex;
-use spamaware_metrics::Registry;
+use spamaware_metrics::{lock, Registry};
+use std::sync::Mutex;
 
 /// A bounded free list of reusable byte buffers.
 #[derive(Debug)]
@@ -45,7 +45,7 @@ impl BufferPool {
     /// Takes a cleared buffer — recycled if available, freshly allocated
     /// otherwise. Pair with [`BufferPool::put`].
     pub fn take_vec(&self) -> Vec<u8> {
-        if let Some(buf) = self.free.lock().pop() {
+        if let Some(buf) = lock(&self.free).pop() {
             self.metrics.reuse.inc();
             return buf;
         }
@@ -63,7 +63,7 @@ impl BufferPool {
             return;
         }
         buf.clear();
-        let mut free = self.free.lock();
+        let mut free = lock(&self.free);
         if free.len() < self.max_pooled {
             free.push(buf);
         }
@@ -99,7 +99,7 @@ mod tests {
         let b = p.take_vec();
         p.put(a);
         p.put(b); // beyond max_pooled: dropped
-        assert_eq!(p.free.lock().len(), 1);
+        assert_eq!(lock(&p.free).len(), 1);
     }
 
     #[test]
@@ -107,7 +107,7 @@ mod tests {
         let p = pool(4, 16);
         p.put(Vec::new()); // never allocated
         p.put(Vec::with_capacity(64 << 20)); // pathologically large
-        assert_eq!(p.free.lock().len(), 0);
+        assert_eq!(lock(&p.free).len(), 0);
     }
 
     #[test]

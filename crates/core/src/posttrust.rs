@@ -21,12 +21,12 @@ use crate::linebuf::LineBuffer;
 use crate::pool::BufferPool;
 use crate::pretrust::{say_unavailable, Trusted};
 use crate::reactor::Reactor;
-use crossbeam::channel::Receiver;
 use spamaware_metrics::{Gauge, Registry};
 use spamaware_mfs::{Backend, DataRef, MailId, ShardedStore};
 use spamaware_smtp::{DataVerdict, Reply, ServerSession, SessionPhase};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -127,7 +127,7 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
 
     fn admit(&mut self, _now_ns: u64, _draining: bool) -> Option<Arrival<C, Post>> {
         let ctx = &self.ctx;
-        let (enqueued_ns, task) = ctx.rx.try_recv()?;
+        let (enqueued_ns, task) = ctx.rx.try_recv().ok()?;
         self.metrics.queue_depth.dec();
         self.metrics.queue_wait_ns.record_since(enqueued_ns);
         let mut session = task.session;

@@ -27,12 +27,12 @@ use crate::instruments::{LiveStats, MasterMetrics, VerbCounters};
 use crate::linebuf::LineBuffer;
 use crate::pool::BufferPool;
 use crate::reactor::Reactor;
-use crossbeam::channel::Sender;
 use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_netaddr::Ipv4;
 use spamaware_smtp::{Reply, ServerSession, SessionConfig, SessionPhase, TrustPoint};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,7 +72,7 @@ pub struct EngineCtx {
     /// Hostname announced in the greeting.
     pub hostname: Arc<str>,
     /// Fire-and-forget hand-off to the DNSBL agent thread, if one runs.
-    pub dnsbl_tx: Option<Sender<Ipv4>>,
+    pub dnsbl_tx: Option<SyncSender<Ipv4>>,
     /// Idle budget for a pre-trust connection.
     pub pretrust_idle_timeout: Duration,
     /// Whole-session wall-clock budget, charged from accept.

@@ -30,13 +30,12 @@
 
 use super::{Pollable, Reactor, ReadyEvent};
 use crate::driver::{Acceptor, Conn};
-use parking_lot::Mutex;
-use spamaware_metrics::{Clock, ManualClock};
+use spamaware_metrics::{lock, Clock, ManualClock};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The `poll_id` of the simulated acceptor (connection ids are small
 /// integers chosen by the script, so the top of the space is free).
@@ -121,7 +120,7 @@ impl Pollable for SimConn {
 
 impl Conn for SimConn {
     fn read_ready(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut net = self.net.lock();
+        let mut net = lock(&self.net);
         let Some(st) = net.conns.get_mut(&self.id) else {
             return Ok(0);
         };
@@ -140,7 +139,7 @@ impl Conn for SimConn {
     }
 
     fn write_ready(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let mut net = self.net.lock();
+        let mut net = lock(&self.net);
         let Some(st) = net.conns.get_mut(&self.id) else {
             // Scripted teardown already forgot the connection: swallow the
             // bytes like a closed socket's last write racing the RST.
@@ -166,7 +165,7 @@ impl Drop for SimConn {
     fn drop(&mut self) {
         // The engine closing the socket, observable to the test as
         // `!conn_open(id)`.
-        let mut net = self.net.lock();
+        let mut net = lock(&self.net);
         if let Some(st) = net.conns.get_mut(&self.id) {
             st.open = false;
         }
@@ -189,7 +188,7 @@ impl Acceptor for SimAcceptor {
     type Conn = SimConn;
 
     fn try_accept(&mut self) -> io::Result<Option<(SimConn, SocketAddr)>> {
-        let mut net = self.net.lock();
+        let mut net = lock(&self.net);
         let Some((id, peer)) = net.pending.pop_front() else {
             return Ok(None);
         };
@@ -262,8 +261,7 @@ impl SimReactor {
 
     /// Everything the server wrote to connection `conn` so far.
     pub fn output(&self, conn: u64) -> Vec<u8> {
-        self.net
-            .lock()
+        lock(&self.net)
             .conns
             .get(&conn)
             .map(|st| st.output.clone())
@@ -273,8 +271,7 @@ impl SimReactor {
     /// Whether the engine still holds connection `conn` open (false
     /// before accept and after the engine dropped it).
     pub fn conn_open(&self, conn: u64) -> bool {
-        self.net
-            .lock()
+        lock(&self.net)
             .conns
             .get(&conn)
             .map(|st| st.open)
@@ -283,8 +280,7 @@ impl SimReactor {
 
     /// Bytes the client sent that the engine never consumed.
     pub fn unread_input(&self, conn: u64) -> usize {
-        self.net
-            .lock()
+        lock(&self.net)
             .conns
             .get(&conn)
             .map(|st| st.input.len())
@@ -296,7 +292,7 @@ impl SimReactor {
         match ev {
             SimEvent::Connect { conn, peer } => {
                 {
-                    let mut net = self.net.lock();
+                    let mut net = lock(&self.net);
                     net.conns.entry(conn).or_default();
                     net.pending.push_back((conn, peer));
                 }
@@ -304,7 +300,7 @@ impl SimReactor {
             }
             SimEvent::Data { conn, bytes } => {
                 {
-                    let mut net = self.net.lock();
+                    let mut net = lock(&self.net);
                     let st = net.conns.entry(conn).or_default();
                     st.input.extend(bytes.iter().copied());
                 }
@@ -313,14 +309,14 @@ impl SimReactor {
             }
             SimEvent::Eof { conn } => {
                 {
-                    let mut net = self.net.lock();
+                    let mut net = lock(&self.net);
                     net.conns.entry(conn).or_default().eof = true;
                 }
                 self.log.push(format!("t={at} eof conn={conn}"));
             }
             SimEvent::Window { conn, bytes } => {
                 {
-                    let mut net = self.net.lock();
+                    let mut net = lock(&self.net);
                     let st = net.conns.entry(conn).or_default();
                     st.window = Some(st.window.unwrap_or(0).saturating_add(bytes));
                 }
@@ -343,7 +339,7 @@ impl SimReactor {
     /// pending EOF (readable) or an armed write interest with window room
     /// (writable). Order follows registration ids, deterministically.
     fn collect_ready(&self, out: &mut Vec<ReadyEvent>) {
-        let net = self.net.lock();
+        let net = lock(&self.net);
         for (&poll_id, &(token, muted, write_armed)) in &self.registered {
             if poll_id == SIM_ACCEPTOR_ID {
                 if !net.pending.is_empty() {

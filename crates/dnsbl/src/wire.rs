@@ -7,7 +7,6 @@
 //! compression on decode), and [`crate::UdpDnsbl`] serves it over a real
 //! socket.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// DNS record/query types used by DNSBLs.
@@ -136,9 +135,7 @@ impl Message {
     ///
     /// Panics if a name label exceeds 63 bytes (caller-constructed names
     /// from [`spamaware_netaddr::QueryName`] never do).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(64);
-        b.put_u16(self.id);
+    pub fn encode(&self) -> Vec<u8> {
         let mut flags = 0u16;
         if self.response {
             flags |= 0x8000; // QR
@@ -146,25 +143,26 @@ impl Message {
         }
         flags |= 0x0100; // RD (harmless on authoritative answers)
         flags |= self.rcode.bits();
-        b.put_u16(flags);
-        b.put_u16(self.questions.len() as u16);
-        b.put_u16(self.answers.len() as u16);
-        b.put_u16(0); // NS
-        b.put_u16(0); // AR
+        let mut b = Vec::with_capacity(64);
+        let (qd, an) = (self.questions.len() as u16, self.answers.len() as u16);
+        // ID, flags, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT.
+        for word in [self.id, flags, qd, an, 0, 0] {
+            b.extend_from_slice(&word.to_be_bytes());
+        }
         for q in &self.questions {
             encode_name(&mut b, &q.name);
-            b.put_u16(q.qtype.code());
-            b.put_u16(1); // IN
+            b.extend_from_slice(&q.qtype.code().to_be_bytes());
+            b.extend_from_slice(&1u16.to_be_bytes()); // IN
         }
         for a in &self.answers {
             encode_name(&mut b, &a.name);
-            b.put_u16(a.rtype.code());
-            b.put_u16(1); // IN
-            b.put_u32(a.ttl);
-            b.put_u16(a.rdata.len() as u16);
-            b.put_slice(&a.rdata);
+            b.extend_from_slice(&a.rtype.code().to_be_bytes());
+            b.extend_from_slice(&1u16.to_be_bytes()); // IN
+            b.extend_from_slice(&a.ttl.to_be_bytes());
+            b.extend_from_slice(&(a.rdata.len() as u16).to_be_bytes());
+            b.extend_from_slice(&a.rdata);
         }
-        b.freeze()
+        b
     }
 
     /// Decodes wire bytes.
@@ -172,18 +170,13 @@ impl Message {
     /// # Errors
     ///
     /// Returns [`WireError`] for truncated or malformed messages.
-    pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-        let full = bytes;
-        let mut buf = bytes;
-        if buf.remaining() < 12 {
-            return Err(WireError::new("truncated header"));
-        }
-        let id = buf.get_u16();
-        let flags = buf.get_u16();
-        let qd = buf.get_u16();
-        let an = buf.get_u16();
-        let _ns = buf.get_u16();
-        let _ar = buf.get_u16();
+    pub fn decode(full: &[u8]) -> Result<Message, WireError> {
+        let header = full
+            .get(..12)
+            .ok_or_else(|| WireError::new("truncated header"))?;
+        // ID, flags, QDCOUNT, ANCOUNT; NSCOUNT and ARCOUNT are ignored.
+        let word = |i: usize| u16::from_be_bytes([header[2 * i], header[2 * i + 1]]);
+        let (id, flags, qd, an) = (word(0), word(1), word(2), word(3));
         let mut offset = 12usize;
         let mut questions = Vec::with_capacity(qd as usize);
         for _ in 0..qd {
@@ -238,13 +231,13 @@ impl Message {
     }
 }
 
-fn encode_name(b: &mut BytesMut, name: &str) {
+fn encode_name(b: &mut Vec<u8>, name: &str) {
     for label in name.split('.').filter(|l| !l.is_empty()) {
         assert!(label.len() <= 63, "label too long: {label:?}");
-        b.put_u8(label.len() as u8);
-        b.put_slice(label.as_bytes());
+        b.push(label.len() as u8);
+        b.extend_from_slice(label.as_bytes());
     }
-    b.put_u8(0);
+    b.push(0);
 }
 
 /// Decodes a (possibly compressed) name starting at `offset`; returns the
@@ -364,17 +357,14 @@ mod tests {
         // Hand-built response where the answer name is a pointer to the
         // question name at offset 12.
         let q = Message::query(9, "a.bl.example", RecordType::A);
-        let mut wire = BytesMut::from(&q.encode()[..]);
+        let mut wire = q.encode();
         // Patch counts: 1 answer.
         wire[6] = 0;
         wire[7] = 1;
-        // Append answer with compressed name 0xC00C.
-        wire.put_u16(0xC00C);
-        wire.put_u16(1); // A
-        wire.put_u16(1); // IN
-        wire.put_u32(300);
-        wire.put_u16(4);
-        wire.put_slice(&[127, 0, 0, 2]);
+        // Append answer with compressed name 0xC00C, type A, class IN,
+        // TTL 300, 4 bytes of rdata.
+        wire.extend_from_slice(&[0xC0, 0x0C, 0, 1, 0, 1, 0, 0, 1, 44, 0, 4]);
+        wire.extend_from_slice(&[127, 0, 0, 2]);
         // Flip QR.
         wire[2] |= 0x80;
         let msg = Message::decode(&wire).unwrap();
@@ -387,6 +377,10 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(Message::decode(&[]).is_err());
         assert!(Message::decode(&[0; 5]).is_err());
+        assert!(Message::decode(&[0; 11]).is_err());
+        // Twelve bytes are a whole header: a message with no records.
+        let bare = Message::decode(&[0; 12]).unwrap();
+        assert!(bare.questions.is_empty() && bare.answers.is_empty());
         // Valid header claiming a question but no body.
         let mut junk = vec![0u8; 12];
         junk[5] = 1; // QDCOUNT = 1

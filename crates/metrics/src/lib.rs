@@ -18,7 +18,9 @@
 //!   and tests inject a [`ManualClock`] and stay byte-deterministic;
 //! * [`Registry`] — a named collection of the above with a canonical,
 //!   deterministic text rendering ([`Registry::render`]) served by the
-//!   live server's `METRICS` admin command.
+//!   live server's `METRICS` admin command;
+//! * [`lock`] — the one way the workspace takes a `std::sync::Mutex`,
+//!   recovering it from a panicked holder.
 //!
 //! # Example
 //!
@@ -51,6 +53,13 @@ pub use span::{SpanGuard, SpanHandle};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering it if a holder panicked: the workspace's
+/// shared state (a registry map, a free list, a store partition) stays
+/// usable after a panic elsewhere, so every lock is taken this one way.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug, Clone)]
 enum Metric {
@@ -97,15 +106,9 @@ impl Registry {
         self.clock.now_nanos()
     }
 
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
-        // A poisoned metrics map only means a panic elsewhere mid-update of
-        // an atomic we can still read; keep serving.
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Gets or creates the named counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.lock();
+        let mut map = lock(&self.metrics);
         match map
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
@@ -120,7 +123,7 @@ impl Registry {
 
     /// Gets or creates the named gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.lock();
+        let mut map = lock(&self.metrics);
         match map
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
@@ -135,7 +138,7 @@ impl Registry {
 
     /// Gets or creates the named histogram.
     pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
-        let mut map = self.lock();
+        let mut map = lock(&self.metrics);
         match map
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Histogram(Arc::new(LogHistogram::new())))
@@ -156,7 +159,7 @@ impl Registry {
 
     /// Reads a counter's value, if registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.lock().get(name) {
+        match lock(&self.metrics).get(name) {
             Some(Metric::Counter(c)) => Some(c.get()),
             _ => None,
         }
@@ -164,7 +167,7 @@ impl Registry {
 
     /// Reads a gauge's level, if registered.
     pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        match self.lock().get(name) {
+        match lock(&self.metrics).get(name) {
             Some(Metric::Gauge(g)) => Some(g.get()),
             _ => None,
         }
@@ -172,7 +175,7 @@ impl Registry {
 
     /// Reads a histogram's sample count, if registered.
     pub fn histogram_count(&self, name: &str) -> Option<u64> {
-        match self.lock().get(name) {
+        match lock(&self.metrics).get(name) {
             Some(Metric::Histogram(h)) => Some(h.count()),
             _ => None,
         }
@@ -182,7 +185,7 @@ impl Registry {
     /// handle overload tests use to assert a latency stayed bounded
     /// (e.g. "no DNSBL check took longer than its budget").
     pub fn histogram_max(&self, name: &str) -> Option<u64> {
-        match self.lock().get(name) {
+        match lock(&self.metrics).get(name) {
             Some(Metric::Histogram(h)) => Some(h.max()),
             _ => None,
         }
@@ -200,7 +203,7 @@ impl Registry {
     /// identical recorded values the output is byte-identical.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (name, metric) in self.lock().iter() {
+        for (name, metric) in lock(&self.metrics).iter() {
             match metric {
                 Metric::Counter(c) => {
                     out.push_str(&format!("counter {name} {}\n", c.get()));
@@ -228,6 +231,20 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn poisoned_lock_recovers() {
+        let m = Arc::new(Mutex::new(0u32));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("poison it");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
+    }
 
     #[test]
     fn get_or_create_returns_the_same_instrument() {

@@ -41,9 +41,8 @@ use crate::backend::DataRef;
 use crate::{
     Backend, MailId, MailStore, MailboxEntry, MfsStats, MfsStore, StoreResult, StoredMail,
 };
-use parking_lot::Mutex;
-use spamaware_metrics::{Registry, SpanHandle};
-use std::sync::Arc;
+use spamaware_metrics::{lock, Registry, SpanHandle};
+use std::sync::{Arc, Mutex, PoisonError};
 
 #[cfg(debug_assertions)]
 use sole_hold::SoleHold;
@@ -235,11 +234,13 @@ impl<B: Backend> ShardedStore<B> {
     /// logical operation, however many shards it touches); `read_ns` and
     /// the byte/refcount counters are recorded by the inner partitions.
     pub fn with_metrics(self, registry: &Registry, prefix: &str) -> ShardedStore<B> {
-        let shared = Mutex::new(self.shared.into_inner().with_metrics(registry, prefix));
+        let unpoison =
+            |m: Mutex<MfsStore<B>>| m.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let shared = Mutex::new(unpoison(self.shared).with_metrics(registry, prefix));
         let shards = self
             .shards
             .into_iter()
-            .map(|m| Mutex::new(m.into_inner().with_metrics(registry, prefix)))
+            .map(|m| Mutex::new(unpoison(m).with_metrics(registry, prefix)))
             .collect();
         ShardedStore {
             shared,
@@ -263,11 +264,11 @@ impl<B: Backend> ShardedStore<B> {
         let mut guard = match &self.metrics {
             Some(m) => {
                 let start = m.contention_ns.now();
-                let guard = part.lock();
+                let guard = lock(part);
                 m.contention_ns.record_since(start);
                 guard
             }
-            None => part.lock(),
+            None => lock(part),
         };
         f(&mut guard)
     }
@@ -277,7 +278,7 @@ impl<B: Backend> ShardedStore<B> {
     fn peek<R>(part: &Mutex<MfsStore<B>>, f: impl FnOnce(&mut MfsStore<B>) -> R) -> R {
         #[cfg(debug_assertions)]
         let _sole = SoleHold::enter();
-        f(&mut part.lock())
+        f(&mut lock(part))
     }
 
     fn shard_for(&self, mailbox: &str) -> &Mutex<MfsStore<B>> {
@@ -471,49 +472,49 @@ impl<B> Clone for SyncBackend<B> {
 
 impl<B: Backend> Backend for SyncBackend<B> {
     fn create(&mut self, path: &str) -> StoreResult<()> {
-        self.inner.lock().create(path)
+        lock(&self.inner).create(path)
     }
 
     fn append(&mut self, path: &str, data: DataRef<'_>) -> StoreResult<u64> {
-        self.inner.lock().append(path, data)
+        lock(&self.inner).append(path, data)
     }
 
     fn read_at(&mut self, path: &str, offset: u64, len: u64) -> StoreResult<Vec<u8>> {
-        self.inner.lock().read_at(path, offset, len)
+        lock(&self.inner).read_at(path, offset, len)
     }
 
     fn len(&mut self, path: &str) -> StoreResult<u64> {
-        self.inner.lock().len(path)
+        lock(&self.inner).len(path)
     }
 
     fn link(&mut self, src: &str, dst: &str) -> StoreResult<()> {
-        self.inner.lock().link(src, dst)
+        lock(&self.inner).link(src, dst)
     }
 
     fn remove(&mut self, path: &str) -> StoreResult<()> {
-        self.inner.lock().remove(path)
+        lock(&self.inner).remove(path)
     }
 
     fn truncate(&mut self, path: &str, len: u64) -> StoreResult<()> {
-        self.inner.lock().truncate(path, len)
+        lock(&self.inner).truncate(path, len)
     }
 
     fn exists(&mut self, path: &str) -> bool {
-        self.inner.lock().exists(path)
+        lock(&self.inner).exists(path)
     }
 
     fn list(&mut self, prefix: &str) -> StoreResult<Vec<String>> {
-        self.inner.lock().list(prefix)
+        lock(&self.inner).list(prefix)
     }
 
     // The defaults would take the lock twice, letting another handle's
     // write interleave inside one logical operation; hold it once instead.
     fn replace(&mut self, path: &str, data: DataRef<'_>) -> StoreResult<()> {
-        self.inner.lock().replace(path, data)
+        lock(&self.inner).replace(path, data)
     }
 
     fn append_record(&mut self, path: &str, header: &[u8], body: DataRef<'_>) -> StoreResult<u64> {
-        self.inner.lock().append_record(path, header, body)
+        lock(&self.inner).append_record(path, header, body)
     }
 }
 
@@ -645,7 +646,7 @@ mod tests {
         }
         let key_files = 20 + 3 + 1;
         let calls = |fs: &SyncBackend<Counting>| {
-            let counts = std::mem::take(fs.inner.lock().policy_mut());
+            let counts = std::mem::take(lock(&fs.inner).policy_mut());
             (counts.lists, counts.reads)
         };
         calls(&fs);
@@ -770,9 +771,7 @@ mod tests {
         }
         noise.join().unwrap();
         assert_eq!(metered.counts().appends, RECORDS as u64);
-        let bytes = fs
-            .inner
-            .lock()
+        let bytes = lock(&fs.inner)
             .read_at("mbox", 0, 3 * RECORDS as u64)
             .unwrap();
         let split = bytes.windows(2).filter(|w| w == b"<!").count();

@@ -12,6 +12,8 @@
 //! * [`UnivConfig`] / [`UnivTrace`] — the one-month departmental workload
 //!   (Table 1 row 2, §8).
 //! * [`bounce_sweep_trace`] — the Fig. 8 synthetic bounce-ratio sweep.
+//! * [`combined_workload`] — the §8 mix: a base trace plus bounce and
+//!   unfinished connections at the ECN-measured levels.
 //! * [`mfs_sequence_trace`] — the Figs. 10/11 storage workload.
 //! * [`EcnSeries`] — the ECN daily bounce statistics (Fig. 3).
 //! * [`TraceStats`] / [`SessionMix`] — Table 1 style summaries.
@@ -21,6 +23,7 @@
 
 mod archive;
 mod ecn;
+mod mix;
 mod models;
 mod records;
 mod sinkhole;
@@ -30,6 +33,7 @@ mod univ;
 
 pub use archive::ArchiveError;
 pub use ecn::{EcnDay, EcnSeries};
+pub use mix::combined_workload;
 pub use models::{MailSizeModel, RcptCountModel};
 pub use records::{ConnectionKind, ConnectionSpec, MailSpec, MailboxId, Trace};
 pub use sinkhole::{SinkholeConfig, SinkholeTrace};

@@ -1,9 +1,9 @@
 //! Workload mixing: the §8 combined workload (spam trace + ECN bounce
 //! levels).
 
+use crate::{ConnectionKind, ConnectionSpec, Trace};
 use rand::Rng;
 use spamaware_sim::{det_rng, Nanos};
-use spamaware_trace::{ConnectionKind, ConnectionSpec, Trace};
 
 /// Builds the paper's §8 combined workload: the mail connections of `base`
 /// interleaved with bounce and unfinished connections at the given
@@ -20,8 +20,7 @@ use spamaware_trace::{ConnectionKind, ConnectionSpec, Trace};
 /// # Example
 ///
 /// ```
-/// use spamaware_core::combined_workload;
-/// use spamaware_trace::SinkholeConfig;
+/// use spamaware_trace::{combined_workload, SinkholeConfig};
 ///
 /// let sink = SinkholeConfig::scaled(0.01).generate();
 /// let t = combined_workload(&sink.trace, 0.25, 0.10, 7);
@@ -79,7 +78,7 @@ pub fn combined_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spamaware_trace::{SessionMix, SinkholeConfig};
+    use crate::{SessionMix, SinkholeConfig};
 
     #[test]
     fn fractions_come_out_as_requested() {

@@ -63,6 +63,9 @@
 #                                spool exactly once; --locked, so a
 #                                dependency-edge change fails here instead
 #                                of rewriting the frozen benchmark/Cargo.lock
+#   7. cargo tree              — spamaware-core, the live server, does not
+#                                depend on spamaware-server, the simulator
+#                                (its normal dependencies, not its tests')
 #
 # With --crash, a further stage runs the deep crash-point sweep: every
 # (write, byte) cut of an extended MFS workload is injected, the store is
@@ -127,6 +130,13 @@ cargo run --release --quiet -p spamaware-bench -- check results
 
 echo "==> cargo test --manifest-path benchmark/Cargo.toml --locked"
 cargo test --quiet --manifest-path benchmark/Cargo.toml --offline --locked
+
+echo "==> spamaware-core does not depend on spamaware-server"
+core_deps=$(cargo tree -p spamaware-core -e normal --prefix none --offline)
+if printf '%s\n' "$core_deps" | grep -q '^spamaware-server '; then
+    echo "spamaware-core depends on spamaware-server (the DES)" >&2
+    exit 1
+fi
 
 if [ "$crash" = 1 ]; then
     echo "==> crash-point deep sweep"

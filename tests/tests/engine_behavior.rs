@@ -1,9 +1,10 @@
 //! Behavioural tests of the simulation engine: conservation laws,
 //! determinism, resource limits, and client models.
 
-use spamaware_core::experiment::default_dnsbl;
-use spamaware_core::{run, CacheScheme, ClientModel, DnsConfig, ServerConfig, TrustPoint};
+use spamaware_bench::experiment::default_dnsbl;
+use spamaware_dnsbl::CacheScheme;
 use spamaware_mfs::Layout;
+use spamaware_server::{run, ClientModel, DnsConfig, ServerConfig, TrustPoint};
 use spamaware_sim::Nanos;
 use spamaware_trace::{bounce_sweep_trace, SessionMix, SinkholeConfig, TraceStats};
 

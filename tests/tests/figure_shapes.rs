@@ -3,7 +3,7 @@
 //! "does the shape hold" tests; EXPERIMENTS.md records the full-scale
 //! numbers.
 
-use spamaware_core::experiment::*;
+use spamaware_bench::experiment::*;
 use spamaware_mfs::{DiskProfile, Layout};
 use spamaware_sim::Nanos;
 
@@ -121,7 +121,7 @@ fn fig15_full_scale_hit_ratios() {
         seconds: 1,
     });
     let row = |s| f.rows.iter().find(|r| r.0 == s).expect("row");
-    use spamaware_core::CacheScheme;
+    use spamaware_dnsbl::CacheScheme;
     let ip = row(CacheScheme::PerIp);
     let prefix = row(CacheScheme::PerPrefix);
     assert!((0.71..=0.77).contains(&ip.2), "ip hit {}", ip.2);

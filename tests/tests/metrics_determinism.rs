@@ -5,7 +5,7 @@
 //! virtual clock, so any nondeterminism (hash-order leaks, wall-clock
 //! reads, unseeded randomness) shows up here as a diff.
 
-use spamaware_core::experiment::default_dnsbl;
+use spamaware_bench::experiment::default_dnsbl;
 use spamaware_dnsbl::{CacheScheme, CachingResolver};
 use spamaware_metrics::Registry;
 use spamaware_mfs::{DataRef, MailId, MailStore, MemFs, MfsStore};

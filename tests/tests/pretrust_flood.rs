@@ -1,9 +1,9 @@
 //! The 10k-connection pre-trust flood, against real TCP.
 //!
-//! The deterministic siblings in `crates/core/tests/sim_engine.rs` prove
-//! the event loop's *logic*; this test proves the *scale* claim behind
-//! it: one master thread parked in `epoll_wait` carries ten thousand
-//! silent pre-trust connections — two orders of magnitude past the old
+//! The deterministic siblings in `sim_engine.rs` prove the event loop's
+//! *logic*; this test proves the *scale* claim behind it: one master
+//! thread parked in `epoll_wait` carries ten thousand silent pre-trust
+//! connections — two orders of magnitude past the old
 //! sliced-read master's comfort zone — while delivery probes still get
 //! served promptly straight through the standing flood.
 //!

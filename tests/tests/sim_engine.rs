@@ -12,28 +12,24 @@
 //! one regression pins that two identical runs produce byte-identical
 //! metrics renders and reactor event logs.
 
-// The shared helpers poll with a sleep on the test's own thread;
-// crates/core/clippy.toml is about the server's.
-#[allow(clippy::disallowed_methods)]
-#[path = "../../../tests/tests/common/mod.rs"]
 mod common;
 
 use common::assert_conserved;
 use spamaware_core::posttrust::{run_posttrust, WorkerCtx};
 use spamaware_core::pretrust::{run_pretrust, EngineCtx, Trusted};
 use spamaware_core::reactor::sim::{SimConn, SimEvent, SimReactor};
-use spamaware_core::{
-    combined_workload, BufferPool, ClientModel, LiveStats, ServerConfig, ShardedStore,
-    SinkholeConfig, SyncBackend, Trace, TrustPoint, UnivConfig,
-};
+use spamaware_core::{BufferPool, LiveStats, ShardedStore, SyncBackend, TrustPoint};
 use spamaware_metrics::{ManualClock, Registry};
 use spamaware_mfs::MemFs;
-use spamaware_server::{build_script, Step};
+use spamaware_server::{build_script, ClientModel, ServerConfig, Step};
 use spamaware_sim::Nanos;
-use spamaware_trace::{bounce_sweep_trace, ConnectionKind};
+use spamaware_trace::{
+    bounce_sweep_trace, combined_workload, ConnectionKind, SinkholeConfig, Trace, UnivConfig,
+};
 use std::collections::{HashSet, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -914,14 +910,13 @@ impl Harness {
     /// (and a fresh `MemFs` store) until the next `Stop`. Both halves are
     /// the production loops; only the thread boundary is gone.
     fn run_through_the_seam(&mut self, cfg: &WorkerConfig) -> Arc<SimStore> {
-        let (tx, rx) = crossbeam::channel::bounded(cfg.queue);
+        let (tx, rx) = sync_channel(cfg.queue);
         let delegated = Arc::clone(&self.stats.delegated);
         let clock = Arc::clone(&self.registry);
         self.run(&mut |t| {
             delegated.inc();
             tx.try_send((clock.now_nanos(), t)).err().map(|e| match e {
-                crossbeam::channel::TrySendError::Full((_, t))
-                | crossbeam::channel::TrySendError::Disconnected((_, t)) => t,
+                TrySendError::Full((_, t)) | TrySendError::Disconnected((_, t)) => t,
             })
         });
         self.ctx.stop.store(false, Ordering::SeqCst);
@@ -1339,7 +1334,7 @@ fn wire(script: &VecDeque<Step>) -> Vec<u8> {
 /// delivered, bounce and unfinished connections. Returns how many specs
 /// were replayed.
 fn des_and_live_agree_on(trace: &Trace) -> usize {
-    let des = spamaware_core::run(
+    let des = spamaware_server::run(
         trace,
         ServerConfig::hybrid(),
         ClientModel::Closed { concurrency: 1 },

@@ -1,7 +1,7 @@
 //! Write-stall chaos against real TCP: peers that send but never read.
 //!
-//! The deterministic siblings in `crates/core/tests/sim_engine.rs` prove
-//! the backpressure *logic* on scripted write windows; these tests prove
+//! The deterministic siblings in `sim_engine.rs` prove the backpressure
+//! *logic* on scripted write windows; these tests prove
 //! it against real kernel socket buffers. A peer that pipelines commands
 //! without draining replies fills the server-side send buffer, the
 //! master's per-connection `OutBuf` absorbs the spill up to its cap, and
