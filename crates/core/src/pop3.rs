@@ -256,6 +256,13 @@ impl Pop3 {
                 let (n, bytes) = live(st).fold((0u64, 0u64), |(n, b), (_, e)| (n + 1, b + e.len));
                 writeln!(out, "+OK {n} {bytes}\r")?;
             }
+            // With an argument, one scan line (RFC 1939 §5): a client
+            // reads one line and no more, so a multi-line answer would put
+            // it out of step with every reply that follows.
+            "LIST" if st.authed.is_some() && !arg.is_empty() => match parse_index(arg, st) {
+                Some(idx) => writeln!(out, "+OK {} {}\r", idx + 1, st.listing[idx].len)?,
+                None => writeln!(out, "-ERR no such message\r")?,
+            },
             "LIST" if st.authed.is_some() => {
                 writeln!(out, "+OK scan listing follows\r")?;
                 for (idx, e) in live(st) {
@@ -500,6 +507,33 @@ mod tests {
             say("RETR 3"),
             "+OK 30 octets\r\nSubject: z\r\n\r\n..hidden\r\n...two\r\n.\r\n"
         );
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// `LIST n` answers with one line: the message's scan line, or an
+    /// error for a number out of range or marked for deletion. A bare
+    /// `LIST` stays the multi-line listing of the unmarked messages.
+    #[test]
+    fn list_with_an_argument_answers_one_line() {
+        let root = std::env::temp_dir().join(format!("spamaware-list-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = ShardedStore::open_with(2, || RealDir::new(&root)).expect("open spool");
+        for (n, body) in (1..).zip([&b"one\r\n"[..], b"second\r\n"]) {
+            let body = DataRef::Bytes(body);
+            store.deliver(MailId(n), &["alice"], body).expect("deliver");
+        }
+        let pop = serving(store);
+        let mut st = SessionState::default();
+        let mut say = |line: &str| say(&pop, &mut st, line);
+        say("USER alice");
+        assert_eq!(say("PASS x"), "+OK 2 messages\r\n");
+        assert_eq!(say("LIST 2"), "+OK 2 8\r\n");
+        assert_eq!(say("LIST 3"), "-ERR no such message\r\n");
+        assert_eq!(say("LIST 0"), "-ERR no such message\r\n");
+        assert_eq!(say("LIST x"), "-ERR no such message\r\n");
+        assert_eq!(say("DELE 1"), "+OK marked\r\n");
+        assert_eq!(say("LIST 1"), "-ERR no such message\r\n");
+        assert_eq!(say("LIST"), "+OK scan listing follows\r\n2 8\r\n.\r\n");
         let _ = std::fs::remove_dir_all(root);
     }
 

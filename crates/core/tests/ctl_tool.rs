@@ -76,6 +76,14 @@ fn ctl_inspects_compacts_and_deletes() {
     let (stats, ok) = ctl(&["stats", &rootstr]);
     assert!(ok, "{stats}");
     assert!(stats.contains("shared mails:        1"), "{stats}");
+    assert!(stats.contains("reclaimable bytes:   0\n"), "{stats}");
+    let body_bytes = stats
+        .lines()
+        .find_map(|l| l.strip_prefix("shared bytes:"))
+        .map(str::trim)
+        .expect("a shared bytes line")
+        .to_owned();
+    assert_ne!(body_bytes, "0", "{stats}");
 
     let (listing, ok) = ctl(&["list", &rootstr, "alice"]);
     assert!(ok && listing.contains("1 mail(s)"), "{listing}");
@@ -85,12 +93,25 @@ fn ctl_inspects_compacts_and_deletes() {
 
     let (del, ok) = ctl(&["delete", &rootstr, "alice", "1"]);
     assert!(ok, "{del}");
+    let (stats, _) = ctl(&["stats", &rootstr]);
+    assert!(
+        stats.contains("shared mails:        1"),
+        "bob still holds it: {stats}"
+    );
+    assert!(stats.contains("reclaimable bytes:   0\n"), "{stats}");
     let (del2, ok) = ctl(&["delete", &rootstr, "bob", "1"]);
     assert!(ok, "{del2}");
+    // The last reference is gone: the body is reclaimable, not live.
+    let (stats, _) = ctl(&["stats", &rootstr]);
+    assert!(stats.contains("shared mails:        0"), "{stats}");
+    let reclaimable = format!("reclaimable bytes:   {body_bytes}\n");
+    assert!(stats.contains(&reclaimable), "{stats}");
 
     let (compact, ok) = ctl(&["compact", &rootstr]);
     assert!(ok, "{compact}");
     assert!(compact.contains("reclaimed"), "{compact}");
+    let (stats, _) = ctl(&["stats", &rootstr]);
+    assert!(stats.contains("reclaimable bytes:   0\n"), "{stats}");
 
     // A healthy spool audits clean.
     let (fsck_out, ok) = ctl(&["fsck", &rootstr]);

@@ -19,7 +19,7 @@ use crate::backend::DataRef;
 use crate::frame::{self, Tail};
 use crate::{Backend, FsckReport, MailId, MailStore, StoreError, StoreResult, StoredMail};
 use spamaware_metrics::{Counter, Registry, SpanHandle};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 pub(crate) mod fsck;
@@ -41,6 +41,12 @@ struct StoreMetrics {
 const RECORD_LEN: u64 = 32;
 pub(crate) const SHARED: &str = "shmailbox";
 
+/// How many of the newest `shmailbox` records' ids a store remembers.
+/// Workers take an id before they wait for the shared partition, so a
+/// fresh id can reach it after a larger one: under `multi_rcpt_large`
+/// 11 of 15,000 deliveries did, each one record late.
+const RECENT_SHARED: usize = 64;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct KeyRecord {
     pub(crate) id: MailId,
@@ -48,7 +54,7 @@ pub(crate) struct KeyRecord {
     pub(crate) len: u64,
     /// Mailbox key files: `1` own record, `-1` shared reference, `0`
     /// tombstone. Shared key file: signed refcount delta. Private, like
-    /// [`SharedEntry::refs`]: §6.1's "a shared record cannot be deleted
+    /// [`SharedBody::refs`]: §6.1's "a shared record cannot be deleted
     /// until it is deleted from all MFS files that share it" is kept by
     /// this module and its child [`fsck`] and by nothing else.
     delta: i64,
@@ -79,13 +85,6 @@ impl KeyRecord {
             delta: i64::from_be_bytes(word(24)),
         }
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SharedEntry {
-    pub(crate) offset: u64,
-    pub(crate) len: u64,
-    refs: i64,
 }
 
 /// One live mail of a mailbox, as its key file lists it: the id and body
@@ -170,10 +169,134 @@ fn live_entries(records: &[KeyRecord]) -> Vec<MailboxEntry> {
     entries
 }
 
-/// Counts the shared references among `entries` into `held`, per id.
-pub(crate) fn count_held(held: &mut HashMap<MailId, i64>, entries: &[MailboxEntry]) {
-    for e in entries.iter().filter(|e| e.shared) {
-        *held.entry(e.id).or_insert(0) += 1;
+/// One shared body as a fold of the `shmailbox` log finds it.
+#[derive(Debug, Clone, Copy)]
+struct SharedBody {
+    offset: u64,
+    len: u64,
+    /// The refcount: the sum of the body's logged deltas, until
+    /// [`SharedLog::clamp`] lowers it to the live references.
+    refs: i64,
+}
+
+/// The `shmailbox` key log folded: each body whose refcount is positive,
+/// by id, and the bytes of those whose refcount reached zero. Whoever
+/// asks builds one and drops it on return; the store keeps none, so no
+/// memory grows with the shared mails (DESIGN.md §11 *What the store
+/// holds*).
+#[derive(Debug, Default)]
+pub(crate) struct SharedLog {
+    bodies: BTreeMap<MailId, SharedBody>,
+    freed_bytes: u64,
+}
+
+impl SharedLog {
+    /// Folds the log's refcount deltas in order. A body whose count
+    /// reaches zero is freed, and a later positive delta under its id
+    /// names a new body; a delta for an id with no body is ignored.
+    fn fold(records: &[KeyRecord]) -> SharedLog {
+        let mut log = SharedLog::default();
+        for rec in records {
+            match log.bodies.get_mut(&rec.id) {
+                Some(body) => {
+                    body.refs += rec.delta;
+                    if body.refs <= 0 {
+                        log.freed_bytes += body.len;
+                        log.bodies.remove(&rec.id);
+                    }
+                }
+                None if rec.delta > 0 => {
+                    let body = SharedBody {
+                        offset: rec.offset,
+                        len: rec.len,
+                        refs: rec.delta,
+                    };
+                    log.bodies.insert(rec.id, body);
+                }
+                None => {}
+            }
+        }
+        log
+    }
+
+    /// Lowers every refcount to the live references `held` counts, and
+    /// frees the bodies no mailbox holds: a body's refcount is the least
+    /// of its logged deltas and its references. A crash or a failed
+    /// attach between the shared append and the last recipient's key
+    /// append leaves the log high; without the clamp those bodies would
+    /// never be reclaimed. [`crate::fsck`] makes the same repair on disk.
+    fn clamp(&mut self, held: &Held) {
+        let freed = &mut self.freed_bytes;
+        self.bodies.retain(|&id, body| {
+            body.refs = body.refs.min(held.of(id));
+            if body.refs <= 0 {
+                *freed += body.len;
+            }
+            body.refs > 0
+        });
+    }
+
+    /// The whole store's statistics, from this log and the mailboxes'
+    /// counts, with the refcounts clamped.
+    pub(crate) fn stats(mut self, held: &Held) -> MfsStats {
+        self.clamp(held);
+        MfsStats {
+            shared_mails: self.bodies.len() as u64,
+            shared_bytes: self.bodies.values().map(|b| b.len).sum(),
+            freed_shared_bytes: self.freed_bytes,
+            own_records: held.own,
+            shared_references: held.refs.values().sum::<i64>() as u64,
+        }
+    }
+
+    /// Debug-build check of §6.1's refcounting, run where the whole
+    /// store was just read (open, fsck, compact): every live mailbox
+    /// reference points at a body the log holds, with at least as many
+    /// logged references as mailboxes hold. Under-counting would reclaim
+    /// the single stored copy while mailboxes still reference it (data
+    /// loss); over-counting is clamped when read and repaired on disk by
+    /// [`crate::fsck`]. Compiles to a no-op in release builds.
+    fn debug_check(&self, held: &Held) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (id, &live) in &held.refs {
+            let refs = self.bodies.get(id).map(|b| b.refs);
+            debug_assert!(
+                refs.is_some(),
+                "live mailbox reference to reclaimed shared mail {id}"
+            );
+            debug_assert!(
+                refs >= Some(live),
+                "shared refcount for {id} under-counts live references: {refs:?} < {live}"
+            );
+        }
+    }
+}
+
+/// The mailbox key files counted: the live references per shared id, and
+/// the own records.
+#[derive(Debug, Default)]
+pub(crate) struct Held {
+    refs: BTreeMap<MailId, i64>,
+    own: u64,
+}
+
+impl Held {
+    /// Adds one mailbox's live entries.
+    fn count(&mut self, entries: &[MailboxEntry]) {
+        for e in entries {
+            if e.shared {
+                *self.refs.entry(e.id).or_insert(0) += 1;
+            } else {
+                self.own += 1;
+            }
+        }
+    }
+
+    /// The live references to shared mail `id`.
+    fn of(&self, id: MailId) -> i64 {
+        self.refs.get(&id).copied().unwrap_or(0)
     }
 }
 
@@ -195,10 +318,12 @@ pub struct MfsStats {
 
 /// The MFS mail store.
 ///
-/// A mailbox's key file is its index (§6): the store keeps no per-mail
-/// state in memory beyond the shared mailbox's refcounts and the entries
-/// of the one mailbox it read last (DESIGN.md §11 *What the store
-/// holds*).
+/// The key files are the whole index (§6): in memory the store keeps the
+/// entries of the one mailbox it read last, the highest id it knows, and
+/// of the shared key log the ids of its newest 64 records and the highest
+/// id of the rest — nothing that grows per mail. A shared body's refcount
+/// is read from `shmailbox.key` by whoever asks for it (DESIGN.md §11
+/// *What the store holds*).
 ///
 /// # Example
 ///
@@ -214,8 +339,6 @@ pub struct MfsStats {
 #[derive(Debug)]
 pub struct MfsStore<B> {
     backend: B,
-    pub(crate) shared: HashMap<MailId, SharedEntry>,
-    pub(crate) freed_shared_bytes: u64,
     /// The live entries of the mailbox this store read last, and of no
     /// other. Always equal to that mailbox's key file: every append to
     /// the file goes through this store (one appender per file, DESIGN.md
@@ -224,8 +347,16 @@ pub struct MfsStore<B> {
     /// deletes name one mailbox, as do a listing and the reads by id that
     /// follow it, so each folds the key file once.
     memo: Option<(String, Vec<MailboxEntry>)>,
-    /// The highest id replay found live, raised by every append since.
+    /// The highest id replay found live in a mailbox, raised by every
+    /// mailbox append since.
     max_id: Option<MailId>,
+    /// The ids the newest `shmailbox` records name, oldest first, at most
+    /// [`RECENT_SHARED`]; each is pushed before its append.
+    recent_shared: VecDeque<MailId>,
+    /// The highest id any older `shmailbox` record names. An id above it
+    /// and not in `recent_shared` is new to the log, so
+    /// [`MfsStore::shared_acquire`] reads nothing.
+    older_shared_max: Option<MailId>,
     share_threshold: usize,
     metrics: Option<StoreMetrics>,
     /// Torn trailing records truncated away while replaying key files.
@@ -240,10 +371,10 @@ impl<B: Backend> MfsStore<B> {
     pub fn new(backend: B) -> MfsStore<B> {
         MfsStore {
             backend,
-            shared: HashMap::new(),
-            freed_shared_bytes: 0,
             memo: None,
             max_id: None,
+            recent_shared: VecDeque::new(),
+            older_shared_max: None,
             share_threshold: 2,
             metrics: None,
             recovered: 0,
@@ -288,8 +419,9 @@ impl<B: Backend> MfsStore<B> {
     ///
     /// A torn trailing record in any key file — an append interrupted by a
     /// crash — is truncated away and counted in
-    /// [`MfsStore::recovered_records`]; shared refcounts left over-counted
-    /// by a torn refcount log are clamped to the live reference count.
+    /// [`MfsStore::recovered_records`]. Shared refcounts are not kept, so
+    /// one a crash left over-counted needs no repair here: every fold of
+    /// the log clamps it to the live reference count.
     ///
     /// # Errors
     ///
@@ -298,12 +430,9 @@ impl<B: Backend> MfsStore<B> {
     /// produce). Run [`crate::fsck`] to repair such a store.
     pub fn open(backend: B) -> StoreResult<MfsStore<B>> {
         let mut store = MfsStore::new(backend);
-        let mut held = HashMap::new();
-        store.replay(TailPolicy::Strict, |_, entries| {
-            count_held(&mut held, &entries);
-        })?;
-        store.clamp_shared_refcounts(&held);
-        store.debug_check_shared_accounting(&held);
+        let mut held = Held::default();
+        let log = store.replay(TailPolicy::Strict, |_, entries| held.count(&entries))?;
+        log.debug_check(&held);
         Ok(store)
     }
 
@@ -313,13 +442,15 @@ impl<B: Backend> MfsStore<B> {
         self.recovered
     }
 
-    /// The highest [`MailId`] this store has known live — every live
-    /// mailbox entry and shared body replay found, and every id written
-    /// since (a delete does not lower it) — or `None` when there is none.
-    /// A reopened server seeds its id allocator above this so recovery
-    /// never reuses an id already on disk.
+    /// The highest [`MailId`] this store has known — every live mailbox
+    /// entry replay found, every id the shared key log names, and every id
+    /// written since (a delete does not lower it) — or `None` when there
+    /// is none. A reopened server seeds its id allocator above this, so
+    /// recovery never reuses an id a surviving record names, and its
+    /// shared deliveries all take the fast path.
     pub fn max_mail_id(&self) -> Option<MailId> {
-        self.max_id
+        let recent = self.recent_shared.iter().copied().max();
+        self.max_id.max(self.older_shared_max).max(recent)
     }
 
     /// The underlying backend.
@@ -332,40 +463,26 @@ impl<B: Backend> MfsStore<B> {
         &mut self.backend
     }
 
-    /// Current statistics: the shared counts from the shared index, the
-    /// per-mailbox ones by reading every mailbox's key file — a scan of
-    /// the spool, for tests and `spamawarectl stats`; the server never
-    /// asks. A key file that cannot be read counts as empty, as in
-    /// [`MfsStore::list_mailbox`]. The memo is left as it was.
+    /// Current statistics, by reading every key file — a scan of the
+    /// spool, for tests and `spamawarectl stats`; the server never asks.
+    /// A shared body counts as live while a mailbox still references it,
+    /// so one whose last landed reference is deleted is reclaimable at
+    /// once, whatever its logged refcount says. A key file that cannot be
+    /// read counts as empty, as in [`MfsStore::list_mailbox`]. The memo
+    /// is left as it was.
     pub fn stats(&mut self) -> MfsStats {
-        let mut stats = self.shared_stats();
+        let log = self.shared_log().unwrap_or_default();
+        let mut held = Held::default();
         for mailbox in self.mailbox_names().unwrap_or_default() {
-            self.count_mailbox(&mailbox, &mut stats);
+            self.count_mailbox(&mailbox, &mut held);
         }
-        stats
+        log.stats(&held)
     }
 
-    /// The shared index's part of [`MfsStore::stats`].
-    pub(crate) fn shared_stats(&self) -> MfsStats {
-        MfsStats {
-            shared_mails: self.shared.len() as u64,
-            shared_bytes: self.shared.values().map(|e| e.len).sum(),
-            freed_shared_bytes: self.freed_shared_bytes,
-            ..MfsStats::default()
-        }
-    }
-
-    /// Adds `mailbox`'s live entries to the own-record and
-    /// shared-reference counts of `stats`, read from its key file (an
-    /// unreadable one adds nothing).
-    pub(crate) fn count_mailbox(&mut self, mailbox: &str, stats: &mut MfsStats) {
-        for e in self.read_entries(mailbox).unwrap_or_default() {
-            if e.shared {
-                stats.shared_references += 1;
-            } else {
-                stats.own_records += 1;
-            }
-        }
+    /// Adds `mailbox`'s live entries to `held`, read from its key file
+    /// (an unreadable one adds nothing).
+    pub(crate) fn count_mailbox(&mut self, mailbox: &str, held: &mut Held) {
+        held.count(&self.read_entries(mailbox).unwrap_or_default());
     }
 
     /// Every mailbox that has a key file, sorted.
@@ -395,6 +512,14 @@ impl<B: Backend> MfsStore<B> {
     }
 
     pub(crate) fn append_key(&mut self, mailbox: &str, rec: KeyRecord) -> StoreResult<()> {
+        if mailbox == SHARED {
+            // Before the append: one that fails may still have landed.
+            self.recent_shared.push_back(rec.id);
+            if self.recent_shared.len() > RECENT_SHARED {
+                let older = self.recent_shared.pop_front();
+                self.older_shared_max = self.older_shared_max.max(older);
+            }
+        }
         let path = Self::key_path(mailbox);
         let appended = self
             .backend
@@ -433,86 +558,35 @@ impl<B: Backend> MfsStore<B> {
     }
 
     /// Replays the key files: one directory listing, each key file read
-    /// and checksummed once. Rebuilds the shared index,
-    /// `freed_shared_bytes` and the running maximum id, and hands each
+    /// and checksummed once. Sets the maximum ids, hands each
     /// mailbox's live entries to `visit` — which keeps what it needs; the
-    /// store keeps none of them. Shared refcounts are replayed as logged;
-    /// only [`MfsStore::open`], which counts every live reference through
-    /// `visit`, clamps them afterwards.
+    /// store keeps none of them — and returns the shared log folded with
+    /// its refcounts as logged, for the caller to check or repair.
     pub(crate) fn replay(
         &mut self,
         mut tails: TailPolicy<'_>,
         mut visit: impl FnMut(&str, Vec<MailboxEntry>),
-    ) -> StoreResult<()> {
-        self.shared.clear();
-        self.freed_shared_bytes = 0;
+    ) -> StoreResult<SharedLog> {
         self.memo = None;
-        let mut max_id = None;
+        self.max_id = None;
+        self.recent_shared.clear();
+        self.older_shared_max = None;
+        let mut log = SharedLog::default();
         for path in self.backend.list("mfs/")? {
             let Some(stem) = Self::key_stem(&path) else {
                 continue;
             };
             let records = self.read_key_records(&path, &mut tails)?;
             if stem == SHARED {
-                self.replay_shared(&records);
+                self.older_shared_max = records.iter().map(|r| r.id).max();
+                log = SharedLog::fold(&records);
             } else {
                 let entries = live_entries(&records);
-                max_id = max_id.max(entries.iter().map(|e| e.id).max());
+                self.max_id = self.max_id.max(entries.iter().map(|e| e.id).max());
                 visit(stem, entries);
             }
         }
-        self.max_id = max_id.max(self.shared.keys().copied().max());
-        Ok(())
-    }
-
-    /// Folds the shared key log's refcount deltas into the shared index.
-    fn replay_shared(&mut self, records: &[KeyRecord]) {
-        for rec in records {
-            match self.shared.get_mut(&rec.id) {
-                Some(e) => {
-                    e.refs += rec.delta;
-                    if e.refs <= 0 {
-                        self.freed_shared_bytes += e.len;
-                        self.shared.remove(&rec.id);
-                    }
-                }
-                None => {
-                    if rec.delta > 0 {
-                        self.shared.insert(
-                            rec.id,
-                            SharedEntry {
-                                offset: rec.offset,
-                                len: rec.len,
-                                refs: rec.delta,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Lowers every shared refcount to its live mailbox reference count
-    /// `held` (in-memory only; [`crate::fsck`] makes the same repair
-    /// durable): a crash between the shared-log append and the
-    /// per-recipient attaches leaves the count high, and without the clamp
-    /// those bodies would never be reclaimed.
-    fn clamp_shared_refcounts(&mut self, held: &HashMap<MailId, i64>) {
-        let ids: Vec<MailId> = self.shared.keys().copied().collect();
-        for id in ids {
-            let live = held.get(&id).copied().unwrap_or(0);
-            let Some(e) = self.shared.get_mut(&id) else {
-                continue;
-            };
-            if e.refs > live {
-                if live == 0 {
-                    self.freed_shared_bytes += e.len;
-                    self.shared.remove(&id);
-                } else {
-                    e.refs = live;
-                }
-            }
-        }
+        Ok(log)
     }
 
     /// Reads and validates one key file's frames: `len`, one `read_at`,
@@ -557,6 +631,15 @@ impl<B: Backend> MfsStore<B> {
         Ok(payloads.iter().map(KeyRecord::decode).collect())
     }
 
+    /// Reads the key file of `stem`, a mailbox or `shmailbox`, refusing
+    /// any invalid frame. No key file holds no records.
+    fn read_key_file(&mut self, stem: &str) -> StoreResult<Vec<KeyRecord>> {
+        match self.read_key_records(&Self::key_path(stem), &mut TailPolicy::Refuse) {
+            Err(StoreError::NotFound(_)) => Ok(Vec::new()),
+            read => read,
+        }
+    }
+
     /// Reads one mailbox's live entries from its key file, with the fold
     /// replay uses. No key file is an empty mailbox, and so is a name no
     /// mailbox can have.
@@ -564,11 +647,12 @@ impl<B: Backend> MfsStore<B> {
         if Self::check_mailbox_name(mailbox).is_err() {
             return Ok(Vec::new());
         }
-        match self.read_key_records(&Self::key_path(mailbox), &mut TailPolicy::Refuse) {
-            Ok(records) => Ok(live_entries(&records)),
-            Err(StoreError::NotFound(_)) => Ok(Vec::new()),
-            Err(e) => Err(e),
-        }
+        Ok(live_entries(&self.read_key_file(mailbox)?))
+    }
+
+    /// Reads `shmailbox.key` and folds it, refcounts as logged.
+    pub(crate) fn shared_log(&mut self) -> StoreResult<SharedLog> {
+        Ok(SharedLog::fold(&self.read_key_file(SHARED)?))
     }
 
     /// `mailbox`'s live entries: the memo's when it holds that mailbox,
@@ -681,6 +765,14 @@ impl<B: Backend> MfsStore<B> {
     /// refcount-delta tuple to the shared key log. Returns the body's
     /// `(offset, len)` in the shared data file.
     ///
+    /// An id the log cannot name — above every id of its older records
+    /// and not among its newest — is new to it: two appends and no read,
+    /// the path of every delivery whose ids are allocated upward, however
+    /// the workers that took them race. Any other id folds the log to find
+    /// its body. The logged refcount decides, not the clamped one, because
+    /// the next fold adds this record's delta to whatever body the log
+    /// holds under the id.
+    ///
     /// Sharding primitive — touches only `shmailbox` state, so a
     /// [`crate::ShardedStore`] calls it under the short-hold shared lock
     /// and releases that lock before touching any recipient shard.
@@ -695,58 +787,41 @@ impl<B: Backend> MfsStore<B> {
         body: DataRef<'_>,
         n: i64,
     ) -> StoreResult<(u64, u64)> {
-        match self.shared.get_mut(&id) {
-            Some(e) => {
-                // "The file system skips the steps of writing data
-                // ... if it finds that mail-id already exists"
-                // (§6.2) — but content of a different size under an
-                // existing id is the §6.4 attack.
-                if e.len != body.len() {
-                    return Err(StoreError::MailIdCollision(id.to_string()));
-                }
-                e.refs += n;
-                let (o, l) = (e.offset, e.len);
-                self.append_key(
-                    SHARED,
-                    KeyRecord {
-                        id,
-                        offset: o,
-                        len: l,
-                        delta: n,
-                    },
-                )?;
-                if let Some(m) = &self.metrics {
-                    m.refcount_ops.inc();
-                }
-                Ok((o, l))
+        let fresh = Some(id) > self.older_shared_max && !self.recent_shared.contains(&id);
+        let logged = if fresh {
+            None
+        } else {
+            self.shared_log()?.bodies.get(&id).copied()
+        };
+        let (offset, len) = match logged {
+            // "The file system skips the steps of writing data ... if it
+            // finds that mail-id already exists" (§6.2) — but content of
+            // a different size under an existing id is the §6.4 attack.
+            Some(b) if b.len != body.len() => {
+                return Err(StoreError::MailIdCollision(id.to_string()));
             }
-            None => {
-                let offset = self.backend.append(&Self::data_path(SHARED), body)?;
-                self.append_key(
-                    SHARED,
-                    KeyRecord {
-                        id,
-                        offset,
-                        len: body.len(),
-                        delta: n,
-                    },
-                )?;
-                if let Some(m) = &self.metrics {
-                    m.shared_bytes.add(body.len());
-                    m.refcount_ops.inc();
-                }
-                self.shared.insert(
-                    id,
-                    SharedEntry {
-                        offset,
-                        len: body.len(),
-                        refs: n,
-                    },
-                );
-                self.max_id = self.max_id.max(Some(id));
-                Ok((offset, body.len()))
+            Some(b) => (b.offset, b.len),
+            None => (
+                self.backend.append(&Self::data_path(SHARED), body)?,
+                body.len(),
+            ),
+        };
+        self.append_key(
+            SHARED,
+            KeyRecord {
+                id,
+                offset,
+                len,
+                delta: n,
+            },
+        )?;
+        if let Some(m) = &self.metrics {
+            if logged.is_none() {
+                m.shared_bytes.add(len);
             }
+            m.refcount_ops.inc();
         }
+        Ok((offset, len))
     }
 
     /// Records one shared reference in a mailbox: a `delta = -1` key tuple
@@ -819,12 +894,12 @@ impl<B: Backend> MfsStore<B> {
         Ok(entry.shared.then_some((entry.offset, entry.len)))
     }
 
-    /// Releases one reference to shared content `id`, reclaiming the body
-    /// bytes when the refcount reaches zero.
+    /// Releases one reference to shared content `id`: a `delta = -1`
+    /// tuple on the shared key log, and nothing else.
     ///
     /// "A shared record cannot be deleted until it is deleted from all MFS
-    /// files that share it" (§6.1): decrement the refcount; reclaim only
-    /// when it reaches zero.
+    /// files that share it" (§6.1): the body is reclaimable once a fold of
+    /// the log finds its refcount at zero, and only compaction reclaims it.
     ///
     /// Sharding primitive — touches only `shmailbox` state, so a
     /// [`crate::ShardedStore`] calls it under the short-hold shared lock,
@@ -841,18 +916,6 @@ impl<B: Backend> MfsStore<B> {
         )?;
         if let Some(m) = &self.metrics {
             m.refcount_ops.inc();
-        }
-        if let Some(e) = self.shared.get_mut(&id) {
-            e.refs -= 1;
-            debug_assert!(
-                e.refs >= 0,
-                "shared refcount for {id} went negative: {}",
-                e.refs
-            );
-            if e.refs <= 0 {
-                self.freed_shared_bytes += e.len;
-                self.shared.remove(&id);
-            }
         }
         Ok(())
     }
@@ -916,39 +979,6 @@ impl<B: Backend> MfsStore<B> {
         };
         let body = self.backend.read_at(&data_file, entry.offset, entry.len)?;
         Ok(StoredMail { id: entry.id, body })
-    }
-
-    /// Debug-build invariant check for §6.1's refcounting, run where the
-    /// whole store was just read (open, fsck, compact): every shared
-    /// entry's refcount is positive and at least `held`, its count of live
-    /// mailbox references, and no mailbox entry points at an
-    /// already-reclaimed shared mail. Under-counting would reclaim the
-    /// single stored copy while mailboxes still reference it (data loss);
-    /// over-counting is clamped at replay and repaired on disk by
-    /// [`crate::fsck`]. Compiles to a no-op in release builds.
-    pub(crate) fn debug_check_shared_accounting(&self, held: &HashMap<MailId, i64>) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        for (id, e) in &self.shared {
-            debug_assert!(
-                e.refs > 0,
-                "shared refcount for {id} not positive: {}",
-                e.refs
-            );
-            let live = held.get(id).copied().unwrap_or(0);
-            debug_assert!(
-                e.refs >= live,
-                "shared refcount for {id} under-counts live references: {} < {live}",
-                e.refs
-            );
-        }
-        for id in held.keys() {
-            debug_assert!(
-                self.shared.contains_key(id),
-                "live mailbox reference to reclaimed shared mail {id}"
-            );
-        }
     }
 }
 
@@ -1228,6 +1258,135 @@ mod tests {
         Ok(())
     }
 
+    /// Records every call that reaches the backend.
+    #[derive(Default)]
+    struct Calls(Vec<(Op, String)>);
+
+    impl Policy for Calls {
+        fn before(&mut self, call: Call<'_>) -> Verdict {
+            self.0.push((call.op, call.path.to_owned()));
+            Verdict::Pass
+        }
+    }
+
+    type Recorded = MfsStore<Intercept<MemFs, Calls>>;
+
+    /// The calls since the last time this was asked, in order.
+    fn calls(s: &mut Recorded) -> Vec<(Op, String)> {
+        std::mem::take(&mut s.backend_mut().policy_mut().0)
+    }
+
+    fn shared_calls(calls: &[(Op, String)]) -> Vec<(Op, &str)> {
+        calls
+            .iter()
+            .filter(|(_, path)| path.starts_with("mfs/shmailbox."))
+            .map(|(op, path)| (*op, path.as_str()))
+            .collect()
+    }
+
+    const SEVEN: [&str; 7] = ["a", "b", "c", "d", "e", "f", "g"];
+
+    /// A fresh id appends the body and its `+n` record and reads
+    /// nothing: the nine calls of a steady-state 7-recipient delivery the
+    /// repo benchmark counts. So does one that arrives after a larger id,
+    /// as a worker that took its id first but lost the race to the shared
+    /// partition delivers it.
+    #[test]
+    fn a_fresh_shared_id_appends_twice_and_reads_nothing() -> StoreResult<()> {
+        let mut s = MfsStore::new(Intercept::with_policy(MemFs::new(), Calls::default()));
+        s.nwrite(MailId(1), &SEVEN, DataRef::Bytes(b"first"))?;
+        calls(&mut s);
+        for id in [3, 2] {
+            s.nwrite(MailId(id), &SEVEN, DataRef::Bytes(b"fresh"))?;
+            let made = calls(&mut s);
+            assert_eq!(
+                shared_calls(&made),
+                [
+                    (Op::Append, "mfs/shmailbox.data"),
+                    (Op::Append, "mfs/shmailbox.key")
+                ]
+            );
+            assert_eq!(made.len(), 9, "{made:?}");
+            assert!(made.iter().all(|(op, _)| *op == Op::Append), "{made:?}");
+        }
+        Ok(())
+    }
+
+    /// An id the shared log already names folds the log: a live one of
+    /// the same size skips the body write (§6.2) — also once newer
+    /// records have pushed it out of the ids the store remembers — one of
+    /// another size is the §6.4 collision, and one reclaimed before a
+    /// reopen is stored afresh.
+    #[test]
+    fn a_logged_shared_id_folds_the_log() -> Result<(), Box<dyn std::error::Error>> {
+        let mut s = MfsStore::new(Intercept::with_policy(MemFs::new(), Calls::default()));
+        s.nwrite(MailId(1), &SEVEN, DataRef::Bytes(b"body"))?;
+        s.nwrite(MailId(2), &["x", "y"], DataRef::Bytes(b"gone"))?;
+        for id in 3..3 + RECENT_SHARED as u64 {
+            s.nwrite(MailId(id), &["l", "m"], DataRef::Bytes(b"newer"))?;
+        }
+        calls(&mut s);
+        s.nwrite(MailId(1), &["h", "i"], DataRef::Bytes(b"same"))?;
+        let reads = [
+            (Op::Len, "mfs/shmailbox.key"),
+            (Op::ReadAt, "mfs/shmailbox.key"),
+        ];
+        let deduped = [reads[0], reads[1], (Op::Append, "mfs/shmailbox.key")];
+        assert_eq!(shared_calls(&calls(&mut s)), deduped);
+        assert_eq!(s.read_mailbox("i")?[0].body, b"body");
+        calls(&mut s);
+        let err = s.nwrite(MailId(1), &["j", "k"], DataRef::Bytes(b"bigger"));
+        assert!(matches!(err, Err(StoreError::MailIdCollision(_))));
+        assert_eq!(
+            calls(&mut s).iter().map(|c| c.0).collect::<Vec<_>>(),
+            [Op::Len, Op::ReadAt]
+        );
+
+        s.delete("x", MailId(2))?;
+        s.delete("y", MailId(2))?;
+        let fs = std::mem::replace(
+            s.backend_mut(),
+            Intercept::with_policy(MemFs::new(), Calls::default()),
+        );
+        let mut s = MfsStore::open(fs)?;
+        assert_eq!(s.max_mail_id(), Some(MailId(2 + RECENT_SHARED as u64)));
+        calls(&mut s);
+        s.nwrite(MailId(2), &["x", "z"], DataRef::Bytes(b"a new size"))?;
+        let fresh = [
+            reads[0],
+            reads[1],
+            (Op::Append, "mfs/shmailbox.data"),
+            (Op::Append, "mfs/shmailbox.key"),
+        ];
+        assert_eq!(shared_calls(&calls(&mut s)), fresh);
+        assert_eq!(s.read_mailbox("z")?[0].body, b"a new size");
+        Ok(())
+    }
+
+    /// A delivery whose second attach fails leaves the shared `+3` on the
+    /// log with one reference landed. Deleting that reference frees the
+    /// body at once, as a reopen of the same bytes reports it.
+    #[test]
+    fn a_failed_attach_frees_the_body_with_its_last_landed_reference(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let mut s = MfsStore::new(crate::FaultyBackend::new(MemFs::new()));
+        // Body, `+3` record, a's attach; b's attach fails.
+        s.backend_mut().plan_mut().fail_after = Some(3);
+        assert!(s
+            .nwrite(MailId(1), &["a", "b", "c"], DataRef::Bytes(b"body"))
+            .is_err());
+        s.backend_mut().plan_mut().fail_after = None;
+        assert_eq!(s.list_mailbox("a"), [(MailId(1), 4)]);
+        assert!(s.list_mailbox("b").is_empty());
+        s.delete("a", MailId(1))?;
+        let stats = s.stats();
+        assert_eq!(stats.shared_mails, 0);
+        assert_eq!(stats.freed_shared_bytes, 4);
+        let fs = std::mem::replace(s.backend_mut(), crate::FaultyBackend::new(MemFs::new()));
+        assert_eq!(MfsStore::open(fs.into_inner())?.stats(), stats);
+        Ok(())
+    }
+
     #[test]
     fn shared_mailbox_name_is_reserved() {
         let mut s = store();
@@ -1288,10 +1447,12 @@ mod tests {
 
 impl<B: Backend> MfsStore<B> {
     /// Compacts the store: rewrites the shared data file without dead
-    /// (zero-refcount) bytes, collapses the log-structured shared key file
-    /// to one record per live mail, and rewrites every mailbox key file
-    /// without tombstones, folding one key file at a time. Returns the
-    /// number of shared-data bytes reclaimed.
+    /// bytes — a body no mailbox references is dead, whatever its logged
+    /// refcount — collapses the log-structured shared key file to one
+    /// record per live mail, its refcount clamped, and rewrites every
+    /// mailbox key file without tombstones. Each mailbox key file is read
+    /// twice, to count its references and to rewrite it, one file at a
+    /// time. Returns the number of shared-data bytes reclaimed.
     ///
     /// This is the maintenance pass implied by §6.1's refcounting ("a
     /// shared record cannot be deleted until it is deleted from all MFS
@@ -1306,37 +1467,36 @@ impl<B: Backend> MfsStore<B> {
         // Shared offsets move under every mailbox: nothing read before
         // stays true.
         self.memo = None;
-        // 1. Rewrite shared data, remembering new offsets.
-        let mut ids: Vec<MailId> = self.shared.keys().copied().collect();
-        ids.sort_unstable();
+        // 1. Fold the whole store: the shared log, clamped to the
+        //    references the mailboxes hold.
+        let mut log = self.shared_log()?;
+        let mut held = Held::default();
+        for mb in self.mailbox_names()? {
+            held.count(&self.read_entries(&mb)?);
+        }
+        log.clamp(&held);
+        log.debug_check(&held);
+        // 2. Rewrite shared data, moving each live body's offset.
         let sh_data = Self::data_path(SHARED);
-        let sh_key = Self::key_path(SHARED);
         let old_len = if self.backend.exists(&sh_data) {
             self.backend.len(&sh_data)?
         } else {
             0
         };
         let mut new_data: Vec<u8> = Vec::new();
-        let mut new_offsets: HashMap<MailId, u64> = HashMap::new();
-        for id in &ids {
-            let e = self.shared[id];
+        for e in log.bodies.values_mut() {
             let body = self.backend.read_at(&sh_data, e.offset, e.len)?;
-            new_offsets.insert(*id, new_data.len() as u64);
+            e.offset = new_data.len() as u64;
             new_data.extend_from_slice(&body);
         }
         let reclaimed = old_len.saturating_sub(new_data.len() as u64);
         self.backend.replace(&sh_data, DataRef::Bytes(&new_data))?;
-        // 2. Collapse the shared key log.
-        let mut key_bytes = Vec::with_capacity(ids.len() * frame::FRAME_LEN);
-        for id in &ids {
-            let Some(e) = self.shared.get_mut(id) else {
-                debug_assert!(false, "id {id} was listed from the shared index");
-                continue;
-            };
-            e.offset = new_offsets[id];
+        // 3. Collapse the shared key log.
+        let mut key_bytes = Vec::with_capacity(log.bodies.len() * frame::FRAME_LEN);
+        for (&id, e) in &log.bodies {
             key_bytes.extend_from_slice(&frame::encode(
                 &KeyRecord {
-                    id: *id,
+                    id,
                     offset: e.offset,
                     len: e.len,
                     delta: e.refs,
@@ -1344,18 +1504,16 @@ impl<B: Backend> MfsStore<B> {
                 .encode(),
             ));
         }
-        self.backend.replace(&sh_key, DataRef::Bytes(&key_bytes))?;
-        self.freed_shared_bytes = 0;
-        // 3. Rewrite each mailbox key file from its live entries, patching
+        self.backend
+            .replace(&Self::key_path(SHARED), DataRef::Bytes(&key_bytes))?;
+        // 4. Rewrite each mailbox key file from its live entries, patching
         //    shared offsets.
-        let mut held = HashMap::new();
         for mb in self.mailbox_names()? {
             let entries = self.read_entries(&mb)?;
-            count_held(&mut held, &entries);
             let mut bytes = Vec::with_capacity(entries.len() * frame::FRAME_LEN);
             for e in entries {
-                let offset = match new_offsets.get(&e.id) {
-                    Some(&moved) if e.shared => moved,
+                let offset = match log.bodies.get(&e.id) {
+                    Some(moved) if e.shared => moved.offset,
                     _ => e.offset,
                 };
                 bytes.extend_from_slice(&frame::encode(
@@ -1371,7 +1529,6 @@ impl<B: Backend> MfsStore<B> {
             self.backend
                 .replace(&Self::key_path(&mb), DataRef::Bytes(&bytes))?;
         }
-        self.debug_check_shared_accounting(&held);
         Ok(reclaimed)
     }
 }

@@ -12,7 +12,7 @@
 //!    them — a by-id tombstone couldn't single out one of several
 //!    same-id entries).
 //! 4. **Dangling refs**: mailbox entries referencing a shared mail absent
-//!    from the shmailbox index are dropped the same way.
+//!    from the shmailbox log are dropped the same way.
 //! 5. **Refcounts** are rebuilt from the mailbox key files: over-counts
 //!    are clamped, under-counts raised, and orphaned shared bodies (zero
 //!    live references) garbage-collected — all by appending corrective
@@ -22,10 +22,10 @@
 //! so repeated runs over identical stores print byte-identical reports —
 //! pinned by the golden-fixture tests.
 
-use super::{count_held, KeyRecord, MailboxEntry, TailPolicy, SHARED};
+use super::{Held, KeyRecord, MailboxEntry, TailPolicy, SHARED};
 use crate::frame;
 use crate::{Backend, DataRef, MailId, MfsStore, StoreResult};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Everything [`fsck`] repaired, in deterministic order.
@@ -42,7 +42,7 @@ pub struct FsckReport {
     /// shared body for every referencing mailbox.
     pub truncated_bodies: Vec<(String, MailId)>,
     /// Mailbox entries dropped for referencing a shared mail that is
-    /// not in the shmailbox index: `(mailbox, id)`.
+    /// not in the shmailbox log: `(mailbox, id)`.
     pub dangling_refs: Vec<(String, MailId)>,
     /// Shared refcounts lowered to the live reference count:
     /// `(id, from, to)`.
@@ -139,41 +139,36 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
 
     // 1+2. Replay every key file, cutting each back to its longest valid
     // frame prefix as it is read. Refcounts stay as logged, so every
-    // discrepancy is still visible for reporting. The mailboxes' entries
-    // live here, for the repairs below, and not in the store.
+    // discrepancy is still visible for reporting. The shared log and the
+    // mailboxes' entries live here, for the repairs below, and not in the
+    // store.
     let mut boxes: BTreeMap<String, Vec<MailboxEntry>> = BTreeMap::new();
-    store.replay(TailPolicy::Repair(&mut report), |mb, entries| {
+    let mut log = store.replay(TailPolicy::Repair(&mut report), |mb, entries| {
         boxes.insert(mb.to_owned(), entries);
     })?;
 
     // 3a. Shared entries whose body range runs past the shared data file:
     // the body is unreadable, so zero the refcount out of the log.
     let shared_data_len = len_or_zero(store.backend_mut(), &MfsStore::<B>::data_path(SHARED))?;
-    let mut shared_ids: Vec<MailId> = store.shared.keys().copied().collect();
-    shared_ids.sort_unstable();
-    for id in &shared_ids {
-        let Some(e) = store.shared.get(id).copied() else {
-            continue;
-        };
-        if e.offset.saturating_add(e.len) > shared_data_len {
-            store.append_key(
-                SHARED,
-                KeyRecord {
-                    id: *id,
-                    offset: e.offset,
-                    len: e.len,
-                    delta: -e.refs,
-                },
-            )?;
-            // Replaying the record just appended frees the body too.
-            store.freed_shared_bytes += e.len;
-            store.shared.remove(id);
-            report.truncated_bodies.push((SHARED.to_owned(), *id));
-        }
+    let (cut, kept): (BTreeMap<_, _>, _) = std::mem::take(&mut log.bodies)
+        .into_iter()
+        .partition(|(_, e)| e.offset.saturating_add(e.len) > shared_data_len);
+    log.bodies = kept;
+    for (id, e) in cut {
+        store.append_key(
+            SHARED,
+            KeyRecord {
+                id,
+                offset: e.offset,
+                len: e.len,
+                delta: -e.refs,
+            },
+        )?;
+        report.truncated_bodies.push((SHARED.to_owned(), id));
     }
 
     // 3b+4. Mailbox entries that are unreadable (own body range past the
-    // data file) or dangling (shared mail absent from the index). A by-id
+    // data file) or dangling (shared mail absent from the log). A by-id
     // tombstone can't single out one of several same-id entries, so the
     // repair rewrites the key file from the surviving entries instead —
     // the one place fsck replaces a log rather than appending to it.
@@ -181,22 +176,12 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
         let data_len = len_or_zero(store.backend_mut(), &MfsStore::<B>::data_path(mb))?;
         let mut keep = Vec::with_capacity(entries.len());
         for e in entries.iter() {
-            let (bad, dangling) = if e.shared {
-                match store.shared.get(&e.id) {
-                    None => (true, true),
-                    // Range vs the shared data file was checked in 3a via
-                    // the index entry all references share.
-                    Some(_) => (false, false),
-                }
-            } else {
-                (e.offset.saturating_add(e.len) > data_len, false)
-            };
-            if bad {
-                if dangling {
-                    report.dangling_refs.push((mb.clone(), e.id));
-                } else {
-                    report.truncated_bodies.push((mb.clone(), e.id));
-                }
+            // A shared entry's range was checked in 3a, against the body
+            // all its references share.
+            if e.shared && !log.bodies.contains_key(&e.id) {
+                report.dangling_refs.push((mb.clone(), e.id));
+            } else if !e.shared && e.offset.saturating_add(e.len) > data_len {
+                report.truncated_bodies.push((mb.clone(), e.id));
             } else {
                 keep.push(*e);
             }
@@ -222,49 +207,39 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
     }
 
     // 5. Rebuild shmailbox refcounts from the surviving mailbox entries.
-    let mut held = HashMap::new();
+    let mut held = Held::default();
     for entries in boxes.values() {
-        count_held(&mut held, entries);
+        held.count(entries);
     }
-    let mut shared_ids: Vec<MailId> = store.shared.keys().copied().collect();
-    shared_ids.sort_unstable();
-    for id in &shared_ids {
-        let live = held.get(id).copied().unwrap_or(0);
-        let Some(e) = store.shared.get(id).copied() else {
-            continue;
-        };
+    for (&id, e) in &mut log.bodies {
+        let live = held.of(id);
         if e.refs == live {
             continue;
         }
         store.append_key(
             SHARED,
             KeyRecord {
-                id: *id,
+                id,
                 offset: e.offset,
                 len: e.len,
                 delta: live - e.refs,
             },
         )?;
         if live == 0 {
-            store.freed_shared_bytes += e.len;
-            store.shared.remove(id);
-            report.orphans_reclaimed.push((*id, e.len));
+            report.orphans_reclaimed.push((id, e.len));
+        } else if e.refs > live {
+            report.clamped_refcounts.push((id, e.refs, live));
         } else {
-            if let Some(entry) = store.shared.get_mut(id) {
-                entry.refs = live;
-            }
-            if e.refs > live {
-                report.clamped_refcounts.push((*id, e.refs, live));
-            } else {
-                report.raised_refcounts.push((*id, e.refs, live));
-            }
+            report.raised_refcounts.push((id, e.refs, live));
         }
+        e.refs = live;
     }
+    log.bodies.retain(|_, e| e.refs > 0);
 
-    // The highest id a replay of the repaired files finds.
-    let in_boxes = boxes.values().flatten().map(|e| e.id);
-    store.max_id = in_boxes.chain(store.shared.keys().copied()).max();
-    store.debug_check_shared_accounting(&held);
+    // The highest mailbox id a replay of the repaired files finds; the
+    // shared log's is replay's, since repairs only append to it.
+    store.max_id = boxes.values().flatten().map(|e| e.id).max();
+    log.debug_check(&held);
     Ok((store, report))
 }
 
@@ -434,10 +409,10 @@ mod tests {
     }
 
     /// One image needing every kind of repair: what `fsck` repaired in
-    /// memory — the shared index and the highest id, which
-    /// [`ShardedStore::open_with_fsck`] deals to the shared partition —
-    /// must be what a replay of the repaired files builds, and every
-    /// mailbox must list the same.
+    /// memory — the highest ids, which [`ShardedStore::open_with_fsck`]
+    /// deals to the shared partition — must be what a replay of the
+    /// repaired files finds, and every mailbox must list the same and
+    /// count the same.
     #[test]
     fn repaired_index_equals_a_replay_of_the_repaired_files(
     ) -> Result<(), Box<dyn std::error::Error>> {

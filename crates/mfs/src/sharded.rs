@@ -38,6 +38,7 @@
 //! [`crate::MemFs`] into cloneable handles.
 
 use crate::backend::DataRef;
+use crate::mfs_store::Held;
 use crate::{
     Backend, MailId, MailStore, MailboxEntry, MfsStats, MfsStore, StoreResult, StoredMail,
 };
@@ -136,8 +137,7 @@ impl<B: Backend> ShardedStore<B> {
     /// — e.g. `|| RealDir::new(&root)` or `|| Ok(sync_memfs.clone())`.
     ///
     /// Existing MFS files are replayed exactly once, through the first
-    /// handle, by [`MfsStore::open`], and what it keeps — the shared index
-    /// with its refcounts clamped to the live references, the highest id
+    /// handle, by [`MfsStore::open`], and what it keeps — the highest ids
     /// and the recovery count — becomes the shared partition; the mailbox
     /// shards start empty and read their key files when asked.
     ///
@@ -160,8 +160,8 @@ impl<B: Backend> ShardedStore<B> {
     /// Opens a sharded store with a durable repair pass first: runs
     /// [`crate::fsck`] over the first backend handle (truncating torn
     /// tails, dropping corrupt frames, rebuilding shmailbox refcounts on
-    /// disk), then deals the repaired shared index to the shared
-    /// partition. This is how the live server restarts after a crash.
+    /// disk), then deals what it keeps to the shared partition. This is
+    /// how the live server restarts after a crash.
     ///
     /// # Errors
     ///
@@ -181,10 +181,9 @@ impl<B: Backend> ShardedStore<B> {
         Ok((Self::deal(whole, shards, make)?, report))
     }
 
-    /// Partitions a replayed store: `whole` — holding the shared index,
-    /// the reclaimable-byte count, the highest id and the recovery count —
-    /// becomes the shared partition, and `shards` fresh stores the
-    /// mailbox partitions.
+    /// Partitions a replayed store: `whole` — holding the highest ids
+    /// and the recovery count, and nothing per mail — becomes the shared
+    /// partition, and `shards` fresh stores the mailbox partitions.
     fn deal(
         mut whole: MfsStore<B>,
         shards: usize,
@@ -406,20 +405,22 @@ impl<B: Backend> ShardedStore<B> {
         Ok(())
     }
 
-    /// Aggregate statistics (see [`MfsStore::stats`]): the shared
-    /// partition's counts, plus every mailbox's key file read under its
-    /// shard's lock. Consistent only when quiescent (locks are taken one
-    /// partition at a time, so a concurrent delivery may be half-counted —
-    /// fine for reporting).
+    /// Aggregate statistics (see [`MfsStore::stats`]): the shared key log
+    /// read under the shared partition's lock, and every mailbox's key
+    /// file under its shard's. Consistent only when quiescent (locks are
+    /// taken one partition at a time, so a concurrent delivery may be
+    /// half-counted — fine for reporting).
     pub fn stats(&self) -> MfsStats {
-        let (mut total, names) =
-            Self::peek(&self.shared, |p| (p.shared_stats(), p.mailbox_names()));
+        let (log, names) = Self::peek(&self.shared, |p| {
+            (p.shared_log().unwrap_or_default(), p.mailbox_names())
+        });
+        let mut held = Held::default();
         for mailbox in names.unwrap_or_default() {
             Self::peek(self.shard_for(&mailbox), |p| {
-                p.count_mailbox(&mailbox, &mut total);
+                p.count_mailbox(&mailbox, &mut held);
             });
         }
-        total
+        log.stats(&held)
     }
 }
 
@@ -604,6 +605,28 @@ mod tests {
         assert_eq!(stats.shared_mails, 1);
         assert_eq!(stats.shared_references, 2);
         assert_eq!(stats.own_records, 1);
+    }
+
+    /// [`MfsStore`]'s failed-attach case through the partitions: the
+    /// shared `+3` lands under the shared lock, b's attach fails under its
+    /// shard's, and once a's reference is deleted the statistics free the
+    /// body, equal to a reopen's.
+    #[test]
+    fn a_failed_attach_frees_the_body_with_its_last_landed_reference() {
+        let fs = SyncBackend::new(crate::FaultyBackend::new(MemFs::new()));
+        let s = ShardedStore::open_with(3, || Ok(fs.clone())).unwrap();
+        lock(&fs.inner).plan_mut().fail_after = Some(3);
+        assert!(s
+            .deliver(MailId(1), &["a", "b", "c"], DataRef::Bytes(b"body"))
+            .is_err());
+        lock(&fs.inner).plan_mut().fail_after = None;
+        assert_eq!(s.list_mailbox("a"), [(MailId(1), 4)]);
+        s.delete("a", MailId(1)).unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.shared_mails, 0);
+        assert_eq!(stats.freed_shared_bytes, 4);
+        let reopened = ShardedStore::open_with(3, || Ok(fs.clone())).unwrap();
+        assert_eq!(reopened.stats(), stats);
     }
 
     /// Counts the calls a boot is budgeted in.

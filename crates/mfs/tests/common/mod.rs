@@ -82,8 +82,8 @@ pub fn record_write_log(ops: &[Op]) -> Vec<u64> {
 }
 
 /// Boots the files behind `fs` the way the live server restarts —
-/// [`ShardedStore::open_with_fsck`], which deals the shared index `fsck`
-/// repaired in memory to the shared partition without reading the files
+/// [`ShardedStore::open_with_fsck`], which deals the highest ids `fsck`
+/// computed in memory to the shared partition without reading the files
 /// again — and checks it against a plain replay of the repaired bytes:
 /// per mailbox the same listing, and the same statistics and highest id.
 /// Nothing else cross-checks fsck's in-memory repairs against the ones it
@@ -126,7 +126,7 @@ pub fn dealt_equals_replayed(
 ///   statistics as a strict [`MfsStore::open`] — shared refcounts a
 ///   crash left high are clamped by both;
 /// * so does [`ShardedStore::open_with_fsck`] — the live server's restart
-///   path — whose dealt shared index must equal a replay of the bytes it
+///   path — whose dealt store must equal a replay of the bytes it
 ///   repaired (see [`dealt_equals_replayed`]);
 /// * the repaired store stays writable.
 ///

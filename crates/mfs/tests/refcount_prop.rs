@@ -1,10 +1,11 @@
 //! Property test for MFS shared-mailbox refcounting (paper §6.1).
 //!
-//! Random interleavings of `mail_nwrite` and `mail_delete` must never
-//! drive the shared refcount negative (the store's internal debug
-//! assertions fire if they do), must keep the store's statistics in
+//! Random interleavings of `mail_nwrite` and `mail_delete` must keep the
+//! store's statistics — folded from the key files after every step — in
 //! lockstep with an independent model, and must record a shared record's
-//! bytes as reclaimable exactly when its last reference is deleted.
+//! bytes as reclaimable exactly when its last reference is deleted. A
+//! refcount driven to zero early would show as a freed body the model
+//! still references.
 
 use proptest::prelude::*;
 use spamaware_mfs::{DataRef, MailId, MailStore, MemFs, MfsStore};

@@ -16,7 +16,9 @@
 # least nine tenths of the pairs and "gap>iqr" says yes — from ten pairs
 # up: below that the column reads "n<10" and the header says so, because
 # a few pairs produce verdicts that more pairs take back (four once read
-# -7.9 %, 4/0, "yes" for a change that ten pairs put at +0.4 %).
+# -7.9 %, 4/0, "yes" for a change that ten pairs put at +0.4 %). The
+# "gain" column applies that rule: "yes" when both hold, "no" otherwise,
+# "n<10" below ten pairs — so a claim is read from one column.
 #
 # The last line names every metric, on any workload, whose median moved
 # past its BENCHMARK.json bound, and which way — a change that moves one
@@ -78,7 +80,7 @@ for workload in $workloads; do
     echo
     echo "workload $workload, $pairs pairs (seeds 1..$pairs), parent $parent, change $change"
     if [ "$pairs" -lt 10 ]; then
-        echo "fewer than ten pairs: no gain or regression may be read from this table (gap>iqr shows n<10)"
+        echo "fewer than ten pairs: no gain or regression may be read from this table (gap>iqr and gain show n<10)"
     fi
     awk -v pairs="$pairs" -v workload="$workload" -v past="$past" '
     # First file: BENCHMARK.json — the end-to-end metrics, their direction
@@ -128,8 +130,9 @@ for workload in $workloads; do
         q3 = pairs > 1 ? mid(s, pairs - half + 1, pairs) : med
     }
     END {
-        printf "%-32s %-6s %-34s %-34s %8s %8s  %s\n", "metric", "better", \
-            "parent median [q1, q3]", "change median [q1, q3]", "change", "gap>iqr", "wins change/parent/tie"
+        printf "%-32s %-6s %-34s %-34s %8s %8s %5s  %s\n", "metric", "better", \
+            "parent median [q1, q3]", "change median [q1, q3]", "change", "gap>iqr", "gain", \
+            "wins change/parent/tie"
         for (m = 1; m <= metrics; m++) {
             name = order[m]
             summarize("parent", name); pm = med; p1 = q1; p3 = q3
@@ -142,10 +145,11 @@ for workload in $workloads; do
             }
             gap = cm - pm; if (gap < 0) { gap = -gap }
             beyond = pairs < 10 ? "n<10" : (gap > p3 - p1) ? "yes" : "no"
+            gain = pairs < 10 ? "n<10" : (beyond == "yes" && 10 * won >= 9 * pairs) ? "yes" : "no"
             percent = pm ? 100 * (cm - pm) / pm : 0
-            printf "%-32s %-6s %-34s %-34s %+7.1f%% %8s  %d/%d/%d\n", name, better[name], \
+            printf "%-32s %-6s %-34s %-34s %+7.1f%% %8s %5s  %d/%d/%d\n", name, better[name], \
                 sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", cm, c1, c3), \
-                percent, beyond, won, lost, tie
+                percent, beyond, gain, won, lost, tie
             if (name in bound && (percent > 100 * bound[name] || -percent > 100 * bound[name])) {
                 worse = (better[name] == "lower") == (percent > 0)
                 printf "%s %s %+.1f%% %s (bound %g%%)\n", workload, name, percent, \
