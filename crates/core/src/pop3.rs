@@ -313,14 +313,23 @@ impl Pop3 {
             }
             "NOOP" => writeln!(out, "+OK\r")?,
             "QUIT" => {
+                let mut kept = 0;
                 if let Some(user) = &st.authed {
                     for &idx in &st.marked {
                         if self.store.delete(user, st.listing[idx].id).is_ok() {
                             self.stats.deleted.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            kept += 1;
                         }
                     }
                 }
-                writeln!(out, "+OK bye\r")?;
+                // RFC 1939 §6: the UPDATE state owns up to a mark it could
+                // not carry out.
+                if kept == 0 {
+                    writeln!(out, "+OK bye\r")?;
+                } else {
+                    writeln!(out, "-ERR some deleted messages not removed\r")?;
+                }
                 return Ok(Step::Close);
             }
             _ => writeln!(out, "-ERR unsupported\r")?,
@@ -534,6 +543,34 @@ mod tests {
         assert_eq!(say("DELE 1"), "+OK marked\r\n");
         assert_eq!(say("LIST 1"), "-ERR no such message\r\n");
         assert_eq!(say("LIST"), "+OK scan listing follows\r\n2 8\r\n.\r\n");
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    /// `QUIT` says so when a marked message could not be removed: the
+    /// delete re-reads a key file that turned unreadable after the login,
+    /// and the session answers `-ERR` and counts no deletion.
+    #[test]
+    fn quit_reports_a_mark_it_could_not_remove() {
+        let root = std::env::temp_dir().join(format!("spamaware-quit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        // One shard: listing bob evicts alice's entries from the memo.
+        let store = ShardedStore::open_with(1, || RealDir::new(&root)).expect("open spool");
+        for (n, mb) in [(1, "alice"), (2, "bob")] {
+            let body = DataRef::Bytes(b"mail\r\n");
+            store.deliver(MailId(n), &[mb], body).expect("deliver");
+        }
+        let pop = serving(store);
+        let mut st = SessionState::default();
+        say(&pop, &mut st, "USER alice");
+        assert_eq!(say(&pop, &mut st, "PASS x"), "+OK 1 messages\r\n");
+        assert_eq!(say(&pop, &mut st, "DELE 1"), "+OK marked\r\n");
+        std::fs::write(root.join("mfs/alice.key"), [0u8; 80]).expect("plant");
+        pop.store.list_entries("bob").expect("list bob");
+        assert_eq!(
+            say(&pop, &mut st, "QUIT"),
+            "-ERR some deleted messages not removed\r\n"
+        );
+        assert_eq!(pop.stats.deleted.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_dir_all(root);
     }
 

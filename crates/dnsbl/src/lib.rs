@@ -15,8 +15,6 @@
 //!   granularities ([`CacheScheme::None`], [`CacheScheme::PerIp`],
 //!   [`CacheScheme::PerPrefix`]); its [`ResolverStats`] are the Fig. 15
 //!   numbers.
-//! * [`fanout_latency`] — simultaneous multi-list querying (the paper's
-//!   footnote 2 notes production setups query several lists at once).
 //! * [`CircuitBreaker`] — consecutive-failure circuit breaker over an
 //!   injectable clock, so a dead DNSBL costs the mail server one probe
 //!   per backoff window instead of one timeout per connection (§9's
@@ -37,64 +35,7 @@ pub use resolver::{CacheScheme, CachingResolver, Fetched, LookupOutcome, Resolve
 pub use server::{DnsblServer, WireAnswer};
 pub use udp::{UdpDnsbl, UdpStats};
 
-use rand::Rng;
 use spamaware_sim::Nanos;
-
-/// Latency of querying several DNSBLs simultaneously: the answer arrives
-/// when the *slowest* list responds (the mail server needs all verdicts to
-/// combine them).
-///
-/// # Panics
-///
-/// Panics if `models` is empty.
-///
-/// # Example
-///
-/// ```
-/// use spamaware_dnsbl::{fanout_latency, paper_servers};
-/// let servers = paper_servers();
-/// let models: Vec<_> = servers.iter().map(|(_, m)| m.clone()).collect();
-/// let mut rng = spamaware_sim::det_rng(2);
-/// let l = fanout_latency(&models, &mut rng);
-/// assert!(l > spamaware_sim::Nanos::ZERO);
-/// ```
-pub fn fanout_latency<R: Rng + ?Sized>(models: &[LatencyModel], rng: &mut R) -> Nanos {
-    assert!(!models.is_empty(), "fanout needs at least one model");
-    models
-        .iter()
-        .map(|m| m.sample(rng))
-        .fold(Nanos::ZERO, |a, b| a.max(b))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use spamaware_sim::det_rng;
-
-    #[test]
-    fn fanout_is_at_least_single_server() {
-        let models: Vec<LatencyModel> = paper_servers().into_iter().map(|(_, m)| m).collect();
-        let mut rng_f = det_rng(80);
-        let mut rng_s = det_rng(80);
-        let n = 2_000;
-        let fan: f64 = (0..n)
-            .map(|_| fanout_latency(&models, &mut rng_f).as_millis_f64())
-            .sum::<f64>()
-            / n as f64;
-        let single: f64 = (0..n)
-            .map(|_| models[0].sample(&mut rng_s).as_millis_f64())
-            .sum::<f64>()
-            / n as f64;
-        assert!(fan > single, "fanout {fan} vs single {single}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one model")]
-    fn empty_fanout_panics() {
-        let mut rng = det_rng(81);
-        fanout_latency(&[], &mut rng);
-    }
-}
 
 /// Result of a [`width_analysis`] cache simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -34,13 +34,13 @@ pub struct UdpStats {
 ///
 /// let db: BlacklistDb = [Ipv4::new(203, 0, 113, 7)].into_iter().collect();
 /// let server = UdpDnsbl::start("127.0.0.1:0".parse().unwrap(), "bl.example", db)?;
-/// let listed = UdpDnsbl::lookup_v4_timeout(
+/// let bitmap = UdpDnsbl::lookup_v6_timeout(
 ///     server.local_addr(),
 ///     "bl.example",
-///     Ipv4::new(203, 0, 113, 7),
+///     Ipv4::new(203, 0, 113, 9),
 ///     Duration::from_secs(3),
 /// )?;
-/// assert!(listed.is_some());
+/// assert!(bitmap.contains(Ipv4::new(203, 0, 113, 7)));
 /// server.shutdown();
 /// # Ok::<(), std::io::Error>(())
 /// ```
@@ -105,39 +105,11 @@ impl UdpDnsbl {
         }
     }
 
-    /// Blocking stub client: classic per-IP A lookup against `server`,
-    /// waiting up to `timeout` — a caller checking DNSBLs inline must bound
-    /// the wait itself. Returns the listing address (`127.0.0.x`) if
-    /// listed. A lookup that exceeds `timeout` fails with
-    /// `WouldBlock`/`TimedOut` (platform-dependent), distinguishable from
-    /// network or decode errors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors; a malformed response surfaces as
-    /// `InvalidData`.
-    pub fn lookup_v4_timeout(
-        server: SocketAddr,
-        zone: &str,
-        ip: spamaware_netaddr::Ipv4,
-        timeout: Duration,
-    ) -> std::io::Result<Option<spamaware_netaddr::Ipv4>> {
-        let name = spamaware_netaddr::QueryName::encode(ip, QueryScheme::Ipv4, zone);
-        let resp = Self::exchange(
-            server,
-            Message::query(next_query_id(), name.as_str(), RecordType::A),
-            timeout,
-        )?;
-        Ok(resp
-            .answers
-            .iter()
-            .find(|a| a.rtype == RecordType::A && a.rdata.len() == 4)
-            .map(|a| spamaware_netaddr::Ipv4::new(a.rdata[0], a.rdata[1], a.rdata[2], a.rdata[3])))
-    }
-
-    /// Blocking stub client: DNSBLv6 AAAA lookup waiting up to `timeout`
-    /// (see [`lookup_v4_timeout`](Self::lookup_v4_timeout) for the error
-    /// classification); returns the /25 bitmap.
+    /// Blocking stub client: DNSBLv6 AAAA lookup against `server`, waiting
+    /// up to `timeout` — a caller checking DNSBLs inline must bound the
+    /// wait itself. Returns the /25 bitmap. A lookup that exceeds
+    /// `timeout` fails with `WouldBlock`/`TimedOut` (platform-dependent),
+    /// distinguishable from network or decode errors.
     ///
     /// # Errors
     ///
@@ -281,28 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn classic_lookup_over_udp() -> Result<(), Box<dyn std::error::Error>> {
-        let s = server();
-        let listed = UdpDnsbl::lookup_v4_timeout(
-            s.local_addr(),
-            "bl.example",
-            Ipv4::new(203, 0, 113, 7),
-            BUDGET,
-        )?;
-        assert_eq!(listed, Some(Ipv4::new(127, 0, 0, 2)));
-        let clean = UdpDnsbl::lookup_v4_timeout(
-            s.local_addr(),
-            "bl.example",
-            Ipv4::new(203, 0, 113, 8),
-            BUDGET,
-        )?;
-        assert_eq!(clean, None);
-        assert!(s.stats().answered.load(Ordering::Relaxed) >= 2);
-        s.shutdown();
-        Ok(())
-    }
-
-    #[test]
     fn bitmap_lookup_over_udp() -> Result<(), Box<dyn std::error::Error>> {
         let s = server();
         let bm = UdpDnsbl::lookup_v6_timeout(
@@ -375,13 +325,13 @@ mod tests {
         let sock = UdpSocket::bind(("127.0.0.1", 0))?;
         sock.send_to(b"junk", s.local_addr())?;
         // Server keeps answering afterwards.
-        let listed = UdpDnsbl::lookup_v4_timeout(
+        let bm = UdpDnsbl::lookup_v6_timeout(
             s.local_addr(),
             "bl.example",
-            Ipv4::new(203, 0, 113, 7),
+            Ipv4::new(203, 0, 113, 9),
             BUDGET,
         )?;
-        assert!(listed.is_some());
+        assert!(bm.contains(Ipv4::new(203, 0, 113, 7)));
         assert!(s.stats().malformed.load(Ordering::Relaxed) >= 1);
         s.shutdown();
         Ok(())

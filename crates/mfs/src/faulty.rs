@@ -110,10 +110,10 @@ mod tests {
     /// `fail_reads` through the store's own `backend_mut`, and requires
     /// the read to fail as `Io` rather than come back short or empty.
     fn read_fault_surfaces<S: MailStore>(
+        layout: Layout,
         mut store: S,
         backend_mut: impl FnOnce(&mut S) -> &mut FaultyBackend<MemFs>,
     ) {
-        let layout = store.layout_name();
         store
             .deliver(MailId(1), &["a", "b"], DataRef::Bytes(b"body"))
             .unwrap();
@@ -126,10 +126,18 @@ mod tests {
     #[test]
     fn all_layouts_surface_read_faults() {
         let fs = || FaultyBackend::new(MemFs::new());
-        read_fault_surfaces(MboxStore::new(fs()), MboxStore::backend_mut);
-        read_fault_surfaces(MaildirStore::new(fs()), MaildirStore::backend_mut);
-        read_fault_surfaces(HardlinkStore::new(fs()), HardlinkStore::backend_mut);
-        read_fault_surfaces(MfsStore::new(fs()), MfsStore::backend_mut);
+        read_fault_surfaces(Layout::Mbox, MboxStore::new(fs()), MboxStore::backend_mut);
+        read_fault_surfaces(
+            Layout::Maildir,
+            MaildirStore::new(fs()),
+            MaildirStore::backend_mut,
+        );
+        read_fault_surfaces(
+            Layout::Hardlink,
+            HardlinkStore::new(fs()),
+            HardlinkStore::backend_mut,
+        );
+        read_fault_surfaces(Layout::Mfs, MfsStore::new(fs()), MfsStore::backend_mut);
     }
 
     #[test]

@@ -44,26 +44,6 @@ impl FromStr for MailId {
     }
 }
 
-/// A monotonically increasing [`MailId`] allocator.
-#[derive(Debug, Default, Clone)]
-pub struct MailIdAllocator {
-    next: u64,
-}
-
-impl MailIdAllocator {
-    /// Creates an allocator starting at 1.
-    pub fn new() -> MailIdAllocator {
-        MailIdAllocator { next: 1 }
-    }
-
-    /// Allocates the next id.
-    pub fn allocate(&mut self) -> MailId {
-        let id = MailId(self.next);
-        self.next += 1;
-        id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,15 +54,6 @@ mod tests {
             let id = MailId(raw);
             let back: MailId = id.to_string().parse().unwrap();
             assert_eq!(back, id);
-        }
-    }
-
-    #[test]
-    fn allocator_is_monotone_and_unique() {
-        let mut a = MailIdAllocator::new();
-        let ids: Vec<MailId> = (0..100).map(|_| a.allocate()).collect();
-        for w in ids.windows(2) {
-            assert!(w[0] < w[1]);
         }
     }
 }

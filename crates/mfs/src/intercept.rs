@@ -122,12 +122,6 @@ impl<B, P> Intercept<B, P> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped backend (operations through this
-    /// bypass the policy).
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
     /// Consumes the wrapper, returning the backend.
     pub fn into_inner(self) -> B {
         self.inner
@@ -319,7 +313,7 @@ mod tests {
             fs.append("f", DataRef::Bytes(b"new")),
             Err(StoreError::Io("no".to_owned()))
         );
-        assert_eq!(fs.inner_mut().len("f").unwrap(), 3);
+        assert_eq!(fs.into_inner().len("f").unwrap(), 3);
         let mut fs = armed(Verdict::Fail("no"));
         assert!(!fs.exists("f"), "a failed `exists` is false");
     }

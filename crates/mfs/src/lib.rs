@@ -14,8 +14,12 @@
 //!   [`FaultyBackend`], [`CrashBackend`].
 //! * **Layouts** ([`MailStore`]): [`MboxStore`] (vanilla postfix),
 //!   [`MaildirStore`], [`HardlinkStore`], and [`MfsStore`].
-//! * **Paper API**: [`MfsStore::mail_open`] / [`MfsStore::mail_seek`] /
-//!   [`MailFile`] — the §6.2 handle interface.
+//! * **Paper API** (§6.2), by the methods that implement each call:
+//!   `mail_nwrite` is [`MfsStore::nwrite`] (and [`ShardedStore::deliver`]);
+//!   `mail_open`/`mail_seek`/`mail_read` are a [`MailboxEntry`] listing
+//!   ([`ShardedStore::list_entries`]) plus one positioned read of the
+//!   chosen mail ([`ShardedStore::read_entry`]); `mail_delete` is
+//!   [`MailStore::delete`].
 //!
 //! # Example
 //!
@@ -51,7 +55,6 @@ mod crash;
 mod error;
 mod faulty;
 mod frame;
-mod handle;
 mod id;
 mod intercept;
 mod maildir;
@@ -67,8 +70,7 @@ pub use backend::{Backend, DataRef};
 pub use crash::{CrashBackend, CrashPoint, CrashPolicy};
 pub use error::{StoreError, StoreResult};
 pub use faulty::{FaultPlan, FaultPolicy, FaultyBackend};
-pub use handle::{MailFile, Whence};
-pub use id::{MailId, MailIdAllocator};
+pub use id::MailId;
 pub use intercept::{Call, Intercept, Op, Policy, Verdict};
 pub use maildir::{HardlinkStore, MaildirStore};
 pub use mbox::MboxStore;

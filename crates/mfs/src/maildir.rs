@@ -61,10 +61,6 @@ impl<B: Backend> MailStore for MaildirStore<B> {
     fn delete(&mut self, mailbox: &str, id: MailId) -> StoreResult<()> {
         self.backend.remove(&mail_path(mailbox, id))
     }
-
-    fn layout_name(&self) -> &'static str {
-        "maildir"
-    }
 }
 
 /// Maildir with single-instance bodies: the first recipient gets the file,
@@ -114,10 +110,6 @@ impl<B: Backend> MailStore for HardlinkStore<B> {
         // Removing one link leaves the other recipients' copies intact;
         // the inode is freed by the backend when the last link goes.
         self.backend.remove(&mail_path(mailbox, id))
-    }
-
-    fn layout_name(&self) -> &'static str {
-        "hard-link"
     }
 }
 

@@ -134,10 +134,6 @@ impl<B: Backend> MailStore for MboxStore<B> {
         }
         self.backend.replace(&path, DataRef::Bytes(&kept))
     }
-
-    fn layout_name(&self) -> &'static str {
-        "mbox"
-    }
 }
 
 #[cfg(test)]

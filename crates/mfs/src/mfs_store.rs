@@ -505,6 +505,38 @@ impl<B: Backend> MfsStore<B> {
         format!("mfs/{mailbox}.data")
     }
 
+    /// Bytes in `mailbox`'s data file; 0 when it has none yet.
+    pub(crate) fn data_len(&mut self, mailbox: &str) -> StoreResult<u64> {
+        let path = Self::data_path(mailbox);
+        if self.backend.exists(&path) {
+            self.backend.len(&path)
+        } else {
+            Ok(0)
+        }
+    }
+
+    /// Replaces `mailbox`'s key file with one record per entry, in order:
+    /// how [`MfsStore::compact`] and [`crate::fsck`] rewrite a key log
+    /// instead of appending to it.
+    pub(crate) fn rewrite_key_file(
+        &mut self,
+        mailbox: &str,
+        entries: &[MailboxEntry],
+    ) -> StoreResult<()> {
+        let mut bytes = Vec::with_capacity(entries.len() * frame::FRAME_LEN);
+        for e in entries {
+            let rec = KeyRecord {
+                id: e.id,
+                offset: e.offset,
+                len: e.len,
+                delta: if e.shared { -1 } else { 1 },
+            };
+            bytes.extend_from_slice(&frame::encode(&rec.encode()));
+        }
+        self.backend
+            .replace(&Self::key_path(mailbox), DataRef::Bytes(&bytes))
+    }
+
     /// The mailbox (or `shmailbox`) whose key file `path` is.
     fn key_stem(path: &str) -> Option<&str> {
         path.strip_prefix("mfs/")
@@ -962,6 +994,17 @@ impl<B: Backend> MfsStore<B> {
         self.read_body(mailbox, &e)
     }
 
+    /// [`MfsStore::read_body`] timed as one `read_ns` span: the one read a
+    /// POP3 `RETR` makes ([`crate::ShardedStore::read_entry`]).
+    pub(crate) fn read_entry(
+        &mut self,
+        mailbox: &str,
+        entry: &MailboxEntry,
+    ) -> StoreResult<StoredMail> {
+        let _span = self.metrics.as_ref().map(|m| m.read_ns.start());
+        self.read_body(mailbox, entry)
+    }
+
     /// Reads the body `entry`, listed from `mailbox`, points at: one
     /// `read_at`, and no key-file read. Data files only grow while the
     /// store is open — [`MfsStore::compact`] runs on a stopped spool — so
@@ -999,10 +1042,6 @@ impl<B: Backend> MailStore for MfsStore<B> {
             self.shared_release(id, offset, len)?;
         }
         Ok(())
-    }
-
-    fn layout_name(&self) -> &'static str {
-        "mfs"
     }
 }
 
@@ -1115,6 +1154,33 @@ mod tests {
             s.delete("a", MailId(2)),
             Err(StoreError::NotFound(_))
         ));
+        Ok(())
+    }
+
+    /// Counts the body reads that reach the backend.
+    #[derive(Default)]
+    struct ReadAts(u64);
+
+    impl Policy for ReadAts {
+        fn before(&mut self, call: Call<'_>) -> Verdict {
+            if call.op == Op::ReadAt && call.path.ends_with(".data") {
+                self.0 += 1;
+            }
+            Verdict::Pass
+        }
+    }
+
+    /// A delete finds its mail through the key file and reads no body.
+    #[test]
+    fn delete_reads_no_body() -> Result<(), Box<dyn std::error::Error>> {
+        let mut s = MfsStore::new(Intercept::with_policy(MemFs::new(), ReadAts::default()));
+        for i in 1..=3u64 {
+            s.deliver(MailId(i), &["inbox"], DataRef::Bytes(&[i as u8]))?;
+        }
+        s.delete("inbox", MailId(1))?;
+        assert_eq!(s.backend_mut().policy().0, 0);
+        let left: Vec<MailId> = s.list_mailbox("inbox").iter().map(|&(id, _)| id).collect();
+        assert_eq!(left, [MailId(2), MailId(3)]);
         Ok(())
     }
 
@@ -1478,11 +1544,7 @@ impl<B: Backend> MfsStore<B> {
         log.debug_check(&held);
         // 2. Rewrite shared data, moving each live body's offset.
         let sh_data = Self::data_path(SHARED);
-        let old_len = if self.backend.exists(&sh_data) {
-            self.backend.len(&sh_data)?
-        } else {
-            0
-        };
+        let old_len = self.data_len(SHARED)?;
         let mut new_data: Vec<u8> = Vec::new();
         for e in log.bodies.values_mut() {
             let body = self.backend.read_at(&sh_data, e.offset, e.len)?;
@@ -1509,25 +1571,13 @@ impl<B: Backend> MfsStore<B> {
         // 4. Rewrite each mailbox key file from its live entries, patching
         //    shared offsets.
         for mb in self.mailbox_names()? {
-            let entries = self.read_entries(&mb)?;
-            let mut bytes = Vec::with_capacity(entries.len() * frame::FRAME_LEN);
-            for e in entries {
-                let offset = match log.bodies.get(&e.id) {
-                    Some(moved) if e.shared => moved.offset,
-                    _ => e.offset,
-                };
-                bytes.extend_from_slice(&frame::encode(
-                    &KeyRecord {
-                        id: e.id,
-                        offset,
-                        len: e.len,
-                        delta: if e.shared { -1 } else { 1 },
-                    }
-                    .encode(),
-                ));
+            let mut entries = self.read_entries(&mb)?;
+            for e in entries.iter_mut().filter(|e| e.shared) {
+                if let Some(moved) = log.bodies.get(&e.id) {
+                    e.offset = moved.offset;
+                }
             }
-            self.backend
-                .replace(&Self::key_path(&mb), DataRef::Bytes(&bytes))?;
+            self.rewrite_key_file(&mb, &entries)?;
         }
         Ok(reclaimed)
     }

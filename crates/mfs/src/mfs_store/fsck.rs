@@ -23,8 +23,7 @@
 //! pinned by the golden-fixture tests.
 
 use super::{Held, KeyRecord, MailboxEntry, TailPolicy, SHARED};
-use crate::frame;
-use crate::{Backend, DataRef, MailId, MfsStore, StoreResult};
+use crate::{Backend, MailId, MfsStore, StoreResult};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -116,14 +115,6 @@ impl fmt::Display for FsckReport {
     }
 }
 
-fn len_or_zero<B: Backend>(backend: &mut B, path: &str) -> StoreResult<u64> {
-    if backend.exists(path) {
-        backend.len(path)
-    } else {
-        Ok(0)
-    }
-}
-
 /// Repairs an MFS store in place and opens it, returning the usable store
 /// plus a deterministic report of every repair. Running `fsck` on the
 /// resulting files again reports clean.
@@ -149,7 +140,7 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
 
     // 3a. Shared entries whose body range runs past the shared data file:
     // the body is unreadable, so zero the refcount out of the log.
-    let shared_data_len = len_or_zero(store.backend_mut(), &MfsStore::<B>::data_path(SHARED))?;
+    let shared_data_len = store.data_len(SHARED)?;
     let (cut, kept): (BTreeMap<_, _>, _) = std::mem::take(&mut log.bodies)
         .into_iter()
         .partition(|(_, e)| e.offset.saturating_add(e.len) > shared_data_len);
@@ -173,7 +164,7 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
     // repair rewrites the key file from the surviving entries instead —
     // the one place fsck replaces a log rather than appending to it.
     for (mb, entries) in &mut boxes {
-        let data_len = len_or_zero(store.backend_mut(), &MfsStore::<B>::data_path(mb))?;
+        let data_len = store.data_len(mb)?;
         let mut keep = Vec::with_capacity(entries.len());
         for e in entries.iter() {
             // A shared entry's range was checked in 3a, against the body
@@ -187,21 +178,7 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
             }
         }
         if keep.len() != entries.len() {
-            let mut bytes = Vec::with_capacity(keep.len() * frame::FRAME_LEN);
-            for e in &keep {
-                bytes.extend_from_slice(&frame::encode(
-                    &KeyRecord {
-                        id: e.id,
-                        offset: e.offset,
-                        len: e.len,
-                        delta: if e.shared { -1 } else { 1 },
-                    }
-                    .encode(),
-                ));
-            }
-            store
-                .backend_mut()
-                .replace(&MfsStore::<B>::key_path(mb), DataRef::Bytes(&bytes))?;
+            store.rewrite_key_file(mb, &keep)?;
             *entries = keep;
         }
     }
@@ -246,7 +223,7 @@ pub fn fsck<B: Backend>(backend: B) -> StoreResult<(MfsStore<B>, FsckReport)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DataRef, MailStore, MemFs, StoreError};
+    use crate::{frame, DataRef, MailStore, MemFs, StoreError};
 
     fn backend_of(store: MfsStore<MemFs>) -> MemFs {
         let mut store = store;

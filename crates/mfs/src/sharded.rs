@@ -359,7 +359,7 @@ impl<B: Backend> ShardedStore<B> {
     ///
     /// Backend read failures.
     pub fn read_entry(&self, mailbox: &str, entry: &MailboxEntry) -> StoreResult<StoredMail> {
-        self.with_part(self.shard_for(mailbox), |p| p.read_body(mailbox, entry))
+        self.with_part(self.shard_for(mailbox), |p| p.read_entry(mailbox, entry))
     }
 
     /// Reads every live mail in a mailbox, in delivery order. The shard
@@ -435,10 +435,6 @@ impl<B: Backend> MailStore for ShardedStore<B> {
 
     fn delete(&mut self, mailbox: &str, id: MailId) -> StoreResult<()> {
         ShardedStore::delete(self, mailbox, id)
-    }
-
-    fn layout_name(&self) -> &'static str {
-        "mfs-sharded"
     }
 }
 
@@ -697,12 +693,12 @@ mod tests {
     #[test]
     fn illegal_mailbox_name_rejected() {
         let s = sharded(2);
-        assert!(s
-            .deliver(MailId(1), &["shmailbox"], DataRef::Bytes(b"x"))
-            .is_err());
-        assert!(s
-            .deliver(MailId(1), &["a/b"], DataRef::Bytes(b"x"))
-            .is_err());
+        for name in ["shmailbox", "", "a/b"] {
+            assert!(
+                s.deliver(MailId(1), &[name], DataRef::Bytes(b"x")).is_err(),
+                "{name:?}"
+            );
+        }
     }
 
     /// A POP3 scan must not keep a stripe for O(mailbox) disk reads: one
@@ -722,6 +718,23 @@ mod tests {
         let before = holds();
         assert_eq!(s.read_mailbox("alice").unwrap().len() as u64, n);
         assert_eq!(holds() - before, n + 1);
+    }
+
+    /// Every body read is one `read_ns` sample, the listing-driven
+    /// `read_entry` a POP3 `RETR` makes included.
+    #[test]
+    fn each_body_read_is_one_read_span() -> Result<(), Box<dyn std::error::Error>> {
+        let registry = Registry::with_wall_clock();
+        let s = sharded(4).with_metrics(&registry, "mfs");
+        s.deliver(MailId(1), &["alice"], DataRef::Bytes(b"own"))?;
+        let reads = || registry.histogram_count("mfs.read_ns").unwrap_or(0);
+        let listing = s.list_entries("alice")?;
+        let before = reads();
+        assert_eq!(s.read_entry("alice", &listing[0])?.body, b"own");
+        assert_eq!(reads(), before + 1, "read_entry");
+        s.read_mail("alice", MailId(1))?;
+        assert_eq!(reads(), before + 2, "read_mail");
+        Ok(())
     }
 
     /// The key files are the index: no partition holds a mailbox's

@@ -38,7 +38,4 @@ pub trait MailStore {
     /// Deletes one mail from one mailbox. Other recipients' copies (or
     /// shared references) survive.
     fn delete(&mut self, mailbox: &str, id: MailId) -> StoreResult<()>;
-
-    /// Human-readable layout name (for reports).
-    fn layout_name(&self) -> &'static str;
 }

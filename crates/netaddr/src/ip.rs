@@ -38,11 +38,6 @@ impl Ipv4 {
         self.0.to_be_bytes()
     }
 
-    /// The last octet (`w` in the paper's `x.y.z.w` notation).
-    pub const fn last_octet(self) -> u8 {
-        (self.0 & 0xff) as u8
-    }
-
     /// The /24 prefix containing this address.
     pub const fn prefix24(self) -> Prefix24 {
         Prefix24(self.0 >> 8)

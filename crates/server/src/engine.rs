@@ -263,11 +263,6 @@ impl RunReport {
     pub fn connection_throughput(&self) -> f64 {
         self.connections as f64 / self.duration.as_secs_f64()
     }
-
-    /// CPU utilization over the run.
-    pub fn cpu_utilization(&self) -> f64 {
-        self.cpu_busy.as_secs_f64() / self.duration.as_secs_f64()
-    }
 }
 
 /// Runs `trace` against a server `cfg` with the given client model for
@@ -1037,7 +1032,6 @@ mod tests {
         );
         assert!((rep.goodput() - rep.mails as f64 / 5.0).abs() < 1e-9);
         assert!(rep.delivery_throughput() >= rep.goodput());
-        assert!(rep.cpu_utilization() > 0.0 && rep.cpu_utilization() <= 1.01);
     }
 
     #[test]

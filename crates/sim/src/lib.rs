@@ -49,7 +49,7 @@ mod time;
 
 pub use readout::Readout;
 pub use resource::{FifoResource, ProcId, ResourceStats, ServiceJob};
-pub use sched::{run, run_until, Scheduler, SimClock, World};
+pub use sched::{run, run_until, Scheduler, World};
 /// What the simulator records distributions into; re-exported so a model
 /// crate needs no dependency edge of its own to `spamaware-metrics`.
 pub use spamaware_metrics::LogHistogram;

@@ -20,10 +20,8 @@ pub struct ProcId(pub u32);
 /// One unit of work submitted to a [`FifoResource`].
 #[derive(Debug, Clone)]
 pub struct ServiceJob<E> {
-    /// The simulated process on whose behalf the work runs. `None` means
-    /// the job is process-agnostic (e.g. a disk transfer) and never charges
-    /// or counts a context switch.
-    pub pid: Option<ProcId>,
+    /// The simulated process on whose behalf the work runs.
+    pub pid: ProcId,
     /// Pure service time, excluding any switch penalty.
     pub service: Nanos,
     /// Event fired when the job completes.
@@ -31,22 +29,9 @@ pub struct ServiceJob<E> {
 }
 
 impl<E> ServiceJob<E> {
-    /// Convenience constructor for a process-bound job.
+    /// Convenience constructor.
     pub fn new(pid: ProcId, service: Nanos, done: E) -> ServiceJob<E> {
-        ServiceJob {
-            pid: Some(pid),
-            service,
-            done,
-        }
-    }
-
-    /// Convenience constructor for a process-agnostic job.
-    pub fn anonymous(service: Nanos, done: E) -> ServiceJob<E> {
-        ServiceJob {
-            pid: None,
-            service,
-            done,
-        }
+        ServiceJob { pid, service, done }
     }
 }
 
@@ -63,17 +48,6 @@ pub struct ResourceStats {
     pub waited: Nanos,
     /// High-water mark of the queue length (including the job in service).
     pub max_queue: usize,
-}
-
-impl ResourceStats {
-    /// Utilization over a run of length `span` (0.0–1.0+).
-    pub fn utilization(&self, span: Nanos) -> f64 {
-        if span.is_zero() {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / span.as_secs_f64()
-        }
-    }
 }
 
 /// A single-server FIFO queue with per-job service times.
@@ -165,14 +139,12 @@ impl<E> FifoResource<E> {
         let (enqueued, job) = self.queue.pop_front().expect("queue non-empty");
         self.stats.waited += sched.now().saturating_sub(enqueued);
         let mut cost = job.service;
-        if let Some(pid) = job.pid {
-            if self.last_pid != Some(pid) {
-                if self.last_pid.is_some() {
-                    self.stats.context_switches += 1;
-                    cost += self.switch_cost;
-                }
-                self.last_pid = Some(pid);
+        if self.last_pid != Some(job.pid) {
+            if self.last_pid.is_some() {
+                self.stats.context_switches += 1;
+                cost += self.switch_cost;
             }
+            self.last_pid = Some(job.pid);
         }
         self.stats.busy += cost;
         self.busy = true;
@@ -182,11 +154,6 @@ impl<E> FifoResource<E> {
     /// Current statistics snapshot.
     pub fn stats(&self) -> ResourceStats {
         self.stats
-    }
-
-    /// Number of jobs waiting (excluding the one in service).
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 
     /// Whether a job is currently in service.
@@ -260,21 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn anonymous_jobs_never_switch() {
-        let mut s = Scheduler::new();
-        let mut w = world(50);
-        for i in 0..4 {
-            w.cpu.submit(
-                &mut s,
-                ServiceJob::anonymous(Nanos::from_micros(10), Ev::Done(i)),
-            );
-        }
-        run(&mut s, &mut w);
-        assert_eq!(w.cpu.stats().context_switches, 0);
-        assert_eq!(w.cpu.stats().busy, Nanos::from_micros(40));
-    }
-
-    #[test]
     fn wait_time_accumulates_for_queued_jobs() {
         let mut s = Scheduler::new();
         let mut w = world(0);
@@ -290,16 +242,6 @@ mod tests {
         // Second job waited the first job's full service time.
         assert_eq!(w.cpu.stats().waited, Nanos::from_micros(100));
         assert_eq!(w.cpu.stats().max_queue, 2);
-    }
-
-    #[test]
-    fn utilization_is_busy_over_span() {
-        let stats = ResourceStats {
-            busy: Nanos::from_millis(250),
-            ..Default::default()
-        };
-        assert!((stats.utilization(Nanos::from_secs(1)) - 0.25).abs() < 1e-12);
-        assert_eq!(stats.utilization(Nanos::ZERO), 0.0);
     }
 
     #[test]

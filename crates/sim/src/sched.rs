@@ -2,8 +2,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::Nanos;
 
@@ -32,23 +30,6 @@ pub struct Scheduler<E> {
     seq: u64,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     dispatched: u64,
-    /// Mirror of `now` readable through [`SimClock`] handles, so metrics
-    /// span timers can follow virtual time without borrowing the scheduler.
-    clock: Arc<AtomicU64>,
-}
-
-/// A [`spamaware_metrics::Clock`] view of a scheduler's virtual time.
-///
-/// Obtained from [`Scheduler::metrics_clock`]; every handle tracks the
-/// scheduler that minted it, so a `spamaware_metrics::Registry` built over
-/// it records durations in deterministic virtual nanoseconds.
-#[derive(Debug, Clone)]
-pub struct SimClock(Arc<AtomicU64>);
-
-impl spamaware_metrics::Clock for SimClock {
-    fn now_nanos(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 #[derive(Debug)]
@@ -89,24 +70,12 @@ impl<E> Scheduler<E> {
             seq: 0,
             heap: BinaryHeap::new(),
             dispatched: 0,
-            clock: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// The current virtual time.
     pub fn now(&self) -> Nanos {
         self.now
-    }
-
-    /// A clock handle mirroring this scheduler's virtual time, suitable
-    /// for `spamaware_metrics::Registry::new`.
-    pub fn metrics_clock(&self) -> SimClock {
-        SimClock(Arc::clone(&self.clock))
-    }
-
-    fn set_now(&mut self, at: Nanos) {
-        self.now = at;
-        self.clock.store(at.as_nanos(), Ordering::Relaxed);
     }
 
     /// Total number of events dispatched so far.
@@ -146,7 +115,7 @@ impl<E> Scheduler<E> {
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
         let Reverse(e) = self.heap.pop()?;
         debug_assert!(e.at >= self.now);
-        self.set_now(e.at);
+        self.now = e.at;
         self.dispatched += 1;
         Some((e.at, e.ev))
     }
@@ -175,7 +144,7 @@ pub fn run_until<W: World>(sched: &mut Scheduler<W::Event>, world: &mut W, horiz
                 world.handle(sched, ev);
             }
             Some(_) => {
-                sched.set_now(horizon);
+                sched.now = horizon;
                 return;
             }
             None => return,

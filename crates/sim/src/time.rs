@@ -62,11 +62,6 @@ impl Nanos {
         Nanos(s * 1_000_000_000)
     }
 
-    /// Creates a value from whole minutes.
-    pub const fn from_mins(m: u64) -> Nanos {
-        Nanos::from_secs(m * 60)
-    }
-
     /// Creates a value from fractional seconds, rounding to the nearest
     /// nanosecond. Negative inputs clamp to zero.
     ///
@@ -92,11 +87,6 @@ impl Nanos {
     /// Whole microseconds (truncating).
     pub const fn as_micros(self) -> u64 {
         self.0 / 1_000
-    }
-
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Fractional seconds.
@@ -221,7 +211,6 @@ mod tests {
         assert_eq!(Nanos::from_micros(3).as_nanos(), 3_000);
         assert_eq!(Nanos::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(Nanos::from_secs(3).as_nanos(), 3_000_000_000);
-        assert_eq!(Nanos::from_mins(2).as_nanos(), 120_000_000_000);
     }
 
     #[test]

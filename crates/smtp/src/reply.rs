@@ -210,11 +210,6 @@ impl Reply {
         let _ = write!(out, "{} {}\r\n", self.code, self.text);
     }
 
-    /// Whether this reply spans multiple wire lines.
-    pub fn is_multiline(&self) -> bool {
-        !self.extra.is_empty()
-    }
-
     /// Parses a single-line wire reply.
     pub fn parse(line: &str) -> Option<Reply> {
         let line = line.trim_end_matches(['\r', '\n']);
@@ -281,7 +276,6 @@ mod tests {
     #[test]
     fn multiline_wire_format() {
         let r = Reply::hello_esmtp("mx.example", 10_000_000);
-        assert!(r.is_multiline());
         let wire = r.to_wire();
         assert_eq!(
             wire,

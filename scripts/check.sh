@@ -92,8 +92,9 @@
 #
 # Not a stage, but part of every PR: scripts/loc.sh [REV] is the one way
 # to count the tree's Rust (tracked *.rs lines per crate and top-level
-# directory, src/ and tests apart, plus the total). Run it bare on the
-# change and with the parent's revision, and quote both (ROADMAP aim 2).
+# directory, src/ and tests apart, the src lines before the first
+# #[cfg(test)], plus the total). Run it bare on the change and with the
+# parent's revision, and quote both (ROADMAP aim 2).
 
 set -eu
 

@@ -1,13 +1,14 @@
 //! Regression: a metrics report produced by a deterministic sim-driven
 //! pipeline is a pure function of seed + trace — two identical runs must
 //! render **byte-identical** reports. Rendering is integer-only and
-//! BTreeMap-sorted, and all span timings come from the scheduler's
-//! virtual clock, so any nondeterminism (hash-order leaks, wall-clock
-//! reads, unseeded randomness) shows up here as a diff.
+//! BTreeMap-sorted, and all span timings come from a clock set to the
+//! scheduler's virtual time after each event, so any nondeterminism
+//! (hash-order leaks, wall-clock reads, unseeded randomness) shows up
+//! here as a diff.
 
 use spamaware_bench::experiment::default_dnsbl;
 use spamaware_dnsbl::{CacheScheme, CachingResolver};
-use spamaware_metrics::Registry;
+use spamaware_metrics::{ManualClock, Registry};
 use spamaware_mfs::{DataRef, MailId, MailStore, MemFs, MfsStore};
 use spamaware_sim::{det_rng, Nanos, Scheduler};
 use spamaware_trace::SinkholeConfig;
@@ -18,7 +19,8 @@ use std::sync::Arc;
 /// instrumented MFS, timing each step against scheduler virtual time.
 fn run_once() -> String {
     let mut sched: Scheduler<u32> = Scheduler::new();
-    let registry = Registry::new(Arc::new(sched.metrics_clock()));
+    let clock = ManualClock::new();
+    let registry = Registry::new(Arc::new(clock.clone()));
     let sink = SinkholeConfig::scaled(0.05).generate();
     let server = default_dnsbl(sink.blacklisted.iter().copied());
     let mut resolver = CachingResolver::new(CacheScheme::PerPrefix, Nanos::from_secs(86_400))
@@ -31,6 +33,7 @@ fn run_once() -> String {
         // Advance the virtual clock to this connection's arrival.
         sched.schedule_at(c.arrival.max(sched.now()), i as u32);
         sched.pop();
+        clock.set(sched.now().as_nanos());
         let start = step.now();
         if resolver
             .lookup(c.client_ip, c.arrival, &server, &mut rng)
@@ -64,6 +67,7 @@ fn run_once() -> String {
         // A data-dependent amount of virtual work, closed out by the span.
         sched.schedule_in(Nanos::from_micros((i as u64 % 7) + 1), 0);
         sched.pop();
+        clock.set(sched.now().as_nanos());
         step.record_since(start);
     }
     registry.render()
