@@ -23,34 +23,28 @@ enum Command {
     Run {
         experiment: &'static Experiment,
         scale: Scale,
-        json: Option<PathBuf>,
     },
     Record(PathBuf),
     Check(PathBuf),
 }
 
 fn usage(err: &mut dyn Write) -> io::Result<()> {
-    let names = |keep: fn(&Experiment) -> bool| {
-        let kept: Vec<&str> = TABLE.iter().filter(|e| keep(e)).map(|e| e.name).collect();
-        kept.join(" ")
-    };
+    let names: Vec<&str> = TABLE.iter().map(|e| e.name).collect();
     writeln!(
         err,
-        "usage: figures <name> [--full | [--scale F] [--seconds N]] [--json PATH]\n\
+        "usage: figures <name> [--full | [--scale F] [--seconds N]]\n\
          \x20      figures record <dir>   write <dir>/<name>.txt for every name, and full_key.txt\n\
          \x20      figures check <dir>    regenerate the same and name every file that differs\n\
          \n\
          F is a trace scale in (0, 1], N simulated seconds per point (default {} and {});\n\
          --full is paper size ({} and {}).\n\
          \n\
-         names: {}\n\
-         --json is accepted by: {}",
+         names: {}",
         DEFAULT.trace,
         DEFAULT.seconds,
         Scale::full().trace,
         Scale::full().seconds,
-        names(|_| true),
-        names(|e| e.has_json),
+        names.join(" "),
     )
 }
 
@@ -74,7 +68,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
     let mut full = false;
     let mut trace = None;
     let mut seconds = None;
-    let mut json = None;
     let mut rest = rest.iter();
     while let Some(flag) = rest.next() {
         let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -94,8 +87,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                     _ => return Err(format!("--seconds {v}: not a positive integer")),
                 };
             }
-            "--json" if experiment.has_json => json = Some(PathBuf::from(value()?)),
-            "--json" => return Err(format!("{name} has no --json artifact")),
             _ => return Err(format!("unknown flag: {flag}")),
         }
     }
@@ -107,11 +98,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             seconds: seconds.unwrap_or(DEFAULT.seconds),
         },
     };
-    Ok(Command::Run {
-        experiment,
-        scale,
-        json,
-    })
+    Ok(Command::Run { experiment, scale })
 }
 
 /// Renders every file of a `results/` directory in turn and hands its
@@ -120,11 +107,11 @@ fn for_each_result(mut each: impl FnMut(&str, &[u8]) -> io::Result<()>) -> io::R
     let mut full_key = Vec::new();
     for e in &TABLE {
         let mut text = Vec::new();
-        (e.run)(&mut text, RECORDED, None)?;
+        (e.run)(&mut text, RECORDED)?;
         each(&format!("{}.txt", e.name), &text)?;
         if e.full_key {
             writeln!(full_key, "=== {} full ===", e.name)?;
-            (e.run)(&mut full_key, Scale::full(), None)?;
+            (e.run)(&mut full_key, Scale::full())?;
         }
     }
     each("full_key.txt", &full_key)
@@ -174,12 +161,8 @@ pub(crate) fn matches_recorded(
 
 fn execute(command: Command, out: &mut dyn Write, err: &mut dyn Write) -> io::Result<u8> {
     match command {
-        Command::Run {
-            experiment,
-            scale,
-            json,
-        } => {
-            (experiment.run)(out, scale, json.as_deref())?;
+        Command::Run { experiment, scale } => {
+            (experiment.run)(out, scale)?;
             Ok(0)
         }
         Command::Record(dir) => {
@@ -248,6 +231,7 @@ mod tests {
             &["fig08", "--sclae", "1"][..],
             &["nosuch"],
             &["table1", "--json", "x"],
+            &["fig15", "--json", "x"],
             &["fig08", "--scale"],
             &["fig08", "--scale", "0"],
             &["fig08", "--seconds", "1.5"],
@@ -277,7 +261,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("figures-check-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let mut printed = Vec::new();
-        crate::experiments::fig01(&mut printed, DEFAULT, None).expect("write to a Vec");
+        crate::experiments::fig01(&mut printed, DEFAULT).expect("write to a Vec");
         std::fs::write(dir.join("fig01.txt"), &printed).expect("write");
         let mut err = Vec::new();
         assert!(matches_recorded(&dir, "fig01.txt", &printed, &mut err).expect("compare"));

@@ -63,7 +63,7 @@ const DAY: Nanos = Nanos::from_secs(86_400);
 // ---------------------------------------------------------------- Table 1
 
 /// Table 1: statistics of the two generated traces.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Sinkhole trace statistics.
     pub sinkhole: TraceStats,
@@ -143,7 +143,7 @@ pub fn fig05(scale: Scale) -> Vec<(&'static str, Readout)> {
 // ---------------------------------------------------------------- Fig. 8
 
 /// One Fig. 8 sweep point.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Point {
     /// Bounce ratio of the offered workload.
     pub bounce_ratio: f64,
@@ -177,7 +177,7 @@ pub fn fig08(scale: Scale, ratios: &[f64]) -> Vec<Fig8Point> {
 
 /// One Figs. 10/11 sweep point: deliveries/sec per layout at a recipient
 /// count.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Point {
     /// Recipients per connection.
     pub rcpts: u8,
@@ -282,7 +282,7 @@ pub fn fig13(scale: Scale) -> (Readout, Readout) {
 // ---------------------------------------------------------------- Fig. 14
 
 /// One Fig. 14 sweep point.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Point {
     /// Offered connection rate (connections/second).
     pub offered_rate: f64,
@@ -339,16 +339,6 @@ pub struct Fig15 {
 
 /// Runs the Fig. 15 replay.
 pub fn fig15(scale: Scale) -> Fig15 {
-    let registry = spamaware_metrics::Registry::new(std::sync::Arc::new(
-        spamaware_metrics::ManualClock::new(),
-    ));
-    fig15_with_metrics(scale, &registry)
-}
-
-/// Runs the Fig. 15 replay with each scheme's resolver instrumented into
-/// `registry` (prefixes `dnsbl.none`, `dnsbl.per_ip`, `dnsbl.per_prefix`),
-/// so the benchmark harness can emit a metrics snapshot beside its JSON.
-pub fn fig15_with_metrics(scale: Scale, registry: &spamaware_metrics::Registry) -> Fig15 {
     let sink = SinkholeConfig::scaled(scale.trace).generate();
     let server = default_dnsbl(sink.blacklisted.iter().copied());
     let rows = [
@@ -358,13 +348,7 @@ pub fn fig15_with_metrics(scale: Scale, registry: &spamaware_metrics::Registry) 
     ]
     .into_iter()
     .map(|scheme| {
-        let prefix = match scheme {
-            CacheScheme::None => "dnsbl.none",
-            CacheScheme::PerIp => "dnsbl.per_ip",
-            CacheScheme::PerPrefix => "dnsbl.per_prefix",
-        };
-        let mut resolver = CachingResolver::new(scheme, DAY.max(Nanos::from_secs(1)))
-            .with_metrics(registry, prefix);
+        let mut resolver = CachingResolver::new(scheme, DAY.max(Nanos::from_secs(1)));
         let mut rng = det_rng(15);
         for c in &sink.trace.connections {
             resolver.lookup(c.client_ip, c.arrival, &server, &mut rng);
@@ -380,7 +364,7 @@ pub fn fig15_with_metrics(scale: Scale, registry: &spamaware_metrics::Registry) 
 // ---------------------------------------------------------------- §8
 
 /// Which §8 workload a combined run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CombinedWorkload {
     /// The sinkhole spam trace plus ECN bounce levels (paper: +40%).
     Spam,
@@ -389,7 +373,7 @@ pub enum CombinedWorkload {
 }
 
 /// Result of a §8 combined-optimization comparison.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CombinedResult {
     /// Which workload ran.
     pub workload: CombinedWorkload,

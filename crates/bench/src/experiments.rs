@@ -2,7 +2,7 @@
 //! runs one experiment at `scale` and writes the report to `out`.
 
 use crate::experiment::{self, default_dnsbl, CombinedWorkload, Fig10Point, Scale};
-use crate::{banner, experiment_registry, thin_cdf, write_json, write_metrics_sidecar};
+use crate::{banner, thin_cdf};
 use rand::Rng;
 use spamaware_dnsbl::{width_analysis, CacheScheme, CachingResolver};
 use spamaware_mfs::{DiskProfile, Layout};
@@ -10,10 +10,9 @@ use spamaware_server::{run, ClientModel, ServerConfig, SimStore, TrustPoint};
 use spamaware_sim::{det_rng, Nanos};
 use spamaware_trace::{bounce_sweep_trace, MailSizeModel, RcptCountModel, SinkholeConfig};
 use std::io::{self, Write};
-use std::path::Path;
 
 /// Regenerates Table 1: trace statistics vs the paper's measured values.
-pub(crate) fn table1(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn table1(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(out, "Table 1", "measurement traces", scale)?;
     let t = experiment::table1(scale);
     let f = 1.0 / scale.trace;
@@ -76,7 +75,7 @@ pub(crate) fn table1(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) ->
 /// Fig. 1: distribution of mail servers in use (static survey data from
 /// Simpson & Bekman's January 2007 fingerprinting of 400,000 domains,
 /// as read from the paper's figure).
-pub(crate) fn fig01(out: &mut dyn Write, _scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig01(out: &mut dyn Write, _scale: Scale) -> io::Result<()> {
     writeln!(
         out,
         "=== Fig. 1: mail server distribution (Jan 2007 survey, 400k domains)"
@@ -114,7 +113,7 @@ pub(crate) fn fig01(out: &mut dyn Write, _scale: Scale, _json: Option<&Path>) ->
 
 /// Fig. 3: daily bounce ratio and unfinished-SMTP ratio at the ECN mail
 /// server over ~13 months.
-pub(crate) fn fig03(out: &mut dyn Write, _scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig03(out: &mut dyn Write, _scale: Scale) -> io::Result<()> {
     writeln!(
         out,
         "=== Fig. 3: ECN daily bounce and unfinished-SMTP ratios (395 days)"
@@ -146,7 +145,7 @@ pub(crate) fn fig03(out: &mut dyn Write, _scale: Scale, _json: Option<&Path>) ->
 }
 
 /// Fig. 4: CDF of the number of recipients per mail in the sinkhole trace.
-pub(crate) fn fig04(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig04(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "Fig. 4",
@@ -170,7 +169,7 @@ pub(crate) fn fig04(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
 
 /// Fig. 5: CDF of time to query six DNSBL servers for the sinkhole's
 /// spammer IPs.
-pub(crate) fn fig05(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig05(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "Fig. 5",
@@ -205,7 +204,7 @@ pub(crate) fn fig05(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
 
 /// Fig. 8: goodput vs bounce ratio for the vanilla and fork-after-trust
 /// architectures.
-pub(crate) fn fig08(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig08(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "Fig. 8",
@@ -241,11 +240,7 @@ pub(crate) fn fig08(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -> i
     writeln!(
         out,
         "  almost constant until bounce ratio 0.9; context switches cut ~2x."
-    )?;
-    if let Some(path) = json {
-        write_json(out, path, &points)?;
-    }
-    Ok(())
+    )
 }
 
 /// The table Figs. 10 and 11 share: mail-write throughput of the four
@@ -281,7 +276,7 @@ fn throughput(p: &Fig10Point, l: Layout) -> f64 {
 }
 
 /// Fig. 10: mail-write throughput of four storage layouts on Ext3.
-pub(crate) fn fig10(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig10(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     let points = storage_layouts(
         out,
         scale,
@@ -304,7 +299,7 @@ pub(crate) fn fig10(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
 }
 
 /// Fig. 11: mail-write throughput of four storage layouts on ReiserFS.
-pub(crate) fn fig11(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig11(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     let points = storage_layouts(
         out,
         scale,
@@ -325,7 +320,7 @@ pub(crate) fn fig11(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
 }
 
 /// Fig. 12: CDF of the number of blacklisted IPs per /24 prefix.
-pub(crate) fn fig12(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig12(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "Fig. 12",
@@ -351,7 +346,7 @@ pub(crate) fn fig12(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
 }
 
 /// Fig. 13: interarrival times of spam from the same IP vs the same /24.
-pub(crate) fn fig13(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig13(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "Fig. 13",
@@ -384,7 +379,7 @@ pub(crate) fn fig13(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
 
 /// Fig. 14: throughput vs offered connection rate under per-IP and
 /// prefix-based DNSBL caching.
-pub(crate) fn fig14(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig14(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "Fig. 14",
@@ -417,29 +412,16 @@ pub(crate) fn fig14(out: &mut dyn Write, scale: Scale, _json: Option<&Path>) -> 
     )
 }
 
-#[derive(serde::Serialize)]
-struct Fig15Row {
-    scheme: String,
-    hit_ratio: f64,
-    query_fraction: f64,
-    latency_cdf_ms: Vec<(f64, f64)>,
-}
-
 /// Fig. 15: CDF of DNSBL lookup time under no / per-IP / prefix caching,
 /// with the cache-hit and query-fraction numbers of §7.2.
-///
-/// With `--json <path>`, writes the summary rows as JSON and a
-/// deterministic metrics snapshot (per-scheme `dnsbl.*` cache counters and
-/// lookup-latency histograms) to `<path with .metrics extension>`.
-pub(crate) fn fig15(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn fig15(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "Fig. 15",
         "DNSBL lookup-time CDFs and cache statistics",
         scale,
     )?;
-    let registry = experiment_registry();
-    let f = experiment::fig15_with_metrics(scale, &registry);
+    let f = experiment::fig15(scale);
     for (scheme, hist, hit, qfrac) in &f.rows {
         writeln!(out, "  {scheme:?}:")?;
         for (ns, frac) in thin_cdf(&hist.cdf(), 8) {
@@ -476,34 +458,12 @@ pub(crate) fn fig15(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -> i
         ip.3 * 100.0,
         pr.3 * 100.0,
         (pr.3 / ip.3 - 1.0) * 100.0
-    )?;
-    if let Some(path) = json {
-        let rows: Vec<Fig15Row> = f
-            .rows
-            .iter()
-            .map(|(scheme, hist, hit, qfrac)| Fig15Row {
-                scheme: format!("{scheme:?}"),
-                hit_ratio: *hit,
-                query_fraction: *qfrac,
-                latency_cdf_ms: thin_cdf(&hist.cdf(), 32)
-                    .into_iter()
-                    .map(|(ns, frac)| (Nanos::from_nanos(ns).as_millis_f64(), frac))
-                    .collect(),
-            })
-            .collect();
-        write_json(out, path, &rows)?;
-        write_metrics_sidecar(out, path, &registry)?;
-    }
-    Ok(())
+    )
 }
 
 /// §6.3's closing measurement: MFS vs vanilla postfix mail throughput
 /// under the sinkhole trace (average ~7 recipients per connection).
-pub(crate) fn mfs_sinkhole(
-    out: &mut dyn Write,
-    scale: Scale,
-    _json: Option<&Path>,
-) -> io::Result<()> {
+pub(crate) fn mfs_sinkhole(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "§6.3",
@@ -532,9 +492,8 @@ pub(crate) fn mfs_sinkhole(
 }
 
 /// §8: all three optimizations combined, on the spam and Univ workloads.
-pub(crate) fn combined(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -> io::Result<()> {
+pub(crate) fn combined(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(out, "§8", "combined performance improvement", scale)?;
-    let mut results = Vec::new();
     for (wl, name, paper_gain, paper_dns) in [
         (
             CombinedWorkload::Spam,
@@ -545,7 +504,6 @@ pub(crate) fn combined(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -
         (CombinedWorkload::Univ, "Univ trace", 18.0, 20.0),
     ] {
         let r = experiment::combined(scale, wl);
-        results.push(r.clone());
         writeln!(out, "  workload: {name}")?;
         writeln!(
             out,
@@ -566,9 +524,6 @@ pub(crate) fn combined(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -
         )?;
         writeln!(out)?;
     }
-    if let Some(path) = json {
-        write_json(out, path, &results)?;
-    }
     Ok(())
 }
 
@@ -577,11 +532,7 @@ pub(crate) fn combined(out: &mut dyn Write, scale: Scale, json: Option<&Path>) -
 /// bench runs the Fig. 8 bounce sweep against a qmail-like
 /// process-per-connection baseline (fresh process per connection, no
 /// recycling) and the same fork-after-trust hybrid.
-pub(crate) fn generality_qmail(
-    out: &mut dyn Write,
-    scale: Scale,
-    _json: Option<&Path>,
-) -> io::Result<()> {
+pub(crate) fn generality_qmail(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "§10",
@@ -624,11 +575,7 @@ pub(crate) fn generality_qmail(
 /// The paper batches ~28 delegated tasks per worker socket (64 KiB buffer,
 /// §5.3). This sweep shrinks the per-worker queue to show the natural
 /// throttle turning into a bottleneck.
-pub(crate) fn ablation_batching(
-    out: &mut dyn Write,
-    scale: Scale,
-    _json: Option<&Path>,
-) -> io::Result<()> {
+pub(crate) fn ablation_batching(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "ablation",
@@ -671,35 +618,16 @@ pub(crate) fn ablation_batching(
     )
 }
 
-#[derive(serde::Serialize)]
-struct CacheSizeRow {
-    capacity: Option<usize>,
-    per_ip_hit_ratio: f64,
-    per_ip_evictions: u64,
-    per_prefix_hit_ratio: f64,
-    per_prefix_evictions: u64,
-}
-
 /// Ablation: bounded resolver-cache capacity. The paper assumes an
 /// unbounded 24 h cache; this sweep shows how small the cache can get
 /// before the prefix scheme's advantage erodes — and that prefix caching
 /// *needs fewer entries* for the same hit ratio (one /25 bitmap covers up
 /// to 128 bots).
-///
-/// With `--json <path>`, writes the sweep rows as JSON and a deterministic
-/// metrics snapshot (per-cell `cap_*.{per_ip,per_prefix}.*` cache counters)
-/// to `<path with .metrics extension>`.
-pub(crate) fn ablation_cache_size(
-    out: &mut dyn Write,
-    scale: Scale,
-    json: Option<&Path>,
-) -> io::Result<()> {
+pub(crate) fn ablation_cache_size(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(out, "ablation", "resolver cache capacity", scale)?;
     let sink = SinkholeConfig::scaled(scale.trace.max(0.25)).generate();
     let server = default_dnsbl(sink.blacklisted.iter().copied());
     let ttl = Nanos::from_secs(86_400);
-    let registry = experiment_registry();
-    let mut rows = Vec::new();
     writeln!(
         out,
         "  capacity     per-IP hit (evictions)    per-/25 hit (evictions)"
@@ -711,12 +639,8 @@ pub(crate) fn ablation_cache_size(
             cap.to_string()
         };
         let mut cells = Vec::new();
-        for (scheme, tag) in [
-            (CacheScheme::PerIp, "per_ip"),
-            (CacheScheme::PerPrefix, "per_prefix"),
-        ] {
-            let mut r = CachingResolver::new(scheme, ttl)
-                .with_metrics(&registry, &format!("cap_{label}.{tag}"));
+        for scheme in [CacheScheme::PerIp, CacheScheme::PerPrefix] {
+            let mut r = CachingResolver::new(scheme, ttl);
             if cap != usize::MAX {
                 r = r.with_capacity(cap);
             }
@@ -734,13 +658,6 @@ pub(crate) fn ablation_cache_size(
             cells[1].0 * 100.0,
             cells[1].1
         )?;
-        rows.push(CacheSizeRow {
-            capacity: (cap != usize::MAX).then_some(cap),
-            per_ip_hit_ratio: cells[0].0,
-            per_ip_evictions: cells[0].1,
-            per_prefix_hit_ratio: cells[1].0,
-            per_prefix_evictions: cells[1].1,
-        });
     }
     writeln!(out)?;
     writeln!(
@@ -751,22 +668,13 @@ pub(crate) fn ablation_cache_size(
         out,
         "  covers a whole /25 of bots (paper's unbounded setting at the"
     )?;
-    writeln!(out, "  bottom row).")?;
-    if let Some(path) = json {
-        write_json(out, path, &rows)?;
-        write_metrics_sidecar(out, path, &registry)?;
-    }
-    Ok(())
+    writeln!(out, "  bottom row).")
 }
 
 /// Ablation: MFS share threshold — share only multi-recipient mails (the
 /// paper's design) vs routing single-recipient mail through the shared
 /// mailbox too.
-pub(crate) fn ablation_mfs_threshold(
-    out: &mut dyn Write,
-    scale: Scale,
-    _json: Option<&Path>,
-) -> io::Result<()> {
+pub(crate) fn ablation_mfs_threshold(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "ablation",
@@ -825,11 +733,7 @@ pub(crate) fn ablation_mfs_threshold(
 /// Ablation: DNSBL bitmap prefix width. /25 is what one IPv6 AAAA answer
 /// can carry (128 bits); this sweep shows what /24 or /26 bitmaps would
 /// buy or cost on the sinkhole workload.
-pub(crate) fn ablation_prefix_width(
-    out: &mut dyn Write,
-    scale: Scale,
-    _json: Option<&Path>,
-) -> io::Result<()> {
+pub(crate) fn ablation_prefix_width(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(out, "ablation", "DNSBL cache prefix width", scale)?;
     let sink = SinkholeConfig::scaled(scale.trace.max(0.25)).generate();
     let events: Vec<_> = sink
@@ -874,11 +778,7 @@ pub(crate) fn ablation_prefix_width(
 /// worker setup on connections that turn out to be bounces; the
 /// after-valid-RCPT point is the only one whose bounce cost stays on the
 /// cheap event-loop path.
-pub(crate) fn ablation_trust_point(
-    out: &mut dyn Write,
-    scale: Scale,
-    _json: Option<&Path>,
-) -> io::Result<()> {
+pub(crate) fn ablation_trust_point(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(
         out,
         "ablation",
@@ -919,31 +819,14 @@ pub(crate) fn ablation_trust_point(
     writeln!(out, "  bounce connections (paper §5.1).")
 }
 
-#[derive(serde::Serialize)]
-struct TtlRow {
-    ttl_secs: u64,
-    per_ip_hit_ratio: f64,
-    per_prefix_hit_ratio: f64,
-}
-
 /// Ablation: DNSBL cache TTL sensitivity. The paper uses 24 h because
 /// "these lists are updated rather infrequently" (§7.2); this sweep shows
 /// the hit-ratio cost of shorter TTLs and the diminishing returns beyond
 /// a day.
-///
-/// With `--json <path>`, writes the sweep rows as JSON and a deterministic
-/// metrics snapshot (per-cell `ttl_*.{per_ip,per_prefix}.*` cache counters)
-/// to `<path with .metrics extension>`.
-pub(crate) fn ablation_ttl(
-    out: &mut dyn Write,
-    scale: Scale,
-    json: Option<&Path>,
-) -> io::Result<()> {
+pub(crate) fn ablation_ttl(out: &mut dyn Write, scale: Scale) -> io::Result<()> {
     banner(out, "ablation", "DNSBL cache TTL sensitivity", scale)?;
     let sink = SinkholeConfig::scaled(scale.trace.max(0.25)).generate();
     let server = default_dnsbl(sink.blacklisted.iter().copied());
-    let registry = experiment_registry();
-    let mut rows = Vec::new();
     writeln!(
         out,
         "  TTL        per-IP hit   per-/25 hit   prefix advantage"
@@ -956,12 +839,8 @@ pub(crate) fn ablation_ttl(
         ("7 days", 604_800),
     ] {
         let mut row = Vec::new();
-        for (scheme, tag) in [
-            (CacheScheme::PerIp, "per_ip"),
-            (CacheScheme::PerPrefix, "per_prefix"),
-        ] {
-            let mut r = CachingResolver::new(scheme, Nanos::from_secs(secs))
-                .with_metrics(&registry, &format!("ttl_{secs}s.{tag}"));
+        for scheme in [CacheScheme::PerIp, CacheScheme::PerPrefix] {
+            let mut r = CachingResolver::new(scheme, Nanos::from_secs(secs));
             let mut rng = det_rng(3);
             for c in &sink.trace.connections {
                 r.lookup(c.client_ip, c.arrival, &server, &mut rng);
@@ -980,15 +859,6 @@ pub(crate) fn ablation_ttl(
                 ""
             }
         )?;
-        rows.push(TtlRow {
-            ttl_secs: secs,
-            per_ip_hit_ratio: row[0],
-            per_prefix_hit_ratio: row[1],
-        });
-    }
-    if let Some(path) = json {
-        write_json(out, path, &rows)?;
-        write_metrics_sidecar(out, path, &registry)?;
     }
     Ok(())
 }

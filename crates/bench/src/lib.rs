@@ -9,7 +9,7 @@
 //! one binary walks the table:
 //!
 //! ```text
-//! figures <name> [--full | --scale F --seconds N] [--json PATH]
+//! figures <name> [--full | --scale F --seconds N]
 //! figures record <dir>     # write results/: every row, then full_key.txt
 //! figures check <dir>      # regenerate in memory, name every file that differs
 //! ```
@@ -36,12 +36,9 @@ mod experiments;
 
 use experiment::Scale;
 use std::io::{self, Write};
-use std::path::Path;
 
-/// Prints one experiment's report to the writer; with a path (only ever
-/// passed to a row that [`has_json`](Experiment::has_json)), also writes
-/// the row's JSON artifact there.
-pub type Run = fn(&mut dyn Write, Scale, Option<&Path>) -> io::Result<()>;
+/// Prints one experiment's report to the writer.
+pub type Run = fn(&mut dyn Write, Scale) -> io::Result<()>;
 
 /// One experiment: what `figures <name>` runs.
 pub struct Experiment {
@@ -49,8 +46,6 @@ pub struct Experiment {
     pub name: &'static str,
     /// The printing code.
     pub run: Run,
-    /// Whether the row accepts `--json`.
-    pub has_json: bool,
     /// Whether the row's paper-scale run is a section of
     /// `results/full_key.txt`.
     pub full_key: bool,
@@ -61,14 +56,8 @@ impl Experiment {
         Experiment {
             name,
             run,
-            has_json: false,
             full_key: false,
         }
-    }
-
-    const fn json(mut self) -> Experiment {
-        self.has_json = true;
-        self
     }
 
     const fn full_key(mut self) -> Experiment {
@@ -85,60 +74,26 @@ pub const TABLE: [Experiment; 21] = [
     Experiment::new("fig03", experiments::fig03),
     Experiment::new("fig04", experiments::fig04),
     Experiment::new("fig05", experiments::fig05),
-    Experiment::new("fig08", experiments::fig08)
-        .json()
-        .full_key(),
+    Experiment::new("fig08", experiments::fig08).full_key(),
     Experiment::new("fig10", experiments::fig10),
     Experiment::new("fig11", experiments::fig11),
     Experiment::new("fig12", experiments::fig12),
     Experiment::new("fig13", experiments::fig13),
     Experiment::new("fig14", experiments::fig14),
-    Experiment::new("fig15", experiments::fig15)
-        .json()
-        .full_key(),
+    Experiment::new("fig15", experiments::fig15).full_key(),
     Experiment::new("mfs_sinkhole", experiments::mfs_sinkhole).full_key(),
-    Experiment::new("combined", experiments::combined)
-        .json()
-        .full_key(),
+    Experiment::new("combined", experiments::combined).full_key(),
     Experiment::new("generality_qmail", experiments::generality_qmail),
     Experiment::new("ablation_batching", experiments::ablation_batching),
-    Experiment::new("ablation_cache_size", experiments::ablation_cache_size).json(),
+    Experiment::new("ablation_cache_size", experiments::ablation_cache_size),
     Experiment::new(
         "ablation_mfs_threshold",
         experiments::ablation_mfs_threshold,
     ),
     Experiment::new("ablation_prefix_width", experiments::ablation_prefix_width),
     Experiment::new("ablation_trust_point", experiments::ablation_trust_point),
-    Experiment::new("ablation_ttl", experiments::ablation_ttl).json(),
+    Experiment::new("ablation_ttl", experiments::ablation_ttl),
 ];
-
-/// Writes a serializable result to `path` as pretty JSON.
-fn write_json<T: serde::Serialize>(out: &mut dyn Write, path: &Path, value: &T) -> io::Result<()> {
-    let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-    serde_json::to_writer_pretty(&mut file, value).map_err(io::Error::other)?;
-    file.flush()?;
-    writeln!(out, "(wrote {})", path.display())
-}
-
-/// Writes a metrics registry's deterministic text report next to a
-/// `--json` artifact, with the extension swapped to `.metrics`.
-fn write_metrics_sidecar(
-    out: &mut dyn Write,
-    json_path: &Path,
-    registry: &spamaware_metrics::Registry,
-) -> io::Result<()> {
-    let path = json_path.with_extension("metrics");
-    std::fs::write(&path, registry.render())?;
-    writeln!(out, "(wrote {})", path.display())
-}
-
-/// A deterministic registry for the experiments: time is a
-/// [`spamaware_metrics::ManualClock`] pinned at zero, so snapshots depend
-/// only on what the instrumented code records (simulated latencies,
-/// counters), never on the host.
-fn experiment_registry() -> spamaware_metrics::Registry {
-    spamaware_metrics::Registry::new(std::sync::Arc::new(spamaware_metrics::ManualClock::new()))
-}
 
 /// Prints a figure banner.
 fn banner(out: &mut dyn Write, id: &str, caption: &str, scale: Scale) -> io::Result<()> {
@@ -188,7 +143,7 @@ mod tests {
         for e in &TABLE {
             let print = || {
                 let mut text = Vec::new();
-                (e.run)(&mut text, tiny, None).expect("write to a Vec");
+                (e.run)(&mut text, tiny).expect("write to a Vec");
                 text
             };
             let first = print();

@@ -1,7 +1,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // DESIGN.md §9
 #![deny(clippy::unreachable)]
-//! `spamawarectl` — admin tool for an on-disk MFS mail store and for
-//! trace archives.
+//! `spamawarectl` — admin tool for an on-disk MFS mail store.
 //!
 //! ```text
 //! spamawarectl stats <store-root>
@@ -11,7 +10,6 @@
 //! spamawarectl compact <store-root>
 //! spamawarectl fsck <store-root>
 //! spamawarectl serve <store-root> <mailbox,...>
-//! spamawarectl trace-stats <trace.json>
 //! ```
 //!
 //! The store format is exactly what [`spamaware_core::LiveServer`] writes,
@@ -25,7 +23,8 @@
 //!
 //! [`LiveServer`]: spamaware_core::LiveServer
 
-use spamaware_core::{LiveConfig, LiveServer, MailStore, MfsStore, RealDir, Trace, TraceStats};
+use spamaware_core::{LiveConfig, LiveServer, MailStore, MfsStore, RealDir};
+use spamaware_mfs::{MailId, MailboxEntry};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -44,7 +43,6 @@ fn main() -> ExitCode {
             eprintln!("  spamawarectl compact <store-root>");
             eprintln!("  spamawarectl fsck <store-root>");
             eprintln!("  spamawarectl serve <store-root> <mailbox,...>");
-            eprintln!("  spamawarectl trace-stats <trace.json>");
             ExitCode::FAILURE
         }
     }
@@ -66,39 +64,27 @@ fn run(args: &[String]) -> Result<(), String> {
         "list" => {
             let mut store = open_store(args.get(1))?;
             let mailbox = arg(args, 2, "mailbox")?;
-            let mails = store
-                .read_mailbox(mailbox)
-                .map_err(|e| format!("cannot read {mailbox}: {e}"))?;
-            println!("{} mail(s) in {mailbox}:", mails.len());
-            for (i, m) in mails.iter().enumerate() {
-                println!("  {:>3}  [{}]  {} bytes", i + 1, m.id, m.body.len());
+            let entries = list(&mut store, mailbox)?;
+            println!("{} mail(s) in {mailbox}:", entries.len());
+            for (i, e) in entries.iter().enumerate() {
+                println!("  {:>3}  [{}]  {} bytes", i + 1, e.id, e.len);
             }
             Ok(())
         }
         "cat" => {
             let mut store = open_store(args.get(1))?;
             let mailbox = arg(args, 2, "mailbox")?;
-            let n = index(args, 3)?;
-            let mails = store
-                .read_mailbox(mailbox)
+            let id = nth(&mut store, mailbox, index(args, 3)?)?;
+            let mail = store
+                .read_mail(mailbox, id)
                 .map_err(|e| format!("cannot read {mailbox}: {e}"))?;
-            let mail = mails
-                .get(n - 1)
-                .ok_or_else(|| format!("no mail {n} in {mailbox} ({} mails)", mails.len()))?;
             print!("{}", String::from_utf8_lossy(&mail.body));
             Ok(())
         }
         "delete" => {
             let mut store = open_store(args.get(1))?;
             let mailbox = arg(args, 2, "mailbox")?;
-            let n = index(args, 3)?;
-            let mails = store
-                .read_mailbox(mailbox)
-                .map_err(|e| format!("cannot read {mailbox}: {e}"))?;
-            let mail = mails
-                .get(n - 1)
-                .ok_or_else(|| format!("no mail {n} in {mailbox} ({} mails)", mails.len()))?;
-            let id = mail.id;
+            let id = nth(&mut store, mailbox, index(args, 3)?)?;
             store
                 .delete(mailbox, id)
                 .map_err(|e| format!("delete failed: {e}"))?;
@@ -159,12 +145,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
             }
         }
-        "trace-stats" => {
-            let path = arg(args, 1, "trace file")?;
-            let trace = Trace::load_file(path).map_err(|e| format!("cannot load {path}: {e}"))?;
-            println!("{}", TraceStats::of(&trace));
-            Ok(())
-        }
         "" => Err("missing command".to_owned()),
         other => Err(format!("unknown command {other:?}")),
     }
@@ -174,6 +154,22 @@ fn open_store(root: Option<&String>) -> Result<MfsStore<RealDir>, String> {
     let root = root.ok_or("missing <store-root>")?;
     let backend = RealDir::new(root).map_err(|e| format!("cannot open {root}: {e}"))?;
     MfsStore::open(backend).map_err(|e| format!("cannot replay store at {root}: {e}"))
+}
+
+/// The mailbox's live mails, from its key file alone: no body is read.
+fn list(store: &mut MfsStore<RealDir>, mailbox: &str) -> Result<Vec<MailboxEntry>, String> {
+    store
+        .list_entries(mailbox)
+        .map_err(|e| format!("cannot read {mailbox}: {e}"))
+}
+
+/// The id of the mailbox's `n`th live mail, counting from 1.
+fn nth(store: &mut MfsStore<RealDir>, mailbox: &str, n: usize) -> Result<MailId, String> {
+    let entries = list(store, mailbox)?;
+    entries
+        .get(n - 1)
+        .map(|e| e.id)
+        .ok_or_else(|| format!("no mail {n} in {mailbox} ({} mails)", entries.len()))
 }
 
 fn arg<'a>(args: &'a [String], i: usize, what: &str) -> Result<&'a str, String> {

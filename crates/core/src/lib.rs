@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | Fork-after-trust concurrency (§5) | this crate | [`pretrust`] master → [`posttrust`] workers, wired by [`LiveServer`] |
 //! | MFS single-copy mail store (§6) | `spamaware-mfs` | [`ShardedStore`] over [`RealDir`] |
-//! | Prefix-based DNSBL caching (§7) | `spamaware-dnsbl` | [`CachingResolver`] with [`CacheScheme::PerPrefix`], on the DNSBL agent thread |
+//! | Prefix-based DNSBL caching (§7) | `spamaware-dnsbl` | [`CachingResolver`](spamaware_dnsbl::CachingResolver) with [`CacheScheme::PerPrefix`](spamaware_dnsbl::CacheScheme::PerPrefix), on the DNSBL agent thread |
 //!
 //! Beside SMTP, [`Pop3Server`] reads and deletes from the same store, a
 //! localhost admin socket serves [`LiveServer::metrics_report`], and the
@@ -55,17 +55,10 @@ pub use live::{LiveConfig, LiveServer};
 pub use pool::BufferPool;
 pub use pop3::{Pop3Server, Pop3Stats};
 
-// Re-export the workspace's main types so downstream users can depend on
-// this crate alone.
-pub use spamaware_dnsbl::{
-    BlacklistDb, BreakerDecision, CacheScheme, CachingResolver, CircuitBreaker, DnsblServer,
-    LatencyModel,
-};
-pub use spamaware_mfs::{
-    fsck, FsckReport, Layout, MailId, MailStore, MfsStore, RealDir, ShardedStore, SyncBackend,
-};
-pub use spamaware_smtp::{Command, MailAddr, Reply, ServerSession, SessionConfig, TrustPoint};
-pub use spamaware_trace::{SinkholeConfig, Trace, TraceStats, UnivConfig};
+// The store and dialogue types a caller of this crate (`spamawarectl`, the
+// tests, the benchmark) names through it.
+pub use spamaware_mfs::{fsck, MailStore, MfsStore, RealDir, ShardedStore, SyncBackend};
+pub use spamaware_smtp::{Reply, TrustPoint};
 
 use std::fmt;
 

@@ -214,8 +214,7 @@ impl CachingResolver {
     /// `<prefix>.cache_miss`, `<prefix>.eviction`, and
     /// `<prefix>.lookup_ns`, instead of in instruments of the resolver's
     /// own; [`stats`](Self::stats) then reads those. Call it before the
-    /// first lookup. The prefix keeps several resolvers (one per cache
-    /// scheme in the ablation sweeps) apart in one registry.
+    /// first lookup. The live DNSBL agent's prefix is `dnsbl`.
     pub fn with_metrics(mut self, registry: &Registry, prefix: &str) -> CachingResolver {
         self.metrics = ResolverMetrics {
             hits: registry.counter(&format!("{prefix}.cache_hit")),

@@ -12,7 +12,7 @@
 //! * [`LogHistogram`] — fixed-bucket log-linear histograms (16 buckets
 //!   per power of two) with p50/p95/p99 — the workspace's one distribution
 //!   type: [`quantile_of`] is the only rank-to-value walk, here and under
-//!   the simulator's serialized read-outs;
+//!   the simulator's read-outs;
 //! * [`SpanHandle`] / [`SpanGuard`] — scoped timers over an injectable
 //!   [`Clock`], so the live server measures wall time while simulations
 //!   and tests inject a [`ManualClock`] and stay byte-deterministic;

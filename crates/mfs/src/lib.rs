@@ -83,7 +83,7 @@ pub use sharded::{ShardedStore, SyncBackend};
 pub use store::{MailStore, StoredMail};
 
 /// The storage layouts compared in Figs. 10/11, as a value for sweeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Vanilla postfix: one mbox file per mailbox.
     Mbox,

@@ -88,7 +88,7 @@ impl DiskProfile {
 }
 
 /// Operation counters accumulated by [`Metered`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Files created (explicitly or by first append).
     pub creates: u64,

@@ -310,35 +310,3 @@ mod tests {
         assert!(Prefix24::new(1, 2, 3) < Prefix24::new(1, 2, 4));
     }
 }
-
-impl serde::Serialize for Ipv4 {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.collect_str(self)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Ipv4 {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Ipv4, D::Error> {
-        let text = <std::borrow::Cow<'_, str>>::deserialize(d)?;
-        text.parse().map_err(serde::de::Error::custom)
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-
-    #[test]
-    fn ipv4_serde_roundtrip_as_dotted_string() {
-        let ip = Ipv4::new(203, 0, 113, 7);
-        let json = serde_json::to_string(&ip).unwrap();
-        assert_eq!(json, "\"203.0.113.7\"");
-        let back: Ipv4 = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ip);
-    }
-
-    #[test]
-    fn ipv4_serde_rejects_garbage() {
-        assert!(serde_json::from_str::<Ipv4>("\"not-an-ip\"").is_err());
-    }
-}

@@ -31,7 +31,7 @@ use spamaware_trace::Trace;
 use std::collections::{HashSet, VecDeque};
 
 /// Which concurrency architecture the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// Process-per-connection (paper Fig. 6).
     Vanilla,
@@ -158,7 +158,7 @@ pub enum ClientModel {
 }
 
 /// Snapshot of DNSBL resolver statistics for a report.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DnsReport {
     /// Lookups performed.
     pub lookups: u64,
@@ -200,7 +200,7 @@ impl DnsReport {
 }
 
 /// Results of one simulated run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Architecture that ran.
     pub arch: Architecture,
@@ -1072,24 +1072,5 @@ mod tests {
         };
         assert!((r.hit_ratio() - 0.8).abs() < 1e-12);
         assert!((r.query_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn run_report_serializes() {
-        let trace = bounce_sweep_trace(2, 100, 0.2, 50);
-        let rep = run(
-            &trace,
-            ServerConfig::hybrid(),
-            ClientModel::Closed { concurrency: 5 },
-            Nanos::from_secs(2),
-        );
-        let json = serde_json::to_string(&rep).expect("serialize");
-        assert!(json.contains("\"arch\":\"Hybrid\""), "{json}");
-        let back: RunReport = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back.mails, rep.mails);
-        assert_eq!(back.context_switches, rep.context_switches);
-        assert!(rep.session_ns.count > 0);
-        assert_eq!(back.session_ns, rep.session_ns);
-        assert_eq!(back.session_ns.quantile(50), rep.session_ns.quantile(50));
     }
 }

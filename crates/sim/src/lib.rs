@@ -11,7 +11,7 @@
 //!   times and context-switch accounting, used to model CPUs and disks.
 //! * [`dist`] — hand-rolled random distributions (exponential, lognormal,
 //!   Pareto) built on [`rand`], since `rand_distr` is out of scope.
-//! * [`Readout`] — the serializable copy of a
+//! * [`Readout`] — the plain copy of a
 //!   [`spamaware_metrics::LogHistogram`] that reports carry, with the CDF
 //!   export the benchmark harness prints the paper's figures from.
 //!

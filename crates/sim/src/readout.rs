@@ -1,10 +1,10 @@
-//! The serializable read-out of a [`LogHistogram`].
+//! The read-out of a [`LogHistogram`].
 //!
 //! The simulator records into the same integer histogram the live server
 //! does (nanoseconds in, one shared bucket layout) and reports carry this
-//! plain copy of it. `spamaware-metrics` stays dependency-free, so the
-//! serde derive lives here; the bucket walk does not — [`Readout::quantile`]
-//! is [`spamaware_metrics::quantile_of`], the walk `Registry::render` uses.
+//! plain copy of it, which clones and compares where the atomic histogram
+//! does not. The bucket walk is not copied: [`Readout::quantile`] is
+//! [`spamaware_metrics::quantile_of`], the walk `Registry::render` uses.
 //! The benchmark harness prints the paper's CDF figures (5, 13, 15) from
 //! [`Readout::cdf`].
 
@@ -29,7 +29,7 @@ use spamaware_metrics::{quantile_of, LogHistogram};
 /// assert_eq!(r.cdf(), [(1, 0.25), (2, 0.75), (1_000, 1.0)]);
 /// assert_eq!(r.fraction_above(2), 0.25);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Readout {
     /// Samples recorded.
     pub count: u64,

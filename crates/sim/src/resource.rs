@@ -36,7 +36,7 @@ impl<E> ServiceJob<E> {
 }
 
 /// Aggregate statistics for a [`FifoResource`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceStats {
     /// Jobs fully served.
     pub completed: u64,

@@ -12,7 +12,7 @@ use spamaware_sim::det_rng;
 use spamaware_sim::dist::standard_normal;
 
 /// One day of ECN-style bounce statistics.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EcnDay {
     /// Day index from the start of the measurement (0-based).
     pub day: u32,
@@ -23,7 +23,7 @@ pub struct EcnDay {
 }
 
 /// The full daily series.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EcnSeries {
     /// One entry per day.
     pub days: Vec<EcnDay>,

@@ -21,7 +21,6 @@
 //! All generators are deterministic per seed; calibration targets are
 //! pinned by unit tests next to each generator.
 
-mod archive;
 mod ecn;
 mod mix;
 mod models;
@@ -31,7 +30,6 @@ mod stats;
 mod synthetic;
 mod univ;
 
-pub use archive::ArchiveError;
 pub use ecn::{EcnDay, EcnSeries};
 pub use mix::combined_workload;
 pub use models::{MailSizeModel, RcptCountModel};

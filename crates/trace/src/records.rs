@@ -9,10 +9,7 @@ use spamaware_sim::Nanos;
 /// `user<id>@dept.example` when actual addresses are needed. An id at or
 /// above the trace's [`Trace::mailbox_count`] denotes a non-existent
 /// mailbox (a random-guessing target).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MailboxId(pub u32);
 
 impl MailboxId {
@@ -23,7 +20,7 @@ impl MailboxId {
 }
 
 /// One mail transaction within a connection.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MailSpec {
     /// Valid recipients (existing mailboxes).
     pub valid_rcpts: Vec<MailboxId>,
@@ -45,7 +42,7 @@ impl MailSpec {
 }
 
 /// What a client does after connecting.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnectionKind {
     /// Delivers one or more mails.
     Mail(Vec<MailSpec>),
@@ -71,7 +68,7 @@ impl ConnectionKind {
 }
 
 /// One inbound SMTP connection.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectionSpec {
     /// Arrival offset from trace start.
     pub arrival: Nanos,
@@ -92,7 +89,7 @@ impl ConnectionSpec {
 }
 
 /// A complete generated workload, sorted by arrival time.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// Connections in arrival order.
     pub connections: Vec<ConnectionSpec>,

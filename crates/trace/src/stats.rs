@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 /// Summary statistics of a [`Trace`] (the Table 1 rows).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Total connections.
     pub connections: usize,

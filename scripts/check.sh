@@ -6,6 +6,10 @@
 # Every stage must pass before a change is proposed. The stages are
 # ordered cheapest-first so failures surface quickly:
 #
+#   0. scripts/nontest.awk     — scripts/loc.sh's non-test counter
+#                                counts a fixture right: a test module
+#                                mid-file, code after it, and a one-line
+#                                #[cfg(test)] item
 #   1. cargo fmt --check       — formatting is canonical
 #   2. cargo clippy            — workspace lints over every target (tests
 #                                and benches too), warnings are
@@ -92,8 +96,8 @@
 #
 # Not a stage, but part of every PR: scripts/loc.sh [REV] is the one way
 # to count the tree's Rust (tracked *.rs lines per crate and top-level
-# directory, src/ and tests apart, the src lines before the first
-# #[cfg(test)], plus the total). Run it bare on the change and with the
+# directory, src/ and tests apart, the src lines outside #[cfg(test)]
+# items, plus the total). Run it bare on the change and with the
 # parent's revision, and quote both (ROADMAP aim 2).
 
 set -eu
@@ -113,6 +117,27 @@ for arg in "$@"; do
 done
 
 cd "$(dirname "$0")/.."
+
+echo "==> scripts/nontest.awk counts a fixture"
+# 11 lines: the module (lines 2-7) and `struct Row;` (line 10) are test.
+counted=$(awk -f scripts/nontest.awk <<'EOF'
+fn before() {}
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    #[test]
+    fn t() { let (s, c) = ("}", '{'); } // }
+}
+fn after() {
+}
+#[cfg(test)] struct Row;
+fn last() {}
+EOF
+)
+if [ "$counted" != "11 4" ]; then
+    echo "scripts/nontest.awk counted \"$counted\" (lines, non-test), want \"11 4\"" >&2
+    exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -10,15 +10,15 @@
 #
 # Tracked files only, so build output never counts. An inline
 # `#[cfg(test)]` module counts as the `src` file it sits in; the
-# `non-test` column is the part of `src` that comes before each file's
-# first `#[cfg(test)]` line, so deleted code and deleted unit tests can
-# be told apart.
+# `non-test` column is `src` less every `#[cfg(test)]` item, attribute
+# to closing brace or `;` (scripts/nontest.awk), so deleted code and
+# deleted unit tests can be told apart. With REV, the files are REV's
+# and the counter is the working tree's.
 set -eu
 cd "$(dirname "$0")/.."
-# Prints "<lines> <lines before the first #[cfg(test)]>" for stdin.
+# Prints "<lines> <non-test lines>" for stdin.
 count() {
-    awk '!cut && /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1; before = NR - 1 }
-         END { print NR, (cut ? before : NR) }'
+    awk -f scripts/nontest.awk
 }
 if [ $# -gt 0 ]; then
     git ls-tree -r --name-only "$1" | grep '\.rs$' | while IFS= read -r f; do

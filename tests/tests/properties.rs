@@ -87,7 +87,7 @@ proptest! {
 // ------------------------------------------------------------- metrics
 
 proptest! {
-    /// `LogHistogram` and its serialized `Readout` against an exact
+    /// `LogHistogram` and its `Readout` copy against an exact
     /// sorted-`Vec` nearest-rank reference. A random word shifted right by
     /// a random amount spreads the samples over every magnitude: zeros,
     /// the exact buckets below 16, and values past 2^40 all turn up.
@@ -379,19 +379,6 @@ proptest! {
             last = at;
         }
         prop_assert!(seen.iter().all(|&b| b), "every event fired once");
-    }
-
-    #[test]
-    fn trace_json_roundtrip_random_shapes(
-        conns in 1usize..40,
-        ratio in 0.0f64..1.0,
-    ) {
-        use spamaware_trace::{bounce_sweep_trace, Trace};
-        let t = bounce_sweep_trace(7, conns, ratio, 50);
-        let mut buf = Vec::new();
-        t.save_json(&mut buf).expect("save");
-        let back = Trace::load_json(buf.as_slice()).expect("load");
-        prop_assert_eq!(back.connections, t.connections);
     }
 }
 
