@@ -196,7 +196,6 @@ instruments! {
         data_ns: span "worker.data_ns" "Duration of one `DATA` transfer, 354 to final dot (or to the connection's end).",
         storage_ns: span "worker.storage_ns" "Duration of one store delivery.",
         queue_depth: gauge "worker.queue_depth" "Trusted connections queued for workers and not yet dequeued.",
-        internal_errors: counter "live.internal_error" "Mails answered `451` because the session reported a delivery with no envelope (a state-machine bug, counted instead of crashing the worker).",
     }
 
     /// The DNSBL agent thread's own instruments; registered only when an
@@ -270,7 +269,6 @@ counter live.drain_evictions\n\
 counter live.fsck_repairs\n\
 counter live.idle_evictions\n\
 gauge live.inflight\n\
-counter live.internal_error\n\
 counter live.mails_stored\n\
 counter live.overflows\n\
 counter live.pool_miss\n\

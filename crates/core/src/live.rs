@@ -58,7 +58,7 @@ use crate::reactor::os::OsReactor;
 use crate::reactor::Pollable;
 use crate::ServeError;
 use spamaware_metrics::{Counter, Gauge, Registry};
-use spamaware_mfs::{RealDir, ShardedStore};
+use spamaware_mfs::{check_mailbox_name, RealDir, ShardedStore};
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -241,13 +241,24 @@ pub(crate) fn listen(bind: SocketAddr) -> Result<(TcpListener, SocketAddr), Serv
     Ok((listener, addr))
 }
 
+/// Refuses a hosted mailbox whose every mail the store would refuse.
+pub(crate) fn check_mailboxes(mailboxes: &[String]) -> Result<(), ServeError> {
+    for mb in mailboxes {
+        check_mailbox_name(mb).map_err(|_| {
+            ServeError::Config(format!("the store cannot hold a mailbox named {mb:?}"))
+        })?;
+    }
+    Ok(())
+}
+
 impl LiveServer {
     /// Binds and starts the master, admin, and worker threads.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] if a socket cannot be bound or the storage
-    /// root cannot be created.
+    /// Returns [`ServeError`] if a socket cannot be bound, the storage
+    /// root cannot be created, a limit is zero or the store cannot hold
+    /// a hosted mailbox.
     pub fn start(cfg: LiveConfig) -> Result<LiveServer, ServeError> {
         if cfg.workers == 0 || cfg.worker_queue == 0 {
             return Err(ServeError::Config(
@@ -269,6 +280,7 @@ impl LiveServer {
                 "the session deadline and the write-stall budget must be nonzero".to_owned(),
             ));
         }
+        check_mailboxes(&cfg.mailboxes)?;
         // Every doubling of the descriptor table once threads run stalls
         // the thread that needs the slot for an RCU grace period — a
         // worker, perhaps under a shard lock. Grow it now, before this

@@ -96,8 +96,8 @@ impl Pop3Server {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError`] if the socket cannot be bound or
-    /// `read_timeout` is zero.
+    /// Returns [`ServeError`] if the socket cannot be bound,
+    /// `read_timeout` is zero or the store cannot hold one of `mailboxes`.
     pub fn start_with_timeout(
         bind: SocketAddr,
         store: Arc<ShardedStore<RealDir>>,
@@ -109,6 +109,7 @@ impl Pop3Server {
                 "pop3 read timeout must be nonzero".to_owned(),
             ));
         }
+        crate::live::check_mailboxes(&mailboxes)?;
         let (listener, addr) = crate::live::listen(bind)?;
         let mut reactor = OsReactor::new().map_err(|e| ServeError::Io(e.to_string()))?;
         let waker = reactor.waker();

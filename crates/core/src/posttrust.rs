@@ -23,7 +23,7 @@ use crate::pretrust::{say_unavailable, Trusted};
 use crate::reactor::Reactor;
 use spamaware_metrics::{Gauge, Registry};
 use spamaware_mfs::{Backend, DataRef, MailId, ShardedStore};
-use spamaware_smtp::{DataVerdict, Reply, ServerSession, SessionPhase};
+use spamaware_smtp::{DataVerdict, Envelope, Reply, ServerSession, SessionPhase};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
@@ -83,24 +83,12 @@ struct PostTrust<C, B> {
 }
 
 impl<C, B: Backend> PostTrust<C, B> {
-    /// Stores the mail whose `DATA` just completed and picks its reply.
-    fn store_mail(&self, session: &mut ServerSession) -> Reply {
+    /// Stores the mail whose `DATA` just ended under a fresh id and picks
+    /// its reply from the store's answer: stored, the session accepts it
+    /// and the peer reads `250`; refused, `451` and nothing accepted.
+    fn store_mail(&self, session: &mut ServerSession, env: Envelope) -> Reply {
         let ctx = &self.ctx;
         let id = MailId(ctx.next_id.fetch_add(1, Ordering::Relaxed));
-        let reply = session.finish_data(&id.to_string());
-        if reply.code() != 250 {
-            // 552 oversized (or similar): the session already discarded
-            // the transaction; the pool decides whether the capture
-            // buffer is still worth keeping.
-            ctx.body_pool.put(session.take_body_buffer());
-            return reply;
-        }
-        let Some(env) = session.take_last_delivered() else {
-            // A 250 with no envelope is a state-machine bug: log it as a
-            // counter and degrade to 451 instead of crashing the worker.
-            self.metrics.internal_errors.inc();
-            return Reply::local_error();
-        };
         let rcpts: Vec<&str> = env.recipients.iter().map(|a| a.local_part()).collect();
         let stored = {
             let _span = self.metrics.storage_ns.start();
@@ -110,8 +98,9 @@ impl<C, B: Backend> PostTrust<C, B> {
         ctx.body_pool.put(env.body);
         match stored {
             Ok(()) => {
+                session.accept();
                 ctx.stats.mails_stored.inc();
-                reply
+                Reply::queued(&id.to_string())
             }
             Err(_) => Reply::local_error(),
         }
@@ -155,7 +144,15 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
             }
             post.data_start = None;
             self.metrics.data_ns.record_since(start);
-            self.store_mail(&mut post.session).write_wire(out);
+            match post.session.end_data() {
+                Ok(env) => self.store_mail(&mut post.session, env),
+                // 552: the capture buffer goes back to the pool.
+                Err(refused) => {
+                    self.ctx.body_pool.put(post.session.take_body_buffer());
+                    refused
+                }
+            }
+            .write_wire(out);
             return Step::PhaseEnd;
         }
         let (reply, verb) = post.session.handle_line(line, &self.ctx.mailboxes);

@@ -47,6 +47,15 @@ pub(crate) const SHARED: &str = "shmailbox";
 /// 11 of 15,000 deliveries did, each one record late.
 const RECENT_SHARED: usize = 64;
 
+/// The rule every mailbox name the store writes passes: not empty, no
+/// `/`, and not `shmailbox`, the shared log's own name.
+pub fn check_mailbox_name(mailbox: &str) -> StoreResult<()> {
+    if mailbox == SHARED || mailbox.is_empty() || mailbox.contains('/') {
+        return Err(StoreError::Io(format!("illegal mailbox name: {mailbox:?}")));
+    }
+    Ok(())
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct KeyRecord {
     pub(crate) id: MailId,
@@ -582,13 +591,6 @@ impl<B: Backend> MfsStore<B> {
         }
     }
 
-    pub(crate) fn check_mailbox_name(mailbox: &str) -> StoreResult<()> {
-        if mailbox == SHARED || mailbox.is_empty() || mailbox.contains('/') {
-            return Err(StoreError::Io(format!("illegal mailbox name: {mailbox:?}")));
-        }
-        Ok(())
-    }
-
     /// Replays the key files: one directory listing, each key file read
     /// and checksummed once. Sets the maximum ids, hands each
     /// mailbox's live entries to `visit` — which keeps what it needs; the
@@ -676,7 +678,7 @@ impl<B: Backend> MfsStore<B> {
     /// replay uses. No key file is an empty mailbox, and so is a name no
     /// mailbox can have.
     fn read_entries(&mut self, mailbox: &str) -> StoreResult<Vec<MailboxEntry>> {
-        if Self::check_mailbox_name(mailbox).is_err() {
+        if check_mailbox_name(mailbox).is_err() {
             return Ok(Vec::new());
         }
         Ok(live_entries(&self.read_key_file(mailbox)?))
@@ -731,7 +733,7 @@ impl<B: Backend> MfsStore<B> {
     pub fn nwrite(&mut self, id: MailId, mailboxes: &[&str], body: DataRef<'_>) -> StoreResult<()> {
         let _span = self.metrics.as_ref().map(|m| m.write_ns.start());
         for mb in mailboxes {
-            Self::check_mailbox_name(mb)?;
+            check_mailbox_name(mb)?;
         }
         match mailboxes {
             [] => Ok(()),

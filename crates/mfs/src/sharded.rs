@@ -299,7 +299,7 @@ impl<B: Backend> ShardedStore<B> {
     pub fn deliver(&self, id: MailId, mailboxes: &[&str], body: DataRef<'_>) -> StoreResult<()> {
         let _span = self.metrics.as_ref().map(|m| m.write_ns.start());
         for mb in mailboxes {
-            MfsStore::<B>::check_mailbox_name(mb)?;
+            crate::check_mailbox_name(mb)?;
         }
         match mailboxes {
             [] => Ok(()),

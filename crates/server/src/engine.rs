@@ -67,8 +67,6 @@ pub struct ServerConfig {
     /// Vanilla: smtpd process limit (paper tunes 500 for peak throughput).
     /// Hybrid: number of smtpd worker processes.
     pub process_limit: usize,
-    /// Hybrid: the master's socket-list capacity (paper: 700).
-    pub socket_limit: usize,
     /// Hybrid: delegated tasks a worker's UNIX-domain socket holds (paper
     /// estimates ≈28 for a 64 KiB buffer at 7 recipients/mail).
     pub worker_queue_limit: usize,
@@ -97,7 +95,6 @@ impl ServerConfig {
         ServerConfig {
             arch: Architecture::Vanilla,
             process_limit: 500,
-            socket_limit: 700,
             worker_queue_limit: 28,
             cost: CostModel::default(),
             layout: Layout::Mbox,
@@ -274,11 +271,10 @@ impl RunReport {
 /// # Panics
 ///
 /// Panics if the trace is empty or the configuration is degenerate
-/// (zero process/socket limits).
+/// (a zero process limit).
 pub fn run(trace: &Trace, cfg: ServerConfig, client: ClientModel, duration: Nanos) -> RunReport {
     assert!(!trace.connections.is_empty(), "trace has no connections");
     assert!(cfg.process_limit > 0, "need at least one process");
-    assert!(cfg.socket_limit > 0, "need at least one socket");
     let mut sched: Scheduler<Ev> = Scheduler::new();
     let mut world = World::new(trace, cfg, client, duration);
     world.bootstrap(&mut sched);
@@ -287,6 +283,9 @@ pub fn run(trace: &Trace, cfg: ServerConfig, client: ClientModel, duration: Nano
 }
 
 const MASTER: ProcId = ProcId(0);
+
+/// Hybrid: the master's socket-list capacity (paper: 700).
+const SOCKET_LIMIT: usize = 700;
 
 type ConnId = usize;
 
@@ -302,12 +301,13 @@ enum Ev {
     DnsCpuDone(ConnId),
     /// A command (or body) arrived at the server.
     AtServer(ConnId, Step),
-    /// Command-processing CPU finished.
-    CmdCpuDone(ConnId),
-    /// Body-processing CPU finished.
-    BodyCpuDone(ConnId),
-    /// Disk write for the queued mail finished.
-    DiskDone(ConnId),
+    /// Command-processing CPU finished for this command.
+    CmdCpuDone(ConnId, Command),
+    /// Body-processing CPU finished for a body of this many bytes.
+    BodyCpuDone(ConnId, u64),
+    /// Disk write finished for the mail to this many recipients: it is
+    /// stored.
+    DiskDone(ConnId, u64),
     /// Master finished the delegation vector-send.
     DelegCpuDone(ConnId),
     /// The server's reply reached the client.
@@ -333,9 +333,7 @@ struct Conn {
     worker_active: bool,
     worker: Option<usize>,
     buffered: Option<Step>,
-    pending: Option<Step>,
     started: Nanos,
-    mails_recorded: u64,
     dns_was_miss: bool,
     needs_worker_setup: bool,
     cpu_used: Nanos,
@@ -371,7 +369,6 @@ struct World<'a> {
     // Hybrid state.
     smtpd_max_requests: u64,
     proc_served: std::collections::HashMap<ProcId, u64>,
-    socket_limit: usize,
     master_sockets: usize,
     workers: Vec<WorkerState>,
     worker_queue_limit: usize,
@@ -435,7 +432,6 @@ impl<'a> World<'a> {
             forks: 0,
             smtpd_max_requests: cfg.smtpd_max_requests,
             proc_served: std::collections::HashMap::new(),
-            socket_limit: cfg.socket_limit,
             master_sockets: 0,
             workers,
             worker_queue_limit: cfg.worker_queue_limit,
@@ -523,11 +519,9 @@ impl<'a> World<'a> {
     fn new_conn(&mut self, sched: &mut Scheduler<Ev>) {
         let spec = &self.trace.connections[self.next_spec % self.trace.connections.len()];
         self.next_spec += 1;
-        let mut session = ServerSession::new(SessionConfig::default());
-        session.capture_bodies(false);
         let id = self.conns.len();
         self.conns.push(Conn {
-            session,
+            session: ServerSession::new(SessionConfig::default()),
             script: build_script(spec),
             pid: MASTER,
             phase: Phase::Backlogged,
@@ -535,9 +529,7 @@ impl<'a> World<'a> {
             worker_active: false,
             worker: None,
             buffered: None,
-            pending: None,
             started: sched.now(),
-            mails_recorded: 0,
             dns_was_miss: false,
             needs_worker_setup: false,
             cpu_used: Nanos::ZERO,
@@ -573,7 +565,7 @@ impl<'a> World<'a> {
                 }
             }
             Architecture::Hybrid => {
-                if self.master_sockets < self.socket_limit {
+                if self.master_sockets < SOCKET_LIMIT {
                     self.master_sockets += 1;
                     self.conns[id].pid = MASTER;
                     self.conns[id].phase = Phase::Setup;
@@ -650,38 +642,24 @@ impl<'a> World<'a> {
         } else {
             Nanos::ZERO
         };
-        match step {
-            Step::Cmd(Command::RcptTo(_))
+        let (service, done) = match step {
+            Step::Cmd(cmd @ Command::RcptTo(_))
                 if !matches!(self.arch, Architecture::Hybrid) || self.conns[id].worker_active =>
             {
-                let service = setup + self.cost.rcpt_cpu;
-                self.conns[id].pending = Some(step);
-                self.conns[id].cpu_used += service;
-                self.cpu
-                    .submit(sched, ServiceJob::new(pid, service, Ev::CmdCpuDone(id)));
+                (self.cost.rcpt_cpu, Ev::CmdCpuDone(id, cmd))
             }
-            Step::Cmd(_) => {
-                let service = setup + self.cmd_cost(id);
-                self.conns[id].pending = Some(step);
-                self.conns[id].cpu_used += service;
-                self.cpu
-                    .submit(sched, ServiceJob::new(pid, service, Ev::CmdCpuDone(id)));
-            }
-            Step::Body(n) => {
-                let service = setup + self.cost.body_cpu(n) + self.cost.delivery_cpu;
-                self.conns[id].pending = Some(Step::Body(n));
-                self.conns[id].cpu_used += service;
-                self.cpu
-                    .submit(sched, ServiceJob::new(pid, service, Ev::BodyCpuDone(id)));
-            }
-        }
+            Step::Cmd(cmd) => (self.cmd_cost(id), Ev::CmdCpuDone(id, cmd)),
+            Step::Body(n) => (
+                self.cost.body_cpu(n) + self.cost.delivery_cpu,
+                Ev::BodyCpuDone(id, n),
+            ),
+        };
+        self.conns[id].cpu_used += setup + service;
+        self.cpu
+            .submit(sched, ServiceJob::new(pid, setup + service, done));
     }
 
-    fn handle_command(&mut self, sched: &mut Scheduler<Ev>, id: ConnId) {
-        let Some(Step::Cmd(cmd)) = self.conns[id].pending.take() else {
-            debug_assert!(false, "CmdCpuDone without a pending command");
-            return;
-        };
+    fn handle_command(&mut self, sched: &mut Scheduler<Ev>, id: ConnId, cmd: Command) {
         let is_quit = matches!(cmd, Command::Quit);
         self.conns[id].session.handle_hosted(cmd, &self.hosted);
         self.delegate_if_trusted(sched, id);
@@ -694,39 +672,19 @@ impl<'a> World<'a> {
         }
     }
 
-    fn handle_body_done(&mut self, sched: &mut Scheduler<Ev>, id: ConnId) {
-        let Some(Step::Body(n)) = self.conns[id].pending.take() else {
-            debug_assert!(false, "BodyCpuDone without a pending body");
-            return;
-        };
-        let mail_tag = format!("Q{id:X}-{}", self.conns[id].mails_recorded);
-        let reply = self.conns[id].session.finish_data_sized(&mail_tag, n);
-        if reply.code() != 250 {
-            // Oversized message rejected (552): nothing reaches the store.
-            self.send_reply(sched, id);
-            return;
-        }
-        self.conns[id].mails_recorded += 1;
-        let Some(env) = self.conns[id].session.delivered().last() else {
-            debug_assert!(false, "finish_data recorded an envelope");
+    fn handle_body_done(&mut self, sched: &mut Scheduler<Ev>, id: ConnId, n: u64) {
+        let Ok(env) = self.conns[id].session.end_data_sized(n) else {
+            // Oversized message refused (552): nothing reaches the store.
             self.send_reply(sched, id);
             return;
         };
-        let names: Vec<String> = env
-            .recipients
-            .iter()
-            .map(|a| a.local_part().to_owned())
-            .collect();
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let cost = match self.store.deliver(&name_refs, n) {
-            Ok(cost) => cost,
-            Err(_) => {
-                // A failed store keeps the session alive: count the fault
-                // and finish the transaction with zero storage work (the
-                // in-memory backends cannot actually fail).
-                self.store_failures += 1;
-                Nanos::ZERO
-            }
+        let names: Vec<&str> = env.recipients.iter().map(|a| a.local_part()).collect();
+        let Ok(cost) = self.store.deliver(&names, n) else {
+            // A refused store is a 451 and no mail (the in-memory
+            // backends cannot actually fail); the session goes on.
+            self.store_failures += 1;
+            self.send_reply(sched, id);
+            return;
         };
         // Journaled small writes are CPU-bound through the buffer cache:
         // the delivering process burns CPU for the storage cost, and the
@@ -734,8 +692,8 @@ impl<'a> World<'a> {
         self.disk_load += cost;
         let pid = self.exec_pid(id);
         self.conns[id].cpu_used += cost;
-        self.cpu
-            .submit(sched, ServiceJob::new(pid, cost, Ev::DiskDone(id)));
+        let stored = Ev::DiskDone(id, names.len() as u64);
+        self.cpu.submit(sched, ServiceJob::new(pid, cost, stored));
     }
 
     fn start_dns(&mut self, sched: &mut Scheduler<Ev>, id: ConnId) {
@@ -970,24 +928,21 @@ impl SimWorld for World<'_> {
                 self.greet(sched, id);
             }
             Ev::AtServer(id, step) => self.process_step(sched, id, step),
-            Ev::CmdCpuDone(id) => {
+            Ev::CmdCpuDone(id, cmd) => {
                 self.cpu.on_complete(sched);
-                self.handle_command(sched, id);
+                self.handle_command(sched, id, cmd);
             }
-            Ev::BodyCpuDone(id) => {
+            Ev::BodyCpuDone(id, n) => {
                 self.cpu.on_complete(sched);
-                self.handle_body_done(sched, id);
+                self.handle_body_done(sched, id, n);
             }
-            Ev::DiskDone(id) => {
+            Ev::DiskDone(id, rcpts) => {
                 self.cpu.on_complete(sched);
-                // A mail counts as delivered only once its storage work has
-                // drained; counting at submit time credits layouts for a
-                // backlog they never finish within the horizon.
-                let rcpts = self.conns[id]
-                    .session
-                    .delivered()
-                    .last()
-                    .map_or(0, |env| env.recipients.len() as u64);
+                // A mail is accepted, and counts as delivered, only once its
+                // storage work has drained; counting at submit time credits
+                // layouts for a backlog they never finish within the
+                // horizon.
+                self.conns[id].session.accept();
                 self.mails += 1;
                 self.deliveries += rcpts;
                 self.send_reply(sched, id);
@@ -1014,7 +969,6 @@ mod tests {
         assert_eq!(v.process_limit, 500);
         let h = ServerConfig::hybrid();
         assert_eq!(h.arch, Architecture::Hybrid);
-        assert_eq!(h.socket_limit, 700);
         assert_eq!(h.worker_queue_limit, 28);
         assert_eq!(h.trust_point, TrustPoint::AfterValidRcpt);
         let q = ServerConfig::qmail_like();

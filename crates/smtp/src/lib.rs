@@ -11,8 +11,12 @@
 //! servers make around it: where trust is earned
 //! ([`ServerSession::trusted`] at a [`TrustPoint`]), which recipients are
 //! hosted ([`ServerSession::handle_hosted`]), how a wire line becomes a
-//! reply ([`ServerSession::handle_line`]), and how the connection is
-//! classified ([`ServerSession::outcome`], the §4.1 taxonomy).
+//! reply ([`ServerSession::handle_line`]), when a mail is accepted (the
+//! end of `DATA`, [`ServerSession::end_data`], hands the caller the
+//! envelope; [`ServerSession::accept`] follows only once the store has
+//! the mail, so the `250` follows the store's answer), and how the
+//! connection is classified ([`ServerSession::outcome`], the §4.1
+//! taxonomy).
 //!
 //! # Example
 //!

@@ -49,7 +49,8 @@ pub enum SessionPhase {
     Closed,
 }
 
-/// One accepted mail transaction.
+/// One mail transaction whose `DATA` has ended: what the caller stores
+/// before it [accepts](ServerSession::accept) the mail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Reverse-path; `None` for the null sender.
@@ -59,7 +60,7 @@ pub struct Envelope {
     /// Message content, when captured (live server). Empty in simulation.
     pub body: Vec<u8>,
     /// Message size in bytes. In simulation this is set by
-    /// [`ServerSession::finish_data_sized`] without materializing bytes.
+    /// [`ServerSession::end_data_sized`] without materializing bytes.
     pub body_size: u64,
 }
 
@@ -69,7 +70,7 @@ pub enum DataVerdict {
     /// The line was content; keep feeding.
     More,
     /// The line was the lone-dot terminator; the message is complete.
-    /// Call [`ServerSession::finish_data`] next.
+    /// Call [`ServerSession::end_data`] next.
     Complete,
 }
 
@@ -77,7 +78,7 @@ pub enum DataVerdict {
 /// taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SessionOutcome {
-    /// At least one mail was accepted.
+    /// At least one mail was accepted: stored, and answered `250`.
     Delivered,
     /// No mail accepted, at least one `RCPT TO` drew a `550 User
     /// unknown`, and the client ended the dialogue — a bounce connection
@@ -129,6 +130,10 @@ pub enum TrustPoint {
 /// check recipients against the same set of hosted mailboxes (the local
 /// access database in the paper).
 ///
+/// The end of `DATA` ([`ServerSession::end_data`]) hands the caller the
+/// [`Envelope`]; the caller stores the mail and only if the store has it
+/// calls [`ServerSession::accept`] and answers `250` (else `451`).
+///
 /// See the crate-level example for a full dialog.
 #[derive(Debug)]
 pub struct ServerSession {
@@ -140,11 +145,11 @@ pub struct ServerSession {
     /// Content bytes of the `DATA` in flight, captured or not.
     data_size: u64,
     capture_body: bool,
-    delivered: Vec<Envelope>,
-    /// Mails accepted over the connection's lifetime. Tracked separately
-    /// from `delivered.len()` because a live server may drain envelopes
-    /// with [`ServerSession::take_last_delivered`] as they complete.
+    /// Mails stored and accepted over the connection's lifetime.
     accepted: usize,
+    /// The envelope [`ServerSession::finish_data`] kept for
+    /// [`ServerSession::take_last_delivered`].
+    last: Option<Envelope>,
     rejected_rcpts: u64,
     commands_handled: u64,
 }
@@ -160,8 +165,8 @@ impl ServerSession {
             body: Vec::new(),
             data_size: 0,
             capture_body: false,
-            delivered: Vec::new(),
             accepted: 0,
+            last: None,
             rejected_rcpts: 0,
             commands_handled: 0,
         }
@@ -203,21 +208,6 @@ impl ServerSession {
     /// Commands handled so far (used for per-command CPU accounting).
     pub fn commands_handled(&self) -> u64 {
         self.commands_handled
-    }
-
-    /// Mails accepted so far and not yet drained by
-    /// [`ServerSession::take_last_delivered`].
-    pub fn delivered(&self) -> &[Envelope] {
-        &self.delivered
-    }
-
-    /// Removes and returns the most recently accepted envelope, if any —
-    /// how the live server takes ownership of a mail for storage right
-    /// after [`ServerSession::finish_data`] returns `250`. Draining does
-    /// not change [`ServerSession::outcome`] or the transaction limit,
-    /// which count *accepted* mails, not retained ones.
-    pub fn take_last_delivered(&mut self) -> Option<Envelope> {
-        self.delivered.pop()
     }
 
     /// Donates a reusable allocation for DATA content: the next captured
@@ -391,45 +381,74 @@ impl ServerSession {
         self.data_size > MAX_MESSAGE_SIZE
     }
 
-    /// Completes the DATA phase after the terminator, recording the
-    /// transaction and returning the `250 queued` reply.
+    /// Ends the DATA phase after the terminator: hands over the envelope,
+    /// body and all, or answers `552` for a message past the limit (the
+    /// capture buffer stays, cleared, for [`ServerSession::take_body_buffer`]).
+    /// Accepts nothing; that is [`ServerSession::accept`].
     ///
     /// # Panics
     ///
     /// Panics if the session is not in the DATA phase.
-    pub fn finish_data(&mut self, mail_id: &str) -> Reply {
-        assert_eq!(self.phase, SessionPhase::Data, "finish_data outside DATA");
+    pub fn end_data(&mut self) -> Result<Envelope, Reply> {
+        assert_eq!(self.phase, SessionPhase::Data, "end_data outside DATA");
+        self.phase = SessionPhase::Greeted;
         if self.oversized() {
-            // Oversized: discard the transaction (RFC 5321 552). The
-            // capture buffer stays, cleared, for `take_body_buffer`.
             self.reset_transaction();
-            self.phase = SessionPhase::Greeted;
-            return Reply::message_too_large();
+            return Err(Reply::message_too_large());
         }
-        let size = self.data_size;
-        self.delivered.push(Envelope {
+        let body_size = std::mem::take(&mut self.data_size);
+        Ok(Envelope {
             sender: self.sender.take(),
             recipients: std::mem::take(&mut self.recipients),
             body: std::mem::take(&mut self.body),
-            body_size: size,
-        });
-        self.accepted += 1;
-        self.data_size = 0;
-        self.phase = SessionPhase::Greeted;
-        Reply::queued(mail_id)
+            body_size,
+        })
     }
 
-    /// Simulation shortcut: completes DATA with a declared size, without
-    /// feeding content lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session is not in the DATA phase.
-    pub fn finish_data_sized(&mut self, mail_id: &str, size: u64) -> Reply {
-        assert_eq!(self.phase, SessionPhase::Data, "finish_data outside DATA");
+    /// [`ServerSession::end_data`] for a declared `size` whose content
+    /// lines were never fed: how the simulation ends `DATA`.
+    pub fn end_data_sized(&mut self, size: u64) -> Result<Envelope, Reply> {
         self.data_size = size;
-        self.capture_body = false;
-        self.finish_data(mail_id)
+        self.end_data()
+    }
+
+    /// Accepts the mail the last [`ServerSession::end_data`] handed over;
+    /// call it only once the store has the mail. Only accepted mails make
+    /// a connection [`SessionOutcome::Delivered`] and count against the
+    /// limit on transactions per connection.
+    pub fn accept(&mut self) {
+        self.accepted += 1;
+    }
+
+    /// [`ServerSession::end_data`] and [`ServerSession::accept`] with no
+    /// store between them, answering `250` with `mail_id`; the envelope is
+    /// kept for [`ServerSession::take_last_delivered`]. For the benchmark's
+    /// layer probes only, until they move to the calls above.
+    pub fn finish_data(&mut self, mail_id: &str) -> Reply {
+        let ended = self.end_data();
+        self.keep_last(ended, mail_id)
+    }
+
+    /// [`ServerSession::finish_data`] over [`ServerSession::end_data_sized`].
+    pub fn finish_data_sized(&mut self, mail_id: &str, size: u64) -> Reply {
+        let ended = self.end_data_sized(size);
+        self.keep_last(ended, mail_id)
+    }
+
+    /// The envelope the last [`ServerSession::finish_data`] kept, if any.
+    pub fn take_last_delivered(&mut self) -> Option<Envelope> {
+        self.last.take()
+    }
+
+    fn keep_last(&mut self, ended: Result<Envelope, Reply>, mail_id: &str) -> Reply {
+        ended.map_or_else(
+            |refused| refused,
+            |env| {
+                self.accept();
+                self.last = Some(env);
+                Reply::queued(mail_id)
+            },
+        )
     }
 
     /// Classifies the connection per the paper's taxonomy — the one
@@ -495,12 +514,16 @@ mod tests {
         assert_eq!(s.data_line(b""), DataVerdict::More);
         assert_eq!(s.data_line(b"body"), DataVerdict::More);
         assert_eq!(s.data_line(b"."), DataVerdict::Complete);
-        let r = s.finish_data("M1");
-        assert_eq!(r.code(), 250);
+        let env = s.end_data().unwrap();
+        assert_eq!(env.recipients.len(), 1);
+        assert_eq!(
+            s.outcome(true),
+            SessionOutcome::Unfinished,
+            "not stored yet"
+        );
+        s.accept();
         assert_eq!(s.handle(Command::Quit, &all_exist).code(), 221);
         assert_eq!(s.outcome(true), SessionOutcome::Delivered);
-        assert_eq!(s.delivered().len(), 1);
-        assert_eq!(s.delivered()[0].recipients.len(), 1);
     }
 
     #[test]
@@ -585,9 +608,9 @@ mod tests {
             assert_eq!(r.code(), 250);
         }
         s.handle(Command::Data, &all_exist);
-        s.finish_data_sized("M1", 4096);
-        assert_eq!(s.delivered()[0].recipients.len(), 7);
-        assert_eq!(s.delivered()[0].body_size, 4096);
+        let env = s.end_data_sized(4096).unwrap();
+        assert_eq!(env.recipients.len(), 7);
+        assert_eq!(env.body_size, 4096);
     }
 
     #[test]
@@ -646,24 +669,56 @@ mod tests {
         );
     }
 
+    fn end_one(s: &mut ServerSession) -> Envelope {
+        assert_eq!(s.handle(Command::mail_from(None), &all_exist).code(), 250);
+        s.handle(Command::rcpt_to(addr("u@d.example")), &all_exist);
+        s.handle(Command::Data, &all_exist);
+        s.end_data_sized(10).unwrap()
+    }
+
     #[test]
-    fn draining_envelopes_preserves_outcome_and_limits() {
+    fn only_accepted_mails_count_against_the_transaction_limit() {
         let mut s = greeted();
-        for t in 0..MAX_TRANSACTIONS {
-            s.handle(Command::mail_from(None), &all_exist);
-            s.handle(Command::rcpt_to(addr("u@d.example")), &all_exist);
-            s.handle(Command::Data, &all_exist);
-            s.finish_data_sized(&format!("M{t}"), 10);
-            // Live-server style: take ownership immediately.
-            let env = s.take_last_delivered().unwrap();
-            assert_eq!(env.body_size, 10);
-            assert!(s.delivered().is_empty());
+        // Mails the store refused are ended but never accepted.
+        for _ in 0..2 * MAX_TRANSACTIONS {
+            assert_eq!(end_one(&mut s).body_size, 10);
         }
-        // Every accepted mail counts against MAX_TRANSACTIONS even though
-        // the delivered list was drained.
+        assert_eq!(s.outcome(true), SessionOutcome::Unfinished);
+        for _ in 0..MAX_TRANSACTIONS {
+            end_one(&mut s);
+            s.accept();
+        }
         assert_eq!(s.handle(Command::mail_from(None), &all_exist).code(), 452);
         assert_eq!(s.outcome(true), SessionOutcome::Delivered);
+    }
+
+    /// The benchmark's layer probes end `DATA` through the three shims:
+    /// one `250` on the wire, the envelope taken once.
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pins the shims benchmark/src/layers.rs calls"
+    )]
+    fn the_benchmark_shims_answer_250_and_hand_over_the_envelope() {
+        let mut s = greeted();
+        s.capture_bodies(true);
+        s.handle(Command::mail_from(None), &all_exist);
+        s.handle(Command::rcpt_to(addr("u@d.example")), &all_exist);
+        s.handle(Command::Data, &all_exist);
+        s.data_line(b"hi");
+        assert_eq!(s.data_line(b"."), DataVerdict::Complete);
+        let mut wire = Vec::new();
+        s.finish_data("1").write_wire(&mut wire);
+        assert_eq!(wire, Reply::queued("1").to_wire().as_bytes());
+        let env = s.take_last_delivered().unwrap();
+        assert_eq!(env.body.as_slice(), b"hi\r\n");
         assert_eq!(s.take_last_delivered(), None);
+        assert_eq!(s.outcome(true), SessionOutcome::Delivered);
+        s.handle(Command::mail_from(None), &all_exist);
+        s.handle(Command::rcpt_to(addr("u@d.example")), &all_exist);
+        s.handle(Command::Data, &all_exist);
+        assert_eq!(s.finish_data_sized("2", 4096).code(), 250);
+        assert_eq!(s.take_last_delivered().unwrap().body_size, 4096);
     }
 
     #[test]
@@ -676,8 +731,7 @@ mod tests {
         s.handle(Command::Data, &all_exist);
         s.data_line(b"hello");
         s.data_line(b".");
-        s.finish_data("M1");
-        let env = s.take_last_delivered().unwrap();
+        let env = s.end_data().unwrap();
         assert_eq!(env.body.as_slice(), b"hello\r\n");
         assert!(env.body.capacity() >= 4096, "body grew into the donation");
     }
@@ -692,20 +746,18 @@ mod tests {
         s.data_line(b"kept");
         s.provide_body_buffer(Vec::with_capacity(64));
         s.data_line(b".");
-        s.finish_data("M1");
-        assert_eq!(s.delivered()[0].body.as_slice(), b"kept\r\n");
+        assert_eq!(s.end_data().unwrap().body.as_slice(), b"kept\r\n");
     }
 
     #[test]
     fn multiple_transactions_per_connection() {
         let mut s = greeted();
-        for t in 0..3 {
-            s.handle(Command::mail_from(None), &all_exist);
-            s.handle(Command::rcpt_to(addr("u@d.example")), &all_exist);
-            s.handle(Command::Data, &all_exist);
-            s.finish_data_sized(&format!("M{t}"), 100);
+        for _ in 0..3 {
+            end_one(&mut s);
+            s.accept();
         }
-        assert_eq!(s.delivered().len(), 3);
+        assert_eq!(s.accepted, 3);
+        assert_eq!(s.outcome(true), SessionOutcome::Delivered);
     }
 
     #[test]
@@ -717,8 +769,7 @@ mod tests {
         s.handle(Command::Data, &all_exist);
         s.data_line(b"..leading dot");
         s.data_line(b".");
-        s.finish_data("M1");
-        let body = &s.delivered()[0].body;
+        let body = s.end_data().unwrap().body;
         assert_eq!(body.as_slice(), b".leading dot\r\n");
     }
 
@@ -741,10 +792,10 @@ mod tests {
         s.handle(Command::Data, &all_exist);
         s.data_line(b"12345");
         s.data_line(b".");
-        s.finish_data("M1");
+        let env = s.end_data().unwrap();
         // 5 content bytes + CRLF.
-        assert_eq!(s.delivered()[0].body_size, 7);
-        assert!(s.delivered()[0].body.is_empty());
+        assert_eq!(env.body_size, 7);
+        assert!(env.body.is_empty());
     }
 }
 
@@ -771,9 +822,8 @@ mod size_limit_tests {
     #[test]
     fn oversized_message_draws_552_and_is_discarded() {
         let mut s = to_data_phase();
-        let reply = s.finish_data_sized("M1", MAX_MESSAGE_SIZE + 1);
-        assert_eq!(reply.code(), 552);
-        assert!(s.delivered().is_empty());
+        let refused = s.end_data_sized(MAX_MESSAGE_SIZE + 1).unwrap_err();
+        assert_eq!(refused.code(), 552);
         // Session is usable for the next transaction.
         assert_eq!(s.phase(), SessionPhase::Greeted);
         assert_eq!(s.outcome(true), SessionOutcome::Unfinished);
@@ -782,8 +832,8 @@ mod size_limit_tests {
     #[test]
     fn message_at_limit_is_accepted() {
         let mut s = to_data_phase();
-        assert_eq!(s.finish_data_sized("M1", MAX_MESSAGE_SIZE).code(), 250);
-        assert_eq!(s.delivered().len(), 1);
+        let env = s.end_data_sized(MAX_MESSAGE_SIZE).unwrap();
+        assert_eq!(env.body_size, MAX_MESSAGE_SIZE);
     }
 
     #[test]
@@ -801,8 +851,7 @@ mod size_limit_tests {
             );
         }
         assert_eq!(s.data_line(b"."), DataVerdict::Complete);
-        assert_eq!(s.finish_data("M1").code(), 552);
-        assert!(s.delivered().is_empty());
+        assert_eq!(s.end_data().unwrap_err().code(), 552);
         // The buffer is handed back, empty, for its owner to recycle.
         let buf = s.take_body_buffer();
         assert!(buf.is_empty() && buf.capacity() > 0);
@@ -818,8 +867,8 @@ mod size_limit_tests {
             s.data_line(&[b'a'; 1022]);
         }
         s.data_line(b".");
-        assert_eq!(s.finish_data("M1").code(), 250);
-        assert_eq!(s.delivered()[0].body.len() as u64, MAX_MESSAGE_SIZE);
-        assert_eq!(s.delivered()[0].body_size, MAX_MESSAGE_SIZE);
+        let env = s.end_data().unwrap();
+        assert_eq!(env.body.len() as u64, MAX_MESSAGE_SIZE);
+        assert_eq!(env.body_size, MAX_MESSAGE_SIZE);
     }
 }

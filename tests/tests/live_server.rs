@@ -312,7 +312,7 @@ fn a_zeroed_limit_is_refused_and_leaves_no_thread_behind() {
             .count()
     };
     type Zero = fn(&mut LiveConfig);
-    let cases: [(&str, Zero); 7] = [
+    let cases: [(&str, Zero); 8] = [
         ("workers", |c| c.workers = 0),
         ("worker_queue", |c| c.worker_queue = 0),
         ("max_connections", |c| c.max_connections = 0),
@@ -322,6 +322,8 @@ fn a_zeroed_limit_is_refused_and_leaves_no_thread_behind() {
         ("write_stall_timeout", |c| {
             c.write_stall_timeout = Duration::ZERO
         }),
+        // The shared log's own name: every mail to it would draw a 451.
+        ("mailboxes", |c| c.mailboxes.push("shmailbox".into())),
     ];
     let root = spool("refused");
     for (field, zero) in cases {
@@ -335,11 +337,11 @@ fn a_zeroed_limit_is_refused_and_leaves_no_thread_behind() {
             let refused = LiveServer::start(cfg).err();
             assert!(
                 matches!(refused, Some(ServeError::Config(_))),
-                "{field} = 0: {refused:?}"
+                "{field}: {refused:?}"
             );
             threads() <= before
         });
-        assert!(left_nothing, "{field} = 0 left a thread behind");
+        assert!(left_nothing, "refused {field} left a thread behind");
     }
     assert!(!root.exists(), "a refused start touched the spool");
 }

@@ -268,3 +268,22 @@ fn live_server_queries_real_udp_dnsbl() {
     dnsbl.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }
+
+#[test]
+fn a_mailbox_the_store_cannot_hold_is_refused_at_start() {
+    let (smtp, root) = serve("pop3-refused", &["alice"], |_| {});
+    for name in ["shmailbox", "", "a/b"] {
+        let refused = Pop3Server::start(
+            "127.0.0.1:0".parse().expect("addr"),
+            smtp.store(),
+            vec!["alice".to_owned(), name.to_owned()],
+        )
+        .err();
+        assert!(
+            matches!(refused, Some(spamaware_core::ServeError::Config(_))),
+            "{name:?}: {refused:?}"
+        );
+    }
+    smtp.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+}

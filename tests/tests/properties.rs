@@ -321,36 +321,54 @@ fn arb_command() -> impl Strategy<Value = Command> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
+    /// `whole` runs a whole transaction per entry first, enough to reach
+    /// the limit on transactions per connection; then `cmds` is an
+    /// arbitrary dialog. Each entry's flag says whether the store takes
+    /// the mail whose `DATA` it ends.
     #[test]
     fn session_fsm_total_under_arbitrary_dialogs(
-        cmds in proptest::collection::vec(arb_command(), 0..40)
+        whole in proptest::collection::vec(any::<bool>(), 0..220),
+        cmds in proptest::collection::vec((arb_command(), any::<bool>()), 0..40)
     ) {
         use spamaware_smtp::{ServerSession, SessionConfig, SessionOutcome, SessionPhase};
+        const MAX_TRANSACTIONS: u64 = 100;
         let exists = |a: &MailAddr| a.local_part().starts_with("user");
         let mut s = ServerSession::new(SessionConfig::default());
-        let mut rejected = 0u64;
-        for cmd in cmds {
-            if s.phase() == SessionPhase::Data {
-                // Complete the transaction the way the engine does.
-                let _ = s.finish_data_sized("M", 128);
-            }
+        let (mut rejected, mut accepted) = (0u64, 0u64);
+        let helo = [(Command::helo("c.example"), false)];
+        let transactions = whole.iter().flat_map(|&stored| {
+            [Command::mail_from(None), Command::rcpt_to("user0@dept.example".parse().expect("valid")), Command::Data]
+                .map(|cmd| (cmd, stored))
+        });
+        let dialog = helo.into_iter().filter(|_| !whole.is_empty()).chain(transactions).chain(cmds);
+        for (cmd, stored) in dialog {
+            let fresh_mail = s.phase() == SessionPhase::Greeted && matches!(cmd, Command::MailFrom(_));
             let reply = s.handle(cmd, &exists);
-            if reply.code() == 550 {
-                rejected += 1;
+            match reply.code() {
+                550 => rejected += 1,
+                452 if fresh_mail => prop_assert!(accepted >= MAX_TRANSACTIONS, "452 after {} stored mails", accepted),
+                _ => prop_assert!(!fresh_mail || accepted < MAX_TRANSACTIONS, "MAIL after {} stored mails: {}", accepted, reply.code()),
+            }
+            if s.phase() == SessionPhase::Data {
+                // End the transaction the way the engine does; only a mail
+                // the store took is accepted.
+                if s.end_data_sized(128).is_ok() && stored {
+                    s.accept();
+                    accepted += 1;
+                }
             }
         }
         prop_assert_eq!(s.rejected_rcpts(), rejected);
-        let delivered = s.delivered().len();
         for ended_by_client in [true, false] {
             match s.outcome(ended_by_client) {
-                SessionOutcome::Delivered => prop_assert!(delivered > 0),
+                SessionOutcome::Delivered => prop_assert!(accepted > 0),
                 SessionOutcome::Bounce => {
                     prop_assert!(ended_by_client, "an eviction is never a bounce");
-                    prop_assert_eq!(delivered, 0);
+                    prop_assert_eq!(accepted, 0);
                     prop_assert!(rejected > 0);
                 }
                 SessionOutcome::Unfinished => {
-                    prop_assert_eq!(delivered, 0);
+                    prop_assert_eq!(accepted, 0);
                     prop_assert!(!ended_by_client || rejected == 0);
                 }
             }

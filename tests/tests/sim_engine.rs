@@ -20,7 +20,7 @@ use spamaware_core::pretrust::{run_pretrust, EngineCtx, Trusted};
 use spamaware_core::reactor::sim::{SimConn, SimEvent, SimReactor};
 use spamaware_core::{BufferPool, LiveStats, ShardedStore, SyncBackend, TrustPoint};
 use spamaware_metrics::{ManualClock, Registry};
-use spamaware_mfs::MemFs;
+use spamaware_mfs::{Backend, FaultyBackend, MemFs};
 use spamaware_server::{build_script, ClientModel, ServerConfig, Step};
 use spamaware_sim::Nanos;
 use spamaware_trace::{
@@ -910,6 +910,19 @@ impl Harness {
     /// (and a fresh `MemFs` store) until the next `Stop`. Both halves are
     /// the production loops; only the thread boundary is gone.
     fn run_through_the_seam(&mut self, cfg: &WorkerConfig) -> Arc<SimStore> {
+        let fs = SyncBackend::new(MemFs::new());
+        let store = Arc::new(ShardedStore::open_with(2, || Ok(fs.clone())).expect("memfs store"));
+        self.run_through_the_seam_into(cfg, Arc::clone(&store));
+        store
+    }
+
+    /// [`Harness::run_through_the_seam`] with the worker delivering into
+    /// `store`.
+    fn run_through_the_seam_into<B: Backend>(
+        &mut self,
+        cfg: &WorkerConfig,
+        store: Arc<ShardedStore<B>>,
+    ) {
         let (tx, rx) = sync_channel(cfg.queue);
         let delegated = Arc::clone(&self.stats.delegated);
         let clock = Arc::clone(&self.registry);
@@ -920,11 +933,9 @@ impl Harness {
             })
         });
         self.ctx.stop.store(false, Ordering::SeqCst);
-        let fs = SyncBackend::new(MemFs::new());
-        let store = Arc::new(ShardedStore::open_with(2, || Ok(fs.clone())).expect("memfs store"));
         let ctx = WorkerCtx {
             rx,
-            store: Arc::clone(&store),
+            store,
             stats: Arc::clone(&self.stats),
             next_id: Arc::new(AtomicU64::new(1)),
             mailboxes: Arc::clone(&self.ctx.mailboxes),
@@ -941,7 +952,6 @@ impl Harness {
         };
         run_posttrust(&mut self.reactor, ctx);
         self.assert_conserved();
-        store
     }
 }
 
@@ -1236,6 +1246,50 @@ fn posttrust_history_replays_byte_identically() {
         a.1
     );
     assert!(a.3.ends_with(R421), "{}", a.3);
+}
+
+/// A mail is accepted when the store has it: a store that refuses every
+/// write answers the body with `451`, stores nothing, and leaves the
+/// connection unfinished. Before the store's answer picked the reply, the
+/// session had already counted the mail, so the connection read as
+/// delivered.
+#[test]
+fn a_mail_the_store_refuses_is_a_451_and_no_delivery() {
+    let script = vec![
+        connect(SEC, 1),
+        data(2 * SEC, 1, TRUST_BURST),
+        (3 * SEC, SimEvent::Stop),
+        data(
+            4 * SEC,
+            1,
+            b"Subject: refused\r\n\r\nhello\r\n.\r\nQUIT\r\n",
+        ),
+        (5 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    // Replay only reads, so the store opens; every write then fails.
+    let fs = SyncBackend::new(MemFs::new());
+    let store = ShardedStore::open_with(2, || {
+        let mut handle = FaultyBackend::new(fs.clone());
+        handle.plan_mut().fail_writes = true;
+        Ok(handle)
+    })
+    .expect("a store with no writes yet opens");
+    h.run_through_the_seam_into(&WorkerConfig::default(), Arc::new(store));
+
+    let out = h.output_text(1);
+    let codes: Vec<&str> = out.lines().map(|l| &l[..3]).collect();
+    assert_eq!(
+        codes,
+        ["220", "250", "250", "250", "354", "451", "221"],
+        "{out}"
+    );
+    let snap = h.stats.snapshot();
+    assert_eq!(snap.delegated, 1, "the valid RCPT earned trust");
+    assert_eq!(
+        (snap.mails_stored, snap.delivered, snap.unfinished),
+        (0, 0, 1)
+    );
 }
 
 /// A session trusted after one `550` that quits before `DATA` is the same
