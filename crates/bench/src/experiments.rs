@@ -5,7 +5,7 @@ use crate::experiment::{self, default_dnsbl, CombinedWorkload, Fig10Point, Scale
 use crate::{banner, thin_cdf};
 use rand::Rng;
 use spamaware_dnsbl::{width_analysis, CacheScheme, CachingResolver};
-use spamaware_mfs::{DiskProfile, Layout};
+use spamaware_mfs::{DiskProfile, Layout, MfsStore};
 use spamaware_server::{run, ClientModel, ServerConfig, SimStore, TrustPoint};
 use spamaware_sim::{det_rng, Nanos};
 use spamaware_trace::{bounce_sweep_trace, MailSizeModel, RcptCountModel, SinkholeConfig};
@@ -702,7 +702,9 @@ pub(crate) fn ablation_mfs_threshold(out: &mut dyn Write, scale: Scale) -> io::R
     writeln!(out, "  threshold   disk time    appends    vs paper design")?;
     let mut baseline = None;
     for threshold in [1usize, 2, 4, 8] {
-        let mut store = SimStore::with_mfs_threshold(Layout::Mfs, DiskProfile::ext3(), threshold);
+        let mut store = SimStore::with_store(DiskProfile::ext3(), |disk| {
+            Box::new(MfsStore::new(disk).with_share_threshold(threshold))
+        });
         let refs: Vec<&str> = boxes.iter().map(String::as_str).collect();
         store.prewarm(&refs).expect("prewarm");
         let mut total = Nanos::ZERO;

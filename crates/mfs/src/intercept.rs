@@ -14,6 +14,8 @@
 //! header and body.
 
 use crate::{Backend, DataRef, StoreError, StoreResult};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Which [`Backend`] method is being called: one variant per method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +94,21 @@ pub trait Policy {
     /// found no file at its path (always `false` unless
     /// [`Policy::WANTS_CREATED`]).
     fn after(&mut self, _call: Call<'_>, _ok: bool, _created: bool) {}
+}
+
+/// A policy with more than one handle: the [`Intercept`] consults one
+/// clone, and its owner reads the tally through another (how the DES
+/// prices a layout it holds only as a `Box<dyn MailStore>`).
+impl<P: Policy> Policy for Rc<RefCell<P>> {
+    const WANTS_CREATED: bool = P::WANTS_CREATED;
+
+    fn before(&mut self, call: Call<'_>) -> Verdict {
+        self.borrow_mut().before(call)
+    }
+
+    fn after(&mut self, call: Call<'_>, ok: bool, created: bool) {
+        self.borrow_mut().after(call, ok, created);
+    }
 }
 
 /// A [`Backend`] whose every operation passes through a [`Policy`].

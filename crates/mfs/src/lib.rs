@@ -99,7 +99,10 @@ impl Layout {
     /// All four layouts in the paper's presentation order.
     pub const ALL: [Layout; 4] = [Layout::Mfs, Layout::Mbox, Layout::Maildir, Layout::Hardlink];
 
-    /// Builds a boxed store of this layout over the given backend.
+    /// Builds a boxed store of this layout over the given backend: the one
+    /// place a [`Layout`] becomes a store. The DES builds every layout here
+    /// over a size-only [`MemFs`] priced by a shared [`Meter`], so it
+    /// compiles against [`MailStore`] alone.
     pub fn build<B: Backend + 'static>(self, backend: B) -> Box<dyn MailStore> {
         match self {
             Layout::Mbox => Box::new(MboxStore::new(backend)),

@@ -7,7 +7,7 @@
 //! many-small-file workloads while Reiser excels. [`DiskProfile`] encodes
 //! per-operation costs; [`Metered`] wraps any [`Backend`] and accumulates
 //! both operation counts and total virtual time, which the DES charges to
-//! its disk resource. Only operations that succeeded are counted or
+//! the delivering process. Only operations that succeeded are counted or
 //! charged.
 
 use crate::intercept::{Call, Intercept, Op, Policy, Verdict};
@@ -130,6 +130,32 @@ pub struct Meter {
 }
 
 impl Meter {
+    /// A meter pricing by `profile`, its tally at zero.
+    pub fn new(profile: DiskProfile) -> Meter {
+        Meter {
+            profile,
+            counts: OpCounts::default(),
+            cost: Nanos::ZERO,
+        }
+    }
+
+    /// Accumulated operation counts.
+    pub fn counts(&self) -> OpCounts {
+        self.counts
+    }
+
+    /// Returns and resets the accumulated cost (the DES drains this after
+    /// each delivery to charge the delivering process).
+    pub fn take_cost(&mut self) -> Nanos {
+        std::mem::replace(&mut self.cost, Nanos::ZERO)
+    }
+
+    /// Resets counts and cost to zero (after pre-warming steady-state
+    /// structures like pre-existing mailbox files).
+    pub fn reset(&mut self) {
+        *self = Meter::new(self.profile);
+    }
+
     fn wrote(&mut self, bytes: u64) {
         self.counts.appends += 1;
         self.counts.bytes_written += bytes;
@@ -197,18 +223,12 @@ impl Policy for Meter {
 impl<B: Backend> Metered<B> {
     /// Wraps `inner` with the given cost profile.
     pub fn new(inner: B, profile: DiskProfile) -> Metered<B> {
-        let (counts, cost) = (OpCounts::default(), Nanos::ZERO);
-        let meter = Meter {
-            profile,
-            counts,
-            cost,
-        };
-        Intercept::with_policy(inner, meter)
+        Intercept::with_policy(inner, Meter::new(profile))
     }
 
     /// Accumulated operation counts.
     pub fn counts(&self) -> OpCounts {
-        self.policy().counts
+        self.policy().counts()
     }
 
     /// Total accumulated virtual-time cost.
@@ -216,18 +236,14 @@ impl<B: Backend> Metered<B> {
         self.policy().cost
     }
 
-    /// Returns and resets the accumulated cost (the DES drains this after
-    /// each storage action to charge its disk resource).
+    /// Returns and resets the accumulated cost.
     pub fn take_cost(&mut self) -> Nanos {
-        std::mem::replace(&mut self.policy_mut().cost, Nanos::ZERO)
+        self.policy_mut().take_cost()
     }
 
-    /// Resets counts and cost to zero (after pre-warming steady-state
-    /// structures like pre-existing mailbox files).
+    /// Resets counts and cost to zero.
     pub fn reset_accounting(&mut self) {
-        let meter = self.policy_mut();
-        meter.counts = OpCounts::default();
-        meter.cost = Nanos::ZERO;
+        self.policy_mut().reset();
     }
 }
 
@@ -235,6 +251,8 @@ impl<B: Backend> Metered<B> {
 mod tests {
     use super::*;
     use crate::{DataRef, MemFs};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn ext3_penalizes_creation_reiser_does_not() {
@@ -309,6 +327,21 @@ mod tests {
         two.append("fresh", DataRef::Zeros(5))?;
         assert_eq!(one.counts(), two.counts());
         assert_eq!(one.cost(), two.cost());
+        Ok(())
+    }
+
+    #[test]
+    fn a_shared_meter_reads_what_its_backend_charged() -> Result<(), Box<dyn std::error::Error>> {
+        let meter = Rc::new(RefCell::new(Meter::new(DiskProfile::ext3())));
+        let mut shared = Intercept::with_policy(MemFs::new(), Rc::clone(&meter));
+        let mut owned = Metered::new(MemFs::new(), DiskProfile::ext3());
+        for d in [&mut shared as &mut dyn Backend, &mut owned] {
+            d.append("f", DataRef::Zeros(2048))?;
+            d.link("f", "g")?;
+        }
+        assert_eq!(meter.borrow().counts(), owned.counts());
+        assert_eq!(meter.borrow_mut().take_cost(), owned.take_cost());
+        assert_eq!(shared.policy().borrow().cost, Nanos::ZERO);
         Ok(())
     }
 

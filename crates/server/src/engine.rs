@@ -2,11 +2,11 @@
 //! trace workloads through closed- or open-system clients.
 //!
 //! One [`World`] instance models the whole testbed of paper §3: the server
-//! CPU (a FIFO resource with context-switch accounting), the disk (a FIFO
-//! resource fed by the storage layout's metered costs), the 30 ms-RTT
-//! network, the DNSBL resolver path, and the client population. The two
-//! architectures differ only in who executes each connection's server-side
-//! work:
+//! CPU (a FIFO resource with context-switch accounting), the disk (the
+//! storage layout's metered cost per delivery, charged to the delivering
+//! process's CPU), the 30 ms-RTT network, the DNSBL resolver path, and the
+//! client population. The two architectures differ only in who executes
+//! each connection's server-side work:
 //!
 //! * **Vanilla** (Fig. 6): every accepted connection gets a dedicated
 //!   (recycled) smtpd process; every command runs under that process id,
@@ -154,55 +154,11 @@ pub enum ClientModel {
     },
 }
 
-/// Snapshot of DNSBL resolver statistics for a report.
-#[derive(Debug, Clone)]
-pub struct DnsReport {
-    /// Lookups performed.
-    pub lookups: u64,
-    /// Cache hits.
-    pub hits: u64,
-    /// Queries issued to the DNSBL.
-    pub queries_issued: u64,
-    /// Lookup-latency distribution (ns).
-    pub latency_ns: Readout,
-}
-
-impl DnsReport {
-    fn from_stats(s: ResolverStats) -> DnsReport {
-        DnsReport {
-            lookups: s.lookups,
-            hits: s.hits,
-            queries_issued: s.queries_issued,
-            latency_ns: s.latency_ns,
-        }
-    }
-
-    /// Cache hit ratio.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
-    /// Fraction of lookups that issued a DNS query.
-    pub fn query_fraction(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.queries_issued as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// Results of one simulated run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Architecture that ran.
     pub arch: Architecture,
-    /// Storage layout that ran.
-    pub layout: Layout,
     /// Wall-clock (virtual) duration.
     pub duration: Nanos,
     /// Connections fully completed.
@@ -217,9 +173,6 @@ pub struct RunReport {
     pub mails: u64,
     /// Mailbox deliveries (mails × recipients).
     pub deliveries: u64,
-    /// Deliveries the store rejected with an error (0 for the in-memory
-    /// backends; counted instead of panicking).
-    pub store_failures: u64,
     /// CPU context switches.
     pub context_switches: u64,
     /// Processes forked (the pool growing).
@@ -234,12 +187,10 @@ pub struct RunReport {
     pub cpu_bounce: Nanos,
     /// CPU consumed by unfinished connections.
     pub cpu_unfinished: Nanos,
-    /// Disk busy time.
-    pub disk_busy: Nanos,
     /// Backend operation counts.
     pub disk_ops: OpCounts,
     /// DNSBL statistics, when enabled.
-    pub dns: Option<DnsReport>,
+    pub dns: Option<ResolverStats>,
     /// Session duration distribution (ns), completed connections.
     pub session_ns: Readout,
 }
@@ -352,7 +303,6 @@ struct World<'a> {
     /// The hosted mailbox names `RCPT TO` is checked against.
     hosted: HashSet<String>,
     cpu: FifoResource<Ev>,
-    disk_load: Nanos,
     store: SimStore,
     resolver: Option<CachingResolver>,
     dns_server: Option<DnsblServer>,
@@ -385,12 +335,10 @@ struct World<'a> {
     unfinished: u64,
     mails: u64,
     deliveries: u64,
-    store_failures: u64,
     cpu_delivering: Nanos,
     cpu_bounce: Nanos,
     cpu_unfinished: Nanos,
     session_ns: LogHistogram,
-    layout: Layout,
     /// Trace-spec index of each connection (for client IP lookups).
     spec_of: Vec<usize>,
 }
@@ -417,7 +365,6 @@ impl<'a> World<'a> {
             cost: cfg.cost,
             hosted: HashSet::new(),
             cpu: FifoResource::new(cfg.cost.context_switch),
-            disk_load: Nanos::ZERO,
             store: SimStore::new(cfg.layout, cfg.disk),
             resolver,
             dns_server,
@@ -446,12 +393,10 @@ impl<'a> World<'a> {
             unfinished: 0,
             mails: 0,
             deliveries: 0,
-            store_failures: 0,
             cpu_delivering: Nanos::ZERO,
             cpu_bounce: Nanos::ZERO,
             cpu_unfinished: Nanos::ZERO,
             session_ns: LogHistogram::new(),
-            layout: cfg.layout,
             spec_of: Vec::new(),
         }
     }
@@ -490,7 +435,6 @@ impl<'a> World<'a> {
         );
         RunReport {
             arch: self.arch,
-            layout: self.layout,
             duration,
             connections: self.connections,
             delivered_connections: self.delivered_connections,
@@ -498,19 +442,14 @@ impl<'a> World<'a> {
             unfinished: self.unfinished,
             mails: self.mails,
             deliveries: self.deliveries,
-            store_failures: self.store_failures,
             context_switches: self.cpu.stats().context_switches,
             forks: self.forks,
             cpu_busy: self.cpu.stats().busy,
             cpu_delivering: self.cpu_delivering,
             cpu_bounce: self.cpu_bounce,
             cpu_unfinished: self.cpu_unfinished,
-            disk_busy: self.disk_load,
             disk_ops: self.store.op_counts(),
-            dns: self
-                .resolver
-                .as_ref()
-                .map(|r| DnsReport::from_stats(r.stats())),
+            dns: self.resolver.as_ref().map(CachingResolver::stats),
             session_ns: Readout::from(&self.session_ns),
         }
     }
@@ -682,14 +621,11 @@ impl<'a> World<'a> {
         let Ok(cost) = self.store.deliver(&names, n) else {
             // A refused store is a 451 and no mail (the in-memory
             // backends cannot actually fail); the session goes on.
-            self.store_failures += 1;
             self.send_reply(sched, id);
             return;
         };
         // Journaled small writes are CPU-bound through the buffer cache:
-        // the delivering process burns CPU for the storage cost, and the
-        // disk resource tracks the same work for utilization reporting.
-        self.disk_load += cost;
+        // the delivering process burns CPU for the storage cost.
         let pid = self.exec_pid(id);
         self.conns[id].cpu_used += cost;
         let stored = Ev::DiskDone(id, names.len() as u64);
@@ -1014,17 +950,5 @@ mod tests {
             ClientModel::Open { rate_per_sec: 0.0 },
             Nanos::from_secs(1),
         );
-    }
-
-    #[test]
-    fn dns_report_ratios() {
-        let r = DnsReport {
-            lookups: 100,
-            hits: 80,
-            queries_issued: 20,
-            latency_ns: Readout::default(),
-        };
-        assert!((r.hit_ratio() - 0.8).abs() < 1e-12);
-        assert!((r.query_fraction() - 0.2).abs() < 1e-12);
     }
 }

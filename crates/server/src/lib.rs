@@ -2,7 +2,11 @@
 #![deny(clippy::unreachable, clippy::iter_over_hash_type)]
 //! The simulated mail server: vanilla process-per-connection and hybrid
 //! fork-after-trust architectures (paper §5) over the DES kernel, with
-//! integrated DNSBL lookups (§7) and pluggable mailbox storage (§6).
+//! integrated DNSBL lookups (§7) and pluggable mailbox storage (§6): each
+//! run's [`SimStore`] holds the layout [`spamaware_mfs::Layout::build`]
+//! makes, so the DES compiles against [`spamaware_mfs::MailStore`] alone
+//! and reads each delivery's cost through the one [`spamaware_mfs::Meter`]
+//! it shares with the layout's backend.
 //!
 //! # Example
 //!
@@ -28,7 +32,7 @@ mod script;
 mod storage;
 
 pub use cost::CostModel;
-pub use engine::{run, Architecture, ClientModel, DnsConfig, DnsReport, RunReport, ServerConfig};
+pub use engine::{run, Architecture, ClientModel, DnsConfig, RunReport, ServerConfig};
 pub use script::{build_script, guess_addr, rcpt_addr, Step};
 pub use spamaware_smtp::TrustPoint;
 pub use storage::SimStore;

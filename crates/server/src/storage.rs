@@ -1,20 +1,13 @@
-//! Storage integration for the simulated server: the four mailbox layouts
-//! over a metered in-memory backend, delivering size-only bodies.
+//! Storage integration for the simulated server: a mailbox layout, built
+//! by [`Layout::build`], over a size-only in-memory backend whose meter
+//! the store shares, delivering size-only bodies.
 
 use spamaware_mfs::{
-    DataRef, DiskProfile, HardlinkStore, Layout, MailId, MailStore, MaildirStore, MboxStore, MemFs,
-    Metered, MfsStore, OpCounts, StoreResult,
+    DataRef, DiskProfile, Intercept, Layout, MailId, MailStore, MemFs, Meter, OpCounts, StoreResult,
 };
 use spamaware_sim::Nanos;
-
-enum Inner {
-    Mbox(MboxStore<Metered<MemFs>>),
-    Maildir(MaildirStore<Metered<MemFs>>),
-    Hardlink(HardlinkStore<Metered<MemFs>>),
-    // Boxed: MfsStore is much larger than the other layouts
-    // (clippy::large_enum_variant).
-    Mfs(Box<MfsStore<Metered<MemFs>>>),
-}
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A mailbox store wired for simulation: size-only bodies, per-delivery
 /// virtual-time cost extraction, and mail-id allocation.
@@ -31,50 +24,37 @@ enum Inner {
 /// # Ok::<(), spamaware_mfs::StoreError>(())
 /// ```
 pub struct SimStore {
-    inner: Inner,
-    layout: Layout,
+    store: Box<dyn MailStore>,
+    meter: Rc<RefCell<Meter>>,
     /// The id [`SimStore::deliver`] assigns next; ids start at 1.
     next_id: u64,
-}
-
-impl std::fmt::Debug for SimStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimStore")
-            .field("layout", &self.layout)
-            .finish_non_exhaustive()
-    }
 }
 
 impl SimStore {
     /// Creates a store of the given layout over a size-only in-memory
     /// backend metered with `profile`.
     pub fn new(layout: Layout, profile: DiskProfile) -> SimStore {
-        SimStore::with_mfs_threshold(layout, profile, 2)
+        SimStore::with_store(profile, |disk| layout.build(disk))
     }
 
-    /// Like [`SimStore::new`], with an explicit MFS share threshold
-    /// (minimum recipients routed through the shared mailbox; the
-    /// `ablation_mfs_threshold` bench sweeps this).
-    pub fn with_mfs_threshold(layout: Layout, profile: DiskProfile, threshold: usize) -> SimStore {
-        let backend = || Metered::new(MemFs::size_only(), profile);
-        let inner = match layout {
-            Layout::Mbox => Inner::Mbox(MboxStore::new(backend())),
-            Layout::Maildir => Inner::Maildir(MaildirStore::new(backend())),
-            Layout::Hardlink => Inner::Hardlink(HardlinkStore::new(backend())),
-            Layout::Mfs => Inner::Mfs(Box::new(
-                MfsStore::new(backend()).with_share_threshold(threshold),
-            )),
-        };
+    /// Like [`SimStore::new`], with the store `build` makes over the
+    /// size-only backend, whose [`Meter`] the [`SimStore`] shares (the
+    /// `ablation_mfs_threshold` bench sets the MFS share threshold this
+    /// way).
+    pub fn with_store(
+        profile: DiskProfile,
+        build: impl FnOnce(Intercept<MemFs, Rc<RefCell<Meter>>>) -> Box<dyn MailStore>,
+    ) -> SimStore {
+        let meter = Rc::new(RefCell::new(Meter::new(profile)));
+        let store = build(Intercept::with_policy(
+            MemFs::size_only(),
+            Rc::clone(&meter),
+        ));
         SimStore {
-            inner,
-            layout,
+            store,
+            meter,
             next_id: 1,
         }
-    }
-
-    /// The layout in use.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Delivers one `size`-byte mail to `mailboxes`, returning the disk
@@ -87,35 +67,8 @@ impl SimStore {
     pub fn deliver(&mut self, mailboxes: &[&str], size: u64) -> StoreResult<Nanos> {
         let id = MailId(self.next_id);
         self.next_id += 1;
-        self.deliver_with_id(id, mailboxes, size)
-    }
-
-    /// Like [`SimStore::deliver`] with an explicit id (ablation harnesses).
-    pub fn deliver_with_id(
-        &mut self,
-        id: MailId,
-        mailboxes: &[&str],
-        size: u64,
-    ) -> StoreResult<Nanos> {
-        let body = DataRef::Zeros(size);
-        match &mut self.inner {
-            Inner::Mbox(s) => {
-                s.deliver(id, mailboxes, body)?;
-                Ok(s.backend_mut().take_cost())
-            }
-            Inner::Maildir(s) => {
-                s.deliver(id, mailboxes, body)?;
-                Ok(s.backend_mut().take_cost())
-            }
-            Inner::Hardlink(s) => {
-                s.deliver(id, mailboxes, body)?;
-                Ok(s.backend_mut().take_cost())
-            }
-            Inner::Mfs(s) => {
-                s.deliver(id, mailboxes, body)?;
-                Ok(s.backend_mut().take_cost())
-            }
-        }
+        self.store.deliver(id, mailboxes, DataRef::Zeros(size))?;
+        Ok(self.meter.borrow_mut().take_cost())
     }
 
     /// Pre-creates the steady-state mailbox structures (mbox files, MFS
@@ -135,28 +88,13 @@ impl SimStore {
         if mailboxes.len() >= 2 {
             self.deliver(&mailboxes[..2], 1)?;
         }
-        self.reset_accounting();
+        self.meter.borrow_mut().reset();
         Ok(())
-    }
-
-    /// Zeroes cost and operation counters.
-    pub fn reset_accounting(&mut self) {
-        match &mut self.inner {
-            Inner::Mbox(s) => s.backend_mut().reset_accounting(),
-            Inner::Maildir(s) => s.backend_mut().reset_accounting(),
-            Inner::Hardlink(s) => s.backend_mut().reset_accounting(),
-            Inner::Mfs(s) => s.backend_mut().reset_accounting(),
-        }
     }
 
     /// Cumulative backend operation counts.
     pub fn op_counts(&self) -> OpCounts {
-        match &self.inner {
-            Inner::Mbox(s) => s.backend().counts(),
-            Inner::Maildir(s) => s.backend().counts(),
-            Inner::Hardlink(s) => s.backend().counts(),
-            Inner::Mfs(s) => s.backend().counts(),
-        }
+        self.meter.borrow().counts()
     }
 }
 
@@ -228,6 +166,88 @@ mod tests {
         s.deliver(&["a", "b"], 100)?;
         let c = s.op_counts();
         assert_eq!(c.appends, 3); // one vectored record write per mailbox delivery
+        Ok(())
+    }
+
+    /// One steady-state delivery of a 4 KiB mail to `user0..` of a store
+    /// prewarmed with 15 mailboxes: the cost on Ext3 and on Reiser (ns),
+    /// and the backend operations it took, which the profile does not
+    /// change.
+    #[test]
+    fn steady_state_delivery_costs_are_pinned() -> Result<(), Box<dyn std::error::Error>> {
+        // (layout, recipients, ext3 ns, reiser ns,
+        //  [creates, appends, bytes_written, reads, bytes_read, links, deletes])
+        let table: [(Layout, usize, u64, u64, [u64; 7]); 8] = [
+            (Layout::Mfs, 1, 450_000, 450_000, [0, 2, 4_134, 0, 0, 0, 0]),
+            (
+                Layout::Mfs,
+                15,
+                2_700_000,
+                2_700_000,
+                [0, 17, 4_704, 0, 0, 0, 0],
+            ),
+            (Layout::Mbox, 1, 350_000, 350_000, [0, 1, 4_116, 0, 0, 0, 0]),
+            (
+                Layout::Mbox,
+                15,
+                5_250_000,
+                5_250_000,
+                [0, 15, 61_740, 0, 0, 0, 0],
+            ),
+            (
+                Layout::Maildir,
+                1,
+                2_500_000,
+                1_300_000,
+                [1, 1, 4_096, 0, 0, 0, 0],
+            ),
+            (
+                Layout::Maildir,
+                15,
+                37_500_000,
+                19_500_000,
+                [15, 15, 61_440, 0, 0, 0, 0],
+            ),
+            (
+                Layout::Hardlink,
+                1,
+                2_500_000,
+                1_300_000,
+                [1, 1, 4_096, 0, 0, 0, 0],
+            ),
+            (
+                Layout::Hardlink,
+                15,
+                27_700_000,
+                5_220_000,
+                [1, 1, 4_096, 0, 0, 14, 0],
+            ),
+        ];
+        let boxes: Vec<String> = (0..15).map(|i| format!("user{i}")).collect();
+        let names: Vec<&str> = boxes.iter().map(String::as_str).collect();
+        for (layout, rcpts, ext3_ns, reiser_ns, ops) in table {
+            for (fs, profile, ns) in [
+                ("ext3", DiskProfile::ext3(), ext3_ns),
+                ("reiser", DiskProfile::reiser(), reiser_ns),
+            ] {
+                let mut s = SimStore::new(layout, profile);
+                s.prewarm(&names)?;
+                let cost = s.deliver(&names[..rcpts], 4096)?;
+                let c = s.op_counts();
+                let counts = [
+                    c.creates,
+                    c.appends,
+                    c.bytes_written,
+                    c.reads,
+                    c.bytes_read,
+                    c.links,
+                    c.deletes,
+                ];
+                let row = format!("{layout} x {rcpts} on {fs}");
+                assert_eq!(cost.as_nanos(), ns, "{row}");
+                assert_eq!(counts, ops, "{row}");
+            }
+        }
         Ok(())
     }
 

@@ -151,7 +151,6 @@ pub struct ServerSession {
     /// [`ServerSession::take_last_delivered`].
     last: Option<Envelope>,
     rejected_rcpts: u64,
-    commands_handled: u64,
 }
 
 impl ServerSession {
@@ -168,7 +167,6 @@ impl ServerSession {
             accepted: 0,
             last: None,
             rejected_rcpts: 0,
-            commands_handled: 0,
         }
     }
 
@@ -205,11 +203,6 @@ impl ServerSession {
         self.rejected_rcpts
     }
 
-    /// Commands handled so far (used for per-command CPU accounting).
-    pub fn commands_handled(&self) -> u64 {
-        self.commands_handled
-    }
-
     /// Donates a reusable allocation for DATA content: the next captured
     /// body grows into `buf`'s capacity instead of a fresh `Vec`. The
     /// buffer is cleared on arrival; ignored if body capture is already
@@ -242,7 +235,6 @@ impl ServerSession {
             self.phase != SessionPhase::Data,
             "handle() called during DATA; feed content via data_line()"
         );
-        self.commands_handled += 1;
         match cmd {
             Command::Helo(d) => {
                 if d.is_empty() {
@@ -582,18 +574,28 @@ mod tests {
     fn handle_line_parses_checks_hosted_local_parts_and_answers_501() {
         let hosted: HashSet<String> = HashSet::from(["alice".to_owned()]);
         let mut s = ServerSession::new(SessionConfig::default());
-        let mut step = |line: &[u8]| {
+        let step = |s: &mut ServerSession, line: &[u8]| {
             let (reply, verb) = s.handle_line(line, &hosted);
             (reply.code(), verb)
         };
-        assert_eq!(step(b"HELO c.example"), (250, "HELO"));
-        assert_eq!(step(b"MAIL FROM:<junk>"), (501, "?"));
-        assert_eq!(step(b"MAIL FROM:<>"), (250, "MAIL"));
-        assert_eq!(step(b"RCPT TO:<bob@dept.example>"), (550, "RCPT"));
+        assert_eq!(step(&mut s, b"HELO c.example"), (250, "HELO"));
+        assert_eq!(step(&mut s, b"MAIL FROM:<junk>"), (501, "?"));
+        assert_eq!(
+            s.phase(),
+            SessionPhase::Greeted,
+            "a 501 never reaches handle"
+        );
+        assert_eq!(step(&mut s, b"MAIL FROM:<>"), (250, "MAIL"));
+        assert_eq!(step(&mut s, b"RCPT TO:<bob@dept.example>"), (550, "RCPT"));
+        assert_eq!(step(&mut s, b"RCPT TO:<junk>"), (501, "?"));
+        assert_eq!(s.rejected_rcpts(), 1, "a 501 never reaches handle");
         // The domain is not consulted: the local part decides.
-        assert_eq!(step(b"RCPT TO:<alice@elsewhere.example>"), (250, "RCPT"));
-        assert_eq!(step(b"XEXP"), (500, "?"));
-        assert_eq!(s.commands_handled(), 5, "a 501 never reaches handle");
+        assert_eq!(
+            step(&mut s, b"RCPT TO:<alice@elsewhere.example>"),
+            (250, "RCPT")
+        );
+        assert_eq!(step(&mut s, b"XEXP"), (500, "?"));
+        assert_eq!(s.phase(), SessionPhase::RcptGiven);
     }
 
     #[test]

@@ -29,6 +29,10 @@
 #                                  iter_over_hash_type, denied at their
 #                                  roots); the core and mfs files refuse
 #                                  the first three (DESIGN.md §9);
+#                                - layouts: crates/clippy.toml refuses
+#                                  MboxStore, MaildirStore and
+#                                  HardlinkStore, so the DES reaches
+#                                  them through Layout::build (§9);
 #                                - panic-safety: unwrap/expect/panic/
 #                                  unreachable denied at the six server
 #                                  crate roots, allowed in tests by the
