@@ -46,15 +46,13 @@ pub(crate) struct DnsblAgentCtx {
     pub stop: Arc<AtomicBool>,
     /// `live.blacklisted` — the verdict sink.
     pub blacklisted: Arc<Counter>,
-    pub registry: Arc<Registry>,
-    /// The DNSBL, queried over UDP: `(server address, zone)`.
-    pub dnsbl_udp: (SocketAddr, String),
+    pub agent: Agent,
 }
 
 /// The lookup path: cache, then breaker — open after
 /// [`spamaware_dnsbl::FAILURE_THRESHOLD`] straight failures, for 1 s
 /// doubling to 60 s — then one UDP query. Time is the registry's clock throughout.
-struct Agent {
+pub(crate) struct Agent {
     registry: Arc<Registry>,
     metrics: AgentMetrics,
     breaker: CircuitBreaker,
@@ -63,13 +61,16 @@ struct Agent {
 }
 
 impl Agent {
-    fn new(registry: Arc<Registry>, dnsbl_udp: (SocketAddr, String)) -> Agent {
+    /// An agent asking the DNSBL at `dnsbl_udp` — `(server address,
+    /// zone)` — with its own, its resolver's and its breaker's
+    /// instruments registered on `registry` now, before any lookup.
+    pub(crate) fn new(registry: Arc<Registry>, dnsbl_udp: (SocketAddr, String)) -> Agent {
         Agent {
             metrics: AgentMetrics::register(&registry),
-            breaker: CircuitBreaker::new(registry.clock()).with_metrics(&registry, "dnsbl"),
+            breaker: CircuitBreaker::new(&registry),
             resolver: CachingResolver::new(CacheScheme::PerPrefix, CACHE_TTL)
                 .with_capacity(CACHE_CAPACITY)
-                .with_metrics(&registry, "dnsbl"),
+                .with_metrics(&registry),
             registry,
             dnsbl_udp,
         }
@@ -119,7 +120,7 @@ impl Agent {
 /// short-circuits, so serial processing converges fast even when the
 /// master enqueues a burst.
 pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
-    let mut agent = Agent::new(ctx.registry, ctx.dnsbl_udp);
+    let mut agent = ctx.agent;
     while !ctx.stop.load(Ordering::SeqCst) {
         // `recv` returns `Err` once every sender is gone; the master is
         // stopped and joined before this thread, so shutdown surfaces
@@ -143,8 +144,10 @@ pub(crate) fn agent_loop(ctx: DnsblAgentCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spamaware_dnsbl::wire::{Answer, Message, Rcode, RecordType};
     use spamaware_dnsbl::BlacklistDb;
     use spamaware_metrics::ManualClock;
+    use std::net::UdpSocket;
 
     #[test]
     fn a_cached_prefix_expires_with_the_registry_clock_and_the_cache_stays_bounded() {
@@ -177,5 +180,74 @@ mod tests {
         assert_eq!(agent.resolver.cached_entries(), CACHE_CAPACITY);
         assert_eq!(answered(), 2 + CACHE_CAPACITY as u64 + 64);
         stub.shutdown();
+    }
+
+    /// A stand-in DNSBL on its own thread: answers the one query it gets
+    /// with `answer(query)`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the stand-in DNSBL's own thread blocks on its socket"
+    )]
+    fn answer_once(answer: impl FnOnce(Message) -> Message + Send + 'static) -> SocketAddr {
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = socket.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            let mut buf = [0u8; 512];
+            let (n, peer) = socket.recv_from(&mut buf).expect("query");
+            let query = Message::decode(&buf[..n]).expect("decode");
+            socket
+                .send_to(&answer(query).encode(), peer)
+                .expect("answer");
+        });
+        addr
+    }
+
+    /// `query` answered with a bitmap that lists its whole /25.
+    fn listing_everything(query: &Message, rcode: Rcode) -> Message {
+        let name = query.questions[0].name.clone();
+        let answer = Answer {
+            name,
+            rtype: RecordType::Aaaa,
+            ttl: 60,
+            rdata: vec![0xFF; 16],
+        };
+        query.respond(rcode, vec![answer])
+    }
+
+    /// An answer the agent must refuse: it counts as a UDP error, the
+    /// peer reads as not listed, and nothing is cached — then a proper
+    /// answer still lists the peer.
+    fn refused(answer: impl FnOnce(Message) -> Message + Send + 'static) {
+        let bot = Ipv4::new(203, 0, 113, 7);
+        let registry = Arc::new(Registry::new(Arc::new(ManualClock::new())));
+        let mut agent = Agent::new(
+            Arc::clone(&registry),
+            (answer_once(answer), "bl.example".to_owned()),
+        );
+        assert!(!agent.listed(bot));
+        assert_eq!(agent.resolver.cached_entries(), 0);
+        assert_eq!(registry.counter_value("dnsbl.udp_errors"), Some(1));
+
+        let db: BlacklistDb = [bot].into_iter().collect();
+        let stub = UdpDnsbl::start(SocketAddr::from(([127, 0, 0, 1], 0)), "bl.example", db)
+            .expect("start the UDP stub");
+        agent.dnsbl_udp.0 = stub.local_addr();
+        assert!(agent.listed(bot));
+        assert_eq!(agent.resolver.cached_entries(), 1);
+        stub.shutdown();
+    }
+
+    #[test]
+    fn a_servfail_is_an_error_and_caches_nothing() {
+        refused(|query| listing_everything(&query, Rcode::Other(2)));
+    }
+
+    #[test]
+    fn an_answer_with_another_id_is_an_error_and_caches_nothing() {
+        refused(|query| {
+            let mut answer = listing_everything(&query, Rcode::NoError);
+            answer.id = answer.id.wrapping_add(1);
+            answer
+        });
     }
 }

@@ -1,121 +1,24 @@
 //! Every instrument the live server owns, declared once.
 //!
-//! The `instruments!` table below has one row per instrument: the field
-//! a thread reaches it through, the registry call that makes it
-//! (`counter`, `gauge` or `span`), the name `METRICS` prints, whether it
-//! is a *terminal* connection outcome, and one sentence saying what it
-//! measures. Each group of rows becomes a struct of handles with a
-//! `register` that resolves them all on a [`Registry`]; the sentence is
-//! the field's documentation and, through the test at the bottom of this
-//! file, the row of DESIGN.md §14.3. Nothing else in the crate spells an
-//! instrument's name, so a name cannot be registered under two spellings
-//! (the registry's get-or-create would make the second a fresh instrument
-//! that reads zero forever), and the rows marked `terminal` *are* the
-//! conservation equation ([`LiveSnapshot::unaccounted`]): a new outcome
-//! enters it by being declared.
+//! One [`spamaware_metrics::instruments!`] table, one row per
+//! instrument; the `mfs` and `dnsbl` crates declare theirs the same way
+//! (`spamaware_mfs::INSTRUMENTS`, `spamaware_dnsbl::INSTRUMENTS`), and
+//! the test at the bottom of this file renders the three tables as
+//! DESIGN.md §14.3. Nothing else in the server spells an instrument's
+//! name, and the rows marked `terminal` *are* the conservation equation
+//! ([`LiveSnapshot::unaccounted`]): a new outcome enters it by being
+//! declared.
 //!
 //! Handles are resolved once, when a thread starts; recording through
 //! them is plain atomics.
 
-use spamaware_metrics::{Counter, Gauge, Registry, SpanHandle};
 use spamaware_smtp::SessionOutcome;
-use std::sync::Arc;
 
-/// The handle type a row's registry call returns.
-macro_rules! handle {
-    (counter) => { Arc<Counter> };
-    (gauge) => { Arc<Gauge> };
-    (span) => { SpanHandle };
-}
+spamaware_metrics::instruments! {
+    /// Every row below, in declaration order.
+    #[cfg(test)]
+    const TABLE;
 
-/// `$then` for a row marked `terminal`, `$otherwise` for any other.
-macro_rules! if_terminal {
-    (terminal, $then:expr, $otherwise:expr) => {
-        $then
-    };
-    (, $then:expr, $otherwise:expr) => {
-        $otherwise
-    };
-}
-
-/// For a group declared `struct Handles / Values`: the `Values` struct of
-/// plain numbers, `Handles::snapshot`, and the sum of the terminal rows.
-macro_rules! snapshot {
-    ([] $($ignored:tt)*) => {};
-    ([$Values:ident] $Handles:ident { $($field:ident $($terminal:ident)? $doc:literal,)* }) => {
-        #[doc = concat!("Point-in-time values of every [`", stringify!($Handles), "`] counter.")]
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct $Values {
-            $(#[doc = $doc] pub $field: u64,)*
-        }
-
-        impl $Handles {
-            /// Reads every counter at once.
-            pub fn snapshot(&self) -> $Values {
-                $Values { $($field: self.$field.get(),)* }
-            }
-        }
-
-        impl $Values {
-            /// Sum of the rows marked `terminal`.
-            pub(crate) fn terminal_outcomes(&self) -> u64 {
-                0 $(+ if_terminal!($($terminal)?, self.$field, 0))*
-            }
-        }
-    };
-}
-
-macro_rules! instruments {
-    ($(
-        $(#[$group_meta:meta])*
-        $vis:vis struct $Handles:ident $(/ $Values:ident)? {
-            $(
-                $(#[$row_meta:meta])*
-                $field:ident: $kind:ident $name:literal $($terminal:ident)? $doc:literal,
-            )*
-        }
-    )*) => {
-        $(
-            $(#[$group_meta])*
-            $vis struct $Handles {
-                $($(#[$row_meta])* #[doc = $doc] pub $field: handle!($kind),)*
-            }
-
-            impl $Handles {
-                /// Resolves (gets or creates) every instrument of the
-                /// group on `registry`.
-                pub fn register(registry: &Registry) -> $Handles {
-                    $Handles { $($(#[$row_meta])* $field: registry.$kind($name),)* }
-                }
-            }
-
-            snapshot! { [$($Values)?] $Handles { $($field $($terminal)? $doc,)* } }
-        )*
-
-        /// Every row of every group, in declaration order.
-        #[cfg(test)]
-        const TABLE: &[Row] = &[$($(Row {
-            field: stringify!($field),
-            kind: stringify!($kind),
-            name: $name,
-            terminal: if_terminal!($($terminal)?, true, false),
-            doc: $doc,
-        },)*)*];
-    };
-}
-
-/// One table row as data, for the tests that hold the table to the
-/// registry and to DESIGN.md.
-#[cfg(test)]
-struct Row {
-    field: &'static str,
-    kind: &'static str,
-    name: &'static str,
-    terminal: bool,
-    doc: &'static str,
-}
-
-instruments! {
     /// Registry-backed lifecycle counters of a running
     /// [`crate::LiveServer`] (`live.*` in its metrics report);
     /// [`LiveStats::snapshot`] reads them all at once.
@@ -250,6 +153,7 @@ impl VerbCounters {
 mod tests {
     use super::*;
     use crate::{LiveConfig, LiveServer};
+    use spamaware_metrics::Row;
     use std::fmt::Write;
 
     /// Kind and name of every instrument in the registry of a fresh,
@@ -313,118 +217,91 @@ histogram worker.queue_wait_ns\n\
 histogram worker.storage_ns\n\
 ";
 
-    /// How `metrics_report()` starts the line of an instrument that either
-    /// table of DESIGN.md §14.3 lists as `kind`: a span is its histogram.
-    fn report_line(kind: &str, name: &str) -> String {
-        let kind = if kind == "span" { "histogram" } else { kind };
-        format!("{kind} {name}")
+    /// Every row of the three tables the server's instruments are
+    /// declared in.
+    fn all_rows() -> impl Iterator<Item = &'static Row> {
+        TABLE
+            .iter()
+            .chain(spamaware_mfs::INSTRUMENTS)
+            .chain(spamaware_dnsbl::INSTRUMENTS)
     }
 
-    /// `kind name` of every line of a `metrics_report()`.
-    fn inventory_of(report: &str) -> Vec<String> {
+    /// How `metrics_report()` starts the line of the instrument `row`
+    /// declares: a span is its histogram.
+    fn report_line(row: &Row) -> String {
+        let kind = if row.kind == "span" {
+            "histogram"
+        } else {
+            row.kind
+        };
+        format!("{kind} {}", row.name)
+    }
+
+    /// `kind name` of every line of the report of a localhost server,
+    /// its config changed by `tweak`, read the moment `start` returns.
+    fn inventory_at_start(tag: &str, tweak: impl FnOnce(&mut LiveConfig)) -> Vec<String> {
+        let root = std::env::temp_dir().join(format!("spamaware-{tag}-{}", std::process::id()));
+        let mut cfg = LiveConfig::localhost(&root, vec!["alice".to_owned()]);
+        tweak(&mut cfg);
+        let server = LiveServer::start(cfg).expect("start");
+        let report = server.metrics_report();
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
         report
             .lines()
             .map(|line| line.splitn(3, ' ').take(2).collect::<Vec<_>>().join(" "))
             .collect()
     }
 
+    /// `live.alloc_bytes` is registered in debug builds alone.
+    fn in_this_build(line: &str) -> bool {
+        cfg!(debug_assertions) || line != "counter live.alloc_bytes"
+    }
+
     #[test]
     fn fresh_server_registers_the_inventory_it_always_did() {
-        let root = std::env::temp_dir().join(format!("spamaware-inventory-{}", std::process::id()));
-        let server = LiveServer::start(LiveConfig::localhost(&root, vec!["alice".to_owned()]))
-            .expect("start");
-        let report = server.metrics_report();
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
-        let inventory = inventory_of(&report);
+        let inventory = inventory_at_start("inventory", |_| {});
         let golden: Vec<&str> = FRESH_INVENTORY
             .lines()
-            .filter(|line| cfg!(debug_assertions) || *line != "counter live.alloc_bytes")
+            .filter(|line| in_this_build(line))
             .collect();
         assert_eq!(inventory, golden);
     }
 
-    /// The `dnsbl` and `mfs` crates name their instruments from a prefix
-    /// the caller passes, so no table can declare them. What the server's
-    /// registry holds under those two prefixes beyond the table's rows
-    /// must be DESIGN.md §14.3's second, hand-kept table and nothing
-    /// else — read from a running registry, in both directions.
     #[test]
-    fn design_md_lists_every_prefixed_instrument_the_server_registers() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
-        let design = std::fs::read_to_string(path).expect("read DESIGN.md");
-        let mut documented: Vec<String> = design
-            .lines()
-            .skip_while(|line| *line != "| metric | kind | meaning |")
-            .skip(2)
-            .take_while(|line| line.starts_with("| `"))
-            .map(|line| {
-                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
-                report_line(cells[2], cells[1].trim_matches('`'))
-            })
+    fn a_server_with_a_dnsbl_lists_every_row_when_start_returns() {
+        // No lookup is made, so nothing needs to answer there.
+        let dnsbl = std::net::SocketAddr::from(([127, 0, 0, 1], 9));
+        let mut inventory = inventory_at_start("dnsbl-inventory", |cfg| {
+            cfg.dnsbl_udp = Some((dnsbl, "bl.example".to_owned()));
+        });
+        inventory.sort();
+        let mut declared: Vec<String> = all_rows()
+            .map(report_line)
+            .filter(|line| in_this_build(line))
             .collect();
-        documented.sort();
-
-        let root = std::env::temp_dir().join(format!("spamaware-prefixed-{}", std::process::id()));
-        let dnsbl = spamaware_dnsbl::UdpDnsbl::start(
-            std::net::SocketAddr::from(([127, 0, 0, 1], 0)),
-            "bl.example",
-            spamaware_dnsbl::BlacklistDb::default(),
-        )
-        .expect("start the UDP stub");
-        let mut cfg = LiveConfig::localhost(&root, vec!["alice".to_owned()]);
-        cfg.dnsbl_udp = Some((dnsbl.local_addr(), "bl.example".to_owned()));
-        let server = LiveServer::start(cfg).expect("start");
-        // The agent registers its breaker's and resolver's instruments
-        // from its own thread, some time after `start` returns.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        let registered = loop {
-            let mut names = inventory_of(&server.metrics_report());
-            names.retain(|line| {
-                let name = line.split(' ').nth(1).unwrap_or_default();
-                (name.starts_with("dnsbl.") || name.starts_with("mfs."))
-                    && !TABLE.iter().any(|row| row.name == name)
-            });
-            names.sort();
-            if names == documented || std::time::Instant::now() >= deadline {
-                break names;
-            }
-            std::thread::yield_now();
-        };
-        server.shutdown();
-        dnsbl.shutdown();
-        let _ = std::fs::remove_dir_all(&root);
-        let unregistered: Vec<_> = documented
-            .iter()
-            .filter(|line| !registered.contains(line))
-            .collect();
-        let undocumented: Vec<_> = registered
-            .iter()
-            .filter(|line| !documented.contains(line))
-            .collect();
-        assert!(
-            registered == documented,
-            "DESIGN.md §14.3's second table lists {unregistered:?}, which the server never \
-             registers, and lacks {undocumented:?}, which it does"
-        );
+        declared.sort();
+        assert_eq!(inventory, declared);
     }
 
     #[test]
     fn the_table_declares_each_instrument_the_server_registers_exactly_once() {
-        // The store registers `mfs.*` itself; the agent's rows are
-        // registered only when an agent runs. Everything else a fresh
-        // server has is a row, and every other row is in a fresh server.
+        let mut names: Vec<&str> = all_rows().map(|row| row.name).collect();
+        names.sort_unstable();
+        let rows = names.len();
+        names.dedup();
+        assert_eq!(names.len(), rows, "a name declared twice");
+        // A DNSBL-less server registers every row but the DNSBL agent's
+        // and those of its resolver and breaker.
         let agent_only = ["dnsbl.agent_ns", "dnsbl.udp_errors", "dnsbl.udp_timeouts"];
         let mut declared: Vec<String> = TABLE
             .iter()
+            .chain(spamaware_mfs::INSTRUMENTS)
             .filter(|row| !agent_only.contains(&row.name))
-            .map(|row| report_line(row.kind, row.name))
+            .map(report_line)
             .collect();
         declared.sort();
-        let mut registered: Vec<&str> = FRESH_INVENTORY
-            .lines()
-            .filter(|line| !line.contains(" mfs."))
-            .collect();
+        let mut registered: Vec<&str> = FRESH_INVENTORY.lines().collect();
         registered.sort_unstable();
         assert_eq!(declared, registered);
     }
@@ -434,18 +311,18 @@ histogram worker.storage_ns\n\
         let terminal: Vec<&str> = TABLE
             .iter()
             .filter(|row| row.terminal)
-            .map(|row| row.field)
+            .map(|row| row.name)
             .collect();
         assert_eq!(
             terminal,
             [
-                "delivered",
-                "bounces",
-                "unfinished",
-                "rejected_ipv6",
-                "shed_connections",
-                "shed_per_ip",
-                "shed_draining",
+                "live.delivered",
+                "live.bounces",
+                "live.unfinished",
+                "live.rejected_ipv6",
+                "live.shed_connections",
+                "live.shed_per_ip",
+                "live.shed_draining",
             ]
         );
         // Every field a distinct bit: the result names exactly the terms
@@ -477,9 +354,9 @@ histogram worker.storage_ns\n\
         assert_eq!(snap.unaccounted(), (1 << 30) - 0b0111_1111 + (1 << 7));
     }
 
-    /// DESIGN.md §14.3's first table, rendered from the rows.
+    /// DESIGN.md §14.3's table, rendered from the rows.
     fn design_table() -> String {
-        let mut rows: Vec<&Row> = TABLE.iter().collect();
+        let mut rows: Vec<&Row> = all_rows().collect();
         rows.sort_by_key(|row| row.name);
         let mut out = String::from(
             "| metric | kind | terminal | meaning |\n|--------|------|----------|---------|\n",
@@ -502,7 +379,7 @@ histogram worker.storage_ns\n\
         let table = design_table();
         assert!(
             design.contains(&table),
-            "DESIGN.md §14.3 has drifted from crates/core/src/instruments.rs; its first table should read:\n{table}"
+            "DESIGN.md §14.3 has drifted from the instrument tables; it should read:\n{table}"
         );
     }
 }

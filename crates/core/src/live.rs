@@ -44,11 +44,10 @@
 //! ([`LiveServer::admin_addr`]) in answer to a `METRICS` (or `STAT`)
 //! command line.
 
-use crate::dnsbl_agent::{agent_loop, DnsblAgentCtx};
+use crate::dnsbl_agent::{agent_loop, Agent, DnsblAgentCtx};
 use crate::driver::{drive, Acceptor, Arrival, DriverEnv, End, Gone, Limits, Protocol, Step};
 use crate::instruments::{
-    AgentMetrics, DriverMetrics, LiveSnapshot, LiveStats, MasterMetrics, Occupancy, VerbCounters,
-    WorkerMetrics,
+    DriverMetrics, LiveSnapshot, LiveStats, MasterMetrics, Occupancy, VerbCounters, WorkerMetrics,
 };
 use crate::linebuf::LineBuffer;
 use crate::pool::BufferPool;
@@ -294,7 +293,7 @@ impl LiveServer {
         let (store, fsck_report) =
             ShardedStore::open_with_fsck(STORE_SHARDS, || RealDir::new(&cfg.storage_root))
                 .map_err(|e| ServeError::Io(e.to_string()))?;
-        let store = Arc::new(store.with_metrics(&registry, "mfs"));
+        let store = Arc::new(store.with_metrics(&registry));
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(LiveStats::register(&registry));
         stats.recovered_records.add(fsck_report.recovered_records());
@@ -370,17 +369,15 @@ impl LiveServer {
         // socket); the master only ever does a non-blocking `try_send`
         // into this bounded queue (§5: the master must never block).
         let dnsbl_tx = if let Some(dnsbl_udp) = cfg.dnsbl_udp {
-            // Same up-front registration as `preregister_thread_instruments`,
-            // but only when an agent will actually run — a DNSBL-less
-            // server's report should not list agent metrics.
-            AgentMetrics::register(&registry);
+            // Built here, not on its thread, so the report lists the
+            // agent's instruments the moment `start` returns — and only
+            // when an agent runs.
             let (tx, rx) = sync_channel(DNSBL_AGENT_QUEUE);
             let actx = DnsblAgentCtx {
                 rx,
                 stop: Arc::clone(&stop),
                 blacklisted: Arc::clone(&stats.blacklisted),
-                registry: Arc::clone(&registry),
-                dnsbl_udp,
+                agent: Agent::new(Arc::clone(&registry), dnsbl_udp),
             };
             server.spawn("dnsbl-agent".to_owned(), move || agent_loop(actx))?;
             Some(tx)

@@ -136,125 +136,3 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 }
-
-/// One lifecycle operation of an owner `token` that holds three timer
-/// ids, `(token << 2) | {IDLE, SESSION, STALL}`, re-armed and cancelled
-/// on different rhythms: dense interleaving of neighbouring ids.
-#[derive(Debug, Clone)]
-enum ConnOp {
-    /// A new connection: arms all three kinds at once (idle short,
-    /// session long, and — if the greeting stalls — a stall deadline).
-    Accept {
-        token: u64,
-        stall: bool,
-    },
-    /// Client activity: re-arms only the idle deadline.
-    Activity {
-        token: u64,
-        idle_offset: u64,
-    },
-    /// Queued output made progress: re-arms only the stall deadline.
-    Progress {
-        token: u64,
-        stall_offset: u64,
-    },
-    /// The queue drained: cancels only the stall deadline, leaving the
-    /// connection's other two timers armed.
-    Drain {
-        token: u64,
-    },
-    /// The connection leaves (eviction or hand-off): cancels all three.
-    Detach {
-        token: u64,
-    },
-    Advance {
-        dt: u64,
-    },
-}
-
-const IDLE: u64 = 0;
-const SESSION: u64 = 1;
-const STALL: u64 = 2;
-
-fn conn_op_strategy() -> impl Strategy<Value = ConnOp> {
-    prop_oneof![
-        (0u64..10, any::<bool>()).prop_map(|(token, stall)| ConnOp::Accept { token, stall }),
-        (0u64..10, 1u64..5_000 * MS)
-            .prop_map(|(token, idle_offset)| ConnOp::Activity { token, idle_offset }),
-        (0u64..10, 1u64..5_000 * MS).prop_map(|(token, stall_offset)| ConnOp::Progress {
-            token,
-            stall_offset
-        }),
-        (0u64..10).prop_map(|token| ConnOp::Drain { token }),
-        (0u64..10).prop_map(|token| ConnOp::Detach { token }),
-        (0u64..2_000 * MS).prop_map(|dt| ConnOp::Advance { dt }),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-    /// Three interleaved deadline kinds per owner — one re-armed on
-    /// every activity, one fixed, and one that progress re-arms and a
-    /// drain cancels — never interfere through the shared set: each
-    /// packed id fires and cancels independently, exactly like the
-    /// reference model.
-    #[test]
-    fn packed_per_connection_timer_kinds_stay_independent(
-        start_ns in 0u64..1 << 62,
-        ops in proptest::collection::vec(conn_op_strategy(), 1..150),
-    ) {
-        let mut now = start_ns;
-        let mut wheel = TimerWheel::new(now);
-        let mut model = ModelWheel::default();
-        let mut fired = Vec::new();
-        let idle_ns = 5_000 * MS;
-        let session_ns = 30_000 * MS;
-        let stall_ns = 10_000 * MS;
-        let both = |wheel: &mut TimerWheel, model: &mut ModelWheel, id: u64, dl: u64| {
-            wheel.schedule(id, dl);
-            model.schedule(id, dl);
-        };
-        for op in &ops {
-            match *op {
-                ConnOp::Accept { token, stall } => {
-                    both(&mut wheel, &mut model, (token << 2) | IDLE, now + idle_ns);
-                    both(&mut wheel, &mut model, (token << 2) | SESSION, now + session_ns);
-                    if stall {
-                        both(&mut wheel, &mut model, (token << 2) | STALL, now + stall_ns);
-                    }
-                }
-                ConnOp::Activity { token, idle_offset } => {
-                    both(&mut wheel, &mut model, (token << 2) | IDLE, now + idle_offset);
-                }
-                ConnOp::Progress { token, stall_offset } => {
-                    both(&mut wheel, &mut model, (token << 2) | STALL, now + stall_offset);
-                }
-                ConnOp::Drain { token } => {
-                    wheel.cancel((token << 2) | STALL);
-                    model.cancel((token << 2) | STALL);
-                }
-                ConnOp::Detach { token } => {
-                    for kind in [IDLE, SESSION, STALL] {
-                        wheel.cancel((token << 2) | kind);
-                        model.cancel((token << 2) | kind);
-                    }
-                }
-                ConnOp::Advance { dt } => {
-                    now += dt;
-                    fired.clear();
-                    wheel.advance(now, &mut fired);
-                    prop_assert_eq!(&fired, &model.advance(now), "advance to t={}", now);
-                }
-            }
-            prop_assert_eq!(wheel.next_deadline(), model.next_deadline());
-            prop_assert_eq!(wheel.len(), model.active.len());
-        }
-        // A cancelled stall deadline must never resurface, however far
-        // time jumps.
-        now += 100_000_000 * MS;
-        fired.clear();
-        wheel.advance(now, &mut fired);
-        prop_assert_eq!(&fired, &model.advance(now), "final drain");
-        prop_assert!(wheel.is_empty());
-    }
-}

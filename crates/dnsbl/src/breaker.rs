@@ -11,19 +11,20 @@
 //! backoff doubles deterministically on each failed probe up to
 //! [`MAX_BACKOFF`] and resets to [`OPEN_BACKOFF`] when a probe succeeds.
 //!
-//! Time comes exclusively from an injected [`Clock`], so the whole state
-//! machine is a pure function of the call sequence and the clock readings
-//! — tests drive it with a `ManualClock` and assert exact transitions.
+//! Time comes exclusively from the clock of the [`Registry`] the breaker
+//! records into, so the whole state machine is a pure function of the
+//! call sequence and the clock readings — tests drive it with a
+//! `ManualClock` and assert exact transitions.
 //!
 //! # Example
 //!
 //! ```
 //! use spamaware_dnsbl::{BreakerDecision, CircuitBreaker, FAILURE_THRESHOLD, OPEN_BACKOFF};
-//! use spamaware_metrics::ManualClock;
+//! use spamaware_metrics::{ManualClock, Registry};
 //! use std::sync::Arc;
 //!
 //! let clock = ManualClock::new();
-//! let mut breaker = CircuitBreaker::new(Arc::new(clock.clone()));
+//! let mut breaker = CircuitBreaker::new(&Registry::new(Arc::new(clock.clone())));
 //! assert_eq!(breaker.admit(), BreakerDecision::Allow);
 //! for _ in 0..FAILURE_THRESHOLD {
 //!     breaker.record_failure(); // the last one opens the circuit
@@ -35,7 +36,8 @@
 //! assert_eq!(breaker.admit(), BreakerDecision::Allow);
 //! ```
 
-use spamaware_metrics::{Clock, Counter, Gauge, Registry};
+use crate::BreakerMetrics;
+use spamaware_metrics::{Clock, Registry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,7 +63,7 @@ pub enum BreakerDecision {
     ShortCircuit,
 }
 
-/// Gauge encoding of the breaker state (`*.breaker_state`).
+/// Gauge encoding of the breaker state (`dnsbl.breaker_state`).
 const STATE_CLOSED: i64 = 0;
 const STATE_OPEN: i64 = 1;
 const STATE_HALF_OPEN: i64 = 2;
@@ -76,17 +78,7 @@ enum State {
     HalfOpen { backoff_ns: u64 },
 }
 
-/// Optional instrument handles (`{prefix}.breaker_*`).
-#[derive(Debug)]
-struct BreakerMetrics {
-    opened: Arc<Counter>,
-    closed: Arc<Counter>,
-    short_circuits: Arc<Counter>,
-    probes: Arc<Counter>,
-    state: Arc<Gauge>,
-}
-
-/// A consecutive-failure circuit breaker over an injected [`Clock`].
+/// A consecutive-failure circuit breaker over a registry's clock.
 ///
 /// Not internally synchronized: the intended owner is a single dispatch
 /// thread (the live server's master loop). See the module docs for the
@@ -95,33 +87,21 @@ struct BreakerMetrics {
 pub struct CircuitBreaker {
     clock: Arc<dyn Clock>,
     state: State,
-    metrics: Option<BreakerMetrics>,
+    metrics: BreakerMetrics,
 }
 
 impl CircuitBreaker {
-    /// Creates a closed breaker reading time from `clock`.
-    pub fn new(clock: Arc<dyn Clock>) -> CircuitBreaker {
+    /// Creates a closed breaker reading time from `registry`'s clock and
+    /// recording its `dnsbl.breaker_*` rows of [`crate::INSTRUMENTS`]
+    /// there.
+    pub fn new(registry: &Registry) -> CircuitBreaker {
+        let metrics = BreakerMetrics::register(registry);
+        metrics.state.set(STATE_CLOSED);
         CircuitBreaker {
-            clock,
+            clock: registry.clock(),
             state: State::Closed { failures: 0 },
-            metrics: None,
+            metrics,
         }
-    }
-
-    /// Registers `{prefix}.breaker_opened/_closed/_short_circuits/_probes`
-    /// counters and a `{prefix}.breaker_state` gauge (0 closed, 1 open,
-    /// 2 half-open) in `registry`.
-    pub fn with_metrics(mut self, registry: &Registry, prefix: &str) -> CircuitBreaker {
-        let m = BreakerMetrics {
-            opened: registry.counter(&format!("{prefix}.breaker_opened")),
-            closed: registry.counter(&format!("{prefix}.breaker_closed")),
-            short_circuits: registry.counter(&format!("{prefix}.breaker_short_circuits")),
-            probes: registry.counter(&format!("{prefix}.breaker_probes")),
-            state: registry.gauge(&format!("{prefix}.breaker_state")),
-        };
-        m.state.set(STATE_CLOSED);
-        self.metrics = Some(m);
-        self
     }
 
     /// Decides whether a lookup may proceed right now. A [`BreakerDecision::Allow`]
@@ -137,22 +117,16 @@ impl CircuitBreaker {
             } => {
                 if self.clock.now_nanos() >= until_ns {
                     self.set_state(State::HalfOpen { backoff_ns });
-                    if let Some(m) = &self.metrics {
-                        m.probes.inc();
-                    }
+                    self.metrics.probes.inc();
                     BreakerDecision::Probe
                 } else {
-                    if let Some(m) = &self.metrics {
-                        m.short_circuits.inc();
-                    }
+                    self.metrics.short_circuits.inc();
                     BreakerDecision::ShortCircuit
                 }
             }
             // A probe is already in flight; everyone else fails open.
             State::HalfOpen { .. } => {
-                if let Some(m) = &self.metrics {
-                    m.short_circuits.inc();
-                }
+                self.metrics.short_circuits.inc();
                 BreakerDecision::ShortCircuit
             }
         }
@@ -164,9 +138,7 @@ impl CircuitBreaker {
         let was_half_open = matches!(self.state, State::HalfOpen { .. });
         self.set_state(State::Closed { failures: 0 });
         if was_half_open {
-            if let Some(m) = &self.metrics {
-                m.closed.inc();
-            }
+            self.metrics.closed.inc();
         }
     }
 
@@ -202,30 +174,21 @@ impl CircuitBreaker {
         }
     }
 
-    /// Whether the circuit is currently open (short-circuiting lookups).
-    pub fn is_open(&self) -> bool {
-        matches!(self.state, State::Open { .. })
-    }
-
     fn open(&mut self, now: u64, backoff_ns: u64) {
         self.set_state(State::Open {
             until_ns: now.saturating_add(backoff_ns),
             backoff_ns,
         });
-        if let Some(m) = &self.metrics {
-            m.opened.inc();
-        }
+        self.metrics.opened.inc();
     }
 
     fn set_state(&mut self, state: State) {
         self.state = state;
-        if let Some(m) = &self.metrics {
-            m.state.set(match self.state {
-                State::Closed { .. } => STATE_CLOSED,
-                State::Open { .. } => STATE_OPEN,
-                State::HalfOpen { .. } => STATE_HALF_OPEN,
-            });
-        }
+        self.metrics.state.set(match self.state {
+            State::Closed { .. } => STATE_CLOSED,
+            State::Open { .. } => STATE_OPEN,
+            State::HalfOpen { .. } => STATE_HALF_OPEN,
+        });
     }
 }
 
@@ -241,7 +204,7 @@ mod tests {
     const SEC: u64 = 1_000_000_000;
 
     fn breaker(clock: &ManualClock) -> CircuitBreaker {
-        CircuitBreaker::new(Arc::new(clock.clone()))
+        CircuitBreaker::new(&Registry::new(Arc::new(clock.clone())))
     }
 
     #[test]
@@ -255,14 +218,10 @@ mod tests {
     fn opens_after_threshold_consecutive_failures() {
         let clock = ManualClock::new();
         let mut b = breaker(&clock);
-        for _ in 0..2 {
+        for _ in 0..3 {
             assert_eq!(b.admit(), BreakerDecision::Allow);
             b.record_failure();
-            assert!(!b.is_open());
         }
-        assert_eq!(b.admit(), BreakerDecision::Allow);
-        b.record_failure();
-        assert!(b.is_open());
         assert_eq!(b.admit(), BreakerDecision::ShortCircuit);
     }
 
@@ -275,7 +234,11 @@ mod tests {
         b.record_success();
         b.record_failure();
         b.record_failure();
-        assert!(!b.is_open(), "non-consecutive failures never open");
+        assert_eq!(
+            b.admit(),
+            BreakerDecision::Allow,
+            "non-consecutive failures never open"
+        );
     }
 
     #[test]
@@ -285,7 +248,6 @@ mod tests {
         for _ in 0..3 {
             b.record_failure();
         }
-        assert!(b.is_open());
         clock.advance(SEC - 1);
         assert_eq!(b.admit(), BreakerDecision::ShortCircuit, "1ns early");
         clock.advance(1);
@@ -327,7 +289,7 @@ mod tests {
         let run = || {
             let clock = ManualClock::new();
             let registry = Registry::new(Arc::new(clock.clone()));
-            let mut b = breaker(&clock).with_metrics(&registry, "dnsbl");
+            let mut b = CircuitBreaker::new(&registry);
             for step in 0..50u64 {
                 clock.advance(37_000_000);
                 match b.admit() {
@@ -350,7 +312,7 @@ mod tests {
     fn metrics_track_transitions() {
         let clock = ManualClock::new();
         let registry = Registry::new(Arc::new(clock.clone()));
-        let mut b = breaker(&clock).with_metrics(&registry, "dnsbl");
+        let mut b = CircuitBreaker::new(&registry);
         for _ in 0..3 {
             b.record_failure();
         }

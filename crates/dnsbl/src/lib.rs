@@ -37,6 +37,32 @@ pub use udp::{UdpDnsbl, UdpStats};
 
 use spamaware_sim::Nanos;
 
+spamaware_metrics::instruments! {
+    /// Every instrument of the crate: what the live server's DNSBL agent
+    /// registers for its resolver and its breaker.
+    pub const INSTRUMENTS;
+
+    /// The resolver's books: instruments of its own until
+    /// [`CachingResolver::with_metrics`] swaps in a registry's, and what
+    /// [`CachingResolver::stats`] reads either way.
+    #[derive(Debug, Default)]
+    pub(crate) struct ResolverMetrics {
+        hits: counter "dnsbl.cache_hit" "Lookups the resolver answered from its cache.",
+        misses: counter "dnsbl.cache_miss" "Lookups the resolver's cache could not answer.",
+        evictions: counter "dnsbl.eviction" "Unexpired cache entries evicted to keep the cache within its capacity.",
+    }
+
+    /// The breaker's transitions and state.
+    #[derive(Debug)]
+    pub(crate) struct BreakerMetrics {
+        opened: counter "dnsbl.breaker_opened" "Breaker transitions to open.",
+        closed: counter "dnsbl.breaker_closed" "Breaker transitions from half-open back to closed.",
+        short_circuits: counter "dnsbl.breaker_short_circuits" "Lookups the breaker skipped (failing open) while open or while its probe was out.",
+        probes: counter "dnsbl.breaker_probes" "Half-open probe lookups the breaker admitted.",
+        state: gauge "dnsbl.breaker_state" "Breaker state: 0 closed, 1 open, 2 half-open.",
+    }
+}
+
 /// Result of a [`width_analysis`] cache simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WidthAnalysis {

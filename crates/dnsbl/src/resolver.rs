@@ -6,26 +6,13 @@
 //! the hit ratio from ≈74% to ≈84% on the sinkhole trace (Fig. 15) and
 //! cutting queries issued by ≈39%.
 
-use crate::DnsblServer;
+use crate::{DnsblServer, ResolverMetrics};
 use rand::Rng;
-use spamaware_metrics::{Counter, LogHistogram, Registry};
+use spamaware_metrics::{LogHistogram, Registry};
 use spamaware_netaddr::{Ipv4, Prefix25, PrefixBitmap};
 use spamaware_sim::{Nanos, Readout};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-use std::sync::Arc;
-
-/// The resolver's one set of books: its own instruments until
-/// [`CachingResolver::with_metrics`] swaps in a registry's, and what
-/// [`CachingResolver::stats`] reads either way.
-#[derive(Debug, Default)]
-struct ResolverMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-    /// Virtual (model) lookup latency in nanoseconds.
-    lookup_ns: Arc<LogHistogram>,
-}
 
 /// Which caching granularity the resolver uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,6 +169,9 @@ pub struct CachingResolver {
     prefix_cache: Cache<Prefix25, PrefixBitmap>,
     queries_issued: u64,
     metrics: ResolverMetrics,
+    /// Virtual (model) latency of each [`lookup`](Self::lookup): the
+    /// live server never calls it, so no registry shows this.
+    lookup_ns: LogHistogram,
 }
 
 impl CachingResolver {
@@ -206,22 +196,17 @@ impl CachingResolver {
             prefix_cache: Cache::new(),
             queries_issued: 0,
             metrics: ResolverMetrics::default(),
+            lookup_ns: LogHistogram::new(),
         }
     }
 
-    /// Keeps the cache hits/misses/evictions and the (virtual) lookup
-    /// latency in `registry`, under `<prefix>.cache_hit`,
-    /// `<prefix>.cache_miss`, `<prefix>.eviction`, and
-    /// `<prefix>.lookup_ns`, instead of in instruments of the resolver's
-    /// own; [`stats`](Self::stats) then reads those. Call it before the
-    /// first lookup. The live DNSBL agent's prefix is `dnsbl`.
-    pub fn with_metrics(mut self, registry: &Registry, prefix: &str) -> CachingResolver {
-        self.metrics = ResolverMetrics {
-            hits: registry.counter(&format!("{prefix}.cache_hit")),
-            misses: registry.counter(&format!("{prefix}.cache_miss")),
-            evictions: registry.counter(&format!("{prefix}.eviction")),
-            lookup_ns: registry.histogram(&format!("{prefix}.lookup_ns")),
-        };
+    /// Keeps the cache hits, misses and evictions in `registry`, as the
+    /// `dnsbl.cache_*` and `dnsbl.eviction` rows of
+    /// [`crate::INSTRUMENTS`], instead of in instruments of the
+    /// resolver's own; [`stats`](Self::stats) then reads those. Call it
+    /// before the first lookup.
+    pub fn with_metrics(mut self, registry: &Registry) -> CachingResolver {
+        self.metrics = ResolverMetrics::register(registry);
         self
     }
 
@@ -274,7 +259,7 @@ impl CachingResolver {
                 }
             }
         };
-        self.metrics.lookup_ns.record(outcome.latency.as_nanos());
+        self.lookup_ns.record(outcome.latency.as_nanos());
         outcome
     }
 
@@ -322,7 +307,8 @@ impl CachingResolver {
         listed
     }
 
-    /// Statistics so far, read out of the instruments.
+    /// Statistics so far, read out of the instruments and the lookup
+    /// latencies.
     pub fn stats(&self) -> ResolverStats {
         let hits = self.metrics.hits.get();
         ResolverStats {
@@ -330,7 +316,7 @@ impl CachingResolver {
             hits,
             queries_issued: self.queries_issued,
             evictions: self.metrics.evictions.get(),
-            latency_ns: Readout::from(&*self.metrics.lookup_ns),
+            latency_ns: Readout::from(&self.lookup_ns),
         }
     }
 
@@ -509,6 +495,7 @@ mod tests {
     use super::*;
     use crate::{BlacklistDb, LatencyModel};
     use spamaware_sim::det_rng;
+    use std::sync::Arc;
 
     fn server() -> DnsblServer {
         let db: BlacklistDb = [Ipv4::new(203, 0, 113, 7), Ipv4::new(203, 0, 113, 77)]
@@ -669,7 +656,7 @@ mod tests {
     fn registry_metrics_track_hits_misses_and_latency() {
         let s = server();
         let registry = Registry::new(Arc::new(spamaware_metrics::ManualClock::new()));
-        let mut r = CachingResolver::new(CacheScheme::PerIp, DAY).with_metrics(&registry, "dnsbl");
+        let mut r = CachingResolver::new(CacheScheme::PerIp, DAY).with_metrics(&registry);
         let mut rng = det_rng(77);
         let ip = Ipv4::new(203, 0, 113, 7);
         for i in 0..4 {
@@ -680,11 +667,9 @@ mod tests {
         assert_eq!(registry.counter_value("dnsbl.eviction"), Some(0));
         let stats = r.stats();
         assert_eq!((stats.lookups, stats.hits), (4, 3));
-        assert_eq!(
-            registry.histogram_count("dnsbl.lookup_ns"),
-            Some(stats.lookups)
-        );
+        // The model's latencies stay in the resolver's own books.
         assert_eq!(stats.latency_ns.count, stats.lookups);
+        assert!(!registry.render().contains("lookup_ns"));
     }
 
     #[test]
@@ -694,7 +679,7 @@ mod tests {
         let registry = Registry::new(Arc::new(spamaware_metrics::ManualClock::new()));
         let mut r = CachingResolver::new(CacheScheme::PerIp, Nanos::from_secs(3600))
             .with_capacity(2)
-            .with_metrics(&registry, "dnsbl");
+            .with_metrics(&registry);
         let mut rng = det_rng(78);
         for i in 0..8u8 {
             r.lookup(

@@ -107,14 +107,17 @@ impl UdpDnsbl {
 
     /// Blocking stub client: DNSBLv6 AAAA lookup against `server`, waiting
     /// up to `timeout` — a caller checking DNSBLs inline must bound the
-    /// wait itself. Returns the /25 bitmap. A lookup that exceeds
-    /// `timeout` fails with `WouldBlock`/`TimedOut` (platform-dependent),
-    /// distinguishable from network or decode errors.
+    /// wait itself. Returns the /25 bitmap; `NXDOMAIN` reads as a /25
+    /// with nothing listed. A lookup that exceeds `timeout` fails with
+    /// `WouldBlock`/`TimedOut` (platform-dependent), distinguishable from
+    /// network or decode errors.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors; a malformed response surfaces as
-    /// `InvalidData`.
+    /// Propagates socket errors. The socket is connected to `server`, so
+    /// no other sender's datagram reaches it; the one it reads must be
+    /// the response to this query, with `NOERROR` or `NXDOMAIN`. Anything
+    /// else (a `SERVFAIL`, a stray or garbled datagram) is `InvalidData`.
     pub fn lookup_v6_timeout(
         server: SocketAddr,
         zone: &str,
@@ -122,33 +125,33 @@ impl UdpDnsbl {
         timeout: Duration,
     ) -> std::io::Result<spamaware_netaddr::PrefixBitmap> {
         let name = spamaware_netaddr::QueryName::encode(ip, QueryScheme::PrefixV6, zone);
-        let resp = Self::exchange(
-            server,
-            Message::query(next_query_id(), name.as_str(), RecordType::Aaaa),
-            timeout,
-        )?;
-        let bytes: [u8; 16] = resp
-            .answers
-            .iter()
-            .filter(|a| a.rtype == RecordType::Aaaa)
-            .find_map(|a| <[u8; 16]>::try_from(a.rdata.as_slice()).ok())
-            .unwrap_or([0u8; 16]);
-        Ok(spamaware_netaddr::PrefixBitmap::from_wire(
-            ip.prefix25(),
-            bytes,
-        ))
-    }
-
-    fn exchange(server: SocketAddr, query: Message, timeout: Duration) -> std::io::Result<Message> {
+        let query = Message::query(next_query_id(), name.as_str(), RecordType::Aaaa);
         let socket = client_socket(server)?;
+        socket.connect(server)?;
         // A zero timeout would mean "block forever" to the socket layer —
         // clamp to the smallest bounded wait instead.
         socket.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        socket.send_to(&query.encode(), server)?;
+        socket.send(&query.encode())?;
         let mut buf = [0u8; 1024];
-        let (n, _) = socket.recv_from(&mut buf)?;
-        Message::decode(&buf[..n])
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        let n = socket.recv(&mut buf)?;
+        let invalid = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
+        let resp = Message::decode(&buf[..n]).map_err(|e| invalid(e.to_string()))?;
+        if !resp.response || resp.id != query.id {
+            return Err(invalid(format!("id {} answers no query of ours", resp.id)));
+        }
+        let bitmap = match resp.rcode {
+            Rcode::NoError => resp
+                .answers
+                .iter()
+                .filter(|a| a.rtype == RecordType::Aaaa)
+                .find_map(|a| <[u8; 16]>::try_from(a.rdata.as_slice()).ok()),
+            Rcode::NxDomain => None,
+            rcode => return Err(invalid(format!("the DNSBL answered {rcode:?}"))),
+        };
+        Ok(spamaware_netaddr::PrefixBitmap::from_wire(
+            ip.prefix25(),
+            bitmap.unwrap_or([0u8; 16]),
+        ))
     }
 }
 

@@ -28,7 +28,7 @@ impl RecordType {
     }
 
     /// Parses a wire TYPE value.
-    pub fn from_code(code: u16) -> Option<RecordType> {
+    fn from_code(code: u16) -> Option<RecordType> {
         match code {
             1 => Some(RecordType::A),
             28 => Some(RecordType::Aaaa),
@@ -37,31 +37,32 @@ impl RecordType {
     }
 }
 
-/// DNS response codes used here.
+/// DNS response codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rcode {
     /// No error.
     NoError,
     /// Name does not exist.
     NxDomain,
-    /// Query refused / malformed.
-    FormErr,
+    /// Any other code (`FORMERR` is 1, `SERVFAIL` 2, `REFUSED` 5), its
+    /// four bits as they came.
+    Other(u8),
 }
 
 impl Rcode {
     fn bits(self) -> u16 {
         match self {
             Rcode::NoError => 0,
-            Rcode::FormErr => 1,
             Rcode::NxDomain => 3,
+            Rcode::Other(b) => u16::from(b & 0xF),
         }
     }
 
     fn from_bits(b: u16) -> Rcode {
         match b & 0xF {
+            0 => Rcode::NoError,
             3 => Rcode::NxDomain,
-            1 => Rcode::FormErr,
-            _ => Rcode::NoError,
+            other => Rcode::Other(other as u8),
         }
     }
 }
@@ -350,6 +351,16 @@ mod tests {
         let back = Message::decode(&resp.encode()).unwrap();
         assert_eq!(back.rcode, Rcode::NxDomain);
         assert!(back.answers.is_empty());
+    }
+
+    #[test]
+    fn servfail_and_refused_rcodes_roundtrip_as_themselves() {
+        let q = Message::query(2, "x.bl.example", RecordType::Aaaa);
+        for code in [2, 5] {
+            let resp = q.respond(Rcode::Other(code), vec![]);
+            let back = Message::decode(&resp.encode()).unwrap();
+            assert_eq!(back.rcode, Rcode::Other(code));
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! * [`Registry`] — a named collection of the above with a canonical,
 //!   deterministic text rendering ([`Registry::render`]) served by the
 //!   live server's `METRICS` admin command;
+//! * [`instruments!`] — the table every crate of the server declares its
+//!   instruments in, one [`Row`] each;
 //! * [`lock`] — the one way the workspace takes a `std::sync::Mutex`,
 //!   recovering it from a panicked holder.
 //!
@@ -31,7 +33,7 @@
 //! let clock = ManualClock::new();
 //! let registry = Registry::new(Arc::new(clock.clone()));
 //! let accepted = registry.counter("live.accepted");
-//! let lookups = registry.span("dnsbl.lookup_ns");
+//! let lookups = registry.span("dnsbl.agent_ns");
 //!
 //! accepted.inc();
 //! let span = lookups.start();
@@ -40,16 +42,18 @@
 //!
 //! let report = registry.render();
 //! assert!(report.contains("counter live.accepted 1"));
-//! assert!(report.contains("histogram dnsbl.lookup_ns count=1"));
+//! assert!(report.contains("histogram dnsbl.agent_ns count=1"));
 //! ```
 
 mod clock;
 mod instruments;
 mod span;
+mod table;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use instruments::{quantile_of, Counter, Gauge, LogHistogram, BUCKETS};
 pub use span::{SpanGuard, SpanHandle};
+pub use table::Row;
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};

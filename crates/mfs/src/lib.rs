@@ -76,7 +76,7 @@ pub use maildir::{HardlinkStore, MaildirStore};
 pub use mbox::MboxStore;
 pub use memfs::MemFs;
 pub use mfs_store::fsck::{fsck, FsckReport};
-pub use mfs_store::{check_mailbox_name, MailboxEntry, MfsStats, MfsStore};
+pub use mfs_store::{check_mailbox_name, MailboxEntry, MfsStats, MfsStore, INSTRUMENTS};
 pub use profile::{DiskProfile, Meter, Metered, OpCounts};
 pub use realdir::RealDir;
 pub use sharded::{ShardedStore, SyncBackend};

@@ -18,24 +18,37 @@
 use crate::backend::DataRef;
 use crate::frame::{self, Tail};
 use crate::{Backend, FsckReport, MailId, MailStore, StoreError, StoreResult, StoredMail};
-use spamaware_metrics::{Counter, Registry, SpanHandle};
+use spamaware_metrics::Registry;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 pub(crate) mod fsck;
 
-/// Registry-backed store instrumentation (see [`MfsStore::with_metrics`]).
-#[derive(Debug)]
-struct StoreMetrics {
-    write_ns: SpanHandle,
-    read_ns: SpanHandle,
-    delete_ns: SpanHandle,
-    /// Body bytes that landed in the shared data file (written once).
-    shared_bytes: Arc<Counter>,
-    /// Body bytes written into per-mailbox (private) data files.
-    private_bytes: Arc<Counter>,
-    /// Shared-refcount delta records appended to the shared key log.
-    refcount_ops: Arc<Counter>,
+spamaware_metrics::instruments! {
+    /// Every instrument of the crate: what the live server's store
+    /// registers ([`crate::ShardedStore::with_metrics`]).
+    pub const INSTRUMENTS;
+
+    /// What a store records. A [`crate::ShardedStore`] registers the
+    /// group once and hands each partition a clone: the sharded layer
+    /// times deliveries and deletes (one span per logical operation,
+    /// however many partitions it touches), the partitions time reads
+    /// and count bytes and refcounts.
+    #[derive(Debug, Clone)]
+    pub(crate) struct StoreMetrics {
+        write_ns: span "mfs.write_ns" "Duration of one delivery, however many mailboxes and partitions it writes.",
+        read_ns: span "mfs.read_ns" "Duration of one body read (a POP3 `RETR`, or one mail of a mailbox scan).",
+        delete_ns: span "mfs.delete_ns" "Duration of one delete: the tombstone and, for a shared mail, its refcount release.",
+        shared_bytes: counter "mfs.shared_bytes" "Body bytes written once into the shared data file (multi-recipient mail, §6).",
+        private_bytes: counter "mfs.private_bytes" "Body bytes written into a mailbox's own data file.",
+        refcount_ops: counter "mfs.refcount_ops" "Refcount records appended to the shared key log, acquires and releases.",
+    }
+
+    /// What only a [`crate::ShardedStore`] records: a lone store has no
+    /// partition locks to wait for.
+    #[derive(Debug)]
+    pub(crate) struct ShardMetrics {
+        contention_ns: span "mfs.shard_contention_ns" "Time a store operation waited for a partition lock.",
+    }
 }
 
 const RECORD_LEN: u64 = 32;
@@ -367,7 +380,8 @@ pub struct MfsStore<B> {
     /// [`MfsStore::shared_acquire`] reads nothing.
     older_shared_max: Option<MailId>,
     share_threshold: usize,
-    metrics: Option<StoreMetrics>,
+    /// None for a store built with no registry: it keeps no instruments.
+    pub(crate) metrics: Option<StoreMetrics>,
     /// Torn trailing records truncated away while replaying key files.
     recovered: u64,
 }
@@ -390,21 +404,12 @@ impl<B: Backend> MfsStore<B> {
         }
     }
 
-    /// Reports storage latency and byte/refcount accounting into
-    /// `registry` under `<prefix>.write_ns`, `<prefix>.read_ns`,
-    /// `<prefix>.delete_ns`, `<prefix>.shared_bytes`,
-    /// `<prefix>.private_bytes`, and `<prefix>.refcount_ops`. Durations
-    /// come from the registry's injected clock, so simulated stores stay
-    /// deterministic.
-    pub fn with_metrics(mut self, registry: &Registry, prefix: &str) -> MfsStore<B> {
-        self.metrics = Some(StoreMetrics {
-            write_ns: registry.span(&format!("{prefix}.write_ns")),
-            read_ns: registry.span(&format!("{prefix}.read_ns")),
-            delete_ns: registry.span(&format!("{prefix}.delete_ns")),
-            shared_bytes: registry.counter(&format!("{prefix}.shared_bytes")),
-            private_bytes: registry.counter(&format!("{prefix}.private_bytes")),
-            refcount_ops: registry.counter(&format!("{prefix}.refcount_ops")),
-        });
+    /// Records into `registry` every row of [`INSTRUMENTS`] but
+    /// `mfs.shard_contention_ns`, which only a [`crate::ShardedStore`]
+    /// has. Durations come from the registry's injected clock, so
+    /// simulated stores stay deterministic.
+    pub fn with_metrics(mut self, registry: &Registry) -> MfsStore<B> {
+        self.metrics = Some(StoreMetrics::register(registry));
         self
     }
 
@@ -1481,7 +1486,7 @@ mod tests {
         use spamaware_metrics::{ManualClock, Registry};
         let clock = ManualClock::new();
         let registry = Registry::new(std::sync::Arc::new(clock.clone()));
-        let mut s = MfsStore::new(MemFs::new()).with_metrics(&registry, "mfs");
+        let mut s = MfsStore::new(MemFs::new()).with_metrics(&registry);
         s.deliver(MailId(1), &["a", "b", "c"], DataRef::Bytes(b"spam body"))?;
         s.deliver(MailId(2), &["a"], DataRef::Bytes(b"own"))?;
         clock.advance(500);

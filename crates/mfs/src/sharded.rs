@@ -38,11 +38,11 @@
 //! [`crate::MemFs`] into cloneable handles.
 
 use crate::backend::DataRef;
-use crate::mfs_store::Held;
+use crate::mfs_store::{Held, ShardMetrics, StoreMetrics};
 use crate::{
     Backend, MailId, MailStore, MailboxEntry, MfsStats, MfsStore, StoreResult, StoredMail,
 };
-use spamaware_metrics::{lock, Registry, SpanHandle};
+use spamaware_metrics::{lock, Registry};
 use std::sync::{Arc, Mutex, PoisonError};
 
 #[cfg(debug_assertions)]
@@ -91,16 +91,6 @@ fn shard_index(mailbox: &str, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Sharding-layer instrumentation (see [`ShardedStore::with_metrics`]).
-#[derive(Debug)]
-struct ShardMetrics {
-    write_ns: SpanHandle,
-    delete_ns: SpanHandle,
-    /// Time spent *waiting* for a partition lock — the contention signal
-    /// the repo benchmark reports as `live.shard_contention_ns_per_op`.
-    contention_ns: SpanHandle,
-}
-
 /// A concurrent MFS store: `&self` delivery/retrieval/deletion with
 /// per-mailbox lock striping.
 ///
@@ -127,7 +117,9 @@ pub struct ShardedStore<B> {
     shared: Mutex<MfsStore<B>>,
     /// Mailbox partitions, indexed by [`shard_index`].
     shards: Vec<Mutex<MfsStore<B>>>,
-    metrics: Option<ShardMetrics>,
+    /// The clone of the partitions' group this layer records deliveries
+    /// and deletes in, and its own contention span.
+    metrics: Option<(StoreMetrics, ShardMetrics)>,
 }
 
 impl<B: Backend> ShardedStore<B> {
@@ -223,33 +215,19 @@ impl<B: Backend> ShardedStore<B> {
         Self::peek(&self.shared, |p| p.recovered_records())
     }
 
-    /// Reports the same per-operation metrics as
-    /// [`MfsStore::with_metrics`] (identical names, so dashboards don't
-    /// care which store variant is live), plus
-    /// `<prefix>.shard_contention_ns` — cumulative time threads spent
-    /// blocked on partition locks.
-    ///
-    /// `write_ns`/`delete_ns` are recorded at this layer (one span per
-    /// logical operation, however many shards it touches); `read_ns` and
-    /// the byte/refcount counters are recorded by the inner partitions.
-    pub fn with_metrics(self, registry: &Registry, prefix: &str) -> ShardedStore<B> {
-        let unpoison =
-            |m: Mutex<MfsStore<B>>| m.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let shared = Mutex::new(unpoison(self.shared).with_metrics(registry, prefix));
-        let shards = self
-            .shards
-            .into_iter()
-            .map(|m| Mutex::new(unpoison(m).with_metrics(registry, prefix)))
-            .collect();
-        ShardedStore {
-            shared,
-            shards,
-            metrics: Some(ShardMetrics {
-                write_ns: registry.span(&format!("{prefix}.write_ns")),
-                delete_ns: registry.span(&format!("{prefix}.delete_ns")),
-                contention_ns: registry.span(&format!("{prefix}.shard_contention_ns")),
-            }),
+    /// Records every row of [`crate::INSTRUMENTS`] into `registry`: the
+    /// group is registered once, and each partition gets a clone of its
+    /// handles. Deliveries and deletes are timed at this layer, one span
+    /// per logical operation however many partitions it touches; reads
+    /// and the byte and refcount counters are recorded by the partitions.
+    pub fn with_metrics(mut self, registry: &Registry) -> ShardedStore<B> {
+        let store = StoreMetrics::register(registry);
+        for part in std::iter::once(&mut self.shared).chain(&mut self.shards) {
+            let part = part.get_mut().unwrap_or_else(PoisonError::into_inner);
+            part.metrics = Some(store.clone());
         }
+        self.metrics = Some((store, ShardMetrics::register(registry)));
+        self
     }
 
     /// Runs one store operation, `f`, under a partition's lock, charging
@@ -261,10 +239,10 @@ impl<B: Backend> ShardedStore<B> {
         #[cfg(debug_assertions)]
         let _sole = SoleHold::enter();
         let mut guard = match &self.metrics {
-            Some(m) => {
-                let start = m.contention_ns.now();
+            Some((_, shard)) => {
+                let start = shard.contention_ns.now();
                 let guard = lock(part);
-                m.contention_ns.record_since(start);
+                shard.contention_ns.record_since(start);
                 guard
             }
             None => lock(part),
@@ -297,7 +275,7 @@ impl<B: Backend> ShardedStore<B> {
     /// Same surface as [`MfsStore::nwrite`], including
     /// [`crate::StoreError::MailIdCollision`] for the §6.4 defence.
     pub fn deliver(&self, id: MailId, mailboxes: &[&str], body: DataRef<'_>) -> StoreResult<()> {
-        let _span = self.metrics.as_ref().map(|m| m.write_ns.start());
+        let _span = self.metrics.as_ref().map(|(m, _)| m.write_ns.start());
         for mb in mailboxes {
             crate::check_mailbox_name(mb)?;
         }
@@ -397,7 +375,7 @@ impl<B: Backend> ShardedStore<B> {
     ///
     /// [`crate::StoreError::NotFound`] when the mailbox or id is unknown.
     pub fn delete(&self, mailbox: &str, id: MailId) -> StoreResult<()> {
-        let _span = self.metrics.as_ref().map(|m| m.delete_ns.start());
+        let _span = self.metrics.as_ref().map(|(m, _)| m.delete_ns.start());
         let freed = self.with_part(self.shard_for(mailbox), |p| p.delete_local(mailbox, id))?;
         if let Some((offset, len)) = freed {
             self.with_part(&self.shared, |p| p.shared_release(id, offset, len))?;
@@ -708,7 +686,7 @@ mod tests {
     #[test]
     fn read_mailbox_takes_one_short_hold_per_mail() {
         let registry = Registry::with_wall_clock();
-        let s = sharded(4).with_metrics(&registry, "mfs");
+        let s = sharded(4).with_metrics(&registry);
         let n = 5;
         for i in 0..n {
             s.deliver(MailId(i), &["alice"], DataRef::Bytes(b"own"))
@@ -725,7 +703,7 @@ mod tests {
     #[test]
     fn each_body_read_is_one_read_span() -> Result<(), Box<dyn std::error::Error>> {
         let registry = Registry::with_wall_clock();
-        let s = sharded(4).with_metrics(&registry, "mfs");
+        let s = sharded(4).with_metrics(&registry);
         s.deliver(MailId(1), &["alice"], DataRef::Bytes(b"own"))?;
         let reads = || registry.histogram_count("mfs.read_ns").unwrap_or(0);
         let listing = s.list_entries("alice")?;

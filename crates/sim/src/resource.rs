@@ -155,11 +155,6 @@ impl<E> FifoResource<E> {
     pub fn stats(&self) -> ResourceStats {
         self.stats
     }
-
-    /// Whether a job is currently in service.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
 }
 
 #[cfg(test)]
@@ -253,13 +248,15 @@ mod tests {
             ServiceJob::new(ProcId(1), Nanos::from_micros(10), Ev::Done(1)),
         );
         run(&mut s, &mut w);
-        assert!(!w.cpu.is_busy());
-        // Submit again after the queue drained: must restart cleanly.
+        assert_eq!(w.cpu.stats().completed, 1);
+        // Submit again after the queue drained: must restart cleanly,
+        // without waiting behind the finished job.
         w.cpu.submit(
             &mut s,
             ServiceJob::new(ProcId(1), Nanos::from_micros(10), Ev::Done(2)),
         );
         run(&mut s, &mut w);
         assert_eq!(w.cpu.stats().completed, 2);
+        assert_eq!(w.cpu.stats().waited, Nanos::ZERO);
     }
 }

@@ -101,11 +101,6 @@ impl Reply {
         Reply::new(550, "5.1.1 User unknown")
     }
 
-    /// `554` rejected by blacklist policy.
-    pub fn blacklisted(reason: &str) -> Reply {
-        Reply::new(554, format!("5.7.1 Service unavailable; {reason}"))
-    }
-
     /// `554` transport not supported — the live server speaks IPv4 only
     /// (DNSBL prefix caching is defined over IPv4 /25s), so IPv6 peers
     /// are told to retry over IPv4 instead of being silently remapped.
@@ -175,16 +170,6 @@ impl Reply {
         &self.text
     }
 
-    /// 2xx/3xx.
-    pub fn is_positive(&self) -> bool {
-        self.code < 400
-    }
-
-    /// 4xx.
-    pub fn is_transient_failure(&self) -> bool {
-        (400..500).contains(&self.code)
-    }
-
     /// 5xx.
     pub fn is_permanent_failure(&self) -> bool {
         self.code >= 500
@@ -244,18 +229,17 @@ mod tests {
 
     #[test]
     fn classification_by_code() {
-        assert!(Reply::ok().is_positive());
-        assert!(Reply::start_data().is_positive());
-        assert!(Reply::too_many_recipients().is_transient_failure());
+        assert_eq!(Reply::ok().code(), 250);
+        assert_eq!(Reply::start_data().code(), 354);
+        assert_eq!(Reply::too_many_recipients().code(), 452);
         assert!(Reply::user_unknown().is_permanent_failure());
-        assert!(!Reply::user_unknown().is_positive());
+        assert!(!Reply::ok().is_permanent_failure());
     }
 
     #[test]
     fn service_not_available_is_transient() {
         let r = Reply::service_not_available();
-        assert_eq!(r.code(), 421);
-        assert!(r.is_transient_failure(), "421 must invite a retry");
+        assert_eq!(r.code(), 421, "421 must invite a retry");
         assert!(!r.is_permanent_failure());
     }
 

@@ -50,7 +50,9 @@
 #                                one-hold-per-mail count of a mailbox scan,
 #                                the one-deadline-per-connection count of
 #                                the session engine's timer set, and the
-#                                metric inventory against DESIGN.md §14.3
+#                                core, mfs and dnsbl instrument tables
+#                                against DESIGN.md §14.3 and against what
+#                                a freshly started server registers
 #   5. figures check results   — every experiment is re-run in release at
 #                                the recorded scale (and the four
 #                                full_key rows at --full) and compared
