@@ -114,8 +114,6 @@ spamaware_metrics::instruments! {
     pub(crate) struct PoolMetrics {
         reuse: counter "live.pool_reuse" "Buffer-pool takes served from the free list.",
         miss: counter "live.pool_miss" "Buffer-pool takes that had to allocate.",
-        #[cfg(debug_assertions)]
-        alloc_bytes: counter "live.alloc_bytes" "Fresh buffer capacity allocated on a pool miss (debug builds only).",
     }
 }
 
@@ -157,13 +155,11 @@ mod tests {
     use std::fmt::Write;
 
     /// Kind and name of every instrument in the registry of a fresh,
-    /// DNSBL-less `LiveServer` built in debug mode, taken from
-    /// `metrics_report()` at the commit before the table existed.
+    /// DNSBL-less `LiveServer`, the same in debug and release builds.
     const FRESH_INVENTORY: &str = "\
 counter dnsbl.agent_dropped\n\
 counter live.accepted\n\
 counter live.admin_write_timeouts\n\
-counter live.alloc_bytes\n\
 counter live.blacklisted\n\
 counter live.bounces\n\
 counter live.data_deadline_evictions\n\
@@ -226,7 +222,7 @@ histogram worker.storage_ns\n\
             .chain(spamaware_dnsbl::INSTRUMENTS)
     }
 
-    /// How `metrics_report()` starts the line of the instrument `row`
+    /// How `metrics().render()` starts the line of the instrument `row`
     /// declares: a span is its histogram.
     fn report_line(row: &Row) -> String {
         let kind = if row.kind == "span" {
@@ -244,7 +240,7 @@ histogram worker.storage_ns\n\
         let mut cfg = LiveConfig::localhost(&root, vec!["alice".to_owned()]);
         tweak(&mut cfg);
         let server = LiveServer::start(cfg).expect("start");
-        let report = server.metrics_report();
+        let report = server.metrics().render();
         server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
         report
@@ -253,19 +249,10 @@ histogram worker.storage_ns\n\
             .collect()
     }
 
-    /// `live.alloc_bytes` is registered in debug builds alone.
-    fn in_this_build(line: &str) -> bool {
-        cfg!(debug_assertions) || line != "counter live.alloc_bytes"
-    }
-
     #[test]
     fn fresh_server_registers_the_inventory_it_always_did() {
         let inventory = inventory_at_start("inventory", |_| {});
-        let golden: Vec<&str> = FRESH_INVENTORY
-            .lines()
-            .filter(|line| in_this_build(line))
-            .collect();
-        assert_eq!(inventory, golden);
+        assert_eq!(inventory, FRESH_INVENTORY.lines().collect::<Vec<_>>());
     }
 
     #[test]
@@ -276,10 +263,7 @@ histogram worker.storage_ns\n\
             cfg.dnsbl_udp = Some((dnsbl, "bl.example".to_owned()));
         });
         inventory.sort();
-        let mut declared: Vec<String> = all_rows()
-            .map(report_line)
-            .filter(|line| in_this_build(line))
-            .collect();
+        let mut declared: Vec<String> = all_rows().map(report_line).collect();
         declared.sort();
         assert_eq!(inventory, declared);
     }

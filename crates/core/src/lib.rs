@@ -14,7 +14,7 @@
 //! | Prefix-based DNSBL caching (§7) | `spamaware-dnsbl` | [`CachingResolver`](spamaware_dnsbl::CachingResolver) with [`CacheScheme::PerPrefix`](spamaware_dnsbl::CacheScheme::PerPrefix), on the DNSBL agent thread |
 //!
 //! Beside SMTP, [`Pop3Server`] reads and deletes from the same store, a
-//! localhost admin socket serves [`LiveServer::metrics_report`], and the
+//! localhost admin socket serves [`LiveServer::metrics`]'s report, and the
 //! `spamawarectl` binary serves, inspects, checks and compacts a spool.
 //! Every peer-facing thread runs one session engine, [`driver`], over a
 //! [`reactor`]. The discrete-event simulator that regenerates the paper's

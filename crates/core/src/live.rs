@@ -39,7 +39,8 @@
 //! / storage latencies plus queue depth (`worker.*`), and the DNSBL agent
 //! thread's lookups, cache, and breaker (`dnsbl.*`) and the instrumented
 //! mail store (`mfs.*`).
-//! [`LiveServer::metrics_report`] renders the registry deterministically;
+//! [`Registry::render`](spamaware_metrics::Registry::render) on
+//! [`LiveServer::metrics`] renders the registry deterministically;
 //! the same text is served over a localhost admin socket
 //! ([`LiveServer::admin_addr`]) in answer to a `METRICS` (or `STAT`)
 //! command line.
@@ -88,6 +89,11 @@ const FD_TABLE: usize = 1024;
 /// long its queued replies may go without the peer taking one.
 const WORKER_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long a whole session may take, measured from accept; a connection
+/// that overstays is evicted with `421` wherever it is in the dialog
+/// (`live.session_deadline_evictions`).
+const SESSION_DEADLINE: Duration = Duration::from_secs(300);
+
 /// How long one `DATA` body transfer may take; a trickling client is
 /// evicted with `421` (`live.data_deadline_evictions`).
 const DATA_DEADLINE: Duration = Duration::from_secs(120);
@@ -129,10 +135,6 @@ pub struct LiveConfig {
     /// the excess is shed with `421` (a single spammer must not monopolize
     /// the master's event loop).
     pub max_pretrust_per_ip: usize,
-    /// Wall-clock budget for a whole session, measured from accept; a
-    /// connection that overstays is evicted with `421` wherever it is in
-    /// the dialog.
-    pub session_deadline: Duration,
     /// Hard cap on reply bytes queued toward any one pre-trust peer in the
     /// master's event loop. A peer whose backlog would exceed it — it
     /// pipelines commands but never reads replies — is evicted
@@ -160,7 +162,6 @@ impl LiveConfig {
             pretrust_idle_timeout: Duration::from_secs(30),
             max_connections: 512,
             max_pretrust_per_ip: 32,
-            session_deadline: Duration::from_secs(300),
             max_outq_bytes: 64 * 1024,
             write_stall_timeout: Duration::from_secs(10),
         }
@@ -209,7 +210,7 @@ fn preregister_thread_instruments(registry: &Registry) {
 /// let cfg = LiveConfig::localhost("/tmp/spamaware-mail", vec!["alice".into()]);
 /// let server = LiveServer::start(cfg)?;
 /// println!("listening on {}", server.local_addr());
-/// println!("{}", server.metrics_report());
+/// println!("{}", server.metrics().render());
 /// server.shutdown();
 /// # Ok::<(), spamaware_core::ServeError>(())
 /// ```
@@ -274,9 +275,9 @@ impl LiveServer {
                 "outbound queue cap must admit at least one byte".to_owned(),
             ));
         }
-        if cfg.session_deadline.is_zero() || cfg.write_stall_timeout.is_zero() {
+        if cfg.write_stall_timeout.is_zero() {
             return Err(ServeError::Config(
-                "the session deadline and the write-stall budget must be nonzero".to_owned(),
+                "the write-stall budget must be nonzero".to_owned(),
             ));
         }
         check_mailboxes(&cfg.mailboxes)?;
@@ -356,7 +357,7 @@ impl LiveServer {
                 draining: Arc::clone(&draining),
                 inflight: Arc::clone(&inflight),
                 read_timeout: WORKER_IDLE_TIMEOUT,
-                session_deadline: cfg.session_deadline,
+                session_deadline: SESSION_DEADLINE,
                 data_deadline: DATA_DEADLINE,
                 max_outq_bytes: cfg.max_outq_bytes,
             };
@@ -393,7 +394,7 @@ impl LiveServer {
             hostname: cfg.hostname,
             dnsbl_tx,
             pretrust_idle_timeout: cfg.pretrust_idle_timeout,
-            session_deadline: cfg.session_deadline,
+            session_deadline: SESSION_DEADLINE,
             max_outq_bytes: cfg.max_outq_bytes,
             write_stall_timeout: cfg.write_stall_timeout,
             max_connections: cfg.max_connections,
@@ -466,11 +467,6 @@ impl LiveServer {
     /// The server's metrics registry (counters, gauges, span histograms).
     pub fn metrics(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Renders every registered metric as deterministic, sorted text.
-    pub fn metrics_report(&self) -> String {
-        self.registry.render()
     }
 
     /// Shared handle to the mail store (for inspection or a co-located

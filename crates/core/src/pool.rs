@@ -5,10 +5,7 @@
 //! pure allocator churn on the paper's common case. [`BufferPool`] keeps a
 //! bounded free list of cleared `Vec<u8>`s: `take` hands out a recycled
 //! buffer when one is available (counted as `live.pool_reuse`) and
-//! allocates otherwise (`live.pool_miss`). Debug builds additionally track
-//! `live.alloc_bytes` — capacity allocated fresh on the hot path — so an
-//! allocation regression shows up in the metrics report instead of a
-//! profiler.
+//! allocates otherwise (`live.pool_miss`).
 
 use crate::instruments::PoolMetrics;
 use spamaware_metrics::{lock, Registry};
@@ -50,8 +47,6 @@ impl BufferPool {
             return buf;
         }
         self.metrics.miss.inc();
-        #[cfg(debug_assertions)]
-        self.metrics.alloc_bytes.add(self.default_capacity as u64);
         Vec::with_capacity(self.default_capacity)
     }
 

@@ -80,9 +80,8 @@ enum State {
 
 /// A consecutive-failure circuit breaker over a registry's clock.
 ///
-/// Not internally synchronized: the intended owner is a single dispatch
-/// thread (the live server's master loop). See the module docs for the
-/// state machine.
+/// Not internally synchronized: its one owner is the live server's DNSBL
+/// agent thread. See the module docs for the state machine.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     clock: Arc<dyn Clock>,

@@ -64,11 +64,6 @@ impl DnsblServer {
         &self.zone
     }
 
-    /// Read access to the backing database.
-    pub fn db(&self) -> &BlacklistDb {
-        &self.db
-    }
-
     /// Classic per-IP query: listing status plus the sampled cold latency.
     pub fn query_v4<R: Rng + ?Sized>(&self, ip: Ipv4, rng: &mut R) -> (Option<ListingCode>, Nanos) {
         (self.db.lookup(ip), self.latency.sample(rng))

@@ -2,8 +2,9 @@
 //! actual socket with real RFC 1035 messages.
 //!
 //! One thread answers A queries (classic reversed-IP scheme) and AAAA
-//! queries (DNSBLv6: the 128-bit /25 bitmap as the AAAA address), plus a
-//! blocking stub-client helper for tests and demos.
+//! queries (DNSBLv6: the 128-bit /25 bitmap as the AAAA address), plus
+//! the blocking stub client ([`UdpDnsbl::lookup_v6_timeout`]) the live
+//! server's DNSBL agent thread resolves through.
 
 use crate::wire::{Answer, Message, Rcode, RecordType};
 use crate::{BlacklistDb, WireAnswer};
@@ -173,8 +174,8 @@ impl Drop for UdpDnsbl {
 }
 
 /// Query IDs only need to be unique per outstanding query on this stub
-/// client; a process-wide counter keeps them deterministic (determinism
-/// lint: no ambient RNG in dnsbl).
+/// client; a process-wide counter keeps them deterministic (DESIGN.md
+/// §9).
 fn next_query_id() -> u16 {
     use std::sync::atomic::AtomicU16;
     static NEXT: AtomicU16 = AtomicU16::new(0x5a5a);

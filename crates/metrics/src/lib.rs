@@ -140,8 +140,9 @@ impl Registry {
         }
     }
 
-    /// Gets or creates the named histogram.
-    pub fn histogram(&self, name: &str) -> Arc<LogHistogram> {
+    /// Gets or creates the named histogram; the rest of the workspace
+    /// reaches it only as a [`Registry::span`].
+    fn histogram(&self, name: &str) -> Arc<LogHistogram> {
         let mut map = lock(&self.metrics);
         match map
             .entry(name.to_owned())

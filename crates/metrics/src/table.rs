@@ -92,7 +92,6 @@ macro_rules! instruments {
             $(#[$group_meta:meta])*
             $vis:vis struct $Handles:ident $(/ $Values:ident)? {
                 $(
-                    $(#[$row_meta:meta])*
                     $field:ident: $kind:ident $name:literal $($terminal:ident)? $doc:literal,
                 )*
             }
@@ -101,14 +100,14 @@ macro_rules! instruments {
         $(
             $(#[$group_meta])*
             $vis struct $Handles {
-                $($(#[$row_meta])* #[doc = $doc] pub $field: $crate::__instrument_handle!($kind),)*
+                $(#[doc = $doc] pub $field: $crate::__instrument_handle!($kind),)*
             }
 
             impl $Handles {
                 /// Resolves (gets or creates) every instrument of the
                 /// group on `registry`.
                 pub fn register(registry: &$crate::Registry) -> $Handles {
-                    $Handles { $($(#[$row_meta])* $field: registry.$kind($name),)* }
+                    $Handles { $($field: registry.$kind($name),)* }
                 }
             }
 

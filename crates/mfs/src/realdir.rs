@@ -75,11 +75,6 @@ impl RealDir {
         })
     }
 
-    /// The root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn resolve(&self, path: &str) -> StoreResult<PathBuf> {
         // Reject traversal; mailbox names are server-generated but the
         // live server feeds client-influenced ids through here too.

@@ -22,13 +22,14 @@
 #                                  them outright, since that crate runs
 #                                  under store partitions (DESIGN.md §14.2);
 #                                - determinism: crates/clippy.toml refuses
-#                                  the wall clock, the environment,
-#                                  ambient entropy and hash-order
-#                                  iteration in every crate without a
-#                                  config of its own (for loops:
-#                                  iter_over_hash_type, denied at their
-#                                  roots); the core and mfs files refuse
-#                                  the first three (DESIGN.md §9);
+#                                  the wall clock, the environment and
+#                                  hash-order iteration in every crate
+#                                  without a config of its own (for
+#                                  loops: iter_over_hash_type, denied at
+#                                  their roots); the core and mfs files
+#                                  refuse the first two. Ambient entropy
+#                                  needs no rule: the vendored rand has
+#                                  no unseeded generator (DESIGN.md §9);
 #                                - layouts: crates/clippy.toml refuses
 #                                  MboxStore, MaildirStore and
 #                                  HardlinkStore, so the DES reaches
@@ -52,7 +53,10 @@
 #                                the session engine's timer set, and the
 #                                core, mfs and dnsbl instrument tables
 #                                against DESIGN.md §14.3 and against what
-#                                a freshly started server registers
+#                                a freshly started server registers, and
+#                                the recorded-rows guard: a scripted run
+#                                whose report may read zero only on the
+#                                rows it pins (DESIGN.md §14.4)
 #   5. figures check results   — every experiment is re-run in release at
 #                                the recorded scale (and the four
 #                                full_key rows at --full) and compared

@@ -1,6 +1,7 @@
 //! Helpers shared by the live-server suites — and, through a `#[path]`
 //! include, by `crates/core/tests`: one lockstep line client, one spool
-//! builder, one server starter and one poll loop.
+//! builder, one server starter and one poll loop, with its stored-mail
+//! form.
 #![allow(dead_code)]
 
 use spamaware_core::{LiveConfig, LiveServer, LiveSnapshot};
@@ -156,6 +157,13 @@ fn settle(mut cond: impl FnMut() -> bool) -> bool {
 /// Polls `cond` until it holds; panics naming `what` after [`WAIT_BUDGET`].
 pub fn wait_for(what: &str, cond: impl FnMut() -> bool) {
     assert!(settle(cond), "timed out waiting for {what}");
+}
+
+/// Waits until `server` has stored at least `n` mails.
+pub fn wait_for_mails(server: &LiveServer, n: u64) {
+    wait_for(&format!("{n} stored mails"), || {
+        server.stats().snapshot().mails_stored >= n
+    });
 }
 
 /// Clamps a test client's kernel receive buffer so its TCP window

@@ -202,7 +202,7 @@ fn admin_socket_serves_deterministic_metrics_report() {
     // STAT is an alias; with the server quiescent both render identically,
     // and match the in-process report.
     assert_eq!(ask("STAT"), report);
-    assert_eq!(srv.metrics_report(), report);
+    assert_eq!(srv.metrics().render(), report);
     // Unknown admin verbs get an error line, not a report.
     assert!(ask("REBOOT").starts_with("ERR"), "unknown verb must err");
     drop(c);

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{serve, wait_for, Line};
+use common::{serve, wait_for, wait_for_mails, Line};
 use spamaware_core::{LiveServer, Pop3Server};
 use std::io::Write;
 use std::net::SocketAddr;
@@ -34,12 +34,6 @@ fn smtp_deliver(addr: SocketAddr, rcpts: &[&str], body: &str) {
     c.cmd("HELO c.example");
     c.deliver(rcpts, body);
     c.cmd("QUIT");
-}
-
-fn wait_for_mails(server: &LiveServer, n: u64) {
-    wait_for(&format!("{n} stored mails"), || {
-        server.stats().snapshot().mails_stored >= n
-    });
 }
 
 #[test]

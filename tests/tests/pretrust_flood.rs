@@ -43,7 +43,6 @@ fn master_carries_10k_parked_pretrust_connections_without_starving_delivery() {
         cfg.max_connections = HELD + 256;
         cfg.max_pretrust_per_ip = HELD + 256; // every holder is 127.0.0.1
         cfg.pretrust_idle_timeout = Duration::from_secs(300);
-        cfg.session_deadline = Duration::from_secs(600);
     });
     let addr = server.local_addr();
 

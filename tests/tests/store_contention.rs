@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{serve, wait_for, Line};
+use common::{serve, wait_for_mails, Line};
 use spamaware_core::{LiveServer, Pop3Server};
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -53,12 +53,6 @@ fn pop3_poll(addr: SocketAddr, mailbox: &str, rounds: usize) {
         p.cmd("QUIT");
         std::thread::sleep(Duration::from_millis(5));
     }
-}
-
-fn wait_for_mails(server: &LiveServer, n: usize) {
-    wait_for(&format!("{n} stored mails"), || {
-        server.stats().snapshot().mails_stored >= n as u64
-    });
 }
 
 /// Asserts a mailbox holds exactly the expected markers: nothing lost,
@@ -105,7 +99,7 @@ fn concurrent_disjoint_mailboxes_lose_nothing() {
     for h in pollers {
         h.join().expect("poller");
     }
-    wait_for_mails(&smtp, boxes.len() * MAILS_PER_WRITER);
+    wait_for_mails(&smtp, (boxes.len() * MAILS_PER_WRITER) as u64);
 
     let store = smtp.store();
     for mb in boxes {
@@ -139,7 +133,7 @@ fn concurrent_overlapping_mailbox_loses_nothing() {
     for h in pollers {
         h.join().expect("poller");
     }
-    wait_for_mails(&smtp, WORKERS * MAILS_PER_WRITER);
+    wait_for_mails(&smtp, (WORKERS * MAILS_PER_WRITER) as u64);
 
     let store = smtp.store();
     let expected: HashSet<String> = (0..WORKERS)

@@ -175,7 +175,6 @@ fn master_serves_probes_through_a_100_peer_write_stall_storm() {
     let (server, root) = serve("storm", &["inbox", "alice"], |cfg| {
         cfg.max_pretrust_per_ip = STALLED + 64; // every peer is 127.0.0.1
         cfg.pretrust_idle_timeout = Duration::from_secs(300);
-        cfg.session_deadline = Duration::from_secs(600);
         cfg.max_outq_bytes = 16 * 1024;
         cfg.write_stall_timeout = Duration::from_secs(60);
     });
