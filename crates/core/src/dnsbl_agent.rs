@@ -90,7 +90,7 @@ impl Agent {
         let (server_addr, zone) = &self.dnsbl_udp;
         #[expect(
             clippy::disallowed_methods,
-            reason = "the DNSBL agent's own thread: the master parks the connection and is woken with the verdict"
+            reason = "the DNSBL agent's own thread: the master hands it the address and never waits for the verdict, which is record-only (§9)"
         )]
         let answer = UdpDnsbl::lookup_v6_timeout(*server_addr, zone, peer_ip, UDP_TIMEOUT);
         match answer {

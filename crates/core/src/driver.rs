@@ -595,14 +595,14 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
             // The stall begins here, whether or not the cap survives it.
             mm.write_stalls.inc();
         }
-        let mut resume = false;
+        let (poll_id, mut resume) = (slot.conn.poll_id(), false);
         let end = match state {
             WriteState::Drained => {
                 if slot.w_armed {
                     slot.w_armed = false;
                     if slot.closing.is_none() {
                         // The peer caught up: listen to it again.
-                        let _ = self.reactor.set_interest(slot.conn.poll_id(), true, false);
+                        let _ = self.reactor.set_interest(poll_id, token, true, false);
                         resume = true;
                     }
                 }
@@ -614,7 +614,7 @@ impl<C: Conn, R: Reactor, P: Protocol<C>> Driver<'_, C, R, P> {
                 // and start the no-progress clock. Never being told when
                 // the peer drains would leave the queue sitting forever:
                 // give the connection up instead.
-                match self.reactor.set_interest(slot.conn.poll_id(), false, true) {
+                match self.reactor.set_interest(poll_id, token, false, true) {
                     Ok(()) => {
                         slot.w_armed = true;
                         slot.quiet_since = now;

@@ -689,7 +689,6 @@ impl Protocol<TcpStream> for Admin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spamaware_netaddr::Ipv4;
 
     #[test]
     fn unaccounted_survives_a_snapshot_torn_across_a_drain_eviction() {
@@ -730,7 +729,6 @@ mod tests {
             session: spamaware_smtp::ServerSession::new(Default::default()),
             leftover: Vec::new(),
             pending_out: Vec::new(),
-            peer: Ipv4::new(192, 0, 2, 1),
             accepted_ns: 0,
         };
         let take = |w: usize| queues[w].try_recv().ok().map(|(_, t)| t.conn);

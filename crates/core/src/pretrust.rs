@@ -50,8 +50,6 @@ pub struct Trusted<C> {
     /// Reply bytes the master queued but the peer has not yet accepted;
     /// the worker sends these before any reply of its own.
     pub pending_out: Vec<u8>,
-    /// Client address.
-    pub peer: Ipv4,
     /// Registry-clock instant the connection was accepted; deadlines
     /// downstream keep charging against it.
     pub accepted_ns: u64,
@@ -230,7 +228,6 @@ where
                     session,
                     leftover,
                     pending_out: gone.unsent,
-                    peer,
                     accepted_ns: gone.accepted_ns,
                 };
                 // Delegated: the worker side owns the in-flight slot and

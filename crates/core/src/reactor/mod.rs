@@ -83,7 +83,8 @@ pub trait Reactor {
     /// that is about to be closed.
     fn deregister(&mut self, poll_id: u64) -> io::Result<()>;
 
-    /// Sets what `poll_id` is reported for from now on. Level-triggered:
+    /// Sets what `poll_id`, registered under `token`, is reported for from
+    /// now on; the caller calls it only on a change. Level-triggered:
     /// while `write` is armed, an id with socket-buffer room is reported
     /// writable on every wait, so it must be armed only while output is
     /// actually queued (DESIGN.md §15.4). `read` is dropped for exactly as
@@ -95,7 +96,8 @@ pub trait Reactor {
     ///
     /// Fails if the OS rejects the re-registration; the caller should
     /// evict the connection (its queued output can never flush).
-    fn set_interest(&mut self, poll_id: u64, read: bool, write: bool) -> io::Result<()>;
+    fn set_interest(&mut self, poll_id: u64, token: u64, read: bool, write: bool)
+        -> io::Result<()>;
 
     /// Blocks until at least one watched id is ready, the timeout
     /// elapses, or a waker fires; appends the ready events to `out`

@@ -1,7 +1,6 @@
 //! The production [`Reactor`]: epoll plus a self-pipe waker.
 
 use super::{Reactor, ReadyEvent};
-use std::collections::BTreeMap;
 use std::io;
 use std::os::fd::RawFd;
 
@@ -22,10 +21,6 @@ pub struct OsReactor {
     wake: rawpoll::WakePipe,
     /// Reusable kernel-event scratch buffer.
     events: Vec<rawpoll::Ready>,
-    /// Registration bookkeeping: `poll_id → (token, read, write)`, needed
-    /// because `EPOLL_CTL_MOD` replaces the whole interest set, so the
-    /// token and the other half must be replayed on every interest flip.
-    watched: BTreeMap<u64, (u64, bool, bool)>,
 }
 
 impl OsReactor {
@@ -42,7 +37,6 @@ impl OsReactor {
             poller,
             wake,
             events: Vec::new(),
-            watched: BTreeMap::new(),
         })
     }
 
@@ -54,26 +48,22 @@ impl OsReactor {
 
 impl Reactor for OsReactor {
     fn register(&mut self, poll_id: u64, token: u64) -> io::Result<()> {
-        self.poller.add(poll_id as RawFd, token)?;
-        self.watched.insert(poll_id, (token, true, false));
-        Ok(())
+        self.poller.add(poll_id as RawFd, token)
     }
 
     fn deregister(&mut self, poll_id: u64) -> io::Result<()> {
-        self.watched.remove(&poll_id);
         self.poller.del(poll_id as RawFd)
     }
 
-    fn set_interest(&mut self, poll_id: u64, read: bool, write: bool) -> io::Result<()> {
-        let Some(&(token, was_read, was_write)) = self.watched.get(&poll_id) else {
-            return Err(io::Error::from(io::ErrorKind::NotFound));
-        };
-        if (was_read, was_write) != (read, write) {
-            // (Unchanged interest spares the epoll_ctl syscall.)
-            self.poller.modify(poll_id as RawFd, token, read, write)?;
-            self.watched.insert(poll_id, (token, read, write));
-        }
-        Ok(())
+    fn set_interest(
+        &mut self,
+        poll_id: u64,
+        token: u64,
+        read: bool,
+        write: bool,
+    ) -> io::Result<()> {
+        // `EPOLL_CTL_MOD` replaces the whole interest set, token included.
+        self.poller.modify(poll_id as RawFd, token, read, write)
     }
 
     fn wait(&mut self, timeout_ns: Option<u64>, out: &mut Vec<ReadyEvent>) -> io::Result<()> {

@@ -396,10 +396,17 @@ impl Reactor for SimReactor {
         Ok(())
     }
 
-    fn set_interest(&mut self, poll_id: u64, read: bool, write: bool) -> io::Result<()> {
+    fn set_interest(
+        &mut self,
+        poll_id: u64,
+        token: u64,
+        read: bool,
+        write: bool,
+    ) -> io::Result<()> {
         let Some(entry) = self.registered.get_mut(&poll_id) else {
             return Err(io::Error::from(ErrorKind::NotFound));
         };
+        debug_assert_eq!(entry.0, token, "interest set under another token");
         let (_, muted, armed) = *entry;
         (entry.1, entry.2) = (!read, write);
         if armed != write {

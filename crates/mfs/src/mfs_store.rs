@@ -29,10 +29,10 @@ spamaware_metrics::instruments! {
     pub const INSTRUMENTS;
 
     /// What a store records. A [`crate::ShardedStore`] registers the
-    /// group once and hands each partition a clone: the sharded layer
-    /// times deliveries and deletes (one span per logical operation,
-    /// however many partitions it touches), the partitions time reads
-    /// and count bytes and refcounts.
+    /// group once and hands each partition a clone: deliveries and
+    /// deletes are timed around all their steps (one span per logical
+    /// operation, however many partitions it touches), the partitions
+    /// time reads and count bytes and refcounts.
     #[derive(Debug, Clone)]
     pub(crate) struct StoreMetrics {
         write_ns: span "mfs.write_ns" "Duration of one delivery, however many mailboxes and partitions it writes.",
@@ -59,6 +59,9 @@ pub(crate) const SHARED: &str = "shmailbox";
 /// fresh id can reach it after a larger one: under `multi_rcpt_large`
 /// 11 of 15,000 deliveries did, each one record late.
 const RECENT_SHARED: usize = 64;
+
+/// [`MfsStore::with_share_threshold`]'s default, and [`crate::ShardedStore`]'s.
+pub(crate) const SHARE_THRESHOLD: usize = 2;
 
 /// The rule every mailbox name the store writes passes: not empty, no
 /// `/`, and not `shmailbox`, the shared log's own name.
@@ -258,19 +261,6 @@ impl SharedLog {
         });
     }
 
-    /// The whole store's statistics, from this log and the mailboxes'
-    /// counts, with the refcounts clamped.
-    pub(crate) fn stats(mut self, held: &Held) -> MfsStats {
-        self.clamp(held);
-        MfsStats {
-            shared_mails: self.bodies.len() as u64,
-            shared_bytes: self.bodies.values().map(|b| b.len).sum(),
-            freed_shared_bytes: self.freed_bytes,
-            own_records: held.own,
-            shared_references: held.refs.values().sum::<i64>() as u64,
-        }
-    }
-
     /// Debug-build check of §6.1's refcounting, run where the whole
     /// store was just read (open, fsck, compact): every live mailbox
     /// reference points at a body the log holds, with at least as many
@@ -398,7 +388,7 @@ impl<B: Backend> MfsStore<B> {
             max_id: None,
             recent_shared: VecDeque::new(),
             older_shared_max: None,
-            share_threshold: 2,
+            share_threshold: SHARE_THRESHOLD,
             metrics: None,
             recovered: 0,
         }
@@ -485,22 +475,11 @@ impl<B: Backend> MfsStore<B> {
     /// read counts as empty, as in [`MfsStore::list_mailbox`]. The memo
     /// is left as it was.
     pub fn stats(&mut self) -> MfsStats {
-        let log = self.shared_log().unwrap_or_default();
-        let mut held = Held::default();
-        for mailbox in self.mailbox_names().unwrap_or_default() {
-            self.count_mailbox(&mailbox, &mut held);
-        }
-        log.stats(&held)
-    }
-
-    /// Adds `mailbox`'s live entries to `held`, read from its key file
-    /// (an unreadable one adds nothing).
-    pub(crate) fn count_mailbox(&mut self, mailbox: &str, held: &mut Held) {
-        held.count(&self.read_entries(mailbox).unwrap_or_default());
+        stats(self)
     }
 
     /// Every mailbox that has a key file, sorted.
-    pub(crate) fn mailbox_names(&mut self) -> StoreResult<Vec<String>> {
+    fn mailbox_names(&mut self) -> StoreResult<Vec<String>> {
         Ok(self
             .backend
             .list("mfs/")?
@@ -690,7 +669,7 @@ impl<B: Backend> MfsStore<B> {
     }
 
     /// Reads `shmailbox.key` and folds it, refcounts as logged.
-    pub(crate) fn shared_log(&mut self) -> StoreResult<SharedLog> {
+    fn shared_log(&mut self) -> StoreResult<SharedLog> {
         Ok(SharedLog::fold(&self.read_key_file(SHARED)?))
     }
 
@@ -736,44 +715,13 @@ impl<B: Backend> MfsStore<B> {
     /// [`StoreError::MailIdCollision`] if `id` already names shared content
     /// of a different size — the §6.4 random-guessing attack defence.
     pub fn nwrite(&mut self, id: MailId, mailboxes: &[&str], body: DataRef<'_>) -> StoreResult<()> {
-        let _span = self.metrics.as_ref().map(|m| m.write_ns.start());
-        for mb in mailboxes {
-            check_mailbox_name(mb)?;
-        }
-        match mailboxes {
-            [] => Ok(()),
-            mbs if mbs.len() < self.share_threshold => {
-                // Below the share threshold (single recipient under the
-                // paper's default): each mailbox gets its own copy in its
-                // own data file.
-                for mb in mbs {
-                    self.write_own(mb, id, body)?;
-                }
-                Ok(())
-            }
-            _ => {
-                let (offset, len) = self.shared_acquire(id, body, mailboxes.len() as i64)?;
-                for mb in mailboxes {
-                    self.attach_shared(mb, id, offset, len)?;
-                }
-                Ok(())
-            }
-        }
+        deliver(self, id, mailboxes, body)
     }
 
     /// Writes one mail as a mailbox-private copy: body appended to the
     /// mailbox's own data file plus an own-record (`delta = 1`) key tuple.
-    ///
-    /// Sharding primitive — the caller is responsible for the write span
-    /// and mailbox-name validation; everything it touches belongs to one
-    /// mailbox, so a [`crate::ShardedStore`] may call it under that
-    /// mailbox's shard lock alone.
-    pub(crate) fn write_own(
-        &mut self,
-        mailbox: &str,
-        id: MailId,
-        body: DataRef<'_>,
-    ) -> StoreResult<()> {
+    /// A step of [`deliver`], on the mailbox's partition.
+    fn write_own(&mut self, mailbox: &str, id: MailId, body: DataRef<'_>) -> StoreResult<()> {
         let offset = self.backend.append(&Self::data_path(mailbox), body)?;
         if let Some(m) = &self.metrics {
             m.private_bytes.add(body.len());
@@ -810,22 +758,13 @@ impl<B: Backend> MfsStore<B> {
     /// the workers that took them race. Any other id folds the log to find
     /// its body. The logged refcount decides, not the clamped one, because
     /// the next fold adds this record's delta to whatever body the log
-    /// holds under the id.
-    ///
-    /// Sharding primitive — touches only `shmailbox` state, so a
-    /// [`crate::ShardedStore`] calls it under the short-hold shared lock
-    /// and releases that lock before touching any recipient shard.
+    /// holds under the id. A step of [`deliver`], on the shared log.
     ///
     /// # Errors
     ///
     /// [`StoreError::MailIdCollision`] if `id` already names shared content
     /// of a different size — the §6.4 random-guessing attack defence.
-    pub(crate) fn shared_acquire(
-        &mut self,
-        id: MailId,
-        body: DataRef<'_>,
-        n: i64,
-    ) -> StoreResult<(u64, u64)> {
+    fn shared_acquire(&mut self, id: MailId, body: DataRef<'_>, n: i64) -> StoreResult<(u64, u64)> {
         let fresh = Some(id) > self.older_shared_max && !self.recent_shared.contains(&id);
         let logged = if fresh {
             None
@@ -864,12 +803,10 @@ impl<B: Backend> MfsStore<B> {
     }
 
     /// Records one shared reference in a mailbox: a `delta = -1` key tuple
-    /// pointing at `(offset, len)` in the shared data file.
-    ///
-    /// Sharding primitive — touches only the named mailbox, so it runs
-    /// under that mailbox's shard lock; the matching refcount must already
-    /// be held via [`MfsStore::shared_acquire`].
-    pub(crate) fn attach_shared(
+    /// pointing at `(offset, len)` in the shared data file. A step of
+    /// [`deliver`], on the mailbox's partition, after
+    /// [`MfsStore::shared_acquire`] took the reference.
+    fn attach_shared(
         &mut self,
         mailbox: &str,
         id: MailId,
@@ -900,21 +837,14 @@ impl<B: Backend> MfsStore<B> {
     /// Removes one mail from a mailbox: appends the tombstone (`delta =
     /// 0`) key tuple, which deletes the first live entry with this id.
     /// Returns `Some((offset, len))` if the removed entry referenced
-    /// shared content — the caller must then release that reference via
-    /// [`MfsStore::shared_release`].
-    ///
-    /// Sharding primitive — touches only the named mailbox, so it runs
-    /// under that mailbox's shard lock alone.
+    /// shared content, for [`MfsStore::shared_release`] to release. A step
+    /// of [`delete`], on the mailbox's partition.
     ///
     /// # Errors
     ///
     /// [`StoreError::NotFound`] when the mailbox holds no live mail with
     /// this id; key-file read and append failures.
-    pub(crate) fn delete_local(
-        &mut self,
-        mailbox: &str,
-        id: MailId,
-    ) -> StoreResult<Option<(u64, u64)>> {
+    fn delete_local(&mut self, mailbox: &str, id: MailId) -> StoreResult<Option<(u64, u64)>> {
         let entries = self.entries(mailbox)?;
         let idx = entries
             .iter()
@@ -939,11 +869,8 @@ impl<B: Backend> MfsStore<B> {
     /// "A shared record cannot be deleted until it is deleted from all MFS
     /// files that share it" (§6.1): the body is reclaimable once a fold of
     /// the log finds its refcount at zero, and only compaction reclaims it.
-    ///
-    /// Sharding primitive — touches only `shmailbox` state, so a
-    /// [`crate::ShardedStore`] calls it under the short-hold shared lock,
-    /// after [`MfsStore::delete_local`] returned the shared coordinates.
-    pub(crate) fn shared_release(&mut self, id: MailId, offset: u64, len: u64) -> StoreResult<()> {
+    /// A step of [`delete`], on the shared log.
+    fn shared_release(&mut self, id: MailId, offset: u64, len: u64) -> StoreResult<()> {
         self.append_key(
             SHARED,
             KeyRecord {
@@ -991,39 +918,26 @@ impl<B: Backend> MfsStore<B> {
     /// with this id (for example, deleted since a
     /// [`MfsStore::list_mailbox`] snapshot); backend read failures.
     pub fn read_mail(&mut self, mailbox: &str, id: MailId) -> StoreResult<StoredMail> {
-        let _span = self.metrics.as_ref().map(|m| m.read_ns.start());
-        let e = self
+        let entry = self
             .entries(mailbox)?
             .iter()
             .find(|e| e.id == id)
             .copied()
             .ok_or_else(|| StoreError::NotFound(format!("{mailbox}/{id}")))?;
-        self.read_body(mailbox, &e)
+        self.read_entry(mailbox, &entry)
     }
 
-    /// [`MfsStore::read_body`] timed as one `read_ns` span: the one read a
-    /// POP3 `RETR` makes ([`crate::ShardedStore::read_entry`]), and each
-    /// body of a [`MailStore::read_mailbox`] scan, so a sample is one body
-    /// on either store.
+    /// Reads the body `entry`, listed from `mailbox`, points at — one
+    /// `read_at`, no key-file read — as one `read_ns` span: every body
+    /// read's one site. Data files only grow while the store is open
+    /// ([`MfsStore::compact`] runs on a stopped spool), so a mail deleted
+    /// since the listing still reads as listed.
     pub(crate) fn read_entry(
         &mut self,
         mailbox: &str,
         entry: &MailboxEntry,
     ) -> StoreResult<StoredMail> {
         let _span = self.metrics.as_ref().map(|m| m.read_ns.start());
-        self.read_body(mailbox, entry)
-    }
-
-    /// Reads the body `entry`, listed from `mailbox`, points at: one
-    /// `read_at`, and no key-file read. Data files only grow while the
-    /// store is open — [`MfsStore::compact`] runs on a stopped spool — so
-    /// the coordinates a listing gave stay good, and a mail deleted since
-    /// still reads as the listing saw it.
-    pub(crate) fn read_body(
-        &mut self,
-        mailbox: &str,
-        entry: &MailboxEntry,
-    ) -> StoreResult<StoredMail> {
         let data_file = if entry.shared {
             Self::data_path(SHARED)
         } else {
@@ -1036,23 +950,148 @@ impl<B: Backend> MfsStore<B> {
 
 impl<B: Backend> MailStore for MfsStore<B> {
     fn deliver(&mut self, id: MailId, mailboxes: &[&str], body: DataRef<'_>) -> StoreResult<()> {
-        self.nwrite(id, mailboxes, body)
+        deliver(self, id, mailboxes, body)
     }
 
     fn read_mailbox(&mut self, mailbox: &str) -> StoreResult<Vec<StoredMail>> {
-        let entries = self.entries(mailbox)?.clone();
-        entries
-            .iter()
-            .map(|e| self.read_entry(mailbox, e))
-            .collect()
+        scan(self, mailbox)
     }
 
     fn delete(&mut self, mailbox: &str, id: MailId) -> StoreResult<()> {
-        let _span = self.metrics.as_ref().map(|m| m.delete_ns.start());
-        if let Some((offset, len)) = self.delete_local(mailbox, id)? {
-            self.shared_release(id, offset, len)?;
+        delete(self, mailbox, id)
+    }
+}
+
+/// The partition one step of a store operation runs on: the one that
+/// owns a mailbox's files, or the one that owns `shmailbox`'s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Part<'a> {
+    Mailbox(&'a str),
+    Shared,
+}
+
+/// What the store's rules — [`deliver`], [`delete`], [`scan`] and
+/// [`census`] — run over, one [`Part`] per step: an [`MfsStore`] is every
+/// partition at once, a [`crate::ShardedStore`] runs each step under the
+/// lock of the partition that owns it.
+pub(crate) trait Parts {
+    type Backend: Backend;
+
+    /// Runs one step of a store operation on the partition `at` names.
+    fn step<R>(&mut self, at: Part<'_>, f: impl FnOnce(&mut MfsStore<Self::Backend>) -> R) -> R;
+
+    /// [`Parts::step`] for a reporting pass, not a store operation.
+    fn peek<R>(&mut self, at: Part<'_>, f: impl FnOnce(&mut MfsStore<Self::Backend>) -> R) -> R {
+        self.step(at, f)
+    }
+
+    /// The instruments a delivery and a delete are timed in: one span per
+    /// operation, however many partitions it touches.
+    fn metrics(&self) -> Option<&StoreMetrics>;
+
+    /// The least recipient count [`deliver`] shares a mail at.
+    fn share_threshold(&self) -> usize;
+}
+
+impl<B: Backend> Parts for &mut MfsStore<B> {
+    type Backend = B;
+
+    fn step<R>(&mut self, _: Part<'_>, f: impl FnOnce(&mut MfsStore<B>) -> R) -> R {
+        f(self)
+    }
+
+    fn metrics(&self) -> Option<&StoreMetrics> {
+        self.metrics.as_ref()
+    }
+
+    fn share_threshold(&self) -> usize {
+        self.share_threshold
+    }
+}
+
+/// The paper's `mail_nwrite` (§6.2): below the share threshold a private
+/// copy per mailbox; at or above it the body once in `shmailbox` with a
+/// `+n` refcount record, and only once that step is over, a key tuple
+/// per mailbox pointing there.
+pub(crate) fn deliver(
+    mut s: impl Parts,
+    id: MailId,
+    mailboxes: &[&str],
+    body: DataRef<'_>,
+) -> StoreResult<()> {
+    let _span = s.metrics().map(|m| m.write_ns.start());
+    for mb in mailboxes {
+        check_mailbox_name(mb)?;
+    }
+    if mailboxes.len() < s.share_threshold() {
+        for mb in mailboxes {
+            s.step(Part::Mailbox(mb), |p| p.write_own(mb, id, body))?;
         }
-        Ok(())
+        return Ok(());
+    }
+    let n = mailboxes.len() as i64;
+    let (offset, len) = s.step(Part::Shared, |p| p.shared_acquire(id, body, n))?;
+    for mb in mailboxes {
+        s.step(Part::Mailbox(mb), |p| p.attach_shared(mb, id, offset, len))?;
+    }
+    Ok(())
+}
+
+/// The paper's `mail_delete`: the tombstone in the mailbox, then — only
+/// for a shared mail — the release of its reference on the shared log.
+pub(crate) fn delete(mut s: impl Parts, mailbox: &str, id: MailId) -> StoreResult<()> {
+    let _span = s.metrics().map(|m| m.delete_ns.start());
+    let freed = s.step(Part::Mailbox(mailbox), |p| p.delete_local(mailbox, id))?;
+    if let Some((offset, len)) = freed {
+        s.step(Part::Shared, |p| p.shared_release(id, offset, len))?;
+    }
+    Ok(())
+}
+
+/// Every mail of a mailbox, in delivery order: one listing step, then one
+/// step per body, read by the coordinates the listing gave. A mail
+/// deleted after the listing reads as listed, as a POP3 `RETR` serves it.
+pub(crate) fn scan(mut s: impl Parts, mailbox: &str) -> StoreResult<Vec<StoredMail>> {
+    let at = Part::Mailbox(mailbox);
+    let entries = s.step(at, |p| p.list_entries(mailbox))?;
+    entries
+        .iter()
+        .map(|e| s.step(at, |p| p.read_entry(mailbox, e)))
+        .collect()
+}
+
+/// The whole store counted by reporting steps: `shmailbox.key` folded,
+/// refcounts as logged, and every mailbox key file's live entries. An
+/// unreadable key file counts as empty; the first failure is returned
+/// for a caller that must not act on a partial count.
+fn census(mut s: impl Parts) -> (SharedLog, Held, Option<StoreError>) {
+    fn or_empty<T: Default>(read: StoreResult<T>, failed: &mut Option<StoreError>) -> T {
+        read.unwrap_or_else(|e| {
+            failed.get_or_insert(e);
+            T::default()
+        })
+    }
+    let mut failed = None;
+    let (log, names) = s.peek(Part::Shared, |p| (p.shared_log(), p.mailbox_names()));
+    let log = or_empty(log, &mut failed);
+    let mut held = Held::default();
+    for mailbox in or_empty(names, &mut failed) {
+        let entries = s.peek(Part::Mailbox(&mailbox), |p| p.read_entries(&mailbox));
+        held.count(&or_empty(entries, &mut failed));
+    }
+    (log, held, failed)
+}
+
+/// [`MfsStore::stats`] over any [`Parts`]: the [`census`], clamped.
+pub(crate) fn stats(s: impl Parts) -> MfsStats {
+    let (mut log, held, _) = census(s);
+    log.clamp(&held);
+    MfsStats {
+        shared_mails: log.bodies.len() as u64,
+        shared_bytes: log.bodies.values().map(|b| b.len).sum(),
+        freed_shared_bytes: log.freed_bytes,
+        own_records: held.own,
+        shared_references: held.refs.values().sum::<i64>() as u64,
     }
 }
 
@@ -1547,10 +1586,9 @@ impl<B: Backend> MfsStore<B> {
         self.memo = None;
         // 1. Fold the whole store: the shared log, clamped to the
         //    references the mailboxes hold.
-        let mut log = self.shared_log()?;
-        let mut held = Held::default();
-        for mb in self.mailbox_names()? {
-            held.count(&self.read_entries(&mb)?);
+        let (mut log, held, failed) = census(&mut *self);
+        if let Some(e) = failed {
+            return Err(e);
         }
         log.clamp(&held);
         log.debug_check(&held);

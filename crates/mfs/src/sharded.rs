@@ -14,23 +14,24 @@
 //!   entry a listing returned reads the body alone. Operations on
 //!   different shards never contend.
 //! * **One shared partition** holding the §6.1 `shmailbox` state (the
-//!   single-copy bodies and the refcount log). Multi-recipient delivery
-//!   takes this lock once, appends the body, and releases it *before*
-//!   touching any recipient's shard.
+//!   single-copy bodies and the refcount log).
+//!
+//! How a mail is placed, deleted, scanned and counted is written once,
+//! in `mfs_store.rs`, as steps that each touch one partition's files;
+//! this layer only chooses the lock each step runs under.
 //!
 //! # Lock ordering (deadlock freedom)
 //!
-//! No thread ever holds two partition locks at once. `deliver` acquires
-//! shared → release → each recipient shard in turn; `delete` acquires the
-//! shard → release → shared. Since every hold is singular, no cycle can
+//! No thread ever holds two partition locks at once: each step takes one
+//! lock and releases it before the next (a shared delivery's body append
+//! is over before any recipient's shard is taken), so no cycle can
 //! form. The type says so: a partition is only reachable through
-//! `with_part`/`peek`, which run a closure under the lock and hand
-//! no guard out, and in debug builds `SoleHold` panics when a thread
-//! enters one of them while inside another.
-//! The underlying files stay consistent without cross-lock critical
-//! sections because every MFS file is append-only and a shared body's
-//! `(offset, len)` is only published to shards *after* its append
-//! completed.
+//! `with_part`/`peek`, which run a closure under the lock and hand no
+//! guard out, and in debug builds `SoleHold` panics when a thread enters
+//! one of them while inside another. The files stay consistent without
+//! cross-lock critical sections because every MFS file is append-only
+//! and a shared body's `(offset, len)` is only published to shards
+//! *after* its append completed.
 //!
 //! All partitions must observe the same underlying files: with
 //! [`crate::RealDir`] each partition opens its own handle onto the same
@@ -38,10 +39,8 @@
 //! [`crate::MemFs`] into cloneable handles.
 
 use crate::backend::DataRef;
-use crate::mfs_store::{Held, ShardMetrics, StoreMetrics};
-use crate::{
-    Backend, MailId, MailStore, MailboxEntry, MfsStats, MfsStore, StoreResult, StoredMail,
-};
+use crate::mfs_store::{self, Part, Parts, ShardMetrics, StoreMetrics, SHARE_THRESHOLD};
+use crate::{Backend, MailId, MailboxEntry, MfsStats, MfsStore, StoreResult, StoredMail};
 use spamaware_metrics::{lock, Registry};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -201,11 +200,10 @@ impl<B: Backend> ShardedStore<B> {
     /// [`MfsStore::max_mail_id`]); the live server seeds its allocator
     /// above this on restart so ids are never reused.
     pub fn max_mail_id(&self) -> Option<MailId> {
-        let mut max = Self::peek(&self.shared, |p| p.max_mail_id());
-        for shard in &self.shards {
-            max = max.max(Self::peek(shard, |p| p.max_mail_id()));
-        }
-        max
+        let parts = std::iter::once(&self.shared).chain(&self.shards);
+        parts
+            .filter_map(|part| Self::peek(part, |p| p.max_mail_id()))
+            .max()
     }
 
     /// Torn trailing key records truncated away by the replay in
@@ -217,9 +215,10 @@ impl<B: Backend> ShardedStore<B> {
 
     /// Records every row of [`crate::INSTRUMENTS`] into `registry`: the
     /// group is registered once, and each partition gets a clone of its
-    /// handles. Deliveries and deletes are timed at this layer, one span
-    /// per logical operation however many partitions it touches; reads
-    /// and the byte and refcount counters are recorded by the partitions.
+    /// handles. Deliveries and deletes are timed in this layer's clone,
+    /// one span per logical operation however many partitions it touches;
+    /// reads and the byte and refcount counters are recorded by the
+    /// partitions.
     pub fn with_metrics(mut self, registry: &Registry) -> ShardedStore<B> {
         let store = StoreMetrics::register(registry);
         for part in std::iter::once(&mut self.shared).chain(&mut self.shards) {
@@ -230,14 +229,15 @@ impl<B: Backend> ShardedStore<B> {
         self
     }
 
-    /// Runs one store operation, `f`, under a partition's lock, charging
-    /// the wait for it to `shard_contention_ns` when metrics are on. The
-    /// guard never leaves this function, so a hold ends where its
-    /// closure ends; it cannot reach a loop's next turn or a later match
-    /// arm.
-    fn with_part<R>(&self, part: &Mutex<MfsStore<B>>, f: impl FnOnce(&mut MfsStore<B>) -> R) -> R {
+    /// Runs one store operation, `f`, under the lock of the partition
+    /// `at` names, charging the wait for it to `shard_contention_ns` when
+    /// metrics are on. The guard never leaves this function, so a hold
+    /// ends where its closure ends; it cannot reach a loop's next turn or
+    /// a later match arm.
+    fn with_part<R>(&self, at: Part<'_>, f: impl FnOnce(&mut MfsStore<B>) -> R) -> R {
         #[cfg(debug_assertions)]
         let _sole = SoleHold::enter();
+        let part = self.part(at);
         let mut guard = match &self.metrics {
             Some((_, shard)) => {
                 let start = shard.contention_ns.now();
@@ -258,42 +258,24 @@ impl<B: Backend> ShardedStore<B> {
         f(&mut lock(part))
     }
 
-    fn shard_for(&self, mailbox: &str) -> &Mutex<MfsStore<B>> {
-        &self.shards[shard_index(mailbox, self.shards.len())]
+    fn part(&self, at: Part<'_>) -> &Mutex<MfsStore<B>> {
+        match at {
+            Part::Mailbox(mailbox) => &self.shards[shard_index(mailbox, self.shards.len())],
+            Part::Shared => &self.shared,
+        }
     }
 
     /// Delivers one mail to all `mailboxes` — the concurrent
-    /// `mail_nwrite`. A single recipient's body goes to its own shard
-    /// under that shard's lock alone; for two or more (the share threshold
-    /// [`MfsStore::with_share_threshold`] defaults to) the body is
-    /// appended once to `shmailbox` under the short-hold shared lock,
-    /// which is released before the per-recipient key tuples are attached
-    /// shard by shard.
+    /// `mail_nwrite`, [`MfsStore::nwrite`]'s rule with each step under
+    /// its own lock: the shared body's append is over before any
+    /// recipient's shard is taken.
     ///
     /// # Errors
     ///
     /// Same surface as [`MfsStore::nwrite`], including
     /// [`crate::StoreError::MailIdCollision`] for the §6.4 defence.
     pub fn deliver(&self, id: MailId, mailboxes: &[&str], body: DataRef<'_>) -> StoreResult<()> {
-        let _span = self.metrics.as_ref().map(|(m, _)| m.write_ns.start());
-        for mb in mailboxes {
-            crate::check_mailbox_name(mb)?;
-        }
-        match mailboxes {
-            [] => Ok(()),
-            [mb] => self.with_part(self.shard_for(mb), |p| p.write_own(mb, id, body)),
-            _ => {
-                let (offset, len) = self.with_part(&self.shared, |p| {
-                    p.shared_acquire(id, body, mailboxes.len() as i64)
-                })?;
-                // Shared lock released: the body is durably appended and
-                // its coordinates fixed, so shards may now reference it.
-                for mb in mailboxes {
-                    self.with_part(self.shard_for(mb), |p| p.attach_shared(mb, id, offset, len))?;
-                }
-                Ok(())
-            }
-        }
+        mfs_store::deliver(self, id, mailboxes, body)
     }
 
     /// Mailbox listing: every live mail, in delivery order, under one
@@ -306,13 +288,13 @@ impl<B: Backend> ShardedStore<B> {
     /// [`crate::StoreError::CorruptRecord`] for a frame that fails
     /// validation.
     pub fn list_entries(&self, mailbox: &str) -> StoreResult<Vec<MailboxEntry>> {
-        self.with_part(self.shard_for(mailbox), |p| p.list_entries(mailbox))
+        self.with_part(Part::Mailbox(mailbox), |p| p.list_entries(mailbox))
     }
 
     /// `(id, body length)` per live mail ([`ShardedStore::list_entries`]),
     /// listing a mailbox whose key file cannot be read as empty.
     pub fn list_mailbox(&self, mailbox: &str) -> Vec<(MailId, u64)> {
-        self.with_part(self.shard_for(mailbox), |p| p.list_mailbox(mailbox))
+        self.with_part(Part::Mailbox(mailbox), |p| p.list_mailbox(mailbox))
     }
 
     /// Reads one mail under one short shard hold (see
@@ -323,7 +305,7 @@ impl<B: Backend> ShardedStore<B> {
     /// [`crate::StoreError::NotFound`] when the mailbox has no live mail
     /// with this id; backend read failures.
     pub fn read_mail(&self, mailbox: &str, id: MailId) -> StoreResult<StoredMail> {
-        self.with_part(self.shard_for(mailbox), |p| p.read_mail(mailbox, id))
+        self.with_part(Part::Mailbox(mailbox), |p| p.read_mail(mailbox, id))
     }
 
     /// Reads the body of `entry`, from a listing of `mailbox`, under one
@@ -337,34 +319,21 @@ impl<B: Backend> ShardedStore<B> {
     ///
     /// Backend read failures.
     pub fn read_entry(&self, mailbox: &str, entry: &MailboxEntry) -> StoreResult<StoredMail> {
-        self.with_part(self.shard_for(mailbox), |p| p.read_entry(mailbox, entry))
+        self.with_part(Part::Mailbox(mailbox), |p| p.read_entry(mailbox, entry))
     }
 
-    /// Reads every live mail in a mailbox, in delivery order. The shard
-    /// lock is *not* held across the scan: one hold lists the key file,
-    /// then each body is read under its own hold, so concurrent
-    /// deliveries to other mailboxes on the same stripe interleave instead
-    /// of waiting out O(mailbox) disk reads. A mail deleted between the
-    /// listing and its read is skipped, which is the same answer a
-    /// slightly earlier scan would have given. Shared bodies are read
-    /// through the shard's own backend handle: the shared data file is
-    /// append-only and coordinates are published only after the append
-    /// completed, so no shared lock is needed.
+    /// Reads every live mail in a mailbox, in delivery order, with no
+    /// hold across the scan: one hold lists the key file, then each body
+    /// is read by the listing's coordinates under its own, so deliveries
+    /// on the same stripe interleave instead of waiting out O(mailbox)
+    /// disk reads. A mail deleted after the listing is returned as
+    /// listed, as [`ShardedStore::read_entry`] serves it.
     ///
     /// # Errors
     ///
     /// Propagates backend read failures.
     pub fn read_mailbox(&self, mailbox: &str) -> StoreResult<Vec<StoredMail>> {
-        let index = self.list_entries(mailbox)?;
-        let mut out = Vec::with_capacity(index.len());
-        for e in index {
-            match self.read_mail(mailbox, e.id) {
-                Ok(mail) => out.push(mail),
-                Err(crate::StoreError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
+        mfs_store::scan(self, mailbox)
     }
 
     /// Deletes one mail from one mailbox: tombstone under the shard lock,
@@ -375,12 +344,7 @@ impl<B: Backend> ShardedStore<B> {
     ///
     /// [`crate::StoreError::NotFound`] when the mailbox or id is unknown.
     pub fn delete(&self, mailbox: &str, id: MailId) -> StoreResult<()> {
-        let _span = self.metrics.as_ref().map(|(m, _)| m.delete_ns.start());
-        let freed = self.with_part(self.shard_for(mailbox), |p| p.delete_local(mailbox, id))?;
-        if let Some((offset, len)) = freed {
-            self.with_part(&self.shared, |p| p.shared_release(id, offset, len))?;
-        }
-        Ok(())
+        mfs_store::delete(self, mailbox, id)
     }
 
     /// Aggregate statistics (see [`MfsStore::stats`]): the shared key log
@@ -389,30 +353,27 @@ impl<B: Backend> ShardedStore<B> {
     /// taken one partition at a time, so a concurrent delivery may be
     /// half-counted — fine for reporting).
     pub fn stats(&self) -> MfsStats {
-        let (log, names) = Self::peek(&self.shared, |p| {
-            (p.shared_log().unwrap_or_default(), p.mailbox_names())
-        });
-        let mut held = Held::default();
-        for mailbox in names.unwrap_or_default() {
-            Self::peek(self.shard_for(&mailbox), |p| {
-                p.count_mailbox(&mailbox, &mut held);
-            });
-        }
-        log.stats(&held)
+        mfs_store::stats(self)
     }
 }
 
-impl<B: Backend> MailStore for ShardedStore<B> {
-    fn deliver(&mut self, id: MailId, mailboxes: &[&str], body: DataRef<'_>) -> StoreResult<()> {
-        ShardedStore::deliver(self, id, mailboxes, body)
+impl<B: Backend> Parts for &ShardedStore<B> {
+    type Backend = B;
+
+    fn step<R>(&mut self, at: Part<'_>, f: impl FnOnce(&mut MfsStore<B>) -> R) -> R {
+        self.with_part(at, f)
     }
 
-    fn read_mailbox(&mut self, mailbox: &str) -> StoreResult<Vec<StoredMail>> {
-        ShardedStore::read_mailbox(self, mailbox)
+    fn peek<R>(&mut self, at: Part<'_>, f: impl FnOnce(&mut MfsStore<B>) -> R) -> R {
+        ShardedStore::peek(self.part(at), f)
     }
 
-    fn delete(&mut self, mailbox: &str, id: MailId) -> StoreResult<()> {
-        ShardedStore::delete(self, mailbox, id)
+    fn metrics(&self) -> Option<&StoreMetrics> {
+        self.metrics.as_ref().map(|(store, _)| store)
+    }
+
+    fn share_threshold(&self) -> usize {
+        SHARE_THRESHOLD
     }
 }
 
@@ -501,57 +462,6 @@ mod tests {
     fn sharded(n: usize) -> ShardedStore<SyncBackend<MemFs>> {
         let fs = SyncBackend::new(MemFs::new());
         ShardedStore::open_with(n, || Ok(fs.clone())).unwrap()
-    }
-
-    #[test]
-    fn single_recipient_lands_in_own_shard() {
-        let s = sharded(4);
-        s.deliver(MailId(1), &["alice"], DataRef::Bytes(b"private"))
-            .unwrap();
-        let mails = s.read_mailbox("alice").unwrap();
-        assert_eq!(mails.len(), 1);
-        assert_eq!(mails[0].body, b"private");
-        let stats = s.stats();
-        assert_eq!(stats.own_records, 1);
-        assert_eq!(stats.shared_mails, 0);
-    }
-
-    #[test]
-    fn multi_recipient_body_stored_once_across_shards() {
-        let s = sharded(4);
-        s.deliver(MailId(7), &["a", "b", "c"], DataRef::Bytes(b"spam body"))
-            .unwrap();
-        for mb in ["a", "b", "c"] {
-            assert_eq!(s.read_mailbox(mb).unwrap()[0].body, b"spam body");
-        }
-        let stats = s.stats();
-        assert_eq!(stats.shared_mails, 1);
-        assert_eq!(stats.shared_references, 3);
-        assert_eq!(stats.own_records, 0);
-    }
-
-    #[test]
-    fn delete_releases_shared_refcount() {
-        let s = sharded(4);
-        s.deliver(MailId(7), &["a", "b"], DataRef::Bytes(b"twice"))
-            .unwrap();
-        s.delete("a", MailId(7)).unwrap();
-        assert_eq!(s.stats().shared_mails, 1, "b still references the body");
-        s.delete("b", MailId(7)).unwrap();
-        let stats = s.stats();
-        assert_eq!(stats.shared_mails, 0);
-        assert_eq!(stats.freed_shared_bytes, 5);
-    }
-
-    #[test]
-    fn mail_id_collision_detected_across_shards() {
-        let s = sharded(4);
-        s.deliver(MailId(9), &["a", "b"], DataRef::Bytes(b"first"))
-            .unwrap();
-        let err = s
-            .deliver(MailId(9), &["c", "d"], DataRef::Bytes(b"different-size"))
-            .unwrap_err();
-        assert!(matches!(err, crate::StoreError::MailIdCollision(_)));
     }
 
     #[test]
@@ -759,7 +669,7 @@ mod tests {
     #[should_panic(expected = "already holds one")]
     fn second_partition_under_a_hold_panics() {
         let s = sharded(2);
-        s.with_part(&s.shards[0], |_| s.with_part(&s.shards[1], |_| ()));
+        s.with_part(Part::Shared, |_| s.with_part(Part::Mailbox("a"), |_| ()));
     }
 
     /// A record stays whole on a shared backend only if every layer above

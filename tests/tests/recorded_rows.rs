@@ -20,7 +20,7 @@ use std::time::Duration;
 /// The zero lines of the report at quiesce, sorted as the report sorts
 /// them, each with where it is recorded instead.
 const UNREACHED_HERE: &[&str] = &[
-    "counter dnsbl.agent_dropped", // no test: the agent's 256-slot queue must fill
+    "counter dnsbl.agent_dropped", // sim_engine::a_full_dnsbl_queue_drops_the_lookup_and_serves_the_client
     "counter dnsbl.breaker_closed", // overload_chaos::breaker_closes_again_when_the_dnsbl_heals
     "counter dnsbl.breaker_opened", // overload_chaos::blackholed_dnsbl_trips_breaker_and_mail_flows_fail_open
     "counter dnsbl.breaker_probes", // spamaware-dnsbl breaker::tests::metrics_track_transitions
@@ -36,7 +36,7 @@ const UNREACHED_HERE: &[&str] = &[
     "counter live.session_deadline_evictions", // sim_engine::dripping_client_cannot_outlive_the_session_deadline
     "counter live.shed_worker_busy", // sim_engine::worker_saturation_hands_back_and_sheds_with_421
     "counter live.sockopt_errors",   // no test: a reactor must refuse a socket
-    "counter live.worker_write_timeouts", // no test: a trusted peer must stop reading its replies
+    "counter live.worker_write_timeouts", // sim_engine::a_trusted_peer_that_stops_reading_is_a_worker_write_timeout
     "counter master.evicted_slow_writers", // write_stall::stalled_smtp_writer_is_evicted_while_delivery_flows
     "gauge master.outq_bytes",             // a gauge, 0 at quiesce
     "counter master.write_stalls", // write_stall::stalled_smtp_writer_is_evicted_while_delivery_flows

@@ -490,6 +490,31 @@ fn ipv6_peer_is_refused_at_the_door() {
     assert_eq!(h.registry.gauge_value("live.inflight"), Some(0));
 }
 
+/// A DNSBL agent that cannot take a lookup costs the statistic, never
+/// the client (§9): with the agent's queue a rendezvous channel nobody
+/// receives on, each admitted connection's lookup is dropped and
+/// counted, and each connection is still greeted and served.
+#[test]
+fn a_full_dnsbl_queue_drops_the_lookup_and_serves_the_client() {
+    let mut script: Vec<_> = (1..=3)
+        .flat_map(|c| [connect(c * SEC, c), data(c * SEC, c, b"HELO a\r\nQUIT\r\n")])
+        .collect();
+    script.push((5 * SEC, SimEvent::Stop));
+    let mut h = harness(script, &Config::default());
+    let (tx, _held) = sync_channel(0);
+    h.ctx.dnsbl_tx = Some(tx);
+    h.run(&mut |t| Some(t));
+
+    assert_eq!(h.registry.counter_value("dnsbl.agent_dropped"), Some(3));
+    for conn in 1..=3 {
+        let out = h.output_text(conn);
+        assert!(
+            out.starts_with("220 ") && out.ends_with("\r\n221 2.0.0 Bye\r\n"),
+            "{out}"
+        );
+    }
+}
+
 #[test]
 fn peer_eof_mid_dialog_counts_one_unfinished() {
     let script = vec![
@@ -1355,6 +1380,33 @@ fn a_silent_trusted_session_is_an_idle_eviction_on_the_worker() {
     assert_eq!(snap.delegated, 1, "the valid RCPT earned trust");
     assert_eq!((snap.idle_evictions, snap.unfinished), (1, 1));
     assert!(!h.reactor.conn_open(1), "the idle timer closed it");
+}
+
+/// A trusted peer whose window stays shut past the worker's write budget
+/// (`read_timeout`) is evicted by the worker as a slow writer.
+#[test]
+fn a_trusted_peer_that_stops_reading_is_a_worker_write_timeout() {
+    let script = vec![
+        connect(SEC, 1),
+        // The trusting burst's replies cross the seam unsent.
+        (2 * SEC, SimEvent::Window { conn: 1, bytes: 0 }),
+        data(3 * SEC, 1, TRUST_BURST),
+        (4 * SEC, SimEvent::Stop),
+        // Worker half: an empty grant stands in for the enqueue's wakeup.
+        (5 * SEC, SimEvent::Window { conn: 1, bytes: 0 }),
+        (30 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    h.run_through_the_seam(&WorkerConfig {
+        read_timeout: Duration::from_secs(5),
+        ..WorkerConfig::default()
+    });
+
+    let snap = h.stats.snapshot();
+    assert_eq!((snap.delegated, snap.unfinished), (1, 1));
+    let evicted = h.registry.counter_value("live.worker_write_timeouts");
+    assert_eq!(evicted, Some(1));
+    assert!(!h.reactor.conn_open(1), "the stall timer closed it");
 }
 
 // ---------------------------------------------------------------------
