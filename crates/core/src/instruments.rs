@@ -12,8 +12,6 @@
 //! Handles are resolved once, when a thread starts; recording through
 //! them is plain atomics.
 
-use spamaware_smtp::SessionOutcome;
-
 spamaware_metrics::instruments! {
     /// Every row below, in declaration order.
     #[cfg(test)]
@@ -43,8 +41,8 @@ spamaware_metrics::instruments! {
         shed_connections: counter "live.shed_connections" terminal "Connections shed with `421` at the total in-flight cap.",
         shed_per_ip: counter "live.shed_per_ip" terminal "Connections shed with `421` at the per-IP pre-trust cap.",
         shed_worker_busy: counter "live.shed_worker_busy" "Trusted connections shed with `421` because every worker queue was full (the master never blocks on a send).",
-        shed_draining: counter "live.shed_draining" terminal "Connections shed with `421` because the server is draining: arrivals refused at the door, plus the pre-trust connections the drain evicted (those are also in `drain_evictions`).",
-        drain_evictions: counter "live.drain_evictions" "Pre-trust connections a drain evicted mid-dialog (each also in `shed_draining` and `unfinished`).",
+        shed_draining: counter "live.shed_draining" terminal "Arrivals refused at the door with `421` because the server is draining.",
+        drain_evictions: counter "live.drain_evictions" "Connections a drain evicted with `421`: pre-trust ones mid-dialog, trusted ones between transactions.",
         session_deadline_evictions: counter "live.session_deadline_evictions" "Connections evicted with `421` for exhausting the whole-session wall-clock budget.",
         data_deadline_evictions: counter "live.data_deadline_evictions" "Connections evicted with `421` for exhausting the `DATA` transfer budget.",
         sockopt_errors: counter "live.sockopt_errors" "Connections a reactor (master, worker or admin) could not register: closed rather than left unserved and outside its deadlines.",
@@ -114,16 +112,6 @@ spamaware_metrics::instruments! {
     pub(crate) struct PoolMetrics {
         reuse: counter "live.pool_reuse" "Buffer-pool takes served from the free list.",
         miss: counter "live.pool_miss" "Buffer-pool takes that had to allocate.",
-    }
-}
-
-impl LiveStats {
-    /// Counts an SMTP connection's terminal outcome, on the master or on
-    /// a worker.
-    pub(crate) fn count_outcome(&self, outcome: SessionOutcome) {
-        outcome
-            .pick(&self.delivered, &self.bounces, &self.unfinished)
-            .inc();
     }
 }
 
@@ -335,7 +323,7 @@ histogram worker.storage_ns\n\
             worker_write_timeouts: 1 << 19,
             admin_write_timeouts: 1 << 20,
         };
-        assert_eq!(snap.unaccounted(), (1 << 30) - 0b0111_1111 + (1 << 7));
+        assert_eq!(snap.unaccounted(), (1 << 30) - 0b0111_1111);
     }
 
     /// DESIGN.md §14.3's table, rendered from the rows.

@@ -48,6 +48,7 @@ mod pop3;
 pub mod posttrust;
 pub mod pretrust;
 pub mod reactor;
+mod smtp_exit;
 
 pub use instruments::{LiveSnapshot, LiveStats};
 pub use linebuf::{LineBuffer, LineOverflow, MAX_LINE};

@@ -55,7 +55,7 @@ use crate::pool::BufferPool;
 use crate::posttrust::{run_posttrust, Handoff, WorkerCtx};
 use crate::pretrust::{self, EngineCtx, Trusted};
 use crate::reactor::os::OsReactor;
-use crate::reactor::Pollable;
+use crate::reactor::Reactor;
 use crate::ServeError;
 use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_mfs::{check_mailbox_name, RealDir, ShardedStore};
@@ -175,15 +175,14 @@ impl LiveSnapshot {
     /// `terminal` — *delivered*, *bounce*, *unfinished*, or *refused at
     /// the door* (IPv6, in-flight cap, per-IP cap, draining) — so at
     /// quiesce this equals the `live.inflight` gauge: zero once every
-    /// client has left. `shed_draining` also counts drain evictions, which
-    /// are `unfinished`, hence the subtraction; `shed_worker_busy` and the
-    /// eviction counters are causes of an `unfinished`, not outcomes.
+    /// client has left. The eviction and shed counters the table does not
+    /// mark are causes of an outcome, never outcomes of their own.
     ///
-    /// The subtraction is signed: a snapshot is not atomic, and one taken
-    /// while a drain evicts can read `drain_evictions` ahead of
-    /// `shed_draining`.
+    /// Signed: a snapshot is not atomic, and one that reads `accepted`
+    /// before a connection arrives and its outcome after it ends is one
+    /// short.
     pub fn unaccounted(&self) -> i64 {
-        self.accepted as i64 - (self.terminal_outcomes() as i64 - self.drain_evictions as i64)
+        self.accepted as i64 - self.terminal_outcomes() as i64
     }
 }
 
@@ -407,31 +406,15 @@ impl LiveServer {
             master_loop(listener, master_reactor, engine, dispatch);
         })?;
 
-        let env = DriverEnv {
-            clock: registry.clock(),
-            stop,
-            // The admin socket answers through a drain (that is how the
-            // operator watches it converge).
-            draining: Arc::new(AtomicBool::new(false)),
-            limits: Limits {
-                idle: ADMIN_IDLE_TIMEOUT,
-                session: Duration::MAX,
-                write_stall: ADMIN_IDLE_TIMEOUT,
-                phase: Duration::MAX,
-                max_outq_bytes: usize::MAX,
-            },
-            metrics: DriverMetrics::default(),
-        };
-        let mut admin = Admin {
+        let admin = Admin {
             listener: admin_listener,
             registry,
             draining,
             session_wakers: server.session_wakers.clone(),
-            sockopt_errors: Arc::clone(&stats.sockopt_errors),
-            admin_write_timeouts: Arc::clone(&stats.admin_write_timeouts),
+            stats,
         };
         server.spawn("admin".to_owned(), move || {
-            drive(&mut admin_reactor, &mut admin, &env);
+            run_admin(admin, &mut admin_reactor, stop);
         })?;
         Ok(server)
     }
@@ -621,26 +604,25 @@ const ADMIN_RESPONSE_CAP: usize = 256 * 1024;
 /// gauge fall to zero before stopping the process. A client that asks and
 /// then stops reading is cut off by the write-stall deadline
 /// (`live.admin_write_timeouts`).
-struct Admin {
-    listener: TcpListener,
+struct Admin<A> {
+    listener: A,
     registry: Arc<Registry>,
     draining: Arc<AtomicBool>,
     /// Wake the master and the workers out of their reactor waits when
     /// `DRAIN` arrives, so the drain sweep runs now instead of at the
     /// next natural readiness event.
     session_wakers: Vec<rawpoll::WakePipe>,
-    sockopt_errors: Arc<Counter>,
-    admin_write_timeouts: Arc<Counter>,
+    stats: Arc<LiveStats>,
 }
 
-impl Protocol<TcpStream> for Admin {
+impl<A: Acceptor> Protocol<A::Conn> for Admin<A> {
     type Session = ();
 
     fn listener(&self) -> Option<u64> {
         Some(self.listener.poll_id())
     }
 
-    fn admit(&mut self, now_ns: u64, _draining: bool) -> Option<Arrival<TcpStream, ()>> {
+    fn admit(&mut self, now_ns: u64, _draining: bool) -> Option<Arrival<A::Conn, ()>> {
         let (conn, _) = self.listener.try_accept().ok().flatten()?;
         Some(Arrival {
             conn,
@@ -677,31 +659,82 @@ impl Protocol<TcpStream> for Admin {
         Step::Close
     }
 
-    fn finish(&mut self, _gone: Gone<TcpStream, ()>, end: End) {
+    fn finish(&mut self, _gone: Gone<A::Conn, ()>, end: End) {
         match end {
-            End::SlowWriter => self.admin_write_timeouts.inc(),
-            End::Unwatchable => self.sockopt_errors.inc(),
+            End::SlowWriter => self.stats.admin_write_timeouts.inc(),
+            End::Unwatchable => self.stats.sockopt_errors.inc(),
             _ => {}
         }
     }
 }
 
+/// Serves the admin socket on `reactor` until `stop` is set.
+fn run_admin<A: Acceptor, R: Reactor>(mut admin: Admin<A>, reactor: &mut R, stop: Arc<AtomicBool>) {
+    let env = DriverEnv {
+        clock: admin.registry.clock(),
+        stop,
+        // The admin socket answers through a drain (that is how the
+        // operator watches it converge).
+        draining: Arc::new(AtomicBool::new(false)),
+        limits: Limits {
+            idle: ADMIN_IDLE_TIMEOUT,
+            session: Duration::MAX,
+            write_stall: ADMIN_IDLE_TIMEOUT,
+            phase: Duration::MAX,
+            max_outq_bytes: usize::MAX,
+        },
+        metrics: DriverMetrics::default(),
+    };
+    drive(reactor, &mut admin, &env);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::sim::{SimEvent, SimReactor};
+    use spamaware_metrics::ManualClock;
 
     #[test]
-    fn unaccounted_survives_a_snapshot_torn_across_a_drain_eviction() {
-        // `snapshot()` read `shed_draining` before an eviction and
-        // `drain_evictions` after it.
-        let snap = LiveSnapshot {
-            accepted: 3,
-            unfinished: 2,
-            shed_draining: 1,
-            drain_evictions: 2,
-            ..LiveSnapshot::default()
+    fn an_admin_client_that_stops_reading_its_report_is_cut_off() {
+        const SEC: u64 = 1_000_000_000;
+        let clock = ManualClock::new();
+        let registry = Arc::new(Registry::new(Arc::new(clock.clone())));
+        let stats = Arc::new(LiveStats::register(&registry));
+        let (stop, draining) = (Arc::default(), Arc::default());
+        let script = vec![
+            (
+                SEC,
+                SimEvent::Connect {
+                    conn: 1,
+                    peer: SocketAddr::from(([127, 0, 0, 1], 4000)),
+                },
+            ),
+            // The client's window is shut before it asks.
+            (SEC, SimEvent::Window { conn: 1, bytes: 0 }),
+            (
+                2 * SEC,
+                SimEvent::Data {
+                    conn: 1,
+                    bytes: b"METRICS\r\n".to_vec(),
+                },
+            ),
+            (30 * SEC, SimEvent::Stop),
+        ];
+        let mut reactor = SimReactor::new(&clock, &stop, &draining, script);
+        let admin = Admin {
+            listener: reactor.acceptor(),
+            registry: Arc::clone(&registry),
+            draining,
+            session_wakers: Vec::new(),
+            stats: Arc::clone(&stats),
         };
-        assert_eq!(snap.unaccounted(), 2);
+        run_admin(admin, &mut reactor, stop);
+
+        assert_eq!(stats.admin_write_timeouts.get(), 1);
+        assert!(reactor.output(1).is_empty(), "not one byte was taken");
+        assert!(!reactor.conn_open(1), "the stall timer closed it");
+        let evicted = format!("t={} timer", 2 * SEC + 5 * SEC);
+        assert!(reactor.log().contains(&evicted), "{:?}", reactor.log());
     }
 
     #[test]

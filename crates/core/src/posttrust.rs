@@ -10,17 +10,21 @@
 //! therefore costs its own connection state and nothing else: it no
 //! longer owns the thread.
 //!
+//! A connection ends through the one SMTP exit it shares with the
+//! master (`smtp_exit.rs`).
+//!
 //! Generic over the transport and the store backend, so the deterministic
 //! tests replay it on [`crate::reactor::sim`] over a `MemFs`.
 
 use crate::driver::{
-    drive, farewell, Arrival, Conn, DriverEnv, DriverMetrics, End, Gone, Limits, Protocol, Step,
+    drive, Arrival, Conn, DriverEnv, DriverMetrics, End, Gone, Limits, Protocol, Step,
 };
 use crate::instruments::{LiveStats, VerbCounters, WorkerMetrics};
 use crate::linebuf::LineBuffer;
 use crate::pool::BufferPool;
-use crate::pretrust::{say_unavailable, Trusted};
+use crate::pretrust::Trusted;
 use crate::reactor::Reactor;
+use crate::smtp_exit::SmtpExit;
 use spamaware_metrics::{Gauge, Registry};
 use spamaware_mfs::{Backend, DataRef, MailId, ShardedStore};
 use spamaware_smtp::{DataVerdict, Envelope, Reply, ServerSession, SessionPhase};
@@ -80,6 +84,7 @@ struct PostTrust<C, B> {
     ctx: WorkerCtx<C, B>,
     metrics: WorkerMetrics,
     verbs: VerbCounters,
+    exit: SmtpExit,
 }
 
 impl<C, B: Backend> PostTrust<C, B> {
@@ -171,45 +176,18 @@ impl<C: Conn, B: Backend> Protocol<C> for PostTrust<C, B> {
         }
     }
 
-    fn finish(&mut self, mut gone: Gone<C, Post>, end: End) {
-        let stats = &self.ctx.stats;
-        let mut conn = gone.conn;
-        self.ctx.line_pool.put(gone.lines.into_remaining());
+    fn finish(&mut self, gone: Gone<C, Post>, end: End) {
+        let mut post = gone.session;
         // Ended mid-DATA, the capture buffer taken at the 354 goes back
         // as well (otherwise it is empty and `put` drops it).
-        self.ctx
-            .body_pool
-            .put(gone.session.session.take_body_buffer());
-        if let Some(start) = gone.session.data_start {
+        self.ctx.body_pool.put(post.session.take_body_buffer());
+        if let Some(start) = post.data_start {
             // Ended mid-DATA: close out the span so abandoned transfers
             // still show up in the latency histogram.
             self.metrics.data_ns.record_since(start);
         }
-        match end {
-            End::Closed | End::PeerGone | End::Detached => {}
-            End::Idle => stats.idle_evictions.inc(),
-            End::Overflow => {
-                stats.overflows.inc();
-                farewell(&mut conn, Reply::syntax_error().to_wire().as_bytes());
-            }
-            End::SlowWriter => stats.worker_write_timeouts.inc(),
-            End::Session => {
-                stats.session_deadline_evictions.inc();
-                say_unavailable(&mut conn);
-            }
-            End::Phase => {
-                stats.data_deadline_evictions.inc();
-                say_unavailable(&mut conn);
-            }
-            // Between transactions the client is told to come back later;
-            // a DATA in flight ran to completion first (its ack is on the
-            // wire).
-            End::Drain => say_unavailable(&mut conn),
-            End::Unwatchable => stats.sockopt_errors.inc(),
-        }
-        let ended_by_client = matches!(end, End::Closed | End::PeerGone);
-        stats.count_outcome(gone.session.session.outcome(ended_by_client));
-        self.ctx.inflight.dec();
+        let leftover = gone.lines.into_remaining();
+        self.exit.leave(gone.conn, &post.session, leftover, end);
     }
 }
 
@@ -230,10 +208,17 @@ pub fn run_posttrust<C: Conn, R: Reactor, B: Backend>(reactor: &mut R, ctx: Work
         },
         metrics: DriverMetrics::default(),
     };
+    let exit = SmtpExit {
+        stats: Arc::clone(&ctx.stats),
+        line_pool: Arc::clone(&ctx.line_pool),
+        inflight: Arc::clone(&ctx.inflight),
+        slow_writers: Arc::clone(&ctx.stats.worker_write_timeouts),
+    };
     let mut proto = PostTrust {
         ctx,
         metrics: WorkerMetrics::register(&registry),
         verbs: VerbCounters::register(&registry),
+        exit,
     };
     drive(reactor, &mut proto, &env);
 }

@@ -11,6 +11,9 @@
 //! calls that could are refused crate-wide by `clippy.toml`, and none of
 //! its waivers is in this file (DESIGN.md §14.2).
 //!
+//! A connection ends through the one SMTP exit it shares with a worker
+//! (`smtp_exit.rs`).
+//!
 //! Everything is injected: the [`Acceptor`]/`Conn` transport pair (real
 //! `TcpListener`/`TcpStream`, or the scripted doubles in
 //! [`crate::reactor::sim`]), the [`Reactor`], the metrics registry (whose
@@ -20,13 +23,13 @@
 //! byte-identical schedules with zero real sockets or sleeps.
 
 use crate::driver::{
-    drive, farewell, Acceptor, Arrival, Conn, DriverEnv, DriverMetrics, End, Gone, Limits,
-    Protocol, Step,
+    drive, farewell, Acceptor, Arrival, DriverEnv, DriverMetrics, End, Gone, Limits, Protocol, Step,
 };
 use crate::instruments::{LiveStats, MasterMetrics, VerbCounters};
 use crate::linebuf::LineBuffer;
 use crate::pool::BufferPool;
 use crate::reactor::Reactor;
+use crate::smtp_exit::SmtpExit;
 use spamaware_metrics::{Counter, Gauge, Registry};
 use spamaware_netaddr::Ipv4;
 use spamaware_smtp::{Reply, ServerSession, SessionConfig, SessionPhase, TrustPoint};
@@ -93,11 +96,6 @@ pub struct EngineCtx {
     pub inflight: Arc<Gauge>,
 }
 
-/// The one-write `421` every refusal and eviction parts with.
-pub(crate) fn say_unavailable<C: Conn>(conn: &mut C) {
-    farewell(conn, Reply::service_not_available().to_wire().as_bytes());
-}
-
 /// One pre-trust connection's protocol state.
 struct Pre {
     session: ServerSession,
@@ -114,6 +112,7 @@ struct PreTrust<'a, A, S> {
     per_ip: HashMap<Ipv4, usize>,
     metrics: MasterMetrics,
     verbs: VerbCounters,
+    exit: SmtpExit,
 }
 
 impl<A: Acceptor, S> PreTrust<'_, A, S> {
@@ -122,7 +121,10 @@ impl<A: Acceptor, S> PreTrust<'_, A, S> {
     /// overload must cost microseconds, not the work it is shedding.
     fn shed(mut conn: A::Conn, counter: &Counter) {
         counter.inc();
-        say_unavailable(&mut conn);
+        farewell(
+            &mut conn,
+            Reply::service_not_available().to_wire().as_bytes(),
+        );
     }
 }
 
@@ -208,8 +210,6 @@ where
     }
 
     fn finish(&mut self, gone: Gone<A::Conn, Pre>, end: End) {
-        let ctx = self.ctx;
-        let stats = &ctx.stats;
         let Pre { session, peer } = gone.session;
         if let Some(held) = self.per_ip.get_mut(&peer) {
             *held -= 1;
@@ -218,58 +218,24 @@ where
             }
         }
         self.metrics.pretrust_ns.record_since(gone.accepted_ns);
-        let mut conn = gone.conn;
-        let mut leftover = gone.lines.into_remaining();
-        let outcome = session.outcome(matches!(end, End::Closed | End::PeerGone));
-        match end {
-            End::Detached => {
-                let task = Trusted {
-                    conn,
-                    session,
-                    leftover,
-                    pending_out: gone.unsent,
-                    accepted_ns: gone.accepted_ns,
-                };
-                // Delegated: the worker side owns the in-flight slot and
-                // the terminal outcome from here.
-                let Some(mut back) = (self.sink)(task) else {
-                    return;
-                };
-                // Every queue full: tempfail instead of blocking. A
-                // blocking send here stalls the master — and with it
-                // every pre-trust dialog and the accept loop — behind the
-                // slowest worker; `421` sheds exactly one client instead.
-                stats.shed_worker_busy.inc();
-                say_unavailable(&mut back.conn);
-                leftover = back.leftover;
-            }
-            End::Closed | End::PeerGone => {}
-            End::Overflow => {
-                stats.overflows.inc();
-                farewell(&mut conn, Reply::syntax_error().to_wire().as_bytes());
-            }
-            // Idle slow client: dropped without a word.
-            End::Idle => stats.idle_evictions.inc(),
-            // No farewell either: by definition it is not reading.
-            End::SlowWriter => self.metrics.evicted_slow_writers.inc(),
-            End::Session | End::Phase => {
-                stats.session_deadline_evictions.inc();
-                say_unavailable(&mut conn);
-            }
-            End::Drain => {
-                // Pre-trust connections hold no acked mail.
-                stats.shed_draining.inc();
-                stats.drain_evictions.inc();
-                say_unavailable(&mut conn);
-            }
-            End::Unwatchable => {
-                stats.sockopt_errors.inc();
-                say_unavailable(&mut conn);
-            }
+        let leftover = gone.lines.into_remaining();
+        if end != End::Detached {
+            self.exit.leave(gone.conn, &session, leftover, end);
+            return;
         }
-        ctx.line_pool.put(leftover);
-        stats.count_outcome(outcome);
-        ctx.inflight.dec();
+        let task = Trusted {
+            conn: gone.conn,
+            session,
+            leftover,
+            pending_out: gone.unsent,
+            accepted_ns: gone.accepted_ns,
+        };
+        // Delegated: the worker side owns the in-flight slot and the
+        // terminal outcome from here. Handed back, it leaves here.
+        if let Some(back) = (self.sink)(task) {
+            self.exit
+                .leave(back.conn, &back.session, back.leftover, end);
+        }
     }
 }
 
@@ -298,13 +264,21 @@ where
         },
         metrics: DriverMetrics::register(registry),
     };
+    let metrics = MasterMetrics::register(registry);
+    let exit = SmtpExit {
+        stats: Arc::clone(&ctx.stats),
+        line_pool: Arc::clone(&ctx.line_pool),
+        inflight: Arc::clone(&ctx.inflight),
+        slow_writers: Arc::clone(&metrics.evicted_slow_writers),
+    };
     let mut proto = PreTrust {
         acceptor,
         ctx,
         sink,
         per_ip: HashMap::new(),
-        metrics: MasterMetrics::register(registry),
+        metrics,
         verbs: VerbCounters::register(registry),
+        exit,
     };
     drive(reactor, &mut proto, &env);
 }

@@ -1,11 +1,12 @@
 //! Scripted readiness on virtual time: the deterministic [`Reactor`].
 //!
 //! A [`SimReactor`] replays a pre-written schedule of network events —
-//! connects, byte deliveries, peer EOFs, write-window grants, drain/stop
-//! control flips — against a [`ManualClock`]. [`Reactor::wait`] never
-//! sleeps: it either reports readiness that is already pending
-//! (level-triggered, like epoll), or jumps the clock forward to the next
-//! scripted event or the caller's timer deadline, whichever is sooner.
+//! connects, byte deliveries, peer EOFs, write-window grants, refused
+//! registrations, drain/stop control flips — against a [`ManualClock`].
+//! [`Reactor::wait`] never sleeps: it either reports readiness that is
+//! already pending (level-triggered, like epoll), or jumps the clock
+//! forward to the next scripted event or the caller's timer deadline,
+//! whichever is sooner.
 //! Driven this way, the session engine in [`crate::driver`] — under the
 //! pre-trust and the post-trust protocol alike — runs its full behavior
 //! (timeouts, drain, shed, slowloris eviction, write backpressure, `DATA`
@@ -31,7 +32,7 @@
 use super::{Pollable, Reactor, ReadyEvent};
 use crate::driver::{Acceptor, Conn};
 use spamaware_metrics::{lock, Clock, ManualClock};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,6 +73,13 @@ pub enum SimEvent {
         conn: u64,
         /// Additional bytes the connection will accept.
         bytes: usize,
+    },
+    /// The reactor refuses the next registration of `conn` (a failed
+    /// `epoll_ctl`): the engine must close the connection rather than
+    /// serve it unwatched.
+    Refuse {
+        /// Target connection id.
+        conn: u64,
     },
     /// The operator requests a graceful drain.
     Drain,
@@ -216,6 +224,8 @@ pub struct SimReactor {
     net: Arc<Mutex<NetState>>,
     /// `poll_id → (token, reads muted, write interest armed)`.
     registered: BTreeMap<u64, (u64, bool, bool)>,
+    /// Ids whose next registration fails ([`SimEvent::Refuse`]).
+    refused: BTreeSet<u64>,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     log: Vec<String>,
@@ -239,6 +249,7 @@ impl SimReactor {
             script: script.into(),
             net: Arc::new(Mutex::new(NetState::default())),
             registered: BTreeMap::new(),
+            refused: BTreeSet::new(),
             stop: Arc::clone(stop),
             draining: Arc::clone(draining),
             log: Vec::new(),
@@ -323,6 +334,10 @@ impl SimReactor {
                 self.log
                     .push(format!("t={at} window conn={conn} bytes={bytes}"));
             }
+            SimEvent::Refuse { conn } => {
+                self.refused.insert(conn);
+                self.log.push(format!("t={at} refuse conn={conn}"));
+            }
             SimEvent::Drain => {
                 self.draining.store(true, Ordering::SeqCst);
                 self.log.push(format!("t={at} drain"));
@@ -384,6 +399,10 @@ impl SimReactor {
 
 impl Reactor for SimReactor {
     fn register(&mut self, poll_id: u64, token: u64) -> io::Result<()> {
+        if self.refused.remove(&poll_id) {
+            self.log.push(format!("refused id={poll_id:#x}"));
+            return Err(io::Error::other("scripted registration refusal"));
+        }
         self.registered.insert(poll_id, (token, false, false));
         self.log
             .push(format!("watch id={poll_id:#x} token={token}"));

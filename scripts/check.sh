@@ -53,10 +53,16 @@
 #                                the session engine's timer set, and the
 #                                core, mfs and dnsbl instrument tables
 #                                against DESIGN.md §14.3 and against what
-#                                a freshly started server registers, and
-#                                the recorded-rows guard: a scripted run
+#                                a freshly started server registers, the
+#                                recorded-rows guard: a scripted run
 #                                whose report may read zero only on the
-#                                rows it pins (DESIGN.md §14.4)
+#                                rows it pins (DESIGN.md §14.4), and the
+#                                conservation check: every accepted
+#                                connection in flight or in exactly one
+#                                terminal row, with no exception
+#                                (LiveSnapshot::unaccounted, §14.3),
+#                                asserted after every sim_engine run and
+#                                at the quiesce of the real-TCP suites
 #   5. figures check results   — every experiment is re-run in release at
 #                                the recorded scale (and the four
 #                                full_key rows at --full) and compared

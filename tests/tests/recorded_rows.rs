@@ -29,13 +29,13 @@ const UNREACHED_HERE: &[&str] = &[
     "counter dnsbl.eviction", // spamaware-dnsbl resolver::tests::registry_metrics_count_capacity_evictions
     "counter dnsbl.udp_errors", // overload_chaos::garbled_dnsbl_counts_errors_not_timeouts_and_trips_breaker
     "counter dnsbl.udp_timeouts", // overload_chaos::blackholed_dnsbl_trips_breaker_and_mail_flows_fail_open
-    "counter live.admin_write_timeouts", // no test: an admin client must stop reading a report
+    "counter live.admin_write_timeouts", // spamaware-core live::tests::an_admin_client_that_stops_reading_its_report_is_cut_off
     "counter live.data_deadline_evictions", // sim_engine::trickled_data_is_evicted_at_the_exact_data_deadline
     "gauge live.inflight",                  // a gauge, 0 at quiesce
     "counter live.rejected_ipv6",           // sim_engine::ipv6_peer_is_refused_at_the_door
     "counter live.session_deadline_evictions", // sim_engine::dripping_client_cannot_outlive_the_session_deadline
     "counter live.shed_worker_busy", // sim_engine::worker_saturation_hands_back_and_sheds_with_421
-    "counter live.sockopt_errors",   // no test: a reactor must refuse a socket
+    "counter live.sockopt_errors", // sim_engine::a_socket_the_masters_reactor_refuses_is_closed_with_421, sim_engine::a_socket_the_workers_reactor_refuses_is_closed_with_421
     "counter live.worker_write_timeouts", // sim_engine::a_trusted_peer_that_stops_reading_is_a_worker_write_timeout
     "counter master.evicted_slow_writers", // write_stall::stalled_smtp_writer_is_evicted_while_delivery_flows
     "gauge master.outq_bytes",             // a gauge, 0 at quiesce

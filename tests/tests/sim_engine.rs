@@ -350,7 +350,8 @@ fn drain_evicts_pretrust_and_sheds_new_arrivals() {
 
     // Pre-trust holds no acked mail: the drain evicts both mid-dialog
     // connections with 421 and sheds the late arrival the same way.
-    assert_eq!(h.stats.shed_draining.get(), 3);
+    assert_eq!(h.stats.shed_draining.get(), 1, "only the door refusal");
+    assert_eq!(h.stats.drain_evictions.get(), 2);
     assert_eq!(
         h.stats.unfinished.get(),
         2,
@@ -950,12 +951,17 @@ impl Harness {
     ) {
         let (tx, rx) = sync_channel(cfg.queue);
         let delegated = Arc::clone(&self.stats.delegated);
+        let queue_depth = self.registry.gauge("worker.queue_depth");
         let clock = Arc::clone(&self.registry);
-        self.run(&mut |t| {
-            delegated.inc();
-            tx.try_send((clock.now_nanos(), t)).err().map(|e| match e {
-                TrySendError::Full((_, t)) | TrySendError::Disconnected((_, t)) => t,
-            })
+        // `Dispatch::offer`'s books: a hand-off counts and is queued only
+        // once the send succeeds.
+        self.run(&mut |t| match tx.try_send((clock.now_nanos(), t)) {
+            Ok(()) => {
+                delegated.inc();
+                queue_depth.inc();
+                None
+            }
+            Err(TrySendError::Full((_, t)) | TrySendError::Disconnected((_, t))) => Some(t),
         });
         self.ctx.stop.store(false, Ordering::SeqCst);
         let ctx = WorkerCtx {
@@ -977,6 +983,11 @@ impl Harness {
         };
         run_posttrust(&mut self.reactor, ctx);
         self.assert_conserved();
+        assert_eq!(
+            self.registry.gauge_value("worker.queue_depth"),
+            Some(0),
+            "the worker dequeued every hand-off the master queued"
+        );
     }
 }
 
@@ -1407,6 +1418,57 @@ fn a_trusted_peer_that_stops_reading_is_a_worker_write_timeout() {
     let evicted = h.registry.counter_value("live.worker_write_timeouts");
     assert_eq!(evicted, Some(1));
     assert!(!h.reactor.conn_open(1), "the stall timer closed it");
+}
+
+/// A connection the master's reactor refuses to watch is closed at the
+/// accept with one `421` and never greeted: it could never be served.
+#[test]
+fn a_socket_the_masters_reactor_refuses_is_closed_with_421() {
+    let script = vec![
+        (SEC, SimEvent::Refuse { conn: 1 }),
+        connect(2 * SEC, 1),
+        (3 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    h.run(&mut |t| Some(t));
+
+    assert_eq!(h.output_text(1), R421, "no greeting, one farewell");
+    assert!(!h.reactor.conn_open(1));
+    let snap = h.stats.snapshot();
+    assert_eq!((snap.sockopt_errors, snap.unfinished), (1, 1));
+    assert_eq!(h.registry.gauge_value("live.inflight"), Some(0));
+}
+
+/// A trusted connection the worker's reactor refuses to watch is closed
+/// at the worker's adopt with one `421`, after every reply the master
+/// sent.
+#[test]
+fn a_socket_the_workers_reactor_refuses_is_closed_with_421() {
+    let script = vec![
+        connect(SEC, 1),
+        data(
+            2 * SEC,
+            1,
+            b"HELO relay.example\r\nMAIL FROM:<x@client.example>\r\nRCPT TO:<alice@dept.example>\r\n",
+        ),
+        (3 * SEC, SimEvent::Stop),
+        // Worker half: the refusal is also the enqueue's wakeup.
+        (4 * SEC, SimEvent::Refuse { conn: 1 }),
+        (5 * SEC, SimEvent::Stop),
+    ];
+    let mut h = harness(script, &Config::default());
+    h.run_through_the_seam(&WorkerConfig::default());
+
+    let out = h.output_text(1);
+    let codes: Vec<&str> = out.lines().map(|l| &l[..3]).collect();
+    assert_eq!(codes, ["220", "250", "250", "250", "421"], "{out}");
+    assert!(!h.reactor.conn_open(1));
+    let snap = h.stats.snapshot();
+    assert_eq!(
+        (snap.delegated, snap.sockopt_errors, snap.unfinished),
+        (1, 1, 1)
+    );
+    assert_eq!(h.registry.gauge_value("live.inflight"), Some(0));
 }
 
 // ---------------------------------------------------------------------
